@@ -233,8 +233,8 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	// moment the 200 comes back.
 	const notes = 5
 	for i := 0; i < notes; i++ {
-		body := fmt.Sprintf("<%s> <http://example.org/crashNote> \"note-%d\" .", site, i)
-		resp, err := http.Post(base+"/v1/insert?role=Writer", "application/n-triples",
+		body := fmt.Sprintf(`[{"op":"insert","triples":"<%s> <http://example.org/crashNote> \"note-%d\" ."}]`, site, i)
+		resp, err := http.Post(base+"/v1/mutate?role=Writer", "application/json",
 			strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

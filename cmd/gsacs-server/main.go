@@ -4,13 +4,13 @@
 //
 //	GET /healthz      status, triple count, cache and audit stats
 //	GET /metrics      Prometheus text exposition of the whole stack
-//	GET /roles
-//	GET /ontologies
-//	GET /view?role=MainRep[&format=ntriples]
-//	GET /resource?role=Hazmat&iri=<feature-iri>
-//	GET /query?role=Hazmat&q=<sparql>
-//	GET /audit
-//	POST /insert, /delete, /update   authorized mutations (N-Triples bodies)
+//	GET /v1/roles
+//	GET /v1/ontologies
+//	GET /v1/view?role=MainRep[&format=ntriples]
+//	GET /v1/resource?role=Hazmat&iri=<feature-iri>
+//	GET /v1/query?role=Hazmat&q=<sparql>
+//	GET /v1/audit
+//	POST /v1/mutate?role=Writer   authorized atomic batch (JSON op array)
 //
 // Every response carries an X-Trace-Id header; the same ID appears on every
 // structured (JSON, stderr) log line the request produced.
@@ -20,8 +20,8 @@
 // the state is periodically checkpointed into checksummed snapshots, and a
 // restart recovers to exactly the acknowledged state (see README "Durability
 // & crash recovery"). The server starts listening immediately and answers
-// 503 {"code":"recovering"} on every route except /healthz and /metrics
-// until recovery completes. On the first start against an empty directory
+// 503 {"code":"recovering"} on every route except /healthz, /metrics and the
+// profiler until recovery completes. On the first start against an empty directory
 // the initial dataset (scenario or -data file) is seeded through the log.
 //
 // With -source the server federates /v1/query across the local engine and
@@ -276,7 +276,7 @@ func main() {
 	logLevel := flag.String("log-level", "info", "slog level: debug, info, warn, error")
 	queryTimeout := flag.Duration("query-timeout", 30*time.Second, "per-request SPARQL evaluation deadline (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "in-flight request drain window on SIGINT/SIGTERM")
-	maxBodyBytes := flag.Int64("max-body-bytes", 1<<20, "request body cap on /insert, /delete and /update (0 disables)")
+	maxBodyBytes := flag.Int64("max-body-bytes", 1<<20, "request body cap on /v1/mutate (0 disables)")
 
 	dataDir := flag.String("data-dir", "", "durable repository directory (empty = in-memory only; mutations are lost on exit)")
 	fsyncMode := flag.String("fsync", "always", "WAL durability: always (fsync per mutation), interval (batched), off")

@@ -32,7 +32,7 @@ func TestBuildEngineBuiltinScenario(t *testing.T) {
 	// Serve it and hit an endpoint end to end.
 	srv := httptest.NewServer(gsacs.NewServer(e, nil))
 	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/roles")
+	resp, err := srv.Client().Get(srv.URL + "/v1/roles")
 	if err != nil || resp.StatusCode != 200 {
 		t.Fatalf("roles = %v %v", resp, err)
 	}
@@ -41,7 +41,7 @@ func TestBuildEngineBuiltinScenario(t *testing.T) {
 
 // TestObservabilityEndToEnd drives the fully-instrumented server the same
 // way main() wires it and checks the acceptance criteria: /metrics serves
-// every advertised family, and the /query trace ID shows up in the logs.
+// every advertised family, and the /v1/query trace ID shows up in the logs.
 func TestObservabilityEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	var logBuf bytes.Buffer
@@ -68,9 +68,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	query := "SELECT ?s WHERE { ?s a <http://grdf.org/app#ChemSite> }"
-	_, traceID := get("/query?role=Hazmat&q=" + url.QueryEscape(query))
+	_, traceID := get("/v1/query?role=Hazmat&q=" + url.QueryEscape(query))
 	if traceID == "" {
-		t.Fatal("no trace ID on /query response")
+		t.Fatal("no trace ID on /v1/query response")
 	}
 	if !strings.Contains(logBuf.String(), traceID) {
 		t.Errorf("trace ID %s missing from logs:\n%s", traceID, logBuf.String())
@@ -93,7 +93,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 			t.Errorf("/metrics missing %s", family)
 		}
 	}
-	if !strings.Contains(metrics, `grdf_http_requests_total{code="200",route="/query"}`) {
+	if !strings.Contains(metrics, `grdf_http_requests_total{code="200",route="/v1/query"}`) {
 		t.Errorf("per-route counter missing:\n%s", metrics)
 	}
 
@@ -244,7 +244,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 		t.Errorf("shutdown not logged:\n%s", logs)
 	}
 	// The listener is gone: new connections must fail.
-	if _, err := http.Get("http://" + srv.Addr + "/roles"); err == nil {
+	if _, err := http.Get("http://" + srv.Addr + "/v1/roles"); err == nil {
 		t.Error("server still accepting after shutdown")
 	}
 }

@@ -83,8 +83,8 @@ func noteCount(t *testing.T, base, site string) int {
 func insertNotes(t *testing.T, base, site string, offset, n int, logs *bytes.Buffer) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		body := fmt.Sprintf("<%s> <http://example.org/crashNote> \"note-%d\" .", site, offset+i)
-		resp, err := http.Post(base+"/v1/insert?role=Writer", "application/n-triples",
+		body := fmt.Sprintf(`[{"op":"insert","triples":"<%s> <http://example.org/crashNote> \"note-%d\" ."}]`, site, offset+i)
+		resp, err := http.Post(base+"/v1/mutate?role=Writer", "application/json",
 			strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -138,8 +138,8 @@ func TestFollowerCrashRecoverySIGKILL(t *testing.T) {
 	waitFor(followerBase, 5, followerLogs, "initial replication")
 
 	// The replica refuses writes and points at the leader.
-	resp, err := http.Post(followerBase+"/v1/insert?role=Writer", "application/n-triples",
-		strings.NewReader("<"+site+"> <http://example.org/crashNote> \"rogue\" ."))
+	resp, err := http.Post(followerBase+"/v1/mutate?role=Writer", "application/json",
+		strings.NewReader(`[{"op":"insert","triples":"<`+site+`> <http://example.org/crashNote> \"rogue\" ."}]`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,8 +49,7 @@ const (
 	// ClassView covers /v1/view — full redacted-graph exports, the heaviest
 	// read shape.
 	ClassView
-	// ClassMutate covers /v1/insert, /v1/delete, /v1/update, /v1/mutate —
-	// the WAL'd write path.
+	// ClassMutate covers /v1/mutate — the WAL'd write path.
 	ClassMutate
 
 	numClasses

@@ -376,15 +376,15 @@ func TestServerEndpoints(t *testing.T) {
 	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, `"ok"`) {
 		t.Errorf("healthz = %d %s", code, body)
 	}
-	if code, body := get("/roles"); code != 200 || !strings.Contains(body, "MainRep") {
+	if code, body := get("/v1/roles"); code != 200 || !strings.Contains(body, "MainRep") {
 		t.Errorf("roles = %d %s", code, body)
 	}
-	if code, body := get("/ontologies"); code != 200 || !strings.Contains(body, "grdf") {
+	if code, body := get("/v1/ontologies"); code != 200 || !strings.Contains(body, "grdf") {
 		t.Errorf("ontologies = %d %s", code, body)
 	}
 
 	// main repair view: no chemical names
-	code, body := get("/view?role=MainRep")
+	code, body := get("/v1/view?role=MainRep")
 	if code != 200 {
 		t.Fatalf("view = %d", code)
 	}
@@ -397,18 +397,18 @@ func TestServerEndpoints(t *testing.T) {
 
 	// resource endpoint: denied for unknown role
 	site := url.QueryEscape(string(sc.Chemical.Sites[0].IRI))
-	if code, _ := get("/resource?role=Nobody&iri=" + site); code != 403 {
+	if code, _ := get("/v1/resource?role=Nobody&iri=" + site); code != 403 {
 		t.Errorf("resource for unknown role = %d", code)
 	}
-	if code, _ := get("/resource?role=MainRep&iri=" + site); code != 200 {
+	if code, _ := get("/v1/resource?role=MainRep&iri=" + site); code != 200 {
 		t.Errorf("resource for MainRep = %d", code)
 	}
-	if code, _ := get("/resource?role=MainRep"); code != 400 {
+	if code, _ := get("/v1/resource?role=MainRep"); code != 400 {
 		t.Errorf("resource without iri = %d", code)
 	}
 
 	// query endpoint
-	code, body = get("/query?role=Hazmat&q=" + urlQueryEscape(`SELECT ?n WHERE { ?s app:hasChemName ?n }`))
+	code, body = get("/v1/query?role=Hazmat&q=" + urlQueryEscape(`SELECT ?n WHERE { ?s app:hasChemName ?n }`))
 	if code != 200 {
 		t.Fatalf("query = %d %s", code, body)
 	}
@@ -420,10 +420,10 @@ func TestServerEndpoints(t *testing.T) {
 	if len(rows) == 0 {
 		t.Error("hazmat query returned no rows")
 	}
-	if code, _ := get("/query?role=Hazmat&q=NOT+SPARQL"); code != 400 {
+	if code, _ := get("/v1/query?role=Hazmat&q=NOT+SPARQL"); code != 400 {
 		t.Errorf("bad query = %d", code)
 	}
-	if code, _ := get("/view"); code != 400 {
+	if code, _ := get("/v1/view"); code != 400 {
 		t.Errorf("view without role = %d", code)
 	}
 }
@@ -497,7 +497,7 @@ func TestConcurrentViewsAndWrites(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				tr := rdf.T(site, datagen.HasSiteName,
 					rdf.NewString(fmt.Sprintf("Name-%d-%d", w, i)))
-				if err := e.Insert(admin, tr); err != nil {
+				if err := insert(e, admin, tr); err != nil {
 					t.Errorf("insert: %v", err)
 					return
 				}
@@ -521,7 +521,7 @@ func TestServerAuditEndpoint(t *testing.T) {
 
 	// generate some decisions
 	e.Decide(datagen.RoleMainRepair, seconto.ActionView, sc.Chemical.Sites[0].IRI)
-	resp, err := srv.Client().Get(srv.URL + "/audit")
+	resp, err := srv.Client().Get(srv.URL + "/v1/audit")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,14 +11,14 @@ import (
 	"repro/internal/store"
 )
 
-// ErrNotFound is returned (wrapped) by Update when the triple to replace is
-// not in the store.
+// ErrNotFound is returned (wrapped) by MutateCtx when the triple an update
+// op replaces is not in the store.
 var ErrNotFound = errors.New("triple not present")
 
 // Write-path enforcement. The paper's action individuals include Modify and
-// Delete alongside View; these entry points run the same decision procedure
-// before mutating the store, so write policies compose with the
-// property-level condition language.
+// Delete alongside View; MutateCtx — the engine's only write entry point —
+// runs the same decision procedure before mutating the store, so write
+// policies compose with the property-level condition language.
 
 // ErrDenied is returned (wrapped) when a mutation is not authorized.
 type ErrDenied struct {
@@ -62,95 +62,6 @@ func (e *Engine) authorizeTriple(subject, action rdf.IRI, t rdf.Triple) error {
 	return nil
 }
 
-// Insert adds a triple on behalf of subject after a Modify decision. The
-// mutation is acknowledged only once the store's commit hook (the WAL, when
-// the repository is durable) has accepted it.
-func (e *Engine) Insert(subject rdf.IRI, t rdf.Triple) error {
-	return e.InsertCtx(context.Background(), subject, t)
-}
-
-// InsertCtx is Insert with the request context: the mutation runs under a
-// gsacs.mutate span and the context rides the store op into the commit hook,
-// so WAL append/fsync cost lands on the request's trace.
-func (e *Engine) InsertCtx(ctx context.Context, subject rdf.IRI, t rdf.Triple) error {
-	ctx, sp := e.mutateSpan(ctx, "insert", subject)
-	defer sp.End()
-	if !t.Valid() {
-		err := fmt.Errorf("gsacs: invalid triple %v", t)
-		sp.Fail(err)
-		return err
-	}
-	if err := e.authorizeTriple(subject, seconto.ActionModify, t); err != nil {
-		sp.Fail(err)
-		return err
-	}
-	if _, err := e.data.Apply(store.Op{Kind: store.OpAdd, Triples: []rdf.Triple{t}, Ctx: ctx}); err != nil {
-		err = fmt.Errorf("gsacs: insert not persisted: %w", err)
-		sp.Fail(err)
-		return err
-	}
-	return nil
-}
-
-// Delete removes a triple on behalf of subject after a Delete decision.
-func (e *Engine) Delete(subject rdf.IRI, t rdf.Triple) error {
-	return e.DeleteCtx(context.Background(), subject, t)
-}
-
-// DeleteCtx is Delete with the request context (see InsertCtx).
-func (e *Engine) DeleteCtx(ctx context.Context, subject rdf.IRI, t rdf.Triple) error {
-	ctx, sp := e.mutateSpan(ctx, "delete", subject)
-	defer sp.End()
-	if err := e.authorizeTriple(subject, seconto.ActionDelete, t); err != nil {
-		sp.Fail(err)
-		return err
-	}
-	if _, err := e.data.Apply(store.Op{Kind: store.OpRemove, Triples: []rdf.Triple{t}, Ctx: ctx}); err != nil {
-		err = fmt.Errorf("gsacs: delete not persisted: %w", err)
-		sp.Fail(err)
-		return err
-	}
-	return nil
-}
-
-// Update replaces the object of (resource, property, old) with new on behalf
-// of subject; it requires Modify on the property. The swap is a single
-// store.Replace op: concurrent readers never see the triple missing, the
-// query cache is invalidated exactly once, and the WAL records one replace
-// record instead of a remove/add pair.
-func (e *Engine) Update(subject rdf.IRI, resource rdf.Term, property rdf.IRI, oldObj, newObj rdf.Term) error {
-	return e.UpdateCtx(context.Background(), subject, resource, property, oldObj, newObj)
-}
-
-// UpdateCtx is Update with the request context (see InsertCtx).
-func (e *Engine) UpdateCtx(ctx context.Context, subject rdf.IRI, resource rdf.Term, property rdf.IRI, oldObj, newObj rdf.Term) error {
-	ctx, sp := e.mutateSpan(ctx, "update", subject)
-	defer sp.End()
-	t := rdf.T(resource, property, oldObj)
-	if err := e.authorizeTriple(subject, seconto.ActionModify, t); err != nil {
-		sp.Fail(err)
-		return err
-	}
-	nt := rdf.T(resource, property, newObj)
-	if !nt.Valid() {
-		err := fmt.Errorf("gsacs: invalid replacement triple %v", nt)
-		sp.Fail(err)
-		return err
-	}
-	n, err := e.data.Apply(store.Op{Kind: store.OpReplace, Triples: []rdf.Triple{t, nt}, Ctx: ctx})
-	if err != nil {
-		err = fmt.Errorf("gsacs: update not persisted: %w", err)
-		sp.Fail(err)
-		return err
-	}
-	if n == 0 {
-		err = fmt.Errorf("gsacs: %w: %s", ErrNotFound, t)
-		sp.Fail(err)
-		return err
-	}
-	return nil
-}
-
 // MutationOp is one element of an atomic batch mutation: an insert or delete
 // of one or more triples, or an update carrying exactly [old, new]. It is the
 // engine-level unit behind POST /v1/mutate.
@@ -179,8 +90,9 @@ func (e *BatchOpError) Unwrap() error { return e.Err }
 // the batch with ErrNotFound instead of silently no-opping. Any failure is
 // wrapped in *BatchOpError naming the offending op.
 func (e *Engine) MutateCtx(ctx context.Context, subject rdf.IRI, muts []MutationOp) ([]int, error) {
-	ctx, sp := e.mutateSpan(ctx, "mutate", subject)
+	ctx, sp := obs.StartSpan(ctx, "gsacs.mutate")
 	defer sp.End()
+	sp.SetAttr("role", subject.LocalName())
 	sp.SetAttr("ops", fmt.Sprintf("%d", len(muts)))
 	if len(muts) == 0 {
 		return nil, nil
@@ -258,12 +170,4 @@ func (e *Engine) authorizeOp(ctx context.Context, subject rdf.IRI, m MutationOp)
 		return op, fmt.Errorf("gsacs: unsupported mutation kind %d", m.Kind)
 	}
 	return op, nil
-}
-
-// mutateSpan opens the gsacs.mutate span shared by the write entry points.
-func (e *Engine) mutateSpan(ctx context.Context, op string, subject rdf.IRI) (context.Context, *obs.Span) {
-	ctx, sp := obs.StartSpan(ctx, "gsacs.mutate")
-	sp.SetAttr("op", op)
-	sp.SetAttr("role", subject.LocalName())
-	return ctx, sp
 }

@@ -1,13 +1,27 @@
 package gsacs
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/rdf"
 	"repro/internal/seconto"
+	"repro/internal/store"
 )
+
+// mutate1 commits one op through MutateCtx, the engine's only write path.
+func mutate1(e *Engine, role rdf.IRI, kind store.OpKind, ts ...rdf.Triple) error {
+	_, err := e.MutateCtx(context.Background(), role, []MutationOp{{Kind: kind, Triples: ts}})
+	return err
+}
+
+func insert(e *Engine, role rdf.IRI, t rdf.Triple) error { return mutate1(e, role, store.OpAdd, t) }
+func remove(e *Engine, role rdf.IRI, t rdf.Triple) error { return mutate1(e, role, store.OpRemove, t) }
+func update(e *Engine, role rdf.IRI, res rdf.Term, prop rdf.IRI, oldObj, newObj rdf.Term) error {
+	return mutate1(e, role, store.OpReplace, rdf.T(res, prop, oldObj), rdf.T(res, prop, newObj))
+}
 
 // writeScenario: a role with Modify rights on site names only, and an admin
 // with full Modify/Delete.
@@ -40,7 +54,7 @@ func TestInsertPropertyScoped(t *testing.T) {
 	site := sc.Chemical.Sites[0].IRI
 
 	// allowed property
-	if err := e.Insert(editor, rdf.T(site, datagen.HasSiteName, rdf.NewString("Renamed Plant"))); err != nil {
+	if err := insert(e, editor, rdf.T(site, datagen.HasSiteName, rdf.NewString("Renamed Plant"))); err != nil {
 		t.Fatalf("allowed insert rejected: %v", err)
 	}
 	if !e.Data().Has(rdf.T(site, datagen.HasSiteName, rdf.NewString("Renamed Plant"))) {
@@ -48,7 +62,7 @@ func TestInsertPropertyScoped(t *testing.T) {
 	}
 
 	// denied property
-	err := e.Insert(editor, rdf.T(site, datagen.HasContactPhone, rdf.NewString("000")))
+	err := insert(e, editor, rdf.T(site, datagen.HasContactPhone, rdf.NewString("000")))
 	var denied *ErrDenied
 	if !errors.As(err, &denied) {
 		t.Fatalf("expected ErrDenied, got %v", err)
@@ -61,7 +75,7 @@ func TestInsertPropertyScoped(t *testing.T) {
 	}
 
 	// rdf:type writes need full access
-	if err := e.Insert(editor, rdf.T(site, rdf.RDFType, rdf.IRI(rdf.AppNS+"Evil"))); err == nil {
+	if err := insert(e, editor, rdf.T(site, rdf.RDFType, rdf.IRI(rdf.AppNS+"Evil"))); err == nil {
 		t.Error("type rewrite allowed for property-scoped role")
 	}
 }
@@ -69,7 +83,7 @@ func TestInsertPropertyScoped(t *testing.T) {
 func TestInsertNoPolicy(t *testing.T) {
 	e, sc, _, _ := writeScenario(t)
 	nobody := rdf.IRI(seconto.NS + "Nobody")
-	err := e.Insert(nobody, rdf.T(sc.Chemical.Sites[0].IRI, datagen.HasSiteName, rdf.NewString("x")))
+	err := insert(e, nobody, rdf.T(sc.Chemical.Sites[0].IRI, datagen.HasSiteName, rdf.NewString("x")))
 	if err == nil {
 		t.Error("unauthorized insert allowed")
 	}
@@ -84,11 +98,11 @@ func TestDeleteAndUpdate(t *testing.T) {
 	name, _ := e.Data().FirstObject(site, datagen.HasSiteName)
 
 	// editor may not delete (no Delete policy)
-	if err := e.Delete(editor, rdf.T(site, datagen.HasSiteName, name)); err == nil {
+	if err := remove(e, editor, rdf.T(site, datagen.HasSiteName, name)); err == nil {
 		t.Error("delete without Delete policy allowed")
 	}
 	// admin may
-	if err := e.Delete(admin, rdf.T(site, datagen.HasSiteName, name)); err != nil {
+	if err := remove(e, admin, rdf.T(site, datagen.HasSiteName, name)); err != nil {
 		t.Fatalf("admin delete rejected: %v", err)
 	}
 	if _, ok := e.Data().FirstObject(site, datagen.HasSiteName); ok {
@@ -98,18 +112,18 @@ func TestDeleteAndUpdate(t *testing.T) {
 	// update through the editor on its allowed property
 	site2 := sc.Chemical.Sites[2].IRI
 	old, _ := e.Data().FirstObject(site2, datagen.HasSiteName)
-	if err := e.Update(editor, site2, datagen.HasSiteName, old, rdf.NewString("Updated Name")); err != nil {
+	if err := update(e, editor, site2, datagen.HasSiteName, old, rdf.NewString("Updated Name")); err != nil {
 		t.Fatalf("update rejected: %v", err)
 	}
 	if v, _ := e.Data().FirstObject(site2, datagen.HasSiteName); !v.Equal(rdf.NewString("Updated Name")) {
 		t.Errorf("update result = %v", v)
 	}
 	// update of a non-existent triple fails
-	if err := e.Update(editor, site2, datagen.HasSiteName, rdf.NewString("never"), rdf.NewString("x")); err == nil {
-		t.Error("update of absent triple succeeded")
+	if err := update(e, editor, site2, datagen.HasSiteName, rdf.NewString("never"), rdf.NewString("x")); !errors.Is(err, ErrNotFound) {
+		t.Errorf("update of absent triple: err = %v, want ErrNotFound", err)
 	}
 	// update on a denied property fails
-	if err := e.Update(editor, site2, datagen.HasContactPhone, rdf.NewString("a"), rdf.NewString("b")); err == nil {
+	if err := update(e, editor, site2, datagen.HasContactPhone, rdf.NewString("a"), rdf.NewString("b")); err == nil {
 		t.Error("update on denied property succeeded")
 	}
 }
@@ -125,7 +139,7 @@ func TestInsertInvalidatesCachedViews(t *testing.T) {
 	e := New(sc.Policies, sc.Merged, Options{CacheSize: 4})
 	v1 := e.View(datagen.RoleHazmat, seconto.ActionView)
 	site := sc.Chemical.Sites[0].IRI
-	if err := e.Insert(admin, rdf.T(site, datagen.HasSiteName, rdf.NewString("New Wing"))); err != nil {
+	if err := insert(e, admin, rdf.T(site, datagen.HasSiteName, rdf.NewString("New Wing"))); err != nil {
 		t.Fatal(err)
 	}
 	v2 := e.View(datagen.RoleHazmat, seconto.ActionView)
@@ -140,7 +154,7 @@ func TestInsertInvalidatesCachedViews(t *testing.T) {
 func TestInsertRejectsInvalidTriple(t *testing.T) {
 	e, _, _, admin := writeScenario(t)
 	bad := rdf.Triple{Subject: rdf.NewString("lit"), Predicate: datagen.HasSiteName, Object: rdf.NewString("x")}
-	if err := e.Insert(admin, bad); err == nil {
+	if err := insert(e, admin, bad); err == nil {
 		t.Error("invalid triple accepted")
 	}
 }

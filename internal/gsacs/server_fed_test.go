@@ -146,9 +146,8 @@ func TestServerPanicRecovery(t *testing.T) {
 	reg := obs.NewRegistry()
 	e, _ := scenarioEngine(t, 0)
 	s := NewServer(e, nil, WithMetrics(reg))
-	s.mux.HandleFunc("/boom", func(http.ResponseWriter, *http.Request) {
-		panic("kaboom")
-	})
+	s.mux.Handle("/boom", s.serve(&route{pattern: "/boom", class: ungated,
+		handler: func(*Server, http.ResponseWriter, *http.Request) { panic("kaboom") }}))
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -168,9 +167,9 @@ func TestServerPanicRecovery(t *testing.T) {
 		t.Errorf("envelope = %+v, want code internal with a trace id", env)
 	}
 	// The process and listener survived: a normal request still works.
-	resp, _ = doReq(t, srv, http.MethodGet, "/roles")
+	resp, _ = doReq(t, srv, http.MethodGet, "/v1/roles")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("server dead after panic: /roles = %d", resp.StatusCode)
+		t.Fatalf("server dead after panic: /v1/roles = %d", resp.StatusCode)
 	}
 	// And the panic was counted.
 	_, metrics := doReq(t, srv, http.MethodGet, "/metrics")
@@ -179,50 +178,21 @@ func TestServerPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestServerMaxBodyBytes verifies the mutating endpoints reject oversized
-// bodies with 413 and the standard envelope, while small bodies pass.
+// TestServerMaxBodyBytes verifies /v1/mutate rejects an oversized body with
+// 413 and the standard envelope, while small bodies pass.
 func TestServerMaxBodyBytes(t *testing.T) {
 	e, _ := scenarioEngine(t, 0)
 	srv := httptest.NewServer(NewServer(e, nil, WithMaxBodyBytes(256)))
 	defer srv.Close()
 
-	small := `<http://example.org/x> <http://example.org/p> "v" .` + "\n"
-	big := strings.Repeat("# padding comment line\n", 40) + small
+	small := `[{"op":"insert","triples":"<http://example.org/x> <http://example.org/p> \"v\" ."}]`
+	big := strings.Repeat(" ", 400) + small
 
-	post := func(body string) (*http.Response, string) {
-		t.Helper()
-		resp, err := srv.Client().Post(
-			srv.URL+"/v1/insert?role=EmergencyResponse", "application/n-triples",
-			strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var sb strings.Builder
-		buf := make([]byte, 4096)
-		for {
-			n, err := resp.Body.Read(buf)
-			sb.Write(buf[:n])
-			if err != nil {
-				break
-			}
-		}
-		return resp, sb.String()
-	}
-
-	resp, body := post(big)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d body %s, want 413", resp.StatusCode, body)
-	}
-	var env struct {
-		Code string `json:"code"`
-	}
-	if err := json.Unmarshal([]byte(body), &env); err != nil || env.Code != "body_too_large" {
-		t.Errorf("oversized body envelope = %q (err %v), want code body_too_large", body, err)
-	}
+	resp, body := postMutate(t, srv, "EmergencyResponse", big)
+	wantEnvelope(t, resp, body, "body_too_large", http.StatusRequestEntityTooLarge)
 	// A body under the cap is processed normally (403/200 depending on the
 	// role's write policy — anything but 413 shows the limiter let it by).
-	resp, _ = post(small)
+	resp, _ = postMutate(t, srv, "EmergencyResponse", small)
 	if resp.StatusCode == http.StatusRequestEntityTooLarge {
 		t.Error("small body rejected as too large")
 	}

@@ -3,6 +3,7 @@ package gsacs
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -24,27 +25,6 @@ type errEnvelope struct {
 	TraceID string `json:"trace_id"`
 }
 
-// postNT POSTs an N-Triples body and decodes the error envelope (when the
-// status is an error).
-func postNT(t *testing.T, srv *httptest.Server, path, body string) (*http.Response, string) {
-	t.Helper()
-	resp, err := srv.Client().Post(srv.URL+path, "application/n-triples", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sb strings.Builder
-	buf := make([]byte, 32*1024)
-	for {
-		n, err := resp.Body.Read(buf)
-		sb.Write(buf[:n])
-		if err != nil {
-			break
-		}
-	}
-	return resp, sb.String()
-}
-
 // wantEnvelope asserts a well-formed error envelope with the given code.
 func wantEnvelope(t *testing.T, resp *http.Response, body, code string, status int) {
 	t.Helper()
@@ -63,6 +43,20 @@ func wantEnvelope(t *testing.T, resp *http.Response, body, code string, status i
 	}
 }
 
+// op renders one /v1/mutate insert or delete op over the given statements.
+func op(kind string, ts ...rdf.Triple) string {
+	lines := make([]string, len(ts))
+	for i, t := range ts {
+		lines[i] = t.String()
+	}
+	return fmt.Sprintf(`{"op":%q,"triples":%q}`, kind, strings.Join(lines, "\n"))
+}
+
+// updateOp renders one /v1/mutate update op.
+func updateOp(old, new rdf.Triple) string {
+	return fmt.Sprintf(`{"op":"update","old":%q,"new":%q}`, old.String(), new.String())
+}
+
 func TestServerInsertUnauthorized(t *testing.T) {
 	e, sc, _, _ := writeScenario(t)
 	srv := httptest.NewServer(NewServer(e, nil))
@@ -70,7 +64,7 @@ func TestServerInsertUnauthorized(t *testing.T) {
 	site := sc.Chemical.Sites[0].IRI
 	tr := rdf.T(site, datagen.HasSiteName, rdf.NewString("intruder"))
 
-	resp, body := postNT(t, srv, "/v1/insert?role=Nobody", tr.String())
+	resp, body := postMutate(t, srv, "Nobody", "["+op("insert", tr)+"]")
 	wantEnvelope(t, resp, body, "forbidden", http.StatusForbidden)
 	if e.Data().Has(tr) {
 		t.Error("unauthorized insert landed in the store")
@@ -89,84 +83,40 @@ func TestServerDeleteUnauthorized(t *testing.T) {
 	}
 	tr := rdf.T(site, datagen.HasSiteName, name)
 
-	resp, body := postNT(t, srv, "/v1/delete?role=SiteEditor", tr.String())
+	resp, body := postMutate(t, srv, "SiteEditor", "["+op("delete", tr)+"]")
 	wantEnvelope(t, resp, body, "forbidden", http.StatusForbidden)
 	if !e.Data().Has(tr) {
 		t.Error("unauthorized delete removed the triple")
 	}
 }
 
-func TestServerMutateInvalidBodies(t *testing.T) {
-	e, _, _, _ := writeScenario(t)
-	srv := httptest.NewServer(NewServer(e, nil))
-	defer srv.Close()
-	before := e.Data().Len()
-
-	// Unparseable N-Triples.
-	resp, body := postNT(t, srv, "/v1/insert?role=Admin", "this is not n-triples")
-	wantEnvelope(t, resp, body, "bad_request", http.StatusBadRequest)
-
-	// Missing role parameter.
-	resp, body = postNT(t, srv, "/v1/insert", "<http://x/s> <http://x/p> \"v\" .")
-	wantEnvelope(t, resp, body, "bad_request", http.StatusBadRequest)
-
-	// GET on a mutation route.
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/insert?role=Admin", nil)
-	getResp, err := srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	getResp.Body.Close()
-	if getResp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/insert = %d, want 405", getResp.StatusCode)
-	}
-	if allow := getResp.Header.Get("Allow"); allow != "POST" {
-		t.Errorf("Allow = %q, want POST", allow)
-	}
-
-	if e.Data().Len() != before {
-		t.Errorf("store changed by rejected mutations: %d -> %d", before, e.Data().Len())
-	}
-}
-
-func TestServerUpdateErrorPaths(t *testing.T) {
+// TestServerUpdateUnauthorized: an unauthorized role updating a triple that
+// exists answers 403 (authorization runs before the existence check), a
+// property-scoped role may not rewrite rdf:type, and the same swap by an
+// authorized role lands.
+func TestServerUpdateUnauthorized(t *testing.T) {
 	e, sc, _, _ := writeScenario(t)
 	srv := httptest.NewServer(NewServer(e, nil))
 	defer srv.Close()
 	site := sc.Chemical.Sites[0].IRI
-
-	// Update of a triple that is not in the store: 404 not_found.
-	oldT := rdf.T(site, datagen.HasSiteName, rdf.NewString("never-existed"))
-	newT := rdf.T(site, datagen.HasSiteName, rdf.NewString("whatever"))
-	resp, body := postNT(t, srv, "/v1/update?role=Admin", oldT.String()+"\n"+newT.String())
-	wantEnvelope(t, resp, body, "not_found", http.StatusNotFound)
-
-	// One statement only.
-	resp, body = postNT(t, srv, "/v1/update?role=Admin", oldT.String())
-	wantEnvelope(t, resp, body, "bad_request", http.StatusBadRequest)
-
-	// Three statements.
-	resp, body = postNT(t, srv, "/v1/update?role=Admin",
-		oldT.String()+"\n"+newT.String()+"\n"+newT.String())
-	wantEnvelope(t, resp, body, "bad_request", http.StatusBadRequest)
-
-	// Old and new disagree on the subject.
-	other := rdf.T(rdf.IRI("http://x/other"), datagen.HasSiteName, rdf.NewString("x"))
-	resp, body = postNT(t, srv, "/v1/update?role=Admin", oldT.String()+"\n"+other.String())
-	wantEnvelope(t, resp, body, "bad_request", http.StatusBadRequest)
-
-	// Unauthorized role on an existing triple: 403 before any 404.
 	name, ok := e.Data().FirstObject(site, datagen.HasSiteName)
 	if !ok {
 		t.Fatal("scenario site has no name")
 	}
 	cur := rdf.T(site, datagen.HasSiteName, name)
 	repl := rdf.T(site, datagen.HasSiteName, rdf.NewString("hijack"))
-	resp, body = postNT(t, srv, "/v1/update?role=Nobody", cur.String()+"\n"+repl.String())
+
+	resp, body := postMutate(t, srv, "Nobody", "["+updateOp(cur, repl)+"]")
 	wantEnvelope(t, resp, body, "forbidden", http.StatusForbidden)
 
-	// The happy path still works and answers {"applied":1}.
-	resp, body = postNT(t, srv, "/v1/update?role=Admin", cur.String()+"\n"+repl.String())
+	evil := rdf.T(site, rdf.RDFType, rdf.IRI(rdf.AppNS+"Evil"))
+	resp, body = postMutate(t, srv, "SiteEditor", "["+op("insert", evil)+"]")
+	wantEnvelope(t, resp, body, "forbidden", http.StatusForbidden)
+	if !e.Data().Has(cur) || e.Data().Has(repl) || e.Data().Has(evil) {
+		t.Error("denied mutations changed the store")
+	}
+
+	resp, body = postMutate(t, srv, "SiteEditor", "["+updateOp(cur, repl)+"]")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"applied":1`) {
 		t.Fatalf("authorized update = %d %s", resp.StatusCode, body)
 	}
@@ -188,16 +138,17 @@ func TestServerMutateNotPersisted(t *testing.T) {
 	site := sc.Chemical.Sites[0].IRI
 	tr := rdf.T(site, datagen.HasSiteName, rdf.NewString("doomed"))
 
-	resp, body := postNT(t, srv, "/v1/insert?role=Admin", tr.String())
+	resp, body := postMutate(t, srv, "Admin", "["+op("insert", tr)+"]")
 	wantEnvelope(t, resp, body, "not_persisted", http.StatusInternalServerError)
 	if e.Data().Has(tr) {
 		t.Error("refused mutation landed in the store")
 	}
 }
 
-// TestServerReadinessGate: while recovery is in progress every route except
-// /healthz and /metrics answers 503 "recovering"; once the readiness probe
-// flips, traffic flows.
+// TestServerReadinessGate: while recovery is in progress the data plane
+// answers 503 "recovering" while /healthz reports the phase and /metrics
+// stays scrapeable; once the readiness probe flips, traffic flows. (Which
+// rows are exempt is checked row by row in TestRouteTable.)
 func TestServerReadinessGate(t *testing.T) {
 	e, sc, _, _ := writeScenario(t)
 	ready := false
@@ -206,7 +157,7 @@ func TestServerReadinessGate(t *testing.T) {
 		WithReadiness(func() bool { return ready })))
 	defer srv.Close()
 
-	for _, path := range []string{"/roles", "/v1/view?role=MainRep", "/v1/query?role=Hazmat&q=x"} {
+	for _, path := range []string{"/v1/roles", "/v1/view?role=MainRep", "/v1/query?role=Hazmat&q=x"} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -221,7 +172,7 @@ func TestServerReadinessGate(t *testing.T) {
 
 	// Mutations are refused too — nothing may be acked before the log is open.
 	tr := rdf.T(sc.Chemical.Sites[0].IRI, datagen.HasSiteName, rdf.NewString("early"))
-	resp, body := postNT(t, srv, "/v1/insert?role=Admin", tr.String())
+	resp, body := postMutate(t, srv, "Admin", "["+op("insert", tr)+"]")
 	wantEnvelope(t, resp, body, "recovering", http.StatusServiceUnavailable)
 
 	// /healthz reports the recovering state without touching the engine.
@@ -249,12 +200,12 @@ func TestServerReadinessGate(t *testing.T) {
 	}
 
 	ready = true
-	resp, err = srv.Client().Get(srv.URL + "/roles")
+	resp, err = srv.Client().Get(srv.URL + "/v1/roles")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("GET /roles after ready = %d, want 200", resp.StatusCode)
+		t.Errorf("GET /v1/roles after ready = %d, want 200", resp.StatusCode)
 	}
 }

@@ -3,46 +3,11 @@ package gsacs
 import (
 	"encoding/json"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/repl"
 )
-
-// TestMutationRedirect: every mutation route on a read replica answers 421
-// "not_leader" with a Location header the client can retry against, and
-// reads keep working.
-func TestMutationRedirect(t *testing.T) {
-	srv, _, _ := v1TestServer(t, WithMutationRedirect("http://leader:8080/"))
-
-	for _, path := range []string{"/v1/insert?role=Writer", "/insert?role=Writer",
-		"/v1/delete?role=Writer", "/v1/update?role=Writer", "/v1/mutate?role=Writer"} {
-		resp, err := srv.Client().Post(srv.URL+path, "application/n-triples", strings.NewReader(""))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var env errorEnvelope
-		json.NewDecoder(resp.Body).Decode(&env)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMisdirectedRequest {
-			t.Fatalf("%s: status %d, want 421", path, resp.StatusCode)
-		}
-		if env.Code != "not_leader" {
-			t.Fatalf("%s: code %q, want not_leader", path, env.Code)
-		}
-		want := "http://leader:8080" + path
-		if loc := resp.Header.Get("Location"); loc != want {
-			t.Fatalf("%s: Location %q, want %q", path, loc, want)
-		}
-	}
-
-	// Reads are unaffected.
-	resp, _ := doReq(t, srv, http.MethodGet, "/v1/roles")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("read on replica: status %d", resp.StatusCode)
-	}
-}
 
 // TestReplicaReadinessGate: requests follow the follower status — served
 // while ready, 503 "lagging" once the lag bound is exceeded, 503

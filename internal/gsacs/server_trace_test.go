@@ -326,3 +326,30 @@ func TestServerHealthzWAL(t *testing.T) {
 		t.Fatalf("wal block present without WithWALStatus: %s", raw)
 	}
 }
+
+// TestServerViewSpanOnRequestTrace: /v1/view and explain=1 build (or hit) the
+// role view under the request's own context, so the gsacs.view span — cache
+// hit or miss, view_triples — lands on that request's trace.
+func TestServerViewSpanOnRequestTrace(t *testing.T) {
+	e, _ := scenarioEngine(t, 4)
+	srv := httptest.NewServer(NewServer(e, nil, WithTracer(obs.NewTracer(64))))
+	defer srv.Close()
+
+	q := url.QueryEscape(`SELECT ?s WHERE { ?s a app:ChemSite }`)
+	for i, path := range []string{"/v1/view?role=MainRep", "/v1/query?role=MainRep&explain=1&q=" + q} {
+		resp, body := doReq(t, srv, http.MethodGet, path)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %d %s", path, resp.StatusCode, body)
+		}
+		tb := fetchTrace(t, srv, resp.Header.Get("X-Trace-Id"))
+		views := findSpans(tb.Tree, "gsacs.view")
+		if len(views) != 1 {
+			t.Fatalf("%s: %d gsacs.view spans on the request trace, want 1", path, len(views))
+		}
+		// The first request builds the MainRep view, the second finds it cached.
+		want := []string{"cache_miss", "cache_hit"}[i]
+		if views[0].Counters[want] != 1 {
+			t.Errorf("%s: gsacs.view counters = %v, want %s", path, views[0].Counters, want)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -48,61 +47,6 @@ func doReq(t *testing.T, srv *httptest.Server, method, path string) (*http.Respo
 	return resp, sb.String()
 }
 
-// TestServerV1Aliases verifies the /v1/ canonical routes answer identically
-// to their legacy unversioned aliases: same handler, same body.
-func TestServerV1Aliases(t *testing.T) {
-	srv, _, _ := v1TestServer(t)
-	paths := []string{
-		"/roles",
-		"/ontologies",
-		"/view?role=MainRep",
-		"/audit",
-	}
-	for _, p := range paths {
-		legacyResp, legacyBody := doReq(t, srv, http.MethodGet, p)
-		v1Resp, v1Body := doReq(t, srv, http.MethodGet, "/v1"+p)
-		if legacyResp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s = %d", p, legacyResp.StatusCode)
-		}
-		if v1Resp.StatusCode != legacyResp.StatusCode || v1Body != legacyBody {
-			t.Errorf("GET /v1%s diverges from legacy alias: %d vs %d", p,
-				v1Resp.StatusCode, legacyResp.StatusCode)
-		}
-	}
-
-	// Query solution order is not deterministic across evaluations, so the
-	// alias check compares row multisets rather than raw bodies.
-	qp := "/query?role=Hazmat&q=" + url.QueryEscape(`SELECT ?n WHERE { ?s app:hasChemName ?n }`)
-	rows := func(body string) []string {
-		var parsed struct {
-			Results []map[string]string `json:"results"`
-		}
-		if err := json.Unmarshal([]byte(body), &parsed); err != nil {
-			t.Fatalf("query body: %v", err)
-		}
-		out := make([]string, len(parsed.Results))
-		for i, r := range parsed.Results {
-			out[i] = r["n"]
-		}
-		sort.Strings(out)
-		return out
-	}
-	legacyResp, legacyBody := doReq(t, srv, http.MethodGet, qp)
-	v1Resp, v1Body := doReq(t, srv, http.MethodGet, "/v1"+qp)
-	if legacyResp.StatusCode != http.StatusOK || v1Resp.StatusCode != http.StatusOK {
-		t.Fatalf("query alias status = %d vs %d", legacyResp.StatusCode, v1Resp.StatusCode)
-	}
-	lr, vr := rows(legacyBody), rows(v1Body)
-	if len(lr) == 0 || len(lr) != len(vr) {
-		t.Fatalf("query alias rows = %d vs %d", len(lr), len(vr))
-	}
-	for i := range lr {
-		if lr[i] != vr[i] {
-			t.Fatalf("query alias row %d: %q vs %q", i, lr[i], vr[i])
-		}
-	}
-}
-
 // TestServerErrorEnvelope checks the uniform error body: every error carries
 // {"error", "code", "trace_id"} and the trace ID matches the X-Trace-Id
 // response header so clients can report correlatable failures.
@@ -134,26 +78,35 @@ func TestServerErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestServerMethodNotAllowed checks that read endpoints reject mutation verbs
-// with 405, an Allow header, and the error envelope.
+// TestServerMethodNotAllowed checks that read endpoints reject every verb but
+// GET and HEAD — POST included: no read handler takes a body — and the write
+// endpoint every verb but POST, with 405, an Allow header, and the error
+// envelope.
 func TestServerMethodNotAllowed(t *testing.T) {
 	srv, _, _ := v1TestServer(t)
-	for _, p := range []string{"/v1/roles", "/roles", "/v1/query", "/v1/audit", "/healthz"} {
-		resp, body := doReq(t, srv, http.MethodDelete, p)
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("DELETE %s = %d", p, resp.StatusCode)
-		}
-		if allow := resp.Header.Get("Allow"); allow != "GET, HEAD, POST" {
-			t.Errorf("DELETE %s Allow = %q", p, allow)
-		}
-		if !strings.Contains(body, `"method_not_allowed"`) {
-			t.Errorf("DELETE %s body = %s", p, body)
+	for _, p := range []string{"/v1/roles", "/v1/query", "/v1/audit", "/healthz"} {
+		for _, method := range []string{http.MethodDelete, http.MethodPost} {
+			resp, body := doReq(t, srv, method, p)
+			if resp.StatusCode != http.StatusMethodNotAllowed {
+				t.Errorf("%s %s = %d", method, p, resp.StatusCode)
+			}
+			if allow := resp.Header.Get("Allow"); allow != "GET, HEAD" {
+				t.Errorf("%s %s Allow = %q", method, p, allow)
+			}
+			if !strings.Contains(body, `"method_not_allowed"`) {
+				t.Errorf("%s %s body = %s", method, p, body)
+			}
 		}
 	}
-	resp, body := doReq(t, srv, http.MethodPut, "/v1/insert")
-	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "POST" ||
-		!strings.Contains(body, `"method_not_allowed"`) {
-		t.Errorf("PUT /v1/insert = %d Allow=%q %s", resp.StatusCode, resp.Header.Get("Allow"), body)
+	if resp, _ := doReq(t, srv, http.MethodHead, "/v1/roles"); resp.StatusCode != http.StatusOK {
+		t.Errorf("HEAD /v1/roles = %d", resp.StatusCode)
+	}
+	for _, method := range []string{http.MethodPut, http.MethodGet} {
+		resp, body := doReq(t, srv, method, "/v1/mutate?role=Admin")
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "POST" ||
+			!strings.Contains(body, `"method_not_allowed"`) {
+			t.Errorf("%s /v1/mutate = %d Allow=%q %s", method, resp.StatusCode, resp.Header.Get("Allow"), body)
+		}
 	}
 }
 

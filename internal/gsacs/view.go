@@ -195,8 +195,8 @@ func (e *Engine) QueryCtx(ctx context.Context, subject, action rdf.IRI, query st
 
 // ExplainQuery plans query against the subject's filtered view and returns
 // the EXPLAIN rendering of each BGP without evaluating it.
-func (e *Engine) ExplainQuery(subject, action rdf.IRI, query string) (string, error) {
-	view := e.View(subject, action)
+func (e *Engine) ExplainQuery(ctx context.Context, subject, action rdf.IRI, query string) (string, error) {
+	view := e.ViewCtx(ctx, subject, action)
 	return sparql.NewEngine(view).Explain(query)
 }
 

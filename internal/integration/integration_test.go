@@ -5,8 +5,8 @@
 package integration
 
 import (
+	"fmt"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"testing"
 
@@ -123,8 +123,8 @@ func TestGMLThroughSecureMiddleware(t *testing.T) {
 	}
 }
 
-// TestHTTPMutationPath exercises POST /insert and /delete through the G-SACS
-// HTTP front-end with authorization outcomes.
+// TestHTTPMutationPath exercises POST /v1/mutate through the G-SACS HTTP
+// front-end with authorization outcomes.
 func TestHTTPMutationPath(t *testing.T) {
 	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 8, Sites: 3})
 	admin := rdf.IRI(seconto.NS + "Admin")
@@ -137,10 +137,11 @@ func TestHTTPMutationPath(t *testing.T) {
 	defer srv.Close()
 
 	site := sc.Chemical.Sites[0].IRI
-	triple := rdf.T(site, datagen.HasSiteName, rdf.NewString("HTTP Renamed")).String() + "\n"
+	triple := rdf.T(site, datagen.HasSiteName, rdf.NewString("HTTP Renamed"))
+	insert := fmt.Sprintf(`[{"op":"insert","triples":%q}]`, triple.String())
 
-	post := func(path, body string) int {
-		resp, err := srv.Client().Post(srv.URL+path, "application/n-triples", strings.NewReader(body))
+	post := func(role, body string) int {
+		resp, err := srv.Client().Post(srv.URL+"/v1/mutate?role="+role, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,29 +149,28 @@ func TestHTTPMutationPath(t *testing.T) {
 		return resp.StatusCode
 	}
 	// Unauthorized role → 403.
-	if code := post("/insert?role=MainRep", triple); code != 403 {
+	if code := post("MainRep", insert); code != 403 {
 		t.Errorf("main repair insert = %d, want 403", code)
 	}
 	// Admin → applied.
-	if code := post("/insert?role=Admin", triple); code != 200 {
+	if code := post("Admin", insert); code != 200 {
 		t.Errorf("admin insert = %d, want 200", code)
 	}
-	if !engine.Data().Has(rdf.T(site, datagen.HasSiteName, rdf.NewString("HTTP Renamed"))) {
+	if !engine.Data().Has(triple) {
 		t.Error("HTTP insert did not land")
 	}
 	// GET on a POST endpoint → 405; malformed body → 400.
-	resp, err := srv.Client().Get(srv.URL + "/insert?role=Admin")
+	resp, err := srv.Client().Get(srv.URL + "/v1/mutate?role=Admin")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 405 {
-		t.Errorf("GET insert = %d", resp.StatusCode)
+		t.Errorf("GET mutate = %d", resp.StatusCode)
 	}
-	if code := post("/insert?role=Admin", "not ntriples"); code != 400 {
+	if code := post("Admin", `[{"op":"insert","triples":"not ntriples"}]`); code != 400 {
 		t.Errorf("malformed insert = %d", code)
 	}
-	_ = url.QueryEscape // imported for parity with other suites
 }
 
 // TestAggregationInferencePipeline reproduces the intro's defense scenario

@@ -147,21 +147,21 @@ func ScenarioArms(cfg MixConfig) ([]Arm, error) {
 	}
 	if cfg.WriterRole != "" && cfg.MutateWeight > 0 {
 		var seq atomic.Uint64
-		u := base + "/v1/insert?role=" + url.QueryEscape(cfg.WriterRole)
+		u := base + "/v1/mutate?role=" + url.QueryEscape(cfg.WriterRole)
 		arms = append(arms, Arm{
 			Name:   "mutate:" + cfg.WriterRole,
 			Weight: cfg.MutateWeight,
 			Do: func(ctx context.Context) (Outcome, error) {
 				n := seq.Add(1)
 				body := fmt.Sprintf(
-					"<%s> <http://grdf.org/app#hasSiteName> \"loadgen-%d\" .\n",
+					`[{"op":"insert","triples":"<%s> <http://grdf.org/app#hasSiteName> \"loadgen-%d\" ."}]`,
 					cfg.MutateSite, n)
 				req, err := http.NewRequestWithContext(ctx, http.MethodPost, u,
 					strings.NewReader(body))
 				if err != nil {
 					return Error, err
 				}
-				req.Header.Set("Content-Type", "application/n-triples")
+				req.Header.Set("Content-Type", "application/json")
 				return classify(client.Do(req))
 			},
 		})

@@ -14,16 +14,16 @@ import (
 // status-code-labelled request counter, and one structured log line.
 
 // MiddlewareConfig configures Middleware. Zero-value fields degrade
-// gracefully: a nil Registry records nothing, a nil Logger logs nothing,
-// a nil Route falls back to the raw URL path.
+// gracefully: a nil Registry records nothing, a nil Logger logs nothing.
 type MiddlewareConfig struct {
 	// Registry receives http metrics (nil disables).
 	Registry *Registry
 	// Logger receives one line per request (nil disables).
 	Logger *slog.Logger
-	// Route maps a request to a bounded label value (e.g. the mux pattern).
-	// Bounding matters: raw paths with IDs would explode series cardinality.
-	Route func(*http.Request) string
+	// Route is the label value of every request this middleware wraps —
+	// the mux pattern it is mounted on. One middleware per pattern keeps the
+	// label bounded: raw paths with IDs would explode series cardinality.
+	Route string
 	// Panic writes the 500 response after a recovered handler panic, when
 	// nothing has been written yet (nil falls back to a plain 500). The
 	// recovery itself — counter, stack-trace log, keeping the connection
@@ -36,10 +36,6 @@ type MiddlewareConfig struct {
 	// SLO, when set, receives one (route, latency, status) observation
 	// per request for sliding-window objective tracking.
 	SLO *SLOEngine
-	// SLOSkip, when set, excludes matching routes from SLO accounting.
-	// Long-poll endpoints (the replication WAL stream) park on purpose for
-	// seconds at a time; counting them would poison the latency quantiles.
-	SLOSkip func(route string) bool
 }
 
 // statusWriter captures the response status code and bytes written.
@@ -79,10 +75,7 @@ func Middleware(cfg MiddlewareConfig, next http.Handler) http.Handler {
 	if logger == nil {
 		logger = NopLogger()
 	}
-	route := cfg.Route
-	if route == nil {
-		route = func(r *http.Request) string { return r.URL.Path }
-	}
+	rt := cfg.Route
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		traceID := r.Header.Get(TraceHeader)
@@ -98,7 +91,7 @@ func Middleware(cfg MiddlewareConfig, next http.Handler) http.Handler {
 			if len(parent) > 64 {
 				parent = ""
 			}
-			ctx, root = cfg.Tracer.StartTrace(ctx, "http "+route(r), parent)
+			ctx, root = cfg.Tracer.StartTrace(ctx, "http "+rt, parent)
 		}
 
 		inFlight.Inc()
@@ -110,7 +103,7 @@ func Middleware(cfg MiddlewareConfig, next http.Handler) http.Handler {
 			if v := recover(); v != nil {
 				panics.Inc()
 				Logger(ctx).Error("handler panic",
-					"route", route(r), "panic", fmt.Sprint(v),
+					"route", rt, "panic", fmt.Sprint(v),
 					"stack", string(debug.Stack()))
 				if sw.status == 0 {
 					// Nothing written yet: the response is still ours.
@@ -127,7 +120,6 @@ func Middleware(cfg MiddlewareConfig, next http.Handler) http.Handler {
 				sw.status = http.StatusOK
 			}
 			elapsed := time.Since(start)
-			rt := route(r)
 			if root != nil {
 				root.SetAttr("method", r.Method)
 				root.SetAttr("status", itoa(sw.status))
@@ -136,9 +128,7 @@ func Middleware(cfg MiddlewareConfig, next http.Handler) http.Handler {
 				}
 				root.End()
 			}
-			if cfg.SLOSkip == nil || !cfg.SLOSkip(rt) {
-				cfg.SLO.Record(rt, elapsed, sw.status)
-			}
+			cfg.SLO.Record(rt, elapsed, sw.status)
 			reg.Counter("grdf_http_requests_total", "Completed HTTP requests.",
 				"route", rt, "code", itoa(sw.status)).Inc()
 			reg.Histogram("grdf_http_request_duration_seconds",

@@ -234,18 +234,12 @@ func TestMiddleware(t *testing.T) {
 		}
 		_, _ = w.Write([]byte("ok"))
 	})
-	h := Middleware(MiddlewareConfig{
-		Registry: reg,
-		Logger:   logger,
-		Route: func(r *http.Request) string {
-			if strings.HasPrefix(r.URL.Path, "/boom") {
-				return "/boom"
-			}
-			return "/ok"
-		},
-	}, inner)
+	mux := http.NewServeMux()
+	for pattern, label := range map[string]string{"/": "/ok", "/boom": "/boom"} {
+		mux.Handle(pattern, Middleware(MiddlewareConfig{Registry: reg, Logger: logger, Route: label}, inner))
+	}
 
-	srv := httptest.NewServer(h)
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/fine")
