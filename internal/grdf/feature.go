@@ -137,7 +137,7 @@ func EncodeGeometry(st *store.Store, node rdf.Term, geo geom.Geometry, srs strin
 
 // DecodeGeometry reads the geometry rooted at node back into a geom value.
 // The second result is the srsName, when present.
-func DecodeGeometry(st *store.Store, node rdf.Term) (geom.Geometry, string, error) {
+func DecodeGeometry(st store.Reader, node rdf.Term) (geom.Geometry, string, error) {
 	srs := ""
 	if v, ok := st.FirstObject(node, HasSRSName); ok {
 		if lit, isLit := v.(rdf.Literal); isLit {
@@ -399,7 +399,7 @@ func orderCurveChain(ms []geom.Geometry) ([]geom.Geometry, error) {
 }
 
 // geometryType finds the node's most specific GRDF geometry class.
-func geometryType(st *store.Store, node rdf.Term) (rdf.IRI, bool) {
+func geometryType(st store.Reader, node rdf.Term) (rdf.IRI, bool) {
 	known := map[rdf.IRI]bool{
 		Point: true, Curve: true, LineString: true, Ring: true, LinearRing: true,
 		Surface: true, Polygon: true, Solid: true, Envelope: true,
@@ -473,7 +473,7 @@ var geometryProps = []rdf.IRI{
 // GeometryOf resolves a feature's geometry: if the term itself decodes as a
 // geometry node it is used directly, otherwise the feature's geometry
 // properties are tried in order.
-func GeometryOf(st *store.Store, term rdf.Term) (geom.Geometry, string, error) {
+func GeometryOf(st store.Reader, term rdf.Term) (geom.Geometry, string, error) {
 	if g, srs, err := DecodeGeometry(st, term); err == nil {
 		return g, srs, nil
 	}

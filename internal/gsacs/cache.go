@@ -13,37 +13,76 @@ import (
 // mechanism that stores the queries and corresponding answers would provide
 // a significant performance boost."
 //
-// Entries are keyed by a request key plus the data store's generation
-// counter, so any mutation of the underlying data invalidates every cached
-// answer at lookup time without an explicit flush. Eviction is LRU.
+// An entry is a role view together with the version of the data it is a view
+// of. A lookup is a hit when that version is still the store's current one.
+// When it is not, the entry is not thrown away: it stays as the base the next
+// reader patches forward from the MVCC diff (see patchView), so a write costs
+// the reads after it what it changed, not a rebuild. Refreshes of one key are
+// single-flight — the first reader to miss does the work, the rest wait for
+// it and share the result. Eviction is LRU.
 //
-// The cache distinguishes the two miss causes operators need to tell apart:
-// cold misses (key never seen / evicted) versus stale invalidations (key
-// present but computed at an older data generation). A cache with a high
-// stale rate needs fewer writers, not more capacity.
+// The cache distinguishes the miss causes operators need to tell apart: cold
+// misses (key never seen / evicted) versus stale invalidations (key present
+// but reflecting an older data generation), and for the work a miss caused,
+// patches versus full rebuilds. A cache with a high rebuild rate under
+// writes is one whose writes are too large to patch.
 type QueryCache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List
 	entries  map[string]*list.Element
+	// flights holds the refresh in progress for a key, if any.
+	flights map[string]*flight
 
 	hits      uint64
 	misses    uint64
 	evictions uint64
 	stale     uint64
+	patches   uint64
+	rebuilds  uint64
 
 	// Metric handles (nil-safe no-ops until instrument is called).
 	mHits      *obs.Counter
 	mMisses    *obs.Counter
 	mEvictions *obs.Counter
 	mStale     *obs.Counter
+	mPatches   *obs.Counter
 }
 
+// cacheEntry is one role view and what it is a view of.
 type cacheEntry struct {
-	key        string
-	generation uint64
-	view       *store.Store
+	key string
+	// base is the version of the data the view reflects: view holds exactly
+	// the triples buildView yields over base. It is the entry's generation
+	// label and the left-hand side of the diff when the entry is patched.
+	base store.StoreView
+	// reasoner is the reasoner whose decisions the view holds.
+	reasoner *Reasoner
+	view     *store.Store
 }
+
+// current reports whether the entry answers a read of generation gen judged
+// by the reasoner rp points to.
+func (ent *cacheEntry) current(gen uint64, rp *Reasoner) bool {
+	return ent.base.Generation() == gen && ent.reasoner == rp
+}
+
+// flight is one refresh in progress. ent is written by the leader before done
+// is closed and stays nil if the refresh panicked.
+type flight struct {
+	done chan struct{}
+	ent  *cacheEntry
+}
+
+// refreshOutcome says what work a refresh did, for the cache's accounting.
+type refreshOutcome uint8
+
+const (
+	// refreshReused: the entry had been made current by an earlier flight.
+	refreshReused refreshOutcome = iota
+	refreshPatched
+	refreshRebuilt
+)
 
 // NewQueryCache returns a cache bounded to capacity entries (minimum 1).
 func NewQueryCache(capacity int) *QueryCache {
@@ -54,6 +93,7 @@ func NewQueryCache(capacity int) *QueryCache {
 		capacity: capacity,
 		ll:       list.New(),
 		entries:  make(map[string]*list.Element),
+		flights:  make(map[string]*flight),
 	}
 }
 
@@ -66,52 +106,86 @@ func (c *QueryCache) instrument(reg *obs.Registry) {
 	c.mEvictions = reg.Counter("grdf_cache_evictions_total",
 		"Entries evicted by LRU capacity pressure.")
 	c.mStale = reg.Counter("grdf_cache_stale_invalidations_total",
-		"Entries dropped at lookup because the data generation moved.")
+		"Lookups that found an entry reflecting an older data generation.")
+	c.mPatches = reg.Counter("grdf_cache_patches_total",
+		"Stale entries made current by patching from the version diff instead of a rebuild.")
 	reg.GaugeFunc("grdf_cache_entries", "Entries currently cached.",
 		func() float64 { return float64(c.Len()) })
 }
 
-// Get returns the cached view for key when present and computed at the
-// given data generation; stale entries are dropped.
-func (c *QueryCache) Get(key string, generation uint64) (*store.Store, bool) {
+// get returns the entry for key when it reflects data generation gen under
+// the reasoner rp points to. A stale entry counts as a miss and stays in
+// place for refresh to patch.
+func (c *QueryCache) get(key string, gen uint64, rp *Reasoner) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		c.mMisses.Inc()
-		return nil, false
-	}
-	ent := el.Value.(*cacheEntry)
-	if ent.generation != generation {
-		// Data changed since this answer was computed: invalidate.
-		c.ll.Remove(el)
-		delete(c.entries, key)
-		c.misses++
+	if ok {
+		if ent := el.Value.(*cacheEntry); ent.current(gen, rp) {
+			c.ll.MoveToFront(el)
+			c.hits++
+			c.mHits.Inc()
+			return ent, true
+		}
 		c.stale++
-		c.mMisses.Inc()
 		c.mStale.Inc()
-		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	c.mHits.Inc()
-	return ent.view, true
+	c.misses++
+	c.mMisses.Inc()
+	return nil, false
 }
 
-// Put stores a view computed at the given generation.
-func (c *QueryCache) Put(key string, generation uint64, view *store.Store) {
+// refresh makes key's entry current, once however many readers ask at the
+// same time: the first caller runs fn with the entry as it stands (nil when
+// the key is cold) and publishes what fn returns; callers arriving while it
+// runs wait and get the same entry. The result may already be behind the
+// store again, or nil if fn panicked — callers check and come back.
+func (c *QueryCache) refresh(key string, fn func(prev *cacheEntry) (*cacheEntry, refreshOutcome)) *cacheEntry {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	if fl, ok := c.flights[key]; ok {
+		c.mu.Unlock()
+		<-fl.done
+		return fl.ent
+	}
+	fl := &flight{done: make(chan struct{})}
+	c.flights[key] = fl
+	var prev *cacheEntry
 	if el, ok := c.entries[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.generation = generation
-		ent.view = view
+		prev = el.Value.(*cacheEntry)
+	}
+	c.mu.Unlock()
+
+	var outcome refreshOutcome
+	// Deferred so that a panic in fn still releases the waiters.
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, key)
+		if fl.ent != nil {
+			c.put(fl.ent, outcome)
+		}
+		c.mu.Unlock()
+		close(fl.done)
+	}()
+	fl.ent, outcome = fn(prev)
+	return fl.ent
+}
+
+// put publishes ent under its key and books the work that produced it.
+// Caller holds mu.
+func (c *QueryCache) put(ent *cacheEntry, outcome refreshOutcome) {
+	switch outcome {
+	case refreshPatched:
+		c.patches++
+		c.mPatches.Inc()
+	case refreshRebuilt:
+		c.rebuilds++
+	}
+	if el, ok := c.entries[ent.key]; ok {
+		el.Value = ent
 		c.ll.MoveToFront(el)
 		return
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, generation: generation, view: view})
-	c.entries[key] = el
+	c.entries[ent.key] = c.ll.PushFront(ent)
 	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -128,7 +202,8 @@ func (c *QueryCache) Len() int {
 	return c.ll.Len()
 }
 
-// Stats returns (hits, misses) so far.
+// Stats returns (hits, misses) so far. A read answered by a patch or by
+// waiting for another reader's refresh is a miss.
 func (c *QueryCache) Stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -141,8 +216,14 @@ type CacheStats struct {
 	Misses             uint64 `json:"misses"`
 	Evictions          uint64 `json:"evictions"`
 	StaleInvalidations uint64 `json:"stale_invalidations"`
-	Entries            int    `json:"entries"`
-	Capacity           int    `json:"capacity"`
+	// Patches and Rebuilds split the work misses caused: entries brought
+	// forward from the version diff versus views built from scratch (cold
+	// keys and every fallback). Misses that waited for another reader's
+	// refresh are in neither.
+	Patches  uint64 `json:"patches"`
+	Rebuilds uint64 `json:"rebuilds"`
+	Entries  int    `json:"entries"`
+	Capacity int    `json:"capacity"`
 }
 
 // Snapshot returns every counter at once — the /healthz payload and the
@@ -155,12 +236,14 @@ func (c *QueryCache) Snapshot() CacheStats {
 		Misses:             c.misses,
 		Evictions:          c.evictions,
 		StaleInvalidations: c.stale,
+		Patches:            c.patches,
+		Rebuilds:           c.rebuilds,
 		Entries:            c.ll.Len(),
 		Capacity:           c.capacity,
 	}
 }
 
-// Clear drops every entry.
+// Clear drops every entry. A refresh in flight still lands afterwards.
 func (c *QueryCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

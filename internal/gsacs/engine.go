@@ -41,7 +41,7 @@ type Reasoner interface {
 
 // nilReasoner answers structurally (no inference) when no reasoner is
 // plugged in.
-type nilReasoner struct{ data *store.Store }
+type nilReasoner struct{ data store.Reader }
 
 func (n nilReasoner) IsSubClassOf(sub, super rdf.Term) bool {
 	return sub.Equal(super) || n.data.Has(rdf.T(sub, rdf.RDFSSubClassOf, super))
@@ -126,17 +126,51 @@ func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 // loaded triples. The swap is atomic — a replica re-bootstraps while
 // serving, so a decision in flight keeps the reasoner it started with and
 // the next decision sees the new one.
+//
+// Cached role views hold decisions made under the old reasoner, so the swap
+// drops them. A build still in flight under the old reasoner may land after
+// the drop; its entry records which reasoner judged it and is rebuilt, not
+// served or patched, on its next lookup.
 func (e *Engine) SetReasoner(r Reasoner) {
 	if r == nil {
 		r = nilReasoner{data: e.data}
 	}
 	e.reasoner.Store(&r)
+	if e.cache != nil {
+		e.cache.Clear()
+	}
 }
 
 // Reasoner returns the current inference engine. Callers that make several
 // reasoner calls for one decision read it once, so the decision is judged
 // by a single consistent reasoner even if a bootstrap swaps it mid-flight.
 func (e *Engine) Reasoner() Reasoner { return *e.reasoner.Load() }
+
+// judge is the decision procedure bound to one version of the data and one
+// reasoner. Everything that decides or filters reads through it, so a view
+// build, a view patch or a single /v1/resource answer is judged against one
+// consistent revision while writers keep publishing newer ones.
+type judge struct {
+	policies *seconto.Set
+	data     store.Reader
+	reasoner Reasoner
+}
+
+// judgeOver binds the decision procedure to data under the reasoner rp points
+// to. With no reasoner plugged in, direct assertions are read from data
+// itself rather than from the live store, so a pinned build never consults a
+// version newer than the one it is labelled with.
+func (e *Engine) judgeOver(data store.Reader, rp *Reasoner) judge {
+	r := *rp
+	if _, none := r.(nilReasoner); none {
+		r = nilReasoner{data: data}
+	}
+	return judge{policies: e.policies, data: data, reasoner: r}
+}
+
+// current binds the decision procedure to the latest published version of
+// the data and the current reasoner.
+func (e *Engine) current() judge { return e.judgeOver(e.data.View(), e.reasoner.Load()) }
 
 // Data exposes the underlying (unfiltered) store — for administrative paths
 // only.
@@ -195,11 +229,17 @@ func (a Access) PropertyVisible(p rdf.IRI, r Reasoner) bool {
 // geometry to lie within the scope. Conflicts resolve by priority; at equal
 // priority deny overrides permit.
 func (e *Engine) Decide(subject, action rdf.IRI, resource rdf.Term) Access {
+	return e.decideAs(e.current(), subject, action, resource)
+}
+
+// decideAs runs j's decision procedure with the engine's accounting around
+// it: audit entry, outcome counters, latency.
+func (e *Engine) decideAs(j judge, subject, action rdf.IRI, resource rdf.Term) Access {
 	var start time.Time
 	if e.metrics != nil {
 		start = time.Now()
 	}
-	acc := e.decide(subject, action, resource)
+	acc := j.decide(subject, action, resource)
 	e.recordAudit(subject, action, resource, acc)
 	if e.metrics != nil {
 		if acc.Allowed {
@@ -238,17 +278,17 @@ func (e *Engine) DecideCtx(ctx context.Context, subject, action rdf.IRI, resourc
 }
 
 // decide is the un-instrumented decision procedure.
-func (e *Engine) decide(subject, action rdf.IRI, resource rdf.Term) Access {
-	rules := e.policies.ForSubject(subject)
+func (j judge) decide(subject, action rdf.IRI, resource rdf.Term) Access {
+	rules := j.policies.ForSubject(subject)
 	var applicable []seconto.Rule
 	for _, r := range rules {
 		if r.Action != action {
 			continue
 		}
-		if !e.resourceMatches(r.Resource, resource) {
+		if !j.resourceMatches(r.Resource, resource) {
 			continue
 		}
-		if r.SpatialScope != nil && !e.withinScope(resource, *r.SpatialScope) {
+		if r.SpatialScope != nil && !j.withinScope(resource, *r.SpatialScope) {
 			continue
 		}
 		applicable = append(applicable, r)
@@ -294,27 +334,26 @@ func (e *Engine) decide(subject, action rdf.IRI, resource rdf.Term) Access {
 }
 
 // resourceMatches checks policy resource coverage of a concrete resource.
-func (e *Engine) resourceMatches(policyRes rdf.IRI, resource rdf.Term) bool {
+func (j judge) resourceMatches(policyRes rdf.IRI, resource rdf.Term) bool {
 	if policyRes.Equal(resource) {
 		return true
 	}
-	reasoner := e.Reasoner()
-	for _, ty := range reasoner.TypesOf(resource) {
-		if reasoner.IsSubClassOf(ty, policyRes) {
+	for _, ty := range j.reasoner.TypesOf(resource) {
+		if j.reasoner.IsSubClassOf(ty, policyRes) {
 			return true
 		}
 	}
 	// Also check direct data types when the reasoner is external to data.
-	for _, ty := range e.data.Objects(resource, rdf.RDFType) {
-		if reasoner.IsSubClassOf(ty, policyRes) {
+	for _, ty := range j.data.Objects(resource, rdf.RDFType) {
+		if j.reasoner.IsSubClassOf(ty, policyRes) {
 			return true
 		}
 	}
 	return false
 }
 
-func (e *Engine) withinScope(resource rdf.Term, scope geom.Envelope) bool {
-	g, _, err := grdf.GeometryOf(e.data, resource)
+func (j judge) withinScope(resource rdf.Term, scope geom.Envelope) bool {
+	g, _, err := grdf.GeometryOf(j.data, resource)
 	if err != nil {
 		return false
 	}

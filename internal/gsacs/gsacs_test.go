@@ -268,31 +268,48 @@ func TestSpatialScopePolicy(t *testing.T) {
 	}
 }
 
+// putEntryAt fabricates a cache entry whose base version has the given
+// generation, and publishes it the way a rebuild would.
+func putEntryAt(c *QueryCache, key string, gen uint64, view *store.Store) {
+	data := store.New()
+	for data.Generation() < gen {
+		data.Add(rdf.T(rdf.IRI(fmt.Sprintf("http://example.org/gen/%d", data.Generation())), rdf.RDFType, grdf.Feature))
+	}
+	c.refresh(key, func(*cacheEntry) (*cacheEntry, refreshOutcome) {
+		return &cacheEntry{key: key, base: data.View(), view: view}, refreshRebuilt
+	})
+}
+
 func TestQueryCacheBasics(t *testing.T) {
 	c := NewQueryCache(2)
 	s1, s2, s3 := store.New(), store.New(), store.New()
-	c.Put("a", 1, s1)
-	c.Put("b", 1, s2)
-	if got, ok := c.Get("a", 1); !ok || got != s1 {
-		t.Error("Get(a) failed")
+	putEntryAt(c, "a", 1, s1)
+	putEntryAt(c, "b", 1, s2)
+	if got, ok := c.get("a", 1, nil); !ok || got.view != s1 {
+		t.Error("get(a) failed")
 	}
 	// insert third: evicts LRU ("b", since "a" was just used)
-	c.Put("c", 1, s3)
-	if _, ok := c.Get("b", 1); ok {
+	putEntryAt(c, "c", 1, s3)
+	if _, ok := c.get("b", 1, nil); ok {
 		t.Error("LRU not evicted")
 	}
-	if _, ok := c.Get("a", 1); !ok {
+	if _, ok := c.get("a", 1, nil); !ok {
 		t.Error("recently used entry evicted")
 	}
-	// generation mismatch invalidates
-	if _, ok := c.Get("a", 2); ok {
+	// generation mismatch is a miss, but the entry stays as the patch base
+	if _, ok := c.get("a", 2, nil); ok {
 		t.Error("stale entry served")
 	}
-	if c.Len() != 1 { // "a" dropped by stale read; "c" remains
+	if c.Len() != 2 {
 		t.Errorf("Len = %d", c.Len())
 	}
+	// so does a different reasoner at the same generation
+	var other Reasoner = nilReasoner{}
+	if _, ok := c.get("a", 1, &other); ok {
+		t.Error("entry judged by another reasoner served")
+	}
 	hits, misses := c.Stats()
-	if hits != 2 || misses != 2 {
+	if hits != 2 || misses != 3 {
 		t.Errorf("stats = %d/%d", hits, misses)
 	}
 	c.Clear()

@@ -1,12 +1,16 @@
 package gsacs
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/obs"
+	"repro/internal/rdf"
 	"repro/internal/seconto"
 	"repro/internal/store"
 )
@@ -96,27 +100,30 @@ func TestQueryCacheStaleInvalidationStats(t *testing.T) {
 	c.instrument(reg)
 
 	s1, s2, s3 := store.New(), store.New(), store.New()
-	c.Put("view", 1, s1)
-	if _, ok := c.Get("view", 1); !ok {
+	putEntryAt(c, "view", 1, s1)
+	if _, ok := c.get("view", 1, nil); !ok {
 		t.Fatal("warm get failed")
 	}
-	// Generation moved: the lookup must drop the entry and classify the miss
-	// as a stale invalidation, not a cold miss.
-	if _, ok := c.Get("view", 2); ok {
+	// Generation moved: the lookup must classify the miss as a stale
+	// invalidation, not a cold miss.
+	if _, ok := c.get("view", 2, nil); ok {
 		t.Fatal("stale entry served")
 	}
 	// Cold miss for an unknown key.
-	if _, ok := c.Get("absent", 2); ok {
+	if _, ok := c.get("absent", 2, nil); ok {
 		t.Fatal("phantom entry")
 	}
-	// Capacity pressure: two puts over capacity 2 evict one.
-	c.Put("a", 2, s1)
-	c.Put("b", 2, s2)
-	c.Put("c", 2, s3)
+	// Capacity pressure: puts over capacity 2 evict down to it.
+	putEntryAt(c, "a", 2, s1)
+	putEntryAt(c, "b", 2, s2)
+	putEntryAt(c, "c", 2, s3)
 
 	st := c.Snapshot()
-	if st.Hits != 1 || st.Misses != 2 || st.StaleInvalidations != 1 || st.Evictions != 1 {
+	if st.Hits != 1 || st.Misses != 2 || st.StaleInvalidations != 1 || st.Evictions != 2 {
 		t.Errorf("snapshot = %+v", st)
+	}
+	if st.Rebuilds != 4 || st.Patches != 0 {
+		t.Errorf("work accounting = %+v", st)
 	}
 	if st.Entries != 2 || st.Capacity != 2 {
 		t.Errorf("occupancy = %+v", st)
@@ -126,7 +133,8 @@ func TestQueryCacheStaleInvalidationStats(t *testing.T) {
 		"grdf_cache_hits_total":                1,
 		"grdf_cache_misses_total":              2,
 		"grdf_cache_stale_invalidations_total": 1,
-		"grdf_cache_evictions_total":           1,
+		"grdf_cache_evictions_total":           2,
+		"grdf_cache_patches_total":             0,
 	} {
 		if got := reg.Counter(name, "").Value(); got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
@@ -183,5 +191,71 @@ func TestEngineDecisionMetrics(t *testing.T) {
 	}
 	if got := reg.Counter("grdf_sparql_queries_total", "", "kind", "SELECT").Value(); got != 1 {
 		t.Errorf("queries by kind = %v", got)
+	}
+}
+
+// TestViewPatchObservability: the three outcomes of a view lookup — hit,
+// patch, rebuild — are told apart in every place that reports on the cache:
+// CacheStats on /healthz, the gsacs.view span's counters, and the
+// grdf_cache_patches_total counter. Stats() keeps counting a patch as a miss.
+func TestViewPatchObservability(t *testing.T) {
+	e, reg := metricsEngine(t, 4)
+	srv := httptest.NewServer(NewServer(e, nil, WithTracer(obs.NewTracer(64))))
+	defer srv.Close()
+	site := e.Data().SubjectsOfType(datagen.ChemSite)[0]
+	name, _ := e.Data().FirstObject(site, datagen.HasSiteName)
+
+	viewSpan := func() map[string]int64 {
+		t.Helper()
+		resp, body := doReq(t, srv, http.MethodGet, "/v1/view?role=Hazmat")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/view = %d %s", resp.StatusCode, body)
+		}
+		views := findSpans(fetchTrace(t, srv, resp.Header.Get("X-Trace-Id")).Tree, "gsacs.view")
+		if len(views) != 1 {
+			t.Fatalf("%d gsacs.view spans, want 1", len(views))
+		}
+		return views[0].Counters
+	}
+
+	// Cold: a miss answered by a rebuild — no patch counters on the span.
+	if c := viewSpan(); c["cache_miss"] != 1 || c["patched_subjects"] != 0 || c["patched_triples"] != 0 {
+		t.Errorf("cold view span counters = %v", c)
+	}
+	// One rename, then a read: a miss answered by a patch that re-judged two
+	// resources (the site, and its extent node, which is typed and so governed
+	// in its own right) and moved two triples (old name out, new name in).
+	if ok, err := e.Data().Replace(rdf.T(site, datagen.HasSiteName, name),
+		rdf.T(site, datagen.HasSiteName, rdf.NewString("Renamed Plant"))); !ok || err != nil {
+		t.Fatalf("rename: %v %v", ok, err)
+	}
+	if c := viewSpan(); c["cache_miss"] != 1 || c["patched_subjects"] != 2 || c["patched_triples"] != 2 {
+		t.Errorf("patched view span counters = %v", c)
+	}
+	if c := viewSpan(); c["cache_hit"] != 1 {
+		t.Errorf("warm view span counters = %v", c)
+	}
+
+	_, raw := doReq(t, srv, http.MethodGet, "/healthz")
+	var health struct {
+		Cache CacheStats `json:"cache"`
+	}
+	if err := json.Unmarshal([]byte(raw), &health); err != nil {
+		t.Fatalf("healthz: %v (%s)", err, raw)
+	}
+	want := CacheStats{Hits: 1, Misses: 2, StaleInvalidations: 1, Patches: 1, Rebuilds: 1, Entries: 1, Capacity: 4}
+	if health.Cache != want {
+		t.Errorf("/healthz cache = %+v, want %+v", health.Cache, want)
+	}
+	for _, field := range []string{`"patches":1`, `"rebuilds":1`, `"stale_invalidations":1`} {
+		if !strings.Contains(raw, field) {
+			t.Errorf("/healthz lacks %s: %s", field, raw)
+		}
+	}
+	if got := reg.Counter("grdf_cache_patches_total", "").Value(); got != 1 {
+		t.Errorf("grdf_cache_patches_total = %v, want 1", got)
+	}
+	if hits, misses := e.Cache().Stats(); hits != 1 || misses != 2 {
+		t.Errorf("Stats() = %d hits, %d misses; a patch must count as a miss", hits, misses)
 	}
 }

@@ -21,39 +21,44 @@ import (
 // are structural nodes (geometry/envelope blank nodes, condition values…)
 // are included transitively so the result is self-contained.
 func (e *Engine) FilterResource(resource rdf.Term, acc Access) []rdf.Triple {
+	return e.current().filterResource(resource, acc)
+}
+
+func (j judge) filterResource(resource rdf.Term, acc Access) []rdf.Triple {
 	if !acc.Allowed {
 		return nil
 	}
 	var out []rdf.Triple
-	seen := map[rdf.Triple]struct{}{}
-	add := func(t rdf.Triple) {
-		if _, dup := seen[t]; !dup {
-			seen[t] = struct{}{}
-			out = append(out, t)
-		}
-	}
+	// Each node is described once. Data is a graph, not a tree: structural
+	// nodes may be shared, may point at each other in a cycle, and may point
+	// back at the resource — whose hidden properties must not ride in on it.
+	visited := map[rdf.Term]struct{}{resource: {}}
 	var include func(node rdf.Term)
 	include = func(node rdf.Term) {
-		for _, t := range e.data.DescribeResource(node) {
-			add(t)
-			if e.isStructuralNode(t.Object) {
+		if _, dup := visited[node]; dup {
+			return
+		}
+		visited[node] = struct{}{}
+		for _, t := range j.data.DescribeResource(node) {
+			out = append(out, t)
+			if j.isStructuralNode(t.Object) {
 				include(t.Object)
 			}
 		}
 	}
-	for _, t := range e.data.DescribeResource(resource) {
+	for _, t := range j.data.DescribeResource(resource) {
 		pred := t.Predicate.(rdf.IRI)
 		if pred == rdf.RDFType {
-			add(t)
+			out = append(out, t)
 			continue
 		}
-		if !acc.PropertyVisible(pred, e.Reasoner()) {
+		if !acc.PropertyVisible(pred, j.reasoner) {
 			continue
 		}
-		add(t)
+		out = append(out, t)
 		// Pull in structural object nodes (envelopes, geometry trees) so the
 		// filtered view decodes on its own.
-		if e.isStructuralNode(t.Object) {
+		if j.isStructuralNode(t.Object) {
 			include(t.Object)
 		}
 	}
@@ -65,28 +70,30 @@ func (e *Engine) FilterResource(resource rdf.Term, acc Access) []rdf.Triple {
 // (geometry, envelopes, time positions). Such nodes travel with the property
 // that references them; application-typed resources (chemical inventories,
 // linked features) are governed by their own policies instead.
-func (e *Engine) isStructuralNode(node rdf.Term) bool {
+func (j judge) isStructuralNode(node rdf.Term) bool { return j.grdfTyped(node, true) }
+
+// grdfTyped reports whether node is a blank node or an IRI with a type in the
+// GRDF namespaces — with all set, an IRI all of whose types are.
+func (j judge) grdfTyped(node rdf.Term, all bool) bool {
 	switch node.Kind() {
 	case rdf.KindBlank:
 		return true
 	case rdf.KindLiteral:
 		return false
 	}
-	types := e.data.Objects(node, rdf.RDFType)
-	if len(types) == 0 {
-		return false
-	}
+	types := j.data.Objects(node, rdf.RDFType)
+	n := 0
 	for _, ty := range types {
-		iri, ok := ty.(rdf.IRI)
-		if !ok {
-			return false
-		}
-		ns := iri.Namespace()
-		if ns != grdf.NS && ns != grdf.TemporalNS {
-			return false
+		if iri, ok := ty.(rdf.IRI); ok {
+			if ns := iri.Namespace(); ns == grdf.NS || ns == grdf.TemporalNS {
+				n++
+			}
 		}
 	}
-	return true
+	if all {
+		return n > 0 && n == len(types)
+	}
+	return n > 0
 }
 
 // View assembles the layered, policy-filtered view for a subject over every
@@ -98,48 +105,101 @@ func (e *Engine) View(subject, action rdf.IRI) *store.Store {
 }
 
 // ViewCtx is View with the request context: on a traced context the cache
-// probe and (on a miss) the view build run under a gsacs.view span whose
-// counters distinguish hit from miss.
+// probe and (on a miss) the refresh run under a gsacs.view span whose
+// counters distinguish hit from miss, and a patch from a rebuild.
+//
+// The returned view reflects one version of the data, at least as new as the
+// one current when the call began, and must not be mutated: it is shared
+// with the cache and with other readers.
 func (e *Engine) ViewCtx(ctx context.Context, subject, action rdf.IRI) *store.Store {
+	return e.viewEntry(ctx, subject, action).view
+}
+
+// viewEntry is ViewCtx returning the view together with its label: the
+// version of the data and the reasoner it was derived from.
+func (e *Engine) viewEntry(ctx context.Context, subject, action rdf.IRI) *cacheEntry {
 	_, sp := obs.StartSpan(ctx, "gsacs.view")
 	defer sp.End()
 	sp.SetAttr("role", subject.LocalName())
-	if e.cache != nil {
-		if cached, ok := e.cache.Get(viewKey(subject, action), e.data.Generation()); ok {
-			sp.Add("cache_hit", 1)
-			return cached
+	if e.cache == nil {
+		ent, _ := e.refreshView(sp, nil, subject, action)
+		sp.Add("view_triples", int64(ent.view.Len()))
+		return ent
+	}
+	key := viewKey(subject, action)
+	gen := e.data.Generation()
+	if ent, ok := e.cache.get(key, gen, e.reasoner.Load()); ok {
+		sp.Add("cache_hit", 1)
+		return ent
+	}
+	sp.Add("cache_miss", 1)
+	for {
+		ent := e.cache.refresh(key, func(prev *cacheEntry) (*cacheEntry, refreshOutcome) {
+			return e.refreshView(sp, prev, subject, action)
+		})
+		// Another reader's refresh may have pinned its version before the
+		// write this read must see, or been judged by a reasoner since
+		// swapped out; go round again (and lead the next refresh).
+		if ent != nil && ent.base.Generation() >= gen && ent.reasoner == e.reasoner.Load() {
+			sp.Add("view_triples", int64(ent.view.Len()))
+			return ent
 		}
-		sp.Add("cache_miss", 1)
 	}
-	view := e.buildView(subject, action)
-	sp.Add("view_triples", int64(view.Len()))
-	if e.cache != nil {
-		e.cache.Put(viewKey(subject, action), e.data.Generation(), view)
-	}
-	return view
 }
 
-func (e *Engine) buildView(subject, action rdf.IRI) *store.Store {
-	view := store.New()
-	for _, res := range e.governedResources() {
-		acc := e.Decide(subject, action, res)
+// refreshView produces the role's current entry from the stale one (nil when
+// cold). It pins one version of the data, patches or builds against
+// that version alone, and labels the result with it — so a write landing
+// meanwhile makes the entry stale, never torn.
+func (e *Engine) refreshView(sp *obs.Span, prev *cacheEntry, subject, action rdf.IRI) (*cacheEntry, refreshOutcome) {
+	rp := e.reasoner.Load()
+	base := e.data.View()
+	ent := &cacheEntry{key: viewKey(subject, action), base: base, reasoner: rp}
+	if prev != nil && prev.reasoner == rp {
+		if prev.base.Generation() == base.Generation() {
+			return prev, refreshReused
+		}
+		if view, ok := e.patchView(sp, prev, base, subject, action); ok {
+			ent.view = view
+			return ent, refreshPatched
+		}
+	}
+	ent.view = e.buildView(e.judgeOver(base, rp), subject, action)
+	return ent, refreshRebuilt
+}
+
+// buildView materializes the role's view over j's version of the data from
+// scratch: the cold path, the fallback when patching is not sound or not
+// cheaper, and the oracle the patch path is tested against.
+func (e *Engine) buildView(j judge, subject, action rdf.IRI) *store.Store {
+	var visible []rdf.Triple
+	for _, res := range j.governedResources() {
+		acc := e.decideAs(j, subject, action, res)
 		if !acc.Allowed {
 			continue
 		}
-		view.AddAll(e.FilterResource(res, acc))
+		visible = append(visible, j.filterResource(res, acc)...)
 	}
+	view := store.New()
+	view.AddAll(visible)
 	return view
 }
 
-// governedResources enumerates every subject in the data store that has an
-// rdf:type (candidate resources), sorted for determinism.
-func (e *Engine) governedResources() []rdf.Term {
-	seen := map[string]struct{}{}
+// governed reports whether node is a candidate resource: a subject with an
+// rdf:type.
+func (j judge) governed(node rdf.Term) bool {
+	_, typed := j.data.FirstObject(node, rdf.RDFType)
+	return typed
+}
+
+// governedResources enumerates every governed subject, sorted for
+// determinism.
+func (j judge) governedResources() []rdf.Term {
+	seen := map[rdf.Term]struct{}{}
 	var out []rdf.Term
-	e.data.ForEachMatch(nil, rdf.RDFType, nil, func(t rdf.Triple) bool {
-		k := t.Subject.String()
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
+	j.data.ForEachMatch(nil, rdf.RDFType, nil, func(t rdf.Triple) bool {
+		if _, dup := seen[t.Subject]; !dup {
+			seen[t.Subject] = struct{}{}
 			out = append(out, t.Subject)
 		}
 		return true

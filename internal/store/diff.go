@@ -1,0 +1,130 @@
+package store
+
+import "math/bits"
+
+// ChangedSubjects calls fn with the ID of every subject whose set of triples
+// in sv differs from its set in base — present in one and absent from the
+// other, or present in both with different (predicate, object) pairs — until
+// fn returns false. Both views must be of the same store (or of snapshots
+// sharing its dictionary), so that an ID names the same term in both. Order
+// is unspecified.
+//
+// The walk runs over the two SPO indexes in lockstep and prunes wherever they
+// share a node: path-copying leaves every subtree a commit did not touch
+// pointer-identical, so the cost is O(changed subjects × trie depth) however
+// large the store is, and however many commits lie between the two versions.
+// A subject whose branch was rewritten to the same content (removed and
+// re-added) is compared by content and not reported.
+func (sv StoreView) ChangedSubjects(base StoreView, fn func(ID) bool) {
+	a, b := base.ver().spo.m, sv.ver().spo.m
+	if a == b {
+		return
+	}
+	diffNodes(rootOf(a), rootOf(b), sameBranch, fn)
+}
+
+func rootOf[V any](m *pmap[V]) *pnode[V] {
+	if m == nil {
+		return nil
+	}
+	return m.root
+}
+
+// sameBranch reports whether two subject branches hold the same triples.
+func sameBranch(x, y *l2) bool {
+	if x == y {
+		return true
+	}
+	if x.size != y.size || x.m.Len() != y.m.Len() {
+		return false
+	}
+	return diffNodes(rootOf(x.m), rootOf(y.m), sameSet, func(ID) bool { return false })
+}
+
+// sameSet reports whether two object sets are equal.
+func sameSet(x, y *pmap[unit]) bool {
+	if x == y {
+		return true
+	}
+	if x.Len() != y.Len() {
+		return false
+	}
+	return diffNodes(rootOf(x), rootOf(y), func(unit, unit) bool { return true }, func(ID) bool { return false })
+}
+
+// diffNodes calls fn for every key bound under exactly one of the two nodes,
+// or under both to values for which same reports false. It returns false as
+// soon as fn does. a and b must sit at the same depth of their tries, which
+// makes their slots line up; a key may still be a leaf on one side and inside
+// a subtree on the other (a neighbour was added or removed), so shapes are
+// not assumed to agree.
+func diffNodes[V any](a, b *pnode[V], same func(x, y V) bool, fn func(ID) bool) bool {
+	if a == b {
+		return true
+	}
+	emit := func(k ID, _ V) bool { return fn(k) }
+	if a == nil {
+		return pnodeRange(b, emit)
+	}
+	if b == nil {
+		return pnodeRange(a, emit)
+	}
+	for rest := a.bitmap | b.bitmap; rest != 0; rest &= rest - 1 {
+		bit := rest & -rest
+		ea, eb := a.slot(bit), b.slot(bit)
+		var ok bool
+		switch {
+		case ea == nil:
+			ok = rangeEntry(eb, emit)
+		case eb == nil:
+			ok = rangeEntry(ea, emit)
+		case ea.node != nil && eb.node != nil:
+			ok = diffNodes(ea.node, eb.node, same, fn)
+		case ea.node != nil:
+			ok = diffLeaf(eb, ea.node, same, fn)
+		case eb.node != nil:
+			ok = diffLeaf(ea, eb.node, same, fn)
+		case ea.key != eb.key:
+			ok = fn(ea.key) && fn(eb.key)
+		default:
+			ok = same(ea.val, eb.val) || fn(ea.key)
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// diffLeaf is diffNodes for a single leaf against a subtree on the other side.
+func diffLeaf[V any](leaf *pentry[V], tree *pnode[V], same func(x, y V) bool, fn func(ID) bool) bool {
+	found := false
+	ok := pnodeRange(tree, func(k ID, v V) bool {
+		if k == leaf.key {
+			found = true
+			if same(leaf.val, v) {
+				return true
+			}
+		}
+		return fn(k)
+	})
+	if ok && !found {
+		ok = fn(leaf.key)
+	}
+	return ok
+}
+
+// slot returns the entry occupying the slot whose bitmap bit is bit, or nil.
+func (nd *pnode[V]) slot(bit uint32) *pentry[V] {
+	if nd.bitmap&bit == 0 {
+		return nil
+	}
+	return &nd.entries[bits.OnesCount32(nd.bitmap&(bit-1))]
+}
+
+func rangeEntry[V any](e *pentry[V], fn func(ID, V) bool) bool {
+	if e.node != nil {
+		return pnodeRange(e.node, fn)
+	}
+	return fn(e.key, e.val)
+}

@@ -338,3 +338,79 @@ func (ix tindex) without(a, b, c ID) (tindex, bool) {
 	nm, _ := ix.m.With(a, &l2{m: nbm, size: br.size - 1})
 	return tindex{m: nm}, true
 }
+
+// ---- Bulk construction --------------------------------------------------------
+
+// pmapOf builds the map holding es, whose keys must be distinct, in one pass:
+// every node is allocated once, at its final size, where inserting the keys
+// one by one would path-copy the trie once per key. The result has the shape
+// insertion would have produced (a key sits as high as it can without sharing
+// a slot). es is permuted in place.
+func pmapOf[V any](es []pentry[V]) *pmap[V] {
+	if len(es) == 0 {
+		return nil
+	}
+	return &pmap[V]{root: pnodeOf(es, make([]pentry[V], len(es)), 0), n: len(es)}
+}
+
+// pnodeOf builds the node for es (non-empty, distinct keys) at shift, using
+// tmp (same length) as scratch for the counting sort by slot.
+func pnodeOf[V any](es, tmp []pentry[V], shift uint) *pnode[V] {
+	var start [pmFanout + 1]int
+	for i := range es {
+		start[(es[i].key>>shift)&pmMask+1]++
+	}
+	nd := &pnode[V]{}
+	used := 0
+	for s := 0; s < pmFanout; s++ {
+		if start[s+1] > 0 {
+			nd.bitmap |= 1 << s
+			used++
+		}
+		start[s+1] += start[s]
+	}
+	next := start
+	for i := range es {
+		s := (es[i].key >> shift) & pmMask
+		tmp[next[s]] = es[i]
+		next[s]++
+	}
+	copy(es, tmp)
+	nd.entries = make([]pentry[V], 0, used)
+	for s := 0; s < pmFanout; s++ {
+		switch lo, hi := start[s], start[s+1]; hi - lo {
+		case 0:
+		case 1:
+			nd.entries = append(nd.entries, es[lo])
+		default:
+			nd.entries = append(nd.entries, pentry[V]{node: pnodeOf(es[lo:hi], tmp[lo:hi], shift+pmBits)})
+		}
+	}
+	return nd
+}
+
+// tindexOf builds the index holding ts — (a, b, c) key triples, sorted and
+// distinct — bottom-up with pmapOf (which copies the entries it is given, so
+// the two inner buffers are reused from run to run).
+func tindexOf(ts [][3]ID) tindex {
+	var (
+		top    []pentry[*l2]
+		mid    []pentry[*pmap[unit]]
+		leaves []pentry[unit]
+	)
+	for i := 0; i < len(ts); {
+		a := ts[i][0]
+		mid = mid[:0]
+		from := i
+		for i < len(ts) && ts[i][0] == a {
+			b := ts[i][1]
+			leaves = leaves[:0]
+			for ; i < len(ts) && ts[i][0] == a && ts[i][1] == b; i++ {
+				leaves = append(leaves, pentry[unit]{key: ts[i][2]})
+			}
+			mid = append(mid, pentry[*pmap[unit]]{key: b, val: pmapOf(leaves)})
+		}
+		top = append(top, pentry[*l2]{key: a, val: &l2{m: pmapOf(mid), size: i - from}})
+	}
+	return tindex{m: pmapOf(top)}
+}

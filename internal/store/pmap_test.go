@@ -1,8 +1,11 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/rdf"
 )
 
 // The persistent HAMT is the foundation every MVCC guarantee rests on: a
@@ -180,5 +183,71 @@ func TestTindexAgainstReference(t *testing.T) {
 	check(3000, ix, ref)
 	for i, s := range snaps {
 		check(i, s.ix, s.ref)
+	}
+}
+
+// TestBulkLoadMatchesIncremental: a first load big enough to take the
+// bottom-up path (addBulk) yields the store adding the same triples one by
+// one yields — same triples, same counters, consistent indexes — and the two
+// are structurally compatible: the version diff between a bulk-built version
+// and its incrementally edited successor names exactly the edited subjects.
+func TestBulkLoadMatchesIncremental(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 20; round++ {
+		n := bulkMin + rng.Intn(3000)
+		var batch []rdf.Triple
+		for i := 0; i < n; i++ {
+			batch = append(batch, rdf.T(
+				rdf.IRI(fmt.Sprintf("http://example.org/bulk/s%d", rng.Intn(n/3+1))),
+				rdf.IRI(fmt.Sprintf("http://example.org/bulk/p%d", rng.Intn(7))),
+				rdf.NewInteger(int64(rng.Intn(50)))))
+		}
+		batch = append(batch, batch[0], rdf.Triple{}) // a duplicate and an invalid triple
+
+		bulk, one := New(), New()
+		added := bulk.AddAll(batch)
+		for _, tr := range batch {
+			one.Add(tr)
+		}
+		if err := bulk.Validate(); err != nil {
+			t.Fatalf("round %d: bulk-built store: %v", round, err)
+		}
+		if added != one.Len() || bulk.Len() != one.Len() || bulk.Generation() != one.Generation() {
+			t.Fatalf("round %d: bulk added %d, len %d, gen %d; one by one len %d, gen %d",
+				round, added, bulk.Len(), bulk.Generation(), one.Len(), one.Generation())
+		}
+		if bulk.String() != one.String() {
+			t.Fatalf("round %d: contents differ", round)
+		}
+		if bs, os := bulk.Stats(), one.Stats(); bs.Subjects != os.Subjects || bs.Predicates != os.Predicates || bs.Objects != os.Objects {
+			t.Fatalf("round %d: stats %+v vs %+v", round, bs, os)
+		}
+		for _, tr := range batch[:20] {
+			s, p, o := bulk.Intern(tr.Subject), bulk.Intern(tr.Predicate), bulk.Intern(tr.Object)
+			if !bulk.HasIDs(s, p, o) || bulk.EstimateIDs(s, NoID, NoID) != one.Count(tr.Subject, nil, nil) ||
+				bulk.EstimateIDs(NoID, p, NoID) != one.Count(nil, tr.Predicate, nil) ||
+				bulk.EstimateIDs(NoID, NoID, o) != one.Count(nil, nil, tr.Object) {
+				t.Fatalf("round %d: lookups and cardinalities for %v disagree", round, tr)
+			}
+		}
+
+		base := bulk.View()
+		bulk.Remove(batch[1])
+		bulk.Add(rdf.T(batch[2].Subject, rdf.IRI("http://example.org/bulk/extra"), rdf.NewInteger(1)))
+		want := map[string]bool{batch[1].Subject.String(): true, batch[2].Subject.String(): true}
+		bulk.View().ChangedSubjects(base, func(id ID) bool {
+			s := bulk.TermOf(id).String()
+			if !want[s] {
+				t.Fatalf("round %d: diff names untouched subject %s", round, s)
+			}
+			delete(want, s)
+			return true
+		})
+		if len(want) != 0 {
+			t.Fatalf("round %d: diff missed %v", round, want)
+		}
+		if err := bulk.Validate(); err != nil {
+			t.Fatalf("round %d: after edits: %v", round, err)
+		}
 	}
 }

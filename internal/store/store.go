@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -496,6 +497,13 @@ func (s *Store) drain(max int) []*commitWaiter {
 	}
 	batch := s.queue[:n:n]
 	s.queue = s.queue[n:]
+	if len(s.queue) == 0 {
+		// Drop the backing array with it: its slots still point at the
+		// drained waiters, and a waiter holds the whole batch it carried —
+		// for a store loaded by one AddAll and then only read (a role view),
+		// two copies of every triple, for as long as the store lives.
+		s.queue = nil
+	}
 	return batch
 }
 
@@ -912,6 +920,45 @@ func (b *builder) clear() {
 	b.dirty = true
 }
 
+// bulkMin is the batch size from which an add into an empty builder builds
+// the indexes bottom-up (addBulk) instead of triple by triple.
+const bulkMin = 64
+
+// addBulk loads ts — valid triples, duplicates allowed — into an empty
+// builder and returns how many distinct triples that was. A first load is the
+// one case where nothing has to be shared with a previous version, so the
+// three indexes are built in one pass each from the sorted ID triples; adding
+// one by one would path-copy every trie once per triple, and for a store the
+// size of a role view the garbage of that is most of the cost.
+func (b *builder) addBulk(ts []rdf.Triple) int {
+	ids := make([][3]ID, len(ts))
+	for i, t := range ts {
+		ids[i] = [3]ID{b.dict.Intern(t.Subject), b.dict.Intern(t.Predicate), b.dict.Intern(t.Object)}
+	}
+	sortIDs(ids)
+	ids = slices.Compact(ids)
+	n := len(ids)
+	b.spo = tindexOf(ids)
+	for i, t := range ids {
+		ids[i] = [3]ID{t[1], t[2], t[0]}
+	}
+	sortIDs(ids)
+	b.pos = tindexOf(ids)
+	for i, t := range ids {
+		ids[i] = [3]ID{t[1], t[2], t[0]}
+	}
+	sortIDs(ids)
+	b.osp = tindexOf(ids)
+	b.size = n
+	b.generation += uint64(n)
+	b.dirty = true
+	return n
+}
+
+func sortIDs(ids [][3]ID) {
+	slices.SortFunc(ids, func(x, y [3]ID) int { return slices.Compare(x[:], y[:]) })
+}
+
 // filter returns the subset of ts that would change the builder state:
 // present triples when removing, valid absent ones when adding. The input
 // slice is never mutated.
@@ -944,6 +991,9 @@ func (b *builder) applyOp(op Op) (int, Op, error) {
 			return 0, none, nil
 		}
 		op.Gen = b.generation
+		if b.size == 0 && len(op.Triples) >= bulkMin {
+			return b.addBulk(op.Triples), op, nil
+		}
 		n := 0
 		for _, t := range op.Triples {
 			if b.add(t) {
