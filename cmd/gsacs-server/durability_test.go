@@ -10,119 +10,86 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
-// validFlags is a baseline configuration that must pass validation; each
-// test case perturbs one field.
-func validFlags() flagConfig {
-	return flagConfig{
-		addr: ":8080", sites: 12, cache: 32, auditCap: 256, logLevel: "info",
-		queryTimeout: 30 * time.Second, drainTimeout: 10 * time.Second,
-		maxBodyBytes: 1 << 20, fsync: "always",
-		fsyncInterval: 50 * time.Millisecond, snapshotEvery: 10000,
-		commitBatch:   128,
-		sourceTimeout: 2 * time.Second, breakerThresh: 5, retryMax: 3,
-		sloLatency: 100 * time.Millisecond, sloAvail: 0.999,
-		admissionOn: true, maxQueue: 128, queueDeadline: 100 * time.Millisecond,
-	}
-}
-
+// TestValidateFlags parses real argument lists through register, so every
+// case starts from the defaults the binary ships and perturbs one flag.
 func TestValidateFlags(t *testing.T) {
-	if err := validateFlags(validFlags()); err != nil {
-		t.Fatalf("baseline config rejected: %v", err)
+	peer := []string{"-source", "http://p"}
+	with := func(base []string, more ...string) []string { return append(slices.Clone(base), more...) }
+
+	// The default argument list of each of the four roles must validate.
+	roles := map[role][]string{
+		standalone: nil,
+		leader:     {"-data-dir", "/tmp/x"},
+		follower:   {"-follow", "http://leader:8080"},
+		router:     {"-router", "-source", "http://replica1:8081", "-source", "http://replica2:8082"},
 	}
-	cases := map[string]func(*flagConfig){
-		"empty addr":              func(c *flagConfig) { c.addr = "" },
-		"policies without data":   func(c *flagConfig) { c.policyFile = "p.ttl" },
-		"data without policies":   func(c *flagConfig) { c.dataFile = "d.ttl" },
-		"zero sites":              func(c *flagConfig) { c.sites = 0 },
-		"negative cache":          func(c *flagConfig) { c.cache = -1 },
-		"negative audit":          func(c *flagConfig) { c.auditCap = -1 },
-		"bogus log level":         func(c *flagConfig) { c.logLevel = "verbose" },
-		"negative query timeout":  func(c *flagConfig) { c.queryTimeout = -time.Second },
-		"zero drain timeout":      func(c *flagConfig) { c.drainTimeout = 0 },
-		"negative body cap":       func(c *flagConfig) { c.maxBodyBytes = -1 },
-		"bogus fsync policy":      func(c *flagConfig) { c.fsync = "sometimes" },
-		"zero fsync interval":     func(c *flagConfig) { c.fsyncInterval = 0 },
-		"negative snapshot-every": func(c *flagConfig) { c.snapshotEvery = -1 },
-		"fsync without data-dir":  func(c *flagConfig) { c.fsync = "off" },
-		"zero commit max batch":   func(c *flagConfig) { c.commitBatch = 0 },
-		"negative commit delay":   func(c *flagConfig) { c.commitDelay = -time.Millisecond },
-		"zero source timeout":     func(c *flagConfig) { c.sources = []string{"http://p"}; c.sourceTimeout = 0 },
-		"zero breaker threshold":  func(c *flagConfig) { c.sources = []string{"http://p"}; c.breakerThresh = 0 },
-		"zero retry max":          func(c *flagConfig) { c.sources = []string{"http://p"}; c.retryMax = 0 },
-		"zero slo latency":        func(c *flagConfig) { c.sloLatency = 0 },
-		"slo availability 1":      func(c *flagConfig) { c.sloAvail = 1 },
-		"negative slo avail":      func(c *flagConfig) { c.sloAvail = -0.5 },
-		"follow with data-dir": func(c *flagConfig) {
-			c.follow = "http://leader:8080"
-			c.dataDir = "/tmp/x"
-		},
-		"follow with sources": func(c *flagConfig) {
-			c.follow = "http://leader:8080"
-			c.sources = []string{"http://p"}
-		},
-		"follow with router": func(c *flagConfig) {
-			c.follow = "http://leader:8080"
-			c.router = true
-		},
-		"follow with negative lag": func(c *flagConfig) {
-			c.follow = "http://leader:8080"
-			c.maxReplicaLag = -time.Second
-		},
-		"router without sources":         func(c *flagConfig) { c.router = true },
-		"retain-min-seq without datadir": func(c *flagConfig) { c.retainMinSeq = 10 },
-		"negative max-queue":             func(c *flagConfig) { c.maxQueue = -1 },
-		"zero queue deadline":            func(c *flagConfig) { c.queueDeadline = 0 },
-	}
-	for name, mutate := range cases {
-		c := validFlags()
-		mutate(&c)
-		if err := validateFlags(c); err == nil {
-			t.Errorf("%s: accepted, want error", name)
+	for want, args := range roles {
+		cfg := parseConfig(t, args...)
+		if err := cfg.validate(); err != nil {
+			t.Errorf("default %s config %q rejected: %v", want, args, err)
+		}
+		if got := cfg.role(); got != want {
+			t.Errorf("%q is a %s, want %s", args, got, want)
 		}
 	}
 
-	// Valid variants that must NOT be rejected.
-	ok := validFlags()
-	ok.dataDir = "/tmp/x"
-	ok.fsync = "interval"
-	if err := validateFlags(ok); err != nil {
-		t.Errorf("data-dir with interval fsync rejected: %v", err)
+	rejected := map[string][]string{
+		"empty addr":               {"-addr", ""},
+		"policies without data":    {"-policies", "p.ttl"},
+		"data without policies":    {"-data", "d.ttl"},
+		"zero sites":               {"-sites", "0"},
+		"negative cache":           {"-cache", "-1"},
+		"negative audit":           {"-audit", "-1"},
+		"negative query timeout":   {"-query-timeout", "-1s"},
+		"bogus fsync policy":       {"-fsync", "sometimes"},
+		"negative snapshot-every":  {"-snapshot-every", "-1"},
+		"fsync without data-dir":   {"-fsync", "off"},
+		"zero source timeout":      with(peer, "-source-timeout", "0"),
+		"zero retry max":           with(peer, "-retry-max", "0"),
+		"zero retry base":          with(peer, "-retry-base", "0"),
+		"negative retry base":      with(peer, "-retry-base", "-20ms"),
+		"zero slo latency":         {"-slo-latency", "0"},
+		"slo availability 1":       {"-slo-availability", "1"},
+		"negative slo avail":       {"-slo-availability", "-0.5"},
+		"follow with data-dir":     with(roles[follower], "-data-dir", "/tmp/x"),
+		"follow with sources":      with(roles[follower], peer...),
+		"follow with router":       with(roles[follower], "-router"),
+		"follow with negative lag": with(roles[follower], "-max-replica-lag", "-1s"),
+		"router without sources":   {"-router"},
+		"router with data-dir":     with(roles[router], "-data-dir", "/tmp/x"),
+		"router with writer-role":  with(roles[router], "-writer-role", "Writer"),
+		"cluster without sources":  {"-cluster"},
+		"negative trace buffer":    {"-trace-buffer", "-1"},
+		"negative slow-query":      {"-slow-query-threshold", "-1s"},
+		"negative max-queue":       {"-max-queue", "-1"},
+		"zero queue deadline":      {"-queue-deadline", "0"},
+		"zero profile window":      {"-profile-cpu-window", "0"},
+		"negative profile cadence": {"-profile-every", "-1s"},
 	}
-	ok = validFlags()
-	ok.dataFile, ok.policyFile = "d.ttl", "p.ttl"
-	ok.sites = 0 // irrelevant when data files are given
-	if err := validateFlags(ok); err != nil {
-		t.Errorf("custom dataset with zero sites rejected: %v", err)
+	for name, args := range rejected {
+		if err := parseConfig(t, args...).validate(); err == nil {
+			t.Errorf("%s %q: accepted, want error", name, args)
+		}
 	}
-	ok = validFlags()
-	ok.follow = "http://leader:8080"
-	ok.maxReplicaLag = 5 * time.Second
-	if err := validateFlags(ok); err != nil {
-		t.Errorf("plain follower rejected: %v", err)
+
+	accepted := map[string][]string{
+		"data-dir with interval fsync":                  {"-data-dir", "/tmp/x", "-fsync", "interval"},
+		"custom dataset with zero sites":                {"-data", "d.ttl", "-policies", "p.ttl", "-sites", "0"},
+		"source knobs irrelevant without a source":      {"-retry-base", "0", "-retry-max", "0", "-source-timeout", "0"},
+		"admission knobs irrelevant when admission off": {"-admission=false", "-max-queue", "-1", "-queue-deadline", "0"},
+		"follower mirroring the leader's policy flags":  with(roles[follower], "-sites", "3", "-writer-role", "Writer"),
+		"leader federating with a peer":                 with(roles[leader], peer...),
 	}
-	ok = validFlags()
-	ok.router = true
-	ok.sources = []string{"http://replica1:8081", "http://replica2:8082"}
-	if err := validateFlags(ok); err != nil {
-		t.Errorf("router over replicas rejected: %v", err)
-	}
-	ok = validFlags()
-	ok.dataDir = "/tmp/x"
-	ok.retainMinSeq = 42
-	if err := validateFlags(ok); err != nil {
-		t.Errorf("manual retention floor on a durable leader rejected: %v", err)
-	}
-	ok = validFlags()
-	ok.admissionOn = false
-	ok.maxQueue = -1
-	ok.queueDeadline = 0
-	if err := validateFlags(ok); err != nil {
-		t.Errorf("admission knobs irrelevant when admission is off: %v", err)
+	for name, args := range accepted {
+		if err := parseConfig(t, args...).validate(); err != nil {
+			t.Errorf("%s %q rejected: %v", name, args, err)
+		}
 	}
 }
 
@@ -319,16 +286,21 @@ func TestValidateFlagsExitCode(t *testing.T) {
 		t.Skip("builds a real server binary")
 	}
 	bin := buildServerBinary(t)
-	cmd := exec.Command(bin, "-fsync", "sometimes", "-data-dir", t.TempDir())
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	if err == nil {
-		t.Fatalf("bad -fsync accepted; output:\n%s", out)
-	}
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("exit = %v, want code 2; output:\n%s", err, out)
-	}
-	if !bytes.Contains(out, []byte("-fsync")) || !bytes.Contains(out, []byte("Usage")) {
-		t.Errorf("usage error not printed:\n%s", out)
+	for flagName, args := range map[string][]string{
+		"-fsync":       {"-fsync", "sometimes", "-data-dir", t.TempDir()},
+		"-data-dir":    {"-router", "-source", "http://127.0.0.1:1", "-data-dir", t.TempDir()},
+		"-writer-role": {"-router", "-source", "http://127.0.0.1:1", "-writer-role", "Writer"},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if err == nil {
+			t.Fatalf("%q accepted; output:\n%s", args, out)
+		}
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%q: exit = %v, want code 2; output:\n%s", args, err, out)
+		}
+		if !bytes.Contains(out, []byte(flagName)) || !bytes.Contains(out, []byte("Usage")) {
+			t.Errorf("%q: usage error not printed:\n%s", args, out)
+		}
 	}
 }

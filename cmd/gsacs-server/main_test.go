@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"flag"
 	"io"
 	"log/slog"
 	"net"
@@ -10,117 +12,102 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/gsacs"
 	"repro/internal/obs"
 )
 
-func TestBuildEngineBuiltinScenario(t *testing.T) {
-	e, err := buildEngine("", "", 5, 3, 8, nil)
+// logBuffer collects a server's log lines; the server's goroutines write
+// while the test reads.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *logBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// parseConfig runs args through the flag set main() registers: real names,
+// real defaults, real parsing.
+func parseConfig(t *testing.T, args ...string) *config {
+	t.Helper()
+	fs := flag.NewFlagSet("gsacs-server", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	cfg := new(config)
+	cfg.register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %q: %v", args, err)
+	}
+	return cfg
+}
+
+// startInProcess takes args the way main() does — parse, validate, assemble,
+// serve, start — with an httptest listener in place of -addr, and returns
+// the base URL. Logs go to logw.
+func startInProcess(t *testing.T, logw io.Writer, args ...string) string {
+	t.Helper()
+	cfg := parseConfig(t, args...)
+	if err := cfg.validate(); err != nil {
+		t.Fatalf("validate %q: %v", args, err)
+	}
+	app, err := assemble(cfg, obs.NewLogger(logw, slog.LevelInfo))
 	if err != nil {
-		t.Fatalf("buildEngine: %v", err)
+		t.Fatalf("assemble %q: %v", args, err)
 	}
-	if e.Data().Len() == 0 {
-		t.Error("empty scenario data")
-	}
-	if len(e.Policies().Rules) == 0 {
-		t.Error("no policies")
-	}
-	// Serve it and hit an endpoint end to end.
-	srv := httptest.NewServer(gsacs.NewServer(e, nil))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/v1/roles")
-	if err != nil || resp.StatusCode != 200 {
-		t.Fatalf("roles = %v %v", resp, err)
-	}
-	resp.Body.Close()
+	srv := httptest.NewServer(app.handler)
+	app.start()
+	t.Cleanup(func() {
+		srv.Close()
+		app.close()
+	})
+	return srv.URL
 }
 
-// TestObservabilityEndToEnd drives the fully-instrumented server the same
-// way main() wires it and checks the acceptance criteria: /metrics serves
-// every advertised family, and the /v1/query trace ID shows up in the logs.
-func TestObservabilityEndToEnd(t *testing.T) {
-	reg := obs.NewRegistry()
-	var logBuf bytes.Buffer
-	logger := obs.NewLogger(&logBuf, slog.LevelInfo)
-
-	e, err := buildEngine("", "", 5, 3, 8, reg)
+// get fetches base+path and returns status, body and the trace header.
+func get(t *testing.T, base, path string) (int, string, string) {
+	t.Helper()
+	resp, err := http.Get(base + path)
 	if err != nil {
-		t.Fatalf("buildEngine: %v", err)
+		t.Fatal(err)
 	}
-	e.EnableAudit(16)
-	srv := httptest.NewServer(gsacs.NewServer(e, nil,
-		gsacs.WithMetrics(reg), gsacs.WithLogger(logger)))
-	defer srv.Close()
-
-	get := func(path string) (string, string) {
-		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return string(body), resp.Header.Get(obs.TraceHeader)
-	}
-
-	query := "SELECT ?s WHERE { ?s a <http://grdf.org/app#ChemSite> }"
-	_, traceID := get("/v1/query?role=Hazmat&q=" + url.QueryEscape(query))
-	if traceID == "" {
-		t.Fatal("no trace ID on /v1/query response")
-	}
-	if !strings.Contains(logBuf.String(), traceID) {
-		t.Errorf("trace ID %s missing from logs:\n%s", traceID, logBuf.String())
-	}
-
-	metrics, _ := get("/metrics")
-	for _, family := range []string{
-		"grdf_http_request_duration_seconds_bucket",
-		"grdf_http_requests_total",
-		"grdf_http_in_flight_requests",
-		"grdf_cache_hits_total",
-		"grdf_cache_misses_total",
-		"grdf_decisions_total",
-		"grdf_reasoner_inferred_triples",
-		"grdf_store_triples",
-		"grdf_sparql_eval_duration_seconds",
-		"grdf_audit_entries",
-	} {
-		if !strings.Contains(metrics, family) {
-			t.Errorf("/metrics missing %s", family)
-		}
-	}
-	if !strings.Contains(metrics, `grdf_http_requests_total{code="200",route="/v1/query"}`) {
-		t.Errorf("per-route counter missing:\n%s", metrics)
-	}
-
-	// /healthz surfaces cache and audit stats (previously unreachable).
-	health, _ := get("/healthz")
-	for _, want := range []string{`"cache"`, `"hits"`, `"audit"`, `"overwritten"`, `"generation"`} {
-		if !strings.Contains(health, want) {
-			t.Errorf("/healthz missing %s: %s", want, health)
-		}
-	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(body), resp.Header.Get(obs.TraceHeader)
 }
 
-func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]slog.Level{
-		"debug": slog.LevelDebug, "info": slog.LevelInfo,
-		"WARN": slog.LevelWarn, "error": slog.LevelError, "bogus": slog.LevelInfo,
-	} {
-		if got := parseLevel(in); got != want {
-			t.Errorf("parseLevel(%q) = %v", in, got)
-		}
+// storeTriples reads the triple count off /v1/store.
+func storeTriples(t *testing.T, base string) int {
+	t.Helper()
+	code, body, _ := get(t, base, "/v1/store")
+	var parsed struct {
+		Triples int `json:"triples"`
 	}
+	if err := json.Unmarshal([]byte(body), &parsed); code != http.StatusOK || err != nil {
+		t.Fatalf("/v1/store = %d %v: %s", code, err, body)
+	}
+	return parsed.Triples
 }
 
-func TestBuildEngineCustomData(t *testing.T) {
+// writeCustomDataset writes a one-site dataset and a one-rule policy file.
+func writeCustomDataset(t *testing.T) (dataFile, policyFile string) {
+	t.Helper()
 	dir := t.TempDir()
-	dataFile := filepath.Join(dir, "data.ttl")
-	policyFile := filepath.Join(dir, "policies.ttl")
+	dataFile = filepath.Join(dir, "data.ttl")
+	policyFile = filepath.Join(dir, "policies.ttl")
 	os.WriteFile(dataFile, []byte(`
 @prefix app: <http://grdf.org/app#> .
 app:s1 a app:ChemSite ; app:hasSiteName "Plant" .
@@ -132,42 +119,212 @@ seconto:P1 a seconto:Policy ;
     seconto:hasPolicyDecision seconto:Permit ;
     seconto:hasResource app:ChemSite .
 `), 0o644)
+	return dataFile, policyFile
+}
 
-	e, err := buildEngine(dataFile, policyFile, 0, 0, 0, nil)
-	if err != nil {
-		t.Fatalf("buildEngine: %v", err)
+// TestStandaloneAssembly drives the default-configured standalone server
+// through the same assembly main() runs and checks what the exec'd binary
+// promises: the observability surface (/metrics serves every advertised
+// family, the /v1/query trace ID shows up in the logs, /healthz carries the
+// cache, audit and admission blocks) and the SLO, workload and profiler
+// routes, all mounted without a flag.
+func TestStandaloneAssembly(t *testing.T) {
+	var logBuf logBuffer
+	base := startInProcess(t, &logBuf, "-sites", "5", "-seed", "3")
+
+	if n := storeTriples(t, base); n == 0 {
+		t.Error("empty scenario data")
 	}
-	if len(e.Policies().Rules) != 1 {
-		t.Errorf("rules = %d", len(e.Policies().Rules))
+	if code, body, _ := get(t, base, "/v1/roles"); code != 200 || !strings.Contains(body, "Hazmat") {
+		t.Fatalf("roles = %d %s", code, body)
 	}
 
-	// error paths
-	if _, err := buildEngine(dataFile, "", 0, 0, 0, nil); err == nil || !strings.Contains(err.Error(), "requires -policies") {
+	query := "SELECT ?s WHERE { ?s a <http://grdf.org/app#ChemSite> }"
+	_, _, traceID := get(t, base, "/v1/query?role=Hazmat&q="+url.QueryEscape(query))
+	if traceID == "" {
+		t.Fatal("no trace ID on /v1/query response")
+	}
+	if !strings.Contains(logBuf.String(), traceID) {
+		t.Errorf("trace ID %s missing from logs:\n%s", traceID, logBuf.String())
+	}
+
+	_, metrics, _ := get(t, base, "/metrics")
+	for _, family := range []string{
+		"grdf_http_request_duration_seconds_bucket",
+		"grdf_http_requests_total",
+		"grdf_http_in_flight_requests",
+		"grdf_cache_hits_total",
+		"grdf_cache_misses_total",
+		"grdf_decisions_total",
+		"grdf_decision_duration_seconds_bucket{role=\"Hazmat\"",
+		"grdf_reasoner_inferred_triples",
+		"grdf_reasoner_materializations_total",
+		"grdf_store_triples",
+		"grdf_sparql_eval_duration_seconds",
+		"grdf_audit_entries",
+	} {
+		if !strings.Contains(metrics, family) {
+			t.Errorf("/metrics missing %s", family)
+		}
+	}
+	if !strings.Contains(metrics, `grdf_http_requests_total{code="200",route="/v1/query"}`) {
+		t.Errorf("per-route counter missing:\n%s", metrics)
+	}
+	if !strings.Contains(metrics, `grdf_http_request_duration_seconds_count{route="/v1/query"} 1`) {
+		t.Errorf("per-route latency histogram missing or miscounted:\n%s", metrics)
+	}
+	// The boot materialization is measured, not just registered.
+	if strings.Contains(metrics, "grdf_reasoner_materializations_total 0\n") {
+		t.Error("boot materialization not counted")
+	}
+
+	// /healthz surfaces cache and audit stats, and the admission block the
+	// default configuration turns on.
+	_, health, _ := get(t, base, "/healthz")
+	for _, want := range []string{`"cache"`, `"hits"`, `"audit"`, `"overwritten"`, `"generation"`, `"admission"`} {
+		if !strings.Contains(health, want) {
+			t.Errorf("/healthz missing %s: %s", want, health)
+		}
+	}
+	for _, path := range []string{"/v1/slo", "/v1/queries", "/v1/profiles"} {
+		if code, body, _ := get(t, base, path); code != http.StatusOK {
+			t.Errorf("%s = %d, want 200 on a default-configured server: %s", path, code, body)
+		}
+	}
+}
+
+// TestCustomDataset: -data/-policies replace the scenario, and a file that
+// cannot be read or parsed fails assembly rather than serving nothing.
+func TestCustomDataset(t *testing.T) {
+	dataFile, policyFile := writeCustomDataset(t)
+	base := startInProcess(t, io.Discard, "-data", dataFile, "-policies", policyFile)
+	code, body, _ := get(t, base, "/v1/roles")
+	var roles struct {
+		Roles []string `json:"roles"`
+	}
+	if err := json.Unmarshal([]byte(body), &roles); code != 200 || err != nil || len(roles.Roles) != 1 {
+		t.Errorf("roles = %d %v %s, want the policy file's one subject", code, err, body)
+	}
+	if n := storeTriples(t, base); n != 2 {
+		t.Errorf("triples = %d, want the data file's 2", n)
+	}
+
+	logger := obs.NewLogger(io.Discard, slog.LevelInfo)
+	if err := parseConfig(t, "-data", dataFile).validate(); err == nil || !strings.Contains(err.Error(), "requires -policies") {
 		t.Errorf("missing -policies not rejected: %v", err)
 	}
-	if _, err := buildEngine(filepath.Join(dir, "missing.ttl"), policyFile, 0, 0, 0, nil); err == nil {
+	if _, err := assemble(parseConfig(t, "-data", filepath.Join(t.TempDir(), "missing.ttl"), "-policies", policyFile), logger); err == nil {
 		t.Error("missing data file accepted")
 	}
-	badPol := filepath.Join(dir, "bad.ttl")
+	badPol := filepath.Join(t.TempDir(), "bad.ttl")
 	os.WriteFile(badPol, []byte("not turtle @@"), 0o644)
-	if _, err := buildEngine(dataFile, badPol, 0, 0, 0, nil); err == nil {
+	if _, err := assemble(parseConfig(t, "-data", dataFile, "-policies", badPol), logger); err == nil {
 		t.Error("bad policy file accepted")
 	}
 }
 
-// waitListen blocks until addr accepts TCP connections (serve binds the
-// listener asynchronously).
-func waitListen(t *testing.T, addr string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if c, err := net.Dial("tcp", addr); err == nil {
-			c.Close()
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+// TestRouterHoldsNoData: a router loads the policies and nothing else. It
+// used to build the scenario dataset (and a reasoner over it) and answer
+// /v1/view out of that phantom copy.
+func TestRouterHoldsNoData(t *testing.T) {
+	base := startInProcess(t, io.Discard, "-router", "-source", "http://127.0.0.1:1", "-sites", "3")
+	if n := storeTriples(t, base); n != 0 {
+		t.Errorf("router /v1/store reports %d triples, want 0", n)
 	}
-	t.Fatalf("listener on %s never came up", addr)
+	if code, body, _ := get(t, base, "/v1/roles"); code != 200 || !strings.Contains(body, "MainRep") {
+		t.Errorf("router lost its policies: %d %s", code, body)
+	}
+	for _, role := range []string{"MainRep", "Hazmat", "EmergencyResponse"} {
+		if code, body, _ := get(t, base, "/v1/view?format=ntriples&role="+role); code != 200 || strings.TrimSpace(body) != "" {
+			t.Errorf("router serves a local view to %s: %d %q", role, code, body)
+		}
+		// No role can write into a store nothing reads.
+		resp, err := http.Post(base+"/v1/mutate?role="+role, "application/json", strings.NewReader(
+			`[{"op":"insert","triples":"<http://grdf.org/app#x> <http://example.org/note> \"phantom\" ."}]`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			t.Errorf("router accepted a mutation from %s", role)
+		}
+	}
+	if n := storeTriples(t, base); n != 0 {
+		t.Errorf("router holds %d triples after refused mutations", n)
+	}
+
+	// The dataset is the replicas' business: a router does not even open it.
+	_, policyFile := writeCustomDataset(t)
+	base = startInProcess(t, io.Discard, "-router", "-source", "http://127.0.0.1:1",
+		"-data", filepath.Join(t.TempDir(), "absent.ttl"), "-policies", policyFile)
+	if code, body, _ := get(t, base, "/v1/roles"); code != 200 || !strings.Contains(body, "Viewer") {
+		t.Errorf("router with a policy file: %d %s", code, body)
+	}
+}
+
+// TestFollowerStartsEmpty: a follower's triples come from its leader. It
+// loads the policies, never the dataset, and replicates into an empty store.
+func TestFollowerStartsEmpty(t *testing.T) {
+	// A dead leader: the replica stays unbootstrapped, so what it holds is
+	// what it started with. /healthz answers 503 with the full body.
+	base := startInProcess(t, io.Discard, "-follow", "http://127.0.0.1:1", "-sites", "3")
+	code, body, _ := get(t, base, "/healthz")
+	var health struct {
+		Status  string `json:"status"`
+		Triples *int   `json:"triples"`
+	}
+	if err := json.Unmarshal([]byte(body), &health); err != nil {
+		t.Fatal(err)
+	}
+	if code != http.StatusServiceUnavailable || health.Status != "recovering" || health.Triples == nil || *health.Triples != 0 {
+		t.Errorf("unbootstrapped follower /healthz = %d %s, want 503 recovering with 0 triples", code, body)
+	}
+
+	_, policyFile := writeCustomDataset(t)
+	startInProcess(t, io.Discard, "-follow", "http://127.0.0.1:1",
+		"-data", filepath.Join(t.TempDir(), "absent.ttl"), "-policies", policyFile)
+
+	// Against a live leader it converges on the leader's triples — a leader
+	// of 3 sites, whatever -sites the follower was handed.
+	leaderBase := startInProcess(t, io.Discard, "-data-dir", t.TempDir(), "-sites", "3", "-snapshot-every", "0")
+	waitHealth(t, leaderBase, http.StatusOK, new(bytes.Buffer), "in-process leader recovery")
+	followerBase := startInProcess(t, io.Discard, "-follow", leaderBase, "-sites", "40")
+	waitHealth(t, followerBase, http.StatusOK, new(bytes.Buffer), "in-process follower bootstrap")
+	if got, want := storeTriples(t, followerBase), storeTriples(t, leaderBase); got != want || want == 0 {
+		t.Errorf("follower holds %d triples, leader %d", got, want)
+	}
+}
+
+// TestFlagSurface holds the flag set to its budget and to its documentation:
+// a new flag has to retire one or argue for a bigger budget, and the README
+// "Server flags" table cannot drift from what the binary registers.
+func TestFlagSurface(t *testing.T) {
+	const budget = 33 // also enforced on the built binary's -h output in CI
+	fs := flag.NewFlagSet("gsacs-server", flag.ContinueOnError)
+	new(config).register(fs)
+	var registered []string
+	fs.VisitAll(func(f *flag.Flag) { registered = append(registered, "-"+f.Name) })
+	if len(registered) > budget {
+		t.Errorf("%d flags registered, budget is %d", len(registered), budget)
+	}
+
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, found := strings.Cut(string(readme), "\n## Server flags\n")
+	if !found {
+		t.Fatal(`README.md has no "## Server flags" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var documented []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `(-[a-z-]+)` ").FindAllStringSubmatch(section, -1) {
+		documented = append(documented, m[1])
+	}
+	slices.Sort(documented)
+	if !slices.Equal(registered, documented) {
+		t.Errorf("README \"Server flags\" table and register() disagree:\n registered: %v\n documented: %v", registered, documented)
+	}
 }
 
 // TestServeGracefulShutdown drives serve() through the signal path: an
@@ -188,14 +345,12 @@ func TestServeGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := &http.Server{Addr: ln.Addr().String(), Handler: mux}
-	ln.Close() // serve() calls ListenAndServe itself; we only wanted the port
 
 	var logBuf bytes.Buffer
 	logger := obs.NewLogger(&logBuf, slog.LevelInfo)
 	stop := make(chan os.Signal, 1)
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- serve(srv, nil, stop, 2*time.Second, logger) }()
-	waitListen(t, srv.Addr)
+	go func() { serveErr <- serve(srv, ln, stop, 2*time.Second, logger) }()
 
 	// Fire a request that blocks in the handler, then deliver the signal.
 	reqErr := make(chan error, 1)
@@ -269,14 +424,12 @@ func TestServeDrainTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := &http.Server{Addr: ln.Addr().String(), Handler: mux}
-	ln.Close()
 
 	var logBuf bytes.Buffer
 	logger := obs.NewLogger(&logBuf, slog.LevelInfo)
 	stop := make(chan os.Signal, 1)
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- serve(srv, nil, stop, 20*time.Millisecond, logger) }()
-	waitListen(t, srv.Addr)
+	go func() { serveErr <- serve(srv, ln, stop, 20*time.Millisecond, logger) }()
 
 	go func() { http.Get("http://" + srv.Addr + "/hang") }()
 	select {

@@ -34,7 +34,27 @@ type ScenarioConfig struct {
 	Trunks int
 }
 
-// NewScenario builds the scenario datasets and the role policies:
+// NewScenario builds the scenario datasets and the role policies (see
+// ScenarioPolicies).
+func NewScenario(cfg ScenarioConfig) *Scenario {
+	hydro := Hydrology(HydrologyConfig{Seed: cfg.Seed, Trunks: cfg.Trunks})
+	chem := Chemicals(ChemicalConfig{Seed: cfg.Seed, Sites: cfg.Sites, NearStreams: hydro})
+
+	merged := store.New()
+	merged.AddAll(hydro.Store.Triples())
+	merged.AddAll(chem.Store.Triples())
+
+	return &Scenario{
+		Hydrology: hydro,
+		Chemical:  chem,
+		Merged:    merged,
+		Policies:  ScenarioPolicies(),
+	}
+}
+
+// ScenarioPolicies returns the scenario's role policies (List 8). They do not
+// depend on the generated data, so a process that holds no dataset of its own
+// (a read replica, a query router) can load them alone:
 //
 //   - 'main repair' — full view of the hydrology layer, but of chemical
 //     sites only the geographic extent (List 8: hasPropertyAccess
@@ -45,16 +65,9 @@ type ScenarioConfig struct {
 //     access to the data": one full Permit over grdf:Feature (covering every
 //     domain feature class through subclass reasoning) plus the inventory
 //     records.
-func NewScenario(cfg ScenarioConfig) *Scenario {
-	hydro := Hydrology(HydrologyConfig{Seed: cfg.Seed, Trunks: cfg.Trunks})
-	chem := Chemicals(ChemicalConfig{Seed: cfg.Seed, Sites: cfg.Sites, NearStreams: hydro})
-
-	merged := store.New()
-	merged.AddAll(hydro.Store.Triples())
-	merged.AddAll(chem.Store.Triples())
-
+func ScenarioPolicies() *seconto.Set {
 	boundedBy := rdf.IRI(grdf.NS + "boundedBy")
-	policies := &seconto.Set{Rules: []seconto.Rule{
+	return &seconto.Set{Rules: []seconto.Rule{
 		// main repair
 		{
 			ID: seconto.NS + "MainRepHydro", Subject: RoleMainRepair,
@@ -99,11 +112,4 @@ func NewScenario(cfg ScenarioConfig) *Scenario {
 			Action: seconto.ActionView, Resource: ChemRecord, Permit: true,
 		},
 	}}
-
-	return &Scenario{
-		Hydrology: hydro,
-		Chemical:  chem,
-		Merged:    merged,
-		Policies:  policies,
-	}
 }

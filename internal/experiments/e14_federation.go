@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/federation"
-	"repro/internal/grdf"
 	"repro/internal/gsacs"
 	"repro/internal/seconto"
 )
@@ -45,10 +44,8 @@ func E14Federation(requests int) *Table {
 	}
 
 	engine := func() *gsacs.Engine {
-		sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 41, Sites: 8})
-		reasoner := gsacs.NewOWLReasoner(sc.Merged, grdf.Ontology(), seconto.Ontology())
-		return gsacs.New(sc.Policies, sc.Merged,
-			gsacs.Options{Reasoner: reasoner, CacheSize: 16})
+		e, _ := scenarioEngine(41, 8, 16)
+		return e
 	}
 
 	// Baseline: what the healthy source alone answers.

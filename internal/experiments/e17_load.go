@@ -1,17 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"net/http/httptest"
 	"time"
 
-	"repro/internal/datagen"
-	"repro/internal/grdf"
-	"repro/internal/gsacs"
 	"repro/internal/load"
 	"repro/internal/obs"
-	"repro/internal/seconto"
 )
 
 // E17Load answers the north-star capacity question with a number: the
@@ -80,36 +74,20 @@ func E17Load(requests int) *Table {
 // e17Arm runs one fixed-rate trial against a fresh server and returns the
 // achieved rate, the client report, and the server-side fast-window p99.
 func e17Arm(rps float64, requests int, sloLatency time.Duration, sloAvail float64) (float64, load.Report, float64, error) {
-	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 61, Sites: 12})
-	reasoner := gsacs.NewOWLReasoner(sc.Merged, grdf.Ontology(), seconto.Ontology())
-	engine := gsacs.New(sc.Policies, sc.Merged, gsacs.Options{Reasoner: reasoner, CacheSize: 64})
 	slo := obs.NewSLOEngine(obs.SLOConfig{
 		LatencyTarget:      sloLatency,
 		AvailabilityTarget: sloAvail,
 	})
-	srv := httptest.NewServer(gsacs.NewServer(engine, nil, gsacs.WithSLO(slo)))
+	srv := scenarioServer(64, slo)
 	defer srv.Close()
 
-	arms, err := load.ScenarioArms(load.MixConfig{
-		BaseURL: srv.URL,
-		Client:  srv.Client(),
-	})
-	if err != nil {
-		return 0, load.Report{}, 0, err
-	}
-	duration := time.Duration(float64(requests) / rps * float64(time.Second))
-	res, err := load.Run(context.Background(), load.Config{
+	rep, err := driveMix(srv, load.Config{
 		RPS:      rps,
-		Duration: duration,
-		Arms:     arms,
-		SLO: load.SLO{
-			Latency:      sloLatency,
-			Availability: sloAvail,
-		},
+		Duration: time.Duration(float64(requests) / rps * float64(time.Second)),
+		SLO:      load.SLO{Latency: sloLatency, Availability: sloAvail},
 	})
 	if err != nil {
 		return 0, load.Report{}, 0, err
 	}
-	rep := res.Report()
 	return rep.AchievedRPS, rep, slo.Status().Fast.P99Ms, nil
 }

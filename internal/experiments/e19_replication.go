@@ -107,7 +107,7 @@ func (r *e19Replica) start(leaderURL string, policies *seconto.Set) error {
 		Retry:     federation.RetryConfig{BaseDelay: 20 * time.Millisecond},
 		// Inferences must follow every wholesale snapshot load.
 		OnBootstrap: func() {
-			engine.SetReasoner(gsacs.NewOWLReasoner(st, grdf.Ontology(), seconto.Ontology()))
+			engine.MaterializeReasoner(grdf.Ontology(), seconto.Ontology())
 		},
 	})
 	if err != nil {

@@ -10,12 +10,9 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/datagen"
-	"repro/internal/grdf"
 	"repro/internal/gsacs"
 	"repro/internal/load"
 	"repro/internal/obs"
-	"repro/internal/seconto"
 )
 
 // E20Admission closes the loop E17 opened. E17 (BENCH_LOAD) measured the
@@ -131,45 +128,37 @@ func E20Admission(requests int) *Table {
 func e20Capacity(sloLatency time.Duration, sloAvail float64) (float64, error) {
 	srv := e20Server(false, sloLatency, sloAvail)
 	defer srv.Close()
-	arms, err := load.ScenarioArms(load.MixConfig{BaseURL: srv.URL, Client: srv.Client()})
-	if err != nil {
-		return 0, err
-	}
 	// Bounded concurrency: an unbounded blast would push the server into
 	// the very collapse we are calibrating around and goodput would measure
 	// the collapse, not the capacity. 32 workers drain at the service rate.
-	res, err := load.Run(context.Background(), load.Config{
+	rep, err := driveMix(srv, load.Config{
 		RPS:         2000,
 		Duration:    500 * time.Millisecond,
 		MaxInFlight: 32,
-		Arms:        arms,
 		SLO:         load.SLO{Latency: sloLatency, Availability: sloAvail},
 	})
 	if err != nil {
 		return 0, err
 	}
-	c := res.Report().GoodputRPS
+	c := rep.GoodputRPS
 	if c < 50 {
 		c = 50
 	}
 	return c, nil
 }
 
-// e20Server starts a fresh in-process server over the Sec 7.1 scenario,
-// optionally fronted by an admission controller defending the experiment's
-// 250ms SLO. Unlike E17 the engine runs with the query cache off: every
+// e20Server starts a fresh scenario server (see scenarioServer), optionally
+// fronted by an admission controller defending the experiment's 250ms SLO.
+// Unlike E17 the engine runs with the query cache off: every
 // request pays the full decision-engine walk, which pins the capacity knee
 // low enough that the open-loop generator in the same process can genuinely
 // over-drive it.
 func e20Server(withAdmission bool, sloLatency time.Duration, sloAvail float64) *httptest.Server {
-	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 61, Sites: 12})
-	reasoner := gsacs.NewOWLReasoner(sc.Merged, grdf.Ontology(), seconto.Ontology())
-	engine := gsacs.New(sc.Policies, sc.Merged, gsacs.Options{Reasoner: reasoner})
 	slo := obs.NewSLOEngine(obs.SLOConfig{
 		LatencyTarget:      sloLatency,
 		AvailabilityTarget: sloAvail,
 	})
-	opts := []gsacs.ServerOption{gsacs.WithSLO(slo)}
+	var opts []gsacs.ServerOption
 	if withAdmission {
 		// The SLO is judged on the p99 of queue wait + service, so the AIMD
 		// loop defends a p98 service target of 1/5 the SLO — the queue
@@ -196,7 +185,7 @@ func e20Server(withAdmission bool, sloLatency time.Duration, sloAvail float64) *
 			PriorityHeader: "X-Priority",
 		}))
 	}
-	return httptest.NewServer(gsacs.NewServer(engine, nil, opts...))
+	return scenarioServer(0, slo, opts...)
 }
 
 // e20Duration sizes one fixed-rate trial: nominally requests/rps, floored so
@@ -217,23 +206,11 @@ func e20Duration(rps float64, requests int) time.Duration {
 func e20Arm(rps float64, requests int, withAdmission bool, sloLatency time.Duration, sloAvail float64) (load.Report, error) {
 	srv := e20Server(withAdmission, sloLatency, sloAvail)
 	defer srv.Close()
-	arms, err := load.ScenarioArms(load.MixConfig{
-		BaseURL: srv.URL,
-		Client:  srv.Client(),
-	})
-	if err != nil {
-		return load.Report{}, err
-	}
-	res, err := load.Run(context.Background(), load.Config{
+	return driveMix(srv, load.Config{
 		RPS:      rps,
 		Duration: e20Duration(rps, requests),
-		Arms:     arms,
 		SLO:      load.SLO{Latency: sloLatency, Availability: sloAvail},
 	})
-	if err != nil {
-		return load.Report{}, err
-	}
-	return res.Report(), nil
 }
 
 // e20Priority overloads one admission-gated server with a 25/75 split of

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"net/http/httptest"
 	"time"
 
-	"repro/internal/datagen"
 	"repro/internal/grdf"
 	"repro/internal/gsacs"
 	"repro/internal/load"
@@ -102,14 +99,11 @@ func E21Workload(requests int) *Table {
 // short periodic cadence; the second return is the number of profile
 // captures taken during the run.
 func e21Arm(introspect bool, rps float64, requests int, sloLatency time.Duration, sloAvail float64) (load.Report, int, error) {
-	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 61, Sites: 12})
-	reasoner := gsacs.NewOWLReasoner(sc.Merged, grdf.Ontology(), seconto.Ontology())
-	engine := gsacs.New(sc.Policies, sc.Merged, gsacs.Options{Reasoner: reasoner, CacheSize: 64})
 	slo := obs.NewSLOEngine(obs.SLOConfig{
 		LatencyTarget:      sloLatency,
 		AvailabilityTarget: sloAvail,
 	})
-	opts := []gsacs.ServerOption{gsacs.WithSLO(slo)}
+	var opts []gsacs.ServerOption
 	var profiler *prof.Profiler
 	if introspect {
 		reg := obs.NewRegistry()
@@ -127,25 +121,13 @@ func e21Arm(introspect bool, rps float64, requests int, sloLatency time.Duration
 		defer profiler.Stop()
 		opts = append(opts, gsacs.WithProfiler(profiler))
 	}
-	srv := httptest.NewServer(gsacs.NewServer(engine, nil, opts...))
+	srv := scenarioServer(64, slo, opts...)
 	defer srv.Close()
 
-	arms, err := load.ScenarioArms(load.MixConfig{
-		BaseURL: srv.URL,
-		Client:  srv.Client(),
-	})
-	if err != nil {
-		return load.Report{}, 0, err
-	}
-	duration := time.Duration(float64(requests) / rps * float64(time.Second))
-	res, err := load.Run(context.Background(), load.Config{
+	rep, err := driveMix(srv, load.Config{
 		RPS:      rps,
-		Duration: duration,
-		Arms:     arms,
-		SLO: load.SLO{
-			Latency:      sloLatency,
-			Availability: sloAvail,
-		},
+		Duration: time.Duration(float64(requests) / rps * float64(time.Second)),
+		SLO:      load.SLO{Latency: sloLatency, Availability: sloAvail},
 	})
 	if err != nil {
 		return load.Report{}, 0, err
@@ -154,7 +136,7 @@ func e21Arm(introspect bool, rps float64, requests int, sloLatency time.Duration
 	if profiler != nil {
 		captures = len(profiler.List())
 	}
-	return res.Report(), captures, nil
+	return rep, captures, nil
 }
 
 // e21DriftProbe builds a dataset the planner must misjudge: 2000 subjects

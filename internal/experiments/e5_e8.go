@@ -37,14 +37,6 @@ var scenarioProperties = []struct {
 	{"stream layer", datagen.HasStreamName},
 }
 
-// scenarioEngine builds the standard scenario engine with OWL reasoning.
-func scenarioEngine(seed int64, sites int) (*gsacs.Engine, *datagen.Scenario) {
-	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: seed, Sites: sites})
-	reasoner := gsacs.NewOWLReasoner(sc.Merged, grdf.Ontology(), seconto.Ontology())
-	e := gsacs.New(sc.Policies, sc.Merged, gsacs.Options{Reasoner: reasoner, CacheSize: 16})
-	return e, sc
-}
-
 // E5ScenarioViews reproduces the Section 7.1 role matrix: which property
 // classes each role's layered view contains.
 func E5ScenarioViews() *Table {
@@ -53,7 +45,7 @@ func E5ScenarioViews() *Table {
 		Title:   "Contamination scenario role views (Sec 7.1, List 8)",
 		Columns: []string{"property", "main repair", "hazmat", "emergency"},
 	}
-	e, sc := scenarioEngine(17, 8)
+	e, sc := scenarioEngine(17, 8, 16)
 	views := map[string]*store.Store{
 		"main repair": e.View(datagen.RoleMainRepair, seconto.ActionView),
 		"hazmat":      e.View(datagen.RoleHazmat, seconto.ActionView),
@@ -101,7 +93,7 @@ func E6FineVsCoarse(sizes []int) *Table {
 			"missing triples"},
 	}
 	for _, n := range sizes {
-		e, sc := scenarioEngine(23, n)
+		e, sc := scenarioEngine(23, n, 16)
 
 		// Sensitive predicates that must stay hidden from main repair; the
 		// extent must remain visible.
@@ -241,12 +233,7 @@ func E8QueryCache(requests int) *Table {
 	roles := []rdf.IRI{datagen.RoleMainRepair, datagen.RoleHazmat, datagen.RoleEmergency}
 
 	run := func(cacheSize int) (time.Duration, *gsacs.Engine) {
-		e, _ := func() (*gsacs.Engine, *datagen.Scenario) {
-			sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 31, Sites: 30})
-			reasoner := gsacs.NewOWLReasoner(sc.Merged, grdf.Ontology(), seconto.Ontology())
-			return gsacs.New(sc.Policies, sc.Merged,
-				gsacs.Options{Reasoner: reasoner, CacheSize: cacheSize}), sc
-		}()
+		e, _ := scenarioEngine(31, 30, cacheSize)
 		start := time.Now()
 		for i := 0; i < requests; i++ {
 			e.View(roles[i%len(roles)], seconto.ActionView)
@@ -269,7 +256,7 @@ func E8QueryCache(requests int) *Table {
 		100*float64(hits)/float64(hits+misses))
 
 	// Invalidation: a mutation must refresh the next view.
-	e, sc := scenarioEngine(31, 10)
+	e, sc := scenarioEngine(31, 10, 16)
 	v1 := e.View(datagen.RoleHazmat, seconto.ActionView)
 	fresh := rdf.IRI(rdf.AppNS + "chem/siteFRESH")
 	grdf.NewFeature(sc.Merged, fresh, datagen.ChemSite)

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/sparql"
 	"repro/internal/store"
 )
 
@@ -59,6 +60,9 @@ type cacheEntry struct {
 	// reasoner is the reasoner whose decisions the view holds.
 	reasoner *Reasoner
 	view     *store.Store
+	// sparql evaluates queries over view: built once with the entry, shared
+	// read-only by every request the entry answers.
+	sparql *sparql.Engine
 }
 
 // current reports whether the entry answers a read of generation gen judged

@@ -14,6 +14,7 @@ package gsacs
 import (
 	"context"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -74,6 +75,11 @@ type Engine struct {
 	metrics  *obs.Registry
 	mAllowed *obs.Counter
 	mDenied  *obs.Counter
+	// decisionTimers holds the per-role latency histograms already resolved
+	// (rdf.IRI -> *obs.Histogram): a view build decides once per governed
+	// resource, and a registry lookup per decision would rebuild the label
+	// string and re-take the registry's locks each time.
+	decisionTimers sync.Map
 
 	// workload, when set, receives one observation per evaluated query —
 	// fingerprint, latency, rows, plan drift (see SetWorkload).
@@ -247,11 +253,21 @@ func (e *Engine) decideAs(j judge, subject, action rdf.IRI, resource rdf.Term) A
 		} else {
 			e.mDenied.Inc()
 		}
-		e.metrics.Histogram("grdf_decision_duration_seconds",
-			"Decision-engine latency by role.", nil,
-			"role", subject.LocalName()).ObserveSince(start)
+		e.decisionTimer(subject).ObserveSince(start)
 	}
 	return acc
+}
+
+// decisionTimer returns subject's decision-latency histogram, resolving it
+// from the registry on the role's first decision only.
+func (e *Engine) decisionTimer(subject rdf.IRI) *obs.Histogram {
+	if h, ok := e.decisionTimers.Load(subject); ok {
+		return h.(*obs.Histogram)
+	}
+	h := e.metrics.Histogram("grdf_decision_duration_seconds",
+		"Decision-engine latency by role.", nil, "role", subject.LocalName())
+	e.decisionTimers.Store(subject, h)
+	return h
 }
 
 // DecideCtx is the context-first form of Decide: it refuses to start once
@@ -363,7 +379,19 @@ func (j judge) withinScope(resource rdf.Term, scope geom.Envelope) bool {
 // NewOWLReasoner materializes the given ontologies plus the data and returns
 // an owl.Reasoner ready to plug into Options.Reasoner.
 func NewOWLReasoner(data *store.Store, ontologies ...*rdf.Graph) *owl.Reasoner {
-	r := owl.NewReasoner()
+	return materialize(owl.NewReasoner(), data, ontologies)
+}
+
+// MaterializeReasoner plugs in an OWL reasoner materialized over the
+// ontologies plus the engine's current data — what a server does once its
+// store is filled (at boot, after durable recovery, after every replica
+// bootstrap). The reasoner reports into the engine's registry, attached
+// before the data is fed so the materialization itself is measured.
+func (e *Engine) MaterializeReasoner(ontologies ...*rdf.Graph) {
+	e.SetReasoner(materialize(owl.NewReasoner().Instrument(e.metrics), e.data, ontologies))
+}
+
+func materialize(r *owl.Reasoner, data *store.Store, ontologies []*rdf.Graph) *owl.Reasoner {
 	for _, g := range ontologies {
 		r.AddGraph(g)
 	}

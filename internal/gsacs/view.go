@@ -155,17 +155,23 @@ func (e *Engine) refreshView(sp *obs.Span, prev *cacheEntry, subject, action rdf
 	rp := e.reasoner.Load()
 	base := e.data.View()
 	ent := &cacheEntry{key: viewKey(subject, action), base: base, reasoner: rp}
+	outcome := refreshRebuilt
 	if prev != nil && prev.reasoner == rp {
 		if prev.base.Generation() == base.Generation() {
 			return prev, refreshReused
 		}
 		if view, ok := e.patchView(sp, prev, base, subject, action); ok {
-			ent.view = view
-			return ent, refreshPatched
+			ent.view, outcome = view, refreshPatched
 		}
 	}
-	ent.view = e.buildView(e.judgeOver(base, rp), subject, action)
-	return ent, refreshRebuilt
+	if ent.view == nil {
+		ent.view = e.buildView(e.judgeOver(base, rp), subject, action)
+	}
+	// The view's query engine is set up here, once per view, not per query:
+	// the spatial functions close over the view and the metric handles are
+	// resolved from the registry a single time.
+	ent.sparql = grdf.NewEngine(ent.view).Instrument(e.metrics)
+	return ent, outcome
 }
 
 // buildView materializes the role's view over j's version of the data from
@@ -223,15 +229,14 @@ func (e *Engine) QueryCtx(ctx context.Context, subject, action rdf.IRI, query st
 	ctx, sp := obs.StartSpan(ctx, "gsacs.query")
 	defer sp.End()
 	sp.SetAttr("role", subject.LocalName())
-	view := e.ViewCtx(ctx, subject, action)
-	eng := sparql.NewEngine(view).Instrument(e.metrics)
-	grdf.RegisterSpatialFuncs(eng, view)
+	eng := e.viewEntry(ctx, subject, action).sparql
 	if wl := e.workload; wl != nil {
-		// The sink fires exactly once, at evaluation end, so the elapsed
-		// time from here covers view assembly plus evaluation — the latency
-		// a client of this shape experiences.
+		// The sink is per request (it closes over start and ctx), so it goes
+		// on a shallow copy; the copy shares the entry's functions and metric
+		// handles. It fires exactly once, at evaluation end.
 		start := time.Now()
-		eng.SetStatsSink(func(st sparql.EvalStats) {
+		perRequest := *eng
+		eng = perRequest.SetStatsSink(func(st sparql.EvalStats) {
 			wl.Observe(workload.Observation{
 				Fingerprint:    st.Fingerprint,
 				Canonical:      st.CanonicalForm,
@@ -256,8 +261,7 @@ func (e *Engine) QueryCtx(ctx context.Context, subject, action rdf.IRI, query st
 // ExplainQuery plans query against the subject's filtered view and returns
 // the EXPLAIN rendering of each BGP without evaluating it.
 func (e *Engine) ExplainQuery(ctx context.Context, subject, action rdf.IRI, query string) (string, error) {
-	view := e.ViewCtx(ctx, subject, action)
-	return sparql.NewEngine(view).Explain(query)
+	return e.viewEntry(ctx, subject, action).sparql.Explain(query)
 }
 
 func viewKey(subject, action rdf.IRI) string {

@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/debug"
+	"sync"
 	"time"
 )
 
@@ -76,6 +77,13 @@ func Middleware(cfg MiddlewareConfig, next http.Handler) http.Handler {
 		logger = NopLogger()
 	}
 	rt := cfg.Route
+	// The route is fixed per middleware, so its latency histogram is resolved
+	// once — on the first request rather than here, so a route nobody has
+	// called stays out of the exposition.
+	duration := sync.OnceValue(func() *Histogram {
+		return reg.Histogram("grdf_http_request_duration_seconds",
+			"HTTP request latency by route.", nil, "route", rt)
+	})
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		traceID := r.Header.Get(TraceHeader)
@@ -131,9 +139,7 @@ func Middleware(cfg MiddlewareConfig, next http.Handler) http.Handler {
 			cfg.SLO.Record(rt, elapsed, sw.status)
 			reg.Counter("grdf_http_requests_total", "Completed HTTP requests.",
 				"route", rt, "code", itoa(sw.status)).Inc()
-			reg.Histogram("grdf_http_request_duration_seconds",
-				"HTTP request latency by route.", nil, "route", rt).
-				ObserveWithExemplar(elapsed.Seconds(), traceID)
+			duration().ObserveWithExemplar(elapsed.Seconds(), traceID)
 			Logger(ctx).Info("http request",
 				"method", r.Method,
 				"route", rt,

@@ -28,8 +28,8 @@ type LeaderOptions struct {
 	// without a request, so a dead follower cannot pin segments forever
 	// (default 30s).
 	FollowerTTL time.Duration
-	// RetainMinSeq is a manual retention floor (the -wal-retain-min-seq
-	// flag); the effective floor is the minimum of this and every active
+	// RetainMinSeq is a manual retention floor (gsacs-server sets none);
+	// the effective floor is the minimum of this and every active
 	// follower's position. Zero = no manual floor.
 	RetainMinSeq uint64
 	// Metrics, when non-nil, receives the leader's instruments.

@@ -110,7 +110,7 @@ func (r *Repository) MinSeq() uint64 {
 // SetRetainSeq installs the GC retention floor: no segment holding records
 // at or after seq is deleted, however many snapshots have superseded it.
 // The replication leader plumbs the slowest active follower's acknowledged
-// position (or the -wal-retain-min-seq override) through here so a
+// position (or LeaderOptions.RetainMinSeq, if lower) through here so a
 // follower mid-stream never finds its next record compacted away. Zero
 // clears the floor.
 func (r *Repository) SetRetainSeq(seq uint64) {
