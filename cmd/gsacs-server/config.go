@@ -33,7 +33,6 @@ type config struct {
 	policyFile string
 	sites      int
 	seed       int64
-	cache      int
 	auditCap   int
 	pprof      bool
 	logLevel   slog.Level
@@ -75,7 +74,6 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.policyFile, "policies", "", "Turtle policy file (List 8 layout); requires -data")
 	fs.IntVar(&c.sites, "sites", 12, "scenario size when using built-in data")
 	fs.Int64Var(&c.seed, "seed", 7, "scenario seed when using built-in data")
-	fs.IntVar(&c.cache, "cache", 32, "query cache entries (0 disables)")
 	fs.IntVar(&c.auditCap, "audit", 256, "audit trail capacity (0 disables)")
 	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	fs.TextVar(&c.logLevel, "log-level", slog.LevelInfo, "slog level: debug, info, warn, error")
@@ -158,7 +156,6 @@ func (c *config) validate() error {
 		{c.dataFile == "" && c.policyFile != "", "-policies requires -data"},
 		{c.dataFile != "" && c.policyFile == "", "-data requires -policies"},
 		{c.dataFile == "" && c.sites < 1, "-sites must be at least 1 when using the built-in scenario"},
-		{c.cache < 0, "-cache must be non-negative"},
 		{c.auditCap < 0, "-audit must be non-negative"},
 		{c.queryTimeout < 0, "-query-timeout must be non-negative"},
 		{fsyncErr != nil, fmt.Sprintf("-fsync: %v", fsyncErr)},

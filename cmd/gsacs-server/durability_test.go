@@ -44,7 +44,6 @@ func TestValidateFlags(t *testing.T) {
 		"policies without data":    {"-policies", "p.ttl"},
 		"data without policies":    {"-data", "d.ttl"},
 		"zero sites":               {"-sites", "0"},
-		"negative cache":           {"-cache", "-1"},
 		"negative audit":           {"-audit", "-1"},
 		"negative query timeout":   {"-query-timeout", "-1s"},
 		"bogus fsync policy":       {"-fsync", "sometimes"},
@@ -113,7 +112,7 @@ func startDurableServer(t *testing.T, bin, dataDir string) (*exec.Cmd, string, *
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0", "-addr-file", addrFile,
 		"-data-dir", dataDir, "-fsync", "always",
-		"-sites", "3", "-seed", "7", "-audit", "64", "-cache", "0",
+		"-sites", "3", "-seed", "7", "-audit", "64",
 		"-snapshot-every", "0",
 		"-writer-role", "Writer",
 	)

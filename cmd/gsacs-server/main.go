@@ -106,7 +106,7 @@ func main() {
 		}
 	}
 	logger.Info("gsacs-server listening", "addr", ln.Addr().String(), "role", cfg.role(),
-		"cache_entries", cfg.cache, "audit_capacity", cfg.auditCap, "pprof", cfg.pprof,
+		"audit_capacity", cfg.auditCap, "pprof", cfg.pprof,
 		"federated_sources", len(cfg.sources), "admission", cfg.admissionOn,
 		"drain_timeout", drainTimeout.String())
 	app.start()
@@ -163,7 +163,7 @@ func assemble(cfg *config, logger *slog.Logger) (*assembly, error) {
 		starts, stops []func()
 	)
 	newEngine := func(st *store.Store) {
-		engine = gsacs.New(policies, st.Instrument(reg), gsacs.Options{CacheSize: cfg.cache, Metrics: reg})
+		engine = gsacs.New(policies, st.Instrument(reg), gsacs.Options{Metrics: reg})
 		if cfg.auditCap > 0 {
 			engine.EnableAudit(cfg.auditCap)
 		}

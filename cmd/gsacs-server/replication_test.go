@@ -25,7 +25,7 @@ func startFollowerServer(t *testing.T, bin, leaderBase string, maxLag time.Durat
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0", "-addr-file", addrFile,
 		"-follow", leaderBase, "-max-replica-lag", maxLag.String(),
-		"-sites", "3", "-seed", "7", "-cache", "0",
+		"-sites", "3", "-seed", "7",
 		"-writer-role", "Writer",
 	)
 	var logBuf bytes.Buffer

@@ -62,7 +62,7 @@ func main() {
 
 	// --- the G-SACS middleware ----------------------------------------------
 	reasoner := gsacs.NewOWLReasoner(sc.Merged, grdf.Ontology(), seconto.Ontology())
-	engine := gsacs.New(sc.Policies, sc.Merged, gsacs.Options{Reasoner: reasoner, CacheSize: 16})
+	engine := gsacs.New(sc.Policies, sc.Merged, gsacs.Options{Reasoner: reasoner})
 
 	show := func(roleName string, role rdf.IRI) {
 		fmt.Printf("\n=== role: %s ===\n", roleName)

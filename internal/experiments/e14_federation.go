@@ -44,7 +44,7 @@ func E14Federation(requests int) *Table {
 	}
 
 	engine := func() *gsacs.Engine {
-		e, _ := scenarioEngine(41, 8, 16)
+		e, _ := scenarioEngine(41, 8)
 		return e
 	}
 

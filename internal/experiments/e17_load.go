@@ -78,7 +78,7 @@ func e17Arm(rps float64, requests int, sloLatency time.Duration, sloAvail float6
 		LatencyTarget:      sloLatency,
 		AvailabilityTarget: sloAvail,
 	})
-	srv := scenarioServer(64, slo)
+	srv := scenarioServer(slo)
 	defer srv.Close()
 
 	rep, err := driveMix(srv, load.Config{

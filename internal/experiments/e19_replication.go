@@ -100,7 +100,7 @@ type e19Replica struct {
 // node's serving incarnation.
 func (r *e19Replica) start(leaderURL string, policies *seconto.Set) error {
 	st := store.New()
-	engine := gsacs.New(policies, st, gsacs.Options{CacheSize: 64})
+	engine := gsacs.New(policies, st, gsacs.Options{})
 	f, err := repl.NewFollower(st, repl.FollowerOptions{
 		LeaderURL: leaderURL,
 		MaxLag:    2 * time.Second,

@@ -64,7 +64,7 @@ func E20Admission(requests int) *Table {
 	}
 
 	// The admission-on sweep over the same fixed rates as E17/BENCH_LOAD.
-	// The e20 server runs the engine uncached so the knee sits inside the
+	// The e20 server builds an engine per request so the knee sits inside the
 	// sweep on any plausible hardware; the overload comparison below still
 	// calibrates its own rate rather than trusting the fixed steps.
 	var plateau float64
@@ -102,7 +102,7 @@ func E20Admission(requests int) *Table {
 	}
 	row("ungated", overloadRPS, base)
 
-	t.AddNote("calibrated capacity ~%.0f rps (ungated goodput under blast); overload arms offer 2x", capacity)
+	t.AddNote("calibrated capacity ~%.0f rps (ungated goodput under blast; 12 sites, an engine built per request); overload arms offer 2x", capacity)
 	t.AddNote("admission at %.0f rps offered (2x capacity): admitted p99 %.1fms (target <= %v), goodput %.1f rps vs sweep plateau %.1f (held: %s)",
 		overloadRPS, over.Corrected.P99Ms, sloLatency, over.GoodputRPS, plateau,
 		mark(over.Corrected.P99Ms <= float64(sloLatency)/float64(time.Millisecond) &&
@@ -147,12 +147,11 @@ func e20Capacity(sloLatency time.Duration, sloAvail float64) (float64, error) {
 	return c, nil
 }
 
-// e20Server starts a fresh scenario server (see scenarioServer), optionally
-// fronted by an admission controller defending the experiment's 250ms SLO.
-// Unlike E17 the engine runs with the query cache off: every
-// request pays the full decision-engine walk, which pins the capacity knee
-// low enough that the open-loop generator in the same process can genuinely
-// over-drive it.
+// e20Server starts a fresh cold scenario server (see coldScenarioServer),
+// optionally fronted by an admission controller defending the experiment's
+// 250ms SLO. Unlike E17 every request pays the full decision-engine walk,
+// which pins the capacity knee low enough that the open-loop generator in
+// the same process can genuinely over-drive it.
 func e20Server(withAdmission bool, sloLatency time.Duration, sloAvail float64) *httptest.Server {
 	slo := obs.NewSLOEngine(obs.SLOConfig{
 		LatencyTarget:      sloLatency,
@@ -185,7 +184,7 @@ func e20Server(withAdmission bool, sloLatency time.Duration, sloAvail float64) *
 			PriorityHeader: "X-Priority",
 		}))
 	}
-	return scenarioServer(0, slo, opts...)
+	return coldScenarioServer(slo, opts...)
 }
 
 // e20Duration sizes one fixed-rate trial: nominally requests/rps, floored so

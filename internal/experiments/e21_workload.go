@@ -121,7 +121,7 @@ func e21Arm(introspect bool, rps float64, requests int, sloLatency time.Duration
 		defer profiler.Stop()
 		opts = append(opts, gsacs.WithProfiler(profiler))
 	}
-	srv := scenarioServer(64, slo, opts...)
+	srv := scenarioServer(slo, opts...)
 	defer srv.Close()
 
 	rep, err := driveMix(srv, load.Config{

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 
 	"repro/internal/datagen"
@@ -12,23 +13,38 @@ import (
 	"repro/internal/seconto"
 )
 
-// scenarioEngine builds the Sec 7.1 scenario engine with OWL reasoning and a
-// view cache of cacheSize entries (0 = off).
-func scenarioEngine(seed int64, sites, cacheSize int) (*gsacs.Engine, *datagen.Scenario) {
+// scenarioEngine builds the Sec 7.1 scenario engine with OWL reasoning.
+func scenarioEngine(seed int64, sites int) (*gsacs.Engine, *datagen.Scenario) {
 	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: seed, Sites: sites})
 	reasoner := gsacs.NewOWLReasoner(sc.Merged, grdf.Ontology(), seconto.Ontology())
-	e := gsacs.New(sc.Policies, sc.Merged, gsacs.Options{Reasoner: reasoner, CacheSize: cacheSize})
+	e := gsacs.New(sc.Policies, sc.Merged, gsacs.Options{Reasoner: reasoner})
 	return e, sc
 }
 
 // scenarioServer starts the in-process server the load experiments (E17,
-// E20, E21) drive: the 12-site scenario, every request tracked by slo, plus
-// the options specific to the experiment. Arms start a fresh one each so
-// neither the SLO windows nor the cache leak between them.
-func scenarioServer(cacheSize int, slo *obs.SLOEngine, extra ...gsacs.ServerOption) *httptest.Server {
-	engine, _ := scenarioEngine(61, 12, cacheSize)
+// E21) drive: the 12-site scenario, every request tracked by slo, plus the
+// options specific to the experiment. Arms start a fresh one each so neither
+// the SLO windows nor the cache leak between them.
+func scenarioServer(slo *obs.SLOEngine, extra ...gsacs.ServerOption) *httptest.Server {
+	engine, _ := scenarioEngine(61, 12)
 	opts := append([]gsacs.ServerOption{gsacs.WithSLO(slo)}, extra...)
 	return httptest.NewServer(gsacs.NewServer(engine, nil, opts...))
+}
+
+// coldScenarioServer is scenarioServer keeping nothing from one request to
+// the next: each is answered by an engine built for it and so pays the full
+// decision-engine walk — a couple of milliseconds of CPU over a few hundred
+// triples, with a response of a few hundred bytes. E20 needs that shape: a
+// knee low enough for a generator in the same process to over-drive, without
+// the heap and the response sizes a large dataset would bring into the
+// process the generator shares.
+func coldScenarioServer(slo *obs.SLOEngine, extra ...gsacs.ServerOption) *httptest.Server {
+	engine, sc := scenarioEngine(61, 12)
+	opts := append([]gsacs.ServerOption{gsacs.WithSLO(slo)}, extra...)
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		perRequest := gsacs.New(sc.Policies, sc.Merged, gsacs.Options{Reasoner: engine.Reasoner()})
+		gsacs.NewServer(perRequest, nil, opts...).ServeHTTP(w, r)
+	}))
 }
 
 // driveMix fires the open-loop Sec 7.1 role mix at srv — rate, duration, SLO

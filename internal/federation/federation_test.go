@@ -40,7 +40,7 @@ func buildEngine(t *testing.T, data *store.Store, policies *seconto.Set) *gsacs.
 	r.AddGraph(grdf.Ontology())
 	r.AddGraph(seconto.Ontology())
 	r.AddAll(data.Triples())
-	return gsacs.New(policies, data, gsacs.Options{Reasoner: r, CacheSize: 16})
+	return gsacs.New(policies, data, gsacs.Options{Reasoner: r})
 }
 
 // rowKeysOver canonicalizes a result for comparison, projecting every row

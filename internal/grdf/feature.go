@@ -138,6 +138,32 @@ func EncodeGeometry(st *store.Store, node rdf.Term, geo geom.Geometry, srs strin
 // DecodeGeometry reads the geometry rooted at node back into a geom value.
 // The second result is the srsName, when present.
 func DecodeGeometry(st store.Reader, node rdf.Term) (geom.Geometry, string, error) {
+	return decodeGeometry(st, node, nil)
+}
+
+// geometryPath is the chain of nodes a decode has descended through, innermost
+// first. Data is a graph: a member edge may lead back to a node the decode is
+// already inside, and following it would never end.
+type geometryPath struct {
+	node rdf.Term
+	up   *geometryPath
+}
+
+func (p *geometryPath) holds(node rdf.Term) bool {
+	for ; p != nil; p = p.up {
+		if p.node == node {
+			return true
+		}
+	}
+	return false
+}
+
+// decodeGeometry is DecodeGeometry of a node reached through above.
+func decodeGeometry(st store.Reader, node rdf.Term, above *geometryPath) (geom.Geometry, string, error) {
+	if above.holds(node) {
+		return nil, "", fmt.Errorf("grdf: geometry node %s is a part of itself", node)
+	}
+	below := &geometryPath{node: node, up: above}
 	srs := ""
 	if v, ok := st.FirstObject(node, HasSRSName); ok {
 		if lit, isLit := v.(rdf.Literal); isLit {
@@ -169,7 +195,7 @@ func DecodeGeometry(st store.Reader, node rdf.Term) (geom.Geometry, string, erro
 	decodeMembers := func(prop rdf.IRI) ([]geom.Geometry, error) {
 		var out []geom.Geometry
 		for _, m := range st.Objects(node, prop) {
-			g, _, err := DecodeGeometry(st, m)
+			g, _, err := decodeGeometry(st, m, below)
 			if err != nil {
 				return nil, err
 			}
@@ -204,7 +230,7 @@ func DecodeGeometry(st store.Reader, node rdf.Term) (geom.Geometry, string, erro
 		if !ok {
 			return nil, "", fmt.Errorf("grdf: polygon %s has no exterior", node)
 		}
-		extGeo, _, err := DecodeGeometry(st, extNode)
+		extGeo, _, err := decodeGeometry(st, extNode, below)
 		if err != nil {
 			return nil, "", err
 		}
@@ -214,7 +240,7 @@ func DecodeGeometry(st store.Reader, node rdf.Term) (geom.Geometry, string, erro
 		}
 		var holes []geom.LinearRing
 		for _, h := range st.Objects(node, Interior) {
-			hg, _, err := DecodeGeometry(st, h)
+			hg, _, err := decodeGeometry(st, h, below)
 			if err != nil {
 				return nil, "", err
 			}

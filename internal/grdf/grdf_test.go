@@ -209,6 +209,59 @@ func TestGeometryOfViaHasGeometry(t *testing.T) {
 	}
 }
 
+// TestDecodeGeometryCycle: a geometry node that is a part of itself — directly,
+// or through another node — is an error, not a stack overflow: /v1/mutate lets
+// any role with Modify write such member edges, and the next spatial query or
+// spatially scoped decision decodes them.
+func TestDecodeGeometryCycle(t *testing.T) {
+	st := store.New()
+	selfish := NewFeature(st, rdf.IRI("http://e/selfish"), rdf.IRI("http://e/Site"))
+	a := rdf.Term(rdf.NewBlankNode())
+	st.AddAll([]rdf.Triple{
+		rdf.T(selfish, HasGeometry, a),
+		rdf.T(a, rdf.RDFType, ComplexGeometry), rdf.T(a, GeometryMember, a),
+	})
+	pair := NewFeature(st, rdf.IRI("http://e/pair"), rdf.IRI("http://e/Site"))
+	b, c := rdf.Term(rdf.NewBlankNode()), rdf.Term(rdf.NewBlankNode())
+	st.AddAll([]rdf.Triple{
+		rdf.T(pair, HasGeometry, b),
+		rdf.T(b, rdf.RDFType, MultiSurface), rdf.T(b, SurfaceMember, c),
+		rdf.T(c, rdf.RDFType, Polygon), rdf.T(c, Exterior, b),
+	})
+	// A node shared by two members is not a cycle.
+	shared := NewFeature(st, rdf.IRI("http://e/shared"), rdf.IRI("http://e/Site"))
+	top, left, right, pt := rdf.NewBlankNode(), rdf.NewBlankNode(), rdf.NewBlankNode(), rdf.NewBlankNode()
+	st.AddAll([]rdf.Triple{
+		rdf.T(shared, HasGeometry, top),
+		rdf.T(top, rdf.RDFType, ComplexGeometry), rdf.T(top, GeometryMember, left), rdf.T(top, GeometryMember, right),
+		rdf.T(left, rdf.RDFType, MultiPoint), rdf.T(left, PointMember, pt),
+		rdf.T(right, rdf.RDFType, MultiPoint), rdf.T(right, PointMember, pt),
+	})
+	if err := EncodeGeometry(st, pt, geom.NewPoint(3, 4), ""); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, f := range []rdf.IRI{selfish, pair} {
+		if g, _, err := GeometryOf(st, f); err == nil {
+			t.Errorf("GeometryOf(%s) = %v, want an error", f, g)
+		}
+	}
+	if _, _, err := GeometryOf(st, shared); err != nil {
+		t.Errorf("GeometryOf(shared) = %v; a node reached twice is not a cycle", err)
+	}
+
+	// The filter errors on the cyclic rows, which drops them; the rest answer.
+	res, err := NewEngine(st).Query(`
+PREFIX ex: <http://e/>
+SELECT ?s WHERE { ?s a ex:Site . FILTER(grdf:distance(?s, ex:shared) < 1) }`)
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	if len(res.Bindings) != 1 || !res.Bindings[0]["s"].Equal(shared) {
+		t.Errorf("distance results = %v, want only ex:shared", res.Bindings)
+	}
+}
+
 func TestSpatialSparqlFunctions(t *testing.T) {
 	st := store.New()
 	zoneRing, _ := geom.NewLinearRing([]geom.Coord{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 100, Y: 100}, {X: 0, Y: 100}, {X: 0, Y: 0}})

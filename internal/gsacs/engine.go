@@ -14,7 +14,6 @@ package gsacs
 import (
 	"context"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,7 +62,10 @@ type Engine struct {
 	// already in flight.
 	reasoner atomic.Pointer[Reasoner]
 	cache    *QueryCache
-	audit    *auditLog
+	// noView answers every (role, action) no policy names: the one empty
+	// view, without version or reasoner because nothing was judged to make it.
+	noView *cacheEntry
+	audit  *auditLog
 
 	// auditPersist, when set, journals every audit entry durably (see
 	// SetAuditPersist).
@@ -75,11 +77,12 @@ type Engine struct {
 	metrics  *obs.Registry
 	mAllowed *obs.Counter
 	mDenied  *obs.Counter
-	// decisionTimers holds the per-role latency histograms already resolved
-	// (rdf.IRI -> *obs.Histogram): a view build decides once per governed
+	// decisionTimers holds the decision-latency histogram of every role the
+	// policy set names, resolved once: a view build decides once per governed
 	// resource, and a registry lookup per decision would rebuild the label
-	// string and re-take the registry's locks each time.
-	decisionTimers sync.Map
+	// string and re-take the registry's locks each time. Any other role — the
+	// caller's string — is not timed, so it cannot mint a series either.
+	decisionTimers map[rdf.IRI]*obs.Histogram
 
 	// workload, when set, receives one observation per evaluated query —
 	// fingerprint, latency, rows, plan drift (see SetWorkload).
@@ -98,27 +101,32 @@ func (e *Engine) Workload() *workload.Table { return e.workload }
 type Options struct {
 	// Reasoner plugs in an inference engine; nil uses direct assertions only.
 	Reasoner Reasoner
-	// CacheSize bounds the query cache (entries); 0 disables caching.
+	// CacheSize selects nothing: the query cache is always on, one slot per
+	// role and action the policy set names. The field stays only because
+	// bench/ — frozen by BENCHMARK.json — sets it; it goes when bench/ moves.
 	CacheSize int
 	// Metrics receives decision, cache and query instrumentation; nil
 	// disables it.
 	Metrics *obs.Registry
 }
 
-// New builds an engine over a policy set and a data store.
+// New builds an engine over a policy set and a data store. The policy set is
+// read without synchronization from here on and must not change.
 func New(policies *seconto.Set, data *store.Store, opts Options) *Engine {
-	e := &Engine{policies: policies, data: data, metrics: opts.Metrics}
+	e := &Engine{policies: policies, data: data, metrics: opts.Metrics, cache: newQueryCache(policies)}
+	e.cache.instrument(e.metrics)
+	empty := store.New()
+	e.noView = &cacheEntry{view: empty, sparql: grdf.NewEngine(empty).Instrument(e.metrics)}
 	e.SetReasoner(opts.Reasoner)
-	if opts.CacheSize > 0 {
-		e.cache = NewQueryCache(opts.CacheSize)
-		if e.metrics != nil {
-			e.cache.instrument(e.metrics)
-		}
-	}
 	e.mAllowed = e.metrics.Counter("grdf_decisions_total",
 		"Access decisions by outcome.", "outcome", "allowed")
 	e.mDenied = e.metrics.Counter("grdf_decisions_total",
 		"Access decisions by outcome.", "outcome", "denied")
+	e.decisionTimers = map[rdf.IRI]*obs.Histogram{}
+	for _, subject := range policies.Subjects() {
+		e.decisionTimers[subject] = e.metrics.Histogram("grdf_decision_duration_seconds",
+			"Decision-engine latency by role.", nil, "role", subject.LocalName())
+	}
 	return e
 }
 
@@ -142,9 +150,7 @@ func (e *Engine) SetReasoner(r Reasoner) {
 		r = nilReasoner{data: e.data}
 	}
 	e.reasoner.Store(&r)
-	if e.cache != nil {
-		e.cache.Clear()
-	}
+	e.cache.Clear()
 }
 
 // Reasoner returns the current inference engine. Callers that make several
@@ -185,7 +191,7 @@ func (e *Engine) Data() *store.Store { return e.data }
 // Policies exposes the rule set.
 func (e *Engine) Policies() *seconto.Set { return e.policies }
 
-// Cache returns the engine's query cache (nil when disabled).
+// Cache returns the engine's query cache.
 func (e *Engine) Cache() *QueryCache { return e.cache }
 
 // Access is the decision for one (subject, action, resource) triple — the
@@ -253,21 +259,9 @@ func (e *Engine) decideAs(j judge, subject, action rdf.IRI, resource rdf.Term) A
 		} else {
 			e.mDenied.Inc()
 		}
-		e.decisionTimer(subject).ObserveSince(start)
+		e.decisionTimers[subject].ObserveSince(start)
 	}
 	return acc
-}
-
-// decisionTimer returns subject's decision-latency histogram, resolving it
-// from the registry on the role's first decision only.
-func (e *Engine) decisionTimer(subject rdf.IRI) *obs.Histogram {
-	if h, ok := e.decisionTimers.Load(subject); ok {
-		return h.(*obs.Histogram)
-	}
-	h := e.metrics.Histogram("grdf_decision_duration_seconds",
-		"Decision-engine latency by role.", nil, "role", subject.LocalName())
-	e.decisionTimers.Store(subject, h)
-	return h
 }
 
 // DecideCtx is the context-first form of Decide: it refuses to start once
@@ -276,13 +270,20 @@ func (e *Engine) decisionTimer(subject rdf.IRI) *obs.Histogram {
 // decision gets a gsacs.decide span carrying role, outcome and how many
 // policies fired.
 func (e *Engine) DecideCtx(ctx context.Context, subject, action rdf.IRI, resource rdf.Term) (Access, error) {
+	return e.decideCtx(ctx, e.current(), subject, action, resource)
+}
+
+// decideCtx is DecideCtx judged by j, for callers that go on to filter by the
+// decision: they pin j once so that the decision and the triples it is
+// applied to belong to the same version of the data.
+func (e *Engine) decideCtx(ctx context.Context, j judge, subject, action rdf.IRI, resource rdf.Term) (Access, error) {
 	if err := ctx.Err(); err != nil {
 		return Access{}, err
 	}
 	_, sp := obs.StartSpan(ctx, "gsacs.decide")
 	sp.SetAttr("role", subject.LocalName())
 	sp.SetAttr("action", action.LocalName())
-	acc := e.Decide(subject, action, resource)
+	acc := e.decideAs(j, subject, action, resource)
 	if acc.Allowed {
 		sp.SetAttr("outcome", "allowed")
 	} else {

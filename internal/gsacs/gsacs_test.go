@@ -16,16 +16,16 @@ import (
 	"repro/internal/store"
 )
 
-func scenarioEngine(t *testing.T, cacheSize int) (*Engine, *datagen.Scenario) {
+func scenarioEngine(t *testing.T) (*Engine, *datagen.Scenario) {
 	t.Helper()
 	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 9, Sites: 6})
 	reasoner := NewOWLReasoner(sc.Merged, grdf.Ontology(), seconto.Ontology())
-	e := New(sc.Policies, sc.Merged, Options{Reasoner: reasoner, CacheSize: cacheSize})
+	e := New(sc.Policies, sc.Merged, Options{Reasoner: reasoner})
 	return e, sc
 }
 
 func TestDecideMainRepairSiteExtentOnly(t *testing.T) {
-	e, sc := scenarioEngine(t, 0)
+	e, sc := scenarioEngine(t)
 	site := sc.Chemical.Sites[0].IRI
 	acc := e.Decide(datagen.RoleMainRepair, seconto.ActionView, site)
 	if !acc.Allowed || acc.Full {
@@ -43,7 +43,7 @@ func TestDecideMainRepairSiteExtentOnly(t *testing.T) {
 }
 
 func TestDecideMainRepairStreamsFull(t *testing.T) {
-	e, sc := scenarioEngine(t, 0)
+	e, sc := scenarioEngine(t)
 	stream := sc.Hydrology.Streams[0].IRI
 	acc := e.Decide(datagen.RoleMainRepair, seconto.ActionView, stream)
 	if !acc.Allowed || !acc.Full {
@@ -52,7 +52,7 @@ func TestDecideMainRepairStreamsFull(t *testing.T) {
 }
 
 func TestDecideDefaultDeny(t *testing.T) {
-	e, sc := scenarioEngine(t, 0)
+	e, sc := scenarioEngine(t)
 	site := sc.Chemical.Sites[0].IRI
 	acc := e.Decide(rdf.IRI(seconto.NS+"Nobody"), seconto.ActionView, site)
 	if acc.Allowed {
@@ -66,7 +66,7 @@ func TestDecideDefaultDeny(t *testing.T) {
 }
 
 func TestDecideEmergencyFullViaReasoning(t *testing.T) {
-	e, sc := scenarioEngine(t, 0)
+	e, sc := scenarioEngine(t)
 	// The EmergencyAll policy targets grdf:Feature; only reasoning connects
 	// app:ChemSite ⊑ grdf:Feature.
 	site := sc.Chemical.Sites[0].IRI
@@ -94,7 +94,7 @@ func TestDecideWithoutReasonerMissesSubclasses(t *testing.T) {
 }
 
 func TestFilterResourceMainRepair(t *testing.T) {
-	e, sc := scenarioEngine(t, 0)
+	e, sc := scenarioEngine(t)
 	site := sc.Chemical.Sites[0].IRI
 	acc := e.Decide(datagen.RoleMainRepair, seconto.ActionView, site)
 	triples := e.FilterResource(site, acc)
@@ -124,7 +124,7 @@ func TestFilterResourceMainRepair(t *testing.T) {
 }
 
 func TestViewHazmatSeesNamesNotCodes(t *testing.T) {
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	view := e.View(datagen.RoleHazmat, seconto.ActionView)
 	if view.Count(nil, datagen.HasChemName, nil) == 0 {
 		t.Error("hazmat cannot see chemical names")
@@ -144,7 +144,7 @@ func TestViewHazmatSeesNamesNotCodes(t *testing.T) {
 }
 
 func TestViewEmergencySeesEverything(t *testing.T) {
-	e, sc := scenarioEngine(t, 0)
+	e, sc := scenarioEngine(t)
 	view := e.View(datagen.RoleEmergency, seconto.ActionView)
 	for _, pred := range []rdf.IRI{
 		datagen.HasChemName, datagen.HasChemCode, datagen.HasQuantityKg,
@@ -160,7 +160,7 @@ func TestViewMonotonicity(t *testing.T) {
 	// Every triple in a role's view must exist in the source store, and the
 	// main-repair view must be a subset of hazmat's site properties plus
 	// hydro, which is a subset of emergency's.
-	e, sc := scenarioEngine(t, 0)
+	e, sc := scenarioEngine(t)
 	mr := e.View(datagen.RoleMainRepair, seconto.ActionView)
 	hz := e.View(datagen.RoleHazmat, seconto.ActionView)
 	em := e.View(datagen.RoleEmergency, seconto.ActionView)
@@ -175,7 +175,7 @@ func TestViewMonotonicity(t *testing.T) {
 }
 
 func TestQueryOverFilteredView(t *testing.T) {
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	q := `SELECT ?name WHERE { ?s app:hasChemName ?name }`
 	res, err := e.Query(datagen.RoleMainRepair, seconto.ActionView, q)
 	if err != nil {
@@ -268,58 +268,40 @@ func TestSpatialScopePolicy(t *testing.T) {
 	}
 }
 
-// putEntryAt fabricates a cache entry whose base version has the given
-// generation, and publishes it the way a rebuild would.
-func putEntryAt(c *QueryCache, key string, gen uint64, view *store.Store) {
-	data := store.New()
-	for data.Generation() < gen {
-		data.Add(rdf.T(rdf.IRI(fmt.Sprintf("http://example.org/gen/%d", data.Generation())), rdf.RDFType, grdf.Feature))
+// TestQueryCacheSlots: the cache is shaped by the policy set — one slot per
+// (role, action) a rule names, filled on first read, emptied by Clear, and
+// untouched by a role no rule names.
+func TestQueryCacheSlots(t *testing.T) {
+	e, _ := scenarioEngine(t)
+	c := e.Cache()
+	if st := c.Snapshot(); st.Slots != 3 || st.Entries != 0 {
+		t.Fatalf("List 8 names three (role, View) pairs, all cold: %+v", st)
 	}
-	c.refresh(key, func(*cacheEntry) (*cacheEntry, refreshOutcome) {
-		return &cacheEntry{key: key, base: data.View(), view: view}, refreshRebuilt
-	})
-}
-
-func TestQueryCacheBasics(t *testing.T) {
-	c := NewQueryCache(2)
-	s1, s2, s3 := store.New(), store.New(), store.New()
-	putEntryAt(c, "a", 1, s1)
-	putEntryAt(c, "b", 1, s2)
-	if got, ok := c.get("a", 1, nil); !ok || got.view != s1 {
-		t.Error("get(a) failed")
+	for _, role := range scenarioRoles {
+		e.View(role, seconto.ActionView)
 	}
-	// insert third: evicts LRU ("b", since "a" was just used)
-	putEntryAt(c, "c", 1, s3)
-	if _, ok := c.get("b", 1, nil); ok {
-		t.Error("LRU not evicted")
+	nobody := rdf.IRI(seconto.NS + "Nobody")
+	if v := e.View(nobody, seconto.ActionView); v.Len() != 0 {
+		t.Errorf("unknown role sees %d triples", v.Len())
 	}
-	if _, ok := c.get("a", 1, nil); !ok {
-		t.Error("recently used entry evicted")
+	// A role the set names, under an action it does not name it with.
+	if v := e.View(datagen.RoleHazmat, seconto.ActionDelete); v.Len() != 0 {
+		t.Errorf("Hazmat sees %d triples under Delete", v.Len())
 	}
-	// generation mismatch is a miss, but the entry stays as the patch base
-	if _, ok := c.get("a", 2, nil); ok {
-		t.Error("stale entry served")
+	if c.Snapshot().Entries != 3 {
+		t.Errorf("Len = %d, want 3", c.Snapshot().Entries)
 	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d", c.Len())
-	}
-	// so does a different reasoner at the same generation
-	var other Reasoner = nilReasoner{}
-	if _, ok := c.get("a", 1, &other); ok {
-		t.Error("entry judged by another reasoner served")
-	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 3 {
-		t.Errorf("stats = %d/%d", hits, misses)
+	if hits, misses := c.Stats(); hits != 0 || misses != 3 {
+		t.Errorf("stats = %d/%d: reads no slot answers are neither hit nor miss", hits, misses)
 	}
 	c.Clear()
-	if c.Len() != 0 {
+	if c.Snapshot().Entries != 0 {
 		t.Error("Clear failed")
 	}
 }
 
 func TestEngineViewCachingAndInvalidation(t *testing.T) {
-	e, sc := scenarioEngine(t, 8)
+	e, sc := scenarioEngine(t)
 	v1 := e.View(datagen.RoleHazmat, seconto.ActionView)
 	v2 := e.View(datagen.RoleHazmat, seconto.ActionView)
 	if v1 != v2 {
@@ -365,7 +347,7 @@ func TestOntoRepository(t *testing.T) {
 }
 
 func TestServerEndpoints(t *testing.T) {
-	e, sc := scenarioEngine(t, 4)
+	e, sc := scenarioEngine(t)
 	repo := NewOntoRepository()
 	repo.Register("grdf", grdf.Ontology())
 	srv := httptest.NewServer(NewServer(e, repo))
@@ -451,7 +433,7 @@ func urlQueryEscape(s string) string {
 }
 
 func TestAuditTrail(t *testing.T) {
-	e, sc := scenarioEngine(t, 0)
+	e, sc := scenarioEngine(t)
 	if e.AuditTrail() != nil {
 		t.Error("audit enabled by default")
 	}
@@ -492,7 +474,7 @@ func TestConcurrentViewsAndWrites(t *testing.T) {
 		ID: seconto.NS + "AdminModify", Subject: admin,
 		Action: seconto.ActionModify, Resource: datagen.ChemSite, Permit: true,
 	})
-	e := New(sc.Policies, sc.Merged, Options{CacheSize: 8})
+	e := New(sc.Policies, sc.Merged, Options{})
 	e.EnableAudit(64)
 	site := sc.Chemical.Sites[0].IRI
 
@@ -531,7 +513,7 @@ func TestConcurrentViewsAndWrites(t *testing.T) {
 }
 
 func TestServerAuditEndpoint(t *testing.T) {
-	e, sc := scenarioEngine(t, 4)
+	e, sc := scenarioEngine(t)
 	e.EnableAudit(16)
 	srv := httptest.NewServer(NewServer(e, nil))
 	defer srv.Close()

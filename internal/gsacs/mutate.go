@@ -37,10 +37,10 @@ func (e *ErrDenied) Error() string {
 		e.Subject.LocalName(), e.Action.LocalName(), e.Resource)
 }
 
-// authorizeTriple checks that subject may perform action on the triple's
-// resource and property.
-func (e *Engine) authorizeTriple(subject, action rdf.IRI, t rdf.Triple) error {
-	acc := e.Decide(subject, action, t.Subject)
+// authorizeTriple checks, as judged by j, that subject may perform action on
+// the triple's resource and property.
+func (e *Engine) authorizeTriple(j judge, subject, action rdf.IRI, t rdf.Triple) error {
+	acc := e.decideAs(j, subject, action, t.Subject)
 	if !acc.Allowed {
 		return &ErrDenied{Subject: subject, Action: action, Resource: t.Subject}
 	}
@@ -56,7 +56,7 @@ func (e *Engine) authorizeTriple(subject, action rdf.IRI, t rdf.Triple) error {
 		}
 		return nil
 	}
-	if !acc.PropertyVisible(pred, e.Reasoner()) {
+	if !acc.PropertyVisible(pred, j.reasoner) {
 		return &ErrDenied{Subject: subject, Action: action, Resource: t.Subject, Property: pred}
 	}
 	return nil
@@ -97,9 +97,12 @@ func (e *Engine) MutateCtx(ctx context.Context, subject rdf.IRI, muts []Mutation
 	if len(muts) == 0 {
 		return nil, nil
 	}
+	// One judge for the batch: every op is authorized against the same
+	// version of the data under the same reasoner.
+	j := e.current()
 	ops := make([]store.Op, len(muts))
 	for i, m := range muts {
-		op, err := e.authorizeOp(ctx, subject, m)
+		op, err := e.authorizeOp(ctx, j, subject, m)
 		if err != nil {
 			berr := &BatchOpError{Index: i, Err: err}
 			sp.Fail(berr)
@@ -128,7 +131,7 @@ func (e *Engine) MutateCtx(ctx context.Context, subject rdf.IRI, muts []Mutation
 
 // authorizeOp runs the per-triple decision procedure for one batch op and
 // shapes it into the store.Op the batch will carry.
-func (e *Engine) authorizeOp(ctx context.Context, subject rdf.IRI, m MutationOp) (store.Op, error) {
+func (e *Engine) authorizeOp(ctx context.Context, j judge, subject rdf.IRI, m MutationOp) (store.Op, error) {
 	op := store.Op{Kind: m.Kind, Triples: m.Triples, Ctx: ctx}
 	switch m.Kind {
 	case store.OpAdd:
@@ -139,7 +142,7 @@ func (e *Engine) authorizeOp(ctx context.Context, subject rdf.IRI, m MutationOp)
 			if !t.Valid() {
 				return op, fmt.Errorf("gsacs: invalid triple %v", t)
 			}
-			if err := e.authorizeTriple(subject, seconto.ActionModify, t); err != nil {
+			if err := e.authorizeTriple(j, subject, seconto.ActionModify, t); err != nil {
 				return op, err
 			}
 		}
@@ -148,7 +151,7 @@ func (e *Engine) authorizeOp(ctx context.Context, subject rdf.IRI, m MutationOp)
 			return op, fmt.Errorf("gsacs: delete op carries no triples")
 		}
 		for _, t := range m.Triples {
-			if err := e.authorizeTriple(subject, seconto.ActionDelete, t); err != nil {
+			if err := e.authorizeTriple(j, subject, seconto.ActionDelete, t); err != nil {
 				return op, err
 			}
 		}
@@ -156,13 +159,13 @@ func (e *Engine) authorizeOp(ctx context.Context, subject rdf.IRI, m MutationOp)
 		if len(m.Triples) != 2 {
 			return op, fmt.Errorf("gsacs: update op needs exactly [old, new], got %d triples", len(m.Triples))
 		}
-		if err := e.authorizeTriple(subject, seconto.ActionModify, m.Triples[0]); err != nil {
+		if err := e.authorizeTriple(j, subject, seconto.ActionModify, m.Triples[0]); err != nil {
 			return op, err
 		}
 		if !m.Triples[1].Valid() {
 			return op, fmt.Errorf("gsacs: invalid replacement triple %v", m.Triples[1])
 		}
-		if err := e.authorizeTriple(subject, seconto.ActionModify, m.Triples[1]); err != nil {
+		if err := e.authorizeTriple(j, subject, seconto.ActionModify, m.Triples[1]); err != nil {
 			return op, err
 		}
 		op.MustExist = true

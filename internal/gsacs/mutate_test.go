@@ -136,7 +136,7 @@ func TestInsertInvalidatesCachedViews(t *testing.T) {
 			ID: seconto.NS + "AdminModify", Subject: admin,
 			Action: seconto.ActionModify, Resource: datagen.ChemSite, Permit: true,
 		})
-	e := New(sc.Policies, sc.Merged, Options{CacheSize: 4})
+	e := New(sc.Policies, sc.Merged, Options{})
 	v1 := e.View(datagen.RoleHazmat, seconto.ActionView)
 	site := sc.Chemical.Sites[0].IRI
 	if err := insert(e, admin, rdf.T(site, datagen.HasSiteName, rdf.NewString("New Wing"))); err != nil {

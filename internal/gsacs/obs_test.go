@@ -12,21 +12,20 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/seconto"
-	"repro/internal/store"
 )
 
 // metricsEngine builds a scenario engine with an observability registry
 // attached, mirroring how cmd/gsacs-server wires it.
-func metricsEngine(t *testing.T, cacheSize int) (*Engine, *obs.Registry) {
+func metricsEngine(t *testing.T) (*Engine, *obs.Registry) {
 	t.Helper()
 	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 9, Sites: 6})
 	reg := obs.NewRegistry()
-	e := New(sc.Policies, sc.Merged, Options{CacheSize: cacheSize, Metrics: reg})
+	e := New(sc.Policies, sc.Merged, Options{Metrics: reg})
 	return e, reg
 }
 
 func TestAuditRingWraparoundConcurrent(t *testing.T) {
-	e, reg := metricsEngine(t, 0)
+	e, reg := metricsEngine(t)
 	const capacity = 8
 	e.EnableAudit(capacity)
 
@@ -78,7 +77,7 @@ func TestAuditRingWraparoundConcurrent(t *testing.T) {
 }
 
 func TestAuditStatsBeforeWraparound(t *testing.T) {
-	e, _ := metricsEngine(t, 0)
+	e, _ := metricsEngine(t)
 	e.EnableAudit(16)
 	for i := 0; i < 5; i++ {
 		e.Decide(datagen.RoleHazmat, seconto.ActionView, datagen.ChemSite)
@@ -88,53 +87,41 @@ func TestAuditStatsBeforeWraparound(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	// Disabled auditing reports zeros.
-	e2, _ := metricsEngine(t, 0)
+	e2, _ := metricsEngine(t)
 	if st := e2.AuditStats(); st != (AuditStats{}) {
 		t.Errorf("disabled stats = %+v", st)
 	}
 }
 
 func TestQueryCacheStaleInvalidationStats(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := NewQueryCache(2)
-	c.instrument(reg)
-
-	s1, s2, s3 := store.New(), store.New(), store.New()
-	putEntryAt(c, "view", 1, s1)
-	if _, ok := c.get("view", 1, nil); !ok {
-		t.Fatal("warm get failed")
-	}
+	e, reg := metricsEngine(t)
+	c := e.Cache()
+	e.View(datagen.RoleHazmat, seconto.ActionView) // cold miss
+	e.View(datagen.RoleHazmat, seconto.ActionView) // hit
 	// Generation moved: the lookup must classify the miss as a stale
 	// invalidation, not a cold miss.
-	if _, ok := c.get("view", 2, nil); ok {
-		t.Fatal("stale entry served")
-	}
-	// Cold miss for an unknown key.
-	if _, ok := c.get("absent", 2, nil); ok {
-		t.Fatal("phantom entry")
-	}
-	// Capacity pressure: puts over capacity 2 evict down to it.
-	putEntryAt(c, "a", 2, s1)
-	putEntryAt(c, "b", 2, s2)
-	putEntryAt(c, "c", 2, s3)
+	e.Data().Add(rdf.T(datagen.ChemSite, rdf.RDFSLabel, rdf.NewString("chemical site")))
+	e.View(datagen.RoleHazmat, seconto.ActionView)
+	// Cold miss of another slot.
+	e.View(datagen.RoleMainRepair, seconto.ActionView)
 
 	st := c.Snapshot()
-	if st.Hits != 1 || st.Misses != 2 || st.StaleInvalidations != 1 || st.Evictions != 2 {
+	if st.Hits != 1 || st.Misses != 3 || st.StaleInvalidations != 1 {
 		t.Errorf("snapshot = %+v", st)
 	}
-	if st.Rebuilds != 4 || st.Patches != 0 {
+	if st.Rebuilds != 2 || st.Patches != 1 {
 		t.Errorf("work accounting = %+v", st)
 	}
-	if st.Entries != 2 || st.Capacity != 2 {
+	if st.Entries != 2 || st.Slots != 3 {
 		t.Errorf("occupancy = %+v", st)
 	}
 
+	// /metrics reads the same words Snapshot does.
 	for name, want := range map[string]float64{
 		"grdf_cache_hits_total":                1,
-		"grdf_cache_misses_total":              2,
+		"grdf_cache_misses_total":              3,
 		"grdf_cache_stale_invalidations_total": 1,
-		"grdf_cache_evictions_total":           2,
-		"grdf_cache_patches_total":             0,
+		"grdf_cache_patches_total":             1,
 	} {
 		if got := reg.Counter(name, "").Value(); got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
@@ -147,10 +134,13 @@ func TestQueryCacheStaleInvalidationStats(t *testing.T) {
 	if !strings.Contains(sb.String(), "grdf_cache_entries 2") {
 		t.Errorf("entries gauge missing:\n%s", sb.String())
 	}
+	if strings.Contains(sb.String(), "grdf_cache_evictions_total") {
+		t.Error("a cache that cannot evict still exports an eviction counter")
+	}
 }
 
 func TestEngineDecisionMetrics(t *testing.T) {
-	e, reg := metricsEngine(t, 4)
+	e, reg := metricsEngine(t)
 	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 9, Sites: 6})
 	site := sc.Chemical.Sites[0].IRI
 
@@ -192,6 +182,22 @@ func TestEngineDecisionMetrics(t *testing.T) {
 	if got := reg.Counter("grdf_sparql_queries_total", "", "kind", "SELECT").Value(); got != 1 {
 		t.Errorf("queries by kind = %v", got)
 	}
+
+	// The role is the caller's string: one no policy names is decided and
+	// counted, but must not mint a label value.
+	denied := reg.Counter("grdf_decisions_total", "", "outcome", "denied")
+	before := denied.Value()
+	e.Decide(rdf.IRI(seconto.NS+"Nobody"), seconto.ActionView, site)
+	if got := denied.Value() - before; got != 1 {
+		t.Errorf("unknown role's decision moved denied by %v", got)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), `role="Nobody"`) {
+		t.Error("an unknown role got its own decision-latency series")
+	}
 }
 
 // TestViewPatchObservability: the three outcomes of a view lookup — hit,
@@ -199,7 +205,7 @@ func TestEngineDecisionMetrics(t *testing.T) {
 // CacheStats on /healthz, the gsacs.view span's counters, and the
 // grdf_cache_patches_total counter. Stats() keeps counting a patch as a miss.
 func TestViewPatchObservability(t *testing.T) {
-	e, reg := metricsEngine(t, 4)
+	e, reg := metricsEngine(t)
 	srv := httptest.NewServer(NewServer(e, nil, WithTracer(obs.NewTracer(64))))
 	defer srv.Close()
 	site := e.Data().SubjectsOfType(datagen.ChemSite)[0]
@@ -243,7 +249,7 @@ func TestViewPatchObservability(t *testing.T) {
 	if err := json.Unmarshal([]byte(raw), &health); err != nil {
 		t.Fatalf("healthz: %v (%s)", err, raw)
 	}
-	want := CacheStats{Hits: 1, Misses: 2, StaleInvalidations: 1, Patches: 1, Rebuilds: 1, Entries: 1, Capacity: 4}
+	want := CacheStats{Hits: 1, Misses: 2, StaleInvalidations: 1, Patches: 1, Rebuilds: 1, Entries: 1, Slots: 3}
 	if health.Cache != want {
 		t.Errorf("/healthz cache = %+v, want %+v", health.Cache, want)
 	}

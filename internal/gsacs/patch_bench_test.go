@@ -18,7 +18,7 @@ import (
 func benchEngine() (*Engine, *datagen.Scenario) {
 	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 7, Sites: 450})
 	reasoner := NewOWLReasoner(sc.Merged, grdf.Ontology(), seconto.Ontology())
-	e := New(sc.Policies, sc.Merged, Options{Reasoner: reasoner, CacheSize: 8, Metrics: obs.NewRegistry()})
+	e := New(sc.Policies, sc.Merged, Options{Reasoner: reasoner, Metrics: obs.NewRegistry()})
 	e.EnableAudit(256)
 	return e, sc
 }

@@ -359,7 +359,7 @@ func TestPatchedViewEqualsRebuild(t *testing.T) {
 			if seq%4 != 0 {
 				policies = randomPolicies(rng, b.sc)
 			}
-			opts := Options{CacheSize: 8, Reasoner: b.reasoner}
+			opts := Options{Reasoner: b.reasoner}
 			if seq%3 == 0 {
 				opts.Reasoner = nil // direct assertions only: hierarchy edits bite
 			}
@@ -396,7 +396,7 @@ func TestPatchedViewEqualsRebuild(t *testing.T) {
 	t.Run("shared-node-detach", func(t *testing.T) {
 		b := bases[1]
 		data := b.sc.Merged.Snapshot()
-		e := New(b.sc.Policies, data, Options{CacheSize: 8, Reasoner: b.reasoner})
+		e := New(b.sc.Policies, data, Options{Reasoner: b.reasoner})
 		siteA, siteB := b.sc.Chemical.Sites[0].IRI, b.sc.Chemical.Sites[1].IRI
 		node, _ := data.FirstObject(siteA, grdf.BoundedBy)
 		corner, _ := data.FirstObject(node, grdf.LowerCorner)
@@ -444,7 +444,7 @@ func TestPatchedViewEqualsRebuild(t *testing.T) {
 				Properties: []rdf.IRI{datagen.HasSiteName, grdf.HasGeometry},
 			})
 		}
-		e := New(&seconto.Set{Rules: rules}, data, Options{CacheSize: 8, Reasoner: b.reasoner})
+		e := New(&seconto.Set{Rules: rules}, data, Options{Reasoner: b.reasoner})
 
 		// GeometryOf prefers hasGeometry: give the site a polygon there.
 		at := func(dx float64) string {
@@ -490,7 +490,7 @@ func TestPatchedViewEqualsRebuild(t *testing.T) {
 // /v1/resource; the edge back to the resource would also have described the
 // resource a second time, unfiltered.
 func TestStructuralCycle(t *testing.T) {
-	e, sc := scenarioEngine(t, 8)
+	e, sc := scenarioEngine(t)
 	site := sc.Chemical.Sites[0].IRI
 	ext, _ := sc.Merged.FirstObject(site, grdf.BoundedBy)
 	checkViews(t, e, "cold build")
@@ -535,7 +535,7 @@ func (stubReasoner) TypesOf(rdf.Term) []rdf.Term              { return nil }
 // reflects the new reasoner with no write in between.
 func TestSetReasonerDropsCachedViews(t *testing.T) {
 	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 9, Sites: 6})
-	e := New(sc.Policies, sc.Merged, Options{Reasoner: stubReasoner{}, CacheSize: 8})
+	e := New(sc.Policies, sc.Merged, Options{Reasoner: stubReasoner{}})
 	site := sc.Chemical.Sites[0]
 	name := rdf.T(site.IRI, datagen.HasSiteName, rdf.NewString(site.Name))
 
@@ -546,7 +546,7 @@ func TestSetReasonerDropsCachedViews(t *testing.T) {
 	}
 	gen := sc.Merged.Generation()
 	e.SetReasoner(NewOWLReasoner(sc.Merged, grdf.Ontology(), seconto.Ontology()))
-	if e.Cache().Len() != 0 {
+	if e.Cache().Snapshot().Entries != 0 {
 		t.Error("SetReasoner left cached views behind")
 	}
 	if !e.View(datagen.RoleEmergency, seconto.ActionView).Has(name) {

@@ -581,9 +581,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"status":     "ok",
 		"triples":    s.engine.Data().Len(),
 		"generation": s.engine.Data().Generation(),
-	}
-	if c := s.engine.Cache(); c != nil {
-		body["cache"] = c.Snapshot()
+		"cache":      s.engine.Cache().Snapshot(),
 	}
 	if st := s.engine.AuditStats(); st.Capacity > 0 {
 		body["audit"] = st
@@ -759,7 +757,10 @@ func (s *Server) handleResource(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := rdf.IRI(iri)
-	acc, err := s.engine.DecideCtx(r.Context(), role, seconto.ActionView, res)
+	// One judge for the request: the decision and the triples it filters are
+	// of the same version, whatever is written in between.
+	j := s.engine.current()
+	acc, err := s.engine.decideCtx(r.Context(), j, role, seconto.ActionView, res)
 	if err != nil {
 		s.writeError(w, r, http.StatusServiceUnavailable, "canceled", err.Error())
 		return
@@ -769,7 +770,7 @@ func (s *Server) handleResource(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g := rdf.NewGraph()
-	for _, t := range s.engine.FilterResource(res, acc) {
+	for _, t := range j.filterResource(res, acc) {
 		g.Add(t)
 	}
 	w.Header().Set("Content-Type", "text/turtle")

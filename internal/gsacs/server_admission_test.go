@@ -18,7 +18,7 @@ import (
 // and cannot queue or adapt — the deterministic overload fixture.
 func admissionServer(t *testing.T) (*httptest.Server, *admission.Controller, *obs.Registry) {
 	t.Helper()
-	e, _ := scenarioEngine(t, 4)
+	e, _ := scenarioEngine(t)
 	reg := obs.NewRegistry()
 	ctrl := admission.NewController(admission.Config{
 		InitialLimit: 1,
@@ -118,7 +118,7 @@ func TestAdmissionShedVisibleInMetricsAndHealth(t *testing.T) {
 }
 
 func TestRequestPriorityMapping(t *testing.T) {
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	s := NewServer(e, nil, WithAdmission(AdmissionConfig{
 		Controller:     admission.NewController(admission.Config{}),
 		PriorityHeader: "X-Priority",

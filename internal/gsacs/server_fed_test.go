@@ -39,8 +39,8 @@ const fedTestQuery = `SELECT ?site ?name WHERE {
 // status block — and the down source's breaker must open within its
 // threshold.
 func TestServerFederatedQueryDegraded(t *testing.T) {
-	e, _ := scenarioEngine(t, 8)
-	downEngine, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
+	downEngine, _ := scenarioEngine(t)
 	down := federation.NewFaultySource(
 		federation.NewLocalSource("down", downEngine),
 		federation.FaultConfig{Seed: 3, ErrorRate: 1.0})
@@ -109,7 +109,7 @@ func TestServerFederatedQueryDegraded(t *testing.T) {
 // TestServerFederatedAllSourcesFailed checks the one hard-failure case:
 // every source down answers 502 with the uniform error envelope.
 func TestServerFederatedAllSourcesFailed(t *testing.T) {
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	down := federation.NewFaultySource(
 		federation.NewLocalSource("down", e),
 		federation.FaultConfig{Seed: 3, ErrorRate: 1.0})
@@ -144,7 +144,7 @@ func TestServerFederatedAllSourcesFailed(t *testing.T) {
 // envelope, counts it, and leaves the server serving.
 func TestServerPanicRecovery(t *testing.T) {
 	reg := obs.NewRegistry()
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	s := NewServer(e, nil, WithMetrics(reg))
 	s.mux.Handle("/boom", s.serve(&route{pattern: "/boom", class: ungated,
 		handler: func(*Server, http.ResponseWriter, *http.Request) { panic("kaboom") }}))
@@ -181,7 +181,7 @@ func TestServerPanicRecovery(t *testing.T) {
 // TestServerMaxBodyBytes verifies /v1/mutate rejects an oversized body with
 // 413 and the standard envelope, while small bodies pass.
 func TestServerMaxBodyBytes(t *testing.T) {
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	srv := httptest.NewServer(NewServer(e, nil, WithMaxBodyBytes(256)))
 	defer srv.Close()
 

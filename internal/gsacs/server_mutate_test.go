@@ -130,7 +130,7 @@ func TestServerUpdateUnauthorized(t *testing.T) {
 // contain the triple.
 func TestServerMutateNotPersisted(t *testing.T) {
 	e, sc, _, _ := writeScenario(t)
-	e.Data().SetCommitHook(func(store.Op) error {
+	e.Data().SetGroupCommitHook(func([][]store.Op) error {
 		return errors.New("disk on fire")
 	})
 	srv := httptest.NewServer(NewServer(e, nil))

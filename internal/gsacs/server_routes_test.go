@@ -87,7 +87,10 @@ func newRouteFixture(t *testing.T, extra ...ServerOption) *routeFixture {
 		InitialLimit: 1, MinLimit: 1, MaxLimit: 1,
 		MaxQueue: admission.NoQueue, AdjustEvery: time.Hour,
 	})
-	tracer := obs.NewTracer(64)
+	// Retention is striped: the primed trace shares its stripe's slots with
+	// whatever random IDs hash there, so give each stripe more slots than a
+	// subtest makes requests.
+	tracer := obs.NewTracer(1024)
 	walStore := store.New()
 	repo, err := wal.Open(walStore, wal.Options{Dir: t.TempDir(), Fsync: wal.FsyncOff})
 	if err != nil {

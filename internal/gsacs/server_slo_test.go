@@ -38,7 +38,7 @@ func fetchSLO(t *testing.T, srv *httptest.Server, n uint64) obs.SLOStatus {
 // the windowed report: counts, quantiles, per-route blocks, verdicts, and
 // the grdf_slo_* exposition on /metrics.
 func TestServerSLOEndpoint(t *testing.T) {
-	e, _ := scenarioEngine(t, 4)
+	e, _ := scenarioEngine(t)
 	slo := obs.NewSLOEngine(obs.SLOConfig{
 		LatencyTarget:      5 * time.Second, // generous: CI must pass
 		AvailabilityTarget: 0.5,
@@ -93,7 +93,7 @@ func TestServerSLOEndpoint(t *testing.T) {
 
 // TestServerSLOAbsentWithoutOption: no WithSLO, no /v1/slo route.
 func TestServerSLOAbsentWithoutOption(t *testing.T) {
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	srv := httptest.NewServer(NewServer(e, nil))
 	defer srv.Close()
 	resp, _ := doReq(t, srv, http.MethodGet, "/v1/slo")
@@ -105,7 +105,7 @@ func TestServerSLOAbsentWithoutOption(t *testing.T) {
 // TestServerHealthzSaturation: /healthz always carries the saturation block
 // with live runtime numbers.
 func TestServerHealthzSaturation(t *testing.T) {
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	srv := httptest.NewServer(NewServer(e, nil, WithMetrics(obs.NewRegistry())))
 	defer srv.Close()
 	var body struct {
@@ -133,7 +133,7 @@ func TestServerHealthzSaturation(t *testing.T) {
 // retained than the default limit, the bare listing returns exactly 50
 // newest-first, and ?limit=5 returns 5.
 func TestServerTracesLimit(t *testing.T) {
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	srv := httptest.NewServer(NewServer(e, nil, WithTracer(obs.NewTracer(128))))
 	defer srv.Close()
 

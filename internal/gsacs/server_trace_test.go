@@ -70,7 +70,7 @@ func fetchTrace(t *testing.T, srv *httptest.Server, id string) traceBody {
 // fed.fanout under the HTTP root — with the dead peer present as a FAILED
 // span, not a hole.
 func TestServerFederatedTraceTree(t *testing.T) {
-	peerEngine, _ := scenarioEngine(t, 0)
+	peerEngine, _ := scenarioEngine(t)
 	peer := httptest.NewServer(NewServer(peerEngine, nil))
 	defer peer.Close()
 
@@ -83,7 +83,7 @@ func TestServerFederatedTraceTree(t *testing.T) {
 	deadURL := "http://" + deadLn.Addr().String()
 	deadLn.Close()
 
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	fed, err := federation.New(federation.Config{
 		SourceTimeout:  time.Second,
 		Retry:          federation.RetryConfig{MaxAttempts: 2, BaseDelay: time.Millisecond},
@@ -192,7 +192,7 @@ func TestServerFederatedTraceTree(t *testing.T) {
 
 // TestServerTraceNotFound: unknown IDs get the uniform 404 envelope.
 func TestServerTraceNotFound(t *testing.T) {
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	srv := httptest.NewServer(NewServer(e, nil, WithTracer(obs.NewTracer(4))))
 	defer srv.Close()
 	resp, body := doReq(t, srv, http.MethodGet, "/v1/traces/ffffffffffffffff")
@@ -238,7 +238,7 @@ func TestServerExplainAnalyze(t *testing.T) {
 			opts = append(opts, WithTracer(obs.NewTracer(16)))
 		}
 		t.Run(name, func(t *testing.T) {
-			e, _ := scenarioEngine(t, 0)
+			e, _ := scenarioEngine(t)
 			srv := httptest.NewServer(NewServer(e, nil, opts...))
 			defer srv.Close()
 
@@ -285,7 +285,7 @@ func TestServerExplainAnalyze(t *testing.T) {
 // source is wired, and is absent while the source answers nil (recovery
 // window) or is not configured.
 func TestServerHealthzWAL(t *testing.T) {
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	var status any = map[string]any{"segments": 2, "last_snapshot_generation": 7}
 	srv := httptest.NewServer(NewServer(e, nil, WithWALStatus(func() any { return status })))
 	defer srv.Close()
@@ -331,7 +331,7 @@ func TestServerHealthzWAL(t *testing.T) {
 // role view under the request's own context, so the gsacs.view span — cache
 // hit or miss, view_triples — lands on that request's trace.
 func TestServerViewSpanOnRequestTrace(t *testing.T) {
-	e, _ := scenarioEngine(t, 4)
+	e, _ := scenarioEngine(t)
 	srv := httptest.NewServer(NewServer(e, nil, WithTracer(obs.NewTracer(64))))
 	defer srv.Close()
 

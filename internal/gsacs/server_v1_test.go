@@ -16,7 +16,7 @@ import (
 
 func v1TestServer(t *testing.T, opts ...ServerOption) (*httptest.Server, *Engine, *datagen.Scenario) {
 	t.Helper()
-	e, sc := scenarioEngine(t, 4)
+	e, sc := scenarioEngine(t)
 	repo := NewOntoRepository()
 	repo.Register("grdf", grdf.Ontology())
 	srv := httptest.NewServer(NewServer(e, repo, opts...))

@@ -41,7 +41,7 @@ func fetchQueries(t *testing.T, srv *httptest.Server, path string) queriesBody {
 // tracked, counts by shape, sane latency quantiles, redacted examples, and
 // the single-fingerprint detail view.
 func TestServerWorkloadEndpoint(t *testing.T) {
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	wl := workload.New(workload.Config{Capacity: 64})
 	srv := httptest.NewServer(NewServer(e, nil, WithWorkload(wl)))
 	defer srv.Close()
@@ -114,7 +114,7 @@ func TestServerWorkloadEndpoint(t *testing.T) {
 // /v1/queries with the shed counter — the heavy hitter that caused the
 // shedding stays attributable.
 func TestServerWorkloadRecordsShed(t *testing.T) {
-	e, _ := scenarioEngine(t, 4)
+	e, _ := scenarioEngine(t)
 	wl := workload.New(workload.Config{Capacity: 64})
 	ctrl := admission.NewController(admission.Config{
 		InitialLimit: 1, MinLimit: 1, MaxLimit: 1,
@@ -163,7 +163,7 @@ func TestServerWorkloadRecordsShed(t *testing.T) {
 // capture appears in the listing with its reason, and both pprof payloads
 // download as gzip (0x1f8b) bytes.
 func TestServerProfilesEndpoint(t *testing.T) {
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	p := prof.New(prof.Config{Ring: 4, CPUWindow: 50 * time.Millisecond})
 	srv := httptest.NewServer(NewServer(e, nil, WithProfiler(p)))
 	defer srv.Close()
@@ -221,7 +221,7 @@ func TestServerProfilesEndpoint(t *testing.T) {
 // /v1/profiles and /debug/pprof/ — stays reachable. Diagnosing a stuck
 // recovery needs exactly those endpoints.
 func TestProfilesBypassReadinessGate(t *testing.T) {
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	p := prof.New(prof.Config{Ring: 2, CPUWindow: 50 * time.Millisecond})
 	srv := httptest.NewServer(NewServer(e, nil,
 		WithProfiler(p), WithPprof(),
@@ -246,7 +246,7 @@ func TestProfilesBypassReadinessGate(t *testing.T) {
 // across nodes — fingerprints are canonical, so the same shape merges.
 func TestServerClusterRollup(t *testing.T) {
 	peer := func() (*httptest.Server, *workload.Table) {
-		e, _ := scenarioEngine(t, 0)
+		e, _ := scenarioEngine(t)
 		wl := workload.New(workload.Config{Capacity: 64})
 		slo := obs.NewSLOEngine(obs.SLOConfig{
 			LatencyTarget:      5 * time.Second,
@@ -274,7 +274,7 @@ func TestServerClusterRollup(t *testing.T) {
 	run(peerB, shared, 3)
 	run(peerB, onlyB, 1)
 
-	e, _ := scenarioEngine(t, 0)
+	e, _ := scenarioEngine(t)
 	router := httptest.NewServer(NewServer(e, nil,
 		WithCluster(ClusterConfig{
 			SelfName: "router",

@@ -29,7 +29,7 @@ func TestSoakViewsUnderChurn(t *testing.T) {
 	const writes, readers = 250, 4
 	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 21, Sites: 8, Trunks: 1})
 	reasoner := NewOWLReasoner(sc.Merged, grdf.Ontology(), seconto.Ontology())
-	e := New(sc.Policies, sc.Merged, Options{Reasoner: reasoner, CacheSize: 8})
+	e := New(sc.Policies, sc.Merged, Options{Reasoner: reasoner})
 
 	// List 8, as predicates a role may ever be shown. Both roles see the
 	// hydrology layer whole and, of chemical sites, at least the extent with

@@ -121,57 +121,66 @@ func (e *Engine) viewEntry(ctx context.Context, subject, action rdf.IRI) *cacheE
 	_, sp := obs.StartSpan(ctx, "gsacs.view")
 	defer sp.End()
 	sp.SetAttr("role", subject.LocalName())
-	if e.cache == nil {
-		ent, _ := e.refreshView(sp, nil, subject, action)
-		sp.Add("view_triples", int64(ent.view.Len()))
-		return ent
+	s := e.cache.slots[viewKey{subject, action}]
+	if s == nil {
+		// Closed world: no rule names the pair, so every resource is denied
+		// and the view is empty whatever the data holds. One decision, on the
+		// resource "*", says so to the audit trail and the counters.
+		e.decideAs(e.current(), subject, action, rdf.IRI("*"))
+		sp.SetAttr("outcome", "no_policy")
+		return e.noView
 	}
-	key := viewKey(subject, action)
+	// A hit is the store's generation under the engine's reasoner; no lock.
 	gen := e.data.Generation()
-	if ent, ok := e.cache.get(key, gen, e.reasoner.Load()); ok {
+	prev := s.cur.Load()
+	if prev != nil && prev.base.Generation() == gen && prev.reasoner == e.reasoner.Load() {
+		e.cache.hits.Add(1)
 		sp.Add("cache_hit", 1)
-		return ent
+		return prev
+	}
+	e.cache.misses.Add(1)
+	if prev != nil {
+		e.cache.stale.Add(1)
 	}
 	sp.Add("cache_miss", 1)
-	for {
-		ent := e.cache.refresh(key, func(prev *cacheEntry) (*cacheEntry, refreshOutcome) {
-			return e.refreshView(sp, prev, subject, action)
-		})
-		// Another reader's refresh may have pinned its version before the
-		// write this read must see, or been judged by a reasoner since
-		// swapped out; go round again (and lead the next refresh).
-		if ent != nil && ent.base.Generation() >= gen && ent.reasoner == e.reasoner.Load() {
-			sp.Add("view_triples", int64(ent.view.Len()))
-			return ent
-		}
-	}
+	// One reader refreshes; the ones behind it wait here and get the entry
+	// back from refreshView untouched. A version pinned under the mutex is at
+	// least as new as gen, so never too old for this read. Unlock is deferred:
+	// a refresh that panics still lets the waiters through.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ent := e.refreshView(sp, s.cur.Load(), subject, action)
+	s.cur.Store(ent)
+	sp.Add("view_triples", int64(ent.view.Len()))
+	return ent
 }
 
 // refreshView produces the role's current entry from the stale one (nil when
 // cold). It pins one version of the data, patches or builds against
 // that version alone, and labels the result with it — so a write landing
 // meanwhile makes the entry stale, never torn.
-func (e *Engine) refreshView(sp *obs.Span, prev *cacheEntry, subject, action rdf.IRI) (*cacheEntry, refreshOutcome) {
+func (e *Engine) refreshView(sp *obs.Span, prev *cacheEntry, subject, action rdf.IRI) *cacheEntry {
 	rp := e.reasoner.Load()
 	base := e.data.View()
-	ent := &cacheEntry{key: viewKey(subject, action), base: base, reasoner: rp}
-	outcome := refreshRebuilt
+	ent := &cacheEntry{base: base, reasoner: rp}
 	if prev != nil && prev.reasoner == rp {
 		if prev.base.Generation() == base.Generation() {
-			return prev, refreshReused
+			return prev
 		}
 		if view, ok := e.patchView(sp, prev, base, subject, action); ok {
-			ent.view, outcome = view, refreshPatched
+			ent.view = view
+			e.cache.patches.Add(1)
 		}
 	}
 	if ent.view == nil {
 		ent.view = e.buildView(e.judgeOver(base, rp), subject, action)
+		e.cache.rebuilds.Add(1)
 	}
 	// The view's query engine is set up here, once per view, not per query:
 	// the spatial functions close over the view and the metric handles are
 	// resolved from the registry a single time.
 	ent.sparql = grdf.NewEngine(ent.view).Instrument(e.metrics)
-	return ent, outcome
+	return ent
 }
 
 // buildView materializes the role's view over j's version of the data from
@@ -262,8 +271,4 @@ func (e *Engine) QueryCtx(ctx context.Context, subject, action rdf.IRI, query st
 // the EXPLAIN rendering of each BGP without evaluating it.
 func (e *Engine) ExplainQuery(ctx context.Context, subject, action rdf.IRI, query string) (string, error) {
 	return e.viewEntry(ctx, subject, action).sparql.Explain(query)
-}
-
-func viewKey(subject, action rdf.IRI) string {
-	return string(subject) + "\x00" + string(action)
 }

@@ -92,23 +92,14 @@ type Op struct {
 	Ctx context.Context
 }
 
-// CommitHook observes every mutation before it is acknowledged, while the
-// writer lock is held — hook call order is exactly apply order. Returning an
-// error aborts the mutation (nothing is applied) and propagates to the
-// caller: this is how the WAL layer refuses to acknowledge writes it could
-// not make durable. The hook must not mutate the store (it would deadlock).
-//
-// A per-op hook forces one hook call per mutation and therefore cannot be
-// group-committed; durable deployments should install a GroupCommitHook
-// instead. Only one of the two may be set.
-type CommitHook func(Op) error
-
-// GroupCommitHook observes one commit group before it is acknowledged. Each
-// element is one logical commit — a single op for Apply, possibly several
-// for ApplyBatch — in exact apply order, no-ops already filtered out. The
-// hook runs once per group however many concurrent callers were batched
-// together, so a WAL hook pays one append and one fsync per group. An error
-// fails every op in the group and nothing is published.
+// GroupCommitHook observes one commit group before it is acknowledged, while
+// the writer lock is held. Each element is one logical commit — a single op
+// for Apply, possibly several for ApplyBatch — in exact apply order, no-ops
+// already filtered out. The hook runs once per group however many concurrent
+// callers were batched together, so a WAL hook pays one append and one fsync
+// per group. An error fails every op in the group and nothing is published:
+// this is how the WAL layer refuses to acknowledge writes it could not make
+// durable. The hook must not mutate the store (it would deadlock).
 type GroupCommitHook func(groups [][]Op) error
 
 // ErrCommitHook marks mutation failures caused by the commit hook refusing
@@ -239,7 +230,6 @@ type Store struct {
 	// (keep gathering) from "the queue has genuinely dried up" (commit now).
 	inflight atomic.Int64
 
-	hook      CommitHook
 	groupHook GroupCommitHook
 
 	maxBatch int
@@ -345,27 +335,13 @@ func (s *Store) DictView() DictView { return s.dict.View() }
 // publishing new versions alongside it.
 func (s *Store) View() StoreView { return StoreView{v: s.cur.Load(), dict: s.dict} }
 
-// SetCommitHook installs (or, with nil, removes) the per-op mutation hook.
-// Install it only while no mutations are in flight — typically right after
-// recovery, before the store serves traffic. Clears any group hook.
-func (s *Store) SetCommitHook(h CommitHook) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.hook = h
-	if h != nil {
-		s.groupHook = nil
-	}
-}
-
 // SetGroupCommitHook installs (or, with nil, removes) the group commit hook.
-// Install it only while no mutations are in flight. Clears any per-op hook.
+// Install it only while no mutations are in flight — typically right after
+// recovery, before the store serves traffic.
 func (s *Store) SetGroupCommitHook(h GroupCommitHook) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	s.groupHook = h
-	if h != nil {
-		s.hook = nil
-	}
 }
 
 // SetCommitBatching bounds the commit batcher: a leader drains at most
@@ -610,15 +586,6 @@ func (s *Store) prepareWaiter(b *builder, w *commitWaiter) {
 		if effOp.Kind == 0 {
 			continue
 		}
-		if s.hook != nil && !w.atomic {
-			// Legacy per-op hook: consult it before acknowledging this op.
-			// Hook call order across the group is exactly apply order.
-			if err := s.hook(effOp); err != nil {
-				*b = save
-				w.err = fmt.Errorf("store: %w: %w", ErrCommitHook, err)
-				return
-			}
-		}
 		eff = append(eff, effOp)
 	}
 	if w.atomic && len(eff) > 0 {
@@ -628,19 +595,6 @@ func (s *Store) prepareWaiter(b *builder, w *commitWaiter) {
 			eff[i].Gen = save.generation
 		}
 		b.generation = save.generation + 1
-		if s.hook != nil {
-			// With only a per-op hook available, log the batch op-by-op
-			// after full validation. A mid-batch hook failure still rolls
-			// the store back whole; durable deployments install the group
-			// hook, which logs the batch as one record.
-			for _, op := range eff {
-				if err := s.hook(op); err != nil {
-					*b = save
-					w.err = fmt.Errorf("store: %w: %w", ErrCommitHook, err)
-					return
-				}
-			}
-		}
 	}
 	w.ns, w.eff = ns, eff
 }
