@@ -435,3 +435,19 @@ func Buffer(g Geometry, d float64) Envelope {
 	}
 	return Envelope{MinX: e.MinX - d, MinY: e.MinY - d, MaxX: e.MaxX + d, MaxY: e.MaxY + d}
 }
+
+// Extent returns the box around every coordinate the predicates and Distance
+// read of g. For well-formed data that is g.Envelope(); it is wider when a
+// polygon carries a hole that strays outside its exterior ring, whose
+// segments Distance measures to all the same. An index that must never miss a
+// geometry the exact functions would accept files it under this box.
+func Extent(g Geometry) Envelope {
+	e := g.Envelope()
+	if e.Empty {
+		return e
+	}
+	for _, s := range geometrySegments(g) {
+		e = e.ExtendCoord(s[0]).ExtendCoord(s[1])
+	}
+	return e
+}

@@ -424,33 +424,28 @@ func orderCurveChain(ms []geom.Geometry) ([]geom.Geometry, error) {
 	return out, nil
 }
 
+// geometryRank holds every GRDF geometry class the decoder reads, ranked so
+// that a subclass beats its superclass when a node carries both.
+var geometryRank = map[rdf.IRI]int{
+	LineString: 2, LinearRing: 2, Polygon: 2, EnvelopeWithTimePeriod: 2,
+	CompositeCurve: 2, CompositeSurface: 2,
+	Curve: 1, Ring: 1, Surface: 1, Envelope: 1,
+	Point: 0, Solid: 0, Null: 0, MultiPoint: 0, MultiCurve: 0, MultiSurface: 0,
+	ComplexGeometry: 0,
+}
+
 // geometryType finds the node's most specific GRDF geometry class.
 func geometryType(st store.Reader, node rdf.Term) (rdf.IRI, bool) {
-	known := map[rdf.IRI]bool{
-		Point: true, Curve: true, LineString: true, Ring: true, LinearRing: true,
-		Surface: true, Polygon: true, Solid: true, Envelope: true,
-		EnvelopeWithTimePeriod: true, Null: true,
-		MultiPoint: true, MultiCurve: true, MultiSurface: true,
-		CompositeCurve: true, CompositeSurface: true, ComplexGeometry: true,
-	}
 	var found rdf.IRI
-	specific := map[rdf.IRI]int{ // prefer subclasses over superclasses
-		LineString: 2, LinearRing: 2, Polygon: 2, EnvelopeWithTimePeriod: 2,
-		CompositeCurve: 2, CompositeSurface: 2,
-		Curve: 1, Ring: 1, Surface: 1, Envelope: 1,
-	}
 	best := -1
-	for _, ty := range st.Objects(node, rdf.RDFType) {
-		iri, ok := ty.(rdf.IRI)
-		if !ok || !known[iri] {
-			continue
+	st.ForEachMatch(node, rdf.RDFType, nil, func(t rdf.Triple) bool {
+		if iri, ok := t.Object.(rdf.IRI); ok {
+			if rank, known := geometryRank[iri]; known && rank > best {
+				best, found = rank, iri
+			}
 		}
-		rank := specific[iri]
-		if rank > best {
-			best = rank
-			found = iri
-		}
-	}
+		return true
+	})
 	return found, found != ""
 }
 
@@ -500,8 +495,12 @@ var geometryProps = []rdf.IRI{
 // geometry node it is used directly, otherwise the feature's geometry
 // properties are tried in order.
 func GeometryOf(st store.Reader, term rdf.Term) (geom.Geometry, string, error) {
-	if g, srs, err := DecodeGeometry(st, term); err == nil {
-		return g, srs, nil
+	// Most terms asked about are features, not geometry nodes: one type probe
+	// spares them a decode that can only fail.
+	if _, isNode := geometryType(st, term); isNode {
+		if g, srs, err := DecodeGeometry(st, term); err == nil {
+			return g, srs, nil
+		}
 	}
 	for _, p := range geometryProps {
 		if node, ok := st.FirstObject(term, p); ok {

@@ -316,6 +316,54 @@ ASK { FILTER(grdf:contains(ex:zone, ex:inside)) }`)
 	}
 }
 
+// TestSpatialFunctionsJudgeByThePinnedVersion: on an engine over a store that
+// is being written, a spatial FILTER reads geometries from the version the
+// query pinned, not from whatever the store holds by the time the FILTER
+// runs. The write here lands between the join and the spatial FILTER — from
+// inside an earlier FILTER, so that it lands there every time.
+func TestSpatialFunctionsJudgeByThePinnedVersion(t *testing.T) {
+	st := store.New()
+	zoneRing, _ := geom.NewLinearRing([]geom.Coord{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 100, Y: 100}, {X: 0, Y: 100}, {X: 0, Y: 0}})
+	zone := NewFeature(st, rdf.IRI("http://e/zone"), rdf.IRI("http://e/Zone"))
+	if _, err := SetGeometry(st, zone, geom.NewPolygon(zoneRing), ""); err != nil {
+		t.Fatal(err)
+	}
+	site := NewFeature(st, rdf.IRI("http://e/site"), rdf.IRI("http://e/Site"))
+	node, err := SetGeometry(st, site, geom.NewPoint(50, 50), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	here, _ := st.FirstObject(node, Coordinates)
+
+	e := NewEngine(st)
+	moved := false
+	e.RegisterFunc(rdf.IRI("http://e/writeLands"), func(store.StoreView, []rdf.Term) (rdf.Term, error) {
+		if !moved {
+			moved = true
+			if ok, err := st.Replace(rdf.T(node, Coordinates, here), rdf.T(node, Coordinates, rdf.NewString("500,500"))); !ok || err != nil {
+				t.Errorf("move: %v, %v", ok, err)
+			}
+		}
+		return rdf.NewBoolean(true), nil
+	})
+	const q = `
+PREFIX ex: <http://e/>
+SELECT ?s WHERE { ?s a ex:Site . FILTER(ex:writeLands(?s)) FILTER(grdf:within(?s, ex:zone)) }`
+	res, err := e.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !moved {
+		t.Fatal("the write never landed")
+	}
+	if len(res.Bindings) != 1 {
+		t.Errorf("query pinned before the move: %d rows, want the site where that version has it", len(res.Bindings))
+	}
+	if res, err = e.Query(q); err != nil || len(res.Bindings) != 0 {
+		t.Errorf("query pinned after the move: %v, %v; want no rows", res, err)
+	}
+}
+
 func TestAggregateMergesAndCounts(t *testing.T) {
 	hydro := store.New()
 	NewFeature(hydro, rdf.IRI("http://e/stream"), Feature)

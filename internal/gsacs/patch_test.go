@@ -29,14 +29,23 @@ var (
 )
 
 // checkViews compares, for every Sec. 7.1 role, the served view with a
-// rebuild over the version and reasoner the served view is labelled with.
+// rebuild over the version and reasoner the served view is labelled with —
+// and the served view's spatial index, which after the first call is carried
+// forward from patch to patch, with one built cold over the same view. (Not
+// over the rebuild: where a site has two extents, which one FirstObject names
+// goes by dictionary order, and the rebuild has a dictionary of its own.)
 func checkViews(t *testing.T, e *Engine, step string) {
 	t.Helper()
 	for _, role := range scenarioRoles {
 		ent := e.viewEntry(context.Background(), role, seconto.ActionView)
-		want := e.buildView(e.judgeOver(ent.base, ent.reasoner), role, seconto.ActionView)
-		if got, want := ent.view.String(), want.String(); got != want {
+		rebuilt := e.buildView(e.judgeOver(ent.base, ent.reasoner), role, seconto.ActionView)
+		if got, want := ent.view.String(), rebuilt.String(); got != want {
 			t.Fatalf("after %s, %s: served view differs from a rebuild at generation %d\n%s",
+				step, role.LocalName(), ent.base.Generation(), lineDiff(got, want))
+		}
+		at := ent.view.View()
+		if got, want := indexDump(at, grdf.IndexOf(at)), indexDump(at, grdf.BuildSpatialIndex(at)); got != want {
+			t.Fatalf("after %s, %s: served view's spatial index differs from a cold build at generation %d\n%s",
 				step, role.LocalName(), ent.base.Generation(), lineDiff(got, want))
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/admission"
 	"repro/internal/federation"
@@ -831,7 +832,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	obs.Logger(r.Context()).Info("query served",
 		"role", string(role), "kind", res.Kind.String(), "solutions", len(res.Bindings))
-	s.writeJSON(w, r, resultJSON(res))
+	s.writeResult(w, r, res)
 }
 
 // handleFederatedQuery fans the query out through the federator and renders
@@ -875,9 +876,11 @@ func (s *Server) handleFederatedQuery(w http.ResponseWriter, r *http.Request, ct
 // analyzeStage is one executed BGP join step of an EXPLAIN ANALYZE response:
 // the planner's estimate next to what actually happened.
 type analyzeStage struct {
-	// Stage is the execution position within its BGP (join order).
+	// Stage is the execution position within its BGP (join order); -1 for an
+	// index probe, which runs before the first.
 	Stage int `json:"stage"`
-	// PatternIndex is the pattern's position in the query text.
+	// PatternIndex is the pattern's position in the query text (-1 for a
+	// probe, whose Pattern is its description).
 	PatternIndex int    `json:"pattern_index"`
 	Pattern      string `json:"pattern"`
 	// Estimate is the planner's cardinality estimate; -1 when the planner was
@@ -923,6 +926,15 @@ func (s *Server) handleExplainAnalyze(w http.ResponseWriter, r *http.Request, ct
 	}
 	var stages []analyzeStage
 	for _, sd := range at.Completed()[mark:] {
+		if sd.Name == "sparql.probe" && sd.Attrs["probe"] != "" {
+			// An index probe asked at the BGP whose stages follow (its line
+			// says so when the join did not start from it): it has no pattern
+			// of its own and no estimate, and what it read and what it kept
+			// are both its candidates.
+			n := sd.Counters["candidates"]
+			stages = append(stages, analyzeStage{Stage: -1, PatternIndex: -1, Pattern: sd.Attrs["probe"],
+				Estimate: -1, RowsScanned: n, RowsOut: n, DurationUS: sd.DurationUS})
+		}
 		if sd.Name != "sparql.bgp.step" {
 			continue
 		}
@@ -957,7 +969,7 @@ func (s *Server) handleExplainAnalyze(w http.ResponseWriter, r *http.Request, ct
 }
 
 // federatedResultJSON renders a merged federation result in the same shape
-// resultJSON gives a local one, so federated and single-engine responses
+// writeResult gives a local one, so federated and single-engine responses
 // differ only by the added degradation envelope.
 func federatedResultJSON(res *federation.Result) map[string]any {
 	switch res.Kind {
@@ -1215,26 +1227,102 @@ func (s *Server) writeMutationError(w http.ResponseWriter, r *http.Request, err 
 	}
 }
 
-// resultJSON renders a SPARQL result in a SPARQL-JSON-like shape.
-func resultJSON(res *sparql.Result) map[string]any {
+// writeResult renders a SPARQL result in a SPARQL-JSON-like shape:
+// {"boolean":…} for ASK, {"triples":…} for CONSTRUCT and DESCRIBE, and for
+// SELECT {"head":{"vars":[…]},"results":[{var:term,…},…]}.
+//
+// A SELECT can run to thousands of rows, so its body is appended to one
+// buffer, each row's keys in projection order, and flushed to the response as
+// the buffer fills — not copied into a map per row for the encoder to sort.
+func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *sparql.Result) {
 	switch res.Kind {
 	case sparql.Ask:
-		return map[string]any{"boolean": res.Bool}
+		s.writeJSON(w, r, map[string]any{"boolean": res.Bool})
+		return
 	case sparql.Construct, sparql.Describe:
-		return map[string]any{"triples": ntriples.Format(res.Graph)}
-	default:
-		vars := make([]string, len(res.Vars))
-		for i, v := range res.Vars {
-			vars[i] = string(v)
-		}
-		rows := make([]map[string]string, len(res.Bindings))
-		for i, b := range res.Bindings {
-			row := map[string]string{}
-			for v, t := range b {
-				row[string(v)] = t.String()
-			}
-			rows[i] = row
-		}
-		return map[string]any{"head": map[string]any{"vars": vars}, "results": rows}
+		s.writeJSON(w, r, map[string]any{"triples": ntriples.Format(res.Graph)})
+		return
 	}
+	const flushAt = 32 << 10
+	w.Header().Set("Content-Type", "application/json")
+	buf := make([]byte, 0, min(flushAt+512, 128+64*len(res.Vars)*(1+len(res.Bindings))))
+	keys := make([][]byte, len(res.Vars))
+	buf = append(buf, `{"head":{"vars":[`...)
+	for i, v := range res.Vars {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendJSONString(buf, string(v))
+		// A variable projected twice is one key of a row, as it was one key
+		// of the map: only its first mention gets one.
+		if !slices.Contains(res.Vars[:i], v) {
+			keys[i] = append(appendJSONString(nil, string(v)), ':')
+		}
+	}
+	buf = append(buf, `]},"results":[`...)
+	for i, b := range res.Bindings {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '{')
+		first := true
+		for k, v := range res.Vars {
+			t, ok := b[v]
+			if !ok || keys[k] == nil {
+				continue
+			}
+			if !first {
+				buf = append(buf, ',')
+			}
+			first = false
+			buf = append(buf, keys[k]...)
+			buf = appendJSONString(buf, t.String())
+		}
+		buf = append(buf, '}')
+		if len(buf) >= flushAt {
+			if _, err := w.Write(buf); err != nil {
+				obs.Logger(r.Context()).Warn("write response", "path", r.URL.Path, "err", err.Error())
+				return
+			}
+			buf = buf[:0]
+		}
+	}
+	buf = append(buf, "]}\n"...)
+	if _, err := w.Write(buf); err != nil {
+		obs.Logger(r.Context()).Warn("write response", "path", r.URL.Path, "err", err.Error())
+	}
+}
+
+// appendJSONString appends s as a JSON string literal. Bytes that are not
+// valid UTF-8 become U+FFFD, as encoding/json writes them.
+func appendJSONString(buf []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= 0x20 && c != '"' && c != '\\' && c < utf8.RuneSelf {
+			i++
+			continue
+		}
+		if c >= utf8.RuneSelf {
+			if r, size := utf8.DecodeRuneInString(s[i:]); r != utf8.RuneError || size != 1 {
+				i += size
+				continue
+			}
+		}
+		buf = append(buf, s[start:i]...)
+		switch {
+		case c >= utf8.RuneSelf:
+			buf = append(buf, `\ufffd`...)
+		case c == '"' || c == '\\':
+			buf = append(buf, '\\', c)
+		default:
+			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+		}
+		i++
+		start = i
+	}
+	buf = append(buf, s[start:]...)
+	return append(buf, '"')
 }

@@ -2,6 +2,7 @@ package gsacs
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -24,7 +25,9 @@ import (
 //     List 8 set, and
 //   - every view served equals buildView over the version it is labelled
 //     with: a refresh racing a write yields a stale label, never a view torn
-//     across two versions (the race ROADMAP recorded against ViewCtx).
+//     across two versions (the race ROADMAP recorded against ViewCtx), and
+//   - a spatial query over a served view, answered from its index, returns
+//     what a scan of that view returns.
 func TestSoakViewsUnderChurn(t *testing.T) {
 	const writes, readers = 250, 4
 	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 21, Sites: 8, Trunks: 1})
@@ -49,6 +52,8 @@ func TestSoakViewsUnderChurn(t *testing.T) {
 		iri, isIRI := p.(rdf.IRI)
 		return !restricted || (isIRI && (set[iri] || iri.Namespace() == grdf.NS))
 	}
+
+	near := fmt.Sprintf(`SELECT ?s WHERE { ?s a app:ChemSite . FILTER(grdf:distance(?s, %s) < 20000) }`, sc.Hydrology.Streams[0].IRI)
 
 	var done atomic.Bool
 	var wg sync.WaitGroup
@@ -89,6 +94,15 @@ func TestSoakViewsUnderChurn(t *testing.T) {
 				if got, want := ent.view.String(), want.String(); got != want {
 					t.Errorf("%s view labelled generation %d is not the view of that version\n%s",
 						role.LocalName(), ent.base.Generation(), lineDiff(got, want))
+					return
+				}
+				// The entry's engine answers a proximity question from the view's
+				// spatial index — built by whichever reader asks first, carried
+				// from patch to patch after that — as a scan of the same view
+				// does, and the view was just checked against the from-scratch one.
+				if got, want := answer(ent.sparql, near), answer(plainEngine(ent.view, scanArm), near); got != want {
+					t.Errorf("%s at generation %d: sites near the stream by index:\n%s\nby scan:\n%s",
+						role.LocalName(), ent.base.Generation(), got, want)
 					return
 				}
 				res, err := e.QueryCtx(ctx, role, seconto.ActionView, `SELECT ?p WHERE { ?s ?p ?o }`)

@@ -170,6 +170,9 @@ func (e *Engine) refreshView(sp *obs.Span, prev *cacheEntry, subject, action rdf
 		if view, ok := e.patchView(sp, prev, base, subject, action); ok {
 			ent.view = view
 			e.cache.patches.Add(1)
+			// The patched view is a new version of the old one: if the old one
+			// was asked spatial questions, its index comes along, patched too.
+			grdf.CarrySpatialIndex(prev.view.View(), view.View())
 		}
 	}
 	if ent.view == nil {
@@ -177,7 +180,7 @@ func (e *Engine) refreshView(sp *obs.Span, prev *cacheEntry, subject, action rdf
 		e.cache.rebuilds.Add(1)
 	}
 	// The view's query engine is set up here, once per view, not per query:
-	// the spatial functions close over the view and the metric handles are
+	// the spatial functions are bound to the view and the metric handles are
 	// resolved from the registry a single time.
 	ent.sparql = grdf.NewEngine(ent.view).Instrument(e.metrics)
 	return ent

@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,8 +16,11 @@ import (
 
 // CustomFunc is an extension filter function callable by IRI, e.g. the
 // grdf: spatial predicates registered by the grdf package. Arguments arrive
-// fully evaluated; the function returns a term (usually xsd:boolean).
-type CustomFunc func(args []rdf.Term) (rdf.Term, error)
+// fully evaluated; the function returns a term (usually xsd:boolean). at is
+// the store version the evaluation pinned — inside a GRAPH pattern, the
+// version of the graph being matched — so a function that reads the data
+// judges a row by the same version the row came from.
+type CustomFunc func(at store.StoreView, args []rdf.Term) (rdf.Term, error)
 
 // Engine evaluates parsed queries against a store (and, when constructed
 // with NewDatasetEngine, the named graphs of a dataset via GRAPH patterns).
@@ -29,6 +33,7 @@ type Engine struct {
 	store    store.Reader
 	dataset  *store.Dataset
 	funcs    map[rdf.IRI]CustomFunc
+	probers  map[rdf.IRI]Prober
 	met      *engineMetrics
 	planning bool
 	// statsSink, when set, receives one EvalStats summary per EvalCtx call
@@ -38,6 +43,10 @@ type Engine struct {
 	// pointer survives the pinned() and forGraph() copies so every BGP of
 	// one evaluation lands in the same accumulator.
 	stats *evalStepStats
+	// probed memoizes index probes for the length of one evaluation (see
+	// candidates in probe.go). Only the per-evaluation copy pinned() makes
+	// ever holds one.
+	probed map[probeSpec][]store.ID
 }
 
 // EvalStats summarizes one query evaluation for workload introspection: the
@@ -150,18 +159,19 @@ func (e *Engine) Instrument(reg *obs.Registry) *Engine {
 
 // NewEngine returns an engine over s with selectivity planning enabled.
 func NewEngine(s *store.Store) *Engine {
-	return &Engine{store: s, funcs: make(map[rdf.IRI]CustomFunc), planning: true}
+	return &Engine{store: s, funcs: make(map[rdf.IRI]CustomFunc), probers: make(map[rdf.IRI]Prober), planning: true}
 }
 
 // NewDatasetEngine returns an engine whose default graph is ds.Default() and
 // whose GRAPH patterns address the dataset's named graphs.
 func NewDatasetEngine(ds *store.Dataset) *Engine {
-	return &Engine{store: ds.Default(), dataset: ds, funcs: make(map[rdf.IRI]CustomFunc), planning: true}
+	return &Engine{store: ds.Default(), dataset: ds, funcs: make(map[rdf.IRI]CustomFunc), probers: make(map[rdf.IRI]Prober), planning: true}
 }
 
 // SetPlanning toggles the selectivity planner. When off, BGPs join in the
 // legacy static order (constants before variables); evaluation is otherwise
-// identical, which is what the planner benchmarks rely on. Returns e.
+// identical — index probes (see probe.go) still seed the join — which is what
+// the planner benchmarks rely on. Returns e.
 func (e *Engine) SetPlanning(on bool) *Engine {
 	e.planning = on
 	return e
@@ -172,7 +182,7 @@ func (e *Engine) SetPlanning(on bool) *Engine {
 func (e *Engine) forGraph(st *store.Store) *Engine {
 	// Metrics stay with the outer engine: nested GRAPH evaluation is part of
 	// the same query, so timing it separately would double-count.
-	return &Engine{store: st.View(), dataset: e.dataset, funcs: e.funcs, planning: e.planning, stats: e.stats}
+	return &Engine{store: st.View(), dataset: e.dataset, funcs: e.funcs, probers: e.probers, planning: e.planning, stats: e.stats}
 }
 
 // pinned returns a shallow engine copy whose store is pinned to the current
@@ -184,6 +194,9 @@ func (e *Engine) pinned() *Engine {
 	ne.store = e.store.View()
 	return &ne
 }
+
+// Store returns the store the engine evaluates over.
+func (e *Engine) Store() store.Reader { return e.store }
 
 // RegisterFunc installs a custom filter function under the given IRI.
 func (e *Engine) RegisterFunc(iri rdf.IRI, fn CustomFunc) { e.funcs[iri] = fn }
@@ -533,6 +546,7 @@ func collectVars(g *GroupPattern) []Variable {
 
 func (e *Engine) evalGroup(ctx context.Context, g *GroupPattern, in []Binding) ([]Binding, error) {
 	cur := in
+	probes := e.probeSpecs(g)
 	for _, el := range g.Elements {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -540,7 +554,15 @@ func (e *Engine) evalGroup(ctx context.Context, g *GroupPattern, in []Binding) (
 		var err error
 		switch v := el.(type) {
 		case *BGP:
-			cur, err = e.evalBGP(ctx, v, cur)
+			var seeds []probeSeed
+			if len(probes) > 0 {
+				rows := cur
+				seeds = e.takeProbes(ctx, &probes, v, func(pv Variable) bool {
+					return slices.ContainsFunc(rows, func(b Binding) bool { _, ok := b[pv]; return ok })
+				})
+				seeds = slices.DeleteFunc(seeds, func(sd probeSeed) bool { return sd.unused != "" })
+			}
+			cur, err = e.evalBGP(ctx, v, cur, seeds)
 		case *Filter:
 			cur, err = e.evalFilter(ctx, v, cur)
 		case *Optional:
@@ -669,8 +691,9 @@ const cancelCheckEvery = 256
 // planning is off); terms are materialized once, at BGP output. On a traced
 // context every join stage gets a sparql.bgp.step span carrying the planner's
 // cost estimate next to the actual row counts — the raw material of
-// EXPLAIN ANALYZE.
-func (e *Engine) evalBGP(ctx context.Context, bgp *BGP, in []Binding) ([]Binding, error) {
+// EXPLAIN ANALYZE. seeds are the index probes that fired for this BGP (see
+// probe.go): the join starts from their candidates.
+func (e *Engine) evalBGP(ctx context.Context, bgp *BGP, in []Binding, seeds []probeSeed) ([]Binding, error) {
 	if len(bgp.Patterns) == 0 {
 		return in, nil
 	}
@@ -681,6 +704,9 @@ func (e *Engine) evalBGP(ctx context.Context, bgp *BGP, in []Binding) ([]Binding
 			for v := range in[0] {
 				bound[v] = struct{}{}
 			}
+		}
+		for _, sd := range seeds {
+			bound[sd.v] = struct{}{}
 		}
 		plan := PlanBGP(e.store, bgp.Patterns, bound)
 		steps = plan.Steps
@@ -705,6 +731,16 @@ func (e *Engine) evalBGP(ctx context.Context, bgp *BGP, in []Binding) ([]Binding
 	sols := make([]*idSol, len(in))
 	for i, b := range in {
 		sols[i] = &idSol{base: b}
+	}
+	for _, sd := range seeds {
+		sols = seed(sols, sd)
+		if e.stats != nil {
+			// The candidates are the index entries this step read.
+			e.stats.noteStep(-1, len(sd.ids), len(sols))
+		}
+		if len(sols) == 0 {
+			return nil, nil
+		}
 	}
 	for stage, ps := range steps {
 		tp := ps.Pattern

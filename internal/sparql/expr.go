@@ -268,7 +268,7 @@ func (e *Engine) evalCall(ctx context.Context, c ExprCall, b Binding) (rdf.Term,
 			}
 			args[i] = v
 		}
-		return fn(args)
+		return fn(e.store.View(), args)
 	}
 
 	// BOUND takes a variable without evaluating it.

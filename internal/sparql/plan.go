@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -254,9 +255,18 @@ func (e *Engine) Explain(src string) (string, error) {
 // explainGroup walks the group tree planning each BGP with the variables
 // that earlier elements of the same group would have bound.
 func (e *Engine) explainGroup(g *GroupPattern, bound map[Variable]struct{}, sb *strings.Builder) {
+	probes := e.probeSpecs(g)
 	for _, el := range g.Elements {
 		switch v := el.(type) {
 		case *BGP:
+			// The probes run: where one seeds the join, its answer is the
+			// plan's input.
+			for _, sd := range e.takeProbes(context.Background(), &probes, v, func(pv Variable) bool { _, ok := bound[pv]; return ok }) {
+				sb.WriteString(sd.String() + "\n")
+				if sd.unused == "" {
+					bound[sd.v] = struct{}{}
+				}
+			}
 			plan := PlanBGP(e.store, v.Patterns, bound)
 			sb.WriteString(plan.Explain())
 			for _, tp := range v.Patterns {

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -248,13 +249,95 @@ SELECT ?p ?o WHERE { ex:gulf ?p ?o }`)
 
 func TestCustomFunction(t *testing.T) {
 	e := fixture(t)
-	e.RegisterFunc(rdf.IRI(rdf.GRDFNS+"alwaysTrue"), func(args []rdf.Term) (rdf.Term, error) {
+	e.RegisterFunc(rdf.IRI(rdf.GRDFNS+"alwaysTrue"), func(_ store.StoreView, args []rdf.Term) (rdf.Term, error) {
 		return rdf.NewBoolean(true), nil
 	})
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s WHERE { ?s a ex:ChemSite . FILTER(grdf:alwaysTrue(?s)) }`)
 	if len(res.Bindings) != 2 {
 		t.Errorf("rows = %d", len(res.Bindings))
+	}
+}
+
+// TestProberSeedsTheJoin: a function registered with a prober has its FILTER
+// against a constant answered by probing first — the join starts from the
+// candidates, so a term the prober leaves out is never a row — and by the
+// FILTER second, so a candidate the function rejects is not a row either.
+// The candidates start a join only where they replace a scan that reads at
+// least as much: not when they outnumber it, and never at a BGP that joins
+// the rows it is given.
+func TestProberSeedsTheJoin(t *testing.T) {
+	e := fixture(t)
+	id := func(local string) store.ID {
+		got, ok := e.Store().LookupID(rdf.IRI("http://e/" + local))
+		if !ok {
+			t.Fatalf("%s is not in the dictionary", local)
+		}
+		return got
+	}
+	byStream1 := rdf.IRI("http://e/byStream1")
+	calls := 0
+	e.RegisterFunc(byStream1, func(_ store.StoreView, args []rdf.Term) (rdf.Term, error) {
+		calls++
+		return rdf.NewBoolean(args[0].Equal(rdf.IRI("http://e/site1")) || args[0].Equal(rdf.IRI("http://e/stream1"))), nil
+	})
+	var asked []rdf.Term
+	e.RegisterProber(byStream1, Prober{Candidates: func(_ store.StoreView, k rdf.Term, _ float64) []store.ID {
+		asked = append(asked, k)
+		ids := []store.ID{id("site1"), id("site2"), id("gulf")} // more than the function accepts, and not stream1
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		return ids
+	}})
+	run := func(q string) (rows []Binding, plan string) {
+		t.Helper()
+		calls, asked = 0, nil
+		rows = sel(t, e, q).Bindings
+		ranCalls, ranAsked := calls, asked
+		plan, err := e.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls, asked = ranCalls, ranAsked
+		return rows, plan
+	}
+
+	// Five terms have a name, three are candidates: the join starts from them.
+	rows, plan := run(`PREFIX ex: <http://e/> SELECT ?s WHERE { ?s ex:name ?n . FILTER(ex:byStream1(?s, ex:stream1)) }`)
+	if len(rows) != 1 || !rows[0]["s"].Equal(rdf.IRI("http://e/site1")) {
+		t.Errorf("probed rows = %v, want site1 alone", rows)
+	}
+	if calls != 3 || len(asked) != 1 || !asked[0].Equal(rdf.IRI("http://e/stream1")) {
+		t.Errorf("the function ran on %d rows and the prober was asked about %v; want the 3 candidates, stream1 once", calls, asked)
+	}
+	if !strings.HasPrefix(plan, "spatial probe: 3 candidates for ?s") || strings.Contains(plan, "not used") {
+		t.Errorf("plan = %q", plan)
+	}
+
+	// Two terms are ChemSites: three candidates are no short cut, and stay out.
+	rows, plan = run(`PREFIX ex: <http://e/> SELECT ?s WHERE { ?s a ex:ChemSite . FILTER(ex:byStream1(?s, ex:stream1)) }`)
+	if len(rows) != 1 || calls != 2 || len(asked) != 1 {
+		t.Errorf("outnumbered scan: %d rows from %d calls, prober asked %d times; want site1 from both sites, asked once", len(rows), calls, len(asked))
+	}
+	if !strings.HasPrefix(plan, "spatial probe: 3 candidates for ?s") || !strings.Contains(plan, "not used, a scan reads 2") {
+		t.Errorf("plan = %q", plan)
+	}
+
+	// The BGP that binds ?s joins the rows before it through ?t: it is not
+	// started over from the candidates once per row, and nobody asks for them.
+	rows, plan = run(`PREFIX ex: <http://e/> SELECT ?s WHERE { ?t ex:flowsInto ?u . OPTIONAL { ?t ex:length ?l } ?s ex:nearTo ?t . ?s ex:name ?n . FILTER(ex:byStream1(?s, ex:stream1)) }`)
+	if len(rows) != 1 || calls != 1 || len(asked) != 0 || strings.Contains(plan, "spatial probe") {
+		t.Errorf("joining BGP: %d rows from %d calls, prober asked %d times; want 1, 1, 0\n%s", len(rows), calls, len(asked), plan)
+	}
+
+	// A group evaluated once per outer row asks the index once per query.
+	rows, _ = run(`PREFIX ex: <http://e/> SELECT ?t ?s WHERE { ?t a grdf:Feature . OPTIONAL { ?s ex:name ?n . FILTER(ex:byStream1(?s, ex:stream1)) } }`)
+	if len(rows) != 3 || calls != 9 || len(asked) != 1 {
+		t.Errorf("probe inside OPTIONAL: %d rows from %d calls, prober asked %d times; want 3, 9, 1", len(rows), calls, len(asked))
+	}
+	for _, b := range rows {
+		if !b["s"].Equal(rdf.IRI("http://e/site1")) {
+			t.Errorf("probe inside OPTIONAL: row %v, want ?s = site1", b)
+		}
 	}
 }
 

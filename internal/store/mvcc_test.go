@@ -259,3 +259,44 @@ func TestMVCCStress(t *testing.T) {
 		t.Fatalf("final state inconsistent: %v", err)
 	}
 }
+
+// TestDerivedIsBuiltOncePerVersion: a structure derived from a version is
+// built by one of its concurrent first users, seen by all of them and by
+// every later one, and belongs to that version alone.
+func TestDerivedIsBuiltOncePerVersion(t *testing.T) {
+	s := New()
+	s.Add(rdf.T(rdf.IRI("http://e/a"), rdf.IRI("http://e/p"), rdf.IRI("http://e/b")))
+	v1 := s.View()
+	if _, ok := v1.Peek(); ok {
+		t.Fatal("Peek found a structure nobody built")
+	}
+	var builds atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := v1.Derived(func() any {
+				builds.Add(1)
+				return v1.Len()
+			})
+			if got != 1 {
+				t.Errorf("Derived = %v, want 1", got)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("built %d times, want once", n)
+	}
+	if got, ok := s.Snapshot().View().Peek(); !ok || got != 1 {
+		t.Errorf("a snapshot of the version: Peek = %v, %v; want the version's structure", got, ok)
+	}
+	s.Add(rdf.T(rdf.IRI("http://e/b"), rdf.IRI("http://e/p"), rdf.IRI("http://e/c")))
+	if _, ok := s.View().Peek(); ok {
+		t.Error("the next version inherited the structure")
+	}
+	if got, ok := v1.Peek(); !ok || got != 1 {
+		t.Errorf("the old version lost its structure: %v, %v", got, ok)
+	}
+}

@@ -3,6 +3,8 @@ package store
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/rdf"
 )
@@ -30,6 +32,16 @@ type version struct {
 	// after all of the version's terms were interned, so resolution through
 	// a pinned version never misses.
 	terms DictView
+	// derived memoizes the one structure computed from this version's
+	// triples (see StoreView.Derived). It is the one field that changes after
+	// publication, and only by being filled, once, with a function of the
+	// immutable rest. built is set after val so that Peek can read val
+	// without entering the once.
+	derived struct {
+		once  sync.Once
+		val   any
+		built atomic.Bool
+	}
 }
 
 // forEachMatch streams ID triples matching the pattern (NoID = wildcard) to
@@ -157,6 +169,33 @@ func (sv StoreView) ver() *version {
 		return emptyVersion
 	}
 	return sv.v
+}
+
+// Derived returns the structure memoized on the pinned version, calling build
+// to make it on first use. Concurrent first uses wait for one build. The
+// structure must be a function of the version's triples alone: it is shared
+// by every reader of the version — every engine over it, every Snapshot
+// pinned to it — for as long as the version is reachable, and goes with it.
+// A version has room for one (today: the spatial index of package grdf), so
+// every caller must pass a build of the same structure, and build must not
+// call Derived on the same version.
+func (sv StoreView) Derived(build func() any) any {
+	d := &sv.ver().derived
+	d.once.Do(func() {
+		d.val = build()
+		d.built.Store(true)
+	})
+	return d.val
+}
+
+// Peek returns what Derived has memoized, without building it: ok is false
+// when no build has finished.
+func (sv StoreView) Peek() (val any, ok bool) {
+	d := &sv.ver().derived
+	if !d.built.Load() {
+		return nil, false
+	}
+	return d.val, true
 }
 
 // Len returns the number of triples in the pinned version.
