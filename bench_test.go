@@ -241,8 +241,8 @@ func BenchmarkE10SparqlJoin(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := e.Query(q)
-				if err != nil || len(res.Bindings) != n {
-					b.Fatalf("rows=%d err=%v", len(res.Bindings), err)
+				if err != nil || len(res.Bindings()) != n {
+					b.Fatalf("rows=%d err=%v", len(res.Bindings()), err)
 				}
 			}
 		})

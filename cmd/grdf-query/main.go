@@ -160,7 +160,7 @@ func printResult(w io.Writer, res *sparql.Result) error {
 			header[i] = "?" + string(v)
 		}
 		fmt.Fprintln(w, strings.Join(header, "\t"))
-		for _, b := range res.Bindings {
+		for _, b := range res.Bindings() {
 			cells := make([]string, len(res.Vars))
 			for i, v := range res.Vars {
 				if t, ok := b[v]; ok {
@@ -169,7 +169,7 @@ func printResult(w io.Writer, res *sparql.Result) error {
 			}
 			fmt.Fprintln(w, strings.Join(cells, "\t"))
 		}
-		fmt.Fprintf(w, "(%d rows)\n", len(res.Bindings))
+		fmt.Fprintf(w, "(%d rows)\n", res.Len())
 		return nil
 	}
 }

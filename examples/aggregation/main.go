@@ -123,7 +123,7 @@ SELECT ?case ?plate WHERE {
 		log.Fatal(err)
 	}
 	fmt.Println("incidents within 500 m of a sighting (cross-source spatial join):")
-	for _, b := range out.Bindings {
+	for _, b := range out.Bindings() {
 		fmt.Printf("  case %s near vehicle %s\n",
 			b["case"].(rdf.Literal).Value, b["plate"].(rdf.Literal).Value)
 	}
@@ -135,7 +135,7 @@ SELECT ?case ?plate WHERE {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ngrdf:Feature instances after reasoning: %d (sightings + incidents)\n",
-		len(features.Bindings))
+		features.Len())
 
 	// Provenance: keep each source in its own named graph and ask which
 	// graph a fact came from with a GRAPH pattern.
@@ -153,7 +153,7 @@ SELECT ?g ?plateOrCase WHERE {
 		log.Fatal(err)
 	}
 	fmt.Println("\nper-source provenance (named graphs):")
-	for _, b := range prov.Bindings {
+	for _, b := range prov.Bindings() {
 		fmt.Printf("  %-40s %s\n", b["g"].(rdf.IRI).LocalName(), b["plateOrCase"].(rdf.Literal).Value)
 	}
 }

@@ -102,11 +102,11 @@ SELECT DISTINCT ?chem WHERE {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if len(res.Bindings) == 0 {
+		if res.Len() == 0 {
 			fmt.Println("  chemicals: hidden")
 		} else {
-			fmt.Printf("  aggregate chemical list (%d):", len(res.Bindings))
-			for _, b := range res.Bindings {
+			fmt.Printf("  aggregate chemical list (%d):", res.Len())
+			for _, b := range res.Bindings() {
 				fmt.Printf(" %s;", lit(b["chem"]))
 			}
 			fmt.Println()
@@ -117,7 +117,7 @@ SELECT DISTINCT ?chem WHERE {
 		contacts, _ := engine.Query(role, seconto.ActionView,
 			`SELECT ?p WHERE { ?s app:hasContactPhone ?p }`)
 		fmt.Printf("  chemical codes visible: %d, contacts visible: %d\n",
-			len(codes.Bindings), len(contacts.Bindings))
+			codes.Len(), contacts.Len())
 	}
 
 	show("main repair", datagen.RoleMainRepair)

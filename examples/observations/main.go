@@ -94,7 +94,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("grdf:Feature instances (incl. observations): %s\n",
-		res.Bindings[0]["n"].(rdf.Literal).Value)
+		res.Bindings()[0]["n"].(rdf.Literal).Value)
 
 	// Validation gives the dataset a clean bill.
 	rep := grdf.Validate(st)

@@ -68,7 +68,7 @@ SELECT ?label WHERE {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, b := range res.Bindings {
+	for _, b := range res.Bindings() {
 		fmt.Printf("  %s\n", b["label"])
 	}
 
@@ -83,7 +83,7 @@ SELECT ?lm ?label WHERE {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, b := range res.Bindings {
+	for _, b := range res.Bindings() {
 		g1, _, _ := grdf.GeometryOf(st, b["lm"])
 		parkGeo, _, _ := grdf.GeometryOf(st, park)
 		fmt.Printf("  %-20s %.1f m\n", b["label"].(rdf.Literal).Value, geom.Distance(g1, parkGeo))

@@ -82,7 +82,7 @@ func e13Time(eng *sparql.Engine, reps int) (int, time.Duration, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		n = len(res.Bindings)
+		n = res.Len()
 	}
 	return n, time.Since(start) / time.Duration(reps), nil
 }

@@ -173,8 +173,8 @@ func e21DriftProbe(t *Table) error {
 	if err != nil {
 		return fmt.Errorf("probe query: %w", err)
 	}
-	if len(res.Bindings) != 1 {
-		return fmt.Errorf("probe query rows = %d, want 1", len(res.Bindings))
+	if res.Len() != 1 {
+		return fmt.Errorf("probe query rows = %d, want 1", res.Len())
 	}
 
 	snaps := wt.TopK(4)

@@ -58,7 +58,7 @@ func answerCount(st *store.Store, query string) int {
 	if err != nil {
 		return -1
 	}
-	return len(res.Bindings)
+	return res.Len()
 }
 
 // E10StoreSparql measures the substrate: load and query throughput across

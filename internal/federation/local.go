@@ -64,11 +64,13 @@ func FromSPARQL(res *sparql.Result) *Result {
 		for i, v := range res.Vars {
 			out.Vars[i] = string(v)
 		}
-		out.Rows = make([]map[string]string, len(res.Bindings))
-		for i, b := range res.Bindings {
-			row := make(map[string]string, len(b))
-			for v, t := range b {
-				row[string(v)] = t.String()
+		out.Rows = make([]map[string]string, res.Len())
+		for i := range out.Rows {
+			row := make(map[string]string, len(res.Vars))
+			for c, v := range res.Vars {
+				if t := res.Term(i, c); t != nil {
+					row[string(v)] = t.String()
+				}
 			}
 			out.Rows[i] = row
 		}

@@ -257,8 +257,8 @@ SELECT ?s WHERE { ?s a ex:Site . FILTER(grdf:distance(?s, ex:shared) < 1) }`)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	if len(res.Bindings) != 1 || !res.Bindings[0]["s"].Equal(shared) {
-		t.Errorf("distance results = %v, want only ex:shared", res.Bindings)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0]["s"].Equal(shared) {
+		t.Errorf("distance results = %v, want only ex:shared", res.Bindings())
 	}
 }
 
@@ -285,8 +285,8 @@ SELECT ?s WHERE { ?s a ex:Site . FILTER(grdf:within(?s, ex:zone)) }`)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	if len(res.Bindings) != 1 || !res.Bindings[0]["s"].Equal(rdf.IRI("http://e/inside")) {
-		t.Errorf("within results = %v", res.Bindings)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0]["s"].Equal(rdf.IRI("http://e/inside")) {
+		t.Errorf("within results = %v", res.Bindings())
 	}
 
 	res, err = e.Query(`
@@ -295,8 +295,8 @@ SELECT ?s WHERE { ?s a ex:Site . FILTER(grdf:distance(?s, ex:zone) > 100) }`)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	if len(res.Bindings) != 1 || !res.Bindings[0]["s"].Equal(rdf.IRI("http://e/outside")) {
-		t.Errorf("distance results = %v", res.Bindings)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0]["s"].Equal(rdf.IRI("http://e/outside")) {
+		t.Errorf("distance results = %v", res.Bindings())
 	}
 
 	res, err = e.Query(`
@@ -356,10 +356,10 @@ SELECT ?s WHERE { ?s a ex:Site . FILTER(ex:writeLands(?s)) FILTER(grdf:within(?s
 	if !moved {
 		t.Fatal("the write never landed")
 	}
-	if len(res.Bindings) != 1 {
-		t.Errorf("query pinned before the move: %d rows, want the site where that version has it", len(res.Bindings))
+	if len(res.Bindings()) != 1 {
+		t.Errorf("query pinned before the move: %d rows, want the site where that version has it", len(res.Bindings()))
 	}
-	if res, err = e.Query(q); err != nil || len(res.Bindings) != 0 {
+	if res, err = e.Query(q); err != nil || len(res.Bindings()) != 0 {
 		t.Errorf("query pinned after the move: %v, %v; want no rows", res, err)
 	}
 }

@@ -181,14 +181,14 @@ func TestQueryOverFilteredView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Bindings) != 0 {
-		t.Errorf("main repair query saw %d chemical names", len(res.Bindings))
+	if len(res.Bindings()) != 0 {
+		t.Errorf("main repair query saw %d chemical names", len(res.Bindings()))
 	}
 	res, err = e.Query(datagen.RoleHazmat, seconto.ActionView, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Bindings) == 0 {
+	if len(res.Bindings()) == 0 {
 		t.Error("hazmat query saw no chemical names")
 	}
 }

@@ -1,0 +1,182 @@
+package gsacs
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strings"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/grdf"
+	"repro/internal/ntriples"
+	"repro/internal/rdf"
+	"repro/internal/seconto"
+	"repro/internal/turtle"
+)
+
+// queryShape is one of the bench harness's /v1/query shapes (bench/ops.go),
+// plus the listing with a one-pattern OPTIONAL.
+type queryShape struct{ name, q string }
+
+func queryShapes(sc *datagen.Scenario) []queryShape {
+	return []queryShape{
+		{"point", fmt.Sprintf(`SELECT ?chem WHERE { %s app:hasChemicalInfo ?info . ?info app:chemical ?rec . ?rec app:hasChemName ?chem . }`, sc.Chemical.Sites[0].IRI)},
+		{"list", `SELECT ?site ?name WHERE { ?site a app:ChemSite . ?site app:hasSiteName ?name . }`},
+		{"agg", `SELECT ?site ?name ?chem WHERE { ?site a app:ChemSite . ?site app:hasSiteName ?name . ?site app:hasChemicalInfo ?info . ?info app:chemical ?rec . ?rec app:hasChemName ?chem . }`},
+		{"optional", `SELECT ?site ?name ?phone WHERE { ?site a app:ChemSite . ?site app:hasSiteName ?name . OPTIONAL { ?site app:hasContactPhone ?phone } }`},
+		{"spatial", fmt.Sprintf(`SELECT ?s WHERE { ?s a app:ChemSite . FILTER(grdf:distance(?s, %s) < 5280) }`, sc.Hydrology.Streams[0].IRI)},
+	}
+}
+
+// shapeServer serves a generated scenario of the given size.
+func shapeServer(sites int) (*Server, *datagen.Scenario) {
+	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 7, Sites: sites})
+	e := New(sc.Policies, sc.Merged, Options{Reasoner: NewOWLReasoner(sc.Merged, grdf.Ontology(), seconto.Ontology())})
+	return NewServer(e, NewOntoRepository()), sc
+}
+
+func queryRequest(role rdf.IRI, q string) *http.Request {
+	return httptest.NewRequest(http.MethodGet, "/v1/query?role="+url.QueryEscape(role.LocalName())+"&q="+url.QueryEscape(q), nil)
+}
+
+// TestQueryBodiesAreTheBytesTheyWere: the five shapes × three roles over the
+// 12-site scenario answer with the bodies the map-per-row evaluator and
+// writer gave (their SHA-256, taken at f4be840) — same rows, same row order
+// (a join's is index order on both sides), same bytes per cell.
+func TestQueryBodiesAreTheBytesTheyWere(t *testing.T) {
+	golden := []struct {
+		shape, role string
+		rows        int
+		sum         string
+	}{
+		{"point", "MainRep", 0, "75f0faf83f5a251a"},
+		{"point", "Hazmat", 3, "b4dc006d7aeaaf32"},
+		{"point", "EmergencyResponse", 3, "b4dc006d7aeaaf32"},
+		{"list", "MainRep", 0, "3acc720ff620bd74"},
+		{"list", "Hazmat", 12, "8c1847f41508e562"},
+		{"list", "EmergencyResponse", 12, "b0661c8c77ba66f1"},
+		{"agg", "MainRep", 0, "92ca0a47c4505e5e"},
+		{"agg", "Hazmat", 25, "9289ea51dfe755a2"},
+		{"agg", "EmergencyResponse", 25, "0ad58f3907433a0c"},
+		{"optional", "MainRep", 0, "3b4b4e7ea62360e6"},
+		{"optional", "Hazmat", 12, "0da733239d1bebc5"},
+		{"optional", "EmergencyResponse", 12, "f1afdb167c0e84d2"},
+		{"spatial", "MainRep", 3, "40989e6a7f32e04a"},
+		{"spatial", "Hazmat", 3, "40989e6a7f32e04a"},
+		{"spatial", "EmergencyResponse", 3, "4542511e92a97f4a"},
+	}
+	srv, sc := shapeServer(12)
+	shapes := map[string]string{}
+	for _, sh := range queryShapes(sc) {
+		shapes[sh.name] = sh.q
+	}
+	for _, g := range golden {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, queryRequest(rdf.IRI(seconto.NS+g.role), shapes[g.shape]))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s as %s: %d %s", g.shape, g.role, rec.Code, rec.Body)
+		}
+		rows := strings.Count(rec.Body.String(), "{") - 2
+		if sum := fmt.Sprintf("%x", sha256.Sum256(rec.Body.Bytes()))[:16]; sum != g.sum || rows != g.rows {
+			t.Errorf("%s as %s: %d rows, body %s; want %d rows, %s\n%s", g.shape, g.role, rows, sum, g.rows, g.sum, rec.Body)
+		}
+	}
+}
+
+// nullWriter is a ResponseWriter that keeps nothing.
+type nullWriter struct{ h http.Header }
+
+func (w nullWriter) Header() http.Header         { return w.h }
+func (w nullWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w nullWriter) WriteHeader(int)             {}
+
+// BenchmarkQueryShapes is one /v1/query of each shape through
+// Server.ServeHTTP — admission, the role's cached view, parse, plan, join,
+// encode — at the harness's M and L dataset sizes.
+func BenchmarkQueryShapes(b *testing.B) {
+	for _, sites := range []int{450, 3000} {
+		srv, sc := shapeServer(sites)
+		for _, sh := range queryShapes(sc) {
+			b.Run(fmt.Sprintf("%s/sites=%d", sh.name, sites), func(b *testing.B) {
+				req := queryRequest(datagen.RoleHazmat, sh.q) // Hazmat sees the chemical names the walk ends at
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, req) // builds the view
+				rows := strings.Count(rec.Body.String(), "{") - 2
+				w := nullWriter{h: http.Header{}}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					srv.ServeHTTP(w, req)
+				}
+				b.ReportMetric(float64(rows), "rows")
+			})
+		}
+	}
+}
+
+// TestQueryAllocationsPerRow: a result row costs its share of a few growing
+// slices, not a map (the evaluator made 29.5 allocations per row of the
+// aggregation walk and 18 per row of the listing when every join step cloned a
+// map per match and the output was a map per row, twice).
+func TestQueryAllocationsPerRow(t *testing.T) {
+	srv, sc := shapeServer(450)
+	for _, sh := range queryShapes(sc) {
+		if sh.name != "agg" && sh.name != "list" {
+			continue
+		}
+		req := queryRequest(datagen.RoleHazmat, sh.q) // Hazmat sees the chemical names the walk ends at
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		rows := strings.Count(rec.Body.String(), "{") - 2
+		if rec.Code != http.StatusOK || rows < 450 {
+			t.Fatalf("%s: status %d, %d rows", sh.name, rec.Code, rows)
+		}
+		w := nullWriter{h: http.Header{}}
+		allocs := testing.AllocsPerRun(10, func() { srv.ServeHTTP(w, req) })
+		t.Logf("%s: %.0f allocations for %d rows", sh.name, allocs, rows)
+		if allocs > float64(rows) {
+			t.Errorf("%s: %.0f allocations for %d rows; want at most one per row", sh.name, allocs, rows)
+		}
+	}
+}
+
+// TestViewExportIsTheTurtleItWas: /v1/view, which hands the view's triples
+// to the writers as they are, answers with the document the writers make of
+// the graph the view used to be copied into — for every role, over a plain
+// scenario and one with the hard cases (a geometry node shared by two
+// features, one that is a part of itself, inlined envelopes) — and that
+// document reads back as the view. Every term of both scenarios is also
+// formatted both ways: AppendTerm is String.
+func TestViewExportIsTheTurtleItWas(t *testing.T) {
+	plain := datagen.NewScenario(datagen.ScenarioConfig{Seed: 9, Sites: 6})
+	odd := datagen.NewScenario(datagen.ScenarioConfig{Seed: 61, Sites: 16, Trunks: 2})
+	oddities(t, odd.Merged, odd)
+	for _, sc := range []*datagen.Scenario{plain, odd} {
+		e := New(sc.Policies, sc.Merged, Options{Reasoner: NewOWLReasoner(sc.Merged, grdf.Ontology(), seconto.Ontology())})
+		srv := NewServer(e, NewOntoRepository())
+		for _, role := range scenarioRoles {
+			g := e.View(role, seconto.ActionView).Graph()
+			for format, want := range map[string]string{"turtle": turtle.Format(g, nil), "ntriples": ntriples.Format(g)} {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/view?role="+role.LocalName()+"&format="+format, nil))
+				if rec.Code != http.StatusOK || rec.Body.String() != want {
+					t.Errorf("%s as %s: status %d, %d bytes; the graph writes %d", format, role.LocalName(), rec.Code, rec.Body.Len(), len(want))
+				}
+			}
+			back, err := turtle.ParseString(turtle.Format(g, nil))
+			if err != nil || back.Len() != g.Len() {
+				t.Errorf("%s: the export reads back as %d triples of %d (%v)", role.LocalName(), back.Len(), g.Len(), err)
+			}
+		}
+		for _, tr := range sc.Merged.Triples() {
+			for _, term := range []rdf.Term{tr.Subject, tr.Predicate, tr.Object} {
+				if got := string(rdf.AppendTerm(nil, term)); got != term.String() {
+					t.Fatalf("AppendTerm = %q, String = %q", got, term.String())
+				}
+			}
+		}
+	}
+}

@@ -731,16 +731,18 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	view := s.engine.ViewCtx(r.Context(), role, seconto.ActionView)
+	// A store's triples are a set already: they go to the writer as they
+	// are, not through a graph built to hold them.
+	triples := s.engine.ViewCtx(r.Context(), role, seconto.ActionView).Triples()
 	switch r.URL.Query().Get("format") {
 	case "ntriples":
 		w.Header().Set("Content-Type", "application/n-triples")
-		if err := ntriples.Write(w, view.Graph()); err != nil {
+		if err := ntriples.WriteTriples(w, triples); err != nil {
 			s.writeError(w, r, http.StatusInternalServerError, "internal", err.Error())
 		}
 	default:
 		w.Header().Set("Content-Type", "text/turtle")
-		if err := turtle.Write(w, view.Graph(), nil); err != nil {
+		if err := turtle.WriteTriples(w, triples, nil); err != nil {
 			s.writeError(w, r, http.StatusInternalServerError, "internal", err.Error())
 		}
 	}
@@ -831,7 +833,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	obs.Logger(r.Context()).Info("query served",
-		"role", string(role), "kind", res.Kind.String(), "solutions", len(res.Bindings))
+		"role", string(role), "kind", res.Kind.String(), "solutions", res.Len())
 	s.writeResult(w, r, res)
 }
 
@@ -962,7 +964,7 @@ func (s *Server) handleExplainAnalyze(w http.ResponseWriter, r *http.Request, ct
 		"stages":    stages,
 		"total_us":  elapsed.Microseconds(),
 		"kind":      res.Kind.String(),
-		"solutions": len(res.Bindings),
+		"solutions": res.Len(),
 		"trace_id":  obs.TraceID(ctx),
 	}
 	s.writeJSON(w, r, body)
@@ -1233,7 +1235,8 @@ func (s *Server) writeMutationError(w http.ResponseWriter, r *http.Request, err 
 //
 // A SELECT can run to thousands of rows, so its body is appended to one
 // buffer, each row's keys in projection order, and flushed to the response as
-// the buffer fills — not copied into a map per row for the encoder to sort.
+// the buffer fills. A cell goes from the result's table to the buffer through
+// one scratch slice: no map per row, no string per term.
 func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *sparql.Result) {
 	switch res.Kind {
 	case sparql.Ask:
@@ -1245,30 +1248,31 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *sparql
 	}
 	const flushAt = 32 << 10
 	w.Header().Set("Content-Type", "application/json")
-	buf := make([]byte, 0, min(flushAt+512, 128+64*len(res.Vars)*(1+len(res.Bindings))))
+	buf := make([]byte, 0, min(flushAt+512, 128+64*len(res.Vars)*(1+res.Len())))
 	keys := make([][]byte, len(res.Vars))
 	buf = append(buf, `{"head":{"vars":[`...)
 	for i, v := range res.Vars {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendJSONString(buf, string(v))
+		buf = appendJSONString(buf, []byte(v))
 		// A variable projected twice is one key of a row, as it was one key
 		// of the map: only its first mention gets one.
 		if !slices.Contains(res.Vars[:i], v) {
-			keys[i] = append(appendJSONString(nil, string(v)), ':')
+			keys[i] = append(appendJSONString(nil, []byte(v)), ':')
 		}
 	}
 	buf = append(buf, `]},"results":[`...)
-	for i, b := range res.Bindings {
+	var term []byte // one cell's N-Triples form
+	for i, n := 0, res.Len(); i < n; i++ {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
 		buf = append(buf, '{')
 		first := true
-		for k, v := range res.Vars {
-			t, ok := b[v]
-			if !ok || keys[k] == nil {
+		for k := range res.Vars {
+			t := res.Term(i, k)
+			if t == nil || keys[k] == nil {
 				continue
 			}
 			if !first {
@@ -1276,7 +1280,8 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *sparql
 			}
 			first = false
 			buf = append(buf, keys[k]...)
-			buf = appendJSONString(buf, t.String())
+			term = rdf.AppendTerm(term[:0], t)
+			buf = appendJSONString(buf, term)
 		}
 		buf = append(buf, '}')
 		if len(buf) >= flushAt {
@@ -1295,7 +1300,7 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *sparql
 
 // appendJSONString appends s as a JSON string literal. Bytes that are not
 // valid UTF-8 become U+FFFD, as encoding/json writes them.
-func appendJSONString(buf []byte, s string) []byte {
+func appendJSONString(buf, s []byte) []byte {
 	const hex = "0123456789abcdef"
 	buf = append(buf, '"')
 	start := 0
@@ -1306,7 +1311,7 @@ func appendJSONString(buf []byte, s string) []byte {
 			continue
 		}
 		if c >= utf8.RuneSelf {
-			if r, size := utf8.DecodeRuneInString(s[i:]); r != utf8.RuneError || size != 1 {
+			if r, size := utf8.DecodeRune(s[i:]); r != utf8.RuneError || size != 1 {
 				i += size
 				continue
 			}

@@ -63,7 +63,7 @@ func TestServerFederatedQueryDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := len(res.Bindings)
+	wantRows := len(res.Bindings())
 	if wantRows == 0 {
 		t.Fatal("baseline query returned no rows; test is vacuous")
 	}

@@ -110,7 +110,7 @@ func TestSoakViewsUnderChurn(t *testing.T) {
 					t.Errorf("%s query: %v", role.LocalName(), err)
 					return
 				}
-				for _, b := range res.Bindings {
+				for _, b := range res.Bindings() {
 					if !permitted(role, b["p"]) {
 						t.Errorf("%s query answer holds predicate %s", role.LocalName(), b["p"])
 						return

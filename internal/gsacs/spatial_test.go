@@ -87,8 +87,8 @@ func answer(e *sparql.Engine, q string) string {
 	if res.Kind == sparql.Ask {
 		return strconv.FormatBool(res.Bool)
 	}
-	lines := make([]string, len(res.Bindings))
-	for i, b := range res.Bindings {
+	lines := make([]string, len(res.Bindings()))
+	for i, b := range res.Bindings() {
 		var sb strings.Builder
 		for _, v := range res.Vars {
 			if t, ok := b[v]; ok {
@@ -329,10 +329,10 @@ func TestClerkSeesNoGeometry(t *testing.T) {
 	q := fmt.Sprintf(`SELECT ?s WHERE { ?s a app:ChemSite . FILTER(grdf:distance(?s, %s) < 1e9) }`, sc.Hydrology.Streams[0].IRI)
 
 	res, err := e.Query(roleClerk, seconto.ActionView, q)
-	if err != nil || len(res.Bindings) != 0 {
-		t.Errorf("clerk's proximity query: %d rows, err %v; want none", len(res.Bindings), err)
+	if err != nil || len(res.Bindings()) != 0 {
+		t.Errorf("clerk's proximity query: %d rows, err %v; want none", len(res.Bindings()), err)
 	}
-	if res, err := e.Query(roleClerk, seconto.ActionView, `SELECT ?s WHERE { ?s a app:ChemSite }`); err != nil || len(res.Bindings) != len(sc.Chemical.Sites) {
+	if res, err := e.Query(roleClerk, seconto.ActionView, `SELECT ?s WHERE { ?s a app:ChemSite }`); err != nil || len(res.Bindings()) != len(sc.Chemical.Sites) {
 		t.Fatalf("clerk should see every site's type: %v, %v", res, err)
 	}
 	plan, err := e.ExplainQuery(context.Background(), roleClerk, seconto.ActionView, q)
@@ -344,7 +344,7 @@ func TestClerkSeesNoGeometry(t *testing.T) {
 		t.Errorf("clerk's index is not empty:\n%s", dump)
 	}
 	// The same question from a role that may read extents has an answer.
-	if res, err := e.Query(datagen.RoleMainRepair, seconto.ActionView, q); err != nil || len(res.Bindings) != len(sc.Chemical.Sites) {
+	if res, err := e.Query(datagen.RoleMainRepair, seconto.ActionView, q); err != nil || len(res.Bindings()) != len(sc.Chemical.Sites) {
 		t.Errorf("main repair's proximity query: %v, %v; want every site", res, err)
 	}
 }
@@ -359,7 +359,7 @@ func TestServerExplainsTheProbe(t *testing.T) {
 	query := fmt.Sprintf(`SELECT ?s WHERE { ?s a app:ChemSite . FILTER(grdf:distance(?s, %s) < 1) }`, sc.Chemical.Sites[0].IRI)
 	q := url.QueryEscape(query)
 	res, err := e.Query(datagen.RoleMainRepair, seconto.ActionView, query)
-	if err != nil || len(res.Bindings) == 0 {
+	if err != nil || len(res.Bindings()) == 0 {
 		t.Fatalf("the engine's answer: %v, %v; want the site itself", res, err)
 	}
 
@@ -379,9 +379,9 @@ func TestServerExplainsTheProbe(t *testing.T) {
 	if len(ab.Stages) != 2 || ab.Stages[0].Stage != -1 || !strings.HasPrefix(ab.Stages[0].Pattern, "spatial probe: ") {
 		t.Fatalf("stages = %+v, want the probe and then the one pattern", ab.Stages)
 	}
-	if ab.Stages[0].RowsOut != ab.Stages[1].RowsIn || ab.Solutions != len(res.Bindings) {
+	if ab.Stages[0].RowsOut != ab.Stages[1].RowsIn || ab.Solutions != len(res.Bindings()) {
 		t.Errorf("probe kept %d candidates, the join started from %d rows and %d solutions came out; want %d sites",
-			ab.Stages[0].RowsOut, ab.Stages[1].RowsIn, ab.Solutions, len(res.Bindings))
+			ab.Stages[0].RowsOut, ab.Stages[1].RowsIn, ab.Solutions, len(res.Bindings()))
 	}
 
 	// A radius that takes in everything with a geometry — more terms than
@@ -403,8 +403,8 @@ func TestServerExplainsTheProbe(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		t.Fatalf("bad JSON: %v (%s)", err, body)
 	}
-	if len(got.Results) != len(res.Bindings) {
-		t.Errorf("served %d rows, engine %d", len(got.Results), len(res.Bindings))
+	if len(got.Results) != len(res.Bindings()) {
+		t.Errorf("served %d rows, engine %d", len(got.Results), len(res.Bindings()))
 	}
 }
 
@@ -414,14 +414,22 @@ func TestServerExplainsTheProbe(t *testing.T) {
 // of the buffer.
 func TestWriteResultIsTheJSONItWas(t *testing.T) {
 	nasty := []string{"plain", `quo"te and back\slash`, "line\nbreak\ttab\x00nul\x1f", "héllo ☃ \u2028", "bad \xff utf8 \xc3", "<tag>&amp;"}
-	res := &sparql.Result{Kind: sparql.Select, Vars: []sparql.Variable{"s", "odd\"name", "n"}}
+	label, num := rdf.IRI("http://e/label"), rdf.IRI("http://e/n")
+	st := store.New()
 	for i := 0; i < 4000; i++ {
-		b := sparql.Binding{"s": rdf.IRI(fmt.Sprintf("http://e/site%d", i)), "odd\"name": rdf.NewString(nasty[i%len(nasty)])}
+		site := rdf.IRI(fmt.Sprintf("http://e/site%d", i))
+		st.Add(rdf.T(site, label, rdf.NewString(nasty[i%len(nasty)])))
 		if i%3 == 0 {
-			b["n"] = rdf.NewInteger(int64(i))
+			st.Add(rdf.T(site, num, rdf.NewInteger(int64(i))))
 		}
-		res.Bindings = append(res.Bindings, b)
 	}
+	eng := sparql.NewEngine(st)
+	res, err := eng.Query(`SELECT ?s ?odd ?n WHERE { ?s <http://e/label> ?odd OPTIONAL { ?s <http://e/n> ?n } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No query can name a variable this way; a result can carry the name.
+	res.Vars[1] = "odd\"name"
 	rec := httptest.NewRecorder()
 	(&Server{}).writeResult(rec, httptest.NewRequest(http.MethodGet, "/v1/query", nil), res)
 	var got struct {
@@ -436,24 +444,35 @@ func TestWriteResultIsTheJSONItWas(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" || !reflect.DeepEqual(got.Head.Vars, []string{"s", "odd\"name", "n"}) {
 		t.Errorf("content type %q, vars %q", ct, got.Head.Vars)
 	}
-	if len(got.Results) != len(res.Bindings) {
-		t.Fatalf("%d rows, want %d", len(got.Results), len(res.Bindings))
+	rows := res.Bindings()
+	if len(got.Results) != len(rows) || len(rows) != 4000 {
+		t.Fatalf("%d rows of %d, want 4000", len(got.Results), len(rows))
 	}
-	for i, b := range res.Bindings {
+	unbound := 0
+	for i, b := range rows {
 		want := map[string]string{}
 		for v, term := range b {
 			want[string(v)] = strings.ToValidUTF8(term.String(), "\ufffd")
+		}
+		if _, ok := want["n"]; !ok {
+			unbound++
 		}
 		if !reflect.DeepEqual(got.Results[i], want) {
 			t.Fatalf("row %d = %q, want %q", i, got.Results[i], want)
 		}
 	}
+	if unbound != 4000-1334 {
+		t.Errorf("%d rows leave ?n unbound, want %d", unbound, 4000-1334)
+	}
 	// SELECT ?s ?s: the head lists what was asked, a row holds the key once.
+	one := store.New()
+	one.Add(rdf.T(rdf.IRI("http://e/a"), num, rdf.NewInteger(1)))
+	res, err = sparql.NewEngine(one).Query(`SELECT ?s ?n ?s WHERE { ?s <http://e/n> ?n }`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rec = httptest.NewRecorder()
-	(&Server{}).writeResult(rec, httptest.NewRequest(http.MethodGet, "/v1/query", nil), &sparql.Result{
-		Kind: sparql.Select, Vars: []sparql.Variable{"s", "n", "s"},
-		Bindings: []sparql.Binding{{"s": rdf.IRI("http://e/a"), "n": rdf.NewInteger(1)}},
-	})
+	(&Server{}).writeResult(rec, httptest.NewRequest(http.MethodGet, "/v1/query", nil), res)
 	if body := rec.Body.String(); body != `{"head":{"vars":["s","n","s"]},"results":[{"s":"<http://e/a>","n":"\"1\"^^<http://www.w3.org/2001/XMLSchema#integer>"}]}`+"\n" {
 		t.Errorf("repeated variable = %s", body)
 	}
@@ -505,7 +524,7 @@ func BenchmarkSpatialQuery(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					rows = len(res.Bindings)
+					rows = len(res.Bindings())
 				}
 				b.ReportMetric(float64(rows), "rows")
 			})

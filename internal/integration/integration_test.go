@@ -104,16 +104,16 @@ func TestGMLThroughSecureMiddleware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Bindings) != 1 || !res.Bindings[0]["n"].Equal(rdf.NewString("Plant A")) {
-		t.Errorf("name query = %v", res.Bindings)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0]["n"].Equal(rdf.NewString("Plant A")) {
+		t.Errorf("name query = %v", res.Bindings())
 	}
 	res, err = engine.Query(role, seconto.ActionView,
 		`SELECT ?p WHERE { ?s app:hasContactPhone ?p }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Bindings) != 0 {
-		t.Errorf("contact leaked through GML ingestion path: %v", res.Bindings)
+	if len(res.Bindings()) != 0 {
+		t.Errorf("contact leaked through GML ingestion path: %v", res.Bindings())
 	}
 	// Geometry survives end-to-end: the envelope decodes from the view.
 	view := engine.View(role, seconto.ActionView)
@@ -228,16 +228,16 @@ SELECT ?offense WHERE {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Bindings) != 1 || !out.Bindings[0]["offense"].Equal(rdf.NewString("smuggling")) {
-		t.Errorf("cross-source join = %v", out.Bindings)
+	if len(out.Bindings()) != 1 || !out.Bindings()[0]["offense"].Equal(rdf.NewString("smuggling")) {
+		t.Errorf("cross-source join = %v", out.Bindings())
 	}
 	// Inference: both records are features now.
 	features, err := eng.Query(`SELECT ?f WHERE { ?f a grdf:Feature }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(features.Bindings) != 2 {
-		t.Errorf("features after reasoning = %d", len(features.Bindings))
+	if len(features.Bindings()) != 2 {
+		t.Errorf("features after reasoning = %d", len(features.Bindings()))
 	}
 }
 

@@ -6,6 +6,7 @@ package ntriples
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -268,18 +269,32 @@ func rest(line string, pos int) string {
 
 // Write serializes the graph to w, one triple per line, in stable sorted
 // order so that output is deterministic.
-func Write(w io.Writer, g *rdf.Graph) error {
-	lines := make([]string, 0, g.Len())
-	for _, t := range g.Triples() {
-		lines = append(lines, t.String())
+func Write(w io.Writer, g *rdf.Graph) error { return WriteTriples(w, g.Triples()) }
+
+// WriteTriples serializes ts as Write serializes a graph holding them. Every
+// statement is formatted once, into one buffer, and the lines are sorted as
+// slices of it.
+func WriteTriples(w io.Writer, ts []rdf.Triple) error {
+	buf := make([]byte, 0, 128*len(ts))
+	ends := make([]int, len(ts))
+	for i, t := range ts {
+		buf = append(rdf.AppendTriple(buf, t), '\n')
+		ends[i] = len(buf)
 	}
-	sort.Strings(lines)
+	lines := make([][]byte, len(ts))
+	start := 0
+	for i, end := range ends {
+		lines[i] = buf[start:end]
+		start = end
+	}
+	// The newline is left out of the comparison: it would sort a line ahead
+	// of one that continues it with a control character.
+	sort.Slice(lines, func(i, j int) bool {
+		return bytes.Compare(lines[i][:len(lines[i])-1], lines[j][:len(lines[j])-1]) < 0
+	})
 	bw := bufio.NewWriter(w)
 	for _, l := range lines {
-		if _, err := bw.WriteString(l); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+		if _, err := bw.Write(l); err != nil {
 			return err
 		}
 	}

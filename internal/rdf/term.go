@@ -12,6 +12,7 @@ package rdf
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind discriminates the three RDF term categories.
@@ -122,18 +123,7 @@ func (Literal) Kind() TermKind { return KindLiteral }
 
 // String renders the literal in N-Triples syntax with escaping.
 func (l Literal) String() string {
-	var sb strings.Builder
-	sb.WriteByte('"')
-	sb.WriteString(EscapeLiteral(l.Value))
-	sb.WriteByte('"')
-	if l.Lang != "" {
-		sb.WriteByte('@')
-		sb.WriteString(l.Lang)
-	} else if l.Datatype != "" && l.Datatype != XSDString {
-		sb.WriteString("^^")
-		sb.WriteString(l.Datatype.String())
-	}
-	return sb.String()
+	return string(appendLiteral(make([]byte, 0, len(l.Value)+len(l.Datatype)+len(l.Lang)+6), l))
 }
 
 // Equal implements Term.
@@ -178,26 +168,95 @@ func HashTerm(t Term) uint64 {
 	return h
 }
 
-// EscapeLiteral escapes a literal's lexical form for N-Triples/Turtle output.
-func EscapeLiteral(s string) string {
-	var sb strings.Builder
-	for _, r := range s {
-		switch r {
-		case '\\':
-			sb.WriteString(`\\`)
-		case '"':
-			sb.WriteString(`\"`)
-		case '\n':
-			sb.WriteString(`\n`)
-		case '\r':
-			sb.WriteString(`\r`)
-		case '\t':
-			sb.WriteString(`\t`)
+// AppendTerm appends t's N-Triples form — what t.String() returns — to buf,
+// without building the intermediate strings.
+func AppendTerm(buf []byte, t Term) []byte {
+	switch v := t.(type) {
+	case IRI:
+		buf = append(buf, '<')
+		buf = append(buf, v...)
+		return append(buf, '>')
+	case BlankNode:
+		buf = append(buf, "_:"...)
+		return append(buf, v...)
+	case Literal:
+		return appendLiteral(buf, v)
+	}
+	return append(buf, t.String()...)
+}
+
+func appendLiteral(buf []byte, l Literal) []byte {
+	buf = append(buf, '"')
+	buf = appendEscaped(buf, l.Value)
+	buf = append(buf, '"')
+	if l.Lang != "" {
+		buf = append(buf, '@')
+		buf = append(buf, l.Lang...)
+	} else if l.Datatype != "" && l.Datatype != XSDString {
+		buf = append(buf, "^^<"...)
+		buf = append(buf, l.Datatype...)
+		buf = append(buf, '>')
+	}
+	return buf
+}
+
+// appendEscaped appends s as EscapeLiteral renders it: the five escapes, and
+// U+FFFD for every byte that is not part of a UTF-8 sequence. The stretches
+// between are copied as they are.
+func appendEscaped(buf []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); {
+		var esc string
+		switch c := s[i]; {
+		case c == '\\':
+			esc = `\\`
+		case c == '"':
+			esc = `\"`
+		case c == '\n':
+			esc = `\n`
+		case c == '\r':
+			esc = `\r`
+		case c == '\t':
+			esc = `\t`
+		case c < utf8.RuneSelf:
+			i++
+			continue
 		default:
-			sb.WriteRune(r)
+			if r, size := utf8.DecodeRuneInString(s[i:]); r != utf8.RuneError || size != 1 {
+				i += size
+				continue
+			}
+			esc = "\uFFFD"
+		}
+		buf = append(append(buf, s[start:i]...), esc...)
+		i++
+		start = i
+	}
+	return append(buf, s[start:]...)
+}
+
+// EscapeLiteral escapes a literal's lexical form for N-Triples/Turtle output.
+// A form with nothing to escape is returned as it is.
+func EscapeLiteral(s string) string {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= utf8.RuneSelf || c == '\\' || c == '"' || c == '\n' || c == '\r' || c == '\t' {
+			if out := appendEscaped(make([]byte, 0, len(s)+8), s); string(out) != s {
+				return string(out)
+			}
+			break
 		}
 	}
-	return sb.String()
+	return s
+}
+
+// AppendTriple appends t as an N-Triples statement (no trailing newline).
+func AppendTriple(buf []byte, t Triple) []byte {
+	buf = AppendTerm(buf, t.Subject)
+	buf = append(buf, ' ')
+	buf = AppendTerm(buf, t.Predicate)
+	buf = append(buf, ' ')
+	buf = AppendTerm(buf, t.Object)
+	return append(buf, " ."...)
 }
 
 // Triple is an RDF statement. Subject must be an IRI or BlankNode, Predicate
@@ -227,9 +286,7 @@ func NewTriple(s, p, o Term) (Triple, error) {
 func T(s, p, o Term) Triple { return Triple{Subject: s, Predicate: p, Object: o} }
 
 // String renders the triple as an N-Triples statement (without trailing newline).
-func (t Triple) String() string {
-	return t.Subject.String() + " " + t.Predicate.String() + " " + t.Object.String() + " ."
-}
+func (t Triple) String() string { return string(AppendTriple(make([]byte, 0, 160), t)) }
 
 // Valid reports whether the triple satisfies RDF positional constraints.
 func (t Triple) Valid() bool {

@@ -436,3 +436,84 @@ func TestCompactRejectsBadLocalParts(t *testing.T) {
 		t.Errorf("empty local = %q", got)
 	}
 }
+
+// referenceString is Term.String as it was written before AppendTerm: the
+// literal's value rebuilt rune by rune through a strings.Builder.
+func referenceString(t Term) string {
+	l, ok := t.(Literal)
+	if !ok {
+		switch v := t.(type) {
+		case IRI:
+			return "<" + string(v) + ">"
+		case BlankNode:
+			return "_:" + string(v)
+		}
+		return t.String()
+	}
+	var sb strings.Builder
+	sb.WriteByte('"')
+	for _, r := range l.Value {
+		switch r {
+		case '\\':
+			sb.WriteString(`\\`)
+		case '"':
+			sb.WriteString(`\"`)
+		case '\n':
+			sb.WriteString(`\n`)
+		case '\r':
+			sb.WriteString(`\r`)
+		case '\t':
+			sb.WriteString(`\t`)
+		default:
+			sb.WriteRune(r)
+		}
+	}
+	sb.WriteByte('"')
+	if l.Lang != "" {
+		sb.WriteString("@" + l.Lang)
+	} else if l.Datatype != "" && l.Datatype != XSDString {
+		sb.WriteString("^^<" + string(l.Datatype) + ">")
+	}
+	return sb.String()
+}
+
+// TestAppendTermIsString: the appending formatter, String and EscapeLiteral
+// write the bytes the rune-by-rune formatter wrote, for every term shape —
+// escapes, language tags, datatypes, no datatype, bytes that are not UTF-8 —
+// and appending leaves what the buffer held alone.
+func TestAppendTermIsString(t *testing.T) {
+	values := []string{"", "plain", `quo"te`, `back\slash`, "line\nbreak\rreturn\ttab", "héllo ☃  ",
+		"bad \xff utf8 \xc3", "\xf0\x9f", "nul\x00 and \x1f", "<tag>&amp;", `\"`, "ends in \\"}
+	terms := []Term{IRI("http://e/a#b"), IRI(""), IRI("http://e/sp ace>"), BlankNode("b1"), BlankNode("")}
+	for _, v := range values {
+		terms = append(terms, NewString(v), NewLangString(v, "EN-gb"), Literal{Value: v}, Literal{Value: v, Datatype: XSDInteger},
+			Literal{Value: v, Datatype: IRI("http://e/dt\"odd")}, Literal{Value: v, Datatype: XSDString, Lang: "fr"})
+	}
+	check := func(term Term) {
+		t.Helper()
+		want := referenceString(term)
+		if got := term.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+		if got := string(AppendTerm([]byte("kept "), term)); got != "kept "+want {
+			t.Errorf("AppendTerm = %q, want %q", got, "kept "+want)
+		}
+	}
+	for _, term := range terms {
+		check(term)
+	}
+	if err := quick.Check(func(v, lang string) bool {
+		l := Literal{Value: v, Datatype: RDFLangString, Lang: lang}
+		return l.String() == referenceString(l) && string(AppendTerm(nil, NewString(v))) == referenceString(NewString(v)) &&
+			`"`+EscapeLiteral(v)+`"` == referenceString(NewString(v))
+	}, nil); err != nil {
+		t.Error(err)
+	}
+	tr := T(IRI("http://e/s"), IRI("http://e/p"), NewLangString("a\"b\xff", "en"))
+	if got, want := tr.String(), referenceString(tr.Subject)+" "+referenceString(tr.Predicate)+" "+referenceString(tr.Object)+" ."; got != want {
+		t.Errorf("Triple.String() = %q, want %q", got, want)
+	}
+	if s := "nothing to escape é"; EscapeLiteral(s) != s {
+		t.Errorf("EscapeLiteral(%q) = %q", s, EscapeLiteral(s))
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/rdf"
+	"repro/internal/store"
 )
 
 // Aggregate support: SELECT (COUNT(?x) AS ?n) … GROUP BY ?g, with COUNT,
@@ -51,90 +52,96 @@ func (q *Query) hasAggregates() bool {
 	return len(q.Aggregates) > 0 || len(q.GroupBy) > 0
 }
 
-// evalAggregates groups the raw solutions and computes each aggregate,
-// producing one binding per group.
-func (e *Engine) evalAggregates(ctx context.Context, q *Query, sols []Binding) ([]Binding, error) {
-	type group struct {
-		key  string
-		rep  Binding // representative bindings for GROUP BY vars
-		rows []Binding
+// evalAggregates groups the rows by their GROUP BY columns — a group is a
+// tuple of IDs — and computes each aggregate, producing one row per group:
+// the grouping columns and the aggregates' aliases set, the rest unbound.
+// Groups come out in the order of their keys' N-Triples forms.
+func (e *Engine) evalAggregates(ctx context.Context, q *Query, in table) (table, error) {
+	by := make([]int, len(q.GroupBy))
+	for i, v := range q.GroupBy {
+		by[i] = e.ev.cols[v]
 	}
-	groups := map[string]*group{}
-	var order []string
-	for _, b := range sols {
+	index := map[string]int{}
+	var groups [][]int // the row numbers of each group
+	var key []byte
+	for i := 0; i < in.n; i++ {
+		key = tupleKey(key[:0], in.row(i), by)
+		gi, ok := index[string(key)]
+		if !ok {
+			gi = len(groups)
+			index[string(key)] = gi
+			groups = append(groups, nil)
+		}
+		groups[gi] = append(groups[gi], i)
+	}
+	// With no GROUP BY and no solutions there is still one (empty) group for
+	// COUNT to report 0 over.
+	if len(by) == 0 && len(groups) == 0 {
+		groups = [][]int{nil}
+	}
+	order := make([]int, len(groups))
+	names := make([]string, len(groups))
+	for gi, rows := range groups {
+		order[gi] = gi
 		var sb strings.Builder
-		for _, v := range q.GroupBy {
-			if t, ok := b[v]; ok {
+		for _, c := range by {
+			if t := e.terms.term(in.ids[rows[0]*in.width+c]); t != nil {
 				sb.WriteString(t.String())
 			}
 			sb.WriteByte('\x00')
 		}
-		k := sb.String()
-		g, ok := groups[k]
-		if !ok {
-			rep := Binding{}
-			for _, v := range q.GroupBy {
-				if t, okv := b[v]; okv {
-					rep[v] = t
-				}
-			}
-			g = &group{key: k, rep: rep}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.rows = append(g.rows, b)
+		names[gi] = sb.String()
 	}
-	// With no GROUP BY and no solutions there is still one (empty) group for
-	// COUNT to report 0 over.
-	if len(q.GroupBy) == 0 && len(order) == 0 {
-		groups[""] = &group{key: "", rep: Binding{}}
-		order = append(order, "")
-	}
-	sort.Strings(order)
+	sort.SliceStable(order, func(a, b int) bool { return names[order[a]] < names[order[b]] })
 
-	var out []Binding
-	for _, k := range order {
-		g := groups[k]
-		b := g.rep.clone()
-		for _, agg := range q.Aggregates {
-			val, err := e.computeAggregate(ctx, agg, g.rows)
+	out := table{width: in.width}
+	unbound := make([]store.ID, in.width)
+	for _, gi := range order {
+		rows := groups[gi]
+		vals := make([]store.ID, len(q.Aggregates))
+		for i, agg := range q.Aggregates {
+			val, err := e.computeAggregate(ctx, agg, in, rows)
 			if err != nil {
-				return nil, err
+				return table{}, err
 			}
 			if val != nil {
-				b[agg.As] = val
+				vals[i] = e.idOf(val)
 			}
 		}
-		out = append(out, b)
+		row := out.add(unbound)
+		for _, c := range by {
+			row[c] = in.ids[rows[0]*in.width+c]
+		}
+		for i, agg := range q.Aggregates {
+			row[e.ev.cols[agg.As]] = vals[i]
+		}
 	}
 	return out, nil
 }
 
-func (e *Engine) computeAggregate(ctx context.Context, agg Aggregate, rows []Binding) (rdf.Term, error) {
-	// Collect the argument values (skipping rows where evaluation errors,
-	// per SPARQL aggregate semantics).
-	var vals []rdf.Term
+func (e *Engine) computeAggregate(ctx context.Context, agg Aggregate, in table, rows []int) (rdf.Term, error) {
 	if agg.Arg == nil { // COUNT(*)
 		return rdf.NewInteger(int64(len(rows))), nil
 	}
-	for _, row := range rows {
-		v, err := e.evalExpr(ctx, agg.Arg, row)
+	// Collect the argument values (skipping rows where evaluation errors,
+	// per SPARQL aggregate semantics).
+	var vals []rdf.Term
+	var seen map[rdf.Term]struct{}
+	if agg.Distinct {
+		seen = map[rdf.Term]struct{}{}
+	}
+	for _, r := range rows {
+		v, err := e.evalExpr(ctx, agg.Arg, in.row(r))
 		if err != nil {
 			continue
 		}
-		vals = append(vals, v)
-	}
-	if agg.Distinct {
-		seen := map[string]struct{}{}
-		var uniq []rdf.Term
-		for _, v := range vals {
-			k := v.String()
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				uniq = append(uniq, v)
+		if agg.Distinct {
+			if _, dup := seen[v]; dup {
+				continue
 			}
+			seen[v] = struct{}{}
 		}
-		vals = uniq
+		vals = append(vals, v)
 	}
 
 	switch agg.Func {

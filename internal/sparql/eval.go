@@ -43,9 +43,13 @@ type Engine struct {
 	// pointer survives the pinned() and forGraph() copies so every BGP of
 	// one evaluation lands in the same accumulator.
 	stats *evalStepStats
-	// probed memoizes index probes for the length of one evaluation (see
-	// candidates in probe.go). Only the per-evaluation copy pinned() makes
-	// ever holds one.
+	// The rest is set on the per-evaluation copy pinned() makes, and on the
+	// copies forGraph() makes of that: terms resolves the IDs of the store's
+	// pinned version, ev is what the evaluation knows about its query (shared
+	// between the graphs it visits), and probed memoizes this graph's index
+	// probes for the length of the evaluation (see candidates in probe.go).
+	terms  terms
+	ev     *evaluation
 	probed map[probeSpec][]store.ID
 }
 
@@ -182,16 +186,22 @@ func (e *Engine) SetPlanning(on bool) *Engine {
 func (e *Engine) forGraph(st *store.Store) *Engine {
 	// Metrics stay with the outer engine: nested GRAPH evaluation is part of
 	// the same query, so timing it separately would double-count.
-	return &Engine{store: st.View(), dataset: e.dataset, funcs: e.funcs, probers: e.probers, planning: e.planning, stats: e.stats}
+	view := st.View()
+	return &Engine{store: view, dataset: e.dataset, funcs: e.funcs, probers: e.probers, planning: e.planning, stats: e.stats,
+		terms: terms{dict: view.DictView(), scratch: e.terms.scratch}, ev: e.ev}
 }
 
-// pinned returns a shallow engine copy whose store is pinned to the current
-// version (one atomic load). A query evaluated through the pinned engine
-// sees a single consistent revision end to end — concurrent commits neither
-// block it nor leak into its results.
-func (e *Engine) pinned() *Engine {
+// pinned returns a shallow engine copy for one evaluation of q: its store is
+// pinned to the current version (one atomic load), and q's variables have
+// their columns. A query evaluated through the pinned engine sees a single
+// consistent revision end to end — concurrent commits neither block it nor
+// leak into its results.
+func (e *Engine) pinned(q *Query) *Engine {
 	ne := *e
-	ne.store = e.store.View()
+	view := e.store.View()
+	ne.store = view
+	ne.ev = newEvaluation(q)
+	ne.terms = terms{dict: view.DictView(), scratch: &scratch{}}
 	return &ne
 }
 
@@ -200,39 +210,6 @@ func (e *Engine) Store() store.Reader { return e.store }
 
 // RegisterFunc installs a custom filter function under the given IRI.
 func (e *Engine) RegisterFunc(iri rdf.IRI, fn CustomFunc) { e.funcs[iri] = fn }
-
-// Binding maps variables to terms. A nil entry never occurs; unbound
-// variables are simply absent.
-type Binding map[Variable]rdf.Term
-
-func (b Binding) clone() Binding {
-	c := make(Binding, len(b)+2)
-	for k, v := range b {
-		c[k] = v
-	}
-	return c
-}
-
-// key produces a deduplication key over the given variables.
-func (b Binding) key(vars []Variable) string {
-	var sb strings.Builder
-	for _, v := range vars {
-		if t, ok := b[v]; ok {
-			sb.WriteString(t.String())
-		}
-		sb.WriteByte('\x00')
-	}
-	return sb.String()
-}
-
-// Result carries the outcome of a query.
-type Result struct {
-	Kind     QueryKind
-	Vars     []Variable // SELECT projection (resolved, in order)
-	Bindings []Binding  // SELECT solutions
-	Bool     bool       // ASK outcome
-	Graph    *rdf.Graph // CONSTRUCT output
-}
 
 // Query parses and evaluates src in one step with a background context.
 func (e *Engine) Query(src string) (*Result, error) {
@@ -296,7 +273,7 @@ func (e *Engine) EvalCtx(ctx context.Context, q *Query) (*Result, error) {
 		case Construct, Describe:
 			st.Solutions = int64(res.Graph.Len())
 		default:
-			st.Solutions = int64(len(res.Bindings))
+			st.Solutions = int64(res.Len())
 		}
 	}
 	e.statsSink(st)
@@ -335,8 +312,8 @@ func (e *Engine) evalSpanned(ctx context.Context, q *Query) (*Result, error) {
 		e.met.solutions.Add(float64(res.Graph.Len()))
 		sp.Add("solutions", int64(res.Graph.Len()))
 	default:
-		e.met.solutions.Add(float64(len(res.Bindings)))
-		sp.Add("solutions", int64(len(res.Bindings)))
+		e.met.solutions.Add(float64(res.Len()))
+		sp.Add("solutions", int64(res.Len()))
 	}
 	sp.End()
 	return res, nil
@@ -345,23 +322,22 @@ func (e *Engine) evalSpanned(ctx context.Context, q *Query) (*Result, error) {
 // eval is the un-instrumented evaluation path. It runs entirely against one
 // pinned store version.
 func (e *Engine) eval(ctx context.Context, q *Query) (*Result, error) {
-	e = e.pinned()
-	seed := []Binding{{}}
-	sols, err := e.evalGroup(ctx, q.Where, seed)
+	e = e.pinned(q)
+	w := e.ev.width
+	sols, err := e.evalGroup(ctx, q.Where, table{width: w, n: 1, ids: make([]store.ID, w)})
 	if err != nil {
 		return nil, err
 	}
 
 	switch q.Kind {
 	case Ask:
-		return &Result{Kind: Ask, Bool: len(sols) > 0}, nil
+		return &Result{Kind: Ask, Bool: sols.n > 0}, nil
 
 	case Construct:
 		g := rdf.NewGraph()
-		for _, b := range sols {
+		for i := 0; i < sols.n; i++ {
 			for _, tp := range q.Template {
-				t, ok := instantiate(tp, b)
-				if ok {
+				if t, ok := e.instantiate(tp, sols.row(i)); ok {
 					g.Add(t)
 				}
 			}
@@ -370,24 +346,21 @@ func (e *Engine) eval(ctx context.Context, q *Query) (*Result, error) {
 
 	case Describe:
 		g := rdf.NewGraph()
-		seen := map[string]struct{}{}
+		seen := map[rdf.Term]struct{}{}
 		describe := func(res rdf.Term) {
 			if res == nil || res.Kind() == rdf.KindLiteral {
 				return
 			}
-			k := res.String()
-			if _, dup := seen[k]; dup {
+			if _, dup := seen[res]; dup {
 				return
 			}
-			seen[k] = struct{}{}
+			seen[res] = struct{}{}
 			e.describeInto(g, res, map[string]struct{}{})
 		}
 		for _, target := range q.DescribeTargets {
-			if v, isVar := target.(Variable); isVar {
-				for _, b := range sols {
-					if t, ok := b[v]; ok {
-						describe(t)
-					}
+			if _, isVar := target.(Variable); isVar {
+				for i := 0; i < sols.n; i++ {
+					describe(e.resolve(target, sols.row(i)))
 				}
 			} else {
 				describe(target)
@@ -398,11 +371,9 @@ func (e *Engine) eval(ctx context.Context, q *Query) (*Result, error) {
 	default: // Select
 		vars := q.Vars
 		if q.hasAggregates() {
-			grouped, err := e.evalAggregates(ctx, q, sols)
-			if err != nil {
+			if sols, err = e.evalAggregates(ctx, q, sols); err != nil {
 				return nil, err
 			}
-			sols = grouped
 			// Projection: the plain vars (which must be grouped) followed by
 			// the aggregate aliases, in declaration order.
 			vars = append([]Variable{}, q.Vars...)
@@ -414,115 +385,83 @@ func (e *Engine) eval(ctx context.Context, q *Query) (*Result, error) {
 			vars = collectVars(q.Where)
 		}
 		if len(q.OrderBy) > 0 {
-			if err := e.sortSolutions(ctx, sols, q.OrderBy); err != nil {
-				return nil, err
-			}
+			sols = e.sortRows(ctx, sols, q.OrderBy)
+		}
+		cols := make([]int, len(vars))
+		for i, v := range vars {
+			cols[i] = e.ev.cols[v]
 		}
 		if q.Distinct {
-			seen := map[string]struct{}{}
-			var out []Binding
-			for _, b := range sols {
-				k := b.key(vars)
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
-				out = append(out, b)
-			}
-			sols = out
+			sols = distinct(sols, cols)
 		}
 		if q.Offset > 0 {
-			if q.Offset >= len(sols) {
-				sols = nil
-			} else {
-				sols = sols[q.Offset:]
-			}
+			sols = sols.slice(min(q.Offset, sols.n), sols.n)
 		}
-		if q.Limit >= 0 && q.Limit < len(sols) {
-			sols = sols[:q.Limit]
+		if q.Limit >= 0 && q.Limit < sols.n {
+			sols = sols.slice(0, q.Limit)
 		}
-		// Project.
-		projected := make([]Binding, len(sols))
-		for i, b := range sols {
-			pb := make(Binding, len(vars))
-			for _, v := range vars {
-				if t, ok := b[v]; ok {
-					pb[v] = t
-				}
-			}
-			projected[i] = pb
-		}
-		return &Result{Kind: Select, Vars: vars, Bindings: projected}, nil
+		return &Result{Kind: Select, Vars: vars, rows: sols, cols: cols, terms: e.terms}, nil
 	}
 }
 
-func instantiate(tp TriplePattern, b Binding) (rdf.Triple, bool) {
-	s := resolveTerm(tp.Subject, b)
+// distinct keeps the first of the rows that agree on cols.
+func distinct(in table, cols []int) table {
+	out := table{width: in.width}
+	seen := make(map[string]struct{})
+	var key []byte
+	for i := 0; i < in.n; i++ {
+		row := in.row(i)
+		key = tupleKey(key[:0], row, cols)
+		if _, dup := seen[string(key)]; dup {
+			continue
+		}
+		seen[string(key)] = struct{}{}
+		out.add(row)
+	}
+	return out
+}
+
+// resolve returns the term a pattern position stands for under row: the
+// constant itself, a variable's value, or nil for an unbound variable.
+func (e *Engine) resolve(pt rdf.Term, row []store.ID) rdf.Term {
+	if v, ok := pt.(Variable); ok {
+		return e.terms.term(row[e.ev.cols[v]])
+	}
+	return pt
+}
+
+func (e *Engine) instantiate(tp TriplePattern, row []store.ID) (rdf.Triple, bool) {
 	var p rdf.Term
 	switch pe := tp.Predicate.(type) {
 	case Link:
 		p = pe.IRI
 	case VarPath:
-		p = resolveTerm(pe.Var, b)
+		p = e.resolve(pe.Var, row)
 	default:
 		return rdf.Triple{}, false
 	}
-	o := resolveTerm(tp.Object, b)
-	if s == nil || p == nil || o == nil {
-		return rdf.Triple{}, false
-	}
-	t := rdf.T(s, p, o)
+	t := rdf.T(e.resolve(tp.Subject, row), p, e.resolve(tp.Object, row))
 	return t, t.Valid()
 }
 
-func resolveTerm(t rdf.Term, b Binding) rdf.Term {
-	if v, ok := t.(Variable); ok {
-		bound, ok := b[v]
-		if !ok {
-			return nil
-		}
-		return bound
-	}
-	return t
-}
-
+// collectVars lists the variables SELECT * projects, in order of first
+// mention.
 func collectVars(g *GroupPattern) []Variable {
 	seen := map[Variable]struct{}{}
 	var out []Variable
+	note := func(v Variable) {
+		if _, dup := seen[v]; !dup {
+			seen[v] = struct{}{}
+			out = append(out, v)
+		}
+	}
 	var walkGroup func(*GroupPattern)
-	note := func(t rdf.Term) {
-		if v, ok := t.(Variable); ok {
-			if _, dup := seen[v]; !dup {
-				seen[v] = struct{}{}
-				out = append(out, v)
-			}
-		}
-	}
-	var notePath func(PathExpr)
-	notePath = func(p PathExpr) {
-		switch pe := p.(type) {
-		case VarPath:
-			note(pe.Var)
-		case Inverse:
-			notePath(pe.Path)
-		case Seq:
-			notePath(pe.Left)
-			notePath(pe.Right)
-		case Alt:
-			notePath(pe.Left)
-			notePath(pe.Right)
-		case Repeat:
-			notePath(pe.Path)
-		}
-	}
 	walkGroup = func(g *GroupPattern) {
 		for _, el := range g.Elements {
 			switch v := el.(type) {
 			case *BGP:
 				for _, tp := range v.Patterns {
-					note(tp.Subject)
-					notePath(tp.Predicate)
-					note(tp.Object)
+					patternVarsDo(tp, note)
 				}
 			case *Optional:
 				walkGroup(v.Group)
@@ -544,12 +483,15 @@ func collectVars(g *GroupPattern) []Variable {
 	return out
 }
 
-func (e *Engine) evalGroup(ctx context.Context, g *GroupPattern, in []Binding) ([]Binding, error) {
+// evalGroup evaluates the elements of g in order over the rows of in. The
+// FILTERs place() could not run where they stand run last.
+func (e *Engine) evalGroup(ctx context.Context, g *GroupPattern, in table) (table, error) {
 	cur := in
 	probes := e.probeSpecs(g)
+	var late []*Filter
 	for _, el := range g.Elements {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return table{}, err
 		}
 		var err error
 		switch v := el.(type) {
@@ -557,13 +499,15 @@ func (e *Engine) evalGroup(ctx context.Context, g *GroupPattern, in []Binding) (
 			var seeds []probeSeed
 			if len(probes) > 0 {
 				rows := cur
-				seeds = e.takeProbes(ctx, &probes, v, func(pv Variable) bool {
-					return slices.ContainsFunc(rows, func(b Binding) bool { _, ok := b[pv]; return ok })
-				})
+				seeds = e.takeProbes(ctx, &probes, v, func(pv Variable) bool { return rows.binds(e.ev.cols[pv]) })
 				seeds = slices.DeleteFunc(seeds, func(sd probeSeed) bool { return sd.unused != "" })
 			}
 			cur, err = e.evalBGP(ctx, v, cur, seeds)
 		case *Filter:
+			if e.ev.late[v] {
+				late = append(late, v)
+				continue
+			}
 			cur, err = e.evalFilter(ctx, v, cur)
 		case *Optional:
 			cur, err = e.evalOptional(ctx, v, cur)
@@ -574,134 +518,118 @@ func (e *Engine) evalGroup(ctx context.Context, g *GroupPattern, in []Binding) (
 		case *GraphPattern:
 			cur, err = e.evalGraphPattern(ctx, v, cur)
 		case *Values:
-			var next []Binding
-			for _, b := range cur {
-				for _, row := range v.Rows {
-					nb := b.clone()
-					ok := true
-					for i, cell := range row {
-						if cell == nil {
-							continue // UNDEF leaves the variable as-is
-						}
-						if !bindVar(nb, v.Vars[i], cell) {
-							ok = false
-							break
-						}
-					}
-					if ok {
-						next = append(next, nb)
-					}
-				}
-			}
-			cur = next
+			cur = e.evalValues(v, cur)
 		case *Bind:
-			var next []Binding
-			for _, b := range cur {
-				val, evalErr := e.evalExpr(ctx, v.Expr, b)
-				if evalErr != nil {
-					// expression error leaves the variable unbound
-					next = append(next, b)
-					continue
-				}
-				if prev, bound := b[v.Var]; bound {
-					if !prev.Equal(val) {
-						continue // re-binding to a different value eliminates
-					}
-					next = append(next, b)
-					continue
-				}
-				nb := b.clone()
-				nb[v.Var] = val
-				next = append(next, nb)
-			}
-			cur = next
+			cur = e.evalBind(ctx, v, cur)
 		default:
 			err = fmt.Errorf("sparql: unknown pattern element %T", el)
 		}
 		if err != nil {
-			return nil, err
+			return table{}, err
 		}
-		if len(cur) == 0 {
-			return nil, nil
+		if cur.n == 0 {
+			return cur, nil
+		}
+	}
+	for _, f := range late {
+		var err error
+		if cur, err = e.evalFilter(ctx, f, cur); err != nil || cur.n == 0 {
+			return cur, err
 		}
 	}
 	return cur, nil
 }
 
-// idSol is an intermediate BGP solution. Variables bound before the BGP stay
-// in base (shared, never mutated); variables bound during the join live in
-// ids as dictionary IDs, or in terms for the rare values with no dictionary
-// entry (zero-length property paths can bind terms the store never saw).
-type idSol struct {
-	base  Binding
-	ids   map[Variable]store.ID
-	terms map[Variable]rdf.Term
-}
-
-func (s *idSol) clone() *idSol {
-	c := &idSol{base: s.base}
-	if len(s.ids) > 0 {
-		c.ids = make(map[Variable]store.ID, len(s.ids)+2)
-		for k, v := range s.ids {
-			c.ids[k] = v
+// binds reports whether any row of t holds a value in column c.
+func (t table) binds(c int) bool {
+	for i := c; i < len(t.ids); i += t.width {
+		if t.ids[i] != store.NoID {
+			return true
 		}
 	}
-	if len(s.terms) > 0 {
-		c.terms = make(map[Variable]rdf.Term, len(s.terms))
-		for k, v := range s.terms {
-			c.terms[k] = v
+	return false
+}
+
+// evalValues joins the rows with the inline table: a cell has to agree with
+// what the row already holds, and UNDEF agrees with anything.
+func (e *Engine) evalValues(v *Values, in table) table {
+	cols := make([]int, len(v.Vars))
+	for i, vv := range v.Vars {
+		cols[i] = e.ev.cols[vv]
+	}
+	cells := make([]store.ID, 0, len(v.Rows)*len(cols))
+	for _, vrow := range v.Rows {
+		for _, cell := range vrow {
+			id := store.NoID // UNDEF leaves the variable as it is
+			if cell != nil {
+				id = e.idOf(cell)
+			}
+			cells = append(cells, id)
 		}
 	}
-	return c
+	out := table{width: in.width}
+	for i := 0; i < in.n; i++ {
+		for r := 0; r < len(v.Rows); r++ {
+			if !unify(out.add(in.row(i)), cols, cells[r*len(cols):(r+1)*len(cols)]) {
+				out.drop()
+			}
+		}
+	}
+	return out
 }
 
-func (s *idSol) setID(v Variable, id store.ID) {
-	if s.ids == nil {
-		s.ids = make(map[Variable]store.ID, 3)
+// unify sets row[cols[i]] to ids[i] for every i, and reports whether that
+// could be done without changing a value the row (or an earlier i) had set.
+// A negative column or NoID sets nothing.
+func unify(row []store.ID, cols []int, ids []store.ID) bool {
+	for i, c := range cols {
+		switch {
+		case c < 0 || ids[i] == store.NoID || row[c] == ids[i]:
+		case row[c] == store.NoID:
+			row[c] = ids[i]
+		default:
+			return false
+		}
 	}
-	s.ids[v] = id
+	return true
 }
 
-func (s *idSol) setTerm(v Variable, t rdf.Term) {
-	if s.terms == nil {
-		s.terms = make(map[Variable]rdf.Term, 1)
+// evalBind extends each row with the expression's value. An expression error
+// leaves the variable unbound; a row that already holds a different value for
+// it is eliminated.
+func (e *Engine) evalBind(ctx context.Context, b *Bind, in table) table {
+	cols := []int{e.ev.cols[b.Var]}
+	out := table{width: in.width, ids: make([]store.ID, 0, len(in.ids))}
+	for i := 0; i < in.n; i++ {
+		val, err := e.evalExpr(ctx, b.Expr, in.row(i))
+		if row := out.add(in.row(i)); err == nil && !unify(row, cols, []store.ID{e.idOf(val)}) {
+			out.drop()
+		}
 	}
-	s.terms[v] = t
+	return out
 }
 
-// term resolves v to its bound term, consulting ids (via the store
-// dictionary), the overflow terms and the base binding.
-func (e *Engine) solTerm(s *idSol, v Variable) (rdf.Term, bool) {
-	if id, ok := s.ids[v]; ok {
-		return e.store.TermOf(id), true
-	}
-	if t, ok := s.terms[v]; ok {
-		return t, true
-	}
-	t, ok := s.base[v]
-	return t, ok
-}
-
-// cancelCheckEvery bounds how many produced matches may pass between two
-// context checks inside a single pattern scan (power of two).
+// cancelCheckEvery bounds how many rows — read from the input or produced by
+// one scan — may pass between two context checks inside a join step (power of
+// two).
 const cancelCheckEvery = 256
 
-// evalBGP joins the triple patterns against the store in ID space. The join
-// order comes from the selectivity planner (or the legacy static order when
-// planning is off); terms are materialized once, at BGP output. On a traced
-// context every join stage gets a sparql.bgp.step span carrying the planner's
-// cost estimate next to the actual row counts — the raw material of
-// EXPLAIN ANALYZE. seeds are the index probes that fired for this BGP (see
-// probe.go): the join starts from their candidates.
-func (e *Engine) evalBGP(ctx context.Context, bgp *BGP, in []Binding, seeds []probeSeed) ([]Binding, error) {
+// evalBGP joins the triple patterns against the store. The join order comes
+// from the selectivity planner (or the legacy static order when planning is
+// off). On a traced context every join stage gets a sparql.bgp.step span
+// carrying the planner's cost estimate next to the actual row counts — the
+// raw material of EXPLAIN ANALYZE. seeds are the index probes that fired for
+// this BGP (see probe.go): the join starts from their candidates.
+func (e *Engine) evalBGP(ctx context.Context, bgp *BGP, in table, seeds []probeSeed) (table, error) {
 	if len(bgp.Patterns) == 0 {
 		return in, nil
 	}
 	var steps []PlanStep
 	if e.planning {
+		// What the first row binds stands for what every row binds.
 		bound := make(map[Variable]struct{})
-		if len(in) > 0 {
-			for v := range in[0] {
+		for c, v := range e.ev.vars {
+			if in.ids[c] != store.NoID {
 				bound[v] = struct{}{}
 			}
 		}
@@ -728,33 +656,32 @@ func (e *Engine) evalBGP(ctx context.Context, bgp *BGP, in []Binding, seeds []pr
 		}
 	}
 
-	sols := make([]*idSol, len(in))
-	for i, b := range in {
-		sols[i] = &idSol{base: b}
-	}
+	sols := in
 	for _, sd := range seeds {
-		sols = seed(sols, sd)
+		sols = seed(sols, e.ev.cols[sd.v], sd.ids)
 		if e.stats != nil {
 			// The candidates are the index entries this step read.
-			e.stats.noteStep(-1, len(sd.ids), len(sols))
+			e.stats.noteStep(-1, len(sd.ids), sols.n)
 		}
-		if len(sols) == 0 {
-			return nil, nil
+		if sols.n == 0 {
+			return sols, nil
 		}
 	}
 	for stage, ps := range steps {
 		tp := ps.Pattern
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return table{}, err
 		}
 		_, sp := obs.StartSpan(ctx, "sparql.bgp.step")
-		sp.SetAttr("pattern", tp.String())
-		sp.SetAttr("stage", strconv.Itoa(stage))
-		sp.SetAttr("pattern_index", strconv.Itoa(ps.Index))
-		if ps.Estimate >= 0 {
-			sp.SetAttr("estimate", strconv.FormatFloat(ps.Estimate, 'g', 4, 64))
+		if sp != nil {
+			sp.SetAttr("pattern", tp.String())
+			sp.SetAttr("stage", strconv.Itoa(stage))
+			sp.SetAttr("pattern_index", strconv.Itoa(ps.Index))
+			if ps.Estimate >= 0 {
+				sp.SetAttr("estimate", strconv.FormatFloat(ps.Estimate, 'g', 4, 64))
+			}
+			sp.Add("rows_in", int64(sols.n))
 		}
-		sp.Add("rows_in", int64(len(sols)))
 		var err error
 		var scanned int
 		if isCompositePath(tp.Predicate) {
@@ -763,228 +690,139 @@ func (e *Engine) evalBGP(ctx context.Context, bgp *BGP, in []Binding, seeds []pr
 			sols, scanned, err = e.stepSimple(ctx, tp, sols)
 		}
 		sp.Add("rows_scanned", int64(scanned))
-		sp.Add("rows_out", int64(len(sols)))
+		sp.Add("rows_out", int64(sols.n))
 		if e.stats != nil && err == nil {
-			e.stats.noteStep(ps.Estimate, scanned, len(sols))
+			e.stats.noteStep(ps.Estimate, scanned, sols.n)
 		}
 		if err != nil {
 			sp.Fail(err)
 			sp.End()
-			return nil, err
+			return table{}, err
 		}
 		sp.End()
-		if len(sols) == 0 {
-			return nil, nil
+		if sols.n == 0 {
+			return sols, nil
 		}
 	}
-
-	// Materialize: one dictionary view resolves every ID bound above (the
-	// view is taken after the joins, so it covers all of them).
-	view := e.store.DictView()
-	out := make([]Binding, len(sols))
-	for i, s := range sols {
-		b := s.base.clone()
-		for v, id := range s.ids {
-			b[v] = view.Term(id)
-		}
-		for v, t := range s.terms {
-			b[v] = t
-		}
-		out[i] = b
-	}
-	return out, nil
+	return sols, nil
 }
 
-// slot describes one position of a simple triple pattern after constant
-// resolution.
-type slot struct {
-	isVar bool
-	v     Variable
-	id    store.ID // constant's dictionary ID when !isVar
-}
-
-// stepSimple extends every solution with the store matches of a simple
-// pattern (plain IRI link or predicate variable), entirely in ID space. The
-// second return value counts index entries scanned, for the stage span.
-func (e *Engine) stepSimple(ctx context.Context, tp TriplePattern, sols []*idSol) ([]*idSol, int, error) {
-	var slots [3]slot
-	terms := [3]rdf.Term{tp.Subject, nil, tp.Object}
+// stepSimple extends every row with the store matches of a simple pattern
+// (plain IRI link or predicate variable): the parent row is copied once per
+// match and the pattern's free columns set. The second return value counts
+// index entries scanned, for the stage span.
+func (e *Engine) stepSimple(ctx context.Context, tp TriplePattern, in table) (table, int, error) {
+	// A position is a constant's dictionary ID or a variable's column.
+	var consts [3]store.ID
+	cols := [3]int{-1, -1, -1}
+	positions := [3]rdf.Term{tp.Subject, nil, tp.Object}
 	switch pe := tp.Predicate.(type) {
 	case Link:
-		terms[1] = pe.IRI
+		positions[1] = pe.IRI
 	case VarPath:
-		terms[1] = pe.Var
+		positions[1] = pe.Var
 	}
-	for i, t := range terms {
+	out := table{width: in.width}
+	for i, t := range positions {
 		if v, ok := t.(Variable); ok {
-			slots[i] = slot{isVar: true, v: v}
+			cols[i] = e.ev.cols[v]
 			continue
 		}
 		id, ok := e.store.LookupID(t)
 		if !ok {
 			// The constant was never interned: nothing can match, and the
 			// BGP is conjunctive, so the whole join is empty.
-			return nil, 0, nil
+			return out, 0, nil
 		}
-		slots[i] = slot{id: id}
+		consts[i] = id
 	}
+	out.ids = make([]store.ID, 0, len(in.ids))
 
-	var out []*idSol
 	produced := 0
-	for _, s := range sols {
-		if err := ctx.Err(); err != nil {
-			return nil, produced, err
+	var stepErr error
+	var row []store.ID // the input row being extended
+	var free [3]int    // its unbound columns by position, -1 elsewhere
+	match := func(ms, mp, mo store.ID) bool {
+		produced++
+		if produced%cancelCheckEvery == 0 {
+			if stepErr = ctx.Err(); stepErr != nil {
+				return false
+			}
 		}
-		var probe [3]store.ID
-		var free [3]Variable // variables to bind, by position (empty = fixed)
+		// A variable in two positions ("?x ?p ?x") takes the first one's
+		// value and has to meet it again at the second.
+		if !unify(out.add(row), free[:], []store.ID{ms, mp, mo}) {
+			out.drop()
+		}
+		return true
+	}
+	for r := 0; r < in.n; r++ {
+		if r%cancelCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return table{}, produced, err
+			}
+		}
+		row = in.row(r)
+		probe := consts
 		nFree := 0
-		dead := false
-		for i, sl := range slots {
-			if !sl.isVar {
-				probe[i] = sl.id
+		for i, c := range cols {
+			free[i] = -1
+			if c < 0 {
 				continue
 			}
-			if id, ok := s.ids[sl.v]; ok {
-				probe[i] = id
-				continue
+			// A scratch ID stands for a term the store never saw: it probes
+			// like any other ID and matches nothing.
+			if probe[i] = row[c]; probe[i] == store.NoID {
+				free[i] = c
+				nFree++
 			}
-			if _, ok := s.terms[sl.v]; ok {
-				// Bound to a term outside the dictionary: no stored triple
-				// can contain it, so this solution fails the pattern.
-				dead = true
-				break
-			}
-			if t, ok := s.base[sl.v]; ok {
-				id, ok := e.store.LookupID(t)
-				if !ok {
-					dead = true
-					break
-				}
-				s.setID(sl.v, id) // cache for later patterns
-				probe[i] = id
-				continue
-			}
-			free[i] = sl.v
-			nFree++
-		}
-		if dead {
-			continue
 		}
 		if nFree == 0 {
 			// Fully bound: pure existence check, no new bindings.
 			if e.store.HasIDs(probe[0], probe[1], probe[2]) {
-				out = append(out, s)
+				out.add(row)
 			}
 			continue
 		}
-		var stepErr error
-		e.store.ForEachMatchIDs(probe[0], probe[1], probe[2], func(ms, mp, mo store.ID) bool {
-			produced++
-			if produced%cancelCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					stepErr = err
-					return false
-				}
-			}
-			got := [3]store.ID{ms, mp, mo}
-			// Assign free positions, enforcing equality when one variable
-			// occupies several positions (e.g. "?x ?p ?x").
-			var assigned [3]struct {
-				v  Variable
-				id store.ID
-			}
-			n := 0
-			for i := 0; i < 3; i++ {
-				if free[i] == "" {
-					continue
-				}
-				ok := true
-				for j := 0; j < n; j++ {
-					if assigned[j].v == free[i] {
-						ok = assigned[j].id == got[i]
-						break
-					}
-				}
-				if !ok {
-					return true
-				}
-				assigned[n].v, assigned[n].id = free[i], got[i]
-				n++
-			}
-			ns := s.clone()
-			for j := 0; j < n; j++ {
-				ns.setID(assigned[j].v, assigned[j].id)
-			}
-			out = append(out, ns)
-			return true
-		})
+		e.store.ForEachMatchIDs(probe[0], probe[1], probe[2], match)
 		if stepErr != nil {
-			return nil, produced, stepErr
+			return table{}, produced, stepErr
 		}
 	}
 	return out, produced, nil
 }
 
-// stepPath extends every solution through a composite property path. Paths
-// run at the term level: closures with Min==0 can relate terms the store
-// has never interned, so endpoint values may land in the solution's term
-// overflow map rather than the ID map.
-func (e *Engine) stepPath(ctx context.Context, tp TriplePattern, sols []*idSol) ([]*idSol, int, error) {
-	var out []*idSol
-	scanned := 0
-	for _, s := range sols {
-		if err := ctx.Err(); err != nil {
-			return nil, scanned, err
+// stepPath extends every row through a composite property path. Paths run at
+// the term level: closures with Min==0 can relate terms the store has never
+// interned, which come back as scratch IDs.
+func (e *Engine) stepPath(ctx context.Context, tp TriplePattern, in table) (table, int, error) {
+	// The endpoints' columns; a constant endpoint (-1) is the path
+	// evaluator's to match.
+	cols := [2]int{-1, -1}
+	for i, pt := range []rdf.Term{tp.Subject, tp.Object} {
+		if v, ok := pt.(Variable); ok {
+			cols[i] = e.ev.cols[v]
 		}
-		subj := e.resolvePatternTerm(s, tp.Subject)
-		obj := e.resolvePatternTerm(s, tp.Object)
-		pairs, err := e.evalPath(ctx, tp.Predicate, subj, obj)
+	}
+	out := table{width: in.width}
+	scanned := 0
+	for r := 0; r < in.n; r++ {
+		if err := ctx.Err(); err != nil {
+			return table{}, scanned, err
+		}
+		row := in.row(r)
+		pairs, err := e.evalPath(ctx, tp.Predicate, e.resolve(tp.Subject, row), e.resolve(tp.Object, row))
 		if err != nil {
-			return nil, scanned, err
+			return table{}, scanned, err
 		}
 		scanned += len(pairs)
 		for _, pr := range pairs {
-			ns := s.clone()
-			if !e.bindSolTerm(ns, tp.Subject, pr[0]) || !e.bindSolTerm(ns, tp.Object, pr[1]) {
-				continue
+			if !unify(out.add(row), cols[:], []store.ID{e.idOf(pr[0]), e.idOf(pr[1])}) {
+				out.drop()
 			}
-			out = append(out, ns)
 		}
 	}
 	return out, scanned, nil
-}
-
-// resolvePatternTerm turns a pattern position into a concrete term for the
-// path evaluator: constants pass through, bound variables resolve, unbound
-// variables become nil (wildcard).
-func (e *Engine) resolvePatternTerm(s *idSol, pt rdf.Term) rdf.Term {
-	v, isVar := pt.(Variable)
-	if !isVar {
-		return pt
-	}
-	if t, ok := e.solTerm(s, v); ok {
-		return t
-	}
-	return nil
-}
-
-// bindSolTerm unifies a pattern position with a concrete term produced by
-// the path evaluator, storing new variable bindings as IDs when the term is
-// interned and as overflow terms otherwise.
-func (e *Engine) bindSolTerm(s *idSol, pt rdf.Term, ct rdf.Term) bool {
-	v, isVar := pt.(Variable)
-	if !isVar {
-		return pt.Equal(ct)
-	}
-	if prev, ok := e.solTerm(s, v); ok {
-		return prev.Equal(ct)
-	}
-	if id, ok := e.store.LookupID(ct); ok {
-		s.setID(v, id)
-	} else {
-		s.setTerm(v, ct)
-	}
-	return true
 }
 
 // orderPatterns sorts patterns by a static selectivity estimate: constants
@@ -1008,23 +846,6 @@ func orderPatterns(ps []TriplePattern) []TriplePattern {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return score(out[i]) > score(out[j]) })
 	return out
-}
-
-// bindTerm unifies pattern term pt with concrete term ct under binding b.
-func bindTerm(b Binding, pt rdf.Term, ct rdf.Term) bool {
-	v, isVar := pt.(Variable)
-	if !isVar {
-		return pt.Equal(ct)
-	}
-	return bindVar(b, v, ct)
-}
-
-func bindVar(b Binding, v Variable, ct rdf.Term) bool {
-	if prev, ok := b[v]; ok {
-		return prev.Equal(ct)
-	}
-	b[v] = ct
-	return true
 }
 
 type pair [2]rdf.Term
@@ -1180,78 +1001,90 @@ func (e *Engine) repeatStarts(r Repeat, subj rdf.Term) ([]rdf.Term, error) {
 	return out, nil
 }
 
-func (e *Engine) evalFilter(ctx context.Context, f *Filter, in []Binding) ([]Binding, error) {
-	var out []Binding
-	for _, b := range in {
-		v, err := e.evalExpr(ctx, f.Expr, b)
+func (e *Engine) evalFilter(ctx context.Context, f *Filter, in table) (table, error) {
+	out := table{width: in.width, ids: make([]store.ID, 0, len(in.ids))}
+	for i := 0; i < in.n; i++ {
+		row := in.row(i)
+		v, err := e.evalExpr(ctx, f.Expr, row)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
+				return table{}, ctxErr
 			}
 			continue // expression error => solution eliminated (SPARQL semantics)
 		}
-		ok, err := effectiveBool(v)
-		if err == nil && ok {
-			out = append(out, b)
+		if ok, err := effectiveBool(v); err == nil && ok {
+			out.add(row)
 		}
 	}
 	return out, nil
 }
 
-func (e *Engine) evalOptional(ctx context.Context, o *Optional, in []Binding) ([]Binding, error) {
-	var out []Binding
-	for _, b := range in {
-		ext, err := e.evalGroup(ctx, o.Group, []Binding{b})
-		if err != nil {
-			return nil, err
+// evalOptional is a left join, evaluated once over all of in: the rows go
+// into the optional group together, each carrying its own number in the
+// origin column of this nesting level, and come out — zero, one or many per
+// row — still carrying it. A row that nothing came out for passes through as
+// it was. (Planning the group, asking its probes and walking its elements
+// happen once, not once per row.)
+func (e *Engine) evalOptional(ctx context.Context, o *Optional, in table) (table, error) {
+	origin := len(e.ev.vars) + e.ev.depth
+	stamped := table{width: in.width, n: in.n, ids: slices.Clone(in.ids)}
+	for i := 0; i < in.n; i++ {
+		stamped.ids[i*in.width+origin] = store.ID(i)
+	}
+	e.ev.depth++
+	ext, err := e.evalGroup(ctx, o.Group, stamped)
+	e.ev.depth--
+	if err != nil {
+		return table{}, err
+	}
+	// Every operator keeps the order of the rows it is given, except UNION,
+	// which puts all of one branch ahead of all of the other.
+	from := func(i int) store.ID { return ext.ids[i*ext.width+origin] }
+	for i := 1; i < ext.n; i++ {
+		if from(i-1) > from(i) {
+			ext = ext.sortedStable(func(a, b int) bool { return from(a) < from(b) })
+			break
 		}
-		if len(ext) == 0 {
-			out = append(out, b)
-		} else {
-			out = append(out, ext...)
+	}
+	out := table{width: in.width, ids: make([]store.ID, 0, max(len(in.ids), len(ext.ids)))}
+	next := 0
+	for i := 0; i < in.n; i++ {
+		if next == ext.n || from(next) != store.ID(i) {
+			out.add(in.row(i))
+		}
+		for ; next < ext.n && from(next) == store.ID(i); next++ {
+			out.add(ext.row(next))
 		}
 	}
 	return out, nil
 }
 
-func (e *Engine) evalUnion(ctx context.Context, u *Union, in []Binding) ([]Binding, error) {
+func (e *Engine) evalUnion(ctx context.Context, u *Union, in table) (table, error) {
 	left, err := e.evalGroup(ctx, u.Left, in)
 	if err != nil {
-		return nil, err
+		return table{}, err
 	}
 	right, err := e.evalGroup(ctx, u.Right, in)
 	if err != nil {
-		return nil, err
+		return table{}, err
 	}
-	return append(left, right...), nil
+	return table{width: in.width, n: left.n + right.n, ids: append(left.ids[:len(left.ids):len(left.ids)], right.ids...)}, nil
 }
 
-func (e *Engine) sortSolutions(ctx context.Context, sols []Binding, keys []OrderKey) error {
-	type cached struct {
-		vals []rdf.Term
-		errs []bool
-	}
-	cache := make([]cached, len(sols))
-	for i, b := range sols {
-		c := cached{vals: make([]rdf.Term, len(keys)), errs: make([]bool, len(keys))}
+// sortRows orders the rows by keys, each key evaluated once per row.
+func (e *Engine) sortRows(ctx context.Context, in table, keys []OrderKey) table {
+	// vals[i*len(keys)+j] is key j of row i; nil stands for an error.
+	vals := make([]rdf.Term, in.n*len(keys))
+	for i := 0; i < in.n; i++ {
 		for j, k := range keys {
-			v, err := e.evalExpr(ctx, k.Expr, b)
-			if err != nil {
-				c.errs[j] = true
-			} else {
-				c.vals[j] = v
+			if v, err := e.evalExpr(ctx, k.Expr, in.row(i)); err == nil {
+				vals[i*len(keys)+j] = v
 			}
 		}
-		cache[i] = c
 	}
-	idx := make([]int, len(sols))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
+	return in.sortedStable(func(a, b int) bool {
 		for j, k := range keys {
-			cmp := compareTerms(cache[idx[a]].vals[j], cache[idx[b]].vals[j],
-				cache[idx[a]].errs[j], cache[idx[b]].errs[j])
+			cmp := compareTerms(vals[a*len(keys)+j], vals[b*len(keys)+j])
 			if cmp == 0 {
 				continue
 			}
@@ -1262,19 +1095,13 @@ func (e *Engine) sortSolutions(ctx context.Context, sols []Binding, keys []Order
 		}
 		return false
 	})
-	sorted := make([]Binding, len(sols))
-	for i, j := range idx {
-		sorted[i] = sols[j]
-	}
-	copy(sols, sorted)
-	return nil
 }
 
 // compareTerms orders terms for ORDER BY: unbound/error < blank < IRI < literal.
-func compareTerms(a, b rdf.Term, aErr, bErr bool) int {
-	rank := func(t rdf.Term, e bool) int {
+func compareTerms(a, b rdf.Term) int {
+	rank := func(t rdf.Term) int {
 		switch {
-		case e || t == nil:
+		case t == nil:
 			return 0
 		case t.Kind() == rdf.KindBlank:
 			return 1
@@ -1284,7 +1111,7 @@ func compareTerms(a, b rdf.Term, aErr, bErr bool) int {
 			return 3
 		}
 	}
-	ra, rb := rank(a, aErr), rank(b, bErr)
+	ra, rb := rank(a), rank(b)
 	if ra != rb {
 		if ra < rb {
 			return -1
@@ -1304,47 +1131,72 @@ func compareTerms(a, b rdf.Term, aErr, bErr bool) int {
 }
 
 // evalGraphPattern evaluates GRAPH <name> { … } against the dataset's named
-// graphs.
-func (e *Engine) evalGraphPattern(ctx context.Context, gp *GraphPattern, in []Binding) ([]Binding, error) {
+// graphs. A named graph is a store with a dictionary of its own, so this is
+// where the IDs of two dictionaries meet: the rows are translated into the
+// graph's IDs on the way in and back on the way out (see translate).
+func (e *Engine) evalGraphPattern(ctx context.Context, gp *GraphPattern, in table) (table, error) {
 	if e.dataset == nil {
-		return nil, fmt.Errorf("sparql: GRAPH requires a dataset-backed engine")
+		return table{}, fmt.Errorf("sparql: GRAPH requires a dataset-backed engine")
 	}
-	var out []Binding
-	for _, b := range in {
-		name := gp.Name
-		if v, isVar := name.(Variable); isVar {
-			if bound, ok := b[v]; ok {
-				name = bound
-			}
-		}
-		if iri, ok := name.(rdf.IRI); ok {
-			st, exists := e.dataset.Graph(iri, false)
-			if !exists {
-				continue
-			}
-			sols, err := e.forGraph(st).evalGroup(ctx, gp.Group, []Binding{b})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, sols...)
+	var names []rdf.IRI
+	nameCol := -1
+	switch name := gp.Name.(type) {
+	case rdf.IRI:
+		names = []rdf.IRI{name}
+	case Variable:
+		// Every named graph is tried, by the rows that do not name another.
+		names, nameCol = e.dataset.GraphNames(), e.ev.cols[name]
+	}
+	out := table{width: in.width}
+	for _, name := range names {
+		st, exists := e.dataset.Graph(name, false)
+		if !exists {
 			continue
 		}
-		// unbound variable: try every named graph, binding the name
-		v := gp.Name.(Variable)
-		for _, gname := range e.dataset.GraphNames() {
-			st, _ := e.dataset.Graph(gname, false)
-			nb := b.clone()
-			if !bindVar(nb, v, gname) {
-				continue
+		rows := in
+		if nameCol >= 0 {
+			rows = table{width: in.width}
+			nameID := e.idOf(name)
+			for i := 0; i < in.n; i++ {
+				if !unify(rows.add(in.row(i)), []int{nameCol}, []store.ID{nameID}) {
+					rows.drop()
+				}
 			}
-			sols, err := e.forGraph(st).evalGroup(ctx, gp.Group, []Binding{nb})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, sols...)
 		}
+		if rows.n == 0 {
+			continue
+		}
+		g := e.forGraph(st)
+		sols, err := g.evalGroup(ctx, gp.Group, e.translate(rows, g))
+		if err != nil {
+			return table{}, err
+		}
+		sols = g.translate(sols, e)
+		out.n += sols.n
+		out.ids = append(out.ids, sols.ids...)
 	}
 	return out, nil
+}
+
+// translate copies rows, which hold e's IDs, into the IDs the same terms have
+// in to's graph. The origin columns are row numbers and stay as they are.
+func (e *Engine) translate(rows table, to *Engine) table {
+	out := table{width: rows.width, n: rows.n, ids: slices.Clone(rows.ids)}
+	memo := make(map[store.ID]store.ID)
+	for i := 0; i < rows.n; i++ {
+		for c, id := range out.row(i)[:len(e.ev.vars)] {
+			if id == store.NoID {
+				continue
+			}
+			tid, ok := memo[id]
+			if !ok {
+				tid = to.idOf(e.terms.term(id))
+				memo[id] = tid
+			}
+			out.ids[i*out.width+c] = tid
+		}
+	}
+	return out
 }
 
 // describeInto copies the subject's triples (with blank-node closure) into g.

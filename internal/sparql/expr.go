@@ -9,27 +9,29 @@ import (
 	"strings"
 
 	"repro/internal/rdf"
+	"repro/internal/store"
 )
 
 // errUnbound signals evaluation over an unbound variable; per SPARQL it
 // eliminates the solution in FILTER context.
 var errUnbound = errors.New("sparql: unbound variable in expression")
 
-// evalExpr evaluates an expression under a binding.
-func (e *Engine) evalExpr(ctx context.Context, expr Expression, b Binding) (rdf.Term, error) {
+// evalExpr evaluates an expression over one row. A variable is read by its
+// column and resolved through the graph's terms.
+func (e *Engine) evalExpr(ctx context.Context, expr Expression, row []store.ID) (rdf.Term, error) {
 	switch v := expr.(type) {
 	case ExprConst:
 		return v.Term, nil
 
 	case ExprVar:
-		t, ok := b[v.Var]
-		if !ok {
+		t := e.terms.term(row[e.ev.cols[v.Var]])
+		if t == nil {
 			return nil, errUnbound
 		}
 		return t, nil
 
 	case ExprUnary:
-		inner, err := e.evalExpr(ctx, v.Expr, b)
+		inner, err := e.evalExpr(ctx, v.Expr, row)
 		if err != nil {
 			return nil, err
 		}
@@ -54,17 +56,17 @@ func (e *Engine) evalExpr(ctx context.Context, expr Expression, b Binding) (rdf.
 		return nil, fmt.Errorf("sparql: unknown unary op %q", v.Op)
 
 	case ExprBinary:
-		return e.evalBinary(ctx, v, b)
+		return e.evalBinary(ctx, v, row)
 
 	case ExprCall:
-		return e.evalCall(ctx, v, b)
+		return e.evalCall(ctx, v, row)
 
 	case ExprExists:
-		sols, err := e.evalGroup(ctx, v.Group, []Binding{b})
+		sols, err := e.evalGroup(ctx, v.Group, table{width: len(row), n: 1, ids: row})
 		if err != nil {
 			return nil, err
 		}
-		found := len(sols) > 0
+		found := sols.n > 0
 		if v.Negate {
 			found = !found
 		}
@@ -73,17 +75,17 @@ func (e *Engine) evalExpr(ctx context.Context, expr Expression, b Binding) (rdf.
 	return nil, fmt.Errorf("sparql: unknown expression %T", expr)
 }
 
-func (e *Engine) evalBinary(ctx context.Context, v ExprBinary, b Binding) (rdf.Term, error) {
+func (e *Engine) evalBinary(ctx context.Context, v ExprBinary, row []store.ID) (rdf.Term, error) {
 	// Short-circuit logical operators; SPARQL's three-valued logic lets one
 	// errored side be recovered by the other.
 	switch v.Op {
 	case "&&", "||":
-		lt, lerr := e.evalExpr(ctx, v.Left, b)
+		lt, lerr := e.evalExpr(ctx, v.Left, row)
 		var lval bool
 		if lerr == nil {
 			lval, lerr = effectiveBool(lt)
 		}
-		rt, rerr := e.evalExpr(ctx, v.Right, b)
+		rt, rerr := e.evalExpr(ctx, v.Right, row)
 		var rval bool
 		if rerr == nil {
 			rval, rerr = effectiveBool(rt)
@@ -108,11 +110,11 @@ func (e *Engine) evalBinary(ctx context.Context, v ExprBinary, b Binding) (rdf.T
 		}
 	}
 
-	lt, err := e.evalExpr(ctx, v.Left, b)
+	lt, err := e.evalExpr(ctx, v.Left, row)
 	if err != nil {
 		return nil, err
 	}
-	rt, err := e.evalExpr(ctx, v.Right, b)
+	rt, err := e.evalExpr(ctx, v.Right, row)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +255,7 @@ func effectiveBool(t rdf.Term) (bool, error) {
 	return false, fmt.Errorf("sparql: no boolean value for %s", t)
 }
 
-func (e *Engine) evalCall(ctx context.Context, c ExprCall, b Binding) (rdf.Term, error) {
+func (e *Engine) evalCall(ctx context.Context, c ExprCall, row []store.ID) (rdf.Term, error) {
 	// Custom extension function.
 	if c.IRI != "" {
 		fn, ok := e.funcs[c.IRI]
@@ -262,7 +264,7 @@ func (e *Engine) evalCall(ctx context.Context, c ExprCall, b Binding) (rdf.Term,
 		}
 		args := make([]rdf.Term, len(c.Args))
 		for i, a := range c.Args {
-			v, err := e.evalExpr(ctx, a, b)
+			v, err := e.evalExpr(ctx, a, row)
 			if err != nil {
 				return nil, err
 			}
@@ -280,14 +282,13 @@ func (e *Engine) evalCall(ctx context.Context, c ExprCall, b Binding) (rdf.Term,
 		if !ok {
 			return nil, fmt.Errorf("sparql: BOUND argument must be a variable")
 		}
-		_, bound := b[ev.Var]
-		return rdf.NewBoolean(bound), nil
+		return rdf.NewBoolean(row[e.ev.cols[ev.Var]] != store.NoID), nil
 	}
 
 	// COALESCE returns the first argument that evaluates without error.
 	if c.Name == "COALESCE" {
 		for _, a := range c.Args {
-			if v, err := e.evalExpr(ctx, a, b); err == nil {
+			if v, err := e.evalExpr(ctx, a, row); err == nil {
 				return v, nil
 			}
 		}
@@ -299,7 +300,7 @@ func (e *Engine) evalCall(ctx context.Context, c ExprCall, b Binding) (rdf.Term,
 		if len(c.Args) != 3 {
 			return nil, fmt.Errorf("sparql: IF takes 3 arguments")
 		}
-		cond, err := e.evalExpr(ctx, c.Args[0], b)
+		cond, err := e.evalExpr(ctx, c.Args[0], row)
 		if err != nil {
 			return nil, err
 		}
@@ -308,14 +309,14 @@ func (e *Engine) evalCall(ctx context.Context, c ExprCall, b Binding) (rdf.Term,
 			return nil, err
 		}
 		if ok {
-			return e.evalExpr(ctx, c.Args[1], b)
+			return e.evalExpr(ctx, c.Args[1], row)
 		}
-		return e.evalExpr(ctx, c.Args[2], b)
+		return e.evalExpr(ctx, c.Args[2], row)
 	}
 
 	args := make([]rdf.Term, len(c.Args))
 	for i, a := range c.Args {
-		v, err := e.evalExpr(ctx, a, b)
+		v, err := e.evalExpr(ctx, a, row)
 		if err != nil {
 			return nil, err
 		}

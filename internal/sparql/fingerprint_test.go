@@ -155,7 +155,7 @@ func TestEvalStatsSink(t *testing.T) {
 	if s.Fingerprint != parsed.Fingerprint {
 		t.Errorf("sink fingerprint %016x != parsed %016x", s.Fingerprint, parsed.Fingerprint)
 	}
-	if s.Failed || s.Steps == 0 || s.Solutions != int64(len(res.Bindings)) {
+	if s.Failed || s.Steps == 0 || s.Solutions != int64(len(res.Bindings())) {
 		t.Errorf("unexpected stats: %+v", s)
 	}
 	if s.CanonicalForm == "" {

@@ -76,32 +76,9 @@ func (p Plan) Explain() string {
 	return sb.String()
 }
 
-// patternVars appends the variables of tp (subject, path, object) to out.
+// patternVars adds the variables of tp (subject, path, object) to out.
 func patternVars(tp TriplePattern, out map[Variable]struct{}) {
-	if v, ok := tp.Subject.(Variable); ok {
-		out[v] = struct{}{}
-	}
-	pathVars(tp.Predicate, out)
-	if v, ok := tp.Object.(Variable); ok {
-		out[v] = struct{}{}
-	}
-}
-
-func pathVars(p PathExpr, out map[Variable]struct{}) {
-	switch pe := p.(type) {
-	case VarPath:
-		out[pe.Var] = struct{}{}
-	case Inverse:
-		pathVars(pe.Path, out)
-	case Seq:
-		pathVars(pe.Left, out)
-		pathVars(pe.Right, out)
-	case Alt:
-		pathVars(pe.Left, out)
-		pathVars(pe.Right, out)
-	case Repeat:
-		pathVars(pe.Path, out)
-	}
+	patternVarsDo(tp, func(v Variable) { out[v] = struct{}{} })
 }
 
 // isCompositePath reports whether the pattern's predicate needs the
@@ -237,13 +214,14 @@ func PlanBGP(st store.Reader, patterns []TriplePattern, bound map[Variable]struc
 }
 
 // Explain parses src and returns the EXPLAIN rendering of every BGP plan in
-// the query, in pattern-tree order. It does not evaluate the query.
+// the query, in pattern-tree order, with a line for every FILTER saying where
+// in its group it runs. It does not evaluate the query.
 func (e *Engine) Explain(src string) (string, error) {
 	q, err := ParseQuery(src, nil)
 	if err != nil {
 		return "", err
 	}
-	e = e.pinned()
+	e = e.pinned(q)
 	var sb strings.Builder
 	e.explainGroup(q.Where, make(map[Variable]struct{}), &sb)
 	if sb.Len() == 0 {
@@ -256,6 +234,7 @@ func (e *Engine) Explain(src string) (string, error) {
 // that earlier elements of the same group would have bound.
 func (e *Engine) explainGroup(g *GroupPattern, bound map[Variable]struct{}, sb *strings.Builder) {
 	probes := e.probeSpecs(g)
+	var late []*Filter
 	for _, el := range g.Elements {
 		switch v := el.(type) {
 		case *BGP:
@@ -271,6 +250,12 @@ func (e *Engine) explainGroup(g *GroupPattern, bound map[Variable]struct{}, sb *
 			sb.WriteString(plan.Explain())
 			for _, tp := range v.Patterns {
 				patternVars(tp, bound)
+			}
+		case *Filter:
+			if e.ev.late[v] {
+				late = append(late, v)
+			} else {
+				fmt.Fprintf(sb, "FILTER %s: runs where it stands\n", v.Expr)
 			}
 		case *Optional:
 			e.explainGroup(v.Group, bound, sb)
@@ -288,5 +273,8 @@ func (e *Engine) explainGroup(g *GroupPattern, bound map[Variable]struct{}, sb *
 				bound[vv] = struct{}{}
 			}
 		}
+	}
+	for _, f := range late {
+		fmt.Fprintf(sb, "FILTER %s: runs at the end of its group (a variable of it may be unbound where it stands)\n", f.Expr)
 	}
 }

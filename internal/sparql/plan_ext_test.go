@@ -18,8 +18,8 @@ import (
 // two results compare equal iff they contain the same solutions with the
 // same multiplicities, regardless of order.
 func multiset(res *sparql.Result) []string {
-	rows := make([]string, 0, len(res.Bindings))
-	for _, b := range res.Bindings {
+	rows := make([]string, 0, len(res.Bindings()))
+	for _, b := range res.Bindings() {
 		var sb strings.Builder
 		for _, v := range res.Vars {
 			sb.WriteString(string(v))

@@ -176,8 +176,8 @@ func TestZeroLengthPathBindsUninternedTerm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Bindings) != 1 || !res.Bindings[0][Variable("x")].Equal(ghost) {
-		t.Fatalf("zero-length path over unstored subject = %v, want [{x: %s}]", res.Bindings, ghost)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0][Variable("x")].Equal(ghost) {
+		t.Fatalf("zero-length path over unstored subject = %v, want [{x: %s}]", res.Bindings(), ghost)
 	}
 }
 
@@ -190,7 +190,7 @@ func TestRepeatedVariableInPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Bindings) != 1 || !res.Bindings[0][Variable("x")].Equal(planIRI("n1")) {
-		t.Fatalf("self-loop query = %v, want exactly n1", res.Bindings)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0][Variable("x")].Equal(planIRI("n1")) {
+		t.Fatalf("self-loop query = %v, want exactly n1", res.Bindings())
 	}
 }

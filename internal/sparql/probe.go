@@ -223,9 +223,9 @@ func (e *Engine) takeProbes(ctx context.Context, specs *[]probeSpec, bgp *BGP, b
 	return seeds
 }
 
-// candidates asks sp's prober, once per evaluation: a group inside an OPTIONAL
-// is evaluated for every row of the outer group, and the index's answer for
-// the same constants does not change between them.
+// candidates asks sp's prober, once per evaluation: a group inside an EXISTS
+// is evaluated for every row the FILTER sees, and the index's answer for the
+// same constants does not change between them.
 func (e *Engine) candidates(sp probeSpec) []store.ID {
 	if ids, ok := e.probed[sp]; ok {
 		return ids
@@ -238,15 +238,13 @@ func (e *Engine) candidates(sp probeSpec) []store.ID {
 	return ids
 }
 
-// seed starts the join from the seed's candidates: every solution — none of
-// which holds a value for the variable — becomes one copy per candidate.
-func seed(sols []*idSol, sd probeSeed) []*idSol {
-	out := make([]*idSol, 0, len(sols)*len(sd.ids))
-	for _, s := range sols {
-		for _, id := range sd.ids {
-			ns := s.clone()
-			ns.setID(sd.v, id)
-			out = append(out, ns)
+// seed starts the join from a probe's candidates: every row — none of which
+// holds a value in col — becomes one copy per candidate.
+func seed(in table, col int, ids []store.ID) table {
+	out := table{width: in.width, ids: make([]store.ID, 0, len(in.ids)*len(ids))}
+	for i := 0; i < in.n; i++ {
+		for _, id := range ids {
+			out.add(in.row(i))[col] = id
 		}
 	}
 	return out

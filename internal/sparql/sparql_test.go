@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -53,8 +54,8 @@ func sel(t *testing.T, e *Engine, q string) *Result {
 func TestSelectBasic(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/> SELECT ?s WHERE { ?s a grdf:Feature }`)
-	if len(res.Bindings) != 3 {
-		t.Fatalf("got %d rows, want 3", len(res.Bindings))
+	if len(res.Bindings()) != 3 {
+		t.Fatalf("got %d rows, want 3", len(res.Bindings()))
 	}
 }
 
@@ -62,10 +63,10 @@ func TestSelectJoin(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?name WHERE { ?site a ex:ChemSite . ?site ex:nearTo ?st . ?st ex:name ?name }`)
-	if len(res.Bindings) != 1 {
-		t.Fatalf("rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 1 {
+		t.Fatalf("rows = %d", len(res.Bindings()))
 	}
-	if got := res.Bindings[0][Variable("name")]; !got.Equal(rdf.NewString("Rowlett Creek")) {
+	if got := res.Bindings()[0][Variable("name")]; !got.Equal(rdf.NewString("Rowlett Creek")) {
 		t.Errorf("name = %v", got)
 	}
 }
@@ -82,10 +83,10 @@ func TestFilterComparison(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s WHERE { ?s ex:risk ?r . FILTER(?r > 3) }`)
-	if len(res.Bindings) != 1 {
-		t.Fatalf("rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 1 {
+		t.Fatalf("rows = %d", len(res.Bindings()))
 	}
-	if got := res.Bindings[0][Variable("s")]; !got.Equal(rdf.IRI("http://e/site1")) {
+	if got := res.Bindings()[0][Variable("s")]; !got.Equal(rdf.IRI("http://e/site1")) {
 		t.Errorf("s = %v", got)
 	}
 }
@@ -111,8 +112,8 @@ func TestFilterLogicAndFunctions(t *testing.T) {
 	}
 	for _, c := range cases {
 		res := sel(t, e, c.q)
-		if len(res.Bindings) != c.rows {
-			t.Errorf("%s\n rows = %d, want %d", c.q, len(res.Bindings), c.rows)
+		if len(res.Bindings()) != c.rows {
+			t.Errorf("%s\n rows = %d, want %d", c.q, len(res.Bindings()), c.rows)
 		}
 	}
 }
@@ -121,11 +122,11 @@ func TestOptional(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?site ?st WHERE { ?site a ex:ChemSite . OPTIONAL { ?site ex:nearTo ?st } }`)
-	if len(res.Bindings) != 2 {
-		t.Fatalf("rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 2 {
+		t.Fatalf("rows = %d", len(res.Bindings()))
 	}
 	boundCount := 0
-	for _, b := range res.Bindings {
+	for _, b := range res.Bindings() {
 		if _, ok := b[Variable("st")]; ok {
 			boundCount++
 		}
@@ -139,10 +140,10 @@ func TestOptionalWithBoundFilter(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?site WHERE { ?site a ex:ChemSite . OPTIONAL { ?site ex:nearTo ?st } FILTER(!BOUND(?st)) }`)
-	if len(res.Bindings) != 1 {
-		t.Fatalf("rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 1 {
+		t.Fatalf("rows = %d", len(res.Bindings()))
 	}
-	if got := res.Bindings[0][Variable("site")]; !got.Equal(rdf.IRI("http://e/site2")) {
+	if got := res.Bindings()[0][Variable("site")]; !got.Equal(rdf.IRI("http://e/site2")) {
 		t.Errorf("site = %v", got)
 	}
 }
@@ -151,8 +152,8 @@ func TestUnion(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?x WHERE { { ?x a ex:ChemSite } UNION { ?x a grdf:Feature } }`)
-	if len(res.Bindings) != 5 {
-		t.Fatalf("rows = %d, want 5", len(res.Bindings))
+	if len(res.Bindings()) != 5 {
+		t.Fatalf("rows = %d, want 5", len(res.Bindings()))
 	}
 }
 
@@ -160,20 +161,20 @@ func TestDistinctOrderLimitOffset(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT DISTINCT ?r WHERE { ?s ex:risk ?r } ORDER BY DESC(?r)`)
-	if len(res.Bindings) != 2 {
-		t.Fatalf("rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 2 {
+		t.Fatalf("rows = %d", len(res.Bindings()))
 	}
-	if !res.Bindings[0][Variable("r")].Equal(rdf.NewInteger(4)) {
-		t.Errorf("first = %v", res.Bindings[0][Variable("r")])
+	if !res.Bindings()[0][Variable("r")].Equal(rdf.NewInteger(4)) {
+		t.Errorf("first = %v", res.Bindings()[0][Variable("r")])
 	}
 
 	res = sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?n WHERE { ?s ex:name ?n } ORDER BY ?n LIMIT 2 OFFSET 1`)
-	if len(res.Bindings) != 2 {
-		t.Fatalf("rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 2 {
+		t.Fatalf("rows = %d", len(res.Bindings()))
 	}
-	if !res.Bindings[0][Variable("n")].Equal(rdf.NewString("Gulf of Mexico")) {
-		t.Errorf("offset row = %v", res.Bindings[0][Variable("n")])
+	if !res.Bindings()[0][Variable("n")].Equal(rdf.NewString("Gulf of Mexico")) {
+		t.Errorf("offset row = %v", res.Bindings()[0][Variable("n")])
 	}
 }
 
@@ -205,8 +206,8 @@ func TestPropertyPathSeq(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?n WHERE { ex:stream1 ex:flowsInto/ex:name ?n }`)
-	if len(res.Bindings) != 1 || !res.Bindings[0][Variable("n")].Equal(rdf.NewString("Trinity River")) {
-		t.Errorf("seq path = %v", res.Bindings)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0][Variable("n")].Equal(rdf.NewString("Trinity River")) {
+		t.Errorf("seq path = %v", res.Bindings())
 	}
 }
 
@@ -214,13 +215,13 @@ func TestPropertyPathPlusStar(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?x WHERE { ex:stream1 ex:flowsInto+ ?x }`)
-	if len(res.Bindings) != 2 {
-		t.Fatalf("plus path rows = %d, want 2", len(res.Bindings))
+	if len(res.Bindings()) != 2 {
+		t.Fatalf("plus path rows = %d, want 2", len(res.Bindings()))
 	}
 	res = sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?x WHERE { ex:stream1 ex:flowsInto* ?x }`)
-	if len(res.Bindings) != 3 { // includes stream1 itself
-		t.Fatalf("star path rows = %d, want 3", len(res.Bindings))
+	if len(res.Bindings()) != 3 { // includes stream1 itself
+		t.Fatalf("star path rows = %d, want 3", len(res.Bindings()))
 	}
 }
 
@@ -228,13 +229,13 @@ func TestPropertyPathInverseAlt(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?x WHERE { ex:stream2 ^ex:flowsInto ?x }`)
-	if len(res.Bindings) != 1 || !res.Bindings[0][Variable("x")].Equal(rdf.IRI("http://e/stream1")) {
-		t.Errorf("inverse path = %v", res.Bindings)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0][Variable("x")].Equal(rdf.IRI("http://e/stream1")) {
+		t.Errorf("inverse path = %v", res.Bindings())
 	}
 	res = sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?x WHERE { ex:site1 (ex:nearTo|ex:risk) ?x }`)
-	if len(res.Bindings) != 2 {
-		t.Errorf("alt path rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 2 {
+		t.Errorf("alt path rows = %d", len(res.Bindings()))
 	}
 }
 
@@ -242,8 +243,8 @@ func TestPredicateVariable(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?p ?o WHERE { ex:gulf ?p ?o }`)
-	if len(res.Bindings) != 2 {
-		t.Errorf("rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 2 {
+		t.Errorf("rows = %d", len(res.Bindings()))
 	}
 }
 
@@ -254,8 +255,8 @@ func TestCustomFunction(t *testing.T) {
 	})
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s WHERE { ?s a ex:ChemSite . FILTER(grdf:alwaysTrue(?s)) }`)
-	if len(res.Bindings) != 2 {
-		t.Errorf("rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 2 {
+		t.Errorf("rows = %d", len(res.Bindings()))
 	}
 }
 
@@ -291,7 +292,7 @@ func TestProberSeedsTheJoin(t *testing.T) {
 	run := func(q string) (rows []Binding, plan string) {
 		t.Helper()
 		calls, asked = 0, nil
-		rows = sel(t, e, q).Bindings
+		rows = sel(t, e, q).Bindings()
 		ranCalls, ranAsked := calls, asked
 		plan, err := e.Explain(q)
 		if err != nil {
@@ -345,8 +346,8 @@ func TestUnknownCustomFunctionEliminates(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s WHERE { ?s a ex:ChemSite . FILTER(grdf:noSuchFn(?s)) }`)
-	if len(res.Bindings) != 0 {
-		t.Errorf("rows = %d, want 0 (errors eliminate solutions)", len(res.Bindings))
+	if len(res.Bindings()) != 0 {
+		t.Errorf("rows = %d, want 0 (errors eliminate solutions)", len(res.Bindings()))
 	}
 }
 
@@ -354,8 +355,8 @@ func TestSubGroup(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s WHERE { { ?s a ex:ChemSite . ?s ex:risk ?r } FILTER(?r = 2) }`)
-	if len(res.Bindings) != 1 {
-		t.Errorf("rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 1 {
+		t.Errorf("rows = %d", len(res.Bindings()))
 	}
 }
 
@@ -412,8 +413,52 @@ func TestFilterTypeErrorEliminates(t *testing.T) {
 	// a query failure.
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s WHERE { ?s ex:name ?n . FILTER(?n > 3) }`)
-	if len(res.Bindings) != 0 {
-		t.Errorf("rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 0 {
+		t.Errorf("rows = %d", len(res.Bindings()))
+	}
+}
+
+// TestFilterConstrainsItsWholeGroup: SPARQL 1.1 §5.2.2 — a FILTER restricts
+// the solutions of the group it is written in, wherever in the group that is.
+// One written ahead of the pattern that binds its variable used to run there,
+// fail on every row and leave nothing.
+func TestFilterConstrainsItsWholeGroup(t *testing.T) {
+	e := fixture(t)
+	rows := func(q string) string {
+		res := sel(t, e, "PREFIX ex: <http://e/> "+q)
+		var out []string
+		for i := 0; i < res.Len(); i++ {
+			var cells []string
+			for c := range res.Vars {
+				cells = append(cells, fmt.Sprint(res.Term(i, c)))
+			}
+			out = append(out, strings.Join(cells, " "))
+		}
+		sort.Strings(out)
+		return strings.Join(out, "; ")
+	}
+	for _, c := range []struct{ name, forward, reversed string }{
+		{"ahead of its pattern", `SELECT ?s WHERE { ?s ex:length ?x FILTER(?x > 1) }`, `SELECT ?s WHERE { FILTER(?x > 1) ?s ex:length ?x }`},
+		{"between two patterns", `SELECT ?s ?n WHERE { ?s ex:risk ?r . ?s ex:name ?n FILTER(?r > 3 && STRLEN(?n) > 0) }`, `SELECT ?s ?n WHERE { ?s ex:risk ?r FILTER(?r > 3 && STRLEN(?n) > 0) ?s ex:name ?n }`},
+		{"ahead of the OPTIONAL it asks about", `SELECT ?s WHERE { ?s a ex:ChemSite OPTIONAL { ?s ex:nearTo ?t } FILTER(!BOUND(?t)) }`, `SELECT ?s WHERE { ?s a ex:ChemSite FILTER(!BOUND(?t)) OPTIONAL { ?s ex:nearTo ?t } }`},
+		{"inside an OPTIONAL", `SELECT ?s ?l WHERE { ?s a grdf:Feature OPTIONAL { ?s ex:length ?l FILTER(?l > 100) } }`, `SELECT ?s ?l WHERE { ?s a grdf:Feature OPTIONAL { FILTER(?l > 100) ?s ex:length ?l } }`},
+		{"NOT EXISTS ahead of what it substitutes", `SELECT ?s WHERE { ?s ex:name ?n . ?s ex:risk ?r FILTER NOT EXISTS { ?s ex:risk ?r FILTER(?r > 3) } }`, `SELECT ?s WHERE { ?s ex:name ?n FILTER NOT EXISTS { ?s ex:risk ?r FILTER(?r > 3) } ?s ex:risk ?r }`},
+	} {
+		want := rows(c.forward)
+		if want == "" {
+			t.Fatalf("%s: the forward query has no rows; the comparison is vacuous", c.name)
+		}
+		if got := rows(c.reversed); got != want {
+			t.Errorf("%s: reversed = %q, forward = %q", c.name, got, want)
+		}
+	}
+	plan, err := e.Explain(`PREFIX ex: <http://e/> SELECT ?s WHERE { FILTER(?x > 1) ?s ex:length ?x FILTER(?x < 1000) }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := strings.Index(plan, "FILTER (?x < "), strings.Index(plan, "FILTER (?x > ")
+	if first < 0 || second < first || !strings.Contains(plan[first:second], "runs where it stands") || !strings.Contains(plan[second:], "runs at the end of its group") {
+		t.Errorf("Explain does not say where the FILTERs ran:\n%s", plan)
 	}
 }
 
@@ -421,12 +466,12 @@ func TestOrderByMixedTypes(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?o WHERE { ex:site1 ?p ?o } ORDER BY ?o`)
-	if len(res.Bindings) != 4 {
-		t.Fatalf("rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 4 {
+		t.Fatalf("rows = %d", len(res.Bindings()))
 	}
 	// IRIs sort before literals
-	if res.Bindings[0][Variable("o")].Kind() != rdf.KindIRI {
-		t.Errorf("first = %v", res.Bindings[0][Variable("o")])
+	if res.Bindings()[0][Variable("o")].Kind() != rdf.KindIRI {
+		t.Errorf("first = %v", res.Bindings()[0][Variable("o")])
 	}
 }
 
@@ -440,29 +485,29 @@ func TestAggregates(t *testing.T) {
 		{
 			`PREFIX ex: <http://e/> SELECT (COUNT(*) AS ?n) WHERE { ?s a ex:ChemSite }`,
 			func(r *Result) bool {
-				return len(r.Bindings) == 1 && r.Bindings[0]["n"].Equal(rdf.NewInteger(2))
+				return len(r.Bindings()) == 1 && r.Bindings()[0]["n"].Equal(rdf.NewInteger(2))
 			},
 			"COUNT(*)",
 		},
 		{
 			`PREFIX ex: <http://e/> SELECT (COUNT(?s) AS ?n) WHERE { ?s ex:risk ?r }`,
-			func(r *Result) bool { return r.Bindings[0]["n"].Equal(rdf.NewInteger(2)) },
+			func(r *Result) bool { return r.Bindings()[0]["n"].Equal(rdf.NewInteger(2)) },
 			"COUNT(?s)",
 		},
 		{
 			`PREFIX ex: <http://e/> SELECT (SUM(?r) AS ?total) WHERE { ?s ex:risk ?r }`,
-			func(r *Result) bool { return r.Bindings[0]["total"].Equal(rdf.NewInteger(6)) },
+			func(r *Result) bool { return r.Bindings()[0]["total"].Equal(rdf.NewInteger(6)) },
 			"SUM",
 		},
 		{
 			`PREFIX ex: <http://e/> SELECT (AVG(?r) AS ?avg) WHERE { ?s ex:risk ?r }`,
-			func(r *Result) bool { return r.Bindings[0]["avg"].Equal(rdf.NewDouble(3)) },
+			func(r *Result) bool { return r.Bindings()[0]["avg"].Equal(rdf.NewDouble(3)) },
 			"AVG",
 		},
 		{
 			`PREFIX ex: <http://e/> SELECT (MIN(?r) AS ?lo) (MAX(?r) AS ?hi) WHERE { ?s ex:risk ?r }`,
 			func(r *Result) bool {
-				b := r.Bindings[0]
+				b := r.Bindings()[0]
 				lo, _ := b["lo"].(rdf.Literal).Int()
 				hi, _ := b["hi"].(rdf.Literal).Int()
 				return lo == 2 && hi == 4
@@ -471,13 +516,13 @@ func TestAggregates(t *testing.T) {
 		},
 		{
 			`PREFIX ex: <http://e/> SELECT (COUNT(DISTINCT ?t) AS ?n) WHERE { ?s a ?t }`,
-			func(r *Result) bool { return r.Bindings[0]["n"].Equal(rdf.NewInteger(2)) },
+			func(r *Result) bool { return r.Bindings()[0]["n"].Equal(rdf.NewInteger(2)) },
 			"COUNT DISTINCT",
 		},
 		{
 			`PREFIX ex: <http://e/> SELECT (COUNT(*) AS ?n) WHERE { ?s a ex:Nothing }`,
 			func(r *Result) bool {
-				return len(r.Bindings) == 1 && r.Bindings[0]["n"].Equal(rdf.NewInteger(0))
+				return len(r.Bindings()) == 1 && r.Bindings()[0]["n"].Equal(rdf.NewInteger(0))
 			},
 			"COUNT over empty",
 		},
@@ -485,7 +530,7 @@ func TestAggregates(t *testing.T) {
 	for _, c := range cases {
 		res := sel(t, e, c.q)
 		if !c.check(res) {
-			t.Errorf("%s: bindings = %v", c.desc, res.Bindings)
+			t.Errorf("%s: bindings = %v", c.desc, res.Bindings())
 		}
 	}
 }
@@ -494,11 +539,11 @@ func TestGroupBy(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?t (COUNT(?s) AS ?n) WHERE { ?s a ?t } GROUP BY ?t ORDER BY DESC(?n)`)
-	if len(res.Bindings) != 2 {
-		t.Fatalf("groups = %d: %v", len(res.Bindings), res.Bindings)
+	if len(res.Bindings()) != 2 {
+		t.Fatalf("groups = %d: %v", len(res.Bindings()), res.Bindings())
 	}
-	if !res.Bindings[0]["n"].Equal(rdf.NewInteger(3)) { // 3 features
-		t.Errorf("largest group = %v", res.Bindings[0])
+	if !res.Bindings()[0]["n"].Equal(rdf.NewInteger(3)) { // 3 features
+		t.Errorf("largest group = %v", res.Bindings()[0])
 	}
 	if res.Vars[0] != "t" || res.Vars[1] != "n" {
 		t.Errorf("vars = %v", res.Vars)
@@ -523,26 +568,26 @@ func TestBind(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s ?double WHERE { ?s ex:risk ?r . BIND(?r * 2 AS ?double) } ORDER BY ?double`)
-	if len(res.Bindings) != 2 {
-		t.Fatalf("rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 2 {
+		t.Fatalf("rows = %d", len(res.Bindings()))
 	}
-	if !res.Bindings[0]["double"].Equal(rdf.NewInteger(4)) ||
-		!res.Bindings[1]["double"].Equal(rdf.NewInteger(8)) {
-		t.Errorf("bindings = %v", res.Bindings)
+	if !res.Bindings()[0]["double"].Equal(rdf.NewInteger(4)) ||
+		!res.Bindings()[1]["double"].Equal(rdf.NewInteger(8)) {
+		t.Errorf("bindings = %v", res.Bindings())
 	}
 	// BIND feeding a later FILTER
 	res = sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s WHERE { ?s ex:risk ?r . BIND(?r * 2 AS ?d) FILTER(?d > 5) }`)
-	if len(res.Bindings) != 1 {
-		t.Errorf("filtered rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 1 {
+		t.Errorf("filtered rows = %d", len(res.Bindings()))
 	}
 	// BIND of an erroring expression leaves the var unbound, row survives
 	res = sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s ?bad WHERE { ?s ex:name ?n . BIND(?n * 2 AS ?bad) }`)
-	if len(res.Bindings) != 5 {
-		t.Fatalf("rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 5 {
+		t.Fatalf("rows = %d", len(res.Bindings()))
 	}
-	for _, b := range res.Bindings {
+	for _, b := range res.Bindings() {
 		if _, ok := b["bad"]; ok {
 			t.Error("errored BIND bound a value")
 		}
@@ -550,8 +595,8 @@ SELECT ?s ?bad WHERE { ?s ex:name ?n . BIND(?n * 2 AS ?bad) }`)
 	// string helper through BIND
 	res = sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?up WHERE { ex:site2 ex:name ?n . BIND(UCASE(?n) AS ?up) }`)
-	if len(res.Bindings) != 1 || !res.Bindings[0]["up"].Equal(rdf.NewString("COLLIN CHEMICALS")) {
-		t.Errorf("UCASE bind = %v", res.Bindings)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0]["up"].Equal(rdf.NewString("COLLIN CHEMICALS")) {
+		t.Errorf("UCASE bind = %v", res.Bindings())
 	}
 }
 
@@ -571,11 +616,11 @@ func TestValuesSingleVar(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s ?n WHERE { VALUES ?s { ex:site1 ex:site2 } ?s ex:name ?n } ORDER BY ?n`)
-	if len(res.Bindings) != 2 {
-		t.Fatalf("rows = %d", len(res.Bindings))
+	if len(res.Bindings()) != 2 {
+		t.Fatalf("rows = %d", len(res.Bindings()))
 	}
-	if !res.Bindings[0]["n"].Equal(rdf.NewString("Collin Chemicals")) {
-		t.Errorf("first = %v", res.Bindings[0])
+	if !res.Bindings()[0]["n"].Equal(rdf.NewString("Collin Chemicals")) {
+		t.Errorf("first = %v", res.Bindings()[0])
 	}
 }
 
@@ -583,18 +628,18 @@ func TestValuesMultiVarAndUndef(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s ?r WHERE { VALUES (?s ?r) { (ex:site1 4) (ex:site2 UNDEF) } ?s ex:risk ?r } ORDER BY ?r`)
-	if len(res.Bindings) != 2 {
-		t.Fatalf("rows = %d: %v", len(res.Bindings), res.Bindings)
+	if len(res.Bindings()) != 2 {
+		t.Fatalf("rows = %d: %v", len(res.Bindings()), res.Bindings())
 	}
 	// row 1 fixes r=4 and joins; row 2 leaves r free and binds from data (2)
-	if !res.Bindings[0]["r"].Equal(rdf.NewInteger(2)) || !res.Bindings[1]["r"].Equal(rdf.NewInteger(4)) {
-		t.Errorf("bindings = %v", res.Bindings)
+	if !res.Bindings()[0]["r"].Equal(rdf.NewInteger(2)) || !res.Bindings()[1]["r"].Equal(rdf.NewInteger(4)) {
+		t.Errorf("bindings = %v", res.Bindings())
 	}
 	// a VALUES row that conflicts with data eliminates
 	res = sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s WHERE { VALUES (?s ?r) { (ex:site1 99) } ?s ex:risk ?r }`)
-	if len(res.Bindings) != 0 {
-		t.Errorf("conflicting VALUES joined: %v", res.Bindings)
+	if len(res.Bindings()) != 0 {
+		t.Errorf("conflicting VALUES joined: %v", res.Bindings())
 	}
 }
 
@@ -602,8 +647,8 @@ func TestValuesAfterPatterns(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s WHERE { ?s a ex:ChemSite . VALUES ?s { ex:site1 } }`)
-	if len(res.Bindings) != 1 || !res.Bindings[0]["s"].Equal(rdf.IRI("http://e/site1")) {
-		t.Errorf("post-pattern VALUES = %v", res.Bindings)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0]["s"].Equal(rdf.IRI("http://e/site1")) {
+		t.Errorf("post-pattern VALUES = %v", res.Bindings())
 	}
 }
 
@@ -611,13 +656,13 @@ func TestExistsNotExists(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s WHERE { ?s a ex:ChemSite . FILTER EXISTS { ?s ex:nearTo ?st } }`)
-	if len(res.Bindings) != 1 || !res.Bindings[0]["s"].Equal(rdf.IRI("http://e/site1")) {
-		t.Errorf("EXISTS = %v", res.Bindings)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0]["s"].Equal(rdf.IRI("http://e/site1")) {
+		t.Errorf("EXISTS = %v", res.Bindings())
 	}
 	res = sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s WHERE { ?s a ex:ChemSite . FILTER NOT EXISTS { ?s ex:nearTo ?st } }`)
-	if len(res.Bindings) != 1 || !res.Bindings[0]["s"].Equal(rdf.IRI("http://e/site2")) {
-		t.Errorf("NOT EXISTS = %v", res.Bindings)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0]["s"].Equal(rdf.IRI("http://e/site2")) {
+		t.Errorf("NOT EXISTS = %v", res.Bindings())
 	}
 }
 
@@ -689,28 +734,28 @@ func TestGraphPattern(t *testing.T) {
 	// named graph by IRI
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?n WHERE { GRAPH <http://g/hydro> { ?s ex:name ?n } }`)
-	if len(res.Bindings) != 1 || !res.Bindings[0]["n"].Equal(rdf.NewString("Creek")) {
-		t.Errorf("named graph = %v", res.Bindings)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0]["n"].Equal(rdf.NewString("Creek")) {
+		t.Errorf("named graph = %v", res.Bindings())
 	}
 	// graph variable enumerates named graphs (not the default graph)
 	res = sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?g ?n WHERE { GRAPH ?g { ?s ex:name ?n } } ORDER BY ?n`)
-	if len(res.Bindings) != 2 {
-		t.Fatalf("rows = %d: %v", len(res.Bindings), res.Bindings)
+	if len(res.Bindings()) != 2 {
+		t.Fatalf("rows = %d: %v", len(res.Bindings()), res.Bindings())
 	}
-	if !res.Bindings[0]["g"].Equal(rdf.IRI("http://g/hydro")) {
-		t.Errorf("graph binding = %v", res.Bindings[0])
+	if !res.Bindings()[0]["g"].Equal(rdf.IRI("http://g/hydro")) {
+		t.Errorf("graph binding = %v", res.Bindings()[0])
 	}
 	// default graph patterns still see only the default graph
 	res = sel(t, e, `PREFIX ex: <http://e/> SELECT ?n WHERE { ?s ex:name ?n }`)
-	if len(res.Bindings) != 1 || !res.Bindings[0]["n"].Equal(rdf.NewString("Root")) {
-		t.Errorf("default graph = %v", res.Bindings)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0]["n"].Equal(rdf.NewString("Root")) {
+		t.Errorf("default graph = %v", res.Bindings())
 	}
 	// missing named graph: no solutions
 	res = sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?n WHERE { GRAPH <http://g/none> { ?s ex:name ?n } }`)
-	if len(res.Bindings) != 0 {
-		t.Errorf("ghost graph rows = %v", res.Bindings)
+	if len(res.Bindings()) != 0 {
+		t.Errorf("ghost graph rows = %v", res.Bindings())
 	}
 	// cross-graph join: bind in one graph, test membership in another
 	res = sel(t, e, `PREFIX ex: <http://e/>
@@ -814,8 +859,8 @@ func TestMoreBuiltins(t *testing.T) {
 	}
 	for _, c := range cases {
 		res := sel(t, e, c.q)
-		if len(res.Bindings) != c.rows {
-			t.Errorf("%s\nrows = %d, want %d", c.q, len(res.Bindings), c.rows)
+		if len(res.Bindings()) != c.rows {
+			t.Errorf("%s\nrows = %d, want %d", c.q, len(res.Bindings()), c.rows)
 		}
 	}
 }
@@ -824,18 +869,18 @@ func TestInOperator(t *testing.T) {
 	e := fixture(t)
 	res := sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s WHERE { ?s ex:risk ?r . FILTER(?r IN (2, 9)) }`)
-	if len(res.Bindings) != 1 || !res.Bindings[0]["s"].Equal(rdf.IRI("http://e/site2")) {
-		t.Errorf("IN = %v", res.Bindings)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0]["s"].Equal(rdf.IRI("http://e/site2")) {
+		t.Errorf("IN = %v", res.Bindings())
 	}
 	res = sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s WHERE { ?s ex:risk ?r . FILTER(?r NOT IN (2, 9)) }`)
-	if len(res.Bindings) != 1 || !res.Bindings[0]["s"].Equal(rdf.IRI("http://e/site1")) {
-		t.Errorf("NOT IN = %v", res.Bindings)
+	if len(res.Bindings()) != 1 || !res.Bindings()[0]["s"].Equal(rdf.IRI("http://e/site1")) {
+		t.Errorf("NOT IN = %v", res.Bindings())
 	}
 	res = sel(t, e, `PREFIX ex: <http://e/>
 SELECT ?s WHERE { ?s a ?t . FILTER(?s IN (ex:gulf, ex:site1)) }`)
-	if len(res.Bindings) != 2 {
-		t.Errorf("IRI IN = %v", res.Bindings)
+	if len(res.Bindings()) != 2 {
+		t.Errorf("IRI IN = %v", res.Bindings())
 	}
 	if _, err := ParseQuery(`SELECT ?s WHERE { ?s ?p ?o . FILTER(?o IN ()) }`, nil); err == nil {
 		t.Error("empty IN accepted")

@@ -16,72 +16,159 @@ import (
 // geometry nodes); subjects, predicates and objects are emitted in sorted
 // order so the output is deterministic.
 func Write(w io.Writer, g *rdf.Graph, prefixes *rdf.Prefixes) error {
+	return WriteTriples(w, g.Triples(), prefixes)
+}
+
+// WriteTriples serializes ts as Write serializes a graph holding them; ts
+// must not hold a triple twice (a store's triples never do). A sort key is
+// made once per term sorted, and a prefixed name once per distinct IRI.
+func WriteTriples(w io.Writer, ts []rdf.Triple, prefixes *rdf.Prefixes) error {
 	if prefixes == nil {
 		prefixes = rdf.CommonPrefixes()
 	}
-	bw := bufio.NewWriter(w)
+	wr := &writer{
+		bw: bufio.NewWriter(w), prefixes: prefixes,
+		names: map[rdf.IRI]string{}, used: map[string]bool{},
+		index: map[rdf.Term]int{}, indents: []string{""}, predKeys: map[rdf.Term]string{},
+	}
+	objRefs := map[rdf.BlankNode]int{}
+	for _, t := range ts {
+		wr.group(t)
+		wr.name(t.Subject)
+		wr.name(t.Predicate)
+		wr.name(t.Object)
+		if b, ok := t.Object.(rdf.BlankNode); ok {
+			objRefs[b]++
+		}
+	}
 
-	// Only emit prefix declarations actually used by the graph.
-	used := usedPrefixes(g, prefixes)
+	// Only the prefixes the document relies on are declared.
 	prefixes.Each(func(prefix, ns string) {
-		if used[prefix] {
-			bw.WriteString("@prefix " + prefix + ": <" + ns + "> .\n")
+		if wr.used[prefix] {
+			wr.bw.WriteString("@prefix " + prefix + ": <" + ns + "> .\n")
 		}
 	})
-	if len(used) > 0 {
-		bw.WriteByte('\n')
+	if len(wr.used) > 0 {
+		wr.bw.WriteByte('\n')
 	}
 
-	wr := &writer{g: g, prefixes: prefixes, bySubject: map[rdf.Term][]rdf.Triple{}}
-	var subjects []rdf.Term
-	for _, t := range g.Triples() {
-		if _, ok := wr.bySubject[t.Subject]; !ok {
-			subjects = append(subjects, t.Subject)
-		}
-		wr.bySubject[t.Subject] = append(wr.bySubject[t.Subject], t)
+	wr.computeInlineable(objRefs)
+	order := make([]int, len(wr.subjects))
+	keys := make([]string, len(wr.subjects))
+	for i, s := range wr.subjects {
+		order[i], keys[i] = i, s.term.String()
 	}
-	wr.computeInlineable()
-
-	sort.Slice(subjects, func(i, j int) bool {
-		return subjects[i].String() < subjects[j].String()
-	})
-	for _, s := range subjects {
+	sort.Slice(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
+	for _, i := range order {
+		s := wr.subjects[i].term
 		if b, ok := s.(rdf.BlankNode); ok && wr.inlineable[b] {
 			continue // rendered at its reference point
 		}
-		bw.WriteString(wr.renderSubjectBlock(s, ""))
-		bw.WriteString(" .\n")
+		wr.term(s)
+		wr.propertyList(s, 0)
+		wr.bw.WriteString(" .\n")
 	}
-	return bw.Flush()
+	return wr.bw.Flush()
 }
 
 // writer carries the per-document rendering state.
 type writer struct {
-	g          *rdf.Graph
-	prefixes   *rdf.Prefixes
-	bySubject  map[rdf.Term][]rdf.Triple
+	bw       *bufio.Writer
+	prefixes *rdf.Prefixes
+	// names holds the prefixed (or bracketed) form of every IRI the document
+	// mentions, used the labels of the prefixes those forms rely on.
+	names map[rdf.IRI]string
+	used  map[string]bool
+	// subjects groups the triples by subject, in order of first mention;
+	// index finds a subject's group.
+	subjects   []subjectGroup
+	index      map[rdf.Term]int
 	inlineable map[rdf.BlankNode]bool
+	// indents[d] is the indent of nesting depth d.
+	indents []string
+	// predKeys holds the sort key of every predicate sorted so far; sorting
+	// is the scratch propertyList orders one subject's triples in.
+	predKeys map[rdf.Term]string
+	sorting  []keyedTriple
+}
+
+// keyedTriple is a triple with the sort keys made for it: its predicate's
+// N-Triples form (empty for rdf:type, which goes first) and, where the
+// predicate has several objects, the object's.
+type keyedTriple struct {
+	pred, obj string
+	t         rdf.Triple
+}
+
+type subjectGroup struct {
+	term    rdf.Term
+	triples []rdf.Triple
+}
+
+func (w *writer) group(t rdf.Triple) {
+	i := len(w.subjects) - 1
+	if i < 0 || w.subjects[i].term != t.Subject {
+		var ok bool
+		if i, ok = w.index[t.Subject]; !ok {
+			i = len(w.subjects)
+			w.index[t.Subject] = i
+			w.subjects = append(w.subjects, subjectGroup{term: t.Subject})
+		}
+	}
+	w.subjects[i].triples = append(w.subjects[i].triples, t)
+}
+
+// name notes the IRI a term is or is typed by, once per distinct IRI: how it
+// is written, and the prefix that needs declaring for it.
+func (w *writer) name(t rdf.Term) {
+	var iri rdf.IRI
+	switch v := t.(type) {
+	case rdf.IRI:
+		iri = v
+	case rdf.Literal:
+		if v.Datatype == "" || v.Datatype == rdf.XSDString || v.Lang != "" {
+			return
+		}
+		iri = v.Datatype
+	default:
+		return
+	}
+	if _, seen := w.names[iri]; seen {
+		return
+	}
+	c := w.prefixes.Compact(iri)
+	w.names[iri] = c
+	if !strings.HasPrefix(c, "<") {
+		if idx := strings.IndexByte(c, ':'); idx >= 0 {
+			w.used[c[:idx]] = true
+		}
+	}
+}
+
+func (w *writer) triplesOf(s rdf.Term) []rdf.Triple {
+	if i, ok := w.index[s]; ok {
+		return w.subjects[i].triples
+	}
+	return nil
 }
 
 // computeInlineable marks blank nodes that are referenced exactly once as an
 // object, have at least one property, and do not participate in a blank-node
 // reference cycle.
-func (w *writer) computeInlineable() {
-	objRefs := map[rdf.BlankNode]int{}
-	for _, t := range w.g.Triples() {
-		if b, ok := t.Object.(rdf.BlankNode); ok {
-			objRefs[b]++
-		}
-	}
+func (w *writer) computeInlineable(objRefs map[rdf.BlankNode]int) {
 	w.inlineable = map[rdf.BlankNode]bool{}
+	var candidates []rdf.BlankNode
 	for b, n := range objRefs {
-		if n == 1 && len(w.bySubject[b]) > 0 {
+		if n == 1 && len(w.triplesOf(b)) > 0 {
 			w.inlineable[b] = true
+			candidates = append(candidates, b)
 		}
 	}
 	// Break cycles: a blank node reachable from itself through inlineable
-	// links cannot be inlined.
-	for b := range w.inlineable {
+	// links cannot be inlined. Which node of a cycle that is depends on the
+	// order they are asked in, so it is a fixed one.
+	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
+	for _, b := range candidates {
 		if w.reachesSelf(b, b, map[rdf.BlankNode]bool{}) {
 			w.inlineable[b] = false
 		}
@@ -93,7 +180,7 @@ func (w *writer) reachesSelf(start, cur rdf.BlankNode, visited map[rdf.BlankNode
 		return false
 	}
 	visited[cur] = true
-	for _, t := range w.bySubject[cur] {
+	for _, t := range w.triplesOf(cur) {
 		if b, ok := t.Object.(rdf.BlankNode); ok && w.inlineable[b] {
 			if b == start || w.reachesSelf(start, b, visited) {
 				return true
@@ -103,83 +190,103 @@ func (w *writer) reachesSelf(start, cur rdf.BlankNode, visited map[rdf.BlankNode
 	return false
 }
 
-// renderSubjectBlock renders "subject pred obj ; …" (without the final dot)
-// at the given indent.
-func (w *writer) renderSubjectBlock(s rdf.Term, indent string) string {
-	var sb strings.Builder
-	sb.WriteString(w.renderTerm(s, indent))
-	sb.WriteString(w.renderPropertyList(s, indent))
-	return sb.String()
+func (w *writer) indent(depth int) string {
+	for len(w.indents) <= depth {
+		w.indents = append(w.indents, w.indents[len(w.indents)-1]+"    ")
+	}
+	return w.indents[depth]
 }
 
-// renderPropertyList renders " p1 o1, o2 ;\n    p2 o3" for the subject.
-func (w *writer) renderPropertyList(s rdf.Term, indent string) string {
-	ts := w.bySubject[s]
-	byPred := map[rdf.Term][]rdf.Term{}
-	var preds []rdf.Term
-	for _, t := range ts {
-		if _, ok := byPred[t.Predicate]; !ok {
-			preds = append(preds, t.Predicate)
+// propertyList writes " p1 o1, o2 ;\n    p2 o3" for the subject: rdf:type
+// first, then the predicates in the order of their N-Triples form —
+// conventional Turtle style — and each predicate's objects in the order of
+// theirs.
+func (w *writer) propertyList(s rdf.Term, depth int) {
+	ts := w.triplesOf(s)
+	if len(ts) > 1 {
+		ks := w.sorting[:0]
+		for _, t := range ts {
+			ks = append(ks, keyedTriple{pred: w.predKey(t.Predicate), t: t})
 		}
-		byPred[t.Predicate] = append(byPred[t.Predicate], t.Object)
-	}
-	sort.Slice(preds, func(i, j int) bool {
-		// rdf:type first, then alphabetical — conventional Turtle style.
-		pi, pj := preds[i], preds[j]
-		if pi.Equal(rdf.RDFType) != pj.Equal(rdf.RDFType) {
-			return pi.Equal(rdf.RDFType)
-		}
-		return pi.String() < pj.String()
-	})
-
-	var sb strings.Builder
-	for i, pred := range preds {
-		if i == 0 {
-			sb.WriteByte(' ')
-		} else {
-			sb.WriteString(" ;\n" + indent + "    ")
-		}
-		if pred.Equal(rdf.RDFType) {
-			sb.WriteString("a")
-		} else {
-			sb.WriteString(w.renderTerm(pred, indent))
-		}
-		objs := byPred[pred]
-		sort.Slice(objs, func(i, j int) bool { return objs[i].String() < objs[j].String() })
-		for j, o := range objs {
-			if j == 0 {
-				sb.WriteByte(' ')
-			} else {
-				sb.WriteString(", ")
+		sort.SliceStable(ks, func(i, j int) bool { return ks[i].pred < ks[j].pred })
+		for lo := 0; lo < len(ks); {
+			hi := lo + 1
+			for hi < len(ks) && ks[hi].t.Predicate == ks[lo].t.Predicate {
+				hi++
 			}
-			sb.WriteString(w.renderObject(o, indent))
+			if run := ks[lo:hi]; len(run) > 1 {
+				for i := range run {
+					run[i].obj = run[i].t.Object.String()
+				}
+				sort.Slice(run, func(i, j int) bool { return run[i].obj < run[j].obj })
+			}
+			lo = hi
 		}
+		for i, k := range ks {
+			ts[i] = k.t
+		}
+		w.sorting = ks
 	}
-	return sb.String()
+	for i, t := range ts {
+		switch {
+		case i == 0:
+			w.bw.WriteByte(' ')
+		case t.Predicate == ts[i-1].Predicate:
+			w.bw.WriteString(", ")
+			w.object(t.Object, depth)
+			continue
+		default:
+			w.bw.WriteString(" ;\n")
+			w.bw.WriteString(w.indent(depth + 1))
+		}
+		if t.Predicate.Equal(rdf.RDFType) {
+			w.bw.WriteString("a ")
+		} else {
+			w.term(t.Predicate)
+			w.bw.WriteByte(' ')
+		}
+		w.object(t.Object, depth)
+	}
 }
 
-// renderObject renders an object term, inlining single-reference blank nodes.
-func (w *writer) renderObject(o rdf.Term, indent string) string {
+func (w *writer) predKey(p rdf.Term) string {
+	if p.Equal(rdf.RDFType) {
+		return ""
+	}
+	k, ok := w.predKeys[p]
+	if !ok {
+		k = p.String()
+		w.predKeys[p] = k
+	}
+	return k
+}
+
+// object writes an object term, inlining single-reference blank nodes.
+func (w *writer) object(o rdf.Term, depth int) {
 	if b, ok := o.(rdf.BlankNode); ok && w.inlineable[b] {
-		inner := indent + "    "
-		return "[" + w.renderPropertyList(b, inner) + " ]"
+		w.bw.WriteByte('[')
+		w.propertyList(b, depth+1)
+		w.bw.WriteString(" ]")
+		return
 	}
-	return w.renderTerm(o, indent)
+	w.term(o)
 }
 
-func (w *writer) renderTerm(t rdf.Term, _ string) string {
+func (w *writer) term(t rdf.Term) {
 	switch v := t.(type) {
 	case rdf.IRI:
-		return w.prefixes.Compact(v)
-	case rdf.BlankNode:
-		return v.String()
+		w.bw.WriteString(w.names[v])
 	case rdf.Literal:
 		if v.Lang != "" || v.Datatype == "" || v.Datatype == rdf.XSDString {
-			return v.String()
+			w.bw.Write(rdf.AppendTerm(w.bw.AvailableBuffer(), v))
+			return
 		}
-		return `"` + rdf.EscapeLiteral(v.Value) + `"^^` + w.prefixes.Compact(v.Datatype)
+		w.bw.WriteByte('"')
+		w.bw.WriteString(rdf.EscapeLiteral(v.Value))
+		w.bw.WriteString(`"^^`)
+		w.bw.WriteString(w.names[v.Datatype])
 	default:
-		return t.String()
+		w.bw.Write(rdf.AppendTerm(w.bw.AvailableBuffer(), t))
 	}
 }
 
@@ -188,30 +295,4 @@ func Format(g *rdf.Graph, prefixes *rdf.Prefixes) string {
 	var sb strings.Builder
 	_ = Write(&sb, g, prefixes)
 	return sb.String()
-}
-
-// usedPrefixes returns the set of prefix labels the serializer will actually
-// rely on, so Write only declares those.
-func usedPrefixes(g *rdf.Graph, prefixes *rdf.Prefixes) map[string]bool {
-	used := map[string]bool{}
-	note := func(iri rdf.IRI) {
-		if c := prefixes.Compact(iri); !strings.HasPrefix(c, "<") {
-			if idx := strings.IndexByte(c, ':'); idx >= 0 {
-				used[c[:idx]] = true
-			}
-		}
-	}
-	for _, t := range g.Triples() {
-		for _, term := range []rdf.Term{t.Subject, t.Predicate, t.Object} {
-			switch v := term.(type) {
-			case rdf.IRI:
-				note(v)
-			case rdf.Literal:
-				if v.Datatype != "" && v.Datatype != rdf.XSDString && v.Lang == "" {
-					note(v.Datatype)
-				}
-			}
-		}
-	}
-	return used
 }
