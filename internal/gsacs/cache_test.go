@@ -176,3 +176,33 @@ func TestSlotRefreshPanicReleasesWaiters(t *testing.T) {
 		t.Errorf("after the panic the waiters made %d rebuilds, want 1 shared by all", st.Rebuilds)
 	}
 }
+
+// TestCacheMissesALoadAtAnOldGeneration: Load can install other triples at a
+// generation the store has shown before — a follower re-bootstrapping from a
+// leader that lost commits it never made durable. A slot labelled with the
+// old version must miss there, though the generation is the same.
+func TestCacheMissesALoadAtAnOldGeneration(t *testing.T) {
+	e, sc := scenarioEngine(t)
+	checkViews(t, e, "cold build")
+	site := sc.Chemical.Sites[0]
+	old := rdf.T(site.IRI, datagen.HasSiteName, rdf.NewString(site.Name))
+	renamed := rdf.T(site.IRI, datagen.HasSiteName, rdf.NewString("Reloaded Plant"))
+	ts := sc.Merged.Triples()
+	for i := range ts {
+		if ts[i] == old {
+			ts[i] = renamed
+		}
+	}
+	sc.Merged.Load(sc.Merged.Generation(), ts)
+
+	for _, role := range scenarioRoles {
+		if ent := e.viewEntry(context.Background(), role, seconto.ActionView); !ent.base.Same(sc.Merged.View()) {
+			t.Errorf("%s: served the version cached before the load (generation %d both)",
+				role.LocalName(), sc.Merged.Generation())
+		}
+	}
+	checkViews(t, e, "a load at the same generation")
+	if v := e.View(datagen.RoleHazmat, seconto.ActionView); !v.Has(renamed) || v.Has(old) {
+		t.Error("Hazmat's view does not show the loaded name")
+	}
+}

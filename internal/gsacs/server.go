@@ -1176,7 +1176,7 @@ func parseMutateOp(req mutateOpRequest) (MutationOp, error) {
 }
 
 // handleStoreStats serves GET /v1/store: a snapshot of the MVCC store —
-// current generation and published-view epoch, triple and dictionary
+// current generation (commits since the empty store), triple and dictionary
 // cardinalities, and the group-commit batcher's size histogram.
 func (s *Server) handleStoreStats(w http.ResponseWriter, r *http.Request) {
 	st := s.engine.Data()
@@ -1193,7 +1193,6 @@ func (s *Server) handleStoreStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, r, map[string]any{
 		"generation": view.Generation(),
-		"epoch":      view.Epoch(),
 		"triples":    stats.Triples,
 		"cardinalities": map[string]int{
 			"subjects":   stats.Subjects,

@@ -208,7 +208,6 @@ func TestServerStoreStats(t *testing.T) {
 	}
 	var out struct {
 		Generation    uint64 `json:"generation"`
-		Epoch         uint64 `json:"epoch"`
 		Triples       int    `json:"triples"`
 		Cardinalities struct {
 			Subjects   int `json:"subjects"`
@@ -228,9 +227,9 @@ func TestServerStoreStats(t *testing.T) {
 		t.Fatalf("decode /v1/store: %v", err)
 	}
 	data := e.Data()
-	if out.Triples != data.Len() || out.Generation != data.Generation() || out.Epoch != data.Epoch() {
-		t.Errorf("stats disagree with the store: %+v vs len=%d gen=%d epoch=%d",
-			out, data.Len(), data.Generation(), data.Epoch())
+	if out.Triples != data.Len() || out.Generation != data.Generation() {
+		t.Errorf("stats disagree with the store: %+v vs len=%d gen=%d",
+			out, data.Len(), data.Generation())
 	}
 	if out.Cardinalities.Subjects <= 0 || out.Cardinalities.Predicates <= 0 || out.Cardinalities.Objects <= 0 {
 		t.Errorf("cardinalities not populated: %+v", out.Cardinalities)

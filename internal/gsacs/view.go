@@ -130,10 +130,11 @@ func (e *Engine) viewEntry(ctx context.Context, subject, action rdf.IRI) *cacheE
 		sp.SetAttr("outcome", "no_policy")
 		return e.noView
 	}
-	// A hit is the store's generation under the engine's reasoner; no lock.
-	gen := e.data.Generation()
+	// A hit is the store's current version under the engine's reasoner; no
+	// lock. The version, not its generation: a follower's re-bootstrap can
+	// install another state at a generation the store has shown before.
 	prev := s.cur.Load()
-	if prev != nil && prev.base.Generation() == gen && prev.reasoner == e.reasoner.Load() {
+	if prev != nil && prev.base.Same(e.data.View()) && prev.reasoner == e.reasoner.Load() {
 		e.cache.hits.Add(1)
 		sp.Add("cache_hit", 1)
 		return prev
@@ -145,7 +146,7 @@ func (e *Engine) viewEntry(ctx context.Context, subject, action rdf.IRI) *cacheE
 	sp.Add("cache_miss", 1)
 	// One reader refreshes; the ones behind it wait here and get the entry
 	// back from refreshView untouched. A version pinned under the mutex is at
-	// least as new as gen, so never too old for this read. Unlock is deferred:
+	// least as new as the one just probed, so never too old for this read. Unlock is deferred:
 	// a refresh that panics still lets the waiters through.
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -164,7 +165,7 @@ func (e *Engine) refreshView(sp *obs.Span, prev *cacheEntry, subject, action rdf
 	base := e.data.View()
 	ent := &cacheEntry{base: base, reasoner: rp}
 	if prev != nil && prev.reasoner == rp {
-		if prev.base.Generation() == base.Generation() {
+		if prev.base.Same(base) {
 			return prev
 		}
 		if view, ok := e.patchView(sp, prev, base, subject, action); ok {

@@ -27,6 +27,9 @@ var (
 	// errCompactedRemote: the leader GC'd past our position (we were
 	// partitioned longer than the retention window).
 	errCompactedRemote = errors.New("repl: leader compacted past our position")
+	// errDiverged: a verified record does not apply where it is stamped (see
+	// wal.ApplyRecord) — our state is not the leader's at our position.
+	errDiverged = errors.New("repl: follower state diverged from the leader's log")
 )
 
 // maxTransferBytes bounds any single snapshot or stream body read.
@@ -60,7 +63,8 @@ type FollowerOptions struct {
 }
 
 // FollowerStatus is the point-in-time replication state surfaced by
-// /healthz on a follower.
+// /healthz on a follower. AppliedGeneration is the follower store's own
+// generation, which is the leader's at the same log position.
 type FollowerStatus struct {
 	LeaderURL         string  `json:"leader_url"`
 	Epoch             string  `json:"epoch,omitempty"`
@@ -108,19 +112,18 @@ type Follower struct {
 	logger *slog.Logger
 	id     string
 
-	mu               sync.Mutex
-	epoch            string // pinned leader incarnation ("" before bootstrap)
-	bootstrapped     bool
-	appliedSeq       uint64    // last record sequence applied this epoch
-	leaderHeadSeq    uint64    // leader head from the last response
-	appliedLeaderGen uint64    // leader store generation our state reflects
-	leaderGen        uint64    // leader store generation from the last response
-	lastCaughtUp     time.Time // last confirmation that appliedSeq == leader head
-	started          time.Time
-	reconnects       uint64
-	snapshots        uint64
-	corrupt          uint64
-	leaderSheds      uint64
+	mu            sync.Mutex
+	epoch         string // pinned leader incarnation ("" before bootstrap)
+	bootstrapped  bool
+	appliedSeq    uint64    // last record sequence applied this epoch
+	leaderHeadSeq uint64    // leader head from the last response
+	leaderGen     uint64    // leader store generation from the last response
+	lastCaughtUp  time.Time // last confirmation that appliedSeq == leader head
+	started       time.Time
+	reconnects    uint64
+	snapshots     uint64
+	corrupt       uint64
+	leaderSheds   uint64
 
 	budget *federation.RetryBudget
 
@@ -163,9 +166,7 @@ func NewFollower(st *store.Store, opts FollowerOptions) (*Follower, error) {
 	f.mSheds = reg.Counter("grdf_repl_leader_sheds_total", "Replication attempts the leader refused with 429 (leader load shedding).")
 	reg.GaugeFunc("grdf_repl_lag_seconds", "Seconds since this follower last confirmed being caught up.", f.LagSeconds)
 	reg.GaugeFunc("grdf_repl_applied_generation", "Leader store generation this follower's state reflects.", func() float64 {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return float64(f.appliedLeaderGen)
+		return float64(st.Generation())
 	})
 	return f, nil
 }
@@ -189,7 +190,7 @@ func (f *Follower) Run(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
-		if errors.Is(err, errEpochFenced) || errors.Is(err, errCompactedRemote) {
+		if errors.Is(err, errEpochFenced) || errors.Is(err, errCompactedRemote) || errors.Is(err, errDiverged) {
 			f.logger.Warn("repl: follower fenced; discarding state and re-bootstrapping", "err", err)
 			f.mu.Lock()
 			f.bootstrapped = false
@@ -252,9 +253,9 @@ func (f *Follower) isBootstrapped() bool {
 }
 
 // bootstrap performs a snapshot transfer and atomically replaces the
-// store's contents with it — one Clear+Add batch, one MVCC publish, so
-// concurrent readers flip from old state to new state without ever
-// observing an empty store.
+// store's contents with it at the leader's generation — one Load, one MVCC
+// publish, so concurrent readers flip from old state to new state without
+// ever observing an empty store.
 func (f *Follower) bootstrap(ctx context.Context) error {
 	reqCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
@@ -296,17 +297,13 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 		return fmt.Errorf("repl: snapshot response has bad %s header", HeaderNextSeq)
 	}
 
-	ops := []store.Op{{Kind: store.OpClear}, {Kind: store.OpAdd, Triples: triples}}
-	if _, err := f.st.ApplyBatch(ops); err != nil {
-		return fmt.Errorf("repl: snapshot load: %w", err)
-	}
+	f.st.Load(gen, triples)
 
 	f.mu.Lock()
 	f.epoch = epoch
 	f.bootstrapped = true
 	f.appliedSeq = nextSeq - 1
 	f.leaderHeadSeq = nextSeq - 1
-	f.appliedLeaderGen = gen
 	f.leaderGen = gen
 	f.lastCaughtUp = time.Now()
 	f.snapshots++
@@ -378,8 +375,11 @@ func refusedError(resp *http.Response, msg string) *federation.StatusError {
 // applyFrames decodes and applies a stream body record by record. Every
 // frame re-runs the full CRC and structural verification; a record that
 // fails is refused loudly and the good prefix is kept — the next request
-// resumes from the last good sequence. A KindBatch record applies through
-// the store's atomic batch path, so a partial batch can never publish.
+// resumes from the last good sequence. A commit applies through the store's
+// atomic batch path, so a partial commit can never publish, and only where
+// it is stamped: one stamped below our generation is already in the
+// snapshot we loaded, one that does not apply means we diverged, and we
+// re-bootstrap.
 func (f *Follower) applyFrames(ctx context.Context, from uint64, body []byte, hdr http.Header) error {
 	seq := from
 	off := 0
@@ -403,17 +403,12 @@ func (f *Follower) applyFrames(ctx context.Context, from uint64, body []byte, hd
 		if err := wal.ApplyRecord(f.st, rec); err != nil {
 			sp.Fail(err)
 			sp.End()
-			return fmt.Errorf("repl: apply record seq %d: %w", seq, err)
+			return fmt.Errorf("%w: record seq %d: %w", errDiverged, seq, err)
 		}
 		sp.End()
 		f.mApplied.Inc()
 		f.mu.Lock()
 		f.appliedSeq = seq
-		if rec.Kind != wal.KindAudit && rec.Gen+1 > f.appliedLeaderGen {
-			// A record's Gen stamp is the leader generation it committed
-			// against; after applying it our state reflects Gen+1.
-			f.appliedLeaderGen = rec.Gen + 1
-		}
 		f.mu.Unlock()
 		seq++
 		off = next
@@ -437,11 +432,6 @@ func (f *Follower) noteHead(hdr http.Header) {
 	}
 	if err2 == nil {
 		f.leaderGen = gen
-		if f.appliedSeq >= head && err1 == nil {
-			// Caught up: our state reflects the leader's current generation
-			// even if some records no-oped without a Gen stamp advance.
-			f.appliedLeaderGen = gen
-		}
 	}
 }
 
@@ -507,7 +497,7 @@ func (f *Follower) Status() FollowerStatus {
 		Ready:             f.readyLocked(),
 		AppliedSeq:        f.appliedSeq,
 		LeaderHeadSeq:     f.leaderHeadSeq,
-		AppliedGeneration: f.appliedLeaderGen,
+		AppliedGeneration: f.st.Generation(),
 		LeaderGeneration:  f.leaderGen,
 		LagSeconds:        f.lagSecondsLocked(),
 		MaxLagSeconds:     f.opts.MaxLag.Seconds(),

@@ -253,11 +253,12 @@ func (l *Leader) ServeStream(w http.ResponseWriter, r *http.Request) {
 // full-state transfer for bootstrap or post-compaction catch-up.
 //
 // Consistency protocol: read the WAL head first, then barrier the store,
-// then capture the view. Every record at or below the head read in step
-// one is published in the captured view (its commit preceded the barrier);
-// records appended during the window appear in both the snapshot and the
-// follower's subsequent stream, where they re-apply idempotently — the
-// same overlap contract the repository's own rotate-then-capture uses.
+// then capture one pinned view — its generation and triples together. Every
+// record at or below the head read in step one is published in the captured
+// view (its commit preceded the barrier); records appended during the window
+// appear in both the snapshot and the follower's subsequent stream, where
+// they are skipped because they are stamped below the snapshot's generation
+// — the same rule the repository's own rotate-then-capture relies on.
 func (l *Leader) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	_, sp := obs.StartSpan(r.Context(), "repl.snapshot")
 	defer sp.End()

@@ -130,10 +130,7 @@ func TestReplicateAndCatchUp(t *testing.T) {
 		t.Fatalf("ApplyBatch: %v", err)
 	}
 	waitFor(t, 5*time.Second, "tail convergence", func() bool { return converged(node.st, fst) })
-
-	waitFor(t, 5*time.Second, "generation catch-up", func() bool {
-		return f.Status().AppliedGeneration == node.st.Generation()
-	})
+	caughtUp(t, "tail", f, fst, node)
 	if st := f.Status(); st.AppliedSeq != node.repo.HeadSeq() {
 		t.Fatalf("applied seq %d, leader head %d", st.AppliedSeq, node.repo.HeadSeq())
 	}
@@ -264,7 +261,7 @@ func TestReadinessLagGate(t *testing.T) {
 
 // TestConcurrentReadsDuringBootstrap: a reader polling the follower store
 // through a bootstrap must never observe the intermediate empty state —
-// the Clear+Add loads as one atomic publish.
+// the snapshot loads as one atomic publish.
 func TestConcurrentReadsDuringBootstrap(t *testing.T) {
 	node := newLeaderNode(t, t.TempDir(), LeaderOptions{})
 	for i := 0; i < 50; i++ {

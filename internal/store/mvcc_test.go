@@ -27,7 +27,7 @@ func mvccTriple(i int) rdf.Triple {
 func TestApplyBatchSingleGeneration(t *testing.T) {
 	s := New()
 	s.Add(mvccTriple(0))
-	gen, epoch := s.Generation(), s.Epoch()
+	gen, groups := s.Generation(), s.GroupCommitStats().Groups
 
 	ns, err := s.ApplyBatch([]Op{
 		{Kind: OpAdd, Triples: []rdf.Triple{mvccTriple(1), mvccTriple(2)}},
@@ -43,8 +43,8 @@ func TestApplyBatchSingleGeneration(t *testing.T) {
 	if got := s.Generation(); got != gen+1 {
 		t.Errorf("generation advanced %d -> %d, want exactly one bump", gen, got)
 	}
-	if got := s.Epoch(); got != epoch+1 {
-		t.Errorf("epoch advanced %d -> %d, want exactly one publish", epoch, got)
+	if got := s.GroupCommitStats().Groups; got != groups+1 {
+		t.Errorf("published groups %d -> %d, want exactly one publish", groups, got)
 	}
 	if s.Has(mvccTriple(0)) || s.Has(mvccTriple(1)) || !s.Has(mvccTriple(2)) || !s.Has(mvccTriple(3)) {
 		t.Errorf("batch applied wrong state: %v", s.Triples())

@@ -46,8 +46,7 @@ const (
 	OpAdd OpKind = iota + 1
 	// OpRemove deletes a batch of triples.
 	OpRemove
-	// OpReplace atomically swaps Triples[0] for Triples[1] under a single
-	// generation bump.
+	// OpReplace swaps Triples[0] for Triples[1].
 	OpReplace
 	// OpClear removes every triple.
 	OpClear
@@ -67,7 +66,7 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
-// Op describes one atomic batch mutation. It is both the store's uniform
+// Op describes one mutation of a commit. It is both the store's uniform
 // mutation request and the unit the write-ahead log persists: the commit
 // hook receives exactly this value before the store publishes it.
 type Op struct {
@@ -75,13 +74,14 @@ type Op struct {
 	// Triples carries the batch for OpAdd/OpRemove; for OpReplace it holds
 	// exactly [old, new]. Empty for OpClear.
 	Triples []rdf.Triple
-	// Gen is the store generation observed immediately before the op was
-	// applied. Apply fills it in; callers leave it zero.
+	// Gen is the store generation the op's commit was applied against — the
+	// same for every op of the commit. The store fills it in; callers leave
+	// it zero.
 	Gen uint64
 	// MustExist makes an OpReplace whose old triple is absent an error
-	// (ErrAbsent) instead of a silent no-op. Inside an atomic batch this
-	// fails the whole batch before anything is logged or applied — it is how
-	// /v1/mutate gives "update" not-found semantics without a racy pre-check.
+	// (ErrAbsent) instead of a silent no-op. It fails the whole commit before
+	// anything is logged or applied — it is how /v1/mutate gives "update"
+	// not-found semantics without a racy pre-check.
 	MustExist bool
 	// Ctx carries the request context of the mutation, if any, so a commit
 	// hook can attach observability spans (WAL append/fsync) to the
@@ -93,13 +93,13 @@ type Op struct {
 }
 
 // GroupCommitHook observes one commit group before it is acknowledged, while
-// the writer lock is held. Each element is one logical commit — a single op
-// for Apply, possibly several for ApplyBatch — in exact apply order, no-ops
-// already filtered out. The hook runs once per group however many concurrent
-// callers were batched together, so a WAL hook pays one append and one fsync
-// per group. An error fails every op in the group and nothing is published:
-// this is how the WAL layer refuses to acknowledge writes it could not make
-// durable. The hook must not mutate the store (it would deadlock).
+// the writer lock is held. Each element is one commit — the effective ops of
+// one Apply or ApplyBatch — in exact apply order, no-ops already filtered
+// out. The hook runs once per group however many concurrent callers were
+// batched together, so a WAL hook pays one append and one fsync per group.
+// An error fails every op in the group and nothing is published: this is how
+// the WAL layer refuses to acknowledge writes it could not make durable. The
+// hook must not mutate the store (it would deadlock).
 type GroupCommitHook func(groups [][]Op) error
 
 // ErrCommitHook marks mutation failures caused by the commit hook refusing
@@ -128,17 +128,14 @@ const defaultMaxDelay = 500 * time.Microsecond
 // one yield is usually enough for all of them.
 const gatherGraceYields = 8
 
-// commitWaiter is one enqueued commit: a single op (Apply) or an atomic
-// multi-op batch (ApplyBatch), plus the slots its results are delivered in.
+// commitWaiter is one enqueued commit — all-or-nothing, one generation — plus
+// the slots its results are delivered in.
 type commitWaiter struct {
-	ops []Op
-	// atomic marks an all-or-nothing batch: one generation bump, one WAL
-	// record group, any failure rolls back every op.
-	atomic bool
-	ns     []int
-	err    error
-	eff    []Op
-	done   chan struct{}
+	ops  []Op
+	ns   []int
+	err  error
+	eff  []Op
+	done chan struct{}
 }
 
 // batchHist is the group-commit batch-size histogram for /v1/store:
@@ -150,8 +147,7 @@ var BatchBucketLabels = [batchBuckets]string{"1", "2-3", "4-7", "8-15", "16+"}
 
 // GroupCommitStats summarizes the commit batcher's behavior since startup.
 type GroupCommitStats struct {
-	// Groups is the number of published commit groups (== epoch advances
-	// attributable to the batcher).
+	// Groups is the number of published commit groups: one version each.
 	Groups uint64
 	// Ops is the total number of effective ops committed across all groups.
 	Ops uint64
@@ -245,10 +241,10 @@ type Store struct {
 	holdTick   atomic.Uint64
 }
 
-// Instrument exports the store's vitals into reg: triple count, generation,
-// view epoch and dictionary size as callback gauges (zero hot-path cost), a
-// sampled commit hold-time histogram, and the group-commit batch-size
-// distribution. Call before concurrent use.
+// Instrument exports the store's vitals into reg: triple count, generation
+// and dictionary size as callback gauges (zero hot-path cost), a sampled
+// commit hold-time histogram, and the group-commit batch-size distribution.
+// Call before concurrent use.
 func (s *Store) Instrument(reg *obs.Registry) *Store {
 	if reg == nil {
 		return s
@@ -256,11 +252,8 @@ func (s *Store) Instrument(reg *obs.Registry) *Store {
 	reg.GaugeFunc("grdf_store_triples", "Triples in the data store.",
 		func() float64 { return float64(s.Len()) })
 	reg.GaugeFunc("grdf_store_generation",
-		"Mutation generation counter (cache invalidation epoch).",
+		"Commits since the empty store.",
 		func() float64 { return float64(s.Generation()) })
-	reg.GaugeFunc("grdf_store_epoch",
-		"Published MVCC version epoch (one publish per commit group).",
-		func() float64 { return float64(s.Epoch()) })
 	reg.GaugeFunc("grdf_store_dict_terms",
 		"Distinct terms interned in the store dictionary.",
 		func() float64 { return float64(s.DictLen()) })
@@ -366,34 +359,59 @@ func (s *Store) SetCommitBatching(maxBatch int, maxDelay time.Duration) {
 // GroupCommitStats returns the commit batcher's size distribution.
 func (s *Store) GroupCommitStats() GroupCommitStats { return s.batches.snapshot() }
 
-// Apply performs one atomic batch mutation and returns how many triples
-// changed. The call may be group-committed together with other concurrent
-// mutations: the commit hook then runs once for the whole group, but this
-// op keeps its own error result. Invalid triples in an OpAdd batch are
-// skipped (matching AddAll); an OpReplace whose old triple is absent returns
-// (0, nil) without reaching the hook.
+// Apply commits op on its own — a one-op ApplyBatch — and returns how many
+// triples changed. Invalid triples in an OpAdd batch are skipped (matching
+// AddAll); an OpReplace whose old triple is absent returns (0, nil) without
+// reaching the hook. A failure is the op's own error, not a BatchError.
 func (s *Store) Apply(op Op) (int, error) {
-	w := &commitWaiter{ops: []Op{op}, done: make(chan struct{})}
-	s.submit(w)
-	n := 0
-	if len(w.ns) == 1 {
-		n = w.ns[0]
+	ns, err := s.ApplyBatch([]Op{op})
+	var be *BatchError
+	if errors.As(err, &be) {
+		return 0, be.Err
 	}
-	return n, w.err
+	if err != nil {
+		return 0, err
+	}
+	return ns[0], nil
 }
 
-// ApplyBatch applies ops as one atomic commit: all-or-nothing, one
-// generation bump however many ops land, and — through the group hook — one
-// WAL record group. The returned slice holds per-op changed-triple counts.
-// Any validation failure, MustExist miss, or hook refusal leaves the store
-// untouched and reports the failing op via BatchError.
+// ApplyBatch applies ops as one commit: all-or-nothing, one generation
+// however many ops land (none when no op changes anything), and — through the
+// group hook — one WAL record. The call may be group-committed together with
+// other concurrent commits: the hook then runs once for the whole group, but
+// each commit keeps its own result. The returned slice holds per-op
+// changed-triple counts. Any validation failure, MustExist miss, or hook
+// refusal leaves the store untouched; the first two name the failing op via
+// BatchError.
 func (s *Store) ApplyBatch(ops []Op) ([]int, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	w := &commitWaiter{ops: ops, atomic: true, done: make(chan struct{})}
+	w := &commitWaiter{ops: ops, done: make(chan struct{})}
 	s.submit(w)
 	return w.ns, w.err
+}
+
+// Load replaces the store's contents with triples at generation gen in one
+// publish, without reaching the commit hook: it installs a state that is
+// already durable elsewhere — a snapshot being recovered, or the leader's
+// snapshot a follower bootstraps from — at the generation it was taken at, so
+// the records logged after it apply on top. Concurrent readers flip from the
+// old version to the new one; commits queued behind it apply to it. Invalid
+// and duplicate triples are skipped.
+func (s *Store) Load(gen uint64, triples []rdf.Triple) {
+	valid := make([]rdf.Triple, 0, len(triples))
+	for _, t := range triples {
+		if t.Valid() {
+			valid = append(valid, t)
+		}
+	}
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	b := newBuilder(emptyVersion, s.dict)
+	b.addBulk(valid)
+	b.generation = gen
+	s.cur.Store(b.seal())
 }
 
 // Barrier blocks until every mutation submitted before the call has been
@@ -554,8 +572,8 @@ func (s *Store) commitGroup(batch []*commitWaiter) {
 			return
 		}
 	}
-	if b.dirty {
-		s.cur.Store(b.seal(base.epoch + 1))
+	if len(groups) > 0 {
+		s.cur.Store(b.seal())
 		s.batches.record(nOps)
 		if s.mBatchSize != nil {
 			s.mBatchSize.Observe(float64(nOps))
@@ -565,9 +583,11 @@ func (s *Store) commitGroup(batch []*commitWaiter) {
 
 // prepareWaiter validates w's ops against the builder and applies them
 // speculatively, recording per-op change counts and the effective
-// (no-op-filtered) ops for the commit hook. Any failure rolls the builder
-// back to its pre-waiter state — rollback is O(1) because the builder's
-// indexes are persistent values.
+// (no-op-filtered) ops for the commit hook. A commit with an effective op is
+// one generation, and each of its ops is stamped with the generation it was
+// applied against. Any failure rolls the builder back to its pre-waiter
+// state — rollback is O(1) because the builder's indexes are persistent
+// values.
 func (s *Store) prepareWaiter(b *builder, w *commitWaiter) {
 	save := *b
 	ns := make([]int, len(w.ops))
@@ -576,25 +596,17 @@ func (s *Store) prepareWaiter(b *builder, w *commitWaiter) {
 		n, effOp, err := b.applyOp(w.ops[i])
 		if err != nil {
 			*b = save
-			if w.atomic {
-				err = &BatchError{Index: i, Err: err}
-			}
-			w.err = err
+			w.err = &BatchError{Index: i, Err: err}
 			return
 		}
 		ns[i] = n
-		if effOp.Kind == 0 {
-			continue
+		if effOp.Kind != 0 {
+			effOp.Gen = save.generation
+			eff = append(eff, effOp)
 		}
-		eff = append(eff, effOp)
 	}
-	if w.atomic && len(eff) > 0 {
-		// One logical commit: a single generation bump and a single Gen
-		// stamp however many sub-ops the batch carried.
-		for i := range eff {
-			eff[i].Gen = save.generation
-		}
-		b.generation = save.generation + 1
+	if len(eff) > 0 {
+		b.generation++
 	}
 	w.ns, w.eff = ns, eff
 }
@@ -625,10 +637,9 @@ func (s *Store) Remove(t rdf.Triple) bool {
 	return n > 0
 }
 
-// Replace atomically swaps old for new under one generation bump, so
-// concurrent readers never observe the intermediate "old removed, new not
-// yet added" state and the query cache is invalidated exactly once.
-// Returns false when old is absent (nothing is changed or logged).
+// Replace swaps old for new in one commit, so concurrent readers never
+// observe the intermediate "old removed, new not yet added" state. Returns
+// false when old is absent (nothing is changed or logged).
 func (s *Store) Replace(old, new rdf.Triple) (bool, error) {
 	n, err := s.Apply(Op{Kind: OpReplace, Triples: []rdf.Triple{old, new}})
 	return n > 0, err
@@ -660,12 +671,11 @@ func (s *Store) HasIDs(sid, pid, oid ID) bool { return s.cur.Load().spo.has(sid,
 // Len returns the number of triples.
 func (s *Store) Len() int { return s.cur.Load().size }
 
-// Generation returns a counter that increases on every mutation.
+// Generation returns the number of commits since the empty store: one per
+// commit that changed something, however many ops and triples it carried.
+// Load installs it with the contents, so the number survives recovery and
+// replication.
 func (s *Store) Generation() uint64 { return s.cur.Load().generation }
-
-// Epoch returns the number of published versions: one group commit — however
-// many concurrent mutations it carried — publishes exactly one.
-func (s *Store) Epoch() uint64 { return s.cur.Load().epoch }
 
 // Match returns all triples matching the pattern; nil positions are
 // wildcards. The result is a fresh slice safe for the caller to keep.
@@ -781,7 +791,6 @@ type builder struct {
 	osp        tindex
 	size       int
 	generation uint64
-	dirty      bool
 }
 
 func newBuilder(base *version, dict *Dict) *builder {
@@ -798,14 +807,13 @@ func newBuilder(base *version, dict *Dict) *builder {
 // seal publishes the builder as an immutable version. The dictionary view is
 // captured here — after every term of the version was interned — so the
 // version resolves all of its own IDs.
-func (b *builder) seal(epoch uint64) *version {
+func (b *builder) seal() *version {
 	return &version{
 		spo:        b.spo,
 		pos:        b.pos,
 		osp:        b.osp,
 		size:       b.size,
 		generation: b.generation,
-		epoch:      epoch,
 		terms:      b.dict.View(),
 	}
 }
@@ -846,8 +854,6 @@ func (b *builder) add(t rdf.Triple) bool {
 	b.pos, _ = b.pos.with(pid, oid, sid)
 	b.osp, _ = b.osp.with(oid, sid, pid)
 	b.size++
-	b.generation++
-	b.dirty = true
 	return true
 }
 
@@ -860,8 +866,6 @@ func (b *builder) removeIDs(sid, pid, oid ID) bool {
 	b.pos, _ = b.pos.without(pid, oid, sid)
 	b.osp, _ = b.osp.without(oid, sid, pid)
 	b.size--
-	b.generation++
-	b.dirty = true
 	return true
 }
 
@@ -870,8 +874,6 @@ func (b *builder) clear() {
 	b.pos = tindex{}
 	b.osp = tindex{}
 	b.size = 0
-	b.generation++
-	b.dirty = true
 }
 
 // bulkMin is the batch size from which an add into an empty builder builds
@@ -904,8 +906,6 @@ func (b *builder) addBulk(ts []rdf.Triple) int {
 	sortIDs(ids)
 	b.osp = tindexOf(ids)
 	b.size = n
-	b.generation += uint64(n)
-	b.dirty = true
 	return n
 }
 
@@ -944,7 +944,6 @@ func (b *builder) applyOp(op Op) (int, Op, error) {
 		if len(op.Triples) == 0 {
 			return 0, none, nil
 		}
-		op.Gen = b.generation
 		if b.size == 0 && len(op.Triples) >= bulkMin {
 			return b.addBulk(op.Triples), op, nil
 		}
@@ -960,7 +959,6 @@ func (b *builder) applyOp(op Op) (int, Op, error) {
 		if len(op.Triples) == 0 {
 			return 0, none, nil
 		}
-		op.Gen = b.generation
 		n := 0
 		for _, t := range op.Triples {
 			if ids, ok := b.lookupTriple(t); ok && b.removeIDs(ids[0], ids[1], ids[2]) {
@@ -984,20 +982,14 @@ func (b *builder) applyOp(op Op) (int, Op, error) {
 			}
 			return 0, none, nil
 		}
-		op.Gen = b.generation
-		gen := b.generation
 		ids, _ := b.lookupTriple(op.Triples[0])
 		b.removeIDs(ids[0], ids[1], ids[2])
 		b.add(op.Triples[1])
-		// A replace is one atomic mutation: readers and the query cache must
-		// see exactly one epoch boundary, not a remove and an add.
-		b.generation = gen + 1
 		return 1, op, nil
 	case OpClear:
 		if b.size == 0 {
 			return 0, none, nil
 		}
-		op.Gen = b.generation
 		b.clear()
 		return 0, op, nil
 	default:

@@ -21,13 +21,9 @@ type version struct {
 	osp tindex // object → subject → predicate
 	// size is the triple count of this version.
 	size int
-	// generation is the mutation counter at this version; it increases on
-	// every effective mutation and is the cache-invalidation epoch.
+	// generation counts the commits since the empty store (see
+	// Store.Generation).
 	generation uint64
-	// epoch counts version publications. Because one group commit publishes
-	// one version for many enqueued mutations, generation−epoch growth shows
-	// how much write amortization the commit batcher achieves.
-	epoch uint64
 	// terms resolves every ID reachable from the indexes. It is captured
 	// after all of the version's terms were interned, so resolution through
 	// a pinned version never misses.
@@ -201,11 +197,13 @@ func (sv StoreView) Peek() (val any, ok bool) {
 // Len returns the number of triples in the pinned version.
 func (sv StoreView) Len() int { return sv.ver().size }
 
-// Generation returns the mutation generation of the pinned version.
+// Generation returns the commit count of the pinned version.
 func (sv StoreView) Generation() uint64 { return sv.ver().generation }
 
-// Epoch returns the publication epoch of the pinned version.
-func (sv StoreView) Epoch() uint64 { return sv.ver().epoch }
+// Same reports whether sv and o pin the same version. Equal generations do
+// not say so: Load can install a version at a generation the store has shown
+// before, with other contents.
+func (sv StoreView) Same(o StoreView) bool { return sv.ver() == o.ver() }
 
 // View returns the view itself (it is already pinned).
 func (sv StoreView) View() StoreView { return sv }

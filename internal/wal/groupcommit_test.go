@@ -11,52 +11,35 @@ import (
 	"repro/internal/store"
 )
 
-// Group-commit durability coverage: an atomic batch is one KindBatch frame
+// Group-commit durability coverage: an atomic batch is one KindCommit frame
 // (one append, one fsync), a failed group fsync fails every op in the group
 // and leaves the store untouched, and torn-tail truncation can only ever
 // drop whole batches — never half of one.
 
 func TestBatchRecordRoundTrip(t *testing.T) {
-	want := Record{Kind: KindBatch, Gen: 21, Ops: []SubOp{
-		{Kind: KindAdd, Triples: []rdf.Triple{triple(1), triple(2)}},
-		{Kind: KindRemove, Triples: []rdf.Triple{triple(3)}},
-		{Kind: KindReplace, Triples: []rdf.Triple{triple(2), triple(4)}},
-		{Kind: KindClear},
-	}}
+	want := commit(21, add(triple(1), triple(2)), remove(triple(3)), replace(triple(2), triple(4)), clearOp)
 	frame, err := encodeRecord(want)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, next, err := decodeRecord(frame, 0)
+	got, next, err := DecodeRecord(frame, 0)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if next != len(frame) {
 		t.Errorf("next offset = %d, want %d", next, len(frame))
 	}
-	if got.Kind != KindBatch || got.Gen != want.Gen || len(got.Ops) != len(want.Ops) {
-		t.Fatalf("decoded %+v, want %+v", got, want)
-	}
-	for i, sub := range want.Ops {
-		if got.Ops[i].Kind != sub.Kind || len(got.Ops[i].Triples) != len(sub.Triples) {
-			t.Fatalf("sub-op %d: got %+v, want %+v", i, got.Ops[i], sub)
-		}
-		for j := range sub.Triples {
-			if got.Ops[i].Triples[j].String() != sub.Triples[j].String() {
-				t.Errorf("sub-op %d triple %d: %s != %s", i, j, got.Ops[i].Triples[j], sub.Triples[j])
-			}
-		}
-	}
+	sameRecord(t, got, want)
 
 	// A flipped bit anywhere in the batch payload is caught by the frame CRC.
 	bad := append([]byte(nil), frame...)
 	bad[len(bad)/2] ^= 0x04
-	if _, _, err := decodeRecord(bad, 0); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecodeRecord(bad, 0); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bit flip in batch frame: got %v, want ErrCorrupt", err)
 	}
 
-	if _, err := encodeRecord(Record{Kind: KindBatch}); err == nil {
-		t.Error("empty batch record encoded, want error")
+	if _, err := encodeRecord(Record{Kind: KindCommit}); err == nil {
+		t.Error("empty commit record encoded, want error")
 	}
 }
 
@@ -177,7 +160,7 @@ func TestFsyncFailureMidGroupFailsWholeBatch(t *testing.T) {
 	}
 }
 
-// TestTornBatchTailDropsWholeGroup: shearing the final KindBatch frame mid-
+// TestTornBatchTailDropsWholeGroup: shearing the final KindCommit frame mid-
 // record must truncate the whole batch away on recovery — the store comes
 // back as if the batch never happened, not half-applied.
 func TestTornBatchTailDropsWholeGroup(t *testing.T) {
@@ -196,7 +179,7 @@ func TestTornBatchTailDropsWholeGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Shear 3 bytes off the segment tail: the KindBatch frame is torn.
+	// Shear 3 bytes off the segment tail: the batch's frame is torn.
 	seg := filepath.Join(dir, segmentName(1))
 	fi, err := os.Stat(seg)
 	if err != nil {

@@ -13,70 +13,65 @@ import (
 	"repro/internal/store"
 )
 
-// Kind discriminates WAL record types. Mutation kinds mirror store.OpKind;
-// KindAudit carries an opaque side payload (the G-SACS audit trail) that
-// rides the same durability machinery without the wal package knowing its
-// schema.
+// Kind discriminates WAL record types.
 type Kind uint8
 
 const (
-	// KindAdd is a batch triple insertion.
-	KindAdd Kind = 1
-	// KindRemove is a batch triple deletion.
-	KindRemove Kind = 2
-	// KindReplace atomically swaps Triples[0] for Triples[1].
-	KindReplace Kind = 3
-	// KindClear empties the store.
-	KindClear Kind = 4
-	// KindAudit carries an opaque audit payload in Data.
+	// KindAudit carries an opaque side payload in Data (the G-SACS audit
+	// trail), riding the same durability machinery without the wal package
+	// knowing its schema.
 	KindAudit Kind = 5
-	// KindBatch is one atomic multi-op commit (a /v1/mutate batch): all of
-	// its sub-ops live inside a single frame, so the one-frame atomicity the
-	// torn-tail repair already provides makes batch replay all-or-nothing for
-	// free — recovery can never resurrect half a batch.
-	KindBatch Kind = 6
+	// KindCommit is one store commit: the ops of one Apply or ApplyBatch, in
+	// apply order, and the generation they were applied against. A commit
+	// lives in a single frame, so the one-frame atomicity the torn-tail repair
+	// provides makes replay all-or-nothing — recovery can never resurrect half
+	// a commit. Kinds 1–4 and 6 were the record shapes of the previous log
+	// format and decode as ErrCorrupt.
+	KindCommit Kind = 7
 )
 
 func (k Kind) String() string {
 	switch k {
-	case KindAdd:
-		return "add"
-	case KindRemove:
-		return "remove"
-	case KindReplace:
-		return "replace"
-	case KindClear:
-		return "clear"
 	case KindAudit:
 		return "audit"
-	case KindBatch:
-		return "batch"
+	case KindCommit:
+		return "commit"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Record is one WAL entry. Mutation records carry the store generation
-// observed when the op was committed, which recovery reports for
-// diagnostics.
+// Record is one WAL entry: a commit or an audit payload.
 type Record struct {
-	Kind    Kind
-	Gen     uint64
-	Triples []rdf.Triple // mutation kinds; [old, new] for KindReplace
-	Data    []byte       // KindAudit payload
-	Ops     []SubOp      // KindBatch sub-ops, in apply order
-}
-
-// SubOp is one mutation of a KindBatch record.
-type SubOp struct {
-	Kind    Kind
-	Triples []rdf.Triple
+	Kind Kind
+	// Gen is the store generation a commit was applied against: replay
+	// applies it to a store at exactly that generation (see ApplyRecord).
+	Gen  uint64
+	Ops  []store.Op // KindCommit, in apply order
+	Data []byte     // KindAudit payload
 }
 
 // On-disk frame: uint32 LE payload length, uint32 LE CRC32C of the payload,
-// then the payload. The payload is kind (1 byte), generation (uvarint),
-// item count (uvarint), then count length-prefixed items — N-Triples
-// statements for mutation records, one opaque blob for audit records.
+// then the payload. The payload is kind (1 byte) and generation (uvarint),
+// then for a commit the op count (uvarint) and per op its code (1 byte),
+// triple count (uvarint) and length-prefixed N-Triples statements; for an
+// audit record one length-prefixed opaque blob.
 const frameHeaderLen = 8
+
+// Op codes on disk. They are the log's own numbering, so renumbering
+// store.OpKind can never reinterpret a log.
+const (
+	codeAdd     byte = 1
+	codeRemove  byte = 2
+	codeReplace byte = 3
+	codeClear   byte = 4
+)
+
+var (
+	opCodes = map[store.OpKind]byte{store.OpAdd: codeAdd, store.OpRemove: codeRemove,
+		store.OpReplace: codeReplace, store.OpClear: codeClear}
+	opKinds = map[byte]store.OpKind{codeAdd: store.OpAdd, codeRemove: store.OpRemove,
+		codeReplace: store.OpReplace, codeClear: store.OpClear}
+)
 
 // maxRecordBytes bounds a single record so a corrupt length prefix cannot
 // force a giant allocation during recovery.
@@ -96,78 +91,48 @@ var (
 	ErrCorrupt = errors.New("wal: corrupt record")
 )
 
-// opKindOf maps a store op kind to its record kind.
-func opKindOf(k store.OpKind) (Kind, bool) {
-	switch k {
-	case store.OpAdd:
-		return KindAdd, true
-	case store.OpRemove:
-		return KindRemove, true
-	case store.OpReplace:
-		return KindReplace, true
-	case store.OpClear:
-		return KindClear, true
-	}
-	return 0, false
-}
-
 // encodeRecord renders the full frame (header + payload) for r.
 func encodeRecord(r Record) ([]byte, error) {
-	payload := make([]byte, 0, 64)
-	payload = append(payload, byte(r.Kind))
-	payload = binary.AppendUvarint(payload, r.Gen)
+	frame := make([]byte, frameHeaderLen, frameHeaderLen+64)
+	frame = append(frame, byte(r.Kind))
+	frame = binary.AppendUvarint(frame, r.Gen)
 	switch r.Kind {
-	case KindAdd, KindRemove, KindReplace, KindClear:
-		if r.Kind == KindReplace && len(r.Triples) != 2 {
-			return nil, fmt.Errorf("wal: replace record needs [old, new], got %d triples", len(r.Triples))
+	case KindCommit:
+		if len(r.Ops) == 0 {
+			return nil, fmt.Errorf("wal: commit record needs at least one op")
 		}
-		payload = binary.AppendUvarint(payload, uint64(len(r.Triples)))
-		for _, t := range r.Triples {
-			line := t.String()
-			payload = binary.AppendUvarint(payload, uint64(len(line)))
-			payload = append(payload, line...)
+		frame = binary.AppendUvarint(frame, uint64(len(r.Ops)))
+		var line []byte
+		for i, op := range r.Ops {
+			code, ok := opCodes[op.Kind]
+			if !ok {
+				return nil, fmt.Errorf("wal: op %d: unloggable kind %v", i, op.Kind)
+			}
+			if op.Kind == store.OpReplace && len(op.Triples) != 2 {
+				return nil, fmt.Errorf("wal: op %d: replace needs [old, new], got %d triples", i, len(op.Triples))
+			}
+			frame = append(frame, code)
+			frame = binary.AppendUvarint(frame, uint64(len(op.Triples)))
+			for _, t := range op.Triples {
+				line = rdf.AppendTriple(line[:0], t)
+				frame = binary.AppendUvarint(frame, uint64(len(line)))
+				frame = append(frame, line...)
+			}
 		}
 	case KindAudit:
-		payload = binary.AppendUvarint(payload, 1)
-		payload = binary.AppendUvarint(payload, uint64(len(r.Data)))
-		payload = append(payload, r.Data...)
-	case KindBatch:
-		if len(r.Ops) == 0 {
-			return nil, fmt.Errorf("wal: batch record needs at least one sub-op")
-		}
-		payload = binary.AppendUvarint(payload, uint64(len(r.Ops)))
-		for i, sub := range r.Ops {
-			blob, err := encodeSubOp(sub)
-			if err != nil {
-				return nil, fmt.Errorf("wal: batch sub-op %d: %w", i, err)
-			}
-			payload = binary.AppendUvarint(payload, uint64(len(blob)))
-			payload = append(payload, blob...)
-		}
+		frame = binary.AppendUvarint(frame, uint64(len(r.Data)))
+		frame = append(frame, r.Data...)
 	default:
 		return nil, fmt.Errorf("wal: cannot encode record kind %d", r.Kind)
 	}
+	payload := frame[frameHeaderLen:]
 	if len(payload) > maxRecordBytes {
 		return nil, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(payload), maxRecordBytes)
 	}
-	frame := make([]byte, frameHeaderLen+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeaderLen:], payload)
 	return frame, nil
 }
-
-// EncodeRecord renders the full on-disk/wire frame (length + CRC32C header
-// + payload) for r. Exported for the replication transport, which ships
-// frames byte-identical to their disk representation.
-func EncodeRecord(r Record) ([]byte, error) { return encodeRecord(r) }
-
-// DecodeRecord decodes one record from buf starting at off, returning the
-// record and the offset of the next frame. io.EOF signals a clean end of
-// input; ErrTorn an incomplete tail frame; ErrCorrupt a checksum or
-// structure violation. A replication follower runs every streamed frame
-// through this — the same verification recovery uses — before applying it.
-func DecodeRecord(buf []byte, off int) (Record, int, error) { return decodeRecord(buf, off) }
 
 // frameAt verifies the length header and CRC32C of the frame starting at
 // off and returns the raw frame bytes (header included) plus the next
@@ -183,6 +148,8 @@ func frameAt(buf []byte, off int) ([]byte, int, error) {
 	n := binary.LittleEndian.Uint32(rest[0:4])
 	crc := binary.LittleEndian.Uint32(rest[4:8])
 	if n == 0 {
+		// A written frame is never empty; zero-length frames are the
+		// zero-fill signature some filesystems leave after a crash.
 		return nil, off, fmt.Errorf("%w: zero-length frame (zero-fill tail)", ErrTorn)
 	}
 	if n > maxRecordBytes {
@@ -201,189 +168,153 @@ func frameAt(buf []byte, off int) ([]byte, int, error) {
 	return buf[off:end], end, nil
 }
 
-// decodeRecord decodes one record from buf starting at off, returning the
+// DecodeRecord decodes one record from buf starting at off, returning the
 // record and the offset of the next frame. io.EOF signals a clean end of
-// log; ErrTorn an incomplete tail frame; ErrCorrupt a checksum or structure
-// violation.
-func decodeRecord(buf []byte, off int) (Record, int, error) {
+// input; ErrTorn an incomplete tail frame; ErrCorrupt a checksum or
+// structure violation. Recovery and the replication follower both run every
+// frame through this before applying it.
+func DecodeRecord(buf []byte, off int) (Record, int, error) {
 	if off == len(buf) {
 		return Record{}, off, io.EOF
 	}
-	rest := buf[off:]
-	if len(rest) < frameHeaderLen {
-		return Record{}, off, fmt.Errorf("%w: %d trailing bytes, need %d for a frame header",
-			ErrTorn, len(rest), frameHeaderLen)
-	}
-	n := binary.LittleEndian.Uint32(rest[0:4])
-	crc := binary.LittleEndian.Uint32(rest[4:8])
-	if n == 0 {
-		// A written frame is never empty; zero-length frames are the
-		// zero-fill signature some filesystems leave after a crash.
-		return Record{}, off, fmt.Errorf("%w: zero-length frame (zero-fill tail)", ErrTorn)
-	}
-	if n > maxRecordBytes {
-		return Record{}, off, fmt.Errorf("%w: frame claims %d bytes (limit %d)", ErrCorrupt, n, maxRecordBytes)
-	}
-	if len(rest) < frameHeaderLen+int(n) {
-		return Record{}, off, fmt.Errorf("%w: frame claims %d bytes, only %d remain",
-			ErrTorn, n, len(rest)-frameHeaderLen)
-	}
-	payload := rest[frameHeaderLen : frameHeaderLen+int(n)]
-	if got := crc32.Checksum(payload, castagnoli); got != crc {
-		return Record{}, off, fmt.Errorf("%w: checksum mismatch at offset %d (stored %08x, computed %08x)",
-			ErrCorrupt, off, crc, got)
-	}
-	rec, err := decodePayload(payload)
+	frame, next, err := frameAt(buf, off)
 	if err != nil {
 		return Record{}, off, err
 	}
-	return rec, off + frameHeaderLen + int(n), nil
+	rec, err := decodePayload(frame[frameHeaderLen:])
+	if err != nil {
+		return Record{}, off, err
+	}
+	return rec, next, nil
 }
 
 // decodePayload parses a checksum-verified payload. Structural errors are
 // still ErrCorrupt: the checksum matched, but the bytes are not a record we
 // ever wrote.
 func decodePayload(payload []byte) (Record, error) {
-	corrupt := func(format string, args ...any) (Record, error) {
-		return Record{}, fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-	}
-	if len(payload) == 0 {
-		return corrupt("empty payload")
-	}
-	rec := Record{Kind: Kind(payload[0])}
-	p := payload[1:]
-	gen, used := binary.Uvarint(p)
-	if used <= 0 {
-		return corrupt("bad generation varint")
-	}
-	rec.Gen = gen
-	p = p[used:]
-	count, used := binary.Uvarint(p)
-	if used <= 0 {
-		return corrupt("bad item count varint")
-	}
-	p = p[used:]
-	if count > uint64(len(p)) {
-		return corrupt("item count %d exceeds payload", count)
-	}
-	items := make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		n, used := binary.Uvarint(p)
-		if used <= 0 {
-			return corrupt("bad item length varint (item %d)", i)
-		}
-		p = p[used:]
-		if n > uint64(len(p)) {
-			return corrupt("item %d claims %d bytes, %d remain", i, n, len(p))
-		}
-		items = append(items, p[:n])
-		p = p[n:]
-	}
-	if len(p) != 0 {
-		return corrupt("%d stray bytes after last item", len(p))
-	}
+	d := payloadReader{p: payload}
+	rec := Record{Kind: Kind(d.u8("kind"))}
+	rec.Gen = d.uvarint("generation")
 	switch rec.Kind {
-	case KindAdd, KindRemove, KindReplace, KindClear:
-		if rec.Kind == KindReplace && len(items) != 2 {
-			return corrupt("replace record has %d items, want 2", len(items))
+	case KindCommit:
+		n := d.count("op count")
+		if n == 0 && d.err == nil {
+			d.fail("commit record has no ops")
 		}
-		rec.Triples = make([]rdf.Triple, 0, len(items))
-		for i, it := range items {
-			t, err := parseTripleLine(string(it))
-			if err != nil {
-				return corrupt("item %d: %v", i, err)
-			}
-			rec.Triples = append(rec.Triples, t)
+		rec.Ops = make([]store.Op, 0, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			rec.Ops = append(rec.Ops, d.op(i))
 		}
 	case KindAudit:
-		if len(items) != 1 {
-			return corrupt("audit record has %d items, want 1", len(items))
-		}
-		rec.Data = append([]byte(nil), items[0]...)
-	case KindBatch:
-		if len(items) == 0 {
-			return corrupt("batch record has no sub-ops")
-		}
-		rec.Ops = make([]SubOp, 0, len(items))
-		for i, it := range items {
-			sub, err := decodeSubOp(it)
-			if err != nil {
-				return corrupt("batch sub-op %d: %v", i, err)
-			}
-			rec.Ops = append(rec.Ops, sub)
-		}
+		rec.Data = append([]byte(nil), d.blob("audit payload")...)
 	default:
-		return corrupt("unknown record kind %d", uint8(rec.Kind))
+		d.fail("unknown record kind %d", uint8(rec.Kind))
+	}
+	if d.err == nil && len(d.p) != 0 {
+		d.fail("%d stray bytes after the record", len(d.p))
+	}
+	if d.err != nil {
+		return Record{}, d.err
 	}
 	return rec, nil
 }
 
-// encodeSubOp renders one KindBatch item: sub-op kind (1 byte), triple count
-// (uvarint), then length-prefixed N-Triples statements.
-func encodeSubOp(sub SubOp) ([]byte, error) {
-	switch sub.Kind {
-	case KindAdd, KindRemove, KindClear:
-	case KindReplace:
-		if len(sub.Triples) != 2 {
-			return nil, fmt.Errorf("replace sub-op needs [old, new], got %d triples", len(sub.Triples))
-		}
-	default:
-		return nil, fmt.Errorf("kind %s cannot appear in a batch", sub.Kind)
-	}
-	blob := make([]byte, 0, 64)
-	blob = append(blob, byte(sub.Kind))
-	blob = binary.AppendUvarint(blob, uint64(len(sub.Triples)))
-	for _, t := range sub.Triples {
-		line := t.String()
-		blob = binary.AppendUvarint(blob, uint64(len(line)))
-		blob = append(blob, line...)
-	}
-	return blob, nil
+// payloadReader consumes a payload front to back. The first structural error
+// sticks: every later read returns zero values, so a decoder checks err once.
+type payloadReader struct {
+	p   []byte
+	err error
 }
 
-func decodeSubOp(blob []byte) (SubOp, error) {
-	if len(blob) == 0 {
-		return SubOp{}, fmt.Errorf("empty sub-op")
+func (d *payloadReader) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 	}
-	sub := SubOp{Kind: Kind(blob[0])}
-	switch sub.Kind {
-	case KindAdd, KindRemove, KindReplace, KindClear:
-	default:
-		return SubOp{}, fmt.Errorf("kind %d cannot appear in a batch", uint8(sub.Kind))
+}
+
+func (d *payloadReader) u8(what string) byte {
+	if d.err != nil {
+		return 0
 	}
-	p := blob[1:]
-	count, used := binary.Uvarint(p)
+	if len(d.p) == 0 {
+		d.fail("missing %s", what)
+		return 0
+	}
+	b := d.p[0]
+	d.p = d.p[1:]
+	return b
+}
+
+func (d *payloadReader) uvarint(what string) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, used := binary.Uvarint(d.p)
 	if used <= 0 {
-		return SubOp{}, fmt.Errorf("bad triple count varint")
+		d.fail("bad %s varint", what)
+		return 0
 	}
-	p = p[used:]
-	if count > uint64(len(p)) {
-		return SubOp{}, fmt.Errorf("triple count %d exceeds sub-op bytes", count)
+	d.p = d.p[used:]
+	return v
+}
+
+// count reads an item count, refusing one the remaining bytes cannot hold
+// (every item takes at least one byte), so a corrupt count cannot force a
+// giant allocation.
+func (d *payloadReader) count(what string) int {
+	n := d.uvarint(what)
+	if n > uint64(len(d.p)) {
+		d.fail("%s %d exceeds the %d remaining bytes", what, n, len(d.p))
+		return 0
 	}
-	if sub.Kind == KindReplace && count != 2 {
-		return SubOp{}, fmt.Errorf("replace sub-op has %d triples, want 2", count)
+	return int(n)
+}
+
+// blob reads one length-prefixed byte string, aliasing the payload.
+func (d *payloadReader) blob(what string) []byte {
+	n := d.uvarint(what + " length")
+	if d.err != nil {
+		return nil
 	}
-	sub.Triples = make([]rdf.Triple, 0, count)
-	for i := uint64(0); i < count; i++ {
-		n, used := binary.Uvarint(p)
-		if used <= 0 {
-			return SubOp{}, fmt.Errorf("bad triple length varint (triple %d)", i)
+	if n > uint64(len(d.p)) {
+		d.fail("%s claims %d bytes, %d remain", what, n, len(d.p))
+		return nil
+	}
+	b := d.p[:n]
+	d.p = d.p[n:]
+	return b
+}
+
+// op reads the i-th op of a commit.
+func (d *payloadReader) op(i int) store.Op {
+	code := d.u8("op code")
+	kind, ok := opKinds[code]
+	if !ok && d.err == nil {
+		d.fail("op %d: unknown op code %d", i, code)
+	}
+	n := d.count("triple count")
+	switch {
+	case d.err != nil:
+		return store.Op{}
+	case kind == store.OpReplace && n != 2:
+		d.fail("op %d: replace has %d triples, want 2", i, n)
+	case kind == store.OpClear && n != 0:
+		d.fail("op %d: clear has %d triples, want none", i, n)
+	}
+	op := store.Op{Kind: kind, Triples: make([]rdf.Triple, 0, n)}
+	for j := 0; j < n && d.err == nil; j++ {
+		line := d.blob("triple")
+		if d.err != nil {
+			break
 		}
-		p = p[used:]
-		if n > uint64(len(p)) {
-			return SubOp{}, fmt.Errorf("triple %d claims %d bytes, %d remain", i, n, len(p))
-		}
-		t, err := parseTripleLine(string(p[:n]))
+		t, err := parseTripleLine(string(line))
 		if err != nil {
-			return SubOp{}, fmt.Errorf("triple %d: %v", i, err)
+			d.fail("op %d, triple %d: %v", i, j, err)
+			break
 		}
-		sub.Triples = append(sub.Triples, t)
-		p = p[n:]
+		op.Triples = append(op.Triples, t)
 	}
-	if len(p) != 0 {
-		return SubOp{}, fmt.Errorf("%d stray bytes after last triple", len(p))
-	}
-	return sub, nil
+	return op
 }
 
 // parseTripleLine parses exactly one N-Triples statement.

@@ -159,8 +159,8 @@ var errClosed = errors.New("wal: repository closed")
 // Open recovers the durable state from opts.Dir into st — latest valid
 // snapshot first, then the WAL tail — installs the commit hook that journals
 // every subsequent mutation, and starts the background flush/snapshot
-// goroutines. st must be empty: the repository is the source of truth for its
-// contents.
+// goroutines. st must be new — empty and never written: the repository is
+// the source of truth for its contents and its generation.
 //
 // A torn final record (partial last write before a crash) is truncated away.
 // Corruption anywhere else — a failed checksum, a gap in the segment
@@ -173,8 +173,9 @@ func Open(st *store.Store, opts Options) (*Repository, error) {
 	if st == nil {
 		return nil, errors.New("wal: store is required")
 	}
-	if st.Len() != 0 {
-		return nil, fmt.Errorf("wal: store must be empty before recovery (has %d triples)", st.Len())
+	if st.Len() != 0 || st.Generation() != 0 {
+		return nil, fmt.Errorf("wal: store must be new before recovery (has %d triples at generation %d)",
+			st.Len(), st.Generation())
 	}
 	r := &Repository{
 		fsys:          opts.FS,
@@ -277,7 +278,7 @@ func (r *Repository) recover(maxAudit int) error {
 			r.logger.Warn("wal: snapshot unusable, falling back", "seq", seq, "err", err)
 			continue
 		}
-		r.st.AddAll(triples)
+		r.st.Load(gen, triples)
 		baseSeq = seq
 		loaded = true
 		r.recovery.SnapshotSeq = seq
@@ -348,8 +349,8 @@ func (r *Repository) recover(maxAudit int) error {
 
 // replaySegment applies every record of one segment to the store. final
 // marks the last segment, the only place a torn record is legal: it is
-// truncated away. Replay is idempotent — records already reflected in the
-// snapshot re-apply as no-ops.
+// truncated away. Commits the loaded snapshot already holds are skipped by
+// ApplyRecord's generation rule.
 func (r *Repository) replaySegment(seq uint64, final bool, maxAudit int) error {
 	name := filepath.Join(r.dir, segmentName(seq))
 	buf, err := readAll(r.fsys, name)
@@ -358,7 +359,7 @@ func (r *Repository) replaySegment(seq uint64, final bool, maxAudit int) error {
 	}
 	off := 0
 	for {
-		rec, next, err := decodeRecord(buf, off)
+		rec, next, err := DecodeRecord(buf, off)
 		if err == io.EOF {
 			return nil
 		}
@@ -411,58 +412,34 @@ func (r *Repository) applyRecord(rec Record, maxAudit int) error {
 	return ApplyRecord(r.st, rec)
 }
 
-// ApplyRecord replays one mutation record into st exactly as it committed:
-// a KindBatch applies atomically as one store generation, and sub-ops
-// already present in st no-op out, so replay is idempotent. KindAudit is a
-// no-op here — the audit trail is node-local state, not replicated data.
-// Shared by crash recovery and the replication follower, so a streamed
-// record applies precisely the way the leader's own recovery would apply it.
+// ApplyRecord replays one record into st by the log's one rule: a commit
+// applies to a store at exactly the generation it is stamped with, as one
+// commit, moving the store to the next generation. A commit stamped below
+// st's generation is already in st — the snapshot st was loaded from was
+// taken after it — and is skipped. One stamped above means a commit between
+// them is missing, and is refused with ErrCorrupt, as is a commit that
+// changes nothing where it is stamped. Audit records are node-local state,
+// not replicated data, and are skipped too. Shared by crash recovery and the
+// replication follower, so a streamed record applies precisely the way the
+// leader's own recovery would apply it.
 func ApplyRecord(st *store.Store, rec Record) error {
-	switch rec.Kind {
-	case KindAdd:
-		st.AddAll(rec.Triples)
-	case KindRemove:
-		for _, t := range rec.Triples {
-			st.Remove(t)
-		}
-	case KindReplace:
-		if _, err := st.Replace(rec.Triples[0], rec.Triples[1]); err != nil {
-			return err
-		}
-	case KindClear:
-		st.Clear()
-	case KindAudit:
-	case KindBatch:
-		ops := make([]store.Op, 0, len(rec.Ops))
-		for _, sub := range rec.Ops {
-			kind, ok := storeKindOf(sub.Kind)
-			if !ok {
-				return fmt.Errorf("%w: batch sub-op kind %d", ErrCorrupt, sub.Kind)
-			}
-			ops = append(ops, store.Op{Kind: kind, Triples: sub.Triples})
-		}
-		if _, err := st.ApplyBatch(ops); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, rec.Kind)
+	if rec.Kind != KindCommit {
+		return nil
+	}
+	gen := st.Generation()
+	switch {
+	case rec.Gen < gen:
+		return nil
+	case rec.Gen > gen:
+		return fmt.Errorf("%w: commit at generation %d, store at %d: a commit is missing", ErrCorrupt, rec.Gen, gen)
+	}
+	if _, err := st.ApplyBatch(rec.Ops); err != nil {
+		return err
+	}
+	if st.Generation() != gen+1 {
+		return fmt.Errorf("%w: commit at generation %d changed nothing: the store diverged from the log", ErrCorrupt, gen)
 	}
 	return nil
-}
-
-// storeKindOf is the inverse of opKindOf: record kind → store op kind.
-func storeKindOf(k Kind) (store.OpKind, bool) {
-	switch k {
-	case KindAdd:
-		return store.OpAdd, true
-	case KindRemove:
-		return store.OpRemove, true
-	case KindReplace:
-		return store.OpReplace, true
-	case KindClear:
-		return store.OpClear, true
-	}
-	return 0, false
 }
 
 // Info returns what recovery reconstructed.
@@ -513,14 +490,13 @@ func (r *Repository) WALStatus() Status {
 // first, so the caller can restore its audit trail.
 func (r *Repository) AuditReplay() [][]byte { return r.auditReplay }
 
-// commitGroup is the store's group commit hook: journal every logical commit
-// of the group before the store publishes any of it. It runs under the store
-// writer lock, so append order is exactly apply order; an error here aborts
-// the whole group and no caller sees an ack. Each single-op commit becomes
-// one plain record; an atomic multi-op batch becomes one KindBatch record,
-// so torn-tail truncation can only ever drop whole commits. The group pays
-// one segment write and — under FsyncAlways — one fsync, however many
-// concurrent mutations it carries: that is the whole point.
+// commitGroup is the store's group commit hook: journal every commit of the
+// group before the store publishes any of it. It runs under the store writer
+// lock, so append order is exactly apply order; an error here aborts the
+// whole group and no caller sees an ack. Each commit becomes one KindCommit
+// record, so torn-tail truncation can only ever drop whole commits. The group
+// pays one segment write and — under FsyncAlways — one fsync, however many
+// concurrent commits it carries: that is the whole point.
 //
 // Each commit's request context (when present) carries its trace, so the
 // durability cost shows up as wal.append / wal.fsync spans per mutation.
@@ -538,7 +514,7 @@ func (r *Repository) commitGroup(groups [][]store.Op) error {
 	fsyncCtx := context.Background()
 	for i, ops := range groups {
 		ctx := context.Background()
-		if len(ops) > 0 && ops[0].Ctx != nil {
+		if ops[0].Ctx != nil {
 			ctx = ops[0].Ctx
 		}
 		if i == 0 {
@@ -546,7 +522,13 @@ func (r *Repository) commitGroup(groups [][]store.Op) error {
 		}
 		_, sp := obs.StartSpan(ctx, "wal.append")
 		spans = append(spans, sp)
-		frame, err := encodeGroup(ops, sp)
+		triples := 0
+		for _, op := range ops {
+			triples += len(op.Triples)
+		}
+		sp.Add("ops", int64(len(ops)))
+		sp.Add("triples", int64(triples))
+		frame, err := encodeRecord(Record{Kind: KindCommit, Gen: ops[0].Gen, Ops: ops})
 		if err != nil {
 			finish(err)
 			return err
@@ -557,38 +539,6 @@ func (r *Repository) commitGroup(groups [][]store.Op) error {
 	err := r.appendFrames(fsyncCtx, frames, r.policy == FsyncAlways)
 	finish(err)
 	return err
-}
-
-// encodeGroup renders one logical commit as one WAL frame: a plain record
-// for a single op, a KindBatch record for an atomic multi-op batch.
-func encodeGroup(ops []store.Op, sp *obs.Span) ([]byte, error) {
-	if len(ops) == 0 {
-		return nil, fmt.Errorf("wal: empty commit group")
-	}
-	if len(ops) == 1 {
-		op := ops[0]
-		kind, ok := opKindOf(op.Kind)
-		if !ok {
-			return nil, fmt.Errorf("wal: unloggable op kind %v", op.Kind)
-		}
-		sp.SetAttr("kind", kind.String())
-		sp.Add("triples", int64(len(op.Triples)))
-		return encodeRecord(Record{Kind: kind, Gen: op.Gen, Triples: op.Triples})
-	}
-	subs := make([]SubOp, 0, len(ops))
-	triples := 0
-	for _, op := range ops {
-		kind, ok := opKindOf(op.Kind)
-		if !ok {
-			return nil, fmt.Errorf("wal: unloggable op kind %v", op.Kind)
-		}
-		subs = append(subs, SubOp{Kind: kind, Triples: op.Triples})
-		triples += len(op.Triples)
-	}
-	sp.SetAttr("kind", KindBatch.String())
-	sp.Add("ops", int64(len(subs)))
-	sp.Add("triples", int64(triples))
-	return encodeRecord(Record{Kind: KindBatch, Gen: ops[0].Gen, Ops: subs})
 }
 
 // AppendAudit journals an opaque audit payload. Audit entries are never
@@ -748,11 +698,13 @@ func (r *Repository) snapshotLoop() {
 }
 
 // Snapshot checkpoints the current store state and garbage-collects
-// superseded files. The sequence is rotate-then-capture: the log rotates to a
-// fresh segment first, then the state is captured, so every record that is
-// not in the snapshot lives in a segment after it. Mutations that land
-// between rotation and capture appear in both — harmless, because replay is
-// idempotent.
+// superseded files. The sequence is rotate, barrier, capture: the log rotates
+// to a fresh segment first; the barrier waits until every commit appended
+// before the rotation is published; then one pinned version is captured, its
+// generation and triples together. So every commit not in the snapshot lives
+// in a segment after it. Commits that land between rotation and capture
+// appear in both; replay skips them, because their generation stamps are
+// below the snapshot's.
 func (r *Repository) Snapshot() error {
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
@@ -800,8 +752,10 @@ func (r *Repository) Snapshot() error {
 
 	// Capture outside the append lock: mutations continue into the new
 	// segment while the snapshot is written.
-	gen := r.st.Generation()
-	triples := r.st.Triples()
+	r.st.Barrier()
+	view := r.st.View()
+	gen := view.Generation()
+	triples := view.Triples()
 	size, err := writeSnapshot(r.fsys, r.dir, oldSeq, gen, triples)
 	if err != nil {
 		return err

@@ -3,8 +3,6 @@ package wal
 import (
 	"errors"
 	"testing"
-
-	"repro/internal/rdf"
 )
 
 // TestRecordSequencing: appends get contiguous sequence numbers, survive
@@ -54,9 +52,7 @@ func TestRecordSequencing(t *testing.T) {
 			t.Fatalf("frame %d: decoded %d of %d bytes", i, next, len(frame))
 		}
 		want := triple(i + 2) // seq 3 is the third add = triple(2)
-		if rec.Kind != KindAdd || len(rec.Triples) != 1 || rec.Triples[0].String() != want.String() {
-			t.Fatalf("frame %d decoded to %v %v, want add %v", i, rec.Kind, rec.Triples, want)
-		}
+		sameRecord(t, rec, commit(uint64(i+2), add(want)))
 	}
 
 	// Past the head: empty, nil error (the long-poll signal).
@@ -188,13 +184,10 @@ func TestGCRetentionFloor(t *testing.T) {
 // TestFrameAtMatchesDecode: the cheap frame slicer agrees with the full
 // decoder on framing and rejects a flipped bit.
 func TestFrameAtMatchesDecode(t *testing.T) {
-	recs := []Record{
-		{Kind: KindAdd, Gen: 1, Triples: []rdf.Triple{triple(0)}},
-		{Kind: KindClear, Gen: 2},
-	}
+	recs := []Record{commit(1, add(triple(0))), commit(2, clearOp)}
 	var buf []byte
 	for _, r := range recs {
-		frame, err := EncodeRecord(r)
+		frame, err := encodeRecord(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,9 +199,9 @@ func TestFrameAtMatchesDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frameAt record %d: %v", i, err)
 		}
-		rec, dnext, err := decodeRecord(buf, off)
+		rec, dnext, err := DecodeRecord(buf, off)
 		if err != nil {
-			t.Fatalf("decodeRecord record %d: %v", i, err)
+			t.Fatalf("DecodeRecord record %d: %v", i, err)
 		}
 		if next != dnext {
 			t.Fatalf("record %d: frameAt next %d != decode next %d", i, next, dnext)

@@ -21,7 +21,7 @@ import (
 //
 // A snapshot is written only after the log has rotated past its sequence
 // number, so replaying segment N+1 over snap-N is always safe: records the
-// snapshot already includes replay idempotently.
+// snapshot already includes are stamped below its generation and skipped.
 
 const (
 	segmentPrefix  = "wal-"
@@ -32,8 +32,9 @@ const (
 )
 
 // snapMagic heads every snapshot file; bump the trailing digit on format
-// changes.
-var snapMagic = []byte("GRDFSNAP1\n")
+// changes. Version 2 counts the generation in commits; a version-1 snapshot
+// counted triples, and reads as corrupt rather than as a wrong generation.
+var snapMagic = []byte("GRDFSNAP2\n")
 
 func segmentName(seq uint64) string {
 	return fmt.Sprintf("%s%016d%s", segmentPrefix, seq, segmentSuffix)
@@ -118,7 +119,7 @@ func DecodeSnapshotBytes(buf []byte) (gen uint64, triples []rdf.Triple, err erro
 		return corrupt("body of %d bytes is too short", len(buf))
 	}
 	if !bytes.Equal(buf[:len(snapMagic)], snapMagic) {
-		return corrupt("bad magic")
+		return corrupt("bad magic %q (want %q)", buf[:len(snapMagic)], snapMagic)
 	}
 	body, footer := buf[:len(buf)-4], buf[len(buf)-4:]
 	if got := crc32.Checksum(body, castagnoli); got != binary.LittleEndian.Uint32(footer) {

@@ -2,8 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -62,12 +65,45 @@ func sameState(t *testing.T, a, b *store.Store) {
 	}
 }
 
+// commit builds a KindCommit record of ops at generation gen.
+func commit(gen uint64, ops ...store.Op) Record {
+	return Record{Kind: KindCommit, Gen: gen, Ops: ops}
+}
+
+func add(ts ...rdf.Triple) store.Op    { return store.Op{Kind: store.OpAdd, Triples: ts} }
+func remove(ts ...rdf.Triple) store.Op { return store.Op{Kind: store.OpRemove, Triples: ts} }
+func replace(old, new rdf.Triple) store.Op {
+	return store.Op{Kind: store.OpReplace, Triples: []rdf.Triple{old, new}}
+}
+
+var clearOp = store.Op{Kind: store.OpClear}
+
+// sameRecord fails t unless got decodes to exactly what want encoded.
+func sameRecord(t *testing.T, got, want Record) {
+	t.Helper()
+	if got.Kind != want.Kind || got.Gen != want.Gen || len(got.Ops) != len(want.Ops) || !bytes.Equal(got.Data, want.Data) {
+		t.Fatalf("decoded kind=%v gen=%d %d ops data=%q, want kind=%v gen=%d %d ops data=%q",
+			got.Kind, got.Gen, len(got.Ops), got.Data, want.Kind, want.Gen, len(want.Ops), want.Data)
+	}
+	for i, op := range want.Ops {
+		if got.Ops[i].Kind != op.Kind || len(got.Ops[i].Triples) != len(op.Triples) {
+			t.Fatalf("op %d: got %v with %d triples, want %v with %d", i,
+				got.Ops[i].Kind, len(got.Ops[i].Triples), op.Kind, len(op.Triples))
+		}
+		for j := range op.Triples {
+			if got.Ops[i].Triples[j].String() != op.Triples[j].String() {
+				t.Fatalf("op %d triple %d: %s != %s", i, j, got.Ops[i].Triples[j], op.Triples[j])
+			}
+		}
+	}
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	recs := []Record{
-		{Kind: KindAdd, Gen: 7, Triples: []rdf.Triple{triple(1), triple(2)}},
-		{Kind: KindRemove, Gen: 9, Triples: []rdf.Triple{triple(1)}},
-		{Kind: KindReplace, Gen: 12, Triples: []rdf.Triple{triple(2), triple(3)}},
-		{Kind: KindClear, Gen: 15},
+		commit(7, add(triple(1), triple(2))),
+		commit(9, remove(triple(1))),
+		commit(12, replace(triple(2), triple(3))),
+		commit(15, clearOp),
 		{Kind: KindAudit, Data: []byte(`{"who":"hydrologist1","allowed":true}`)},
 	}
 	var log []byte
@@ -80,50 +116,74 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	off := 0
 	for i, want := range recs {
-		got, next, err := decodeRecord(log, off)
+		got, next, err := DecodeRecord(log, off)
 		if err != nil {
 			t.Fatalf("decode record %d: %v", i, err)
 		}
-		if got.Kind != want.Kind || got.Gen != want.Gen {
-			t.Fatalf("record %d: got kind=%v gen=%d, want kind=%v gen=%d",
-				i, got.Kind, got.Gen, want.Kind, want.Gen)
-		}
-		if len(got.Triples) != len(want.Triples) {
-			t.Fatalf("record %d: %d triples, want %d", i, len(got.Triples), len(want.Triples))
-		}
-		for j := range want.Triples {
-			if got.Triples[j].String() != want.Triples[j].String() {
-				t.Fatalf("record %d triple %d: %s != %s", i, j, got.Triples[j], want.Triples[j])
-			}
-		}
-		if !bytes.Equal(got.Data, want.Data) {
-			t.Fatalf("record %d: data %q, want %q", i, got.Data, want.Data)
-		}
+		sameRecord(t, got, want)
 		off = next
 	}
-	if _, _, err := decodeRecord(log, off); err == nil || !strings.Contains(err.Error(), "EOF") {
+	if _, _, err := DecodeRecord(log, off); err == nil || !strings.Contains(err.Error(), "EOF") {
 		t.Fatalf("expected clean EOF at end of log, got %v", err)
 	}
 }
 
 func TestDecodeRejectsCorruptFrame(t *testing.T) {
-	frame, err := encodeRecord(Record{Kind: KindAdd, Triples: []rdf.Triple{triple(1)}})
+	frame, err := encodeRecord(commit(0, add(triple(1))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flip one payload bit: checksum must catch it.
 	bad := append([]byte(nil), frame...)
 	bad[frameHeaderLen+3] ^= 0x10
-	if _, _, err := decodeRecord(bad, 0); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecodeRecord(bad, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bit flip: got %v, want ErrCorrupt", err)
 	}
 	// Shear the frame: torn, not corrupt.
-	if _, _, err := decodeRecord(frame[:len(frame)-3], 0); !errors.Is(err, ErrTorn) {
+	if _, _, err := DecodeRecord(frame[:len(frame)-3], 0); !errors.Is(err, ErrTorn) {
 		t.Fatalf("short frame: got %v, want ErrTorn", err)
 	}
 	// Zero-filled tail (post-crash filesystem signature): torn.
-	if _, _, err := decodeRecord(make([]byte, 32), 0); !errors.Is(err, ErrTorn) {
+	if _, _, err := DecodeRecord(make([]byte, 32), 0); !errors.Is(err, ErrTorn) {
 		t.Fatalf("zero fill: got %v, want ErrTorn", err)
+	}
+}
+
+// frameOf wraps payload in a valid frame header, so the decoder sees bytes
+// that pass the checksum and are judged on their structure alone.
+func frameOf(payload []byte) []byte {
+	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	return append(frame, payload...)
+}
+
+// TestRetiredKindsAreCorrupt: the previous log format wrote a single-op
+// commit as kind 1–4 (add, remove, replace, clear: generation, triple count,
+// length-prefixed triples) and a multi-op one as kind 6. Their generation
+// counted triples, so such a frame must decode as ErrCorrupt — refusing the
+// recovery loudly — never as data.
+func TestRetiredKindsAreCorrupt(t *testing.T) {
+	line := triple(1).String()
+	item := binary.AppendUvarint(nil, uint64(len(line)))
+	item = append(item, line...)
+	sub := append([]byte{1, 1}, item...) // a kind-6 sub-op: add, one triple
+	for _, payload := range [][]byte{
+		append([]byte{1, 3, 1}, item...),                  // add, gen 3, one triple
+		append([]byte{2, 3, 1}, item...),                  // remove
+		append(append([]byte{3, 3, 2}, item...), item...), // replace
+		{4, 3, 0}, // clear
+		append([]byte{6, 3, 1, byte(len(sub))}, sub...), // batch of one add
+	} {
+		rec, _, err := DecodeRecord(frameOf(payload), 0)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("retired kind %d decoded to %+v, %v; want ErrCorrupt", payload[0], rec, err)
+		}
+	}
+	// The same bytes under the commit kind are a commit: the test above
+	// refuses the kinds, not the layout.
+	if _, _, err := DecodeRecord(frameOf(append([]byte{byte(KindCommit), 3, 1}, sub...)), 0); err != nil {
+		t.Fatalf("commit of one add: %v", err)
 	}
 }
 
@@ -618,9 +678,9 @@ func TestMetricsRegistered(t *testing.T) {
 // panic and must only ever return a record, EOF, ErrTorn or ErrCorrupt.
 func FuzzWALDecode(f *testing.F) {
 	for _, r := range []Record{
-		{Kind: KindAdd, Gen: 1, Triples: []rdf.Triple{triple(1)}},
-		{Kind: KindReplace, Gen: 2, Triples: []rdf.Triple{triple(1), triple(2)}},
-		{Kind: KindClear, Gen: 3},
+		commit(1, add(triple(1))),
+		commit(2, replace(triple(1), triple(2)), remove(triple(3))),
+		commit(3, clearOp),
 		{Kind: KindAudit, Data: []byte(`{"a":1}`)},
 	} {
 		frame, err := encodeRecord(r)
@@ -634,19 +694,59 @@ func FuzzWALDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		off := 0
 		for {
-			rec, next, err := decodeRecord(data, off)
+			rec, next, err := DecodeRecord(data, off)
 			if err != nil {
 				return // EOF, torn or corrupt — all acceptable terminal states
 			}
 			if next <= off {
 				t.Fatalf("decoder did not advance: off=%d next=%d", off, next)
 			}
-			// A decoded record must re-encode (decode output is structurally
-			// valid by construction).
-			if _, err := encodeRecord(rec); err != nil {
+			// A decoded record re-encodes, and decodes back to itself.
+			frame, err := encodeRecord(rec)
+			if err != nil {
 				t.Fatalf("decoded record does not re-encode: %v", err)
 			}
+			again, _, err := DecodeRecord(frame, 0)
+			if err != nil {
+				t.Fatalf("re-encoded record does not decode: %v", err)
+			}
+			sameRecord(t, again, rec)
 			off = next
 		}
+	})
+}
+
+// FuzzCommitRoundTrip: any commit the store can hand the log — random op
+// lists of every kind, any generation, ops with no triples and 2-triple
+// replaces — decodes to itself.
+func FuzzCommitRoundTrip(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	kinds := []store.OpKind{store.OpAdd, store.OpRemove, store.OpReplace, store.OpClear}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		rec := Record{Kind: KindCommit, Gen: rng.Uint64() >> uint(rng.Intn(64))}
+		for i := 0; i < 1+rng.Intn(6); i++ {
+			op := store.Op{Kind: kinds[rng.Intn(len(kinds))]}
+			switch op.Kind {
+			case store.OpReplace:
+				op.Triples = []rdf.Triple{triple(rng.Intn(100)), triple(rng.Intn(100))}
+			case store.OpAdd, store.OpRemove:
+				for j := rng.Intn(4); j > 0; j-- {
+					op.Triples = append(op.Triples, triple(rng.Intn(100)))
+				}
+			}
+			rec.Ops = append(rec.Ops, op)
+		}
+		frame, err := encodeRecord(rec)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		got, next, err := DecodeRecord(frame, 0)
+		if err != nil || next != len(frame) {
+			t.Fatalf("decode: %v (read %d of %d bytes)", err, next, len(frame))
+		}
+		sameRecord(t, got, rec)
 	})
 }
