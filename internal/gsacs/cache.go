@@ -1,14 +1,21 @@
 package gsacs
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"io"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/ntriples"
 	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/seconto"
 	"repro/internal/sparql"
 	"repro/internal/store"
+	"repro/internal/turtle"
 )
 
 // QueryCache is the Fig. 3 performance optimizer: "in many systems, the same
@@ -16,25 +23,27 @@ import (
 // mechanism that stores the queries and corresponding answers would provide
 // a significant performance boost."
 //
-// What is cached is a role's view, so the keys are the (role, action) pairs
-// the policy set names: few, written down, fixed when the engine is built.
-// Each has one slot. A slot's entry is the view together with the version of
-// the data it is a view of; a lookup is a hit when that version is still the
-// store's current one, and takes no lock. When it is not, the entry stays as
-// the base the next reader patches forward from the MVCC diff (see
-// patchView), so a write costs the reads after it what it changed, not a
-// rebuild. That reader holds the slot's mutex while it works; the readers
-// behind it wait there and find the entry current.
+// What is cached is a role's view, and the answer /v1/view gives from it, so
+// the keys are the (role, action) pairs the policy set names: few, written
+// down, fixed when the engine is built. Each has one slot. A slot's entry is
+// the view together with the version of the data it is a view of, and the
+// view's documents once an export has asked for them; a lookup is a hit when
+// that version is still the store's current one, and takes no lock. When it
+// is not, the entry stays as the base the next reader patches forward from
+// the MVCC diff (see patchView), so a write costs the reads after it what it
+// changed, not a rebuild. That reader holds the slot's mutex while it works;
+// the readers behind it wait there and find the entry current.
 //
 // The counters tell apart what operators need to: cold misses from stale
 // invalidations (an entry reflecting an older data generation) and, for the
 // work a miss caused, patches from full rebuilds. A high rebuild rate under
-// writes means the writes are too large to patch.
+// writes means the writes are too large to patch. Documents rendered, over
+// the /v1/view requests served, is the share of exports that rendered.
 type QueryCache struct {
 	// slots is read-only once the engine is built.
 	slots map[viewKey]*slot
 
-	hits, misses, stale, patches, rebuilds atomic.Uint64
+	hits, misses, stale, patches, rebuilds, documents atomic.Uint64
 }
 
 type viewKey struct{ subject, action rdf.IRI }
@@ -57,6 +66,62 @@ type cacheEntry struct {
 	// sparql evaluates queries over view: built once with the entry, shared
 	// read-only by every request the entry answers.
 	sparql *sparql.Engine
+	// docs are view serialized, one per format of viewFormats: the answer
+	// /v1/view gives while the entry is current. A patched or rebuilt entry
+	// is a new entry and starts with none, so a document is never stale.
+	docs [len(viewFormats)]document
+}
+
+// viewFormat is a serialization /v1/view offers, by the name its format
+// parameter takes.
+type viewFormat struct {
+	name, contentType string
+	write             func(io.Writer, []rdf.Triple) error
+}
+
+// viewFormats are the formats of every entry's documents; the first is the
+// default.
+var viewFormats = [...]viewFormat{
+	{"turtle", "text/turtle", func(w io.Writer, ts []rdf.Triple) error { return turtle.WriteTriples(w, ts, nil) }},
+	{"ntriples", "application/n-triples", ntriples.WriteTriples},
+}
+
+// document is one serialization of an entry's view, rendered at most once —
+// by the entry's first export in its format, which the exports arriving
+// meanwhile wait for — and read-only after.
+type document struct {
+	once sync.Once
+	body []byte
+	// etag is a strong validator: a hash of body, not of the entry's
+	// generation, which a Load can install again with other triples.
+	etag string
+	err  error
+	// size is len(body) once rendered, for Snapshot, which does not wait on
+	// a render.
+	size atomic.Int64
+}
+
+var errRenderPanicked = errors.New("rendering the view panicked")
+
+// document returns the entry's view serialized in viewFormats[f]; rendered
+// reports whether this call made it.
+func (ent *cacheEntry) document(f int) (d *document, rendered bool) {
+	d = &ent.docs[f]
+	d.once.Do(func() {
+		rendered = true
+		// Once marks a render that panics as done: what it leaves must read
+		// as a failure, not as an empty view.
+		d.err = errRenderPanicked
+		var buf bytes.Buffer
+		if d.err = viewFormats[f].write(&buf, ent.view.Triples()); d.err != nil {
+			return
+		}
+		d.body = bytes.Clone(buf.Bytes()) // held for the entry's life: no slack
+		sum := sha256.Sum256(d.body)
+		d.etag = `"` + hex.EncodeToString(sum[:16]) + `"`
+		d.size.Store(int64(len(d.body)))
+	})
+	return d, rendered
 }
 
 // newQueryCache returns a cache with one empty slot per (subject, action)
@@ -102,6 +167,11 @@ type CacheStats struct {
 	Entries  int    `json:"entries"`
 	// Slots is the number of (role, action) pairs the policy set names.
 	Slots int `json:"slots"`
+	// Documents counts the view serializations rendered so far: at most one
+	// per entry and format, so exports beyond it were answered from memory.
+	Documents uint64 `json:"documents"`
+	// DocumentBytes is what the current entries' documents hold.
+	DocumentBytes int64 `json:"document_bytes"`
 }
 
 // Snapshot returns every counter — the /healthz payload.
@@ -113,10 +183,14 @@ func (c *QueryCache) Snapshot() CacheStats {
 		Patches:            c.patches.Load(),
 		Rebuilds:           c.rebuilds.Load(),
 		Slots:              len(c.slots),
+		Documents:          c.documents.Load(),
 	}
 	for _, s := range c.slots {
-		if s.cur.Load() != nil {
+		if ent := s.cur.Load(); ent != nil {
 			st.Entries++
+			for i := range ent.docs {
+				st.DocumentBytes += ent.docs[i].size.Load()
+			}
 		}
 	}
 	return st

@@ -117,6 +117,11 @@ func New(policies *seconto.Set, data *store.Store, opts Options) *Engine {
 	e.cache.instrument(e.metrics)
 	empty := store.New()
 	e.noView = &cacheEntry{view: empty, sparql: grdf.NewEngine(empty).Instrument(e.metrics)}
+	// Rendered here and not counted: a role no policy names exports from
+	// memory from its first request on, and moves no counter.
+	for f := range viewFormats {
+		e.noView.document(f)
+	}
 	e.SetReasoner(opts.Reasoner)
 	e.mAllowed = e.metrics.Counter("grdf_decisions_total",
 		"Access decisions by outcome.", "outcome", "allowed")

@@ -204,6 +204,8 @@ func TestEngineDecisionMetrics(t *testing.T) {
 // patch, rebuild — are told apart in every place that reports on the cache:
 // CacheStats on /healthz, the gsacs.view span's counters, and the
 // grdf_cache_patches_total counter. Stats() keeps counting a patch as a miss.
+// The export's own outcome — document rendered or served from memory — is on
+// the gsacs.export span and in the documents counters.
 func TestViewPatchObservability(t *testing.T) {
 	e, reg := metricsEngine(t)
 	srv := httptest.NewServer(NewServer(e, nil, WithTracer(obs.NewTracer(64))))
@@ -211,13 +213,19 @@ func TestViewPatchObservability(t *testing.T) {
 	site := e.Data().SubjectsOfType(datagen.ChemSite)[0]
 	name, _ := e.Data().FirstObject(site, datagen.HasSiteName)
 
-	viewSpan := func() map[string]int64 {
+	var bodyLen int
+	viewSpan := func(document string) map[string]int64 {
 		t.Helper()
 		resp, body := doReq(t, srv, http.MethodGet, "/v1/view?role=Hazmat")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("/v1/view = %d %s", resp.StatusCode, body)
 		}
-		views := findSpans(fetchTrace(t, srv, resp.Header.Get("X-Trace-Id")).Tree, "gsacs.view")
+		bodyLen = len(body)
+		tree := fetchTrace(t, srv, resp.Header.Get("X-Trace-Id")).Tree
+		if exports := findSpans(tree, "gsacs.export"); len(exports) != 1 || exports[0].Attrs["document"] != document {
+			t.Errorf("gsacs.export spans %+v, want one with document=%s", exports, document)
+		}
+		views := findSpans(tree, "gsacs.view")
 		if len(views) != 1 {
 			t.Fatalf("%d gsacs.view spans, want 1", len(views))
 		}
@@ -225,7 +233,7 @@ func TestViewPatchObservability(t *testing.T) {
 	}
 
 	// Cold: a miss answered by a rebuild — no patch counters on the span.
-	if c := viewSpan(); c["cache_miss"] != 1 || c["patched_subjects"] != 0 || c["patched_triples"] != 0 {
+	if c := viewSpan("rendered"); c["cache_miss"] != 1 || c["patched_subjects"] != 0 || c["patched_triples"] != 0 {
 		t.Errorf("cold view span counters = %v", c)
 	}
 	// One rename, then a read: a miss answered by a patch that re-judged two
@@ -235,10 +243,10 @@ func TestViewPatchObservability(t *testing.T) {
 		rdf.T(site, datagen.HasSiteName, rdf.NewString("Renamed Plant"))); !ok || err != nil {
 		t.Fatalf("rename: %v %v", ok, err)
 	}
-	if c := viewSpan(); c["cache_miss"] != 1 || c["patched_subjects"] != 2 || c["patched_triples"] != 2 {
+	if c := viewSpan("rendered"); c["cache_miss"] != 1 || c["patched_subjects"] != 2 || c["patched_triples"] != 2 {
 		t.Errorf("patched view span counters = %v", c)
 	}
-	if c := viewSpan(); c["cache_hit"] != 1 {
+	if c := viewSpan("hit"); c["cache_hit"] != 1 {
 		t.Errorf("warm view span counters = %v", c)
 	}
 
@@ -249,7 +257,8 @@ func TestViewPatchObservability(t *testing.T) {
 	if err := json.Unmarshal([]byte(raw), &health); err != nil {
 		t.Fatalf("healthz: %v (%s)", err, raw)
 	}
-	want := CacheStats{Hits: 1, Misses: 2, StaleInvalidations: 1, Patches: 1, Rebuilds: 1, Entries: 1, Slots: 3}
+	want := CacheStats{Hits: 1, Misses: 2, StaleInvalidations: 1, Patches: 1, Rebuilds: 1, Entries: 1, Slots: 3,
+		Documents: 2, DocumentBytes: int64(bodyLen)}
 	if health.Cache != want {
 		t.Errorf("/healthz cache = %+v, want %+v", health.Cache, want)
 	}

@@ -1,11 +1,13 @@
 package gsacs
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -149,7 +151,9 @@ func TestQueryAllocationsPerRow(t *testing.T) {
 // scenario and one with the hard cases (a geometry node shared by two
 // features, one that is a part of itself, inlined envelopes) — and that
 // document reads back as the view. Every term of both scenarios is also
-// formatted both ways: AppendTerm is String.
+// formatted both ways: AppendTerm is String. The document is served from
+// memory after the first export: a second GET is the same bytes, HEAD is its
+// headers, and an If-None-Match naming its ETag is a 304 with no body.
 func TestViewExportIsTheTurtleItWas(t *testing.T) {
 	plain := datagen.NewScenario(datagen.ScenarioConfig{Seed: 9, Sites: 6})
 	odd := datagen.NewScenario(datagen.ScenarioConfig{Seed: 61, Sites: 16, Trunks: 2})
@@ -160,10 +164,33 @@ func TestViewExportIsTheTurtleItWas(t *testing.T) {
 		for _, role := range scenarioRoles {
 			g := e.View(role, seconto.ActionView).Graph()
 			for format, want := range map[string]string{"turtle": turtle.Format(g, nil), "ntriples": ntriples.Format(g)} {
-				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/view?role="+role.LocalName()+"&format="+format, nil))
-				if rec.Code != http.StatusOK || rec.Body.String() != want {
-					t.Errorf("%s as %s: status %d, %d bytes; the graph writes %d", format, role.LocalName(), rec.Code, rec.Body.Len(), len(want))
+				path := "/v1/view?role=" + role.LocalName() + "&format=" + format
+				export := func(method, ifNoneMatch string) *httptest.ResponseRecorder {
+					req := httptest.NewRequest(method, path, nil)
+					if ifNoneMatch != "" {
+						req.Header.Set("If-None-Match", ifNoneMatch)
+					}
+					rec := httptest.NewRecorder()
+					srv.ServeHTTP(rec, req)
+					return rec
+				}
+				first, again := export(http.MethodGet, ""), export(http.MethodGet, "")
+				if first.Code != http.StatusOK || first.Body.String() != want {
+					t.Errorf("%s as %s: status %d, %d bytes; the graph writes %d", format, role.LocalName(), first.Code, first.Body.Len(), len(want))
+				}
+				etag := first.Header().Get("ETag")
+				if again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), first.Body.Bytes()) || again.Header().Get("ETag") != etag || etag == "" {
+					t.Errorf("%s as %s: a second GET answers %d, %d bytes, ETag %q; the first %d bytes, ETag %q",
+						format, role.LocalName(), again.Code, again.Body.Len(), again.Header().Get("ETag"), first.Body.Len(), etag)
+				}
+				length := strconv.Itoa(len(want))
+				if head := export(http.MethodHead, ""); head.Code != http.StatusOK || head.Body.Len() != 0 ||
+					head.Header().Get("Content-Length") != length || first.Header().Get("Content-Length") != length {
+					t.Errorf("%s as %s: HEAD %d with %d body bytes, Content-Length %q (GET %q); want %s and no body",
+						format, role.LocalName(), head.Code, head.Body.Len(), head.Header().Get("Content-Length"), first.Header().Get("Content-Length"), length)
+				}
+				if nm := export(http.MethodGet, `"stale", `+etag); nm.Code != http.StatusNotModified || nm.Body.Len() != 0 || nm.Header().Get("ETag") != etag {
+					t.Errorf("%s as %s: If-None-Match its ETag answers %d with %d bytes", format, role.LocalName(), nm.Code, nm.Body.Len())
 				}
 			}
 			back, err := turtle.ParseString(turtle.Format(g, nil))

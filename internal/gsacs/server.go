@@ -1,6 +1,7 @@
 package gsacs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -731,21 +732,56 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	// A store's triples are a set already: they go to the writer as they
-	// are, not through a graph built to hold them.
-	triples := s.engine.ViewCtx(r.Context(), role, seconto.ActionView).Triples()
-	switch r.URL.Query().Get("format") {
-	case "ntriples":
-		w.Header().Set("Content-Type", "application/n-triples")
-		if err := ntriples.WriteTriples(w, triples); err != nil {
-			s.writeError(w, r, http.StatusInternalServerError, "internal", err.Error())
-		}
-	default:
-		w.Header().Set("Content-Type", "text/turtle")
-		if err := turtle.WriteTriples(w, triples, nil); err != nil {
-			s.writeError(w, r, http.StatusInternalServerError, "internal", err.Error())
+	f := 0 // Turtle
+	if raw := r.URL.Query().Get("format"); raw != "" {
+		f = slices.IndexFunc(viewFormats[:], func(vf viewFormat) bool { return vf.name == raw })
+	}
+	if f < 0 {
+		s.writeError(w, r, http.StatusBadRequest, "bad_request", "format must be turtle|ntriples")
+		return
+	}
+	doc := s.engine.exportView(r.Context(), role, seconto.ActionView, f)
+	if doc.err != nil {
+		s.writeError(w, r, http.StatusInternalServerError, "internal", doc.err.Error())
+		return
+	}
+	s.writeDocument(w, r, viewFormats[f].contentType, doc.body, doc.etag)
+}
+
+// writeDocument answers with a document rendered in full beforehand, so a
+// failure to render is a clean 500 and a failure to write — the client went
+// away — only a log line: nothing is written after the body has begun. A
+// non-empty etag is sent as the ETag, and an If-None-Match naming it is
+// answered 304 without a body; HEAD gets the headers alone.
+func (s *Server) writeDocument(w http.ResponseWriter, r *http.Request, contentType string, body []byte, etag string) {
+	h := w.Header()
+	if etag != "" {
+		h.Set("ETag", etag)
+		if noneMatch(r.Header.Get("If-None-Match"), etag) {
+			w.WriteHeader(http.StatusNotModified)
+			return
 		}
 	}
+	h.Set("Content-Type", contentType)
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	if r.Method == http.MethodHead {
+		w.WriteHeader(http.StatusOK)
+		return
+	}
+	if _, err := w.Write(body); err != nil {
+		obs.Logger(r.Context()).Warn("write response", "path", r.URL.Path, "err", err.Error())
+	}
+}
+
+// noneMatch reports whether an If-None-Match header value names etag, by the
+// weak comparison RFC 9110 prescribes for it.
+func noneMatch(header, etag string) bool {
+	for _, tag := range strings.Split(header, ",") {
+		if tag = strings.TrimSpace(tag); tag == "*" || strings.TrimPrefix(tag, "W/") == etag {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Server) handleResource(w http.ResponseWriter, r *http.Request) {
@@ -772,14 +808,14 @@ func (s *Server) handleResource(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusForbidden, "forbidden", "access denied")
 		return
 	}
-	g := rdf.NewGraph()
-	for _, t := range j.filterResource(res, acc) {
-		g.Add(t)
-	}
-	w.Header().Set("Content-Type", "text/turtle")
-	if err := turtle.Write(w, g, nil); err != nil {
+	// filterResource describes each node once, so its triples are distinct
+	// and go to the writer as they are.
+	var buf bytes.Buffer
+	if err := turtle.WriteTriples(&buf, j.filterResource(res, acc), nil); err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, "internal", err.Error())
+		return
 	}
+	s.writeDocument(w, r, "text/turtle", buf.Bytes(), "")
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/grdf"
 	"repro/internal/rdf"
 	"repro/internal/seconto"
+	"repro/internal/turtle"
 )
 
 // TestSoakViewsUnderChurn is the security invariant under churn (ROADMAP
@@ -26,6 +27,7 @@ import (
 //   - every view served equals buildView over the version it is labelled
 //     with: a refresh racing a write yields a stale label, never a view torn
 //     across two versions (the race ROADMAP recorded against ViewCtx), and
+//     the entry's /v1/view document is the rendering of that view, and
 //   - a spatial query over a served view, answered from its index, returns
 //     what a scan of that view returns.
 func TestSoakViewsUnderChurn(t *testing.T) {
@@ -95,6 +97,27 @@ func TestSoakViewsUnderChurn(t *testing.T) {
 					t.Errorf("%s view labelled generation %d is not the view of that version\n%s",
 						role.LocalName(), ent.base.Generation(), lineDiff(got, want))
 					return
+				}
+				// The entry's document — rendered by whichever reader asks
+				// first — is the rendering of that view, and shows the role
+				// nothing List 8 hides. (N-Triples parses as Turtle.)
+				f := (r + i) % len(viewFormats)
+				doc, _ := ent.document(f)
+				if got, want := string(doc.body), renderView(f, want); doc.err != nil || got != want {
+					t.Errorf("%s %s document labelled generation %d is not the rendering of that version (%v)\n%s",
+						role.LocalName(), viewFormats[f].name, ent.base.Generation(), doc.err, lineDiff(got, want))
+					return
+				}
+				back, err := turtle.ParseString(string(doc.body))
+				if err != nil {
+					t.Errorf("%s %s document: %v", role.LocalName(), viewFormats[f].name, err)
+					return
+				}
+				for _, tr := range back.Triples() {
+					if !permitted(role, tr.Predicate) {
+						t.Errorf("%s %s document at generation %d holds %s", role.LocalName(), viewFormats[f].name, ent.base.Generation(), tr)
+						return
+					}
 				}
 				// The entry's engine answers a proximity question from the view's
 				// spatial index — built by whichever reader asks first, carried

@@ -115,6 +115,25 @@ func (e *Engine) ViewCtx(ctx context.Context, subject, action rdf.IRI) *store.St
 	return e.viewEntry(ctx, subject, action).view
 }
 
+// exportView is the role's view serialized in viewFormats[f]: the document of
+// the entry ViewCtx would answer with, rendered by that entry's first export
+// in f and served from memory to every later one. On a traced context it runs
+// under a gsacs.export span whose document attribute says which it was.
+func (e *Engine) exportView(ctx context.Context, subject, action rdf.IRI, f int) *document {
+	ctx, sp := obs.StartSpan(ctx, "gsacs.export")
+	defer sp.End()
+	sp.SetAttr("role", subject.LocalName())
+	sp.SetAttr("format", viewFormats[f].name)
+	d, rendered := e.viewEntry(ctx, subject, action).document(f)
+	if rendered {
+		e.cache.documents.Add(1)
+		sp.SetAttr("document", "rendered")
+	} else {
+		sp.SetAttr("document", "hit")
+	}
+	return d
+}
+
 // viewEntry is ViewCtx returning the view together with its label: the
 // version of the data and the reasoner it was derived from.
 func (e *Engine) viewEntry(ctx context.Context, subject, action rdf.IRI) *cacheEntry {
