@@ -144,8 +144,36 @@ func TestStandaloneAssembly(t *testing.T) {
 	if traceID == "" {
 		t.Fatal("no trace ID on /v1/query response")
 	}
-	if !strings.Contains(logBuf.String(), traceID) {
-		t.Errorf("trace ID %s missing from logs:\n%s", traceID, logBuf.String())
+	// The request has one log line, and it carries the query's shape.
+	var lines []string
+	for _, line := range strings.Split(logBuf.String(), "\n") {
+		if strings.Contains(line, traceID) {
+			lines = append(lines, line)
+		}
+	}
+	if len(lines) != 1 {
+		t.Fatalf("%d log lines for trace %s, want 1:\n%s", len(lines), traceID, logBuf.String())
+	}
+	for _, field := range []string{`"route":"/v1/query"`, `"role":"Hazmat"`, `"kind":"SELECT"`, `"outcome":"ok"`, `"fingerprint":"`} {
+		if !strings.Contains(lines[0], field) {
+			t.Errorf("query log line lacks %s: %s", field, lines[0])
+		}
+	}
+	// /v1/queries books the same request under its fingerprint.
+	_, body, _ := get(t, base, "/v1/queries")
+	var queries struct {
+		Queries []struct {
+			Kind        string `json:"kind"`
+			Count       int    `json:"count"`
+			RowsOut     int    `json:"rows_out"`
+			LastTraceID string `json:"last_trace_id"`
+		} `json:"queries"`
+	}
+	if err := json.Unmarshal([]byte(body), &queries); err != nil || len(queries.Queries) != 1 {
+		t.Fatalf("/v1/queries = %s (%v), want the one shape", body, err)
+	}
+	if q := queries.Queries[0]; q.Kind != "SELECT" || q.Count != 1 || q.RowsOut == 0 || q.LastTraceID != traceID {
+		t.Errorf("/v1/queries entry %+v, want one SELECT with rows, exemplar %s", q, traceID)
 	}
 
 	_, metrics, _ := get(t, base, "/metrics")

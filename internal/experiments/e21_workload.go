@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"time"
 
 	"repro/internal/grdf"
@@ -165,16 +169,22 @@ func e21DriftProbe(t *Table) error {
 	}}}
 	reg := obs.NewRegistry()
 	wt := workload.New(workload.Config{Capacity: 64, Registry: reg})
-	engine := gsacs.New(policies, st, gsacs.Options{})
-	engine.SetWorkload(wt)
+	srv := gsacs.NewServer(gsacs.New(policies, st, gsacs.Options{}), nil, gsacs.WithWorkload(wt))
 
+	// The table books requests, so the probe is one: a /v1/query the server
+	// answers as it would any client's.
 	const query = `SELECT ?s ?o WHERE { ?s <http://e21/q> ?x . ?s <http://e21/p> ?o }`
-	res, err := engine.Query(role, seconto.ActionView, query)
-	if err != nil {
-		return fmt.Errorf("probe query: %w", err)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
+		"/v1/query?role=E21Auditor&q="+url.QueryEscape(query), nil))
+	var body struct {
+		Results []map[string]string `json:"results"`
 	}
-	if res.Len() != 1 {
-		return fmt.Errorf("probe query rows = %d, want 1", res.Len())
+	if rec.Code != http.StatusOK {
+		return fmt.Errorf("probe query: status %d: %s", rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || len(body.Results) != 1 {
+		return fmt.Errorf("probe query rows = %d (%v), want 1", len(body.Results), err)
 	}
 
 	snaps := wt.TopK(4)

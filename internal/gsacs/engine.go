@@ -20,7 +20,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/grdf"
 	"repro/internal/obs"
-	"repro/internal/obs/workload"
 	"repro/internal/owl"
 	"repro/internal/rdf"
 	"repro/internal/seconto"
@@ -83,19 +82,7 @@ type Engine struct {
 	// string and re-take the registry's locks each time. Any other role — the
 	// caller's string — is not timed, so it cannot mint a series either.
 	decisionTimers map[rdf.IRI]*obs.Histogram
-
-	// workload, when set, receives one observation per evaluated query —
-	// fingerprint, latency, rows, plan drift (see SetWorkload).
-	workload *workload.Table
 }
-
-// SetWorkload attaches the per-fingerprint workload stats table: every
-// QueryCtx evaluation is summarized into it through the SPARQL engine's
-// stats sink. Call before serving queries (nil detaches).
-func (e *Engine) SetWorkload(t *workload.Table) { e.workload = t }
-
-// Workload returns the attached stats table (nil when detached).
-func (e *Engine) Workload() *workload.Table { return e.workload }
 
 // Options configures New.
 type Options struct {

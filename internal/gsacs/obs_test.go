@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/obs"
+	"repro/internal/obs/workload"
 	"repro/internal/rdf"
 	"repro/internal/seconto"
 )
@@ -171,16 +173,25 @@ func TestEngineDecisionMetrics(t *testing.T) {
 		t.Errorf("cache misses = %v", got)
 	}
 
-	// Query through the instrumented engine records SPARQL phase metrics.
-	if _, err := e.Query(datagen.RoleHazmat, seconto.ActionView,
-		"SELECT ?s WHERE { ?s a <"+string(datagen.ChemSite)+"> }"); err != nil {
-		t.Fatal(err)
+	// A query through the server records both SPARQL phases, and what it
+	// returned is booked under its fingerprint on /v1/queries.
+	srv := httptest.NewServer(NewServer(e, nil, WithWorkload(workload.New(workload.Config{}))))
+	defer srv.Close()
+	q := "SELECT ?s WHERE { ?s a <" + string(datagen.ChemSite) + "> }"
+	if resp, body := doReq(t, srv, http.MethodGet, "/v1/query?role=Hazmat&q="+url.QueryEscape(q)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query = %d %s", resp.StatusCode, body)
 	}
-	if got := reg.Histogram("grdf_sparql_eval_duration_seconds", "", nil).Count(); got != 1 {
-		t.Errorf("eval observations = %v", got)
+	for _, phase := range []string{"grdf_sparql_parse_duration_seconds", "grdf_sparql_eval_duration_seconds"} {
+		if got := reg.Histogram(phase, "", nil).Count(); got != 1 {
+			t.Errorf("%s observations = %v, want 1", phase, got)
+		}
 	}
-	if got := reg.Counter("grdf_sparql_queries_total", "", "kind", "SELECT").Value(); got != 1 {
-		t.Errorf("queries by kind = %v", got)
+	qb := fetchQueries(t, srv, "/v1/queries")
+	if len(qb.Queries) != 1 {
+		t.Fatalf("/v1/queries = %+v, want the one shape", qb)
+	}
+	if got := qb.Queries[0]; got.Kind != "SELECT" || got.Count != 1 || got.Errors != 0 || got.RowsOut == 0 || got.RowsScan == 0 {
+		t.Errorf("booked shape %+v, want one SELECT that returned rows", got)
 	}
 
 	// The role is the caller's string: one no policy names is decided and

@@ -43,8 +43,11 @@ import (
 //
 // Every request flows through the obs middleware: it gets a trace ID
 // (echoed in the X-Trace-Id response header and attached to every log line
-// for the request), a per-route latency observation, and a status-code
-// counter. The registry is scraped at /metrics.
+// for the request) and one record (obs.Request), which the handlers fill in —
+// role, query shape and evaluation stats, outcome — and from which the
+// middleware books the route's latency histogram and status-code counter,
+// the SLO window, the workload table and the request's log line. The
+// registry is scraped at /metrics.
 type Server struct {
 	engine       *Engine
 	repo         *OntoRepository
@@ -93,9 +96,8 @@ type Server struct {
 	// the paper's emergency-response roles, whose queries must outlive
 	// best-effort traffic under shed.
 	highRoles map[rdf.IRI]bool
-	// workload, when set, serves the per-fingerprint query stats at
-	// /v1/queries and attributes admission sheds to fingerprints (see
-	// WithWorkload).
+	// workload, when set, books every request that carried a query under its
+	// fingerprint and serves the table at /v1/queries (see WithWorkload).
 	workload *workload.Table
 	// profiler, when set, serves the burn-triggered capture ring at
 	// /v1/profiles (see WithProfiler).
@@ -245,14 +247,12 @@ func WithAdmission(cfg AdmissionConfig) ServerOption {
 }
 
 // WithWorkload attaches the per-fingerprint workload stats table: the
-// engine folds every evaluated query into it, the admission gate attributes
-// sheds to fingerprints, and GET /v1/queries serves the heavy-hitter view
-// (top-K by count, or one fingerprint's detail via ?fp=<hex>).
+// middleware books into it every request that carried a query — evaluated,
+// failed, shed or degraded, with the request's latency — and GET /v1/queries
+// serves the heavy-hitter view (top-K by count, or one fingerprint's detail
+// via ?fp=<hex>).
 func WithWorkload(t *workload.Table) ServerOption {
-	return func(s *Server) {
-		s.workload = t
-		s.engine.SetWorkload(t)
-	}
+	return func(s *Server) { s.workload = t }
 }
 
 // WithProfiler mounts the burn-triggered capture ring at /v1/profiles: the
@@ -378,6 +378,7 @@ func (s *Server) serve(rt *route) http.Handler {
 		Route:    rt.pattern,
 		Tracer:   s.tracer,
 		SLO:      slo,
+		Workload: s.workload,
 		Panic: func(w http.ResponseWriter, r *http.Request, v any) {
 			s.writeError(w, r, http.StatusInternalServerError, "internal",
 				"internal server error")
@@ -434,24 +435,30 @@ func (s *Server) requestPriority(r *http.Request, class admission.Class) admissi
 }
 
 // admit asks the controller for a slot in the route's pool. A shed answers
-// 429 with the uniform error envelope and a Retry-After estimate; the obs
-// middleware upstream still records the request (status and latency), so
-// shed traffic stays visible in metrics and the SLO engine without burning
-// the error budget (429 < 500). ok is false when the response is written.
+// 429 with the uniform error envelope and a Retry-After estimate, and its
+// record says shed: the middleware books it as a request, in metrics and the
+// SLO window, but not as a latency sample nor against the error budget
+// (429 < 500). ok is false when the response is written.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, class admission.Class) (release func(), ok bool) {
 	release, err := s.admission.Admit(r.Context(), class, s.requestPriority(r, class))
 	if err == nil {
 		return release, true
 	}
+	// The request never reaches its handler, but the query shape that drove
+	// the server into shedding is exactly the one worth seeing in
+	// /v1/queries: the record carries it.
+	rec := obs.RequestOf(r.Context())
+	if q := r.URL.Query().Get("q"); q != "" {
+		if pq, err := s.engine.Parse(q); err == nil {
+			noteQuery(rec, pq)
+		}
+	}
 	var shed *admission.ShedError
 	if errors.As(err, &shed) {
+		rec.Outcome = obs.OutcomeShed
 		w.Header().Set("Retry-After",
 			strconv.Itoa(int(math.Ceil(shed.RetryAfter.Seconds()))))
 		s.writeError(w, r, http.StatusTooManyRequests, "overloaded", err.Error())
-		// The shed request never reaches the engine, but the query shape
-		// that drove the server into shedding is exactly the one worth
-		// seeing in /v1/queries — attribute it by fingerprint.
-		s.recordShed(r, class)
 		return nil, false
 	}
 	// The client's context ended while it waited in queue; there is nobody
@@ -541,12 +548,13 @@ func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
 	s.writeError(w, r, http.StatusNotFound, "not_found", "no such route")
 }
 
-// writeJSON encodes v, logging (rather than silently discarding) encode
-// failures — by then the status line is gone, so logging is all that's left.
+// writeJSON encodes v, putting (rather than silently discarding) an encode
+// failure on the request's record — by then the status line is gone, so the
+// request's log line is all that's left.
 func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		obs.Logger(r.Context()).Warn("encode response", "path", r.URL.Path, "err", err.Error())
+		obs.RequestOf(r.Context()).Error = "encode response: " + err.Error()
 	}
 }
 
@@ -558,13 +566,15 @@ type errorEnvelope struct {
 }
 
 // writeError emits the JSON error envelope with the request's trace ID, so a
-// client-side error report can be correlated with the server logs.
+// client-side error report can be correlated with the server logs; the
+// message goes on the request's record, and so into its log line.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
+	obs.RequestOf(r.Context()).Error = msg
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	env := errorEnvelope{Error: msg, Code: code, TraceID: obs.TraceID(r.Context())}
 	if err := json.NewEncoder(w).Encode(env); err != nil {
-		obs.Logger(r.Context()).Warn("encode error response", "path", r.URL.Path, "err", err.Error())
+		obs.RequestOf(r.Context()).Error = "encode error response: " + err.Error()
 	}
 }
 
@@ -575,7 +585,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
 		if err := json.NewEncoder(w).Encode(map[string]any{"status": "recovering"}); err != nil {
-			obs.Logger(r.Context()).Warn("encode response", "path", r.URL.Path, "err", err.Error())
+			obs.RequestOf(r.Context()).Error = "encode response: " + err.Error()
 		}
 		return
 	}
@@ -726,10 +736,21 @@ func resolveRole(raw string) (rdf.IRI, error) {
 	return rdf.IRI(seconto.NS + raw), nil
 }
 
-func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
-	role, err := resolveRole(r.URL.Query().Get("role"))
+// role resolves a request's role parameter raw and writes it on the
+// request's record, or answers 400; ok is false when the response is written.
+func (s *Server) role(w http.ResponseWriter, r *http.Request, raw string) (role rdf.IRI, ok bool) {
+	role, err := resolveRole(raw)
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
+		return "", false
+	}
+	obs.RequestOf(r.Context()).Role = role.LocalName()
+	return role, true
+}
+
+func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
+	role, ok := s.role(w, r, r.URL.Query().Get("role"))
+	if !ok {
 		return
 	}
 	f := 0 // Turtle
@@ -769,7 +790,7 @@ func (s *Server) writeDocument(w http.ResponseWriter, r *http.Request, contentTy
 		return
 	}
 	if _, err := w.Write(body); err != nil {
-		obs.Logger(r.Context()).Warn("write response", "path", r.URL.Path, "err", err.Error())
+		obs.RequestOf(r.Context()).Error = "write response: " + err.Error()
 	}
 }
 
@@ -785,9 +806,8 @@ func noneMatch(header, etag string) bool {
 }
 
 func (s *Server) handleResource(w http.ResponseWriter, r *http.Request) {
-	role, err := resolveRole(r.URL.Query().Get("role"))
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
+	role, ok := s.role(w, r, r.URL.Query().Get("role"))
+	if !ok {
 		return
 	}
 	iri := r.URL.Query().Get("iri")
@@ -818,20 +838,23 @@ func (s *Server) handleResource(w http.ResponseWriter, r *http.Request) {
 	s.writeDocument(w, r, "text/turtle", buf.Bytes(), "")
 }
 
+// handleQuery parses the query once: its shape goes on the request's record
+// before anything can fail, the parsed query is what the engine evaluates, and
+// what the evaluation did goes on the record after.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	role, err := resolveRole(r.URL.Query().Get("role"))
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
+	params := r.URL.Query()
+	role, ok := s.role(w, r, params.Get("role"))
+	if !ok {
 		return
 	}
-	q := r.URL.Query().Get("q")
-	if q == "" {
+	src := params.Get("q")
+	if src == "" {
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", "missing q parameter")
 		return
 	}
-	explain := r.URL.Query().Get("explain")
+	explain := params.Get("explain")
 	if explain == "1" || explain == "true" {
-		plan, err := s.engine.ExplainQuery(r.Context(), role, seconto.ActionView, q)
+		plan, err := s.engine.ExplainQuery(r.Context(), role, seconto.ActionView, src)
 		if err != nil {
 			s.writeError(w, r, http.StatusBadRequest, "query_error", err.Error())
 			return
@@ -839,6 +862,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, r, map[string]any{"plan": plan})
 		return
 	}
+	q, err := s.engine.Parse(src)
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, "query_error", err.Error())
+		return
+	}
+	rec := obs.RequestOf(r.Context())
+	noteQuery(rec, q)
 	ctx := r.Context()
 	if s.queryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -850,27 +880,30 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.fed != nil {
-		s.handleFederatedQuery(w, r, ctx, role, q)
+		s.handleFederatedQuery(w, r, ctx, role, src)
 		return
 	}
-	res, err := s.engine.QueryCtx(ctx, role, seconto.ActionView, q)
+	res, err := s.engine.EvalCtx(ctx, role, seconto.ActionView, q)
 	if err != nil {
-		obs.Logger(r.Context()).Warn("query failed",
-			"role", string(role), "err", err.Error())
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.writeError(w, r, http.StatusGatewayTimeout, "timeout",
-				fmt.Sprintf("query exceeded the %s evaluation deadline", s.queryTimeout))
-		case errors.Is(err, context.Canceled):
-			s.writeError(w, r, http.StatusServiceUnavailable, "canceled", "query canceled")
-		default:
-			s.writeError(w, r, http.StatusBadRequest, "query_error", err.Error())
-		}
+		s.writeQueryError(w, r, err, http.StatusBadRequest, "query_error")
 		return
 	}
-	obs.Logger(r.Context()).Info("query served",
-		"role", string(role), "kind", res.Kind.String(), "solutions", res.Len())
+	noteStats(rec, res.Stats)
 	s.writeResult(w, r, res)
+}
+
+// writeQueryError answers a query that failed: 504 past the evaluation
+// deadline, 503 when the client went away, and status with code otherwise.
+func (s *Server) writeQueryError(w http.ResponseWriter, r *http.Request, err error, status int, code string) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		s.writeError(w, r, http.StatusGatewayTimeout, "timeout",
+			fmt.Sprintf("query exceeded the %s evaluation deadline", s.queryTimeout))
+	case errors.Is(err, context.Canceled):
+		s.writeError(w, r, http.StatusServiceUnavailable, "canceled", "query canceled")
+	default:
+		s.writeError(w, r, status, code, err.Error())
+	}
 }
 
 // handleFederatedQuery fans the query out through the federator and renders
@@ -881,32 +914,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFederatedQuery(w http.ResponseWriter, r *http.Request, ctx context.Context, role rdf.IRI, q string) {
 	resp := s.fed.Query(ctx, role, seconto.ActionView, q)
 	if resp.Err != nil {
-		obs.Logger(r.Context()).Warn("federated query failed",
-			"role", string(role), "err", resp.Err.Error())
-		switch {
-		case errors.Is(resp.Err, context.DeadlineExceeded):
-			s.writeError(w, r, http.StatusGatewayTimeout, "timeout",
-				fmt.Sprintf("federated query exceeded the %s deadline", s.queryTimeout))
-		case errors.Is(resp.Err, context.Canceled):
-			s.writeError(w, r, http.StatusServiceUnavailable, "canceled", "query canceled")
-		default:
-			s.writeError(w, r, http.StatusBadGateway, "all_sources_failed", resp.Err.Error())
-		}
+		s.writeQueryError(w, r, resp.Err, http.StatusBadGateway, "all_sources_failed")
 		return
 	}
 	body := federatedResultJSON(resp.Result)
 	body["degraded"] = resp.Degraded
 	body["sources"] = resp.Sources
 	if resp.Degraded {
-		obs.Logger(r.Context()).Warn("federated query degraded",
-			"role", string(role), "sources", fmt.Sprintf("%+v", resp.Sources))
-		// A partial answer is a quality incident for this query shape; the
-		// local engine never saw the query, so attribute it here.
-		if s.workload != nil {
-			if pq, perr := sparql.ParseQuery(q, nil); perr == nil {
-				s.workload.RecordDegraded(pq.Fingerprint, pq.CanonicalForm, pq.Kind.String())
-			}
-		}
+		// A partial answer is a quality incident for this query shape.
+		rec := obs.RequestOf(r.Context())
+		rec.Outcome, rec.Error = obs.OutcomeDegraded, fmt.Sprintf("%+v", resp.Sources)
 	}
 	s.writeJSON(w, r, body)
 }
@@ -935,7 +952,7 @@ type analyzeStage struct {
 // cardinalities harvested from the sparql.bgp.step spans, plus the result
 // summary. On an untraced request (no tracer configured) a detached trace
 // supplies the span accumulator, so the endpoint works either way.
-func (s *Server) handleExplainAnalyze(w http.ResponseWriter, r *http.Request, ctx context.Context, role rdf.IRI, q string) {
+func (s *Server) handleExplainAnalyze(w http.ResponseWriter, r *http.Request, ctx context.Context, role rdf.IRI, q *sparql.Query) {
 	at := obs.ActiveTrace(ctx)
 	var root *obs.Span
 	if at == nil {
@@ -947,21 +964,14 @@ func (s *Server) handleExplainAnalyze(w http.ResponseWriter, r *http.Request, ct
 	// belong to the analyzed query.
 	mark := len(at.Completed())
 	start := time.Now()
-	res, err := s.engine.QueryCtx(ctx, role, seconto.ActionView, q)
+	res, err := s.engine.EvalCtx(ctx, role, seconto.ActionView, q)
 	elapsed := time.Since(start)
 	root.End()
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.writeError(w, r, http.StatusGatewayTimeout, "timeout",
-				fmt.Sprintf("query exceeded the %s evaluation deadline", s.queryTimeout))
-		case errors.Is(err, context.Canceled):
-			s.writeError(w, r, http.StatusServiceUnavailable, "canceled", "query canceled")
-		default:
-			s.writeError(w, r, http.StatusBadRequest, "query_error", err.Error())
-		}
+		s.writeQueryError(w, r, err, http.StatusBadRequest, "query_error")
 		return
 	}
+	noteStats(obs.RequestOf(r.Context()), res.Stats)
 	var stages []analyzeStage
 	for _, sd := range at.Completed()[mark:] {
 		if sd.Name == "sparql.probe" && sd.Attrs["probe"] != "" {
@@ -1108,9 +1118,8 @@ type mutateOpRequest struct {
 // entry. Any failure (denial, missing update target, durability refusal)
 // aborts the whole batch and names the offending op in the error envelope.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	role, err := resolveRole(r.URL.Query().Get("role"))
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
+	role, ok := s.role(w, r, r.URL.Query().Get("role"))
+	if !ok {
 		return
 	}
 	body := r.Body
@@ -1321,7 +1330,7 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *sparql
 		buf = append(buf, '}')
 		if len(buf) >= flushAt {
 			if _, err := w.Write(buf); err != nil {
-				obs.Logger(r.Context()).Warn("write response", "path", r.URL.Path, "err", err.Error())
+				obs.RequestOf(r.Context()).Error = "write response: " + err.Error()
 				return
 			}
 			buf = buf[:0]
@@ -1329,7 +1338,7 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *sparql
 	}
 	buf = append(buf, "]}\n"...)
 	if _, err := w.Write(buf); err != nil {
-		obs.Logger(r.Context()).Warn("write response", "path", r.URL.Path, "err", err.Error())
+		obs.RequestOf(r.Context()).Error = "write response: " + err.Error()
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/grdf"
 	"repro/internal/obs"
+	"repro/internal/obs/workload"
 	"repro/internal/seconto"
 )
 
@@ -55,7 +56,8 @@ func TestServerFederatedQueryDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(e, nil, WithFederator(fed)))
+	wl := workload.New(workload.Config{Capacity: 8})
+	srv := httptest.NewServer(NewServer(e, nil, WithFederator(fed), WithWorkload(wl)))
 	defer srv.Close()
 
 	// Baseline: what the healthy engine alone answers.
@@ -103,6 +105,10 @@ func TestServerFederatedQueryDegraded(t *testing.T) {
 	}
 	if st, ok := fed.BreakerState("down"); !ok || st != federation.Open {
 		t.Errorf("down breaker = %v (known %v), want open", st, ok)
+	}
+	// Each request is booked once, as degraded, whatever its sources did.
+	if top := wl.TopK(2); len(top) != 1 || top[0].Count != threshold+2 || top[0].Degraded != threshold+2 {
+		t.Errorf("/v1/queries books %+v, want one shape with %d degraded requests", top, threshold+2)
 	}
 }
 

@@ -3,10 +3,8 @@ package gsacs
 import (
 	"context"
 	"sort"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/workload"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/store"
@@ -253,37 +251,33 @@ func (e *Engine) Query(subject, action rdf.IRI, query string) (*sparql.Result, e
 	return e.QueryCtx(context.Background(), subject, action, query)
 }
 
-// QueryCtx is the context-first form of Query: evaluation honors ctx
-// cancellation and deadlines between join steps. On a traced context the
+// QueryCtx is the context-first form of Query: it parses query (see Parse)
+// and evaluates it (see EvalCtx).
+func (e *Engine) QueryCtx(ctx context.Context, subject, action rdf.IRI, query string) (*sparql.Result, error) {
+	q, err := e.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	return e.EvalCtx(ctx, subject, action, q)
+}
+
+// Parse parses a query, timing the parse phase into the engine's registry.
+func (e *Engine) Parse(query string) (*sparql.Query, error) {
+	// Every view's SPARQL engine reports into the one registry; the empty
+	// view's is always there.
+	return e.noView.sparql.Parse(query)
+}
+
+// EvalCtx evaluates a parsed query against the subject's filtered view,
+// honoring ctx cancellation and deadlines between join steps; the result
+// carries what the evaluation did (sparql.EvalStats). On a traced context the
 // request runs under a gsacs.query span parenting the view (cache) span and
 // the SPARQL evaluation spans.
-func (e *Engine) QueryCtx(ctx context.Context, subject, action rdf.IRI, query string) (*sparql.Result, error) {
+func (e *Engine) EvalCtx(ctx context.Context, subject, action rdf.IRI, q *sparql.Query) (*sparql.Result, error) {
 	ctx, sp := obs.StartSpan(ctx, "gsacs.query")
 	defer sp.End()
 	sp.SetAttr("role", subject.LocalName())
-	eng := e.viewEntry(ctx, subject, action).sparql
-	if wl := e.workload; wl != nil {
-		// The sink is per request (it closes over start and ctx), so it goes
-		// on a shallow copy; the copy shares the entry's functions and metric
-		// handles. It fires exactly once, at evaluation end.
-		start := time.Now()
-		perRequest := *eng
-		eng = perRequest.SetStatsSink(func(st sparql.EvalStats) {
-			wl.Observe(workload.Observation{
-				Fingerprint:    st.Fingerprint,
-				Canonical:      st.CanonicalForm,
-				Kind:           st.Kind.String(),
-				Latency:        time.Since(start),
-				RowsScanned:    st.RowsScanned,
-				RowsOut:        st.RowsOut,
-				Reordered:      st.Reordered,
-				MaxMisestimate: st.MaxMisestimate,
-				Err:            st.Failed,
-				TraceID:        obs.TraceID(ctx),
-			})
-		})
-	}
-	res, err := eng.QueryCtx(ctx, query)
+	res, err := e.viewEntry(ctx, subject, action).sparql.EvalCtx(ctx, q)
 	if err != nil {
 		sp.Fail(err)
 	}

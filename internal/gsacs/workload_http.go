@@ -5,7 +5,7 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/admission"
+	"repro/internal/obs"
 	"repro/internal/obs/prof"
 	"repro/internal/obs/workload"
 	"repro/internal/sparql"
@@ -100,20 +100,14 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// recordShed attributes an admission-shed request to its query fingerprint.
-// Only query-class requests carry a parseable shape; parsing here is cheap
-// relative to the 429 round-trip and never touches the engine.
-func (s *Server) recordShed(r *http.Request, class admission.Class) {
-	if s.workload == nil || class != admission.ClassQuery {
-		return
-	}
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		return
-	}
-	pq, err := sparql.ParseQuery(q, nil)
-	if err != nil {
-		return
-	}
-	s.workload.RecordShed(pq.Fingerprint, pq.CanonicalForm, pq.Kind.String())
+// noteQuery writes a parsed query's shape onto the request's record: the
+// middleware books the request under its fingerprint.
+func noteQuery(rec *obs.Request, q *sparql.Query) {
+	rec.Fingerprint, rec.Canonical, rec.Kind = q.Fingerprint, q.CanonicalForm, q.Kind.String()
+}
+
+// noteStats writes what evaluating the request's query did onto its record.
+func noteStats(rec *obs.Request, st sparql.EvalStats) {
+	rec.RowsScanned, rec.RowsOut, rec.Solutions = st.RowsScanned, st.RowsOut, st.Solutions
+	rec.Reordered, rec.MaxMisestimate = st.Reordered, st.MaxMisestimate
 }

@@ -1,18 +1,77 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"time"
 )
 
 // HTTP middleware: the client-interface edge of the Fig. 3 service. Every
-// request gets a trace ID (minted, or adopted from X-Trace-Id), an
-// in-flight gauge increment, a per-route latency observation, a
-// status-code-labelled request counter, and one structured log line.
+// request gets a trace ID (minted, or adopted from X-Trace-Id) and one
+// record, Request, which the handler fills in as it goes. When the request
+// closes the middleware books everything from that record, once: the route's
+// latency histogram and status-code counter, the SLO window, the workload
+// table and one structured log line. No other code books a request, so the
+// books describe the same requests with the same latency.
+
+// Outcome is how a request ended, as the books count it.
+type Outcome string
+
+const (
+	OutcomeOK    Outcome = "ok"
+	OutcomeError Outcome = "error"
+	// OutcomeShed is a request the admission gate refused: it never ran, so
+	// it is no latency sample.
+	OutcomeShed Outcome = "shed"
+	// OutcomeDegraded is a partial (federated) answer.
+	OutcomeDegraded Outcome = "degraded"
+)
+
+// Request is the one record of one HTTP request.
+type Request struct {
+	// Set by the middleware.
+	Route   string // the mux pattern the middleware wraps
+	TraceID string
+	Status  int
+	Bytes   int           // response body bytes
+	Elapsed time.Duration // from the middleware's entry to the handler's return
+
+	// Set by the handler, on the request's own goroutine.
+	Role string
+	// Outcome defaults, at close, to OutcomeError for a status >= 400 and to
+	// OutcomeOK otherwise.
+	Outcome Outcome
+	// Error is the message the request was answered with, when it failed.
+	Error string
+	// The SPARQL query the request carried, once it parsed (Kind is empty
+	// before): its fingerprint, redacted canonical form and form label.
+	Fingerprint uint64
+	Canonical   string
+	Kind        string
+	// What evaluating the query did, when it was evaluated here: index
+	// entries scanned and rows kept by the join steps, result size, whether
+	// the planner reordered a BGP, and the worst est-vs-actual step ratio.
+	RowsScanned    int64
+	RowsOut        int64
+	Solutions      int64
+	Reordered      bool
+	MaxMisestimate float64
+}
+
+// RequestOf returns the record the middleware opened for ctx's request.
+// Outside one it returns a record nobody books, so a handler writes to it
+// without checking.
+func RequestOf(ctx context.Context) *Request {
+	if rec, ok := ctx.Value(requestKey).(*Request); ok {
+		return rec
+	}
+	return &Request{}
+}
 
 // MiddlewareConfig configures Middleware. Zero-value fields degrade
 // gracefully: a nil Registry records nothing, a nil Logger logs nothing.
@@ -34,31 +93,34 @@ type MiddlewareConfig struct {
 	// route), adopting X-Parent-Span as a remote parent so a federation
 	// peer's tree hangs under the originating request.
 	Tracer *Tracer
-	// SLO, when set, receives one (route, latency, status) observation
-	// per request for sliding-window objective tracking.
+	// SLO, when set, receives every closed record for sliding-window
+	// objective tracking.
 	SLO *SLOEngine
+	// Workload, when set, receives every closed record; it keeps the ones
+	// that carry a query (see internal/obs/workload).
+	Workload interface{ Observe(*Request) }
 }
 
-// statusWriter captures the response status code and bytes written.
+// statusWriter writes the response's status code and body bytes on the
+// request's record.
 type statusWriter struct {
 	http.ResponseWriter
-	status int
-	bytes  int
+	rec *Request
 }
 
 func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
+	if w.rec.Status == 0 {
+		w.rec.Status = code
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
+	if w.rec.Status == 0 {
+		w.rec.Status = http.StatusOK
 	}
 	n, err := w.ResponseWriter.Write(p)
-	w.bytes += n
+	w.rec.Bytes += n
 	return n, err
 }
 
@@ -79,95 +141,123 @@ func Middleware(cfg MiddlewareConfig, next http.Handler) http.Handler {
 	rt := cfg.Route
 	// The route is fixed per middleware, so its latency histogram is resolved
 	// once — on the first request rather than here, so a route nobody has
-	// called stays out of the exposition.
+	// called stays out of the exposition. The same goes for the counter of
+	// each status code the route answers with.
 	duration := sync.OnceValue(func() *Histogram {
 		return reg.Histogram("grdf_http_request_duration_seconds",
 			"HTTP request latency by route.", nil, "route", rt)
 	})
+	var byCode sync.Map // status code → *Counter
+	requests := func(code int) *Counter {
+		if c, ok := byCode.Load(code); ok {
+			return c.(*Counter)
+		}
+		c, _ := byCode.LoadOrStore(code, reg.Counter("grdf_http_requests_total",
+			"Completed HTTP requests.", "route", rt, "code", strconv.Itoa(code)))
+		return c.(*Counter)
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		traceID := r.Header.Get(TraceHeader)
-		if traceID == "" || len(traceID) > 64 {
-			traceID = NewID()
+		rec := &Request{Route: rt, TraceID: r.Header.Get(TraceHeader)}
+		if !validID(rec.TraceID) {
+			rec.TraceID = NewID()
 		}
-		ctx := WithLogger(WithTraceID(r.Context(), traceID), logger)
-		w.Header().Set(TraceHeader, traceID)
+		ctx := context.WithValue(r.Context(), requestKey, rec)
+		ctx = WithLogger(WithTraceID(ctx, rec.TraceID), logger)
+		w.Header().Set(TraceHeader, rec.TraceID)
 
 		var root *Span
 		if cfg.Tracer != nil {
 			parent := r.Header.Get(ParentSpanHeader)
-			if len(parent) > 64 {
+			if !validID(parent) {
 				parent = ""
 			}
 			ctx, root = cfg.Tracer.StartTrace(ctx, "http "+rt, parent)
 		}
 
 		inFlight.Inc()
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &statusWriter{ResponseWriter: w, rec: rec}
 		req := r.WithContext(ctx)
-		// The accounting runs deferred so a panicking handler still records
-		// its request before the recovery turns it into a 500.
+		// The record closes deferred so a panicking handler still books its
+		// request before the recovery turns it into a 500.
 		defer func() {
 			if v := recover(); v != nil {
 				panics.Inc()
 				Logger(ctx).Error("handler panic",
 					"route", rt, "panic", fmt.Sprint(v),
 					"stack", string(debug.Stack()))
-				if sw.status == 0 {
+				if rec.Status == 0 {
 					// Nothing written yet: the response is still ours.
 					if cfg.Panic != nil {
 						cfg.Panic(sw, req, v)
 					}
-					if sw.status == 0 {
+					if rec.Status == 0 {
 						sw.WriteHeader(http.StatusInternalServerError)
 					}
 				}
 			}
 			inFlight.Dec()
-			if sw.status == 0 {
-				sw.status = http.StatusOK
+			if rec.Status == 0 {
+				rec.Status = http.StatusOK
 			}
-			elapsed := time.Since(start)
+			rec.Elapsed = time.Since(start)
+			if rec.Outcome == "" {
+				rec.Outcome = OutcomeOK
+				if rec.Status >= 400 {
+					rec.Outcome = OutcomeError
+				}
+			}
 			if root != nil {
 				root.SetAttr("method", r.Method)
-				root.SetAttr("status", itoa(sw.status))
-				if sw.status >= 500 {
+				root.SetAttr("status", strconv.Itoa(rec.Status))
+				if rec.Status >= 500 {
 					root.Fail(nil)
 				}
 				root.End()
 			}
-			cfg.SLO.Record(rt, elapsed, sw.status)
-			reg.Counter("grdf_http_requests_total", "Completed HTTP requests.",
-				"route", rt, "code", itoa(sw.status)).Inc()
-			duration().ObserveWithExemplar(elapsed.Seconds(), traceID)
-			Logger(ctx).Info("http request",
-				"method", r.Method,
-				"route", rt,
-				"path", r.URL.Path,
-				"status", sw.status,
-				"bytes", sw.bytes,
-				"duration_us", elapsed.Microseconds(),
-			)
+			duration().ObserveWithExemplar(rec.Elapsed.Seconds(), rec.TraceID)
+			requests(rec.Status).Inc()
+			cfg.SLO.Record(rec)
+			if cfg.Workload != nil {
+				cfg.Workload.Observe(rec)
+			}
+			logRequest(ctx, logger, r, rec)
 		}()
 		next.ServeHTTP(sw, req)
 	})
 }
 
-// itoa renders small positive ints without strconv allocation games — status
-// codes are three digits.
-func itoa(v int) string {
-	if v < 0 {
-		v = 0
+// logRequest writes the request's one log line: at warn level when it failed
+// on the server's side or was answered in part, at info otherwise.
+func logRequest(ctx context.Context, l *slog.Logger, r *http.Request, rec *Request) {
+	level := slog.LevelInfo
+	if rec.Status >= 500 || rec.Outcome == OutcomeDegraded {
+		level = slog.LevelWarn
 	}
-	buf := [8]byte{}
-	i := len(buf)
-	for {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
+	if !l.Enabled(ctx, level) {
+		return
 	}
-	return string(buf[i:])
+	attrs := make([]slog.Attr, 0, 14)
+	attrs = append(attrs,
+		slog.String("trace_id", rec.TraceID),
+		slog.String("method", r.Method),
+		slog.String("route", rec.Route),
+		slog.String("path", r.URL.Path),
+		slog.Int("status", rec.Status),
+		slog.Int("bytes", rec.Bytes),
+		slog.Int64("duration_us", rec.Elapsed.Microseconds()),
+		slog.String("outcome", string(rec.Outcome)))
+	if rec.Role != "" {
+		attrs = append(attrs, slog.String("role", rec.Role))
+	}
+	if rec.Kind != "" {
+		attrs = append(attrs,
+			slog.String("fingerprint", fmt.Sprintf("%016x", rec.Fingerprint)),
+			slog.String("kind", rec.Kind),
+			slog.Int64("solutions", rec.Solutions))
+	}
+	if rec.Error != "" {
+		attrs = append(attrs, slog.String("error", rec.Error))
+	}
+	l.LogAttrs(ctx, level, "http request", attrs...)
 }

@@ -228,6 +228,7 @@ func TestMiddleware(t *testing.T) {
 		if TraceID(r.Context()) == "" {
 			t.Error("handler saw no trace ID")
 		}
+		RequestOf(r.Context()).Role = "Hazmat"
 		if r.URL.Path == "/boom" {
 			http.Error(w, "nope", http.StatusForbidden)
 			return
@@ -279,15 +280,78 @@ func TestMiddleware(t *testing.T) {
 	if got := reg.Gauge("grdf_http_in_flight_requests", "").Value(); got != 0 {
 		t.Errorf("in-flight = %v", got)
 	}
+
+	// One line per request, carrying what the handler wrote on the record.
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("%d log lines for 2 requests:\n%s", len(lines), buf.String())
+	}
+	var line struct {
+		TraceID string `json:"trace_id"`
+		Route   string `json:"route"`
+		Status  int    `json:"status"`
+		Outcome string `json:"outcome"`
+		Role    string `json:"role"`
+	}
+	if err := json.Unmarshal([]byte(lines[1]), &line); err != nil {
+		t.Fatal(err)
+	}
+	if line.TraceID != "feedfacecafebeef" || line.Route != "/boom" || line.Status != 403 ||
+		line.Outcome != "error" || line.Role != "Hazmat" {
+		t.Errorf("log line %+v", line)
+	}
 }
 
-func TestItoa(t *testing.T) {
-	for _, tc := range []struct {
-		in   int
-		want string
-	}{{200, "200"}, {404, "404"}, {0, "0"}, {-1, "0"}} {
-		if got := itoa(tc.in); got != tc.want {
-			t.Errorf("itoa(%d) = %q", tc.in, got)
+// TestMiddlewareAdoptsOnlyWellFormedIDs: a caller's trace and parent-span IDs
+// are adopted only when they are 1–64 bytes of [0-9A-Za-z._-]. Anything else
+// — here a tab, a quote, a backslash, 65 bytes — is replaced by a minted ID
+// (or no remote parent), so no later scrape of /metrics carries an exemplar
+// label the exposition format cannot escape.
+func TestMiddlewareAdoptsOnlyWellFormedIDs(t *testing.T) {
+	reg := NewRegistry()
+	tracer := NewTracer(64)
+	srv := httptest.NewServer(Middleware(MiddlewareConfig{Registry: reg, Route: "/q", Tracer: tracer},
+		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})))
+	defer srv.Close()
+	send := func(header, value string) (traceID, parent string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, srv.URL, nil)
+		req.Header.Set(header, value)
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		traceID = resp.Header.Get(TraceHeader)
+		td, ok := tracer.Trace(traceID)
+		if !ok {
+			t.Fatalf("trace %q not retained", traceID)
+		}
+		return traceID, td.Spans[0].ParentID
+	}
+
+	good := strings.Repeat("aZ9._-", 10) + "abcd" // 64 bytes
+	if id, _ := send(TraceHeader, good); id != good {
+		t.Errorf("well-formed trace ID %q not adopted: %q", good, id)
+	}
+	if _, parent := send(ParentSpanHeader, good); parent != good {
+		t.Errorf("well-formed parent span %q not adopted: %q", good, parent)
+	}
+	for _, bad := range []string{"a\tb\"c\\d", "a\tb", `a"b`, good + "x"} {
+		if id, _ := send(TraceHeader, bad); id == bad || len(id) != 16 {
+			t.Errorf("trace ID %q: answered with %q, want a minted one", bad, id)
+		}
+		if _, parent := send(ParentSpanHeader, bad); parent != "" {
+			t.Errorf("parent span %q adopted as %q", bad, parent)
+		}
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if i := strings.Index(line, "trace_id="); i >= 0 && strings.ContainsAny(line[i:], "\t\\") {
+			t.Errorf("exemplar the exposition format cannot carry: %s", line)
 		}
 	}
 }

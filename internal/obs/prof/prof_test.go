@@ -21,7 +21,8 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 }
 
 func TestTriggerCaptures(t *testing.T) {
-	p := New(Config{Ring: 4, CPUWindow: 50 * time.Millisecond, Registry: obs.NewRegistry()})
+	reg := obs.NewRegistry()
+	p := New(Config{Ring: 4, CPUWindow: 50 * time.Millisecond, Registry: reg})
 	if !p.Trigger("manual") {
 		t.Fatal("first trigger suppressed")
 	}
@@ -40,10 +41,14 @@ func TestTriggerCaptures(t *testing.T) {
 	if !ok || len(c.Heap) != m.HeapBytes {
 		t.Error("Get did not return the capture payload")
 	}
+	if got := reg.Counter("grdf_prof_captures_total", "", "reason", "manual").Value(); got != 1 {
+		t.Errorf("grdf_prof_captures_total{reason=manual} = %v, want 1", got)
+	}
 }
 
 func TestTriggerMinGapSuppression(t *testing.T) {
-	p := New(Config{Ring: 4, CPUWindow: 10 * time.Millisecond, MinGap: time.Hour})
+	reg := obs.NewRegistry()
+	p := New(Config{Ring: 4, CPUWindow: 10 * time.Millisecond, MinGap: time.Hour, Registry: reg})
 	if !p.Trigger("overload") {
 		t.Fatal("first trigger suppressed")
 	}
@@ -53,6 +58,9 @@ func TestTriggerMinGapSuppression(t *testing.T) {
 	}
 	if got := len(p.List()); got != 1 {
 		t.Errorf("ring holds %d captures, want 1", got)
+	}
+	if got := reg.Counter("grdf_prof_suppressed_total", "").Value(); got != 1 {
+		t.Errorf("grdf_prof_suppressed_total = %v, want 1", got)
 	}
 }
 

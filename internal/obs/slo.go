@@ -124,15 +124,19 @@ func (e *SLOEngine) series(route string) *sloSeries {
 	return s
 }
 
-// Record accounts one request: d is its latency, status its HTTP status
-// code. Safe on a nil engine. Route labels must be bounded (the gsacs
-// middleware passes its routeLabel), since each route owns a bucket ring.
-func (e *SLOEngine) Record(route string, d time.Duration, status int) {
+// Record books one closed request into its route's window: it counts toward
+// the total, toward the errors when its status is >= 500, and — unless it was
+// shed — is a latency sample. A shed takes microseconds and never ran: were
+// it a sample, an overload would pull the window's quantiles under the
+// objective exactly while the admitted requests miss it. Safe on a nil
+// engine. Route labels must be bounded (the middleware's is its mux
+// pattern), since each route owns a bucket ring.
+func (e *SLOEngine) Record(rec *Request) {
 	if e == nil {
 		return
 	}
 	epoch := e.cfg.now().UnixNano() / int64(e.bucketDur)
-	s := e.series(route)
+	s := e.series(rec.Route)
 	slot := int(epoch % int64(len(s.buckets)))
 
 	s.mu.Lock()
@@ -145,12 +149,14 @@ func (e *SLOEngine) Record(route string, d time.Duration, status int) {
 	}
 	sk := b.sketch
 	b.total++
-	if status >= 500 {
+	if rec.Status >= 500 {
 		b.errors++
 	}
 	s.mu.Unlock()
 
-	sk.Record(d)
+	if rec.Outcome != OutcomeShed {
+		sk.Record(rec.Elapsed)
+	}
 }
 
 // WindowStats summarises one window of one route (or all routes merged).
@@ -297,18 +303,15 @@ func (e *SLOEngine) Status() SLOStatus {
 }
 
 // Instrument registers grdf_slo_* metrics on reg, computed on scrape from
-// the engine's windows. Gauges carry a window label ("fast"/"slow");
-// targets and breach indicators are unlabelled.
+// the engine's windows. Gauges carry a window label ("fast"/"slow"); the
+// latency target and breach indicators are unlabelled. The objective's
+// quantile and availability target are on /v1/slo.
 func (e *SLOEngine) Instrument(reg *Registry) {
 	if e == nil || reg == nil {
 		return
 	}
 	reg.Gauge("grdf_slo_latency_target_seconds",
 		"Configured latency objective.").Set(e.cfg.LatencyTarget.Seconds())
-	reg.Gauge("grdf_slo_latency_quantile",
-		"Quantile the latency objective applies to.").Set(e.cfg.LatencyQuantile)
-	reg.Gauge("grdf_slo_availability_target",
-		"Configured availability objective.").Set(e.cfg.AvailabilityTarget)
 	for _, w := range []struct {
 		name string
 		dur  time.Duration

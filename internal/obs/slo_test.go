@@ -14,6 +14,12 @@ func (c *sloClock) now() time.Time          { return c.t }
 func (c *sloClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newSLOClock() *sloClock                { return &sloClock{t: time.Unix(1_700_000_000, 0)} }
 
+// served is the closed record of one request on route that took d and was
+// answered with status.
+func served(route string, d time.Duration, status int) *Request {
+	return &Request{Route: route, Elapsed: d, Status: status, Outcome: OutcomeOK}
+}
+
 func testEngine(clk *sloClock) *SLOEngine {
 	return NewSLOEngine(SLOConfig{
 		LatencyTarget:      100 * time.Millisecond,
@@ -28,7 +34,7 @@ func TestSLOWindowQuantiles(t *testing.T) {
 	clk := newSLOClock()
 	e := testEngine(clk)
 	for i := 0; i < 1000; i++ {
-		e.Record("/v1/query", time.Duration(i+1)*time.Millisecond, 200)
+		e.Record(served("/v1/query", time.Duration(i+1)*time.Millisecond, 200))
 	}
 	st := e.Status()
 	if st.Fast.Count != 1000 || st.Slow.Count != 1000 {
@@ -61,7 +67,7 @@ func TestSLOBurnRateAndExpiry(t *testing.T) {
 		if i < 2 {
 			status = 500
 		}
-		e.Record("/v1/query", time.Millisecond, status)
+		e.Record(served("/v1/query", time.Millisecond, status))
 	}
 	st := e.Status()
 	if math.Abs(st.Fast.BurnRate-2.0) > 1e-9 {
@@ -95,11 +101,11 @@ func TestSLOBurnRateAndExpiry(t *testing.T) {
 func TestSLOBucketReuseAfterWrap(t *testing.T) {
 	clk := newSLOClock()
 	e := testEngine(clk)
-	e.Record("/v1/query", 50*time.Millisecond, 200)
+	e.Record(served("/v1/query", 50*time.Millisecond, 200))
 	// Advance exactly the ring length (61 one-minute buckets) so the
 	// second record lands in the same slot and must reset it.
 	clk.advance(61 * time.Minute)
-	e.Record("/v1/query", 10*time.Millisecond, 200)
+	e.Record(served("/v1/query", 10*time.Millisecond, 200))
 	st := e.Status()
 	if st.Slow.Count != 1 {
 		t.Fatalf("stale bucket leaked into window: %+v", st.Slow)
@@ -108,7 +114,7 @@ func TestSLOBucketReuseAfterWrap(t *testing.T) {
 
 func TestSLONilEngine(t *testing.T) {
 	var e *SLOEngine
-	e.Record("/x", time.Second, 500) // must not panic
+	e.Record(served("/x", time.Second, 500)) // must not panic
 	st := e.Status()
 	if !st.LatencyOK || !st.AvailabilityOK {
 		t.Fatal("nil engine must report vacuous pass")
@@ -120,9 +126,9 @@ func TestSLOInstrument(t *testing.T) {
 	clk := newSLOClock()
 	e := testEngine(clk)
 	for i := 0; i < 10; i++ {
-		e.Record("/v1/query", 5*time.Millisecond, 200)
+		e.Record(served("/v1/query", 5*time.Millisecond, 200))
 	}
-	e.Record("/v1/query", 5*time.Millisecond, 500)
+	e.Record(served("/v1/query", 5*time.Millisecond, 500))
 	reg := NewRegistry()
 	e.Instrument(reg)
 	var sb strings.Builder
@@ -135,6 +141,7 @@ func TestSLOInstrument(t *testing.T) {
 		"grdf_slo_error_rate{window=\"slow\"}",
 		"grdf_slo_burn_rate{window=\"fast\"}",
 		"grdf_slo_latency_target_seconds 0.1",
+		"grdf_slo_latency_breached 0",
 		"grdf_slo_availability_breached 1",
 	} {
 		if !strings.Contains(out, want) {

@@ -96,8 +96,6 @@ type spanCtx struct {
 	span  *Span // current span (parent of children started from this ctx)
 }
 
-const spanKey ctxKey = 2
-
 // activeSpanCtx returns the span context carried by ctx, or nil.
 func activeSpanCtx(ctx context.Context) *spanCtx {
 	sc, _ := ctx.Value(spanKey).(*spanCtx)

@@ -193,7 +193,8 @@ func TestTracerRingEviction(t *testing.T) {
 // TestSpanCapAndDrop: spans past maxSpansPerTrace are counted, not recorded,
 // and the drop shows up on the published trace.
 func TestSpanCapAndDrop(t *testing.T) {
-	tr := NewTracer(16)
+	reg := NewRegistry()
+	tr := NewTracer(16).Instrument(reg)
 	ctx, root := tr.StartTrace(context.Background(), "root", "")
 	for i := 0; i < maxSpansPerTrace+10; i++ {
 		_, sp := StartSpan(ctx, "leaf")
@@ -210,6 +211,9 @@ func TestSpanCapAndDrop(t *testing.T) {
 	// root + extra leaves over the cap were dropped.
 	if td.DroppedSpans != 11 {
 		t.Errorf("dropped = %d, want 11", td.DroppedSpans)
+	}
+	if got := reg.Counter("grdf_trace_spans_dropped_total", "").Value(); got != 11 {
+		t.Errorf("grdf_trace_spans_dropped_total = %v, want 11", got)
 	}
 }
 
@@ -253,7 +257,8 @@ func TestTracerConcurrent(t *testing.T) {
 func TestSlowQueryLog(t *testing.T) {
 	var buf strings.Builder
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
-	tr := NewTracer(16)
+	reg := NewRegistry()
+	tr := NewTracer(16).Instrument(reg)
 	tr.SetSlowQueryLog(time.Nanosecond, logger)
 
 	ctx, root := tr.StartTrace(context.Background(), "http /v1/query", "")
@@ -281,6 +286,9 @@ func TestSlowQueryLog(t *testing.T) {
 	root2.End()
 	if buf.Len() != 0 {
 		t.Errorf("disarmed tracer still logged: %q", buf.String())
+	}
+	if got := reg.Counter("grdf_slow_queries_total", "").Value(); got != 1 {
+		t.Errorf("grdf_slow_queries_total = %v, want the one slow trace", got)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"encoding/hex"
 )
 
-// Request-scoped tracing. A trace ID is minted (or adopted from the
+// Request-scoped tracing. A trace ID is minted (or adopted from a well-formed
 // X-Trace-Id request header) by the HTTP middleware, stored in the request
 // context, echoed in the response header, and attached to every structured
 // log line — so one ID follows a query from the client interface through the
@@ -21,7 +21,28 @@ type ctxKey int
 const (
 	traceIDKey ctxKey = iota
 	loggerKey
+	spanKey
+	requestKey
 )
+
+// validID reports whether a caller-supplied trace or span ID may be adopted:
+// 1–64 bytes of [0-9A-Za-z._-]. Such an ID goes into response and peer
+// headers, log lines, /v1/traces keys and exemplar labels as it is, with
+// nothing in it any of those would have to escape.
+func validID(id string) bool {
+	if len(id) == 0 || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case '0' <= c && c <= '9', 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z',
+			c == '.', c == '_', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
 
 // NewID returns a 16-hex-char random identifier.
 func NewID() string {

@@ -1,11 +1,12 @@
 // Package workload aggregates per-query-shape statistics: the server's
-// workload-level lens. Every evaluated query lands in a bounded,
-// lock-striped table keyed by its parse-time fingerprint (see
-// internal/sparql/fingerprint.go), accumulating counts, a latency sketch,
-// row totals, planner reorders, plan-quality drift, shed/error/degraded
-// outcomes and a trace exemplar. GET /v1/queries serves the table; the
-// grdf_workload_* and grdf_plan_misestimate_total metrics export its
-// totals.
+// workload-level lens. Every request that carried a query lands in a
+// bounded, lock-striped table keyed by its parse-time fingerprint (see
+// internal/sparql/fingerprint.go), accumulating counts, a sketch of the
+// requests' latency, row totals, planner reorders, plan-quality drift,
+// shed/error/degraded outcomes and a trace exemplar. The table books the
+// record the HTTP middleware closes (obs.Request), the same record the route
+// histogram and the SLO window book. GET /v1/queries serves the table; the
+// grdf_workload_* and grdf_plan_misestimate_total metrics export its totals.
 //
 // Cardinality is bounded with the space-saving heavy-hitters scheme: each
 // stripe holds at most capacity/stripes entries, and when a new fingerprint
@@ -47,33 +48,6 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Observation is one evaluated query, as reported by the SPARQL engine's
-// stats sink plus the serving layer's context.
-type Observation struct {
-	Fingerprint uint64
-	// Canonical is the redacted canonical form, stored once per entry as
-	// the example query.
-	Canonical string
-	// Kind is the query form label ("SELECT", "ASK", …).
-	Kind    string
-	Latency time.Duration
-	// RowsScanned and RowsOut total index entries scanned and solutions
-	// surviving each join step.
-	RowsScanned int64
-	RowsOut     int64
-	// Reordered marks an evaluation whose planner deviated from textual
-	// order.
-	Reordered bool
-	// MaxMisestimate is the worst per-step est-vs-actual ratio (≥1, or 0
-	// when no planned step ran).
-	MaxMisestimate float64
-	// Err marks a failed evaluation; Degraded a partial (federated) answer.
-	Err      bool
-	Degraded bool
-	// TraceID, when non-empty, becomes the entry's exemplar.
-	TraceID string
-}
-
 // entry is one fingerprint's accumulated state. Guarded by its stripe lock.
 type entry struct {
 	fp         uint64
@@ -108,7 +82,6 @@ type Table struct {
 
 	observations *obs.Counter
 	evictions    *obs.Counter
-	sheds        *obs.Counter
 	misBand      func(band string) *obs.Counter
 }
 
@@ -129,11 +102,9 @@ func New(cfg Config) *Table {
 	}
 	if reg := cfg.Registry; reg != nil {
 		t.observations = reg.Counter("grdf_workload_observations_total",
-			"Query evaluations folded into the workload stats table.")
+			"Query requests that ran, folded into the workload stats table.")
 		t.evictions = reg.Counter("grdf_workload_evictions_total",
 			"Fingerprints displaced by the space-saving top-K bound.")
-		t.sheds = reg.Counter("grdf_workload_sheds_total",
-			"Admission-shed requests attributed to a query fingerprint.")
 		t.misBand = func(band string) *obs.Counter {
 			return reg.Counter("grdf_plan_misestimate_total",
 				"Evaluations whose worst plan step missed its cardinality estimate, by drift band.",
@@ -157,9 +128,6 @@ func (t *Table) stripeFor(fp uint64) *stripe {
 // st.mu and must not retain the entry past unlock.
 func (t *Table) upsert(st *stripe, fp uint64, canonical, kind string) *entry {
 	if e, ok := st.entries[fp]; ok {
-		if e.canonical == "" {
-			e.canonical, e.kind = canonical, kind
-		}
 		return e
 	}
 	e := &entry{fp: fp, canonical: canonical, kind: kind, sketch: obs.NewLatencySketch()}
@@ -175,97 +143,68 @@ func (t *Table) upsert(st *stripe, fp uint64, canonical, kind string) *entry {
 		}
 		delete(st.entries, min.fp)
 		e.count, e.countErr = min.count, min.count
-		if t.evictions != nil {
-			t.evictions.Inc()
-		}
+		t.evictions.Inc()
 	}
 	st.entries[fp] = e
 	return e
 }
 
-// Observe folds one evaluated query into the table.
-func (t *Table) Observe(o Observation) {
-	if t == nil {
+// Observe books one closed request into its fingerprint's entry. A shed
+// request counts as shed and as nothing else: it never ran. Any other counts
+// once, with the request's latency and the outcome it ended with. A request
+// that carried no query is not booked.
+func (t *Table) Observe(r *obs.Request) {
+	if t == nil || r.Kind == "" {
 		return
 	}
-	st := t.stripeFor(o.Fingerprint)
+	st := t.stripeFor(r.Fingerprint)
 	st.mu.Lock()
-	e := t.upsert(st, o.Fingerprint, o.Canonical, o.Kind)
+	e := t.upsert(st, r.Fingerprint, r.Canonical, r.Kind)
+	e.lastSeenNS = time.Now().UnixNano()
+	e.lastTrace = r.TraceID
+	if r.Outcome == obs.OutcomeShed {
+		e.shed++
+		st.mu.Unlock()
+		return
+	}
 	e.count++
-	e.sketch.Record(o.Latency)
-	e.rowsScan += uint64(o.RowsScanned)
-	e.rowsOut += uint64(o.RowsOut)
-	if o.Reordered {
+	e.sketch.Record(r.Elapsed)
+	e.rowsScan += uint64(r.RowsScanned)
+	e.rowsOut += uint64(r.RowsOut)
+	if r.Reordered {
 		e.reorders++
 	}
-	if o.Err {
+	switch r.Outcome {
+	case obs.OutcomeError:
 		e.errors++
-	}
-	if o.Degraded {
+	case obs.OutcomeDegraded:
 		e.degraded++
 	}
-	if o.MaxMisestimate > e.maxMis {
-		e.maxMis = o.MaxMisestimate
+	if r.MaxMisestimate > e.maxMis {
+		e.maxMis = r.MaxMisestimate
 	}
-	if o.MaxMisestimate >= DriftWarnRatio {
+	if r.MaxMisestimate >= DriftWarnRatio {
 		e.misSteps++
 	}
-	if o.TraceID != "" {
-		e.lastTrace = o.TraceID
-	}
-	e.lastSeenNS = time.Now().UnixNano()
-	warn := o.MaxMisestimate >= DriftWarnRatio && !e.warned
+	warn := r.MaxMisestimate >= DriftWarnRatio && !e.warned
 	if warn {
 		e.warned = true
 	}
 	canonical, worst := e.canonical, e.maxMis
 	st.mu.Unlock()
 
-	if t.observations != nil {
-		t.observations.Inc()
-	}
-	if band := misestimateBand(o.MaxMisestimate); band != "" && t.misBand != nil {
+	t.observations.Inc()
+	if band := misestimateBand(r.MaxMisestimate); band != "" && t.misBand != nil {
 		t.misBand(band).Inc()
 	}
 	if warn && t.logger != nil {
 		// The raw signal for future planner fixes: this shape's estimates
 		// are off by an order of magnitude.
 		t.logger.Warn("plan drift",
-			"fingerprint", fmt.Sprintf("%016x", o.Fingerprint),
+			"fingerprint", fmt.Sprintf("%016x", r.Fingerprint),
 			"misestimate", fmt.Sprintf("%.1f", worst),
 			"query", canonical)
 	}
-}
-
-// RecordShed attributes one admission-shed request to fp: the request never
-// reached the engine, but the heavy hitter causing the shedding must stay
-// visible in /v1/queries.
-func (t *Table) RecordShed(fp uint64, canonical, kind string) {
-	if t == nil {
-		return
-	}
-	st := t.stripeFor(fp)
-	st.mu.Lock()
-	e := t.upsert(st, fp, canonical, kind)
-	e.shed++
-	e.lastSeenNS = time.Now().UnixNano()
-	st.mu.Unlock()
-	if t.sheds != nil {
-		t.sheds.Inc()
-	}
-}
-
-// RecordDegraded attributes one degraded (partial federated) answer to fp.
-func (t *Table) RecordDegraded(fp uint64, canonical, kind string) {
-	if t == nil {
-		return
-	}
-	st := t.stripeFor(fp)
-	st.mu.Lock()
-	e := t.upsert(st, fp, canonical, kind)
-	e.degraded++
-	e.lastSeenNS = time.Now().UnixNano()
-	st.mu.Unlock()
 }
 
 // misestimateBand buckets a worst-step ratio for the misestimate counter;

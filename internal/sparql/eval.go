@@ -39,10 +39,6 @@ type Engine struct {
 	// statsSink, when set, receives one EvalStats summary per EvalCtx call
 	// (see SetStatsSink).
 	statsSink func(EvalStats)
-	// stats accumulates the in-flight evaluation's per-step numbers; the
-	// pointer survives the pinned() and forGraph() copies so every BGP of
-	// one evaluation lands in the same accumulator.
-	stats *evalStepStats
 	// The rest is set on the per-evaluation copy pinned() makes, and on the
 	// copies forGraph() makes of that: terms resolves the IDs of the store's
 	// pinned version, ev is what the evaluation knows about its query (shared
@@ -53,8 +49,8 @@ type Engine struct {
 	probed map[probeSpec][]store.ID
 }
 
-// EvalStats summarizes one query evaluation for workload introspection: the
-// parse-time fingerprint next to what the join executor actually did.
+// EvalStats summarizes one query evaluation: the parse-time fingerprint next
+// to what the join executor actually did. A Result carries its own.
 type EvalStats struct {
 	// Fingerprint and CanonicalForm identify the query shape (see
 	// fingerprint.go).
@@ -80,22 +76,13 @@ type EvalStats struct {
 	Failed    bool
 }
 
-// evalStepStats is the mutable accumulator behind EvalStats. Evaluation is
-// single-goroutine, so plain fields suffice.
-type evalStepStats struct {
-	reordered   bool
-	steps       int
-	rowsScanned int64
-	rowsOut     int64
-	maxMis      float64
-}
-
-// noteStep folds one executed BGP step into the accumulator. est is the
-// planner's estimate (-1 when planning was off).
-func (s *evalStepStats) noteStep(est float64, scanned, out int) {
-	s.steps++
-	s.rowsScanned += int64(scanned)
-	s.rowsOut += int64(out)
+// noteStep folds one executed BGP step into s, the accumulator of an
+// evaluation in flight. est is the planner's estimate (-1 when planning was
+// off).
+func (s *EvalStats) noteStep(est float64, scanned, out int) {
+	s.Steps++
+	s.RowsScanned += int64(scanned)
+	s.RowsOut += int64(out)
 	if est >= 0 {
 		e, a := est, float64(out)
 		if e < 1 {
@@ -108,8 +95,8 @@ func (s *evalStepStats) noteStep(est float64, scanned, out int) {
 		if a > e {
 			ratio = a / e
 		}
-		if ratio > s.maxMis {
-			s.maxMis = ratio
+		if ratio > s.MaxMisestimate {
+			s.MaxMisestimate = ratio
 		}
 	}
 }
@@ -125,38 +112,24 @@ func (e *Engine) SetStatsSink(fn func(EvalStats)) *Engine {
 // engineMetrics holds the evaluator's per-phase instrumentation: the
 // GeoSPARQL benchmarking literature is unambiguous that engines need
 // parse-vs-eval phase timing to locate their bottlenecks, so the two phases
-// are observed separately.
+// are observed separately. What a query returned and how it was planned is
+// booked per fingerprint, from the request's record (see EvalStats).
 type engineMetrics struct {
-	reg          *obs.Registry
-	parse        *obs.Histogram
-	eval         *obs.Histogram
-	solutions    *obs.Counter
-	errors       *obs.Counter
-	plans        *obs.Counter
-	planReorders *obs.Counter
+	parse *obs.Histogram
+	eval  *obs.Histogram
 }
 
-// Instrument exports parse/eval phase timings, per-kind query counts,
-// solution counts and planner activity into reg (nil is a no-op). Returns e
-// for chaining. Call before serving queries.
+// Instrument exports parse and eval phase timings into reg (nil is a no-op).
+// Returns e for chaining. Call before serving queries.
 func (e *Engine) Instrument(reg *obs.Registry) *Engine {
 	if reg == nil {
 		return e
 	}
 	e.met = &engineMetrics{
-		reg: reg,
 		parse: reg.Histogram("grdf_sparql_parse_duration_seconds",
 			"SPARQL parse phase latency.", nil),
 		eval: reg.Histogram("grdf_sparql_eval_duration_seconds",
 			"SPARQL evaluation phase latency.", nil),
-		solutions: reg.Counter("grdf_sparql_solutions_total",
-			"Solutions (bindings or template triples) produced."),
-		errors: reg.Counter("grdf_sparql_errors_total",
-			"Queries that failed to parse or evaluate."),
-		plans: reg.Counter("grdf_sparql_plans_total",
-			"BGPs scheduled by the selectivity planner."),
-		planReorders: reg.Counter("grdf_sparql_plan_reorders_total",
-			"BGP plans that deviated from textual pattern order."),
 	}
 	return e
 }
@@ -187,7 +160,7 @@ func (e *Engine) forGraph(st *store.Store) *Engine {
 	// Metrics stay with the outer engine: nested GRAPH evaluation is part of
 	// the same query, so timing it separately would double-count.
 	view := st.View()
-	return &Engine{store: view, dataset: e.dataset, funcs: e.funcs, probers: e.probers, planning: e.planning, stats: e.stats,
+	return &Engine{store: view, dataset: e.dataset, funcs: e.funcs, probers: e.probers, planning: e.planning,
 		terms: terms{dict: view.DictView(), scratch: e.terms.scratch}, ev: e.ev}
 }
 
@@ -220,21 +193,22 @@ func (e *Engine) Query(src string) (*Result, error) {
 // are honored between join steps; the error is ctx.Err() when the context
 // ends first.
 func (e *Engine) QueryCtx(ctx context.Context, src string) (*Result, error) {
-	var start time.Time
-	if e.met != nil {
-		start = time.Now()
-	}
-	q, err := ParseQuery(src, nil)
-	if e.met != nil {
-		e.met.parse.ObserveSince(start)
-	}
+	q, err := e.Parse(src)
 	if err != nil {
-		if e.met != nil {
-			e.met.errors.Inc()
-		}
 		return nil, err
 	}
 	return e.EvalCtx(ctx, q)
+}
+
+// Parse parses src, timing the parse phase when the engine is instrumented.
+func (e *Engine) Parse(src string) (*Query, error) {
+	if e.met == nil {
+		return ParseQuery(src, nil)
+	}
+	start := time.Now()
+	q, err := ParseQuery(src, nil)
+	e.met.parse.ObserveSince(start)
+	return q, err
 }
 
 // Eval evaluates a parsed query with a background context.
@@ -242,31 +216,29 @@ func (e *Engine) Eval(q *Query) (*Result, error) {
 	return e.EvalCtx(context.Background(), q)
 }
 
-// EvalCtx evaluates a parsed query under ctx, recording phase timing and
-// solution counts when the engine is instrumented. On a traced context the
-// whole evaluation runs under a sparql.eval span that parents the per-stage
-// BGP spans, and the eval histogram's bucket gains the trace as an exemplar.
+// EvalCtx evaluates a parsed query under ctx. The result carries the
+// evaluation's EvalStats, and the stats sink, when set, gets them whatever
+// the outcome. On a traced context the whole evaluation runs under a
+// sparql.eval span that parents the per-stage BGP spans, and on an
+// instrumented engine the eval histogram's bucket gains the trace as an
+// exemplar.
 func (e *Engine) EvalCtx(ctx context.Context, q *Query) (*Result, error) {
-	if e.statsSink == nil {
-		return e.evalSpanned(ctx, q)
+	ctx, sp := obs.StartSpan(ctx, "sparql.eval")
+	sp.SetAttr("kind", q.Kind.String())
+	var start time.Time
+	if e.met != nil {
+		start = time.Now()
 	}
-	// Give this evaluation its own accumulator (the engine may be shared),
-	// then summarize into the sink whatever the outcome.
-	ec := *e
-	ec.stats = &evalStepStats{}
-	res, err := ec.evalSpanned(ctx, q)
-	st := EvalStats{
-		Fingerprint:    q.Fingerprint,
-		CanonicalForm:  q.CanonicalForm,
-		Kind:           q.Kind,
-		Reordered:      ec.stats.reordered,
-		Steps:          ec.stats.steps,
-		RowsScanned:    ec.stats.rowsScanned,
-		RowsOut:        ec.stats.rowsOut,
-		MaxMisestimate: ec.stats.maxMis,
-		Failed:         err != nil,
+	pe := e.pinned(q)
+	res, err := pe.eval(ctx, q)
+	if e.met != nil {
+		e.met.eval.ObserveWithExemplar(time.Since(start).Seconds(), obs.TraceID(ctx))
 	}
-	if res != nil {
+	st := pe.ev.stats
+	st.Fingerprint, st.CanonicalForm, st.Kind, st.Failed = q.Fingerprint, q.CanonicalForm, q.Kind, err != nil
+	if err != nil {
+		sp.Fail(err)
+	} else {
 		switch res.Kind {
 		case Ask:
 			st.Solutions = 1
@@ -275,54 +247,19 @@ func (e *Engine) EvalCtx(ctx context.Context, q *Query) (*Result, error) {
 		default:
 			st.Solutions = int64(res.Len())
 		}
+		res.Stats = st
+		sp.Add("solutions", st.Solutions)
 	}
-	e.statsSink(st)
+	sp.End()
+	if e.statsSink != nil {
+		e.statsSink(st)
+	}
 	return res, err
 }
 
-// evalSpanned is EvalCtx minus the stats sink: the sparql.eval span, phase
-// timing and solution accounting around the raw evaluation.
-func (e *Engine) evalSpanned(ctx context.Context, q *Query) (*Result, error) {
-	ctx, sp := obs.StartSpan(ctx, "sparql.eval")
-	sp.SetAttr("kind", q.Kind.String())
-	if e.met == nil {
-		res, err := e.eval(ctx, q)
-		if err != nil {
-			sp.Fail(err)
-		}
-		sp.End()
-		return res, err
-	}
-	start := time.Now()
-	res, err := e.eval(ctx, q)
-	e.met.eval.ObserveWithExemplar(time.Since(start).Seconds(), obs.TraceID(ctx))
-	e.met.reg.Counter("grdf_sparql_queries_total",
-		"Queries evaluated by kind.", "kind", q.Kind.String()).Inc()
-	if err != nil {
-		e.met.errors.Inc()
-		sp.Fail(err)
-		sp.End()
-		return nil, err
-	}
-	switch res.Kind {
-	case Ask:
-		e.met.solutions.Inc()
-		sp.Add("solutions", 1)
-	case Construct, Describe:
-		e.met.solutions.Add(float64(res.Graph.Len()))
-		sp.Add("solutions", int64(res.Graph.Len()))
-	default:
-		e.met.solutions.Add(float64(res.Len()))
-		sp.Add("solutions", int64(res.Len()))
-	}
-	sp.End()
-	return res, nil
-}
-
-// eval is the un-instrumented evaluation path. It runs entirely against one
-// pinned store version.
+// eval is the un-instrumented evaluation path of the pinned engine pinned(q)
+// returned: it runs entirely against one store version.
 func (e *Engine) eval(ctx context.Context, q *Query) (*Result, error) {
-	e = e.pinned(q)
 	w := e.ev.width
 	sols, err := e.evalGroup(ctx, q.Where, table{width: w, n: 1, ids: make([]store.ID, w)})
 	if err != nil {
@@ -638,14 +575,8 @@ func (e *Engine) evalBGP(ctx context.Context, bgp *BGP, in table, seeds []probeS
 		}
 		plan := PlanBGP(e.store, bgp.Patterns, bound)
 		steps = plan.Steps
-		if e.met != nil {
-			e.met.plans.Inc()
-			if plan.Reordered {
-				e.met.planReorders.Inc()
-			}
-		}
-		if e.stats != nil && plan.Reordered {
-			e.stats.reordered = true
+		if plan.Reordered {
+			e.ev.stats.Reordered = true
 		}
 	} else {
 		ordered := orderPatterns(bgp.Patterns)
@@ -659,10 +590,8 @@ func (e *Engine) evalBGP(ctx context.Context, bgp *BGP, in table, seeds []probeS
 	sols := in
 	for _, sd := range seeds {
 		sols = seed(sols, e.ev.cols[sd.v], sd.ids)
-		if e.stats != nil {
-			// The candidates are the index entries this step read.
-			e.stats.noteStep(-1, len(sd.ids), sols.n)
-		}
+		// The candidates are the index entries this step read.
+		e.ev.stats.noteStep(-1, len(sd.ids), sols.n)
 		if sols.n == 0 {
 			return sols, nil
 		}
@@ -691,14 +620,12 @@ func (e *Engine) evalBGP(ctx context.Context, bgp *BGP, in table, seeds []probeS
 		}
 		sp.Add("rows_scanned", int64(scanned))
 		sp.Add("rows_out", int64(sols.n))
-		if e.stats != nil && err == nil {
-			e.stats.noteStep(ps.Estimate, scanned, sols.n)
-		}
 		if err != nil {
 			sp.Fail(err)
 			sp.End()
 			return table{}, err
 		}
+		e.ev.stats.noteStep(ps.Estimate, scanned, sols.n)
 		sp.End()
 		if sols.n == 0 {
 			return sols, nil

@@ -161,6 +161,16 @@ func TestEvalStatsSink(t *testing.T) {
 	if s.CanonicalForm == "" {
 		t.Error("canonical form missing from stats")
 	}
+	if res.Stats != s {
+		t.Errorf("result carries %+v, the sink got %+v", res.Stats, s)
+	}
+	// A failed evaluation still reaches the sink.
+	if _, err := eng.Query(`SELECT ?s WHERE { GRAPH <http://e/g> { ?s ?p ?o } }`); err == nil {
+		t.Fatal("GRAPH on an engine without a dataset evaluated")
+	}
+	if len(got) != 2 || !got[1].Failed {
+		t.Errorf("after a failed evaluation the sink got %+v", got)
+	}
 }
 
 func TestCanonicalFormShape(t *testing.T) {

@@ -146,6 +146,9 @@ type evaluation struct {
 	depth int
 	// late holds the FILTERs that run at the end of their group (see place).
 	late map[*Filter]bool
+	// stats accumulates what the join steps did, across every graph the
+	// evaluation visits.
+	stats EvalStats
 }
 
 func newEvaluation(q *Query) *evaluation {
@@ -360,6 +363,8 @@ type Result struct {
 	Vars  []Variable // SELECT projection (resolved, in order)
 	Bool  bool       // ASK outcome
 	Graph *rdf.Graph // CONSTRUCT and DESCRIBE output
+	// Stats is what the evaluation that produced the result did.
+	Stats EvalStats
 
 	rows  table
 	cols  []int // Vars[i] is column cols[i] of rows
