@@ -75,24 +75,22 @@ func run(from, to, in, out, ns string) error {
 		if _, err := gml.ToGRDF(st, col, ns); err != nil {
 			return err
 		}
-	case "turtle":
+	case "turtle", "ntriples":
 		data, err := io.ReadAll(r)
 		if err != nil {
 			return err
 		}
-		g, err := turtle.ParseString(string(data))
+		parse := turtle.ParseString
+		if from == "ntriples" {
+			parse = ntriples.ParseString
+		}
+		g, err := parse(string(data))
 		if err != nil {
 			return err
 		}
 		st.AddGraph(g)
 	case "rdfxml":
 		g, err := rdfxml.Parse(r)
-		if err != nil {
-			return err
-		}
-		st.AddGraph(g)
-	case "ntriples":
-		g, err := ntriples.NewReader(r).ReadAll()
 		if err != nil {
 			return err
 		}

@@ -1172,11 +1172,11 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 // parseMutateOp shapes one JSON op into an engine MutationOp.
 func parseMutateOp(req mutateOpRequest) (MutationOp, error) {
 	parse := func(field, src string) ([]rdf.Triple, error) {
-		g, err := ntriples.NewReader(strings.NewReader(src)).ReadAll()
+		ts, err := ntriples.ParseTriples(src)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", field, err)
 		}
-		return g.Triples(), nil
+		return ts, nil
 	}
 	one := func(field, src string) (rdf.Triple, error) {
 		ts, err := parse(field, src)

@@ -3,11 +3,13 @@ package ntriples
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/rdf"
 )
 
-// FuzzParse throws arbitrary byte strings at the N-Triples parser. The
-// invariant is purely defensive: no panic, no hang, and every triple of a
-// successfully parsed document survives a Format/ParseString round trip.
+// FuzzParse throws arbitrary byte strings at the N-Triples parser: no panic,
+// no hang, and a successfully parsed document's graph survives a
+// Format/ParseString round trip as the same set of triples.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -34,26 +36,44 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip rejected our own output: %v\nsource: %q", err, doc)
 		}
-		if got, want := len(back.Triples()), len(g.Triples()); got != want {
-			t.Fatalf("round trip kept %d of %d triples\nsource: %q", got, want, doc)
+		if !back.Equal(g) {
+			t.Fatalf("round trip changed the graph\nsource: %q\nhave:\n%s\nwant:\n%s", doc, back, g)
 		}
 	})
 }
 
-// FuzzReader feeds the streaming Reader the same inputs line-split, checking
-// it never panics and errors deterministically.
-func FuzzReader(f *testing.F) {
-	f.Add("<http://a> <http://b> <http://c> .\n_:x <http://p> \"v\" .\n")
-	f.Add("junk line\n<http://a> <http://b> <http://c> .\n")
-	f.Fuzz(func(t *testing.T, doc string) {
-		if len(doc) > 1<<14 {
+// bs writes each '~' of s as a backslash, so escapes read as they are sent.
+func bs(s string) string { return strings.ReplaceAll(s, "~", `\`) }
+
+// poisonLine is a statement whose IRI escape decodes to '>': written back
+// raw, that IRI would end early and leave the line unreadable.
+var poisonLine = bs(`<http://grdf.org/app#chem_site003> <http://grdf.org/app#hasNote> <http://e/a~u003Eb> .`)
+
+// FuzzStatementRoundTrip holds the write-ahead log's contract: every
+// statement ParseTriple accepts, written back by rdf.AppendTriple, parses to
+// an equal triple.
+func FuzzStatementRoundTrip(f *testing.F) {
+	for _, seed := range []string{
+		poisonLine,
+		"<http://a> <http://b> <http://c> .",
+		bs(`_:x <http://p> "v~u00E9~t~"q~""@EN .`),
+		bs(`<http://a~u0041> <http://b> "x~U0001F30A` + "\xff" + `" .`),
+		bs(`<http://a~~u005Cx> <http://b> "1"^^<http://t~u0041> . # c`),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		want, err := ParseTriple(line)
+		if err != nil {
 			return
 		}
-		r := NewReader(strings.NewReader(doc))
-		for i := 0; i < 1<<12; i++ {
-			if _, err := r.Read(); err != nil {
-				return
-			}
+		written := string(rdf.AppendTriple(nil, want))
+		got, err := ParseTriple(written)
+		if err != nil {
+			t.Fatalf("%q parsed, but its written form %q did not: %v", line, written, err)
+		}
+		if got != want {
+			t.Fatalf("%q parsed to %v, its written form %q to %v", line, want, written, got)
 		}
 	})
 }

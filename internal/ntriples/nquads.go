@@ -2,9 +2,7 @@ package ntriples
 
 import (
 	"bufio"
-	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/rdf"
@@ -16,109 +14,33 @@ import (
 // is how multi-source GRDF deployments (the paper's clearinghouses) exchange
 // datasets with provenance intact.
 
-// ReadQuads parses an N-Quads document into a dataset.
-func ReadQuads(r io.Reader) (*store.Dataset, error) {
+// ParseQuadsString parses an N-Quads document into a dataset.
+func ParseQuadsString(doc string) (*store.Dataset, error) {
 	ds := store.NewDataset()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		q, err := parseQuadLine(text, line)
-		if err != nil {
-			return nil, err
-		}
+	err := parseLines(doc, true, func(q rdf.Quad) {
 		if q.Graph == nil {
 			ds.Default().Add(q.Triple)
-			continue
+			return
 		}
-		g, ok := q.Graph.(rdf.IRI)
-		if !ok {
-			return nil, &ParseError{Line: line, Msg: "graph label must be an IRI"}
-		}
-		st, _ := ds.Graph(g, true)
+		st, _ := ds.Graph(q.Graph.(rdf.IRI), true)
 		st.Add(q.Triple)
-	}
-	if err := sc.Err(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return ds, nil
-}
-
-// ParseQuadsString parses an N-Quads document from a string.
-func ParseQuadsString(doc string) (*store.Dataset, error) {
-	return ReadQuads(strings.NewReader(doc))
-}
-
-// parseQuadLine reuses the N-Triples term parser and accepts an optional
-// fourth term before the dot.
-func parseQuadLine(line string, lineNo int) (rdf.Quad, error) {
-	r := &Reader{line: lineNo}
-	pos := 0
-	subj, pos, err := r.parseTerm(line, pos)
-	if err != nil {
-		return rdf.Quad{}, err
-	}
-	pos = skipWS(line, pos)
-	pred, pos, err := r.parseTerm(line, pos)
-	if err != nil {
-		return rdf.Quad{}, err
-	}
-	pos = skipWS(line, pos)
-	obj, pos, err := r.parseTerm(line, pos)
-	if err != nil {
-		return rdf.Quad{}, err
-	}
-	pos = skipWS(line, pos)
-	var graph rdf.Term
-	if pos < len(line) && line[pos] != '.' {
-		graph, pos, err = r.parseTerm(line, pos)
-		if err != nil {
-			return rdf.Quad{}, err
-		}
-		pos = skipWS(line, pos)
-	}
-	if pos >= len(line) || line[pos] != '.' {
-		return rdf.Quad{}, &ParseError{Line: lineNo, Msg: fmt.Sprintf("expected '.' terminator, got %q", rest(line, pos))}
-	}
-	if tail := strings.TrimSpace(line[pos+1:]); tail != "" && !strings.HasPrefix(tail, "#") {
-		return rdf.Quad{}, &ParseError{Line: lineNo, Msg: fmt.Sprintf("trailing content %q", tail)}
-	}
-	t, err := rdf.NewTriple(subj, pred, obj)
-	if err != nil {
-		return rdf.Quad{}, &ParseError{Line: lineNo, Msg: err.Error()}
-	}
-	return rdf.Quad{Triple: t, Graph: graph}, nil
 }
 
 // WriteQuads serializes a dataset as N-Quads in deterministic order: default
 // graph first, then named graphs sorted by name.
 func WriteQuads(w io.Writer, ds *store.Dataset) error {
 	bw := bufio.NewWriter(w)
-	emit := func(ts []rdf.Triple, graph rdf.Term) error {
-		lines := make([]string, 0, len(ts))
-		for _, t := range ts {
-			q := rdf.Quad{Triple: t, Graph: graph}
-			lines = append(lines, q.String())
-		}
-		sort.Strings(lines)
-		for _, l := range lines {
-			if _, err := bw.WriteString(l + "\n"); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := emit(ds.Default().Triples(), nil); err != nil {
+	if err := writeSorted(bw, ds.Default().Triples(), nil); err != nil {
 		return err
 	}
 	for _, name := range ds.GraphNames() {
 		st, _ := ds.Graph(name, false)
-		if err := emit(st.Triples(), name); err != nil {
+		if err := writeSorted(bw, st.Triples(), name); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,8 @@
 // Package ntriples implements the N-Triples line-oriented RDF interchange
-// format (reader and writer). It is the lowest common denominator codec used
-// by the test suite to round-trip graphs and by the benchmark harness to load
-// bulk data.
+// format and its N-Quads extension, parser and writer. One function parses a
+// statement — ParseTriple, on the text of one line — and one loop splits a
+// document into its lines; the write-ahead log, snapshots, /v1/mutate and
+// every document parse go through them.
 package ntriples
 
 import (
@@ -26,233 +27,240 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("ntriples: line %d: %s", e.Line, e.Msg)
 }
 
-// Reader parses N-Triples documents.
-type Reader struct {
-	sc   *bufio.Scanner
-	line int
+// ParseTriple parses one N-Triples statement: the text of one line, without
+// its line break. Its errors report line 1.
+func ParseTriple(line string) (rdf.Triple, error) {
+	if strings.IndexByte(line, '\n') >= 0 {
+		return rdf.Triple{}, &ParseError{Line: 1, Msg: "line break inside a statement"}
+	}
+	q, err := parseStatement(line, 1, false)
+	return q.Triple, err
 }
 
-// NewReader returns a reader over r.
-func NewReader(r io.Reader) *Reader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &Reader{sc: sc}
-}
-
-// Read returns the next triple, or io.EOF at end of input.
-func (r *Reader) Read() (rdf.Triple, error) {
-	for r.sc.Scan() {
-		r.line++
-		line := strings.TrimSpace(r.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		t, err := r.parseLine(line)
-		if err != nil {
-			return rdf.Triple{}, err
-		}
-		return t, nil
-	}
-	if err := r.sc.Err(); err != nil {
-		return rdf.Triple{}, err
-	}
-	return rdf.Triple{}, io.EOF
-}
-
-// ReadAll reads every triple into a graph.
-func (r *Reader) ReadAll() (*rdf.Graph, error) {
-	g := rdf.NewGraph()
-	for {
-		t, err := r.Read()
-		if err == io.EOF {
-			return g, nil
-		}
-		if err != nil {
-			return g, err
-		}
-		g.Add(t)
-	}
+// ParseTriples parses an N-Triples document into its statements in document
+// order; a statement written twice is returned twice.
+func ParseTriples(doc string) ([]rdf.Triple, error) {
+	var ts []rdf.Triple
+	err := parseLines(doc, false, func(q rdf.Quad) { ts = append(ts, q.Triple) })
+	return ts, err
 }
 
 // ParseString parses a complete N-Triples document from a string.
 func ParseString(doc string) (*rdf.Graph, error) {
-	return NewReader(strings.NewReader(doc)).ReadAll()
+	g := rdf.NewGraph()
+	err := parseLines(doc, false, func(q rdf.Quad) { g.Add(q.Triple) })
+	return g, err
 }
 
-func (r *Reader) errf(format string, args ...any) error {
-	return &ParseError{Line: r.line, Msg: fmt.Sprintf(format, args...)}
+// parseLines hands emit the statement of every line of doc that is neither
+// blank nor a comment, in order, with its graph label when quads is set.
+func parseLines(doc string, quads bool, emit func(rdf.Quad)) error {
+	for n := 1; doc != ""; n++ {
+		var line string
+		line, doc, _ = strings.Cut(doc, "\n")
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		q, err := parseStatement(line, n, quads)
+		if err != nil {
+			return err
+		}
+		emit(q)
+	}
+	return nil
 }
 
-func (r *Reader) parseLine(line string) (rdf.Triple, error) {
-	pos := 0
-	subj, pos, err := r.parseTerm(line, pos)
+// parseStatement parses the statement on line n: subject, predicate and
+// object, then — when quads is set and something other than the dot
+// follows — a graph label, then the dot and at most a comment.
+func parseStatement(line string, n int, quads bool) (rdf.Quad, error) {
+	s := statement{line: line, n: n}
+	subj, err := s.term()
 	if err != nil {
-		return rdf.Triple{}, err
+		return rdf.Quad{}, err
 	}
-	pos = skipWS(line, pos)
-	pred, pos, err := r.parseTerm(line, pos)
+	pred, err := s.term()
 	if err != nil {
-		return rdf.Triple{}, err
+		return rdf.Quad{}, err
 	}
-	pos = skipWS(line, pos)
-	obj, pos, err := r.parseTerm(line, pos)
+	obj, err := s.term()
 	if err != nil {
-		return rdf.Triple{}, err
+		return rdf.Quad{}, err
 	}
-	pos = skipWS(line, pos)
-	if pos >= len(line) || line[pos] != '.' {
-		return rdf.Triple{}, r.errf("expected '.' terminator, got %q", rest(line, pos))
+	s.skipWS()
+	var graph rdf.Term
+	if quads && s.pos < len(line) && line[s.pos] != '.' {
+		if graph, err = s.term(); err != nil {
+			return rdf.Quad{}, err
+		}
+		if _, ok := graph.(rdf.IRI); !ok {
+			return rdf.Quad{}, s.errf("graph label must be an IRI")
+		}
+		s.skipWS()
 	}
-	if tail := strings.TrimSpace(line[pos+1:]); tail != "" && !strings.HasPrefix(tail, "#") {
-		return rdf.Triple{}, r.errf("trailing content %q", tail)
+	if s.pos >= len(line) || line[s.pos] != '.' {
+		return rdf.Quad{}, s.errf("expected '.' terminator, got %q", rest(line, s.pos))
+	}
+	if tail := strings.TrimSpace(line[s.pos+1:]); tail != "" && tail[0] != '#' {
+		return rdf.Quad{}, s.errf("trailing content %q", tail)
 	}
 	t, err := rdf.NewTriple(subj, pred, obj)
 	if err != nil {
-		return rdf.Triple{}, r.errf("%v", err)
+		return rdf.Quad{}, s.errf("%v", err)
 	}
-	return t, nil
+	return rdf.Quad{Triple: t, Graph: graph}, nil
 }
 
-func (r *Reader) parseTerm(line string, pos int) (rdf.Term, int, error) {
+// statement is a cursor over the text of one statement on line n.
+type statement struct {
+	line string
+	pos  int
+	n    int
+}
+
+func (s *statement) errf(format string, args ...any) error {
+	return &ParseError{Line: s.n, Msg: fmt.Sprintf(format, args...)}
+}
+
+func (s *statement) skipWS() {
+	for s.pos < len(s.line) && isWS(s.line[s.pos]) {
+		s.pos++
+	}
+}
+
+// term reads the term after the cursor's blanks.
+func (s *statement) term() (rdf.Term, error) {
+	s.skipWS()
+	line, pos := s.line, s.pos
 	if pos >= len(line) {
-		return nil, pos, r.errf("unexpected end of line")
+		return nil, s.errf("unexpected end of line")
 	}
 	switch line[pos] {
 	case '<':
-		end := strings.IndexByte(line[pos:], '>')
-		if end < 0 {
-			return nil, pos, r.errf("unterminated IRI")
-		}
-		iri := line[pos+1 : pos+end]
-		return rdf.IRI(unescape(iri)), pos + end + 1, nil
+		return s.iri("unterminated IRI")
 	case '_':
 		if pos+1 >= len(line) || line[pos+1] != ':' {
-			return nil, pos, r.errf("malformed blank node at %q", rest(line, pos))
+			return nil, s.errf("malformed blank node at %q", rest(line, pos))
 		}
 		end := pos + 2
 		for end < len(line) && !isWS(line[end]) {
 			end++
 		}
-		label := line[pos+2 : end]
-		if label == "" {
-			return nil, pos, r.errf("empty blank node label")
+		if end == pos+2 {
+			return nil, s.errf("empty blank node label")
 		}
-		return rdf.BlankNode(label), end, nil
+		s.pos = end
+		return rdf.BlankNode(line[pos+2 : end]), nil
 	case '"':
-		val, next, err := r.parseQuoted(line, pos)
-		if err != nil {
-			return nil, pos, err
-		}
-		lit := rdf.Literal{Value: val, Datatype: rdf.XSDString}
-		if next < len(line) && line[next] == '@' {
-			end := next + 1
-			for end < len(line) && !isWS(line[end]) && line[end] != '.' {
-				end++
-			}
-			lit = rdf.NewLangString(val, line[next+1:end])
-			return lit, end, nil
-		}
-		if next+1 < len(line) && line[next] == '^' && line[next+1] == '^' {
-			if next+2 >= len(line) || line[next+2] != '<' {
-				return nil, pos, r.errf("malformed datatype IRI")
-			}
-			end := strings.IndexByte(line[next+2:], '>')
-			if end < 0 {
-				return nil, pos, r.errf("unterminated datatype IRI")
-			}
-			lit.Datatype = rdf.IRI(line[next+3 : next+2+end])
-			return lit, next + 2 + end + 1, nil
-		}
-		return lit, next, nil
-	default:
-		return nil, pos, r.errf("unexpected character %q", line[pos])
+		return s.literal()
 	}
+	return nil, s.errf("unexpected character %q", line[pos])
 }
 
-// parseQuoted parses a double-quoted string starting at pos (line[pos]=='"')
-// and returns the unescaped value and the index after the closing quote.
-func (r *Reader) parseQuoted(line string, pos int) (string, int, error) {
-	var sb strings.Builder
-	i := pos + 1
-	for i < len(line) {
+// iri reads the IRI whose '<' is at the cursor.
+func (s *statement) iri(unterminated string) (rdf.IRI, error) {
+	end := strings.IndexByte(s.line[s.pos:], '>')
+	if end < 0 {
+		return "", s.errf("%s", unterminated)
+	}
+	iri, err := rdf.UnescapeIRI(s.line[s.pos+1 : s.pos+end])
+	if err != nil {
+		return "", s.errf("%v", err)
+	}
+	s.pos += end + 1
+	return iri, nil
+}
+
+// literal reads the literal whose opening quote is at the cursor, with its
+// language tag or datatype.
+func (s *statement) literal() (rdf.Term, error) {
+	val, err := s.quoted()
+	if err != nil {
+		return nil, err
+	}
+	line, next := s.line, s.pos
+	if next < len(line) && line[next] == '@' {
+		end := next + 1
+		for end < len(line) && !isWS(line[end]) && line[end] != '.' {
+			end++
+		}
+		s.pos = end
+		return rdf.NewLangString(val, line[next+1:end]), nil
+	}
+	if !strings.HasPrefix(line[next:], "^^") {
+		return rdf.Literal{Value: val, Datatype: rdf.XSDString}, nil
+	}
+	if !strings.HasPrefix(line[next+2:], "<") {
+		return nil, s.errf("malformed datatype IRI")
+	}
+	s.pos = next + 2
+	dt, err := s.iri("unterminated datatype IRI")
+	if err != nil {
+		return nil, err
+	}
+	if dt == "" {
+		return nil, s.errf("empty datatype IRI")
+	}
+	return rdf.Literal{Value: val, Datatype: dt}, nil
+}
+
+// quoted reads the string whose opening quote is at the cursor and returns
+// its value: escapes decoded, and each byte that is not part of a UTF-8
+// sequence read as U+FFFD, which is what the writer writes for it. The value
+// is a copy, so a literal the store's dictionary keeps does not keep the
+// whole line alive.
+func (s *statement) quoted() (string, error) {
+	line := s.line
+	var buf []byte
+	from := s.pos + 1
+	for i := from; i < len(line); {
 		c := line[i]
-		switch c {
-		case '"':
-			return sb.String(), i + 1, nil
-		case '\\':
+		switch {
+		case c == '"':
+			s.pos = i + 1
+			if buf == nil {
+				return strings.Clone(line[from:i]), nil
+			}
+			return string(append(buf, line[from:i]...)), nil
+		case c == '\\':
 			if i+1 >= len(line) {
-				return "", i, r.errf("dangling escape")
+				return "", s.errf("dangling escape")
 			}
-			i++
-			switch line[i] {
+			var r rune
+			n := 2
+			switch e := line[i+1]; e {
 			case 't':
-				sb.WriteByte('\t')
+				r = '\t'
 			case 'n':
-				sb.WriteByte('\n')
+				r = '\n'
 			case 'r':
-				sb.WriteByte('\r')
-			case '"':
-				sb.WriteByte('"')
-			case '\\':
-				sb.WriteByte('\\')
+				r = '\r'
+			case '"', '\\':
+				r = rune(e)
 			case 'u', 'U':
-				width := 4
-				if line[i] == 'U' {
-					width = 8
+				var err error
+				if r, n, err = rdf.DecodeUCHAR(line[i:]); err != nil {
+					return "", s.errf("%v", err)
 				}
-				if i+width >= len(line) {
-					return "", i, r.errf("truncated \\%c escape", line[i])
-				}
-				var cp rune
-				if _, err := fmt.Sscanf(line[i+1:i+1+width], "%x", &cp); err != nil {
-					return "", i, r.errf("bad unicode escape: %v", err)
-				}
-				sb.WriteRune(cp)
-				i += width
 			default:
-				return "", i, r.errf("unknown escape \\%c", line[i])
+				return "", s.errf("unknown escape \\%c", e)
 			}
+			buf = utf8.AppendRune(append(buf, line[from:i]...), r)
+			i += n
+			from = i
+		case c < utf8.RuneSelf:
 			i++
 		default:
-			_, size := utf8.DecodeRuneInString(line[i:])
-			sb.WriteString(line[i : i+size])
+			r, size := utf8.DecodeRuneInString(line[i:])
+			if r == utf8.RuneError && size == 1 {
+				buf = utf8.AppendRune(append(buf, line[from:i]...), r)
+				from = i + 1
+			}
 			i += size
 		}
 	}
-	return "", i, r.errf("unterminated string literal")
-}
-
-func unescape(s string) string {
-	if !strings.Contains(s, "\\") {
-		return s
-	}
-	var sb strings.Builder
-	for i := 0; i < len(s); {
-		if s[i] == '\\' && i+1 < len(s) && (s[i+1] == 'u' || s[i+1] == 'U') {
-			width := 4
-			if s[i+1] == 'U' {
-				width = 8
-			}
-			if i+2+width <= len(s) {
-				var cp rune
-				if _, err := fmt.Sscanf(s[i+2:i+2+width], "%x", &cp); err == nil {
-					sb.WriteRune(cp)
-					i += 2 + width
-					continue
-				}
-			}
-		}
-		sb.WriteByte(s[i])
-		i++
-	}
-	return sb.String()
-}
-
-func skipWS(line string, pos int) int {
-	for pos < len(line) && isWS(line[pos]) {
-		pos++
-	}
-	return pos
+	return "", s.errf("unterminated string literal")
 }
 
 func isWS(c byte) bool { return c == ' ' || c == '\t' }
@@ -271,14 +279,28 @@ func rest(line string, pos int) string {
 // order so that output is deterministic.
 func Write(w io.Writer, g *rdf.Graph) error { return WriteTriples(w, g.Triples()) }
 
-// WriteTriples serializes ts as Write serializes a graph holding them. Every
-// statement is formatted once, into one buffer, and the lines are sorted as
-// slices of it.
+// WriteTriples serializes ts as Write serializes a graph holding them.
 func WriteTriples(w io.Writer, ts []rdf.Triple) error {
+	bw := bufio.NewWriter(w)
+	if err := writeSorted(bw, ts, nil); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// writeSorted writes ts one statement per line, in sorted order, each with
+// the graph label graph unless it is nil. Every statement is formatted once,
+// into one buffer, and the lines are sorted as slices of it.
+func writeSorted(bw *bufio.Writer, ts []rdf.Triple, graph rdf.Term) error {
 	buf := make([]byte, 0, 128*len(ts))
 	ends := make([]int, len(ts))
 	for i, t := range ts {
-		buf = append(rdf.AppendTriple(buf, t), '\n')
+		buf = rdf.AppendTriple(buf, t)
+		if graph != nil {
+			// Put the label between the object and the dot.
+			buf = append(rdf.AppendTerm(buf[:len(buf)-1], graph), " ."...)
+		}
+		buf = append(buf, '\n')
 		ends[i] = len(buf)
 	}
 	lines := make([][]byte, len(ts))
@@ -292,13 +314,12 @@ func WriteTriples(w io.Writer, ts []rdf.Triple) error {
 	sort.Slice(lines, func(i, j int) bool {
 		return bytes.Compare(lines[i][:len(lines[i])-1], lines[j][:len(lines[j])-1]) < 0
 	})
-	bw := bufio.NewWriter(w)
 	for _, l := range lines {
 		if _, err := bw.Write(l); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // Format renders the graph as an N-Triples string.

@@ -1,7 +1,6 @@
 package ntriples
 
 import (
-	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -88,10 +87,70 @@ func TestParseErrorLineNumber(t *testing.T) {
 	}
 }
 
-func TestReaderEOF(t *testing.T) {
-	r := NewReader(strings.NewReader("# only comments\n\n"))
-	if _, err := r.Read(); err != io.EOF {
-		t.Errorf("err = %v, want io.EOF", err)
+func TestCommentsOnlyDocumentIsEmpty(t *testing.T) {
+	ts, err := ParseTriples("# only comments\n\n  \r\n")
+	if err != nil || len(ts) != 0 {
+		t.Errorf("ParseTriples = %v, %v; want no statements", ts, err)
+	}
+}
+
+// TestStrictEscapes: a \u or \U escape is exactly 4 or 8 hex digits naming
+// a Unicode scalar value, and an IRI may not decode to what its written form
+// cannot hold.
+func TestStrictEscapes(t *testing.T) {
+	for _, stmt := range []string{
+		`<http://e/s> <http://e/p> "a~u12G4b" .`,
+		`<http://e/s> <http://e/p> "a~U0011FFFF" .`,
+		`<http://e/s> <http://e/p> "a~uD800" .`,
+		`<http://e/s> <http://e/p> <http://e/a~u003Eb> .`,
+		`<http://e/s> <http://e/p> <http://e/a~u000Ab> .`,
+		`<http://e/s> <http://e/p> <http://e/a~u005Cu0041> .`,
+		`<http://e/s~u12> <http://e/p> "x" .`,
+		`<http://e/s> <http://e/p> "x"^^<> .`,
+	} {
+		if _, err := ParseString(bs(stmt)); err == nil {
+			t.Errorf("ParseString accepted %s", bs(stmt))
+		}
+	}
+	g, err := ParseString(bs(`<http://e/~u0073> <http://e/p> "~u00E9~U0001F600" .`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := rdf.T(rdf.IRI("http://e/s"), rdf.IRI("http://e/p"), rdf.NewString("é😀")); !g.Has(want) {
+		t.Errorf("escapes decoded to %s, want %s", g, want)
+	}
+}
+
+// TestParseTripleIsOneLine: a record item is one statement, whatever
+// follows a comment.
+func TestParseTripleIsOneLine(t *testing.T) {
+	if _, err := ParseTriple("<http://e/s> <http://e/p> <http://e/o> . # note"); err != nil {
+		t.Errorf("comment after the dot: %v", err)
+	}
+	if _, err := ParseTriple("<http://e/s> <http://e/p> <http://e/o> . # note\n<http://e/s> <http://e/p> <http://e/o2> ."); err == nil {
+		t.Error("a second statement after a comment was accepted")
+	}
+}
+
+// TestWriteQuadsBytes pins the N-Quads writer's output.
+func TestWriteQuadsBytes(t *testing.T) {
+	ds, err := ParseQuadsString(`<http://e/b> <http://e/p> "2" .
+<http://e/a> <http://e/p> "1"@en .
+<http://e/s> <http://e/p> _:x <http://g/z> .
+<http://e/s> <http://e/p> "t\tab" <http://g/a> .
+<http://e/r> <http://e/p> <http://e/o> <http://g/a> .
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `<http://e/a> <http://e/p> "1"@en .
+<http://e/b> <http://e/p> "2" .
+<http://e/r> <http://e/p> <http://e/o> <http://g/a> .
+<http://e/s> <http://e/p> "t\tab" <http://g/a> .
+<http://e/s> <http://e/p> _:x <http://g/z> .
+`
+	if got := FormatQuads(ds); got != want {
+		t.Errorf("FormatQuads =\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -11,6 +11,7 @@ package rdf
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 )
@@ -247,6 +248,55 @@ func EscapeLiteral(s string) string {
 		}
 	}
 	return s
+}
+
+// DecodeUCHAR decodes the \u or \U escape at the start of s: `\u` and
+// exactly four hex digits, or `\U` and exactly eight, naming a Unicode scalar
+// value. It returns the rune and the escape's length. The N-Triples and
+// Turtle parsers decode every such escape, in literals and IRIs, with it.
+func DecodeUCHAR(s string) (rune, int, error) {
+	width := 4
+	if s[1] == 'U' {
+		width = 8
+	}
+	if len(s) < 2+width {
+		return 0, 0, fmt.Errorf(`truncated \%c escape`, s[1])
+	}
+	n, err := strconv.ParseUint(s[2:2+width], 16, 32)
+	if err != nil || !utf8.ValidRune(rune(n)) {
+		return 0, 0, fmt.Errorf("bad unicode escape %q", s[:2+width])
+	}
+	return rune(n), 2 + width, nil
+}
+
+// UnescapeIRI reads an IRI from its raw form, the text between '<' and '>',
+// decoding its \u and \U escapes; any other backslash stands for itself. An
+// IRI whose escapes decode to '>', a line break or an escape of its own is
+// refused: AppendTerm writes an IRI back raw, and that IRI would not read
+// back as itself.
+func UnescapeIRI(raw string) (IRI, error) {
+	var buf []byte
+	from := 0
+	for i := 0; i+1 < len(raw); i++ {
+		if raw[i] != '\\' || (raw[i+1] != 'u' && raw[i+1] != 'U') {
+			continue
+		}
+		r, n, err := DecodeUCHAR(raw[i:])
+		if err != nil {
+			return "", err
+		}
+		buf = utf8.AppendRune(append(buf, raw[from:i]...), r)
+		i += n - 1
+		from = i + 1
+	}
+	if buf == nil {
+		return IRI(raw), nil
+	}
+	s := string(append(buf, raw[from:]...))
+	if strings.ContainsAny(s, ">\r\n") || strings.Contains(s, `\u`) || strings.Contains(s, `\U`) {
+		return "", fmt.Errorf("IRI <%s> decodes to %q, which cannot be written back between '<' and '>'", raw, s)
+	}
+	return IRI(s), nil
 }
 
 // AppendTriple appends t as an N-Triples statement (no trailing newline).

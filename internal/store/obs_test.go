@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -27,6 +28,9 @@ func TestStoreInstrumentation(t *testing.T) {
 	}
 	if !strings.Contains(out, "grdf_store_generation 26") {
 		t.Errorf("generation gauge wrong:\n%s", out)
+	}
+	if want := fmt.Sprintf("grdf_store_dict_terms %d", s.DictLen()); !strings.Contains(out, want) {
+		t.Errorf("dictionary gauge wrong, want %q:\n%s", want, out)
 	}
 	// 40 mutations at a 1-in-16 sampling rate: at least two holds observed.
 	h := reg.Histogram("grdf_store_write_lock_hold_seconds", "", nil)

@@ -236,15 +236,14 @@ type Store struct {
 	// mLockHold, when set by Instrument, samples commit-leader hold times.
 	// holdTick picks every lockSampleEvery-th group so the hot path pays one
 	// atomic increment, not a clock read, per commit.
-	mLockHold  *obs.Histogram
-	mBatchSize *obs.Histogram
-	holdTick   atomic.Uint64
+	mLockHold *obs.Histogram
+	holdTick  atomic.Uint64
 }
 
 // Instrument exports the store's vitals into reg: triple count, generation
-// and dictionary size as callback gauges (zero hot-path cost), a sampled
-// commit hold-time histogram, and the group-commit batch-size distribution.
-// Call before concurrent use.
+// and dictionary size as callback gauges (zero hot-path cost) and a sampled
+// commit hold-time histogram. Group-commit sizes have one book, the
+// batchStats behind GroupCommitStats. Call before concurrent use.
 func (s *Store) Instrument(reg *obs.Registry) *Store {
 	if reg == nil {
 		return s
@@ -259,8 +258,6 @@ func (s *Store) Instrument(reg *obs.Registry) *Store {
 		func() float64 { return float64(s.DictLen()) })
 	s.mLockHold = reg.Histogram("grdf_store_write_lock_hold_seconds",
 		"Commit-leader hold time, sampled every 16th commit group.", nil)
-	s.mBatchSize = reg.Histogram("grdf_store_commit_batch_size",
-		"Effective ops per group commit.", []float64{1, 2, 4, 8, 16, 32, 64, 128})
 	return s
 }
 
@@ -575,9 +572,6 @@ func (s *Store) commitGroup(batch []*commitWaiter) {
 	if len(groups) > 0 {
 		s.cur.Store(b.seal())
 		s.batches.record(nOps)
-		if s.mBatchSize != nil {
-			s.mBatchSize.Observe(float64(nOps))
-		}
 	}
 }
 

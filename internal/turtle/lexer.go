@@ -14,6 +14,8 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"repro/internal/rdf"
 )
 
 type tokenKind uint8
@@ -136,9 +138,12 @@ func (l *lexer) next() (token, error) {
 		if end < 0 {
 			return token{}, l.errf("unterminated IRI reference")
 		}
-		text := l.src[l.pos+1 : l.pos+end]
+		iri, err := rdf.UnescapeIRI(l.src[l.pos+1 : l.pos+end])
+		if err != nil {
+			return token{}, l.errf("%v", err)
+		}
 		l.advance(end + 1)
-		return mk(tokIRIRef, unescapeUnicode(text)), nil
+		return mk(tokIRIRef, string(iri)), nil
 	case '.':
 		// Distinguish statement-terminating dot from a leading decimal like .5
 		if isDigit(l.peekAt(1)) {
@@ -367,19 +372,12 @@ func (l *lexer) lexString(mk func(tokenKind, string) token) (token, error) {
 				sb.WriteByte(esc)
 				l.advance(2)
 			case 'u', 'U':
-				width := 4
-				if esc == 'U' {
-					width = 8
+				r, n, err := rdf.DecodeUCHAR(l.src[l.pos:])
+				if err != nil {
+					return token{}, l.errf("%v", err)
 				}
-				if l.pos+2+width > len(l.src) {
-					return token{}, l.errf("truncated unicode escape")
-				}
-				var cp rune
-				if _, err := fmt.Sscanf(l.src[l.pos+2:l.pos+2+width], "%x", &cp); err != nil {
-					return token{}, l.errf("bad unicode escape")
-				}
-				sb.WriteRune(cp)
-				l.advance(2 + width)
+				sb.WriteRune(r)
+				l.advance(n)
 			default:
 				return token{}, l.errf("unknown escape \\%c", esc)
 			}
@@ -392,32 +390,6 @@ func (l *lexer) lexString(mk func(tokenKind, string) token) (token, error) {
 		l.advance(1)
 	}
 	return token{}, l.errf("unterminated string literal")
-}
-
-func unescapeUnicode(s string) string {
-	if !strings.Contains(s, "\\") {
-		return s
-	}
-	var sb strings.Builder
-	for i := 0; i < len(s); {
-		if s[i] == '\\' && i+1 < len(s) && (s[i+1] == 'u' || s[i+1] == 'U') {
-			width := 4
-			if s[i+1] == 'U' {
-				width = 8
-			}
-			if i+2+width <= len(s) {
-				var cp rune
-				if _, err := fmt.Sscanf(s[i+2:i+2+width], "%x", &cp); err == nil {
-					sb.WriteRune(cp)
-					i += 2 + width
-					continue
-				}
-			}
-		}
-		sb.WriteByte(s[i])
-		i++
-	}
-	return sb.String()
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }

@@ -331,6 +331,23 @@ func TestLexErrorCases(t *testing.T) {
 	}
 }
 
+// TestStrictEscapes: Turtle decodes \u and \U with the N-Triples decoder —
+// exactly 4 or 8 hex digits naming a Unicode scalar value — and refuses an
+// IRI that decodes to '>'.
+func TestStrictEscapes(t *testing.T) {
+	for _, doc := range []string{
+		`<http://e/s> <http://e/p> "a~u12G4b" .`,
+		`<http://e/s> <http://e/p> "a~U0011FFFF" .`,
+		`<http://e/s> <http://e/p> "a~uD800" .`,
+		`<http://e/s> <http://e/p> <http://e/a~u003Eb> .`,
+	} {
+		doc = strings.ReplaceAll(doc, "~", `\`)
+		if _, err := ParseString(doc); err == nil {
+			t.Errorf("ParseString accepted %s", doc)
+		}
+	}
+}
+
 func TestWriteInlineBlankNodes(t *testing.T) {
 	g := rdf.GraphOf(
 		rdf.T(rdf.IRI("http://e/site"), rdf.IRI(rdf.GRDFNS+"boundedBy"), rdf.BlankNode("env")),

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"strings"
 
 	"repro/internal/ntriples"
 	"repro/internal/rdf"
@@ -102,7 +101,6 @@ func encodeRecord(r Record) ([]byte, error) {
 			return nil, fmt.Errorf("wal: commit record needs at least one op")
 		}
 		frame = binary.AppendUvarint(frame, uint64(len(r.Ops)))
-		var line []byte
 		for i, op := range r.Ops {
 			code, ok := opCodes[op.Kind]
 			if !ok {
@@ -111,13 +109,7 @@ func encodeRecord(r Record) ([]byte, error) {
 			if op.Kind == store.OpReplace && len(op.Triples) != 2 {
 				return nil, fmt.Errorf("wal: op %d: replace needs [old, new], got %d triples", i, len(op.Triples))
 			}
-			frame = append(frame, code)
-			frame = binary.AppendUvarint(frame, uint64(len(op.Triples)))
-			for _, t := range op.Triples {
-				line = rdf.AppendTriple(line[:0], t)
-				frame = binary.AppendUvarint(frame, uint64(len(line)))
-				frame = append(frame, line...)
-			}
+			frame = appendTriples(append(frame, code), op.Triples)
 		}
 	case KindAudit:
 		frame = binary.AppendUvarint(frame, uint64(len(r.Data)))
@@ -132,6 +124,20 @@ func encodeRecord(r Record) ([]byte, error) {
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
 	return frame, nil
+}
+
+// appendTriples appends ts as a statement list, the layout an op's triples
+// and a snapshot's share: uvarint count, then each N-Triples statement
+// behind its uvarint length. payloadReader.triples reads it back.
+func appendTriples(buf []byte, ts []rdf.Triple) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(ts)))
+	var line []byte
+	for _, t := range ts {
+		line = rdf.AppendTriple(line[:0], t)
+		buf = binary.AppendUvarint(buf, uint64(len(line)))
+		buf = append(buf, line...)
+	}
+	return buf
 }
 
 // frameAt verifies the length header and CRC32C of the frame starting at
@@ -301,31 +307,25 @@ func (d *payloadReader) op(i int) store.Op {
 	case kind == store.OpClear && n != 0:
 		d.fail("op %d: clear has %d triples, want none", i, n)
 	}
-	op := store.Op{Kind: kind, Triples: make([]rdf.Triple, 0, n)}
+	return store.Op{Kind: kind, Triples: d.triples(n, "op", uint64(i))}
+}
+
+// triples reads n length-prefixed N-Triples statements, one statement per
+// item: the layout of an op's triples and of a snapshot's. An error names
+// the list as what and i.
+func (d *payloadReader) triples(n int, what string, i uint64) []rdf.Triple {
+	ts := make([]rdf.Triple, 0, n)
 	for j := 0; j < n && d.err == nil; j++ {
 		line := d.blob("triple")
 		if d.err != nil {
 			break
 		}
-		t, err := parseTripleLine(string(line))
+		t, err := ntriples.ParseTriple(string(line))
 		if err != nil {
-			d.fail("op %d, triple %d: %v", i, j, err)
+			d.fail("%s %d, triple %d: %v", what, i, j, err)
 			break
 		}
-		op.Triples = append(op.Triples, t)
+		ts = append(ts, t)
 	}
-	return op
-}
-
-// parseTripleLine parses exactly one N-Triples statement.
-func parseTripleLine(line string) (rdf.Triple, error) {
-	r := ntriples.NewReader(strings.NewReader(line))
-	t, err := r.Read()
-	if err != nil {
-		return rdf.Triple{}, err
-	}
-	if _, err := r.Read(); err != io.EOF {
-		return rdf.Triple{}, fmt.Errorf("more than one statement in record item")
-	}
-	return t, nil
+	return ts
 }

@@ -84,29 +84,16 @@ func listDir(fsys FS, dir string) (dirState, error) {
 }
 
 // EncodeSnapshotBytes renders the self-verifying snapshot representation:
-// magic, uvarint generation, uvarint triple count, length-prefixed
-// N-Triples lines, CRC32C footer. The same bytes serve as the on-disk
-// snapshot file and the /v1/wal/snapshot transfer body, so a bootstrap
-// transfer corrupted in transit fails the identical integrity checks a
-// damaged file would at recovery.
+// magic, uvarint generation, then the triples as a commit lays out an op's —
+// uvarint count and length-prefixed N-Triples statements — and a CRC32C
+// footer. The same bytes serve as the on-disk snapshot file and the
+// /v1/wal/snapshot transfer body, so a bootstrap transfer corrupted in
+// transit fails the identical integrity checks a damaged file would at
+// recovery.
 func EncodeSnapshotBytes(gen uint64, triples []rdf.Triple) []byte {
-	var body bytes.Buffer
-	body.Write(snapMagic)
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		body.Write(scratch[:binary.PutUvarint(scratch[:], v)])
-	}
-	putUvarint(gen)
-	putUvarint(uint64(len(triples)))
-	for _, t := range triples {
-		line := t.String()
-		putUvarint(uint64(len(line)))
-		body.WriteString(line)
-	}
-	var footer [4]byte
-	binary.LittleEndian.PutUint32(footer[:], crc32.Checksum(body.Bytes(), castagnoli))
-	body.Write(footer[:])
-	return body.Bytes()
+	body := append(make([]byte, 0, 128*len(triples)+64), snapMagic...)
+	body = appendTriples(binary.AppendUvarint(body, gen), triples)
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
 }
 
 // DecodeSnapshotBytes verifies and parses an EncodeSnapshotBytes blob.
@@ -126,39 +113,14 @@ func DecodeSnapshotBytes(buf []byte) (gen uint64, triples []rdf.Triple, err erro
 		return corrupt("footer checksum mismatch (stored %08x, computed %08x)",
 			binary.LittleEndian.Uint32(footer), got)
 	}
-	p := body[len(snapMagic):]
-	gen, used := binary.Uvarint(p)
-	if used <= 0 {
-		return corrupt("bad generation varint")
+	d := payloadReader{p: body[len(snapMagic):]}
+	gen = d.uvarint("generation")
+	triples = d.triples(d.count("triple count"), "snapshot at generation", gen)
+	if d.err == nil && len(d.p) != 0 {
+		d.fail("%d stray bytes after the last triple", len(d.p))
 	}
-	p = p[used:]
-	count, used := binary.Uvarint(p)
-	if used <= 0 {
-		return corrupt("bad triple count varint")
-	}
-	p = p[used:]
-	if count > uint64(len(p)) {
-		return corrupt("triple count %d exceeds body", count)
-	}
-	triples = make([]rdf.Triple, 0, count)
-	for i := uint64(0); i < count; i++ {
-		n, used := binary.Uvarint(p)
-		if used <= 0 {
-			return corrupt("bad line length varint (triple %d)", i)
-		}
-		p = p[used:]
-		if n > uint64(len(p)) {
-			return corrupt("triple %d claims %d bytes, %d remain", i, n, len(p))
-		}
-		t, err := parseTripleLine(string(p[:n]))
-		if err != nil {
-			return corrupt("triple %d: %v", i, err)
-		}
-		triples = append(triples, t)
-		p = p[n:]
-	}
-	if len(p) != 0 {
-		return corrupt("%d stray bytes after last triple", len(p))
+	if d.err != nil {
+		return 0, nil, fmt.Errorf("snapshot: %w", d.err)
 	}
 	return gen, triples, nil
 }
@@ -168,15 +130,14 @@ func DecodeSnapshotBytes(buf []byte) (gen uint64, triples []rdf.Triple, err erro
 // footer over everything before it, so a half-written or bit-flipped
 // snapshot is detected at load time. Returns the snapshot's byte size.
 func writeSnapshot(fsys FS, dir string, seq, gen uint64, triples []rdf.Triple) (int64, error) {
-	body := bytes.NewBuffer(EncodeSnapshotBytes(gen, triples))
-
+	body := EncodeSnapshotBytes(gen, triples)
 	final := filepath.Join(dir, snapshotName(seq))
 	tmp := final + tmpSuffix
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("wal: snapshot temp: %w", err)
 	}
-	if _, err := f.Write(body.Bytes()); err != nil {
+	if _, err := f.Write(body); err != nil {
 		f.Close()
 		fsys.Remove(tmp)
 		return 0, fmt.Errorf("wal: snapshot write: %w", err)
@@ -197,7 +158,7 @@ func writeSnapshot(fsys FS, dir string, seq, gen uint64, triples []rdf.Triple) (
 	if err := syncDir(fsys, dir); err != nil {
 		return 0, fmt.Errorf("wal: snapshot dir sync: %w", err)
 	}
-	return int64(body.Len()), nil
+	return int64(len(body)), nil
 }
 
 // loadSnapshot reads and verifies snap-<seq>. Any integrity violation

@@ -666,7 +666,7 @@ func TestMetricsRegistered(t *testing.T) {
 	for _, name := range []string{
 		"grdf_wal_appends_total", "grdf_wal_bytes", "grdf_wal_fsync_seconds",
 		"grdf_recovery_seconds", "grdf_snapshots_total", "grdf_snapshot_triples",
-		"grdf_wal_segments",
+		"grdf_wal_segments", "grdf_snapshot_bytes", "grdf_snapshot_duration_seconds",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("metric %s missing from exposition", name)
