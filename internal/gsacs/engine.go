@@ -384,10 +384,13 @@ func (e *Engine) MaterializeReasoner(ontologies ...*rdf.Graph) {
 	e.SetReasoner(materialize(owl.NewReasoner().Instrument(e.metrics), e.data, ontologies))
 }
 
+// materialize feeds the ontologies and the data to r as one batch: one
+// commit, one drain, so an instrumented reasoner books one materialization.
 func materialize(r *owl.Reasoner, data *store.Store, ontologies []*rdf.Graph) *owl.Reasoner {
+	var ts []rdf.Triple
 	for _, g := range ontologies {
-		r.AddGraph(g)
+		ts = append(ts, g.Triples()...)
 	}
-	r.AddAll(data.Triples())
+	r.AddAll(append(ts, data.Triples()...))
 	return r
 }

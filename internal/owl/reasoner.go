@@ -36,11 +36,12 @@ type Stats struct {
 type Reasoner struct {
 	st    *store.Store
 	stats Stats
-	// queue of freshly added triples not yet processed by the rules
+	// queue holds the triples the current round fires the rules for: the
+	// asserted batch, then each round's new derivations.
 	queue []rdf.Triple
-	// pending buffers derivations produced while rules iterate the store;
-	// they are flushed into the store between rule applications (the store's
-	// streaming reads must never be interleaved with writes).
+	// pending collects the current round's distinct new derivations; the
+	// rules read one published version per round, and pending is committed
+	// as one batch when the round ends.
 	pending []rdf.Triple
 	// provenance records, for each inferred triple, the rule that produced
 	// it and the delta triple that triggered the rule (first derivation
@@ -103,8 +104,8 @@ func (r *Reasoner) Store() *store.Store { return r.st }
 // Stats returns counters accumulated so far.
 func (r *Reasoner) Stats() Stats { return r.stats }
 
-// Instrument exports the reasoner's counters into reg: cumulative
-// inferred-triple / iteration gauges, a materialization counter, and a
+// Instrument exports the reasoner's counters into reg: the current
+// reasoner's inferred-triple / iteration gauges, a drain counter, and a
 // drain-duration histogram. Call before feeding data; the reasoner itself
 // is not concurrency-safe, so neither is this.
 func (r *Reasoner) Instrument(reg *obs.Registry) *Reasoner {
@@ -113,47 +114,37 @@ func (r *Reasoner) Instrument(reg *obs.Registry) *Reasoner {
 	}
 	r.instrumented = true
 	r.mMaterializations = reg.Counter("grdf_reasoner_materializations_total",
-		"Delta-queue drains that derived at least one consequence batch.")
+		"Delta-queue drains: one per materialization and one per later assertion batch.")
 	r.mDuration = reg.Histogram("grdf_reasoner_materialize_seconds",
-		"Wall time per materialization drain.", nil)
+		"Wall time per delta-queue drain (a whole materialization is one drain).", nil)
 	r.mInferred = reg.Gauge("grdf_reasoner_inferred_triples",
 		"Triples derived (not asserted) in the current closure.")
 	r.mAsserted = reg.Gauge("grdf_reasoner_asserted_triples",
 		"Triples asserted into the reasoner.")
 	r.mIterations = reg.Gauge("grdf_reasoner_iterations",
-		"Cumulative delta-queue rounds across all materializations.")
+		"Delta-queue rounds the current reasoner has run, over all its drains.")
 	return r
 }
 
 // Add asserts one triple and derives its consequences. It reports whether
 // the triple was new.
-func (r *Reasoner) Add(t rdf.Triple) bool {
-	if !t.Valid() {
-		return false
-	}
-	if !r.st.Add(t) {
-		return false
-	}
-	r.stats.Asserted++
-	r.queue = append(r.queue, t)
-	r.drain()
-	return true
-}
+func (r *Reasoner) Add(t rdf.Triple) bool { return r.AddAll([]rdf.Triple{t}) == 1 }
 
-// AddAll asserts a batch and then derives consequences once, which is faster
-// than calling Add per triple.
+// AddAll asserts a batch in one commit and then derives its consequences,
+// which is faster than calling Add per triple. It returns how many distinct
+// triples were new.
 func (r *Reasoner) AddAll(ts []rdf.Triple) int {
-	n := 0
+	seen := make(map[rdf.Triple]struct{}, len(ts))
 	for _, t := range ts {
-		if !t.Valid() {
+		if _, dup := seen[t]; dup || !t.Valid() || r.st.Has(t) {
 			continue
 		}
-		if r.st.Add(t) {
-			r.stats.Asserted++
-			r.queue = append(r.queue, t)
-			n++
-		}
+		seen[t] = struct{}{}
+		r.queue = append(r.queue, t)
 	}
+	r.st.AddAll(r.queue)
+	r.stats.Asserted += len(r.queue)
+	n := len(r.queue)
 	r.drain()
 	return n
 }
@@ -167,21 +158,25 @@ func (r *Reasoner) Entails(t rdf.Triple) bool { return r.st.Has(t) }
 // InferredCount returns how many triples were derived (not asserted).
 func (r *Reasoner) InferredCount() int { return r.stats.Inferred }
 
-// emit records a derived triple. It must not write to the store directly:
-// rules call emit while streaming matches from the store, and interleaving a
-// write would deadlock the store's RWMutex. Derivations are buffered and
-// flushed by drain.
+// emit records a derived triple for the current round. Rules call it while
+// they read the round's published version, so a derivation that version
+// already holds, or that the round has already produced, is dropped here; the
+// first derivation of a triple is the one its provenance keeps.
 func (r *Reasoner) emit(t rdf.Triple) {
 	if !t.Valid() {
 		return
 	}
-	if _, known := r.provenance[t]; !known && !r.st.Has(t) {
-		r.provenance[t] = Derivation{Rule: r.curRule, Trigger: r.curTrigger}
+	if _, known := r.provenance[t]; known || r.st.Has(t) {
+		return
 	}
+	r.provenance[t] = Derivation{Rule: r.curRule, Trigger: r.curTrigger}
 	r.pending = append(r.pending, t)
 }
 
-// drain processes the delta queue to fixpoint.
+// drain runs semi-naive rounds to fixpoint: the rules fire for every triple
+// of the queue against one published version, and the round's distinct new
+// derivations are committed together — one store version per round — and
+// become the next round's queue.
 func (r *Reasoner) drain() {
 	if len(r.queue) == 0 {
 		return
@@ -192,21 +187,14 @@ func (r *Reasoner) drain() {
 	}
 	for len(r.queue) > 0 {
 		r.stats.Iterations++
-		batch := r.queue
-		r.queue = nil
-		for _, t := range batch {
+		for _, t := range r.queue {
 			r.applyRules(t)
-			// Flush buffered derivations; genuinely new ones re-enter the
-			// queue for the next round.
-			for _, d := range r.pending {
-				if r.st.Add(d) {
-					r.stats.Inferred++
-					r.queue = append(r.queue, d)
-				}
-			}
-			r.pending = r.pending[:0]
 		}
+		r.st.AddAll(r.pending)
+		r.stats.Inferred += len(r.pending)
+		r.queue, r.pending = r.pending, r.queue[:0]
 	}
+	r.queue, r.pending = nil, nil
 	if r.instrumented {
 		r.mMaterializations.Inc()
 		r.mDuration.ObserveSince(start)

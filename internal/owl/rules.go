@@ -200,11 +200,12 @@ func (r *Reasoner) applyTypeRules(ind, class rdf.Term) {
 		}
 	case rdf.OWLTransitiveProperty:
 		if p, ok := ind.(rdf.IRI); ok {
-			// Collect first: applyTransitive streams from the store itself,
-			// and nesting streams risks reader/writer lock interleaving.
-			for _, u := range r.st.Match(nil, p, nil) {
+			// Nesting applyTransitive's own streams inside this one is safe:
+			// nothing is committed until the round ends.
+			r.st.ForEachMatch(nil, p, nil, func(u rdf.Triple) bool {
 				r.applyTransitive(p, u)
-			}
+				return true
+			})
 		}
 	}
 

@@ -46,7 +46,7 @@ func runDiffProgram(s *Store, prog []byte, pin func()) {
 	}
 	for len(prog) > 0 {
 		op := next(1)[0]
-		switch op % 8 {
+		switch op % 9 {
 		case 0, 1, 2: // add (most frequent: the store has to fill up)
 			if a := next(3); a != nil {
 				s.Add(diffTriple(a[0], a[1], a[2]))
@@ -73,6 +73,16 @@ func runDiffProgram(s *Store, prog []byte, pin func()) {
 		case 7: // clear, rarely: it makes every later diff total
 			if a := next(1); a != nil && a[0]%8 == 0 {
 				s.Clear()
+			}
+		case 8: // add 2–16 triples in one commit: one merge per index
+			if a := next(1); a != nil {
+				if b := next(3 * (2 + int(a[0]%15))); b != nil {
+					var batch []rdf.Triple
+					for ; len(b) > 0; b = b[3:] {
+						batch = append(batch, diffTriple(b[0], b[1], b[2]))
+					}
+					s.AddAll(batch)
+				}
 			}
 		}
 		pin()
@@ -193,6 +203,7 @@ func FuzzChangedSubjects(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 0, 1, 2, 1, 3, 1, 1, 1}, byte(1))
 	f.Add([]byte{0, 1, 1, 1, 0, 33, 1, 1, 0, 65, 1, 1, 6, 33, 7, 0, 0, 1, 1, 1}, byte(2))
 	f.Add([]byte{5, 1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 1, 2, 3, 9, 9, 9}, byte(3))
+	f.Add([]byte{8, 1, 0, 0, 0, 32, 0, 0, 1, 1, 1, 3, 32, 0, 0, 8, 0, 32, 1, 1, 0, 1, 1}, byte(1))
 	f.Fuzz(func(t *testing.T, prog []byte, stride byte) {
 		if len(prog) > 2048 {
 			prog = prog[:2048]

@@ -114,8 +114,8 @@ func checkEstimates(t *testing.T, what string, sv StoreView, want model, probes 
 	}
 }
 
-// TestStoreAgainstModel drives a store through random commits — adds,
-// removes, replaces with and without MustExist, clears, single ops and
+// TestStoreAgainstModel drives a store through random commits — adds of
+// one to forty triples, removes, replaces with and without MustExist, clears, single ops and
 // multi-op batches — beside a map of triples, while four readers pin views
 // and re-read them. After every commit: same contents, consistent indexes,
 // exact EstimateIDs for every bound-position shape, earlier pinned views
@@ -152,8 +152,15 @@ func TestStoreAgainstModel(t *testing.T) {
 	randomOp := func() Op {
 		switch r := rng.Intn(100); {
 		case r < 45:
+			// Mostly a few triples; one add in four is a batch of up to 40
+			// (duplicates and present triples included) merged into
+			// whatever the store holds.
 			op := Op{Kind: OpAdd}
-			for n := 1 + rng.Intn(4); n > 0; n-- {
+			n := 1 + rng.Intn(4)
+			if rng.Intn(4) == 0 {
+				n = 5 + rng.Intn(36)
+			}
+			for ; n > 0; n-- {
 				op.Triples = append(op.Triples, random())
 			}
 			if rng.Intn(10) == 0 {

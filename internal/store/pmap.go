@@ -9,11 +9,12 @@ import "math/bits"
 // dictionary hands out spread evenly across the fanout-32 nodes and the trie
 // stays shallow (depth ≤ 7 for the full 32-bit key space).
 //
-// Updates path-copy: With/Without allocate only the nodes along the root →
-// leaf path (≤ 7 nodes) and share everything else with the previous map, so
-// publishing a new store version after a mutation is O(log n) allocation
-// while every previously captured version stays valid and immutable forever.
-// A nil *pmap is the canonical empty map; all methods are nil-safe.
+// Updates path-copy: withAll allocates each node its batch touches exactly
+// once, at its final size, and Without only the nodes along the root → leaf
+// path (≤ 7 nodes); everything else is shared with the previous map, so
+// publishing a new store version is O(touched nodes) allocation while every
+// previously captured version stays valid and immutable forever. A nil *pmap
+// is the canonical empty map; all methods are nil-safe.
 
 const (
 	pmBits   = 5
@@ -79,19 +80,29 @@ func (m *pmap[V]) Get(key ID) (V, bool) {
 	return zero, false
 }
 
-// With returns a map with key bound to val, sharing structure with m.
-// added reports whether key was absent before.
-func (m *pmap[V]) With(key ID, val V) (*pmap[V], bool) {
-	var root *pnode[V]
+// withAll returns a map with every entry of es bound — a key already present
+// takes its new value — sharing every node es does not reach with m, and how
+// many keys of es were absent. es must have distinct keys and is
+// permuted in place; m is unchanged. Into a nil map this builds the whole
+// trie bottom-up, each node once, with the shape inserting the keys one by
+// one would have produced (a key sits as high as it can without sharing a
+// slot).
+func (m *pmap[V]) withAll(es []pentry[V]) (*pmap[V], int) {
+	if len(es) == 0 {
+		return m, 0
+	}
+	var bitmap uint32
+	var old []pentry[V]
 	n := 0
 	if m != nil {
-		root, n = m.root, m.n
+		bitmap, old, n = m.root.bitmap, m.root.entries, m.n
 	}
-	nr, added := pnodeWith(root, key, val, 0)
-	if added {
-		n++
+	var tmp []pentry[V]
+	if len(es) > 1 {
+		tmp = make([]pentry[V], len(es))
 	}
-	return &pmap[V]{root: nr, n: n}, added
+	root, added := pnodeMerge(bitmap, old, es, tmp, 0)
+	return &pmap[V]{root: root, n: n + added}, added
 }
 
 // Without returns a map with key removed, sharing structure with m.
@@ -127,53 +138,72 @@ func cloneEntries[V any](es []pentry[V]) []pentry[V] {
 	return out
 }
 
-func pnodeWith[V any](nd *pnode[V], key ID, val V, shift uint) (*pnode[V], bool) {
-	bit := uint32(1) << ((key >> shift) & pmMask)
-	if nd == nil {
-		return &pnode[V]{bitmap: bit, entries: []pentry[V]{{key: key, val: val}}}, true
+// pnodeMerge returns the node at shift holding old — the entries of an
+// existing node whose bitmap is bitmap, or none — with es (non-empty, distinct
+// keys) bound over them, and how many keys of es were absent. The node is
+// allocated once, at its final size: es is counting-sorted by slot (through
+// tmp, its scratch twin, nil when es has one entry), each touched slot is
+// merged one level down, and every untouched entry keeps its pointer. A leaf
+// whose slot es reaches with another key is pushed down as a one-entry old
+// node of the level below, so the pair splits exactly where the keys diverge.
+func pnodeMerge[V any](bitmap uint32, old, es, tmp []pentry[V], shift uint) (*pnode[V], int) {
+	var start [pmFanout + 1]int
+	for i := range es {
+		start[(es[i].key>>shift)&pmMask+1]++
 	}
-	idx := bits.OnesCount32(nd.bitmap & (bit - 1))
-	if nd.bitmap&bit == 0 {
-		ents := make([]pentry[V], len(nd.entries)+1)
-		copy(ents, nd.entries[:idx])
-		ents[idx] = pentry[V]{key: key, val: val}
-		copy(ents[idx+1:], nd.entries[idx:])
-		return &pnode[V]{bitmap: nd.bitmap | bit, entries: ents}, true
+	touched := uint32(0)
+	for s := 0; s < pmFanout; s++ {
+		if start[s+1] > 0 {
+			touched |= 1 << s
+		}
+		start[s+1] += start[s]
 	}
-	e := nd.entries[idx]
-	if e.node != nil {
-		child, added := pnodeWith(e.node, key, val, shift+pmBits)
-		ents := cloneEntries(nd.entries)
-		ents[idx].node = child
-		return &pnode[V]{bitmap: nd.bitmap, entries: ents}, added
+	if len(es) > 1 {
+		next := start
+		for i := range es {
+			s := (es[i].key >> shift) & pmMask
+			tmp[next[s]] = es[i]
+			next[s]++
+		}
+		copy(es, tmp)
 	}
-	if e.key == key {
-		ents := cloneEntries(nd.entries)
-		ents[idx].val = val
-		return &pnode[V]{bitmap: nd.bitmap, entries: ents}, false
+	nb := bitmap | touched
+	nd := &pnode[V]{bitmap: nb, entries: make([]pentry[V], 0, bits.OnesCount32(nb))}
+	added := 0
+	for rest := nb; rest != 0; rest &= rest - 1 {
+		bit := rest & -rest
+		s := bits.TrailingZeros32(bit)
+		group := es[start[s]:start[s+1]]
+		var gtmp []pentry[V]
+		if len(group) > 1 {
+			gtmp = tmp[start[s]:start[s+1]]
+		}
+		var below uint32
+		var belowOld []pentry[V]
+		if bitmap&bit != 0 {
+			i := bits.OnesCount32(bitmap & (bit - 1))
+			switch o := &old[i]; {
+			case len(group) == 0:
+				nd.entries = append(nd.entries, *o)
+				continue
+			case o.node != nil:
+				below, belowOld = o.node.bitmap, o.node.entries
+			case len(group) == 1 && group[0].key == o.key:
+				nd.entries = append(nd.entries, group[0])
+				continue
+			default:
+				below, belowOld = 1<<((o.key>>(shift+pmBits))&pmMask), old[i:i+1]
+			}
+		} else if len(group) == 1 {
+			nd.entries = append(nd.entries, group[0])
+			added++
+			continue
+		}
+		child, n := pnodeMerge(below, belowOld, group, gtmp, shift+pmBits)
+		nd.entries = append(nd.entries, pentry[V]{node: child})
+		added += n
 	}
-	// Two distinct keys share this slot: push both one level down. Distinct
-	// 32-bit keys must diverge by shift 30, so the recursion terminates.
-	ents := cloneEntries(nd.entries)
-	ents[idx] = pentry[V]{node: pnodeTwo(e.key, e.val, key, val, shift+pmBits)}
-	return &pnode[V]{bitmap: nd.bitmap, entries: ents}, true
-}
-
-// pnodeTwo builds the minimal subtree holding two distinct keys starting at
-// shift.
-func pnodeTwo[V any](k1 ID, v1 V, k2 ID, v2 V, shift uint) *pnode[V] {
-	s1 := (k1 >> shift) & pmMask
-	s2 := (k2 >> shift) & pmMask
-	if s1 == s2 {
-		child := pnodeTwo(k1, v1, k2, v2, shift+pmBits)
-		return &pnode[V]{bitmap: 1 << s1, entries: []pentry[V]{{node: child}}}
-	}
-	e1 := pentry[V]{key: k1, val: v1}
-	e2 := pentry[V]{key: k2, val: v2}
-	if s1 > s2 {
-		e1, e2 = e2, e1
-	}
-	return &pnode[V]{bitmap: 1<<s1 | 1<<s2, entries: []pentry[V]{e1, e2}}
+	return nd, added
 }
 
 func pnodeWithout[V any](nd *pnode[V], key ID, shift uint) (*pnode[V], bool) {
@@ -292,24 +322,6 @@ func (ix tindex) card2(a, b ID) int {
 // keys returns the number of distinct top-level keys.
 func (ix tindex) keys() int { return ix.m.Len() }
 
-// with returns the index with (a, b, c) present; added reports whether the
-// triple was new. The receiver is unchanged.
-func (ix tindex) with(a, b, c ID) (tindex, bool) {
-	var bm *pmap[*pmap[unit]]
-	sz := 0
-	if br, ok := ix.m.Get(a); ok {
-		bm, sz = br.m, br.size
-	}
-	inner, _ := bm.Get(b)
-	ni, added := inner.With(c, unit{})
-	if !added {
-		return ix, false
-	}
-	nbm, _ := bm.With(b, ni)
-	nm, _ := ix.m.With(a, &l2{m: nbm, size: sz + 1})
-	return tindex{m: nm}, true
-}
-
 // without returns the index with (a, b, c) removed; removed reports whether
 // it was present. Empty branches are dropped so key counts stay exact.
 func (ix tindex) without(a, b, c ID) (tindex, bool) {
@@ -333,84 +345,55 @@ func (ix tindex) without(a, b, c ID) (tindex, bool) {
 	if ni == nil {
 		nbm, _ = br.m.Without(b)
 	} else {
-		nbm, _ = br.m.With(b, ni)
+		nbm, _ = br.m.withAll([]pentry[*pmap[unit]]{{key: b, val: ni}})
 	}
-	nm, _ := ix.m.With(a, &l2{m: nbm, size: br.size - 1})
+	nm, _ := ix.m.withAll([]pentry[*l2]{{key: a, val: &l2{m: nbm, size: br.size - 1}}})
 	return tindex{m: nm}, true
 }
 
-// ---- Bulk construction --------------------------------------------------------
-
-// pmapOf builds the map holding es, whose keys must be distinct, in one pass:
-// every node is allocated once, at its final size, where inserting the keys
-// one by one would path-copy the trie once per key. The result has the shape
-// insertion would have produced (a key sits as high as it can without sharing
-// a slot). es is permuted in place.
-func pmapOf[V any](es []pentry[V]) *pmap[V] {
-	if len(es) == 0 {
-		return nil
-	}
-	return &pmap[V]{root: pnodeOf(es, make([]pentry[V], len(es)), 0), n: len(es)}
-}
-
-// pnodeOf builds the node for es (non-empty, distinct keys) at shift, using
-// tmp (same length) as scratch for the counting sort by slot.
-func pnodeOf[V any](es, tmp []pentry[V], shift uint) *pnode[V] {
-	var start [pmFanout + 1]int
-	for i := range es {
-		start[(es[i].key>>shift)&pmMask+1]++
-	}
-	nd := &pnode[V]{}
-	used := 0
-	for s := 0; s < pmFanout; s++ {
-		if start[s+1] > 0 {
-			nd.bitmap |= 1 << s
-			used++
-		}
-		start[s+1] += start[s]
-	}
-	next := start
-	for i := range es {
-		s := (es[i].key >> shift) & pmMask
-		tmp[next[s]] = es[i]
-		next[s]++
-	}
-	copy(es, tmp)
-	nd.entries = make([]pentry[V], 0, used)
-	for s := 0; s < pmFanout; s++ {
-		switch lo, hi := start[s], start[s+1]; hi - lo {
-		case 0:
-		case 1:
-			nd.entries = append(nd.entries, es[lo])
-		default:
-			nd.entries = append(nd.entries, pentry[V]{node: pnodeOf(es[lo:hi], tmp[lo:hi], shift+pmBits)})
-		}
-	}
-	return nd
-}
-
-// tindexOf builds the index holding ts — (a, b, c) key triples, sorted and
-// distinct — bottom-up with pmapOf (which copies the entries it is given, so
-// the two inner buffers are reused from run to run).
-func tindexOf(ts [][3]ID) tindex {
+// withAll returns the index with every key triple of ts — sorted and
+// distinct — present, and how many of them were absent. Each of the three
+// levels is one pmap merge per touched branch, so a node the batch reaches
+// is allocated once however many triples land under it; a branch the batch
+// adds nothing to (every triple of it already present) keeps its pointer.
+// Into the empty index this is the bottom-up build. The receiver is
+// unchanged.
+func (ix tindex) withAll(ts [][3]ID) (tindex, int) {
+	// A one-triple batch — most commits — keeps its scratch on the stack.
 	var (
-		top    []pentry[*l2]
-		mid    []pentry[*pmap[unit]]
-		leaves []pentry[unit]
+		topBuf  [1]pentry[*l2]
+		midBuf  [1]pentry[*pmap[unit]]
+		leafBuf [1]pentry[unit]
 	)
+	top, mid, leaves := topBuf[:0], midBuf[:0], leafBuf[:0]
+	added := 0
 	for i := 0; i < len(ts); {
 		a := ts[i][0]
+		var bm *pmap[*pmap[unit]]
+		size := 0
+		if br, ok := ix.m.Get(a); ok {
+			bm, size = br.m, br.size
+		}
 		mid = mid[:0]
-		from := i
+		grew := 0
 		for i < len(ts) && ts[i][0] == a {
 			b := ts[i][1]
 			leaves = leaves[:0]
 			for ; i < len(ts) && ts[i][0] == a && ts[i][1] == b; i++ {
 				leaves = append(leaves, pentry[unit]{key: ts[i][2]})
 			}
-			mid = append(mid, pentry[*pmap[unit]]{key: b, val: pmapOf(leaves)})
+			inner, _ := bm.Get(b)
+			if ni, n := inner.withAll(leaves); n > 0 {
+				mid = append(mid, pentry[*pmap[unit]]{key: b, val: ni})
+				grew += n
+			}
 		}
-		top = append(top, pentry[*l2]{key: a, val: &l2{m: pmapOf(mid), size: i - from}})
+		if grew > 0 {
+			nbm, _ := bm.withAll(mid)
+			top = append(top, pentry[*l2]{key: a, val: &l2{m: nbm, size: size + grew}})
+			added += grew
+		}
 	}
-	return tindex{m: pmapOf(top)}
+	nm, _ := ix.m.withAll(top)
+	return tindex{m: nm}, added
 }

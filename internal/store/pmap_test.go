@@ -3,13 +3,14 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/rdf"
 )
 
 // The persistent HAMT is the foundation every MVCC guarantee rests on: a
-// version is immutable exactly as long as With/Without never touch shared
+// version is immutable exactly as long as withAll/Without never touch shared
 // nodes. These tests drive pmap and tindex against plain-map references
 // through long randomized histories and re-verify earlier snapshots after
 // every later mutation — a use-after-publish bug shows up as a drifted
@@ -58,14 +59,26 @@ func TestPmapAgainstReferenceMap(t *testing.T) {
 		}
 		switch rng.Intn(3) {
 		case 0, 1:
-			val := rng.Intn(1000)
-			_, hadRef := ref[key]
-			next, added := m.With(key, val)
-			if added == hadRef {
-				t.Fatalf("step %d: With(%d) added=%v, ref had=%v", step, key, added, hadRef)
+			// A batch of distinct keys, one key most of the time.
+			batch := []pentry[int]{{key: key, val: rng.Intn(1000)}}
+			for n := rng.Intn(8) - 4; n > 0; n-- {
+				k := ID(rng.Intn(256))
+				if !slices.ContainsFunc(batch, func(e pentry[int]) bool { return e.key == k }) {
+					batch = append(batch, pentry[int]{key: k, val: rng.Intn(1000)})
+				}
+			}
+			absent := 0
+			for _, e := range batch {
+				if _, had := ref[e.key]; !had {
+					absent++
+				}
+				ref[e.key] = e.val
+			}
+			next, added := m.withAll(batch)
+			if added != absent {
+				t.Fatalf("step %d: withAll(%v) added %d, ref lacked %d", step, batch, added, absent)
 			}
 			m = next
-			ref[key] = val
 		case 2:
 			_, hadRef := ref[key]
 			next, removed := m.Without(key)
@@ -100,11 +113,11 @@ func TestPmapAbsentKeyLookups(t *testing.T) {
 	if next, removed := m.Without(7); removed || next.Len() != 0 {
 		t.Error("Without on nil pmap claimed a removal")
 	}
-	m, _ = m.With(7, "a")
+	m, _ = m.withAll([]pentry[string]{{key: 7, val: "a"}})
 	if _, ok := m.Get(8); ok {
 		t.Error("Get of absent sibling key reported a hit")
 	}
-	if next, added := m.With(7, "b"); added || next.Len() != 1 {
+	if next, added := m.withAll([]pentry[string]{{key: 7, val: "b"}}); added != 0 || next.Len() != 1 {
 		t.Error("overwrite of existing key reported as insertion")
 	}
 	if got, _ := m.Get(7); got != "a" {
@@ -152,12 +165,25 @@ func TestTindexAgainstReference(t *testing.T) {
 	for step := 0; step < 3000; step++ {
 		k := key{ID(rng.Intn(16)), ID(rng.Intn(16)), ID(rng.Intn(32))}
 		if rng.Intn(2) == 0 {
-			next, added := ix.with(k[0], k[1], k[2])
-			if added == ref[k] {
-				t.Fatalf("step %d: with(%v) added=%v, ref had=%v", step, k, added, ref[k])
+			// A sorted, distinct batch around k: present keys are allowed.
+			batch := [][3]ID{k}
+			for n := rng.Intn(6) - 2; n > 0; n-- {
+				batch = append(batch, key{ID(rng.Intn(16)), ID(rng.Intn(16)), ID(rng.Intn(32))})
+			}
+			sortIDs(batch)
+			batch = slices.Compact(batch)
+			absent := 0
+			for _, b := range batch {
+				if !ref[b] {
+					absent++
+				}
+				ref[b] = true
+			}
+			next, added := ix.withAll(batch)
+			if added != absent {
+				t.Fatalf("step %d: withAll(%v) added %d, ref lacked %d", step, batch, added, absent)
 			}
 			ix = next
-			ref[k] = true
 		} else {
 			next, removed := ix.without(k[0], k[1], k[2])
 			if removed != ref[k] {
@@ -186,15 +212,15 @@ func TestTindexAgainstReference(t *testing.T) {
 	}
 }
 
-// TestBulkLoadMatchesIncremental: a first load big enough to take the
-// bottom-up path (addBulk) yields the store adding the same triples one by
-// one yields — same triples, same counters, consistent indexes — and the two
-// are structurally compatible: the version diff between a bulk-built version
-// and its incrementally edited successor names exactly the edited subjects.
+// TestBulkLoadMatchesIncremental: a first load, built bottom-up in one
+// merge, yields the store adding the same triples one by one yields — same
+// triples, same counters, consistent indexes — and the two are structurally
+// compatible: the version diff between a bulk-built version and its
+// incrementally edited successor names exactly the edited subjects.
 func TestBulkLoadMatchesIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 20; round++ {
-		n := bulkMin + rng.Intn(3000)
+		n := 20 + rng.Intn(3000)
 		var batch []rdf.Triple
 		for i := 0; i < n; i++ {
 			batch = append(batch, rdf.T(

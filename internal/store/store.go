@@ -406,7 +406,7 @@ func (s *Store) Load(gen uint64, triples []rdf.Triple) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	b := newBuilder(emptyVersion, s.dict)
-	b.addBulk(valid)
+	b.addAll(valid)
 	b.generation = gen
 	s.cur.Store(b.seal())
 }
@@ -836,21 +836,6 @@ func (b *builder) has(t rdf.Triple) bool {
 	return ok && b.spo.has(ids[0], ids[1], ids[2])
 }
 
-func (b *builder) add(t rdf.Triple) bool {
-	sid := b.dict.Intern(t.Subject)
-	pid := b.dict.Intern(t.Predicate)
-	oid := b.dict.Intern(t.Object)
-	nspo, added := b.spo.with(sid, pid, oid)
-	if !added {
-		return false
-	}
-	b.spo = nspo
-	b.pos, _ = b.pos.with(pid, oid, sid)
-	b.osp, _ = b.osp.with(oid, sid, pid)
-	b.size++
-	return true
-}
-
 func (b *builder) removeIDs(sid, pid, oid ID) bool {
 	nspo, removed := b.spo.without(sid, pid, oid)
 	if !removed {
@@ -870,36 +855,36 @@ func (b *builder) clear() {
 	b.size = 0
 }
 
-// bulkMin is the batch size from which an add into an empty builder builds
-// the indexes bottom-up (addBulk) instead of triple by triple.
-const bulkMin = 64
-
-// addBulk loads ts — valid triples, duplicates allowed — into an empty
-// builder and returns how many distinct triples that was. A first load is the
-// one case where nothing has to be shared with a previous version, so the
-// three indexes are built in one pass each from the sorted ID triples; adding
-// one by one would path-copy every trie once per triple, and for a store the
-// size of a role view the garbage of that is most of the cost.
-func (b *builder) addBulk(ts []rdf.Triple) int {
-	ids := make([][3]ID, len(ts))
-	for i, t := range ts {
-		ids[i] = [3]ID{b.dict.Intern(t.Subject), b.dict.Intern(t.Predicate), b.dict.Intern(t.Object)}
+// addAll adds ts — valid triples, duplicates and present ones allowed — and
+// returns how many were new. The batch is interned, sorted and deduplicated
+// once, then merged into each index in that index's key order (tindex.withAll),
+// so every trie node the batch touches is allocated once per commit, not once
+// per triple; into an empty builder that is the bottom-up build.
+func (b *builder) addAll(ts []rdf.Triple) int {
+	// A one-triple batch — most commits — keeps its IDs on the stack.
+	var buf [1][3]ID
+	ids := buf[:0]
+	for _, t := range ts {
+		ids = append(ids, [3]ID{b.dict.Intern(t.Subject), b.dict.Intern(t.Predicate), b.dict.Intern(t.Object)})
 	}
 	sortIDs(ids)
 	ids = slices.Compact(ids)
-	n := len(ids)
-	b.spo = tindexOf(ids)
-	for i, t := range ids {
-		ids[i] = [3]ID{t[1], t[2], t[0]}
+	spo, n := b.spo.withAll(ids)
+	if n == 0 {
+		return 0
 	}
-	sortIDs(ids)
-	b.pos = tindexOf(ids)
-	for i, t := range ids {
-		ids[i] = [3]ID{t[1], t[2], t[0]}
+	b.spo = spo
+	rotate := func() {
+		for i, t := range ids {
+			ids[i] = [3]ID{t[1], t[2], t[0]}
+		}
+		sortIDs(ids)
 	}
-	sortIDs(ids)
-	b.osp = tindexOf(ids)
-	b.size = n
+	rotate()
+	b.pos, _ = b.pos.withAll(ids)
+	rotate()
+	b.osp, _ = b.osp.withAll(ids)
+	b.size += n
 	return n
 }
 
@@ -938,16 +923,7 @@ func (b *builder) applyOp(op Op) (int, Op, error) {
 		if len(op.Triples) == 0 {
 			return 0, none, nil
 		}
-		if b.size == 0 && len(op.Triples) >= bulkMin {
-			return b.addBulk(op.Triples), op, nil
-		}
-		n := 0
-		for _, t := range op.Triples {
-			if b.add(t) {
-				n++
-			}
-		}
-		return n, op, nil
+		return b.addAll(op.Triples), op, nil
 	case OpRemove:
 		op.Triples = b.filter(op.Triples, true)
 		if len(op.Triples) == 0 {
@@ -978,7 +954,7 @@ func (b *builder) applyOp(op Op) (int, Op, error) {
 		}
 		ids, _ := b.lookupTriple(op.Triples[0])
 		b.removeIDs(ids[0], ids[1], ids[2])
-		b.add(op.Triples[1])
+		b.addAll(op.Triples[1:])
 		return 1, op, nil
 	case OpClear:
 		if b.size == 0 {
