@@ -74,7 +74,7 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.policyFile, "policies", "", "Turtle policy file (List 8 layout); requires -data")
 	fs.IntVar(&c.sites, "sites", 12, "scenario size when using built-in data")
 	fs.Int64Var(&c.seed, "seed", 7, "scenario seed when using built-in data")
-	fs.IntVar(&c.auditCap, "audit", 256, "audit trail capacity (0 disables)")
+	fs.IntVar(&c.auditCap, "audit", 256, "audit trail capacity in requests (0 disables)")
 	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	fs.TextVar(&c.logLevel, "log-level", slog.LevelInfo, "slog level: debug, info, warn, error")
 	fs.BoolVar(&c.version, "version", false, "print version and exit")
@@ -82,7 +82,7 @@ func (c *config) register(fs *flag.FlagSet) {
 
 	fs.StringVar(&c.dataDir, "data-dir", "", "durable repository directory (empty = in-memory only; mutations are lost on exit)")
 	fs.StringVar(&c.fsync, "fsync", "always", "WAL durability: always (fsync per mutation), interval (batched), off")
-	fs.IntVar(&c.snapshotEvery, "snapshot-every", 10000, "WAL records between automatic snapshots (0 disables)")
+	fs.IntVar(&c.snapshotEvery, "snapshot-every", 10000, "WAL commit records between automatic snapshots (0 disables)")
 	fs.StringVar(&c.writerRole, "writer-role", "", "grant this role full View/Modify/Delete over grdf:Feature (write-path testing)")
 
 	fs.Func("source", "peer G-SACS base URL to federate /v1/query across (repeatable or comma-separated)", func(v string) error {

@@ -367,8 +367,9 @@ func admissionConfig(cfg *config, slo *obs.SLOEngine, profiler *prof.Profiler, r
 
 // recoverDurable opens the write-ahead log (replaying the durable state into
 // the engine's store), seeds the initial dataset on first boot, materializes
-// the reasoner over the recovered triples, and restores + re-wires the audit
-// trail (when auditing is on). The engine must not serve requests until this
+// the reasoner over the recovered triples, and restores the audit trail from
+// the log's audit file and journals it there from now on (when auditing is
+// on). The engine must not serve requests until this
 // returns (the readiness gate enforces it).
 func recoverDurable(engine *gsacs.Engine, seed *store.Store, ontologies []*rdf.Graph, walOpts wal.Options,
 	logger *slog.Logger, repoPtr *atomic.Pointer[wal.Repository]) error {

@@ -63,6 +63,11 @@ type cacheEntry struct {
 	// reasoner is the reasoner whose decisions the view holds.
 	reasoner *Reasoner
 	view     *store.Store
+	// fired counts, per rule, the governed resources of base whose decision
+	// it fired in; a patch carries it forward. rules is its key set, sorted:
+	// the rules an audit entry of a request the entry answers lists.
+	fired map[rdf.IRI]int
+	rules []string
 	// sparql evaluates queries over view: built once with the entry, shared
 	// read-only by every request the entry answers.
 	sparql *sparql.Engine

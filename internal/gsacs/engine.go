@@ -64,12 +64,8 @@ type Engine struct {
 	// noView answers every (role, action) no policy names: the one empty
 	// view, without version or reasoner because nothing was judged to make it.
 	noView *cacheEntry
-	audit  *auditLog
-
-	// auditPersist, when set, journals every audit entry durably (see
-	// SetAuditPersist).
-	auditPersist     func([]byte) error
-	mAuditPersistErr *obs.Counter
+	// audit is the request audit trail, off until EnableAudit.
+	audit *auditLog
 
 	// metrics is the observability registry (nil disables; every handle
 	// derived from it is nil-safe).
@@ -100,7 +96,7 @@ type Options struct {
 // New builds an engine over a policy set and a data store. The policy set is
 // read without synchronization from here on and must not change.
 func New(policies *seconto.Set, data *store.Store, opts Options) *Engine {
-	e := &Engine{policies: policies, data: data, metrics: opts.Metrics, cache: newQueryCache(policies)}
+	e := &Engine{policies: policies, data: data, metrics: opts.Metrics, cache: newQueryCache(policies), audit: &auditLog{}}
 	e.cache.instrument(e.metrics)
 	empty := store.New()
 	e.noView = &cacheEntry{view: empty, sparql: grdf.NewEngine(empty).Instrument(e.metrics)}
@@ -197,7 +193,7 @@ type Access struct {
 	Properties map[rdf.IRI]bool
 	// denied records property-level denies that survive a Full grant.
 	denied map[rdf.IRI]bool
-	// Matched lists the policies that fired, for audit.
+	// Matched lists the policies that fired, for the audit trail.
 	Matched []rdf.IRI
 }
 
@@ -237,14 +233,14 @@ func (e *Engine) Decide(subject, action rdf.IRI, resource rdf.Term) Access {
 }
 
 // decideAs runs j's decision procedure with the engine's accounting around
-// it: audit entry, outcome counters, latency.
+// it: outcome counters, latency. The audit trail is the request's, not the
+// decision's (see audit.go).
 func (e *Engine) decideAs(j judge, subject, action rdf.IRI, resource rdf.Term) Access {
 	var start time.Time
 	if e.metrics != nil {
 		start = time.Now()
 	}
 	acc := j.decide(subject, action, resource)
-	e.recordAudit(subject, action, resource, acc)
 	if e.metrics != nil {
 		if acc.Allowed {
 			e.mAllowed.Inc()

@@ -38,9 +38,10 @@ func (e *ErrDenied) Error() string {
 }
 
 // authorizeTriple checks, as judged by j, that subject may perform action on
-// the triple's resource and property.
-func (e *Engine) authorizeTriple(j judge, subject, action rdf.IRI, t rdf.Triple) error {
+// the triple's resource and property, and notes the decision on rec.
+func (e *Engine) authorizeTriple(rec *obs.Request, j judge, subject, action rdf.IRI, t rdf.Triple) error {
 	acc := e.decideAs(j, subject, action, t.Subject)
+	noteDecision(rec, j, action, t.Subject, acc)
 	if !acc.Allowed {
 		return &ErrDenied{Subject: subject, Action: action, Resource: t.Subject}
 	}
@@ -88,7 +89,8 @@ func (e *BatchOpError) Unwrap() error { return e.Err }
 //
 // Updates use the store's MustExist replace, so a missing old triple aborts
 // the batch with ErrNotFound instead of silently no-opping. Any failure is
-// wrapped in *BatchOpError naming the offending op.
+// wrapped in *BatchOpError naming the offending op. The decisions go on the
+// request's record in ctx, for the audit trail (see noteDecision).
 func (e *Engine) MutateCtx(ctx context.Context, subject rdf.IRI, muts []MutationOp) ([]int, error) {
 	ctx, sp := obs.StartSpan(ctx, "gsacs.mutate")
 	defer sp.End()
@@ -100,9 +102,10 @@ func (e *Engine) MutateCtx(ctx context.Context, subject rdf.IRI, muts []Mutation
 	// One judge for the batch: every op is authorized against the same
 	// version of the data under the same reasoner.
 	j := e.current()
+	rec := obs.RequestOf(ctx)
 	ops := make([]store.Op, len(muts))
 	for i, m := range muts {
-		op, err := e.authorizeOp(ctx, j, subject, m)
+		op, err := e.authorizeOp(ctx, rec, j, subject, m)
 		if err != nil {
 			berr := &BatchOpError{Index: i, Err: err}
 			sp.Fail(berr)
@@ -131,7 +134,7 @@ func (e *Engine) MutateCtx(ctx context.Context, subject rdf.IRI, muts []Mutation
 
 // authorizeOp runs the per-triple decision procedure for one batch op and
 // shapes it into the store.Op the batch will carry.
-func (e *Engine) authorizeOp(ctx context.Context, j judge, subject rdf.IRI, m MutationOp) (store.Op, error) {
+func (e *Engine) authorizeOp(ctx context.Context, rec *obs.Request, j judge, subject rdf.IRI, m MutationOp) (store.Op, error) {
 	op := store.Op{Kind: m.Kind, Triples: m.Triples, Ctx: ctx}
 	switch m.Kind {
 	case store.OpAdd:
@@ -142,7 +145,7 @@ func (e *Engine) authorizeOp(ctx context.Context, j judge, subject rdf.IRI, m Mu
 			if !t.Valid() {
 				return op, fmt.Errorf("gsacs: invalid triple %v", t)
 			}
-			if err := e.authorizeTriple(j, subject, seconto.ActionModify, t); err != nil {
+			if err := e.authorizeTriple(rec, j, subject, seconto.ActionModify, t); err != nil {
 				return op, err
 			}
 		}
@@ -151,7 +154,7 @@ func (e *Engine) authorizeOp(ctx context.Context, j judge, subject rdf.IRI, m Mu
 			return op, fmt.Errorf("gsacs: delete op carries no triples")
 		}
 		for _, t := range m.Triples {
-			if err := e.authorizeTriple(j, subject, seconto.ActionDelete, t); err != nil {
+			if err := e.authorizeTriple(rec, j, subject, seconto.ActionDelete, t); err != nil {
 				return op, err
 			}
 		}
@@ -159,13 +162,13 @@ func (e *Engine) authorizeOp(ctx context.Context, j judge, subject rdf.IRI, m Mu
 		if len(m.Triples) != 2 {
 			return op, fmt.Errorf("gsacs: update op needs exactly [old, new], got %d triples", len(m.Triples))
 		}
-		if err := e.authorizeTriple(j, subject, seconto.ActionModify, m.Triples[0]); err != nil {
+		if err := e.authorizeTriple(rec, j, subject, seconto.ActionModify, m.Triples[0]); err != nil {
 			return op, err
 		}
 		if !m.Triples[1].Valid() {
 			return op, fmt.Errorf("gsacs: invalid replacement triple %v", m.Triples[1])
 		}
-		if err := e.authorizeTriple(j, subject, seconto.ActionModify, m.Triples[1]); err != nil {
+		if err := e.authorizeTriple(rec, j, subject, seconto.ActionModify, m.Triples[1]); err != nil {
 			return op, err
 		}
 		op.MustExist = true

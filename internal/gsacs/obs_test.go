@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/datagen"
@@ -24,75 +23,6 @@ func metricsEngine(t *testing.T) (*Engine, *obs.Registry) {
 	reg := obs.NewRegistry()
 	e := New(sc.Policies, sc.Merged, Options{Metrics: reg})
 	return e, reg
-}
-
-func TestAuditRingWraparoundConcurrent(t *testing.T) {
-	e, reg := metricsEngine(t)
-	const capacity = 8
-	e.EnableAudit(capacity)
-
-	// Hammer Decide from many goroutines: the ring must stay consistent and
-	// account for every overwritten entry. Run under -race in CI.
-	const workers = 8
-	const perWorker = 50
-	site := datagen.ChemSite
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				e.Decide(datagen.RoleHazmat, seconto.ActionView, site)
-			}
-		}()
-	}
-	wg.Wait()
-
-	st := e.AuditStats()
-	total := uint64(workers * perWorker)
-	if st.Recorded != total {
-		t.Errorf("Recorded = %d, want %d", st.Recorded, total)
-	}
-	if st.Depth != capacity || st.Capacity != capacity {
-		t.Errorf("Depth/Capacity = %d/%d, want %d/%d", st.Depth, st.Capacity, capacity, capacity)
-	}
-	if want := total - capacity; st.Overwritten != want {
-		t.Errorf("Overwritten = %d, want %d", st.Overwritten, want)
-	}
-
-	// The snapshot holds exactly the last `capacity` sequence numbers,
-	// oldest first.
-	trail := e.AuditTrail()
-	if len(trail) != capacity {
-		t.Fatalf("trail len = %d", len(trail))
-	}
-	for i, entry := range trail {
-		if want := total - uint64(capacity) + uint64(i) + 1; entry.Seq != want {
-			t.Errorf("trail[%d].Seq = %d, want %d", i, entry.Seq, want)
-		}
-	}
-
-	// The exported counter agrees with the ring's own accounting.
-	if got := reg.Counter("grdf_audit_overwritten_total", "").Value(); uint64(got) != st.Overwritten {
-		t.Errorf("metric overwritten = %v, stats %d", got, st.Overwritten)
-	}
-}
-
-func TestAuditStatsBeforeWraparound(t *testing.T) {
-	e, _ := metricsEngine(t)
-	e.EnableAudit(16)
-	for i := 0; i < 5; i++ {
-		e.Decide(datagen.RoleHazmat, seconto.ActionView, datagen.ChemSite)
-	}
-	st := e.AuditStats()
-	if st.Depth != 5 || st.Overwritten != 0 || st.Recorded != 5 {
-		t.Errorf("stats = %+v", st)
-	}
-	// Disabled auditing reports zeros.
-	e2, _ := metricsEngine(t)
-	if st := e2.AuditStats(); st != (AuditStats{}) {
-		t.Errorf("disabled stats = %+v", st)
-	}
 }
 
 func TestQueryCacheStaleInvalidationStats(t *testing.T) {

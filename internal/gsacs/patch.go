@@ -1,6 +1,8 @@
 package gsacs
 
 import (
+	"maps"
+
 	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -31,12 +33,14 @@ const patchMaxShare = 8
 // everywhere. Rare, global: rebuild.
 var hierarchyPredicates = [...]rdf.IRI{rdf.RDFSSubClassOf, rdf.RDFSSubPropertyOf}
 
-// patchView derives the role's view of base from prev, the entry for an
-// older version judged by the same reasoner. It reports false when the view
-// must be rebuilt instead. prev is not modified: the result is a new store
-// sharing structure with prev.view, or prev.view itself when the write
-// changed nothing the role sees.
-func (e *Engine) patchView(sp *obs.Span, prev *cacheEntry, base store.StoreView, subject, action rdf.IRI) (*store.Store, bool) {
+// patchView derives the role's view of ent.base, and its rule counts, from
+// prev, the entry for an older version judged by the same reasoner. It
+// reports false, and leaves ent alone, when the view must be rebuilt instead.
+// prev is not modified: the view is a new store sharing structure with
+// prev.view, or prev.view itself when the write changed nothing the role
+// sees.
+func (e *Engine) patchView(sp *obs.Span, prev *cacheEntry, ent *cacheEntry, subject, action rdf.IRI) bool {
+	base := ent.base
 	was, now := e.judgeOver(prev.base, prev.reasoner), e.judgeOver(base, prev.reasoner)
 	budget := max(prev.base.Stats().Subjects, base.Stats().Subjects) / patchMaxShare
 
@@ -46,12 +50,12 @@ func (e *Engine) patchView(sp *obs.Span, prev *cacheEntry, base store.StoreView,
 		return len(changed) <= budget
 	})
 	if len(changed) > budget {
-		return nil, false
+		return false
 	}
 	for _, s := range changed {
 		for _, p := range hierarchyPredicates {
 			if !sameObjects(was.data, now.data, s, p) {
-				return nil, false
+				return false
 			}
 		}
 	}
@@ -89,7 +93,7 @@ func (e *Engine) patchView(sp *obs.Span, prev *cacheEntry, base store.StoreView,
 		reach(s)
 	}
 	if len(visited) > budget {
-		return nil, false
+		return false
 	}
 
 	// Old closures come out of the view. A structural node can sit in the
@@ -101,13 +105,16 @@ func (e *Engine) patchView(sp *obs.Span, prev *cacheEntry, base store.StoreView,
 	// anything it reaches changed, the walk up from the diff would have found
 	// it — so what comes out with it goes straight back in.
 	old := map[rdf.Triple]struct{}{}
+	fired := maps.Clone(prev.fired)
 	direct := len(roots)
 	for i := 0; i < len(roots); i++ {
 		if !was.governed(roots[i]) {
 			continue
 		}
-		// Silent: this decision was accounted for when prev was built.
+		// Uncounted: this decision was counted when prev was built. Its rules
+		// leave the entry's counts, and the decision below puts them back.
 		acc := was.decide(subject, action, roots[i])
+		countRules(fired, acc, -1)
 		for _, t := range was.filterResource(roots[i], acc) {
 			old[t] = struct{}{}
 			if i < direct {
@@ -116,7 +123,7 @@ func (e *Engine) patchView(sp *obs.Span, prev *cacheEntry, base store.StoreView,
 		}
 	}
 	if len(visited) > budget {
-		return nil, false
+		return false
 	}
 
 	fresh := map[rdf.Triple]struct{}{}
@@ -125,6 +132,7 @@ func (e *Engine) patchView(sp *obs.Span, prev *cacheEntry, base store.StoreView,
 			continue
 		}
 		acc := e.decideAs(now, subject, action, r)
+		countRules(fired, acc, 1)
 		for _, t := range now.filterResource(r, acc) {
 			fresh[t] = struct{}{}
 		}
@@ -143,13 +151,14 @@ func (e *Engine) patchView(sp *obs.Span, prev *cacheEntry, base store.StoreView,
 		view = prev.view.Snapshot()
 		ns, err := view.ApplyBatch(ops)
 		if err != nil {
-			return nil, false
+			return false
 		}
 		for _, n := range ns {
 			sp.Add("patched_triples", int64(n))
 		}
 	}
-	return view, true
+	ent.view, ent.fired = view, fired
+	return true
 }
 
 // sameObjects reports whether (s, p, *) has the same objects in a and b.

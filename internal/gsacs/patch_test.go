@@ -3,7 +3,9 @@ package gsacs
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -28,9 +30,9 @@ var (
 	exNext        = rdf.IRI("http://example.org/next")
 )
 
-// checkViews compares, for every Sec. 7.1 role, the served view with a
-// rebuild over the version and reasoner the served view is labelled with —
-// and the served view's spatial index, which after the first call is carried
+// checkViews compares, for every Sec. 7.1 role, the served view and the rule
+// counts its audit entries list with a rebuild over the version and reasoner
+// the served view is labelled with — and the served view's spatial index, which after the first call is carried
 // forward from patch to patch, with one built cold over the same view. (Not
 // over the rebuild: where a site has two extents, which one FirstObject names
 // goes by dictionary order, and the rebuild has a dictionary of its own.)
@@ -38,10 +40,14 @@ func checkViews(t *testing.T, e *Engine, step string) {
 	t.Helper()
 	for _, role := range scenarioRoles {
 		ent := e.viewEntry(context.Background(), role, seconto.ActionView)
-		rebuilt := e.buildView(e.judgeOver(ent.base, ent.reasoner), role, seconto.ActionView)
+		rebuilt, fired := e.buildView(e.judgeOver(ent.base, ent.reasoner), role, seconto.ActionView)
 		if got, want := ent.view.String(), rebuilt.String(); got != want {
 			t.Fatalf("after %s, %s: served view differs from a rebuild at generation %d\n%s",
 				step, role.LocalName(), ent.base.Generation(), lineDiff(got, want))
+		}
+		if !maps.Equal(ent.fired, fired) || !slices.Equal(ent.rules, ruleList(fired)) {
+			t.Fatalf("after %s, %s: served entry's rule counts %v (rules %v), a rebuild's %v",
+				step, role.LocalName(), ent.fired, ent.rules, fired)
 		}
 		at := ent.view.View()
 		if got, want := indexDump(at, grdf.IndexOf(at)), indexDump(at, grdf.BuildSpatialIndex(at)); got != want {
@@ -514,7 +520,7 @@ func TestStructuralCycle(t *testing.T) {
 	}
 	// View path: a cold build walks the same graph.
 	for _, role := range scenarioRoles {
-		v := e.buildView(e.current(), role, seconto.ActionView)
+		v, _ := e.buildView(e.current(), role, seconto.ActionView)
 		if !v.Has(rdf.T(b, exNext, a)) {
 			t.Errorf("%s: cold view lacks the cycle's triples", role.LocalName())
 		}

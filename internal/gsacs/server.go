@@ -44,10 +44,11 @@ import (
 // Every request flows through the obs middleware: it gets a trace ID
 // (echoed in the X-Trace-Id response header and attached to every log line
 // for the request) and one record (obs.Request), which the handlers fill in —
-// role, query shape and evaluation stats, outcome — and from which the
-// middleware books the route's latency histogram and status-code counter,
-// the SLO window, the workload table and the request's log line. The
-// registry is scraped at /metrics.
+// role, the access decision, query shape and evaluation stats, outcome — and
+// from which the middleware books the route's latency histogram and
+// status-code counter, the SLO window, the workload table, the audit trail
+// (routes that take a role) and the request's log line. The registry is
+// scraped at /metrics.
 type Server struct {
 	engine       *Engine
 	repo         *OntoRepository
@@ -368,17 +369,24 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // middleware labelled with the pattern, then — in this order — the readiness
 // gate, the admission gate, the replica redirect and the method check.
 func (s *Server) serve(rt *route) http.Handler {
-	slo := s.slo
-	if rt.sloSkip {
-		slo = nil
+	var books []interface{ Observe(*obs.Request) }
+	if s.slo != nil && !rt.sloSkip {
+		books = append(books, s.slo)
+	}
+	if s.workload != nil {
+		books = append(books, s.workload)
+	}
+	if rt.class != ungated {
+		// The routes behind admission are the ones that take a role: each of
+		// their requests is one audit entry.
+		books = append(books, s.engine.audit)
 	}
 	return obs.Middleware(obs.MiddlewareConfig{
 		Registry: s.metrics,
 		Logger:   s.logger,
 		Route:    rt.pattern,
 		Tracer:   s.tracer,
-		SLO:      slo,
-		Workload: s.workload,
+		Books:    books,
 		Panic: func(w http.ResponseWriter, r *http.Request, v any) {
 			s.writeError(w, r, http.StatusInternalServerError, "internal",
 				"internal server error")
@@ -744,7 +752,7 @@ func (s *Server) role(w http.ResponseWriter, r *http.Request, raw string) (role 
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 		return "", false
 	}
-	obs.RequestOf(r.Context()).Role = role.LocalName()
+	obs.RequestOf(r.Context()).Role = string(role)
 	return role, true
 }
 
@@ -824,6 +832,7 @@ func (s *Server) handleResource(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusServiceUnavailable, "canceled", err.Error())
 		return
 	}
+	noteDecision(obs.RequestOf(r.Context()), j, seconto.ActionView, res, acc)
 	if !acc.Allowed {
 		s.writeError(w, r, http.StatusForbidden, "forbidden", "access denied")
 		return
@@ -912,7 +921,10 @@ func (s *Server) writeQueryError(w http.ResponseWriter, r *http.Request, err err
 // happened at each. Only a total failure (every source down, or the
 // request deadline) is an error.
 func (s *Server) handleFederatedQuery(w http.ResponseWriter, r *http.Request, ctx context.Context, role rdf.IRI, q string) {
-	resp := s.fed.Query(ctx, role, seconto.ActionView, q)
+	// The members decide on goroutines of their own, so this request's
+	// record, and its audit entry, carries no decision; a remote member
+	// books its own.
+	resp := s.fed.Query(obs.WithoutRequest(ctx), role, seconto.ActionView, q)
 	if resp.Err != nil {
 		s.writeQueryError(w, r, resp.Err, http.StatusBadGateway, "all_sources_failed")
 		return
@@ -1038,7 +1050,7 @@ func federatedResultJSON(res *federation.Result) map[string]any {
 	}
 }
 
-// handleAudit dumps the decision audit trail (empty when auditing is off),
+// handleAudit dumps the request audit trail (empty when auditing is off),
 // prefixed with the ring's occupancy/loss stats. limit and offset paginate
 // over the trail in-order; total always reports the full trail length.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
@@ -1054,36 +1066,15 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	}
 	trail := s.engine.AuditTrail()
 	total := len(trail)
-	if offset >= len(trail) {
-		trail = nil
-	} else {
-		trail = trail[offset:]
-	}
+	trail = trail[min(offset, total):]
 	if limit >= 0 && limit < len(trail) {
 		trail = trail[:limit]
 	}
-	type row struct {
-		Seq      uint64   `json:"seq"`
-		Subject  string   `json:"subject"`
-		Action   string   `json:"action"`
-		Resource string   `json:"resource"`
-		Allowed  bool     `json:"allowed"`
-		Full     bool     `json:"full"`
-		Policies []string `json:"policies"`
-	}
-	rows := make([]row, len(trail))
-	for i, e := range trail {
-		pols := make([]string, len(e.Policies))
-		for j, p := range e.Policies {
-			pols[j] = string(p)
-		}
-		rows[i] = row{
-			Seq: e.Seq, Subject: string(e.Subject), Action: string(e.Action),
-			Resource: e.Resource, Allowed: e.Allowed, Full: e.Full, Policies: pols,
-		}
+	if trail == nil {
+		trail = []AuditEntry{}
 	}
 	s.writeJSON(w, r, map[string]any{
-		"stats": s.engine.AuditStats(), "entries": rows,
+		"stats": s.engine.AuditStats(), "entries": trail,
 		"total": total, "offset": offset,
 	})
 }

@@ -2,6 +2,7 @@ package gsacs
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -14,12 +15,13 @@ import (
 )
 
 // booksServer is a server keeping every book a request is booked into: the
-// route histogram and status counters on its registry, the SLO window and
-// the workload table, behind a query pool of one slot that neither queues
-// nor adapts, so the test decides when a request is shed.
+// route histogram and status counters on its registry, the SLO window, the
+// workload table and the audit trail, behind a query pool of one slot that
+// neither queues nor adapts, so the test decides when a request is shed.
 func booksServer(t *testing.T) (*httptest.Server, *admission.Controller, *obs.Registry) {
 	t.Helper()
 	e, _ := scenarioEngine(t)
+	e.EnableAudit(64)
 	reg := obs.NewRegistry()
 	ctrl := admission.NewController(admission.Config{
 		InitialLimit: 1, MinLimit: 1, MaxLimit: 1,
@@ -58,7 +60,7 @@ func sloRoute(t *testing.T, srv *httptest.Server, route string) obs.WindowStats 
 // TestBooksAgree: /v1/queries, /v1/slo and grdf_http_requests_total describe
 // the same /v1/query requests — two shapes that answer, one that parses but
 // fails, one shed — because all three are booked from the one record the
-// middleware closes. On a single-shape run the fingerprint's latency sketch
+// middleware closes; so does /v1/audit, for every route that takes a role. On a single-shape run the fingerprint's latency sketch
 // and the route's SLO sketch hold the same samples, so their quantiles are
 // equal, not merely close.
 func TestBooksAgree(t *testing.T) {
@@ -108,6 +110,53 @@ func TestBooksAgree(t *testing.T) {
 	}
 	if counted != requests {
 		t.Errorf("grdf_http_requests_total{route=\"/v1/query\"} sums to %v, want %d", counted, requests)
+	}
+
+	// One request of each other route that takes a role — a view (HEAD: no
+	// body for the client to read before the request is booked), a resource
+	// read, a write the role may not make — and one that names no role.
+	for _, call := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodHead, "/v1/view?role=Hazmat", http.StatusOK},
+		{http.MethodGet, "/v1/resource?role=Hazmat&iri=" + url.QueryEscape("http://example.org/nothing"), http.StatusForbidden},
+		{http.MethodGet, "/v1/view", http.StatusBadRequest},
+	} {
+		if resp, body := doReq(t, srv, call.method, call.path); resp.StatusCode != call.want {
+			t.Fatalf("%s %s = %d, want %d: %s", call.method, call.path, resp.StatusCode, call.want, body)
+		}
+	}
+	if resp, body := postMutate(t, srv, "Hazmat", `[{"op":"insert","triples":"<http://example.org/s> <http://example.org/p> \"o\" ."}]`); resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("mutate = %d: %s", resp.StatusCode, body)
+	}
+	resp, body := doReq(t, srv, http.MethodGet, "/v1/audit")
+	var audit struct{ Entries []AuditEntry }
+	if err := json.Unmarshal([]byte(body), &audit); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/audit = %d %v: %s", resp.StatusCode, err, body)
+	}
+	entries, sheds := map[string]float64{}, 0
+	for _, en := range audit.Entries {
+		entries[en.Route]++
+		if en.Outcome == string(obs.OutcomeShed) {
+			if sheds++; en.Action != "" || en.Route != "/v1/query" {
+				t.Errorf("shed entry %+v carries a decision", en)
+			}
+		}
+	}
+	if sheds != 1 {
+		t.Errorf("/v1/audit holds %d shed entries, want 1", sheds)
+	}
+	for _, route := range []string{"/v1/view", "/v1/resource", "/v1/query", "/v1/mutate"} {
+		var counted float64
+		for _, m := range reg.Snapshot() {
+			if m.Name == "grdf_http_requests_total" && m.Labels["route"] == route {
+				counted += m.Value
+			}
+		}
+		if counted == 0 || entries[route] != counted {
+			t.Errorf("/v1/audit holds %v entries of %s, grdf_http_requests_total counts %v", entries[route], route, counted)
+		}
 	}
 
 	// One shape alone on a fresh server: same samples, same sketch.

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/grdf"
-	"repro/internal/seconto"
 )
 
 func v1TestServer(t *testing.T, opts ...ServerOption) (*httptest.Server, *Engine, *datagen.Scenario) {
@@ -107,54 +106,6 @@ func TestServerMethodNotAllowed(t *testing.T) {
 			!strings.Contains(body, `"method_not_allowed"`) {
 			t.Errorf("%s /v1/mutate = %d Allow=%q %s", method, resp.StatusCode, resp.Header.Get("Allow"), body)
 		}
-	}
-}
-
-// TestServerAuditPagination drives limit/offset over a known trail.
-func TestServerAuditPagination(t *testing.T) {
-	srv, e, sc := v1TestServer(t)
-	e.EnableAudit(64)
-	site := sc.Chemical.Sites[0].IRI
-	for i := 0; i < 5; i++ {
-		e.Decide(datagen.RoleHazmat, seconto.ActionView, site)
-	}
-
-	type auditResp struct {
-		Entries []map[string]any `json:"entries"`
-		Total   int              `json:"total"`
-		Offset  int              `json:"offset"`
-	}
-	fetch := func(q string) auditResp {
-		t.Helper()
-		resp, body := doReq(t, srv, http.MethodGet, "/v1/audit"+q)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("audit%s = %d %s", q, resp.StatusCode, body)
-		}
-		var out auditResp
-		if err := json.Unmarshal([]byte(body), &out); err != nil {
-			t.Fatalf("audit%s body: %v", q, err)
-		}
-		return out
-	}
-
-	all := fetch("")
-	if all.Total != 5 || len(all.Entries) != 5 || all.Offset != 0 {
-		t.Fatalf("unpaginated audit = total %d, %d entries, offset %d",
-			all.Total, len(all.Entries), all.Offset)
-	}
-	page := fetch("?limit=2&offset=1")
-	if page.Total != 5 || len(page.Entries) != 2 || page.Offset != 1 {
-		t.Fatalf("page = total %d, %d entries, offset %d", page.Total, len(page.Entries), page.Offset)
-	}
-	if page.Entries[0]["seq"] != all.Entries[1]["seq"] {
-		t.Errorf("offset=1 page starts at seq %v, want %v", page.Entries[0]["seq"], all.Entries[1]["seq"])
-	}
-	if tail := fetch("?offset=99"); tail.Total != 5 || len(tail.Entries) != 0 {
-		t.Errorf("past-the-end page = total %d, %d entries", tail.Total, len(tail.Entries))
-	}
-	if resp, body := doReq(t, srv, http.MethodGet, "/v1/audit?limit=-3"); resp.StatusCode != http.StatusBadRequest ||
-		!strings.Contains(body, `"bad_request"`) {
-		t.Errorf("negative limit = %d %s", resp.StatusCode, body)
 	}
 }
 

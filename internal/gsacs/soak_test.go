@@ -92,7 +92,7 @@ func TestSoakViewsUnderChurn(t *testing.T) {
 						return
 					}
 				}
-				want := e.buildView(e.judgeOver(ent.base, ent.reasoner), role, seconto.ActionView)
+				want, _ := e.buildView(e.judgeOver(ent.base, ent.reasoner), role, seconto.ActionView)
 				if got, want := ent.view.String(), want.String(); got != want {
 					t.Errorf("%s view labelled generation %d is not the view of that version\n%s",
 						role.LocalName(), ent.base.Generation(), lineDiff(got, want))

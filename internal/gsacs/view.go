@@ -133,17 +133,27 @@ func (e *Engine) exportView(ctx context.Context, subject, action rdf.IRI, f int)
 }
 
 // viewEntry is ViewCtx returning the view together with its label: the
-// version of the data and the reasoner it was derived from.
+// version of the data and the reasoner it was derived from. The request's
+// record gets the entry's part of the audit trail: the action, whether the
+// role sees anything, the rules the entry's decisions fired and the
+// generation they judged — copied from the entry, so a hit decides nothing.
 func (e *Engine) viewEntry(ctx context.Context, subject, action rdf.IRI) *cacheEntry {
+	ent := e.lookupView(ctx, subject, action)
+	rec := obs.RequestOf(ctx)
+	rec.Action, rec.Allowed, rec.Rules, rec.Generation = string(action), ent.view.Len() > 0, ent.rules, ent.base.Generation()
+	return ent
+}
+
+// lookupView is viewEntry's cache probe, and refresh on a miss.
+func (e *Engine) lookupView(ctx context.Context, subject, action rdf.IRI) *cacheEntry {
 	_, sp := obs.StartSpan(ctx, "gsacs.view")
 	defer sp.End()
 	sp.SetAttr("role", subject.LocalName())
 	s := e.cache.slots[viewKey{subject, action}]
 	if s == nil {
 		// Closed world: no rule names the pair, so every resource is denied
-		// and the view is empty whatever the data holds. One decision, on the
-		// resource "*", says so to the audit trail and the counters.
-		e.decideAs(e.current(), subject, action, rdf.IRI("*"))
+		// and the view is empty whatever the data holds. Nothing is judged,
+		// so the entry reports generation 0.
 		sp.SetAttr("outcome", "no_policy")
 		return e.noView
 	}
@@ -185,18 +195,18 @@ func (e *Engine) refreshView(sp *obs.Span, prev *cacheEntry, subject, action rdf
 		if prev.base.Same(base) {
 			return prev
 		}
-		if view, ok := e.patchView(sp, prev, base, subject, action); ok {
-			ent.view = view
+		if e.patchView(sp, prev, ent, subject, action) {
 			e.cache.patches.Add(1)
 			// The patched view is a new version of the old one: if the old one
 			// was asked spatial questions, its index comes along, patched too.
-			grdf.CarrySpatialIndex(prev.view.View(), view.View())
+			grdf.CarrySpatialIndex(prev.view.View(), ent.view.View())
 		}
 	}
 	if ent.view == nil {
-		ent.view = e.buildView(e.judgeOver(base, rp), subject, action)
+		ent.view, ent.fired = e.buildView(e.judgeOver(base, rp), subject, action)
 		e.cache.rebuilds.Add(1)
 	}
+	ent.rules = ruleList(ent.fired)
 	// The view's query engine is set up here, once per view, not per query:
 	// the spatial functions are bound to the view and the metric handles are
 	// resolved from the registry a single time.
@@ -206,19 +216,43 @@ func (e *Engine) refreshView(sp *obs.Span, prev *cacheEntry, subject, action rdf
 
 // buildView materializes the role's view over j's version of the data from
 // scratch: the cold path, the fallback when patching is not sound or not
-// cheaper, and the oracle the patch path is tested against.
-func (e *Engine) buildView(j judge, subject, action rdf.IRI) *store.Store {
+// cheaper, and the oracle the patch path is tested against. fired counts, per
+// rule, the governed resources whose decision it fired in.
+func (e *Engine) buildView(j judge, subject, action rdf.IRI) (view *store.Store, fired map[rdf.IRI]int) {
 	var visible []rdf.Triple
+	fired = map[rdf.IRI]int{}
 	for _, res := range j.governedResources() {
 		acc := e.decideAs(j, subject, action, res)
+		countRules(fired, acc, 1)
 		if !acc.Allowed {
 			continue
 		}
 		visible = append(visible, j.filterResource(res, acc)...)
 	}
-	view := store.New()
+	view = store.New()
 	view.AddAll(visible)
-	return view
+	return view, fired
+}
+
+// countRules adds n to the count of every rule that fired in acc, dropping
+// counts that reach zero.
+func countRules(fired map[rdf.IRI]int, acc Access, n int) {
+	for _, r := range acc.Matched {
+		if fired[r] += n; fired[r] == 0 {
+			delete(fired, r)
+		}
+	}
+}
+
+// ruleList is the sorted set of rules fired counts, at its exact capacity:
+// records alias it, and an append to one must not write into it.
+func ruleList(fired map[rdf.IRI]int) []string {
+	out := make([]string, 0, len(fired))
+	for r := range fired {
+		out = append(out, string(r))
+	}
+	sort.Strings(out)
+	return out
 }
 
 // governed reports whether node is a candidate resource: a subject with an

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -15,9 +16,10 @@ import (
 // request gets a trace ID (minted, or adopted from X-Trace-Id) and one
 // record, Request, which the handler fills in as it goes. When the request
 // closes the middleware books everything from that record, once: the route's
-// latency histogram and status-code counter, the SLO window, the workload
-// table and one structured log line. No other code books a request, so the
-// books describe the same requests with the same latency.
+// latency histogram and status-code counter, the caller's books (the SLO
+// window, the workload table, the audit trail) and one structured log line.
+// No other code books a request, so the books describe the same requests
+// with the same latency.
 
 // Outcome is how a request ended, as the books count it.
 type Outcome string
@@ -42,7 +44,7 @@ type Request struct {
 	Elapsed time.Duration // from the middleware's entry to the handler's return
 
 	// Set by the handler, on the request's own goroutine.
-	Role string
+	Role string // the role's IRI; the log line names it by its local name
 	// Outcome defaults, at close, to OutcomeError for a status >= 400 and to
 	// OutcomeOK otherwise.
 	Outcome Outcome
@@ -61,16 +63,33 @@ type Request struct {
 	Solutions      int64
 	Reordered      bool
 	MaxMisestimate float64
+	// The access decision the request was answered by, for the audit trail
+	// (Action is empty when none was made): the action asked, the resource
+	// (empty for a whole view or a batch over several), allowed and full,
+	// the rules that fired and the generation of the data judged. Rules may
+	// be shared with the engine and is read-only.
+	Action, Resource string
+	Allowed, Full    bool
+	Rules            []string
+	Generation       uint64
 }
 
 // RequestOf returns the record the middleware opened for ctx's request.
 // Outside one it returns a record nobody books, so a handler writes to it
 // without checking.
 func RequestOf(ctx context.Context) *Request {
-	if rec, ok := ctx.Value(requestKey).(*Request); ok {
+	if rec, _ := ctx.Value(requestKey).(*Request); rec != nil {
 		return rec
 	}
 	return &Request{}
+}
+
+// WithoutRequest returns ctx without its request's record, for work a
+// handler hands to other goroutines (a federated fan-out): what they write
+// goes to records nobody books, and the request's own is written on its own
+// goroutine only.
+func WithoutRequest(ctx context.Context) context.Context {
+	return context.WithValue(ctx, requestKey, (*Request)(nil))
 }
 
 // MiddlewareConfig configures Middleware. Zero-value fields degrade
@@ -93,12 +112,9 @@ type MiddlewareConfig struct {
 	// route), adopting X-Parent-Span as a remote parent so a federation
 	// peer's tree hangs under the originating request.
 	Tracer *Tracer
-	// SLO, when set, receives every closed record for sliding-window
-	// objective tracking.
-	SLO *SLOEngine
-	// Workload, when set, receives every closed record; it keeps the ones
-	// that carry a query (see internal/obs/workload).
-	Workload interface{ Observe(*Request) }
+	// Books receive every closed record, in order: an SLOEngine, a workload
+	// table (see internal/obs/workload), an audit trail.
+	Books []interface{ Observe(*Request) }
 }
 
 // statusWriter writes the response's status code and body bytes on the
@@ -217,9 +233,8 @@ func Middleware(cfg MiddlewareConfig, next http.Handler) http.Handler {
 			}
 			duration().ObserveWithExemplar(rec.Elapsed.Seconds(), rec.TraceID)
 			requests(rec.Status).Inc()
-			cfg.SLO.Record(rec)
-			if cfg.Workload != nil {
-				cfg.Workload.Observe(rec)
+			for _, book := range cfg.Books {
+				book.Observe(rec)
 			}
 			logRequest(ctx, logger, r, rec)
 		}()
@@ -248,7 +263,7 @@ func logRequest(ctx context.Context, l *slog.Logger, r *http.Request, rec *Reque
 		slog.Int64("duration_us", rec.Elapsed.Microseconds()),
 		slog.String("outcome", string(rec.Outcome)))
 	if rec.Role != "" {
-		attrs = append(attrs, slog.String("role", rec.Role))
+		attrs = append(attrs, slog.String("role", rec.Role[strings.LastIndexAny(rec.Role, "#/")+1:]))
 	}
 	if rec.Kind != "" {
 		attrs = append(attrs,

@@ -18,7 +18,7 @@ func TestSLOFastBurnTransitions(t *testing.T) {
 
 	// Healthy baseline.
 	for i := 0; i < 100; i++ {
-		e.Record(served("/v1/query", time.Millisecond, 200))
+		e.Observe(served("/v1/query", time.Millisecond, 200))
 	}
 	if st := e.Status(); !st.AvailabilityOK {
 		t.Fatalf("clean traffic breached: %+v", st.Fast)
@@ -27,7 +27,7 @@ func TestSLOFastBurnTransitions(t *testing.T) {
 	// A burst of 5xx inside one bucket: 10 errors over 110 requests is a
 	// ~9%% error rate against a 1%% budget — burn ≈ 9, breached.
 	for i := 0; i < 10; i++ {
-		e.Record(served("/v1/query", time.Millisecond, 500))
+		e.Observe(served("/v1/query", time.Millisecond, 500))
 	}
 	st := e.Status()
 	if st.AvailabilityOK || st.Fast.BurnRate <= 1 {
@@ -38,7 +38,7 @@ func TestSLOFastBurnTransitions(t *testing.T) {
 	// while the errors are still inside the window: 10/1610 < 1%.
 	clk.advance(time.Minute)
 	for i := 0; i < 1500; i++ {
-		e.Record(served("/v1/query", time.Millisecond, 200))
+		e.Observe(served("/v1/query", time.Millisecond, 200))
 	}
 	st = e.Status()
 	if !st.AvailabilityOK {

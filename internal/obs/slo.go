@@ -124,14 +124,14 @@ func (e *SLOEngine) series(route string) *sloSeries {
 	return s
 }
 
-// Record books one closed request into its route's window: it counts toward
+// Observe books one closed request into its route's window: it counts toward
 // the total, toward the errors when its status is >= 500, and — unless it was
 // shed — is a latency sample. A shed takes microseconds and never ran: were
 // it a sample, an overload would pull the window's quantiles under the
 // objective exactly while the admitted requests miss it. Safe on a nil
 // engine. Route labels must be bounded (the middleware's is its mux
 // pattern), since each route owns a bucket ring.
-func (e *SLOEngine) Record(rec *Request) {
+func (e *SLOEngine) Observe(rec *Request) {
 	if e == nil {
 		return
 	}

@@ -34,7 +34,7 @@ func TestSLOWindowQuantiles(t *testing.T) {
 	clk := newSLOClock()
 	e := testEngine(clk)
 	for i := 0; i < 1000; i++ {
-		e.Record(served("/v1/query", time.Duration(i+1)*time.Millisecond, 200))
+		e.Observe(served("/v1/query", time.Duration(i+1)*time.Millisecond, 200))
 	}
 	st := e.Status()
 	if st.Fast.Count != 1000 || st.Slow.Count != 1000 {
@@ -67,7 +67,7 @@ func TestSLOBurnRateAndExpiry(t *testing.T) {
 		if i < 2 {
 			status = 500
 		}
-		e.Record(served("/v1/query", time.Millisecond, status))
+		e.Observe(served("/v1/query", time.Millisecond, status))
 	}
 	st := e.Status()
 	if math.Abs(st.Fast.BurnRate-2.0) > 1e-9 {
@@ -101,11 +101,11 @@ func TestSLOBurnRateAndExpiry(t *testing.T) {
 func TestSLOBucketReuseAfterWrap(t *testing.T) {
 	clk := newSLOClock()
 	e := testEngine(clk)
-	e.Record(served("/v1/query", 50*time.Millisecond, 200))
+	e.Observe(served("/v1/query", 50*time.Millisecond, 200))
 	// Advance exactly the ring length (61 one-minute buckets) so the
 	// second record lands in the same slot and must reset it.
 	clk.advance(61 * time.Minute)
-	e.Record(served("/v1/query", 10*time.Millisecond, 200))
+	e.Observe(served("/v1/query", 10*time.Millisecond, 200))
 	st := e.Status()
 	if st.Slow.Count != 1 {
 		t.Fatalf("stale bucket leaked into window: %+v", st.Slow)
@@ -114,7 +114,7 @@ func TestSLOBucketReuseAfterWrap(t *testing.T) {
 
 func TestSLONilEngine(t *testing.T) {
 	var e *SLOEngine
-	e.Record(served("/x", time.Second, 500)) // must not panic
+	e.Observe(served("/x", time.Second, 500)) // must not panic
 	st := e.Status()
 	if !st.LatencyOK || !st.AvailabilityOK {
 		t.Fatal("nil engine must report vacuous pass")
@@ -126,9 +126,9 @@ func TestSLOInstrument(t *testing.T) {
 	clk := newSLOClock()
 	e := testEngine(clk)
 	for i := 0; i < 10; i++ {
-		e.Record(served("/v1/query", 5*time.Millisecond, 200))
+		e.Observe(served("/v1/query", 5*time.Millisecond, 200))
 	}
-	e.Record(served("/v1/query", 5*time.Millisecond, 500))
+	e.Observe(served("/v1/query", 5*time.Millisecond, 500))
 	reg := NewRegistry()
 	e.Instrument(reg)
 	var sb strings.Builder

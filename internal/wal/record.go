@@ -16,9 +16,10 @@ import (
 type Kind uint8
 
 const (
-	// KindAudit carries an opaque side payload in Data (the G-SACS audit
-	// trail), riding the same durability machinery without the wal package
-	// knowing its schema.
+	// KindAudit is retired: the G-SACS audit trail once rode the commit
+	// stream as opaque frames of this kind. Logs that hold them still
+	// recover — the frames decode and replay skips them — but nothing
+	// writes one (the trail has its own file, see AppendAudit).
 	KindAudit Kind = 5
 	// KindCommit is one store commit: the ops of one Apply or ApplyBatch, in
 	// apply order, and the generation they were applied against. A commit
@@ -39,21 +40,22 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Record is one WAL entry: a commit or an audit payload.
+// Record is one WAL entry: a commit (or a retired audit frame, read back
+// with nothing in it).
 type Record struct {
 	Kind Kind
 	// Gen is the store generation a commit was applied against: replay
 	// applies it to a store at exactly that generation (see ApplyRecord).
-	Gen  uint64
-	Ops  []store.Op // KindCommit, in apply order
-	Data []byte     // KindAudit payload
+	Gen uint64
+	Ops []store.Op // KindCommit, in apply order
 }
 
 // On-disk frame: uint32 LE payload length, uint32 LE CRC32C of the payload,
 // then the payload. The payload is kind (1 byte) and generation (uvarint),
 // then for a commit the op count (uvarint) and per op its code (1 byte),
-// triple count (uvarint) and length-prefixed N-Triples statements; for an
-// audit record one length-prefixed opaque blob.
+// triple count (uvarint) and length-prefixed N-Triples statements; for a
+// retired audit record one length-prefixed opaque blob. The audit file frames
+// its payloads the same way (see AppendAudit).
 const frameHeaderLen = 8
 
 // Op codes on disk. They are the log's own numbering, so renumbering
@@ -111,12 +113,15 @@ func encodeRecord(r Record) ([]byte, error) {
 			}
 			frame = appendTriples(append(frame, code), op.Triples)
 		}
-	case KindAudit:
-		frame = binary.AppendUvarint(frame, uint64(len(r.Data)))
-		frame = append(frame, r.Data...)
 	default:
 		return nil, fmt.Errorf("wal: cannot encode record kind %d", r.Kind)
 	}
+	return seal(frame)
+}
+
+// seal fills in the header of frame — frameHeaderLen reserved bytes, then
+// the payload — with the payload's length and CRC32C.
+func seal(frame []byte) ([]byte, error) {
 	payload := frame[frameHeaderLen:]
 	if len(payload) > maxRecordBytes {
 		return nil, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(payload), maxRecordBytes)
@@ -212,7 +217,7 @@ func decodePayload(payload []byte) (Record, error) {
 			rec.Ops = append(rec.Ops, d.op(i))
 		}
 	case KindAudit:
-		rec.Data = append([]byte(nil), d.blob("audit payload")...)
+		d.blob("audit payload")
 	default:
 		d.fail("unknown record kind %d", uint8(rec.Kind))
 	}

@@ -59,7 +59,8 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 
 // Options configures Open.
 type Options struct {
-	// Dir is the data directory holding segments and snapshots. Required.
+	// Dir is the data directory holding segments, snapshots and the audit
+	// file. Required.
 	Dir string
 	// FS overrides the filesystem (tests inject faults here). Nil means the
 	// real one.
@@ -69,12 +70,9 @@ type Options struct {
 	// FsyncInterval is the flush period under FsyncInterval (default 50ms).
 	FsyncInterval time.Duration
 	// SnapshotEvery triggers a background snapshot after this many appended
-	// records (0 disables automatic snapshots; Snapshot can still be called).
+	// commit records (0 disables automatic snapshots; Snapshot can still be
+	// called).
 	SnapshotEvery int
-	// MaxAuditReplay caps how many recovered audit payloads are retained for
-	// the caller, newest last (default 4096; the G-SACS audit ring is far
-	// smaller).
-	MaxAuditReplay int
 	// Metrics, when non-nil, receives the repository's instruments.
 	Metrics *obs.Registry
 	// Logger receives recovery and snapshot diagnostics (nil = discard).
@@ -90,8 +88,6 @@ type RecoveryInfo struct {
 	// SegmentsReplayed and RecordsReplayed count the WAL tail replay.
 	SegmentsReplayed int
 	RecordsReplayed  int
-	// AuditRecords counts recovered audit payloads (see Repository.AuditReplay).
-	AuditRecords int
 	// TornTailTruncated reports that an incomplete final record was cut away.
 	TornTailTruncated bool
 	// Duration is the wall time recovery took.
@@ -130,8 +126,10 @@ type Repository struct {
 
 	snapMu sync.Mutex // serializes whole snapshot cycles
 
-	recovery    RecoveryInfo
-	auditReplay [][]byte
+	recovery RecoveryInfo
+
+	// audit is the audit trail's own file, under its own lock (see audit.go).
+	audit auditFile
 
 	// statusMu guards the snapshot provenance served by Status — written
 	// rarely (recovery, snapshot completion), read by /healthz.
@@ -194,22 +192,20 @@ func Open(st *store.Store, opts Options) (*Repository, error) {
 	if r.logger == nil {
 		r.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	maxAudit := opts.MaxAuditReplay
-	if maxAudit <= 0 {
-		maxAudit = 4096
-	}
 	if err := r.fsys.MkdirAll(r.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create data dir: %w", err)
 	}
 
 	start := time.Now()
-	if err := r.recover(maxAudit); err != nil {
+	if err := r.recover(); err != nil {
 		return nil, err
 	}
 	if err := r.indexSegments(); err != nil {
 		return nil, err
 	}
-	r.recovery.AuditRecords = len(r.auditReplay)
+	if err := r.openAudit(); err != nil {
+		return nil, err
+	}
 	r.recovery.Duration = time.Since(start)
 	r.logger.Info("wal: recovery complete",
 		"snapshot_seq", r.recovery.SnapshotSeq,
@@ -259,7 +255,7 @@ func (r *Repository) instrument(reg *obs.Registry) {
 
 // recover loads the newest loadable snapshot, replays every later segment,
 // and leaves the repository positioned to append to the highest segment.
-func (r *Repository) recover(maxAudit int) error {
+func (r *Repository) recover() error {
 	dirSt, err := listDir(r.fsys, r.dir)
 	if err != nil {
 		return fmt.Errorf("wal: list data dir: %w", err)
@@ -315,7 +311,7 @@ func (r *Repository) recover(maxAudit int) error {
 
 	for i, seq := range replay {
 		final := i == len(replay)-1
-		if err := r.replaySegment(seq, final, maxAudit); err != nil {
+		if err := r.replaySegment(seq, final); err != nil {
 			return err
 		}
 		r.recovery.SegmentsReplayed++
@@ -351,7 +347,7 @@ func (r *Repository) recover(maxAudit int) error {
 // marks the last segment, the only place a torn record is legal: it is
 // truncated away. Commits the loaded snapshot already holds are skipped by
 // ApplyRecord's generation rule.
-func (r *Repository) replaySegment(seq uint64, final bool, maxAudit int) error {
+func (r *Repository) replaySegment(seq uint64, final bool) error {
 	name := filepath.Join(r.dir, segmentName(seq))
 	buf, err := readAll(r.fsys, name)
 	if err != nil {
@@ -379,7 +375,7 @@ func (r *Repository) replaySegment(seq uint64, final bool, maxAudit int) error {
 		if err != nil {
 			return fmt.Errorf("segment %d, offset %d: %w", seq, off, err)
 		}
-		if err := r.applyRecord(rec, maxAudit); err != nil {
+		if err := ApplyRecord(r.st, rec); err != nil {
 			return fmt.Errorf("wal: replay segment %d, offset %d: %w", seq, off, err)
 		}
 		r.recovery.RecordsReplayed++
@@ -400,28 +396,16 @@ func (r *Repository) truncateSegment(name string, size int64) error {
 	return f.Sync()
 }
 
-// applyRecord replays one record into the store (or the audit buffer).
-func (r *Repository) applyRecord(rec Record, maxAudit int) error {
-	if rec.Kind == KindAudit {
-		r.auditReplay = append(r.auditReplay, rec.Data)
-		if len(r.auditReplay) > maxAudit {
-			r.auditReplay = r.auditReplay[len(r.auditReplay)-maxAudit:]
-		}
-		return nil
-	}
-	return ApplyRecord(r.st, rec)
-}
-
 // ApplyRecord replays one record into st by the log's one rule: a commit
 // applies to a store at exactly the generation it is stamped with, as one
 // commit, moving the store to the next generation. A commit stamped below
 // st's generation is already in st — the snapshot st was loaded from was
 // taken after it — and is skipped. One stamped above means a commit between
 // them is missing, and is refused with ErrCorrupt, as is a commit that
-// changes nothing where it is stamped. Audit records are node-local state,
-// not replicated data, and are skipped too. Shared by crash recovery and the
-// replication follower, so a streamed record applies precisely the way the
-// leader's own recovery would apply it.
+// changes nothing where it is stamped. A retired audit frame, which logs
+// written before the audit trail had its own file still hold, is skipped.
+// Shared by crash recovery and the replication follower, so a streamed
+// record applies precisely the way the leader's own recovery would apply it.
 func ApplyRecord(st *store.Store, rec Record) error {
 	if rec.Kind != KindCommit {
 		return nil
@@ -486,10 +470,6 @@ func (r *Repository) WALStatus() Status {
 	return st
 }
 
-// AuditReplay returns the audit payloads recovered from the log, oldest
-// first, so the caller can restore its audit trail.
-func (r *Repository) AuditReplay() [][]byte { return r.auditReplay }
-
 // commitGroup is the store's group commit hook: journal every commit of the
 // group before the store publishes any of it. It runs under the store writer
 // lock, so append order is exactly apply order; an error here aborts the
@@ -541,19 +521,10 @@ func (r *Repository) commitGroup(groups [][]store.Op) error {
 	return err
 }
 
-// AppendAudit journals an opaque audit payload. Audit entries are never
-// individually fsynced: under FsyncAlways the next mutation record's fsync
-// flushes them, and an audit entry always precedes the mutation it describes
-// — so any acknowledged mutation's audit trail is durable with it.
-func (r *Repository) AppendAudit(data []byte) error {
-	frame, err := encodeRecord(Record{Kind: KindAudit, Data: data})
-	if err != nil {
-		return err
-	}
-	return r.append(context.Background(), frame, false)
-}
-
-// append writes one frame to the active segment, optionally fsyncing.
+// appendFrames writes a group of frames to the active segment as one
+// contiguous write, optionally fsyncing once afterwards. The write is
+// all-or-nothing: on failure the segment is truncated back to the last
+// committed offset, so a group never half-lands.
 //
 // Failure handling is deliberately asymmetric. A failed *write* is repaired
 // by truncating back to the last committed offset — the frame never happened.
@@ -561,14 +532,6 @@ func (r *Repository) AppendAudit(data []byte) error {
 // can no longer re-write (the "fsyncgate" lesson), so the log is marked
 // broken and every later append refuses until the process restarts and
 // recovery re-establishes a trustworthy tail.
-func (r *Repository) append(ctx context.Context, frame []byte, syncNow bool) error {
-	return r.appendFrames(ctx, [][]byte{frame}, syncNow)
-}
-
-// appendFrames writes a group of frames to the active segment as one
-// contiguous write, optionally fsyncing once afterwards. The write is
-// all-or-nothing: on failure the segment is truncated back to the last
-// committed offset, so a group never half-lands.
 func (r *Repository) appendFrames(ctx context.Context, frames [][]byte, syncNow bool) error {
 	buf := frames[0]
 	if len(frames) > 1 {
@@ -646,19 +609,6 @@ func (r *Repository) syncCtxLocked(ctx context.Context) error {
 	r.mFsync.ObserveSince(start)
 	r.dirty = false
 	return nil
-}
-
-// Sync flushes any unsynced appends to stable storage.
-func (r *Repository) Sync() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.broken != nil {
-		return fmt.Errorf("wal: log broken by earlier error: %w", r.broken)
-	}
-	if r.closed {
-		return errClosed
-	}
-	return r.syncLocked()
 }
 
 // flushLoop services the FsyncInterval policy.
@@ -855,11 +805,18 @@ func (r *Repository) gc() {
 }
 
 // Close stops the background goroutines, flushes the log and closes the
-// active segment. The commit hook stays installed and refuses further
-// mutations — after Close the store is read-only by construction.
+// active segment and the audit file. The commit hook stays installed and
+// refuses further mutations — after Close the store is read-only by
+// construction.
 func (r *Repository) Close() error {
 	r.stopOnce.Do(func() { close(r.stopCh) })
 	r.wg.Wait()
+	r.audit.mu.Lock()
+	if r.audit.f != nil {
+		r.audit.f.Close() // never fsynced: nothing to report
+		r.audit.f = nil
+	}
+	r.audit.mu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {

@@ -64,16 +64,9 @@ func (r *Repository) countSegmentRecords(seq uint64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, off := 0, 0
-	for off < len(buf) {
-		_, next, err := frameAt(buf, off)
-		if err != nil {
-			return 0, err
-		}
-		n++
-		off = next
-	}
-	return n, nil
+	n := 0
+	_, err = walkFrames(buf, func([]byte) { n++ })
+	return n, err
 }
 
 // minSeqLocked computes the oldest streamable sequence number. Caller

@@ -81,9 +81,9 @@ var clearOp = store.Op{Kind: store.OpClear}
 // sameRecord fails t unless got decodes to exactly what want encoded.
 func sameRecord(t *testing.T, got, want Record) {
 	t.Helper()
-	if got.Kind != want.Kind || got.Gen != want.Gen || len(got.Ops) != len(want.Ops) || !bytes.Equal(got.Data, want.Data) {
-		t.Fatalf("decoded kind=%v gen=%d %d ops data=%q, want kind=%v gen=%d %d ops data=%q",
-			got.Kind, got.Gen, len(got.Ops), got.Data, want.Kind, want.Gen, len(want.Ops), want.Data)
+	if got.Kind != want.Kind || got.Gen != want.Gen || len(got.Ops) != len(want.Ops) {
+		t.Fatalf("decoded kind=%v gen=%d %d ops, want kind=%v gen=%d %d ops",
+			got.Kind, got.Gen, len(got.Ops), want.Kind, want.Gen, len(want.Ops))
 	}
 	for i, op := range want.Ops {
 		if got.Ops[i].Kind != op.Kind || len(got.Ops[i].Triples) != len(op.Triples) {
@@ -104,7 +104,6 @@ func TestRecordRoundTrip(t *testing.T) {
 		commit(9, remove(triple(1))),
 		commit(12, replace(triple(2), triple(3))),
 		commit(15, clearOp),
-		{Kind: KindAudit, Data: []byte(`{"who":"hydrologist1","allowed":true}`)},
 	}
 	var log []byte
 	for _, r := range recs {
@@ -230,31 +229,71 @@ func TestMutationsRefusedAfterClose(t *testing.T) {
 	}
 }
 
+// TestAuditRoundTrip: audit payloads go to audit.log, not to a segment — the
+// commit stream's head and bytes stay put — and come back from AuditReplay
+// after a restart, oldest first: across a rotation into audit.log.1, and
+// with a torn final frame cut away.
 func TestAuditRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, repo := openRepo(t, dir, Options{Fsync: FsyncAlways})
-	payloads := [][]byte{
-		[]byte(`{"seq":1}`), []byte(`{"seq":2}`), []byte(`{"seq":3}`),
-	}
-	for i, p := range payloads {
-		if err := repo.AppendAudit(p); err != nil {
+	st.Add(triple(1))
+	head, segment := repo.HeadSeq(), segmentSize(OSFS(), dir, 1)
+	payload := func(i int) []byte { return []byte(fmt.Sprintf(`{"seq":%d,"pad":%q}`, i, strings.Repeat("x", 1000))) }
+	// Enough ~1 KB payloads to rotate once and start the second file.
+	n := auditRotateBytes/1000 + 100
+	for i := 0; i < n; i++ {
+		if err := repo.AppendAudit(payload(i)); err != nil {
 			t.Fatalf("audit %d: %v", i, err)
 		}
-		st.Add(triple(i)) // the mutation fsync flushes the audit entry
+	}
+	if repo.HeadSeq() != head || segmentSize(OSFS(), dir, 1) != segment {
+		t.Fatalf("audit appends moved the commit log: head %d -> %d, segment %d -> %d bytes",
+			head, repo.HeadSeq(), segment, segmentSize(OSFS(), dir, 1))
 	}
 	repo.Close()
-
-	_, repo2 := openRepo(t, dir, Options{})
-	defer repo2.Close()
-	got := repo2.AuditReplay()
-	if len(got) != len(payloads) {
-		t.Fatalf("recovered %d audit payloads, want %d", len(got), len(payloads))
+	// A torn final frame: the write of the last payload half-landed.
+	name := filepath.Join(dir, auditName)
+	fi, err := os.Stat(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range payloads {
-		if !bytes.Equal(got[i], payloads[i]) {
-			t.Fatalf("audit %d: %s, want %s", i, got[i], payloads[i])
+	if err := TruncateFile(name, fi.Size()-10); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, repo2 := openRepo(t, dir, Options{})
+	defer repo2.Close()
+	if st2.Len() != 1 || repo2.Info().TornTailTruncated {
+		t.Errorf("recovered %d triples (torn tail %v); the audit file is not the log's business",
+			st2.Len(), repo2.Info().TornTailTruncated)
+	}
+	got := repo2.AuditReplay()
+	rotated := 0
+	walkFrames(mustRead(t, name+".1"), func([]byte) { rotated++ })
+	if rotated == 0 || len(got) != n-1 {
+		t.Fatalf("recovered %d audit payloads (%d from the rotated file), want %d", len(got), rotated, n-1)
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], payload(i)) {
+			t.Fatalf("audit %d: %.20s…, want %.20s…", i, got[i], payload(i))
 		}
 	}
+	// The cut tail is gone: the next append follows a whole frame.
+	if err := repo2.AppendAudit(payload(n)); err != nil {
+		t.Fatal(err)
+	}
+	if got := repo2.AuditReplay(); len(got) != n || !bytes.Equal(got[n-1], payload(n)) {
+		t.Fatalf("after the cut tail, %d payloads, last %.20s…", len(got), got[len(got)-1])
+	}
+}
+
+func mustRead(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestTornTailTruncatedOnRecovery(t *testing.T) {
@@ -681,7 +720,6 @@ func FuzzWALDecode(f *testing.F) {
 		commit(1, add(triple(1))),
 		commit(2, replace(triple(1), triple(2)), remove(triple(3))),
 		commit(3, clearOp),
-		{Kind: KindAudit, Data: []byte(`{"a":1}`)},
 	} {
 		frame, err := encodeRecord(r)
 		if err != nil {
@@ -689,6 +727,7 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		f.Add(frame)
 	}
+	f.Add(oldSegment(f))
 	f.Add([]byte{})
 	f.Add(make([]byte, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -701,7 +740,11 @@ func FuzzWALDecode(f *testing.F) {
 			if next <= off {
 				t.Fatalf("decoder did not advance: off=%d next=%d", off, next)
 			}
-			// A decoded record re-encodes, and decodes back to itself.
+			off = next
+			if rec.Kind == KindAudit {
+				continue // retired: decoded to be skipped, never written
+			}
+			// A decoded commit re-encodes, and decodes back to itself.
 			frame, err := encodeRecord(rec)
 			if err != nil {
 				t.Fatalf("decoded record does not re-encode: %v", err)
@@ -711,7 +754,6 @@ func FuzzWALDecode(f *testing.F) {
 				t.Fatalf("re-encoded record does not decode: %v", err)
 			}
 			sameRecord(t, again, rec)
-			off = next
 		}
 	})
 }
