@@ -368,7 +368,7 @@ func (j judge) withinScope(resource rdf.Term, scope geom.Envelope) bool {
 // NewOWLReasoner materializes the given ontologies plus the data and returns
 // an owl.Reasoner ready to plug into Options.Reasoner.
 func NewOWLReasoner(data *store.Store, ontologies ...*rdf.Graph) *owl.Reasoner {
-	return materialize(owl.NewReasoner(), data, ontologies)
+	return materialize(owl.NewReasonerOver(data), ontologies)
 }
 
 // MaterializeReasoner plugs in an OWL reasoner materialized over the
@@ -377,16 +377,18 @@ func NewOWLReasoner(data *store.Store, ontologies ...*rdf.Graph) *owl.Reasoner {
 // bootstrap). The reasoner reports into the engine's registry, attached
 // before the data is fed so the materialization itself is measured.
 func (e *Engine) MaterializeReasoner(ontologies ...*rdf.Graph) {
-	e.SetReasoner(materialize(owl.NewReasoner().Instrument(e.metrics), e.data, ontologies))
+	e.SetReasoner(materialize(owl.NewReasonerOver(e.data).Instrument(e.metrics), ontologies))
 }
 
-// materialize feeds the ontologies and the data to r as one batch: one
-// commit, one drain, so an instrumented reasoner books one materialization.
-func materialize(r *owl.Reasoner, data *store.Store, ontologies []*rdf.Graph) *owl.Reasoner {
+// materialize adds the ontologies on top of the data version r starts from
+// and derives the closure of both in one drain, so an instrumented reasoner
+// books one materialization. The data is neither copied nor re-interned: r
+// shares its dictionary and indexes.
+func materialize(r *owl.Reasoner, ontologies []*rdf.Graph) *owl.Reasoner {
 	var ts []rdf.Triple
 	for _, g := range ontologies {
 		ts = append(ts, g.Triples()...)
 	}
-	r.AddAll(append(ts, data.Triples()...))
+	r.AddAll(ts)
 	return r
 }

@@ -1,13 +1,19 @@
 package gsacs
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/grdf"
 	"repro/internal/obs"
 	"repro/internal/owl"
+	"repro/internal/rdf"
 	"repro/internal/seconto"
+	"repro/internal/store"
 )
 
 // TestMaterializationIsOneSample: one MaterializeReasoner is one drain of the
@@ -34,16 +40,105 @@ func TestMaterializationIsOneSample(t *testing.T) {
 }
 
 // TestMaterializeAllocations: materializing the 450-site scenario with both
-// ontologies allocates less than 32 MB. Committing one store version per
-// triple, the reasoner allocated 94.6 MB for it.
+// ontologies allocates less than 3.45 MB, and what stays live afterwards is
+// well under half of what a copy of the data costs. Committing one store
+// version per triple, the reasoner allocated 94.6 MB for it; re-interning and
+// re-indexing the data into a private store, 17.6 MB, keeping 4.5 MB live.
+// Reasoning over the data's own version it allocates 2.8 MB and keeps 1.0 MB.
 func TestMaterializeAllocations(t *testing.T) {
 	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 7, Sites: 450})
+	onto, sec := grdf.Ontology(), seconto.Ontology()
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			NewOWLReasoner(sc.Merged, grdf.Ontology(), seconto.Ontology())
+			NewOWLReasoner(sc.Merged, onto, sec)
 		}
 	})
-	if got := res.AllocedBytesPerOp(); got >= 32<<20 {
-		t.Fatalf("NewOWLReasoner at 450 sites allocates %.1f MB per run, want < 32 MB", float64(got)/(1<<20))
+	if got := res.AllocedBytesPerOp(); float64(got) >= 3.45*(1<<20) {
+		t.Fatalf("NewOWLReasoner at 450 sites allocates %.1f MB per run, want < 3.45 MB", float64(got)/(1<<20))
 	}
+
+	copied := retained(func() any {
+		cp := store.New()
+		cp.AddAll(sc.Merged.Triples())
+		return cp
+	})
+	kept := retained(func() any { return NewOWLReasoner(sc.Merged, onto, sec) })
+	runtime.KeepAlive(sc) // the data stays live, so only what was added is counted
+	if kept >= copied/2 {
+		t.Fatalf("a materialized reasoner keeps %.1f MB live, a copy of the data %.1f MB: want less than half",
+			float64(kept)/(1<<20), float64(copied)/(1<<20))
+	}
+}
+
+// retained returns how many heap bytes what build returns keeps live.
+func retained(build func() any) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(v)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// TestMaterializeWhileCommitting is the follower re-bootstrap shape: the
+// reasoner is rebuilt over the data while commits land on the data store —
+// both sides interning into the one shared dictionary — and decisions read
+// the current reasoner. Every decision must equal the one made before the
+// churn (the commits only add subjects no policy resource names), and
+// materializing leaves the data store's version alone.
+func TestMaterializeWhileCommitting(t *testing.T) {
+	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 9, Sites: 12})
+	e := New(sc.Policies, sc.Merged, Options{Metrics: obs.NewRegistry()})
+	onto, sec := grdf.Ontology(), seconto.Ontology()
+	e.MaterializeReasoner(onto, sec)
+	site := sc.Chemical.Sites[0].IRI
+	want := map[rdf.IRI]Access{}
+	for _, role := range scenarioRoles {
+		want[role] = e.Decide(role, seconto.ActionView, site)
+	}
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; !done.Load(); i++ {
+			x := rdf.IRI(fmt.Sprintf("http://example.org/churn/%d", i))
+			sc.Merged.Add(rdf.T(x, rdf.RDFType, rdf.IRI(fmt.Sprintf("http://example.org/churn/Class%d", i%7))))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; !done.Load(); i++ {
+			role := scenarioRoles[i%len(scenarioRoles)]
+			if got := e.Decide(role, seconto.ActionView, site); got.Allowed != want[role].Allowed || got.Full != want[role].Full {
+				t.Errorf("%s on %s during materialization: allowed=%v full=%v, before: allowed=%v full=%v",
+					role.LocalName(), site, got.Allowed, got.Full, want[role].Allowed, want[role].Full)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 5; i++ {
+		// A term of its own per round, so the reasoner side interns too.
+		extra := rdf.NewGraph()
+		extra.Add(rdf.T(rdf.IRI(fmt.Sprintf("http://example.org/onto/Class%d", i)), rdf.RDFSSubClassOf, grdf.Feature))
+		e.MaterializeReasoner(onto, sec, extra)
+	}
+	done.Store(true)
+	wg.Wait()
+
+	before := sc.Merged.View()
+	e.MaterializeReasoner(onto, sec)
+	if !sc.Merged.View().Same(before) {
+		t.Fatal("materializing published a new version of the data store")
+	}
+	r := e.Reasoner().(*owl.Reasoner)
+	sc.Merged.ForEachMatch(nil, nil, nil, func(tr rdf.Triple) bool {
+		if !r.Entails(tr) {
+			t.Fatalf("the closure lacks data triple %v", tr)
+		}
+		return true
+	})
 }

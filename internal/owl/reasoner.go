@@ -14,6 +14,7 @@
 package owl
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -23,7 +24,8 @@ import (
 
 // Stats reports the outcome of a materialization.
 type Stats struct {
-	// Asserted is the number of input triples.
+	// Asserted is the number of input triples: the starting version's plus
+	// every new one added since.
 	Asserted int
 	// Inferred is the number of new triples derived.
 	Inferred int
@@ -33,30 +35,34 @@ type Stats struct {
 
 // Reasoner maintains a materialized store: the deductive closure of
 // everything added so far.
+//
+// It reasons in ID space. A reasoner started over a data store
+// (NewReasonerOver) begins with that store's version: it interns into the
+// same dictionary, and its commits path-copy from the data's indexes, so the
+// dataset is neither re-interned nor copied. The rules probe the indexes with
+// dictionary IDs and never hash a term.
 type Reasoner struct {
 	st    *store.Store
 	stats Stats
-	// queue holds the triples the current round fires the rules for: the
+	v     vocab
+	// queue holds the ID triples the current round fires the rules for: the
 	// asserted batch, then each round's new derivations.
-	queue []rdf.Triple
+	queue [][3]store.ID
 	// pending collects the current round's distinct new derivations; the
 	// rules read one published version per round, and pending is committed
 	// as one batch when the round ends.
-	pending []rdf.Triple
+	pending [][3]store.ID
 	// provenance records, for each inferred triple, the rule that produced
 	// it and the delta triple that triggered the rule (first derivation
 	// wins). Asserted triples are absent.
-	provenance map[rdf.Triple]Derivation
-	// curRule / curTrigger hold the provenance context while rules run.
-	curRule    string
-	curTrigger rdf.Triple
-
-	// Dictionary IDs of the vocabulary predicates probed by the hot
-	// entailment helpers (IsSubClassOf and friends). Interned once at
-	// construction so concurrent readers never race on lazy init.
-	idType     store.ID
-	idSubClass store.ID
-	idSubProp  store.ID
+	provenance map[[3]store.ID]derivation
+	// cur is the provenance context while rules run.
+	cur derivation
+	// view and terms are the round's published version and the dictionary
+	// as of the round's start: every ID the round reads or emits resolves
+	// through terms.
+	view  store.StoreView
+	terms store.DictView
 
 	// Metric handles (set by Instrument; nil-safe no-ops otherwise). The
 	// gauges are refreshed after every materialization so /metrics always
@@ -71,29 +77,78 @@ type Reasoner struct {
 
 // Derivation explains one inferred triple.
 type Derivation struct {
-	// Rule names the rule family that fired (e.g. "rdfs9-subclass").
+	// Rule names the rule family that fired (e.g. "subclass").
 	Rule string
 	// Trigger is the delta triple whose processing produced the inference.
 	Trigger rdf.Triple
 }
 
-// NewReasoner returns an empty reasoner.
-func NewReasoner() *Reasoner {
-	st := store.New()
-	return &Reasoner{
-		st:         st,
-		provenance: make(map[rdf.Triple]Derivation),
-		idType:     st.Intern(rdf.RDFType),
-		idSubClass: st.Intern(rdf.RDFSSubClassOf),
-		idSubProp:  st.Intern(rdf.RDFSSubPropertyOf),
+// derivation is a Derivation in ID space: the provenance map holds no
+// pointers, so the collector never scans it.
+type derivation struct {
+	trigger [3]store.ID
+	rule    rule
+}
+
+// vocab holds the dictionary IDs of every vocabulary term a rule reads,
+// interned once at construction so the rules, and concurrent readers of the
+// entailment helpers, never intern or hash a term.
+type vocab struct {
+	typ, subClass, subProp, domain, rng                  store.ID
+	eqClass, eqProp, inverseOf, sameAs                   store.ID
+	unionOf, intersectionOf, first, rest, listNil        store.ID
+	symmetric, transitive, functional, inverseFunctional store.ID
+	onProperty, hasValue, someValuesFrom, allValuesFrom  store.ID
+}
+
+func internVocab(st *store.Store) vocab {
+	i := st.Intern
+	return vocab{
+		typ: i(rdf.RDFType), subClass: i(rdf.RDFSSubClassOf), subProp: i(rdf.RDFSSubPropertyOf),
+		domain: i(rdf.RDFSDomain), rng: i(rdf.RDFSRange),
+		eqClass: i(rdf.OWLEquivalentClass), eqProp: i(rdf.OWLEquivalentProperty),
+		inverseOf: i(rdf.OWLInverseOf), sameAs: i(rdf.OWLSameAs),
+		unionOf: i(rdf.OWLUnionOf), intersectionOf: i(rdf.OWLIntersectionOf),
+		first: i(rdf.RDFFirst), rest: i(rdf.RDFRest), listNil: i(rdf.RDFNil),
+		symmetric: i(rdf.OWLSymmetricProperty), transitive: i(rdf.OWLTransitiveProperty),
+		functional: i(rdf.OWLFunctionalProperty), inverseFunctional: i(rdf.OWLInverseFunctional),
+		onProperty: i(rdf.OWLOnProperty), hasValue: i(rdf.OWLHasValue),
+		someValuesFrom: i(rdf.OWLSomeValuesFrom), allValuesFrom: i(rdf.OWLAllValuesFrom),
 	}
 }
 
+// NewReasoner returns an empty reasoner.
+func NewReasoner() *Reasoner { return newReasoner(store.New()) }
+
+// NewReasonerOver returns a reasoner that starts from data's current
+// version. That costs O(1): the reasoner's store is a snapshot of data, so it
+// shares data's dictionary and indexes, and writes to either store stay
+// unseen by the other. The vocabulary the rules read is interned into the
+// shared dictionary. Every triple of the version counts as asserted and is
+// queued for the next drain: the next AddAll derives the closure of the
+// version plus its batch in one drain (AddAll(nil) for the version alone).
+// Until then the reasoner holds the version, not its closure.
+func NewReasonerOver(data *store.Store) *Reasoner {
+	r := newReasoner(data.Snapshot())
+	r.queue = make([][3]store.ID, 0, r.st.Len())
+	r.st.ForEachMatchIDs(store.NoID, store.NoID, store.NoID, func(s, p, o store.ID) bool {
+		r.queue = append(r.queue, [3]store.ID{s, p, o})
+		return true
+	})
+	r.stats.Asserted = len(r.queue)
+	return r
+}
+
+func newReasoner(st *store.Store) *Reasoner {
+	return &Reasoner{st: st, v: internVocab(st), provenance: make(map[[3]store.ID]derivation)}
+}
+
 // Materialize computes the closure of all triples in src and returns a new
-// store holding asserted plus inferred triples.
+// store holding asserted plus inferred triples. The result shares src's
+// dictionary and every index node the closure did not change.
 func Materialize(src *store.Store) (*store.Store, Stats) {
-	r := NewReasoner()
-	r.AddAll(src.Triples())
+	r := NewReasonerOver(src)
+	r.AddAll(nil)
 	return r.Store(), r.Stats()
 }
 
@@ -134,19 +189,28 @@ func (r *Reasoner) Add(t rdf.Triple) bool { return r.AddAll([]rdf.Triple{t}) == 
 // which is faster than calling Add per triple. It returns how many distinct
 // triples were new.
 func (r *Reasoner) AddAll(ts []rdf.Triple) int {
-	seen := make(map[rdf.Triple]struct{}, len(ts))
+	ids := make([][3]store.ID, 0, len(ts))
 	for _, t := range ts {
-		if _, dup := seen[t]; dup || !t.Valid() || r.st.Has(t) {
-			continue
+		if t.Valid() {
+			ids = append(ids, [3]store.ID{r.st.Intern(t.Subject), r.st.Intern(t.Predicate), r.st.Intern(t.Object)})
 		}
-		seen[t] = struct{}{}
-		r.queue = append(r.queue, t)
 	}
-	r.st.AddAll(r.queue)
-	r.stats.Asserted += len(r.queue)
-	n := len(r.queue)
+	slices.SortFunc(ids, func(x, y [3]store.ID) int { return slices.Compare(x[:], y[:]) })
+	ids = slices.Compact(ids)
+	ids = slices.DeleteFunc(ids, func(t [3]store.ID) bool { return r.st.HasIDs(t[0], t[1], t[2]) })
+	r.commit(ids)
+	r.stats.Asserted += len(ids)
+	r.queue = append(r.queue, ids...)
 	r.drain()
-	return n
+	return len(ids)
+}
+
+// commit adds ids to the reasoner's store as one version. The store is the
+// reasoner's own snapshot, which never has a commit hook.
+func (r *Reasoner) commit(ids [][3]store.ID) {
+	if _, err := r.st.AddIDs(ids); err != nil {
+		panic("owl: " + err.Error())
+	}
 }
 
 // AddGraph asserts every triple of g.
@@ -161,17 +225,22 @@ func (r *Reasoner) InferredCount() int { return r.stats.Inferred }
 // emit records a derived triple for the current round. Rules call it while
 // they read the round's published version, so a derivation that version
 // already holds, or that the round has already produced, is dropped here; the
-// first derivation of a triple is the one its provenance keeps.
-func (r *Reasoner) emit(t rdf.Triple) {
-	if !t.Valid() {
+// first derivation of a triple is the one its provenance keeps. A literal
+// subject or a non-IRI predicate is no triple and is dropped too.
+func (r *Reasoner) emit(s, p, o store.ID) {
+	if r.lit(s) || r.terms.Term(p).Kind() != rdf.KindIRI {
 		return
 	}
-	if _, known := r.provenance[t]; known || r.st.Has(t) {
+	t := [3]store.ID{s, p, o}
+	if _, known := r.provenance[t]; known || r.view.HasIDs(s, p, o) {
 		return
 	}
-	r.provenance[t] = Derivation{Rule: r.curRule, Trigger: r.curTrigger}
+	r.provenance[t] = r.cur
 	r.pending = append(r.pending, t)
 }
+
+// lit reports whether id names a literal.
+func (r *Reasoner) lit(id store.ID) bool { return r.terms.Term(id).Kind() == rdf.KindLiteral }
 
 // drain runs semi-naive rounds to fixpoint: the rules fire for every triple
 // of the queue against one published version, and the round's distinct new
@@ -187,14 +256,16 @@ func (r *Reasoner) drain() {
 	}
 	for len(r.queue) > 0 {
 		r.stats.Iterations++
+		r.view, r.terms = r.st.View(), r.st.DictView()
 		for _, t := range r.queue {
 			r.applyRules(t)
 		}
-		r.st.AddAll(r.pending)
+		r.commit(r.pending)
 		r.stats.Inferred += len(r.pending)
 		r.queue, r.pending = r.pending, r.queue[:0]
 	}
 	r.queue, r.pending = nil, nil
+	r.view, r.terms = store.StoreView{}, store.DictView{}
 	if r.instrumented {
 		r.mMaterializations.Inc()
 		r.mDuration.ObserveSince(start)
@@ -234,7 +305,7 @@ func (r *Reasoner) IsSubClassOf(sub, super rdf.Term) bool {
 	if sub.Equal(super) {
 		return true
 	}
-	return r.hasWithPred(sub, r.idSubClass, super)
+	return r.hasWithPred(sub, r.v.subClass, super)
 }
 
 // IsSubPropertyOf reports whether sub is materialized as a subproperty of
@@ -243,7 +314,7 @@ func (r *Reasoner) IsSubPropertyOf(sub, super rdf.Term) bool {
 	if sub.Equal(super) {
 		return true
 	}
-	return r.hasWithPred(sub, r.idSubProp, super)
+	return r.hasWithPred(sub, r.v.subProp, super)
 }
 
 // TypesOf returns the materialized types of an individual.
@@ -254,7 +325,7 @@ func (r *Reasoner) TypesOf(ind rdf.Term) []rdf.Term {
 	}
 	view := r.st.DictView()
 	var out []rdf.Term
-	r.st.ForEachMatchIDs(sid, r.idType, store.NoID, func(_, _, oid store.ID) bool {
+	r.st.ForEachMatchIDs(sid, r.v.typ, store.NoID, func(_, _, oid store.ID) bool {
 		out = append(out, view.Term(oid))
 		return true
 	})
@@ -264,7 +335,7 @@ func (r *Reasoner) TypesOf(ind rdf.Term) []rdf.Term {
 // HasType reports whether the individual has the given (possibly inferred)
 // type.
 func (r *Reasoner) HasType(ind, class rdf.Term) bool {
-	return r.hasWithPred(ind, r.idType, class)
+	return r.hasWithPred(ind, r.v.typ, class)
 }
 
 // Explain returns the derivation chain of t, outermost first: each step
@@ -275,18 +346,25 @@ func (r *Reasoner) Explain(t rdf.Triple) (chain []Derivation, ok bool) {
 	if !r.st.Has(t) {
 		return nil, false
 	}
-	seen := map[rdf.Triple]bool{}
-	cur := t
+	cur := [3]store.ID{}
+	for i, term := range []rdf.Term{t.Subject, t.Predicate, t.Object} {
+		cur[i], _ = r.st.LookupID(term)
+	}
+	terms := r.st.DictView()
+	seen := map[[3]store.ID]bool{}
 	for {
 		d, inferred := r.provenance[cur]
 		if !inferred {
 			return chain, true // reached an asserted triple
 		}
-		chain = append(chain, d)
+		chain = append(chain, Derivation{
+			Rule:    d.rule.String(),
+			Trigger: rdf.T(terms.Term(d.trigger[0]), terms.Term(d.trigger[1]), terms.Term(d.trigger[2])),
+		})
 		if seen[cur] {
 			return chain, true // defensive: cyclic provenance
 		}
 		seen[cur] = true
-		cur = d.Trigger
+		cur = d.trigger
 	}
 }

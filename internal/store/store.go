@@ -411,6 +411,36 @@ func (s *Store) Load(gen uint64, triples []rdf.Triple) {
 	s.cur.Store(b.seal())
 }
 
+// ErrHooked refuses an AddIDs on a store with a commit hook: an ID-level add
+// carries no terms to log, so it must never bypass the hook.
+var ErrHooked = errors.New("store: ID-level add on a store with a commit hook")
+
+// AddIDs adds the ID triples ids in one commit — one generation when any is
+// new — and returns how many were new. Every ID must name a term of the
+// store's dictionary, with a non-literal subject and an IRI predicate: the
+// caller has interned and checked them (the OWL reasoner commits each round's
+// derivations this way). Duplicates and present triples are allowed; ids is
+// not modified. A store with a commit hook refuses with ErrHooked, so the WAL
+// never misses a commit.
+func (s *Store) AddIDs(ids [][3]ID) (int, error) {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	if s.groupHook != nil {
+		return 0, ErrHooked
+	}
+	if len(ids) == 0 {
+		return 0, nil
+	}
+	b := newBuilder(s.cur.Load(), s.dict)
+	n := b.merge(slices.Clone(ids))
+	if n > 0 {
+		b.generation++
+		s.cur.Store(b.seal())
+		s.batches.record(1)
+	}
+	return n, nil
+}
+
 // Barrier blocks until every mutation submitted before the call has been
 // committed and published. It rides the group-commit queue as an empty
 // waiter: FIFO processing means the barrier's group cannot commit before
@@ -856,10 +886,7 @@ func (b *builder) clear() {
 }
 
 // addAll adds ts — valid triples, duplicates and present ones allowed — and
-// returns how many were new. The batch is interned, sorted and deduplicated
-// once, then merged into each index in that index's key order (tindex.withAll),
-// so every trie node the batch touches is allocated once per commit, not once
-// per triple; into an empty builder that is the bottom-up build.
+// returns how many were new: it interns the batch and merges it.
 func (b *builder) addAll(ts []rdf.Triple) int {
 	// A one-triple batch — most commits — keeps its IDs on the stack.
 	var buf [1][3]ID
@@ -867,6 +894,16 @@ func (b *builder) addAll(ts []rdf.Triple) int {
 	for _, t := range ts {
 		ids = append(ids, [3]ID{b.dict.Intern(t.Subject), b.dict.Intern(t.Predicate), b.dict.Intern(t.Object)})
 	}
+	return b.merge(ids)
+}
+
+// merge adds the ID triples ids — duplicates and present ones allowed — and
+// returns how many were new. The batch is sorted and deduplicated once, then
+// merged into each index in that index's key order (tindex.withAll), so every
+// trie node the batch touches is allocated once per commit, not once per
+// triple; into an empty builder that is the bottom-up build. ids is reordered
+// and rotated in place.
+func (b *builder) merge(ids [][3]ID) int {
 	sortIDs(ids)
 	ids = slices.Compact(ids)
 	spo, n := b.spo.withAll(ids)

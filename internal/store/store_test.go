@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -306,5 +307,44 @@ func TestDatasetGraphs(t *testing.T) {
 
 	if !d.DropGraph(chem) || d.DropGraph(chem) {
 		t.Error("DropGraph semantics wrong")
+	}
+}
+
+// TestAddIDs: an ID-level add is one commit that lands exactly what the
+// term-level add of the same triples lands, leaves its argument alone, and
+// is refused outright by a store with a commit hook — it has no terms to
+// log, so it must never reach a store whose writes are logged.
+func TestAddIDs(t *testing.T) {
+	want := New()
+	want.AddAll([]rdf.Triple{tr("a", "p", "b"), tr("b", "p", "c")})
+	s := New()
+	s.Add(tr("a", "p", "b"))
+	ids := [][3]ID{
+		{s.Intern(rdf.IRI("http://e/b")), s.Intern(rdf.IRI("http://e/p")), s.Intern(rdf.IRI("http://e/c"))},
+		{s.Intern(rdf.IRI("http://e/a")), s.Intern(rdf.IRI("http://e/p")), s.Intern(rdf.IRI("http://e/b"))},
+	}
+	ids = append(ids, ids[0])
+	arg := fmt.Sprint(ids)
+	gen := s.Generation()
+	if n, err := s.AddIDs(ids); n != 1 || err != nil {
+		t.Fatalf("AddIDs = %d, %v; want 1 new triple", n, err)
+	}
+	if fmt.Sprint(ids) != arg {
+		t.Fatalf("AddIDs reordered its argument: %v, was %s", ids, arg)
+	}
+	if s.String() != want.String() || s.Generation() != gen+1 {
+		t.Fatalf("after AddIDs, generation %d (was %d):\n%s\nwant:\n%s", s.Generation(), gen, s, want)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.AddIDs(ids); n != 0 || err != nil || s.Generation() != gen+1 {
+		t.Fatalf("AddIDs of present triples = %d, %v, generation %d; want a no-op", n, err, s.Generation())
+	}
+
+	hooked := New()
+	hooked.SetGroupCommitHook(func([][]Op) error { return nil })
+	if n, err := hooked.AddIDs(ids); !errors.Is(err, ErrHooked) || n != 0 || hooked.Len() != 0 {
+		t.Fatalf("AddIDs on a hooked store = %d, %v with %d triples; want ErrHooked and nothing added", n, err, hooked.Len())
 	}
 }
