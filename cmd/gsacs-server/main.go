@@ -183,7 +183,7 @@ func assemble(cfg *config, logger *slog.Logger) (*assembly, error) {
 		// loaded dataset through the log on first boot) and is not ready
 		// until that is done; followers stream its WAL and bootstrap from
 		// its snapshots.
-		seed, err := loadData(cfg)
+		seed, err := loadSeed(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -371,7 +371,7 @@ func admissionConfig(cfg *config, slo *obs.SLOEngine, profiler *prof.Profiler, r
 // the log's audit file and journals it there from now on (when auditing is
 // on). The engine must not serve requests until this
 // returns (the readiness gate enforces it).
-func recoverDurable(engine *gsacs.Engine, seed *store.Store, ontologies []*rdf.Graph, walOpts wal.Options,
+func recoverDurable(engine *gsacs.Engine, seed []rdf.Triple, ontologies []*rdf.Graph, walOpts wal.Options,
 	logger *slog.Logger, repoPtr *atomic.Pointer[wal.Repository]) error {
 	st := engine.Data()
 	repo, err := wal.Open(st, walOpts)
@@ -383,7 +383,7 @@ func recoverDurable(engine *gsacs.Engine, seed *store.Store, ontologies []*rdf.G
 	if st.Len() == 0 && info.RecordsReplayed == 0 && info.SnapshotSeq == 0 {
 		// First boot on an empty directory: journal the initial dataset so
 		// the log alone reconstructs it from here on.
-		n := st.AddAll(seed.Triples())
+		n := st.AddAll(seed)
 		logger.Info("seeded initial dataset into the durable repository", "triples", n)
 	}
 	engine.MaterializeReasoner(ontologies...)
@@ -446,13 +446,22 @@ func serve(srv *http.Server, ln net.Listener, stop <-chan os.Signal, drain time.
 	}
 }
 
-// loadData loads the initial dataset: the built-in scenario, or the -data
-// file.
+// loadData loads the initial dataset into a store: the built-in scenario's,
+// or the -data file's triples in one AddAll.
 func loadData(cfg *config) (*store.Store, error) {
 	if cfg.dataFile == "" {
 		return datagen.NewScenario(datagen.ScenarioConfig{Seed: cfg.seed, Sites: cfg.sites}).Merged, nil
 	}
 	return loadTurtle(cfg.dataFile)
+}
+
+// loadSeed returns the initial dataset as triples, for a leader to journal:
+// the built-in scenario's, or the -data file's as parsed.
+func loadSeed(cfg *config) ([]rdf.Triple, error) {
+	if cfg.dataFile == "" {
+		return datagen.NewScenario(datagen.ScenarioConfig{Seed: cfg.seed, Sites: cfg.sites}).Merged.Triples(), nil
+	}
+	return parseTurtleFile(cfg.dataFile)
 }
 
 // loadPolicies loads the policy set alone — the scenario's, or the -policies
@@ -469,13 +478,25 @@ func loadPolicies(cfg *config) (*seconto.Set, error) {
 }
 
 func loadTurtle(path string) (*store.Store, error) {
+	ts, err := parseTurtleFile(path)
+	if err != nil {
+		return nil, err
+	}
+	st := store.New()
+	st.AddAll(ts)
+	return st, nil
+}
+
+// parseTurtleFile parses a Turtle (or N-Triples) file straight to its
+// triples: no graph, so no dedup map — the store's AddAll drops duplicates.
+func parseTurtleFile(path string) ([]rdf.Triple, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	g, err := turtle.ParseString(string(raw))
+	ts, err := turtle.ParseTriples(string(raw))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return store.FromGraph(g), nil
+	return ts, nil
 }

@@ -221,8 +221,9 @@ func TestStandaloneAssembly(t *testing.T) {
 	}
 }
 
-// TestCustomDataset: -data/-policies replace the scenario, and a file that
-// cannot be read or parsed fails assembly rather than serving nothing.
+// TestCustomDataset: -data/-policies replace the scenario — served directly,
+// or journaled by a leader as its first commit — and a file that cannot be
+// read or parsed fails assembly rather than serving nothing.
 func TestCustomDataset(t *testing.T) {
 	dataFile, policyFile := writeCustomDataset(t)
 	base := startInProcess(t, io.Discard, "-data", dataFile, "-policies", policyFile)
@@ -235,6 +236,25 @@ func TestCustomDataset(t *testing.T) {
 	}
 	if n := storeTriples(t, base); n != 2 {
 		t.Errorf("triples = %d, want the data file's 2", n)
+	}
+
+	// A leader journals the parsed file as its first commit.
+	leader := startInProcess(t, io.Discard, "-data", dataFile, "-policies", policyFile, "-data-dir", t.TempDir())
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if code, _, _ := get(t, leader, "/healthz"); code == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("leader never became ready")
+		}
+	}
+	code, body, _ = get(t, leader, "/v1/store")
+	var st struct {
+		Triples    int    `json:"triples"`
+		Generation uint64 `json:"generation"`
+	}
+	if err := json.Unmarshal([]byte(body), &st); code != 200 || err != nil || st.Triples != 2 || st.Generation != 1 {
+		t.Errorf("leader /v1/store = %d %v %s, want the data file's 2 triples at generation 1", code, err, body)
 	}
 
 	logger := obs.NewLogger(io.Discard, slog.LevelInfo)

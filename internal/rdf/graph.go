@@ -190,18 +190,23 @@ func NewBlankNode() BlankNode {
 // rooted at the returned head term, adding the cell triples to g. An empty
 // slice yields rdf:nil.
 func (g *Graph) List(items []Term) Term {
+	return EmitList(items, func(t Triple) { g.Add(t) })
+}
+
+// EmitList is List handing the cell triples to emit, head cell first.
+func EmitList(items []Term, emit func(Triple)) Term {
 	if len(items) == 0 {
 		return RDFNil
 	}
 	head := Term(NewBlankNode())
 	cur := head
 	for i, it := range items {
-		g.Add(T(cur, RDFFirst, it))
+		emit(T(cur, RDFFirst, it))
 		if i == len(items)-1 {
-			g.Add(T(cur, RDFRest, RDFNil))
+			emit(T(cur, RDFRest, RDFNil))
 		} else {
 			next := Term(NewBlankNode())
-			g.Add(T(cur, RDFRest, next))
+			emit(T(cur, RDFRest, next))
 			cur = next
 		}
 	}

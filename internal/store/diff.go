@@ -38,7 +38,16 @@ func sameBranch(x, y *l2) bool {
 	if x.size != y.size || x.m.Len() != y.m.Len() {
 		return false
 	}
-	return diffNodes(rootOf(x.m), rootOf(y.m), sameSet, func(ID) bool { return false })
+	return diffNodes(rootOf(x.m), rootOf(y.m), sameLeaf, func(ID) bool { return false })
+}
+
+// sameLeaf reports whether two object leaves hold the same keys. A lone key
+// and a set never do, since a set holds at least two.
+func sameLeaf(x, y leaf) bool {
+	if x.set == nil || y.set == nil {
+		return x == y
+	}
+	return sameSet(x.set, y.set)
 }
 
 // sameSet reports whether two object sets are equal.

@@ -173,11 +173,13 @@ func oneTripleAdd(b *testing.B) {
 
 // TestOneTripleAddAllocations: the merge is no dearer than a path copy for
 // the commit most writes are. 50 allocations per op is what the per-triple
-// path-copying insert made (linux/amd64, go1.24, with and without -race).
+// path-copying insert made, and the merge too while every third-level key
+// had a set of its own; with a lone key inline in its parent the op makes 41
+// (linux/amd64, go1.24, with and without -race).
 func TestOneTripleAddAllocations(t *testing.T) {
 	res := testing.Benchmark(oneTripleAdd)
-	if a := res.AllocsPerOp(); a > 50 {
-		t.Fatalf("one-triple add: %d allocations per op, want ≤ 50", a)
+	if a := res.AllocsPerOp(); a > 41 {
+		t.Fatalf("one-triple add: %d allocations per op, want ≤ 41", a)
 	}
 }
 

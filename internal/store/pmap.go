@@ -1,6 +1,10 @@
 package store
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // This file implements the persistent (immutable, structurally shared) map
 // that backs the MVCC triple indexes. It is a hash-array-mapped-trie
@@ -271,13 +275,93 @@ func pnodeRange[V any](nd *pnode[V], fn func(ID, V) bool) bool {
 
 // ---- Triple index over pmaps ------------------------------------------------
 
+// leaf is the third level of a triple index under one (a, b): the key itself
+// when it stands alone, or a set of two or more. Most (s,p), (p,o) and (o,s)
+// pairs have one key under them, so the lone key lives in its parent's entry
+// and costs no map, node or slot array of its own. set is nil exactly when
+// the key is inline; a set never holds fewer than two keys — adding to a lone
+// key promotes it to a set, and removing a set down to one key collapses it
+// back. Whether (a, b) has a leaf at all is the parent's Get ok, never a
+// sentinel key.
+type leaf struct {
+	one ID
+	set *pmap[unit]
+}
+
+// len returns the number of keys in the leaf.
+func (l leaf) len() int {
+	if l.set == nil {
+		return 1
+	}
+	return l.set.Len()
+}
+
+func (l leaf) has(c ID) bool {
+	if l.set == nil {
+		return l.one == c
+	}
+	_, ok := l.set.Get(c)
+	return ok
+}
+
+// each calls fn for every key until fn returns false; the return value
+// reports whether iteration ran to completion.
+func (l leaf) each(fn func(ID) bool) bool {
+	if l.set == nil {
+		return fn(l.one)
+	}
+	return l.set.Range(func(c ID, _ unit) bool { return fn(c) })
+}
+
+// with returns the leaf holding every key of l — none when present is false —
+// and of es (non-empty, distinct keys; permuted in place, and appended to when
+// a lone key is promoted), and how many keys of es were absent.
+func (l leaf) with(present bool, es []pentry[unit]) (leaf, int) {
+	switch {
+	case !present && len(es) == 1:
+		return leaf{one: es[0].key}, 1
+	case !present:
+		set, n := (*pmap[unit])(nil).withAll(es)
+		return leaf{set: set}, n
+	case l.set != nil:
+		set, n := l.set.withAll(es)
+		return leaf{set: set}, n
+	}
+	if !slices.ContainsFunc(es, func(e pentry[unit]) bool { return e.key == l.one }) {
+		es = append(es, pentry[unit]{key: l.one})
+	} else if len(es) == 1 {
+		return l, 0
+	}
+	set, n := (*pmap[unit])(nil).withAll(es)
+	return leaf{set: set}, n - 1
+}
+
+// without returns the leaf with c removed from a set — collapsed to its other
+// key when two were left — and whether c was there. A lone key is the
+// caller's to drop with its parent entry.
+func (l leaf) without(c ID) (leaf, bool) {
+	if l.set.Len() == 2 {
+		if !l.has(c) {
+			return l, false
+		}
+		var other ID
+		l.set.Range(func(k ID, _ unit) bool {
+			other = k
+			return k == c
+		})
+		return leaf{one: other}, true
+	}
+	set, removed := l.set.Without(c)
+	return leaf{set: set}, removed
+}
+
 // l2 is one top-level branch of a triple index: the two inner levels plus
 // the number of triples beneath this branch. That count is the per-position
 // cardinality (triples per bound subject/predicate/object) the planner reads
 // through EstimateIDs in O(1); keeping it inside the immutable branch means
 // every pinned version carries its own consistent statistics.
 type l2 struct {
-	m    *pmap[*pmap[unit]]
+	m    *pmap[leaf]
 	size int
 }
 
@@ -292,12 +376,8 @@ func (ix tindex) has(a, b, c ID) bool {
 	if !ok {
 		return false
 	}
-	inner, ok := br.m.Get(b)
-	if !ok {
-		return false
-	}
-	_, ok = inner.Get(c)
-	return ok
+	lf, ok := br.m.Get(b)
+	return ok && lf.has(c)
 }
 
 // card returns the number of triples under top-level key a.
@@ -315,12 +395,44 @@ func (ix tindex) card2(a, b ID) int {
 	if !ok {
 		return 0
 	}
-	inner, _ := br.m.Get(b)
-	return inner.Len()
+	lf, ok := br.m.Get(b)
+	if !ok {
+		return 0
+	}
+	return lf.len()
 }
 
 // keys returns the number of distinct top-level keys.
 func (ix tindex) keys() int { return ix.m.Len() }
+
+// shape returns the number of triples in the index, or an error naming the
+// first branch that is empty, whose count disagrees with its leaves, or that
+// holds a set of fewer than two keys.
+func (ix tindex) shape() (int, error) {
+	total := 0
+	var err error
+	ix.m.Range(func(a ID, br *l2) bool {
+		got := 0
+		br.m.Range(func(b ID, lf leaf) bool {
+			if lf.set != nil && lf.set.Len() < 2 {
+				err = fmt.Errorf("set of %d keys under (%d, %d)", lf.set.Len(), a, b)
+				return false
+			}
+			got += lf.len()
+			return true
+		})
+		switch {
+		case err != nil:
+		case got == 0:
+			err = fmt.Errorf("empty branch for id %d", a)
+		case got != br.size:
+			err = fmt.Errorf("cardinality %d != %d for id %d", br.size, got, a)
+		}
+		total += got
+		return err == nil
+	})
+	return total, err
+}
 
 // without returns the index with (a, b, c) removed; removed reports whether
 // it was present. Empty branches are dropped so key counts stay exact.
@@ -329,23 +441,27 @@ func (ix tindex) without(a, b, c ID) (tindex, bool) {
 	if !ok {
 		return ix, false
 	}
-	inner, ok := br.m.Get(b)
+	lf, ok := br.m.Get(b)
 	if !ok {
 		return ix, false
 	}
-	ni, removed := inner.Without(c)
-	if !removed {
+	var nl leaf
+	if lf.set == nil {
+		if lf.one != c {
+			return ix, false
+		}
+	} else if nl, ok = lf.without(c); !ok {
 		return ix, false
 	}
 	if br.size == 1 {
 		nm, _ := ix.m.Without(a)
 		return tindex{m: nm}, true
 	}
-	var nbm *pmap[*pmap[unit]]
-	if ni == nil {
+	var nbm *pmap[leaf]
+	if lf.set == nil {
 		nbm, _ = br.m.Without(b)
 	} else {
-		nbm, _ = br.m.withAll([]pentry[*pmap[unit]]{{key: b, val: ni}})
+		nbm, _ = br.m.withAll([]pentry[leaf]{{key: b, val: nl}})
 	}
 	nm, _ := ix.m.withAll([]pentry[*l2]{{key: a, val: &l2{m: nbm, size: br.size - 1}}})
 	return tindex{m: nm}, true
@@ -353,23 +469,23 @@ func (ix tindex) without(a, b, c ID) (tindex, bool) {
 
 // withAll returns the index with every key triple of ts — sorted and
 // distinct — present, and how many of them were absent. Each of the three
-// levels is one pmap merge per touched branch, so a node the batch reaches
-// is allocated once however many triples land under it; a branch the batch
-// adds nothing to (every triple of it already present) keeps its pointer.
-// Into the empty index this is the bottom-up build. The receiver is
-// unchanged.
+// levels is one merge per touched branch, so a node the batch reaches is
+// allocated once however many triples land under it; a branch the batch adds
+// nothing to (every triple of it already present) keeps its pointer. Into the
+// empty index this is the bottom-up build, a lone third key going inline
+// directly. The receiver is unchanged.
 func (ix tindex) withAll(ts [][3]ID) (tindex, int) {
 	// A one-triple batch — most commits — keeps its scratch on the stack.
 	var (
 		topBuf  [1]pentry[*l2]
-		midBuf  [1]pentry[*pmap[unit]]
+		midBuf  [1]pentry[leaf]
 		leafBuf [1]pentry[unit]
 	)
 	top, mid, leaves := topBuf[:0], midBuf[:0], leafBuf[:0]
 	added := 0
 	for i := 0; i < len(ts); {
 		a := ts[i][0]
-		var bm *pmap[*pmap[unit]]
+		var bm *pmap[leaf]
 		size := 0
 		if br, ok := ix.m.Get(a); ok {
 			bm, size = br.m, br.size
@@ -382,9 +498,9 @@ func (ix tindex) withAll(ts [][3]ID) (tindex, int) {
 			for ; i < len(ts) && ts[i][0] == a && ts[i][1] == b; i++ {
 				leaves = append(leaves, pentry[unit]{key: ts[i][2]})
 			}
-			inner, _ := bm.Get(b)
-			if ni, n := inner.withAll(leaves); n > 0 {
-				mid = append(mid, pentry[*pmap[unit]]{key: b, val: ni})
+			lf, ok := bm.Get(b)
+			if nl, n := lf.with(ok, leaves); n > 0 {
+				mid = append(mid, pentry[leaf]{key: b, val: nl})
 				grew += n
 			}
 		}

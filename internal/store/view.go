@@ -51,44 +51,44 @@ func (v *version) forEachMatch(sid, pid, oid ID, fn func(sid, pid, oid ID) bool)
 		}
 	case sid != NoID && pid != NoID:
 		if br, ok := v.spo.m.Get(sid); ok {
-			if inner, ok := br.m.Get(pid); ok {
-				inner.Range(func(o ID, _ unit) bool { return fn(sid, pid, o) })
+			if lf, ok := br.m.Get(pid); ok {
+				lf.each(func(o ID) bool { return fn(sid, pid, o) })
 			}
 		}
 	case sid != NoID && oid != NoID:
 		if br, ok := v.osp.m.Get(oid); ok {
-			if inner, ok := br.m.Get(sid); ok {
-				inner.Range(func(p ID, _ unit) bool { return fn(sid, p, oid) })
+			if lf, ok := br.m.Get(sid); ok {
+				lf.each(func(p ID) bool { return fn(sid, p, oid) })
 			}
 		}
 	case pid != NoID && oid != NoID:
 		if br, ok := v.pos.m.Get(pid); ok {
-			if inner, ok := br.m.Get(oid); ok {
-				inner.Range(func(su ID, _ unit) bool { return fn(su, pid, oid) })
+			if lf, ok := br.m.Get(oid); ok {
+				lf.each(func(su ID) bool { return fn(su, pid, oid) })
 			}
 		}
 	case sid != NoID:
 		if br, ok := v.spo.m.Get(sid); ok {
-			br.m.Range(func(p ID, objs *pmap[unit]) bool {
-				return objs.Range(func(o ID, _ unit) bool { return fn(sid, p, o) })
+			br.m.Range(func(p ID, objs leaf) bool {
+				return objs.each(func(o ID) bool { return fn(sid, p, o) })
 			})
 		}
 	case pid != NoID:
 		if br, ok := v.pos.m.Get(pid); ok {
-			br.m.Range(func(o ID, subs *pmap[unit]) bool {
-				return subs.Range(func(su ID, _ unit) bool { return fn(su, pid, o) })
+			br.m.Range(func(o ID, subs leaf) bool {
+				return subs.each(func(su ID) bool { return fn(su, pid, o) })
 			})
 		}
 	case oid != NoID:
 		if br, ok := v.osp.m.Get(oid); ok {
-			br.m.Range(func(su ID, preds *pmap[unit]) bool {
-				return preds.Range(func(p ID, _ unit) bool { return fn(su, p, oid) })
+			br.m.Range(func(su ID, preds leaf) bool {
+				return preds.each(func(p ID) bool { return fn(su, p, oid) })
 			})
 		}
 	default:
 		v.spo.m.Range(func(su ID, br *l2) bool {
-			return br.m.Range(func(p ID, objs *pmap[unit]) bool {
-				return objs.Range(func(o ID, _ unit) bool { return fn(su, p, o) })
+			return br.m.Range(func(p ID, objs leaf) bool {
+				return objs.each(func(o ID) bool { return fn(su, p, o) })
 			})
 		})
 	}
@@ -393,7 +393,8 @@ func (sv StoreView) Stats() Stats {
 }
 
 // Validate checks index consistency of the pinned version: SPO/POS/OSP
-// agreement, per-branch cardinality counts, size, and dictionary resolution.
+// agreement, per-branch cardinality counts, size, dictionary resolution, and
+// leaf shape (a third-level set holds at least two keys; one stands inline).
 func (sv StoreView) Validate() error {
 	v := sv.ver()
 	n := 0
@@ -424,26 +425,9 @@ func (sv StoreView) Validate() error {
 		name string
 		ix   tindex
 	}{{"SPO", v.spo}, {"POS", v.pos}, {"OSP", v.osp}} {
-		total := 0
-		ok := ix.ix.m.Range(func(key ID, br *l2) bool {
-			got := 0
-			br.m.Range(func(_ ID, inner *pmap[unit]) bool {
-				got += inner.Len()
-				return true
-			})
-			if got != br.size {
-				err = fmt.Errorf("store: %s cardinality %d != %d for id %d", ix.name, br.size, got, key)
-				return false
-			}
-			if got == 0 {
-				err = fmt.Errorf("store: %s empty branch for id %d", ix.name, key)
-				return false
-			}
-			total += got
-			return true
-		})
-		if !ok {
-			return err
+		total, err := ix.ix.shape()
+		if err != nil {
+			return fmt.Errorf("store: %s %w", ix.name, err)
 		}
 		if total != v.size {
 			return fmt.Errorf("store: %s total %d != size %d", ix.name, total, v.size)

@@ -7,39 +7,64 @@ import (
 	"repro/internal/rdf"
 )
 
-// Parser parses Turtle documents into rdf.Graph values.
+// Parser parses a Turtle document, handing each triple to a sink.
 type Parser struct {
 	lx       *lexer
 	tok      token
 	peeked   *token
 	prefixes *rdf.Prefixes
 	base     string
-	graph    *rdf.Graph
+	emit     func(rdf.Triple)
 	blankSeq int
 }
 
-// Parse parses a complete Turtle document. The returned prefix table includes
-// both the caller-supplied defaults (may be nil) and the document's own
-// @prefix declarations.
-func Parse(doc string, defaults *rdf.Prefixes) (*rdf.Graph, *rdf.Prefixes, error) {
+// parseTo parses a complete Turtle document and hands every triple to emit
+// in document order, duplicates included: nothing is collected on the way.
+// The returned prefix table includes both the caller-supplied defaults (may
+// be nil) and the document's own @prefix declarations.
+func parseTo(doc string, defaults *rdf.Prefixes, emit func(rdf.Triple)) (*rdf.Prefixes, error) {
 	p := &Parser{
 		lx:       newLexer(doc),
 		prefixes: rdf.NewPrefixes(),
-		graph:    rdf.NewGraph(),
+		emit:     emit,
 	}
 	if defaults != nil {
 		defaults.Each(func(prefix, ns string) { p.prefixes.Bind(prefix, ns) })
 	}
 	if err := p.run(); err != nil {
+		return nil, err
+	}
+	return p.prefixes, nil
+}
+
+// Parse parses a complete Turtle document into a graph (duplicates
+// collapsed). The returned prefix table includes both the caller-supplied
+// defaults (may be nil) and the document's own @prefix declarations.
+func Parse(doc string, defaults *rdf.Prefixes) (*rdf.Graph, *rdf.Prefixes, error) {
+	g := rdf.NewGraph()
+	prefixes, err := parseTo(doc, defaults, func(t rdf.Triple) { g.Add(t) })
+	if err != nil {
 		return nil, nil, err
 	}
-	return p.graph, p.prefixes, nil
+	return g, prefixes, nil
 }
 
 // ParseString parses a Turtle document with the common GRDF prefixes preloaded.
 func ParseString(doc string) (*rdf.Graph, error) {
 	g, _, err := Parse(doc, rdf.CommonPrefixes())
 	return g, err
+}
+
+// ParseTriples parses a Turtle document with the common GRDF prefixes
+// preloaded into its triples, in document order and with any duplicates: the
+// form to hand a store's AddAll, which drops them, without building a graph
+// first.
+func ParseTriples(doc string) ([]rdf.Triple, error) {
+	var ts []rdf.Triple
+	if _, err := parseTo(doc, rdf.CommonPrefixes(), func(t rdf.Triple) { ts = append(ts, t) }); err != nil {
+		return nil, err
+	}
+	return ts, nil
 }
 
 func (p *Parser) errf(format string, args ...any) error {
@@ -245,7 +270,7 @@ func (p *Parser) parsePredicateObjectList(subj rdf.Term) error {
 			if err != nil {
 				return err
 			}
-			p.graph.Add(rdf.T(subj, pred, obj))
+			p.emit(rdf.T(subj, pred, obj))
 			if err := p.next(); err != nil {
 				return err
 			}
@@ -361,7 +386,7 @@ func (p *Parser) parseCollection() (rdf.Term, error) {
 		}
 		items = append(items, obj)
 	}
-	return p.graph.List(items), nil
+	return rdf.EmitList(items, p.emit), nil
 }
 
 // numberLiteral classifies a Turtle numeric shorthand into the right XSD type.

@@ -416,3 +416,38 @@ func TestWriteNestedInline(t *testing.T) {
 		t.Errorf("round trip: %v, %d\n%s", err, back.Len(), out)
 	}
 }
+
+// TestParseTriplesKeepsDocumentOrder: ParseTriples hands back every triple in
+// the order the document states it — a repeated statement twice, collection
+// cells and a property list's triples ahead of the statement that names them
+// — and the graph ParseString builds is the same triples, duplicates
+// collapsed.
+func TestParseTriplesKeepsDocumentOrder(t *testing.T) {
+	doc := `
+@prefix ex: <http://e/> .
+ex:s ex:p ex:o .
+ex:s ex:p ex:o .
+ex:s ex:items ( ex:a ) .
+ex:t ex:q [ ex:r ex:u ] .
+`
+	ts, err := ParseTriples(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := func(n string) rdf.IRI { return rdf.IRI("http://e/" + n) }
+	if len(ts) != 7 || ts[0] != ts[1] || ts[0] != rdf.T(e("s"), e("p"), e("o")) {
+		t.Fatalf("triples = %v", ts)
+	}
+	cell := ts[2].Subject
+	if ts[2] != rdf.T(cell, rdf.RDFFirst, e("a")) || ts[3] != rdf.T(cell, rdf.RDFRest, rdf.RDFNil) ||
+		ts[4] != rdf.T(e("s"), e("items"), cell) {
+		t.Fatalf("collection triples = %v", ts[2:5])
+	}
+	node := ts[5].Subject
+	if ts[5] != rdf.T(node, e("r"), e("u")) || ts[6] != rdf.T(e("t"), e("q"), node) {
+		t.Fatalf("property list triples = %v", ts[5:])
+	}
+	if g := mustParse(t, doc); g.Len() != rdf.GraphOf(ts...).Len() {
+		t.Fatalf("ParseString holds %d triples, ParseTriples %d distinct", g.Len(), rdf.GraphOf(ts...).Len())
+	}
+}
