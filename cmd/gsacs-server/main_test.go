@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
 // logBuffer collects a server's log lines; the server's goroutines write
@@ -268,6 +269,44 @@ func TestCustomDataset(t *testing.T) {
 	os.WriteFile(badPol, []byte("not turtle @@"), 0o644)
 	if _, err := assemble(parseConfig(t, "-data", dataFile, "-policies", badPol), logger); err == nil {
 		t.Error("bad policy file accepted")
+	}
+}
+
+// TestSeedRecordHoldsEachTripleOnce: a -data file that states a triple twice
+// is journaled by a leader as a first commit holding that triple once.
+func TestSeedRecordHoldsEachTripleOnce(t *testing.T) {
+	_, policyFile := writeCustomDataset(t)
+	dataFile := filepath.Join(t.TempDir(), "data.ttl")
+	os.WriteFile(dataFile, []byte(`
+@prefix app: <http://grdf.org/app#> .
+app:s1 a app:ChemSite ; app:hasSiteName "Plant" .
+app:s1 app:hasSiteName "Plant" .
+`), 0o644)
+	dir := t.TempDir()
+	leader := startInProcess(t, io.Discard, "-data", dataFile, "-policies", policyFile, "-data-dir", dir)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if code, _, _ := get(t, leader, "/healthz"); code == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("leader never became ready")
+		}
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*"))
+	if len(segs) == 0 {
+		t.Fatal("the leader wrote no WAL segment")
+	}
+	slices.Sort(segs)
+	buf, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := wal.DecodeRecord(buf, 0)
+	if err != nil || rec.Kind != wal.KindCommit || len(rec.Ops) != 1 {
+		t.Fatalf("first record: %v, %v with %d ops; want the seed commit", err, rec.Kind, len(rec.Ops))
+	}
+	if got := rec.Ops[0].Triples; len(got) != 2 {
+		t.Errorf("the seed record holds %d triples, want the file's 2 distinct ones: %v", len(got), got)
 	}
 }
 

@@ -1,11 +1,9 @@
 package gsacs
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -75,20 +73,48 @@ type cacheEntry struct {
 	// /v1/view gives while the entry is current. A patched or rebuilt entry
 	// is a new entry and starts with none, so a document is never stale.
 	docs [len(viewFormats)]document
+	// names are the Turtle forms of the terms of view's dictionary. A
+	// patched view keeps its dictionary, and the entry its predecessor's
+	// names; a rebuilt one starts them afresh.
+	names *turtle.Names
+	// sizes are the predecessor's document sizes, per format (0: unknown):
+	// what a render sizes its body by.
+	sizes [len(viewFormats)]int
 }
 
 // viewFormat is a serialization /v1/view offers, by the name its format
 // parameter takes.
 type viewFormat struct {
 	name, contentType string
-	write             func(io.Writer, []rdf.Triple) error
+	// render appends a view to dst, given the names of its dictionary.
+	render func(dst []byte, v store.StoreView, names *turtle.Names) []byte
 }
 
 // viewFormats are the formats of every entry's documents; the first is the
 // default.
 var viewFormats = [...]viewFormat{
-	{"turtle", "text/turtle", func(w io.Writer, ts []rdf.Triple) error { return turtle.WriteTriples(w, ts, nil) }},
-	{"ntriples", "application/n-triples", ntriples.WriteTriples},
+	{"turtle", "text/turtle", turtle.AppendView},
+	{"ntriples", "application/n-triples", func(dst []byte, v store.StoreView, _ *turtle.Names) []byte {
+		return ntriples.AppendView(dst, v)
+	}},
+}
+
+// carryDocuments gives ent what it takes over from prev, the entry it
+// succeeds (nil when cold): the names of its view's dictionary if the view
+// kept it, and its document sizes.
+func (ent *cacheEntry) carryDocuments(prev *cacheEntry) {
+	if prev == nil || prev.view.Dict() != ent.view.Dict() {
+		ent.names = turtle.NewNames(nil)
+	} else {
+		ent.names = prev.names
+	}
+	if prev != nil {
+		for f := range ent.sizes {
+			if ent.sizes[f] = int(prev.docs[f].size.Load()); ent.sizes[f] == 0 {
+				ent.sizes[f] = prev.sizes[f]
+			}
+		}
+	}
 }
 
 // document is one serialization of an entry's view, rendered at most once —
@@ -117,11 +143,16 @@ func (ent *cacheEntry) document(f int) (d *document, rendered bool) {
 		// Once marks a render that panics as done: what it leaves must read
 		// as a failure, not as an empty view.
 		d.err = errRenderPanicked
-		var buf bytes.Buffer
-		if d.err = viewFormats[f].write(&buf, ent.view.Triples()); d.err != nil {
-			return
+		// The body is held for the entry's life, so it is made at about its
+		// size: its predecessor's, give or take a write. A cold slot's first
+		// render, or a write that grew the document past the margin, pays a
+		// copy instead of holding the slack.
+		size := ent.sizes[f]
+		d.body = viewFormats[f].render(make([]byte, 0, size+size/32), ent.view.View(), ent.names)
+		if cap(d.body)-len(d.body) > len(d.body)/16 {
+			d.body = append([]byte(nil), d.body...)
 		}
-		d.body = bytes.Clone(buf.Bytes()) // held for the entry's life: no slack
+		d.err = nil
 		sum := sha256.Sum256(d.body)
 		d.etag = `"` + hex.EncodeToString(sum[:16]) + `"`
 		d.size.Store(int64(len(d.body)))

@@ -100,6 +100,7 @@ func New(policies *seconto.Set, data *store.Store, opts Options) *Engine {
 	e.cache.instrument(e.metrics)
 	empty := store.New()
 	e.noView = &cacheEntry{view: empty, sparql: grdf.NewEngine(empty).Instrument(e.metrics)}
+	e.noView.carryDocuments(nil)
 	// Rendered here and not counted: a role no policy names exports from
 	// memory from its first request on, and moves no counter.
 	for f := range viewFormats {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -12,16 +13,21 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/ntriples"
 	"repro/internal/rdf"
 	"repro/internal/seconto"
 	"repro/internal/store"
 	"repro/internal/turtle"
 )
 
-// renderView is what the writers make of view in viewFormats[f].
+// renderView is what the writers make of view's triples in viewFormats[f].
 func renderView(f int, view *store.Store) string {
+	write := [...]func(io.Writer, []rdf.Triple) error{
+		func(w io.Writer, ts []rdf.Triple) error { return turtle.WriteTriples(w, ts, nil) },
+		ntriples.WriteTriples,
+	}[f]
 	var sb strings.Builder
-	if err := viewFormats[f].write(&sb, view.Triples()); err != nil {
+	if err := write(&sb, view.Triples()); err != nil {
 		return "error: " + err.Error()
 	}
 	return sb.String()

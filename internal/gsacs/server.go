@@ -1,7 +1,6 @@
 package gsacs
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -839,12 +838,7 @@ func (s *Server) handleResource(w http.ResponseWriter, r *http.Request) {
 	}
 	// filterResource describes each node once, so its triples are distinct
 	// and go to the writer as they are.
-	var buf bytes.Buffer
-	if err := turtle.WriteTriples(&buf, j.filterResource(res, acc), nil); err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, "internal", err.Error())
-		return
-	}
-	s.writeDocument(w, r, "text/turtle", buf.Bytes(), "")
+	s.writeDocument(w, r, "text/turtle", turtle.AppendTriples(nil, j.filterResource(res, acc), nil), "")
 }
 
 // handleQuery parses the query once: its shape goes on the request's record

@@ -207,6 +207,7 @@ func (e *Engine) refreshView(sp *obs.Span, prev *cacheEntry, subject, action rdf
 		e.cache.rebuilds.Add(1)
 	}
 	ent.rules = ruleList(ent.fired)
+	ent.carryDocuments(prev)
 	// The view's query engine is set up here, once per view, not per query:
 	// the spatial functions are bound to the view and the metric handles are
 	// resolved from the registry a single time.

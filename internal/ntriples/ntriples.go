@@ -303,7 +303,18 @@ func writeSorted(bw *bufio.Writer, ts []rdf.Triple, graph rdf.Term) error {
 		buf = append(buf, '\n')
 		ends[i] = len(buf)
 	}
-	lines := make([][]byte, len(ts))
+	for _, l := range sortedLines(buf, ends) {
+		if _, err := bw.Write(l); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sortedLines cuts buf into the lines ending at ends, each with its newline,
+// and sorts them.
+func sortedLines(buf []byte, ends []int) [][]byte {
+	lines := make([][]byte, len(ends))
 	start := 0
 	for i, end := range ends {
 		lines[i] = buf[start:end]
@@ -314,12 +325,7 @@ func writeSorted(bw *bufio.Writer, ts []rdf.Triple, graph rdf.Term) error {
 	sort.Slice(lines, func(i, j int) bool {
 		return bytes.Compare(lines[i][:len(lines[i])-1], lines[j][:len(lines[j])-1]) < 0
 	})
-	for _, l := range lines {
-		if _, err := bw.Write(l); err != nil {
-			return err
-		}
-	}
-	return nil
+	return lines
 }
 
 // Format renders the graph as an N-Triples string.

@@ -190,22 +190,23 @@ func NewBlankNode() BlankNode {
 // rooted at the returned head term, adding the cell triples to g. An empty
 // slice yields rdf:nil.
 func (g *Graph) List(items []Term) Term {
-	return EmitList(items, func(t Triple) { g.Add(t) })
+	return EmitList(items, NewBlankNode, func(t Triple) { g.Add(t) })
 }
 
-// EmitList is List handing the cell triples to emit, head cell first.
-func EmitList(items []Term, emit func(Triple)) Term {
+// EmitList is List taking its cells from fresh and handing the cell triples
+// to emit, head cell first.
+func EmitList(items []Term, fresh func() BlankNode, emit func(Triple)) Term {
 	if len(items) == 0 {
 		return RDFNil
 	}
-	head := Term(NewBlankNode())
+	head := Term(fresh())
 	cur := head
 	for i, it := range items {
 		emit(T(cur, RDFFirst, it))
 		if i == len(items)-1 {
 			emit(T(cur, RDFRest, RDFNil))
 		} else {
-			next := Term(NewBlankNode())
+			next := Term(fresh())
 			emit(T(cur, RDFRest, next))
 			cur = next
 		}

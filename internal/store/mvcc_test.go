@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -298,5 +299,39 @@ func TestDerivedIsBuiltOncePerVersion(t *testing.T) {
 	}
 	if got, ok := v1.Peek(); !ok || got != 1 {
 		t.Errorf("the old version lost its structure: %v, %v", got, ok)
+	}
+}
+
+// TestRepeatedTripleIsJournaledOnce: a triple stated twice in one op reaches
+// the commit hook — the WAL — once, for an add and for a remove, whether or
+// not the op's other triples change anything.
+func TestRepeatedTripleIsJournaledOnce(t *testing.T) {
+	s := New()
+	var seen [][]rdf.Triple
+	s.SetGroupCommitHook(func(groups [][]Op) error {
+		for _, g := range groups {
+			for _, op := range g {
+				seen = append(seen, op.Triples)
+			}
+		}
+		return nil
+	})
+	a, b := mvccTriple(1), mvccTriple(2)
+	s.Add(b)
+	for _, step := range []struct {
+		op   Op
+		want []rdf.Triple
+	}{
+		{Op{Kind: OpAdd, Triples: []rdf.Triple{a, a}}, []rdf.Triple{a}},
+		{Op{Kind: OpRemove, Triples: []rdf.Triple{a, b, a, b}}, []rdf.Triple{a, b}},
+		{Op{Kind: OpAdd, Triples: []rdf.Triple{b, a, b, a}}, []rdf.Triple{b, a}},
+	} {
+		seen = nil
+		if n, err := s.Apply(step.op); err != nil || n != len(step.want) {
+			t.Fatalf("%v %v: changed %d, %v; want %d", step.op.Kind, step.op.Triples, n, err, len(step.want))
+		}
+		if len(seen) != 1 || !slices.Equal(seen[0], step.want) {
+			t.Errorf("%v %v: the hook saw %v; want %v", step.op.Kind, step.op.Triples, seen, step.want)
+		}
 	}
 }

@@ -929,21 +929,36 @@ func sortIDs(ids [][3]ID) {
 	slices.SortFunc(ids, func(x, y [3]ID) int { return slices.Compare(x[:], y[:]) })
 }
 
-// filter returns the subset of ts that would change the builder state:
-// present triples when removing, valid absent ones when adding. The input
-// slice is never mutated.
-func (b *builder) filter(ts []rdf.Triple, present bool) []rdf.Triple {
+// absent returns the valid triples of ts the builder does not hold, and
+// their IDs appended to ids, interning their terms. The input slice is never
+// mutated.
+func (b *builder) absent(ts []rdf.Triple, ids [][3]ID) ([]rdf.Triple, [][3]ID) {
 	eff := make([]rdf.Triple, 0, len(ts))
 	for _, t := range ts {
-		ids, ok := b.lookupTriple(t)
-		has := ok && b.spo.has(ids[0], ids[1], ids[2])
-		if present && has {
+		if !t.Valid() {
+			continue
+		}
+		id := [3]ID{b.dict.Intern(t.Subject), b.dict.Intern(t.Predicate), b.dict.Intern(t.Object)}
+		if !b.spo.has(id[0], id[1], id[2]) {
 			eff = append(eff, t)
-		} else if !present && t.Valid() && !has {
-			eff = append(eff, t)
+			ids = append(ids, id)
 		}
 	}
-	return eff
+	return eff, ids
+}
+
+// distinct is ts with each triple kept at its first statement only; it
+// reuses ts.
+func distinct(ts []rdf.Triple) []rdf.Triple {
+	seen := make(map[rdf.Triple]struct{}, len(ts))
+	out := ts[:0]
+	for _, t := range ts {
+		if _, dup := seen[t]; !dup {
+			seen[t] = struct{}{}
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // applyOp validates op against the builder and applies it. It returns the
@@ -954,25 +969,36 @@ func (b *builder) applyOp(op Op) (int, Op, error) {
 	var none Op
 	switch op.Kind {
 	case OpAdd:
-		// Reduce the batch to triples that will actually land, so the commit
-		// hook (and therefore the WAL) never records no-ops.
-		op.Triples = b.filter(op.Triples, false)
-		if len(op.Triples) == 0 {
+		// Reduce the batch to triples that will actually land, each once, so
+		// the commit hook (and therefore the WAL) never records no-ops or a
+		// triple twice. merge counts what it added: fewer than the absent
+		// triples means one was stated twice.
+		// A one-triple op — most commits — keeps its IDs on the stack.
+		var buf [1][3]ID
+		eff, ids := b.absent(op.Triples, buf[:0])
+		if len(eff) == 0 {
 			return 0, none, nil
 		}
-		return b.addAll(op.Triples), op, nil
+		n := b.merge(ids)
+		if n < len(eff) {
+			eff = distinct(eff)
+		}
+		op.Triples = eff
+		return n, op, nil
 	case OpRemove:
-		op.Triples = b.filter(op.Triples, true)
-		if len(op.Triples) == 0 {
-			return 0, none, nil
-		}
-		n := 0
+		// What the hook records is what came out: a triple stated twice
+		// comes out at its first statement.
+		var eff []rdf.Triple
 		for _, t := range op.Triples {
 			if ids, ok := b.lookupTriple(t); ok && b.removeIDs(ids[0], ids[1], ids[2]) {
-				n++
+				eff = append(eff, t)
 			}
 		}
-		return n, op, nil
+		if len(eff) == 0 {
+			return 0, none, nil
+		}
+		op.Triples = eff
+		return len(eff), op, nil
 	case OpReplace:
 		if len(op.Triples) != 2 {
 			return 0, none, fmt.Errorf("store: replace needs [old, new], got %d triples", len(op.Triples))

@@ -386,6 +386,14 @@ func (l *lexer) lexString(mk func(tokenKind, string) token) (token, error) {
 		if !long && (c == '\n' || c == '\r') {
 			return token{}, l.errf("newline in short string literal")
 		}
+		if c >= utf8.RuneSelf {
+			// A byte that is not part of a UTF-8 sequence reads as U+FFFD,
+			// which is what the writer writes for it.
+			r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+			sb.WriteRune(r)
+			l.advance(size)
+			continue
+		}
 		sb.WriteByte(c)
 		l.advance(1)
 	}

@@ -15,6 +15,12 @@ type Parser struct {
 	prefixes *rdf.Prefixes
 	base     string
 	emit     func(rdf.Triple)
+	// labels maps the document's blank node labels to the nodes they stand
+	// for; taken holds every blank node handed out, labelled or made fresh
+	// for an anonymous node, which takes the first "ttlN" not taken. A label
+	// is its own node unless a fresh node has that label already.
+	labels   map[string]rdf.BlankNode
+	taken    map[rdf.BlankNode]bool
 	blankSeq int
 }
 
@@ -27,6 +33,8 @@ func parseTo(doc string, defaults *rdf.Prefixes, emit func(rdf.Triple)) (*rdf.Pr
 		lx:       newLexer(doc),
 		prefixes: rdf.NewPrefixes(),
 		emit:     emit,
+		labels:   map[string]rdf.BlankNode{},
+		taken:    map[rdf.BlankNode]bool{},
 	}
 	if defaults != nil {
 		defaults.Each(func(prefix, ns string) { p.prefixes.Bind(prefix, ns) })
@@ -216,7 +224,7 @@ func (p *Parser) parseSubject() (rdf.Term, error) {
 	case tokPrefixedName:
 		return p.expandPN(p.tok.text)
 	case tokBlankNode:
-		return rdf.BlankNode(p.tok.text), nil
+		return p.labelled(p.tok.text), nil
 	case tokLBracket:
 		return p.parseBlankNodePropertyList()
 	case tokLParen:
@@ -303,7 +311,7 @@ func (p *Parser) parseObject() (rdf.Term, error) {
 	case tokPrefixedName:
 		return p.expandPN(p.tok.text)
 	case tokBlankNode:
-		return rdf.BlankNode(p.tok.text), nil
+		return p.labelled(p.tok.text), nil
 	case tokLBracket:
 		return p.parseBlankNodePropertyList()
 	case tokLParen:
@@ -353,8 +361,7 @@ func (p *Parser) parseObject() (rdf.Term, error) {
 // parseBlankNodePropertyList parses "[ predicateObjectList ]"; current token
 // is '['. Returns the fresh blank node.
 func (p *Parser) parseBlankNodePropertyList() (rdf.Term, error) {
-	p.blankSeq++
-	node := rdf.BlankNode(fmt.Sprintf("ttl%d", p.blankSeq))
+	node := p.fresh()
 	if err := p.next(); err != nil {
 		return nil, err
 	}
@@ -386,7 +393,31 @@ func (p *Parser) parseCollection() (rdf.Term, error) {
 		}
 		items = append(items, obj)
 	}
-	return rdf.EmitList(items, p.emit), nil
+	return rdf.EmitList(items, p.fresh, p.emit), nil
+}
+
+// labelled returns the blank node the document's label stands for.
+func (p *Parser) labelled(label string) rdf.BlankNode {
+	node, ok := p.labels[label]
+	if !ok {
+		if node = rdf.BlankNode(label); p.taken[node] {
+			node = p.fresh()
+		}
+		p.labels[label] = node
+		p.taken[node] = true
+	}
+	return node
+}
+
+// fresh returns a blank node no label of the document stands for.
+func (p *Parser) fresh() rdf.BlankNode {
+	for {
+		p.blankSeq++
+		if node := rdf.BlankNode(fmt.Sprintf("ttl%d", p.blankSeq)); !p.taken[node] {
+			p.taken[node] = true
+			return node
+		}
+	}
 }
 
 // numberLiteral classifies a Turtle numeric shorthand into the right XSD type.

@@ -451,3 +451,31 @@ ex:t ex:q [ ex:r ex:u ] .
 		t.Fatalf("ParseString holds %d triples, ParseTriples %d distinct", g.Len(), rdf.GraphOf(ts...).Len())
 	}
 }
+
+// TestLabelsAndFreshNodesAreDistinct: a blank node the parser makes for [ ]
+// or a collection cell is never one the document names with a label, in
+// whichever order the two appear.
+func TestLabelsAndFreshNodesAreDistinct(t *testing.T) {
+	for _, doc := range []string{
+		"[ <http://p> 1 ] <http://q> _:ttl1 .",
+		"_:ttl1 <http://q> [ <http://p> 1 ] .",
+		"( 1 ) <http://q> _:ttl1 .",
+		"_:ttl1 <http://q> ( 1 ) .",
+	} {
+		g, err := ParseString(doc)
+		if err != nil {
+			t.Fatalf("%q: %v", doc, err)
+		}
+		blanks := map[rdf.Term]bool{}
+		for _, tr := range g.Triples() {
+			for _, x := range []rdf.Term{tr.Subject, tr.Object} {
+				if x.Kind() == rdf.KindBlank {
+					blanks[x] = true
+				}
+			}
+		}
+		if len(blanks) != 2 {
+			t.Errorf("%q reads as %d blank nodes, want 2:\n%s", doc, len(blanks), g)
+		}
+	}
+}
