@@ -171,10 +171,12 @@ func assemble(cfg *config, logger *slog.Logger) (*assembly, error) {
 	switch cfg.role() {
 	case standalone:
 		// Serves the loaded dataset directly, reasoned over once at boot.
-		data, err := loadData(cfg)
+		seed, err := loadSeed(cfg)
 		if err != nil {
 			return nil, err
 		}
+		data := store.New()
+		data.AddAll(seed)
 		newEngine(data)
 		engine.MaterializeReasoner(ontologies...)
 
@@ -446,17 +448,9 @@ func serve(srv *http.Server, ln net.Listener, stop <-chan os.Signal, drain time.
 	}
 }
 
-// loadData loads the initial dataset into a store: the built-in scenario's,
-// or the -data file's triples in one AddAll.
-func loadData(cfg *config) (*store.Store, error) {
-	if cfg.dataFile == "" {
-		return datagen.NewScenario(datagen.ScenarioConfig{Seed: cfg.seed, Sites: cfg.sites}).Merged, nil
-	}
-	return loadTurtle(cfg.dataFile)
-}
-
-// loadSeed returns the initial dataset as triples, for a leader to journal:
-// the built-in scenario's, or the -data file's as parsed.
+// loadSeed returns the initial dataset as triples — the built-in scenario's,
+// or the -data file's as parsed — for a standalone server to add with one
+// AddAll and a leader to journal as its first commit.
 func loadSeed(cfg *config) ([]rdf.Triple, error) {
 	if cfg.dataFile == "" {
 		return datagen.NewScenario(datagen.ScenarioConfig{Seed: cfg.seed, Sites: cfg.sites}).Merged.Triples(), nil
@@ -470,21 +464,13 @@ func loadPolicies(cfg *config) (*seconto.Set, error) {
 	if cfg.policyFile == "" {
 		return datagen.ScenarioPolicies(), nil
 	}
-	pst, err := loadTurtle(cfg.policyFile)
+	ts, err := parseTurtleFile(cfg.policyFile)
 	if err != nil {
 		return nil, err
 	}
+	pst := store.New()
+	pst.AddAll(ts)
 	return seconto.Parse(pst)
-}
-
-func loadTurtle(path string) (*store.Store, error) {
-	ts, err := parseTurtleFile(path)
-	if err != nil {
-		return nil, err
-	}
-	st := store.New()
-	st.AddAll(ts)
-	return st, nil
 }
 
 // parseTurtleFile parses a Turtle (or N-Triples) file straight to its

@@ -24,7 +24,8 @@ func main() {
 	st := store.New()
 
 	// The monitored stream.
-	stream := grdf.NewFeature(st, rdf.IRI(rdf.AppNS+"rowlettCreek"), rdf.IRI(rdf.AppNS+"HydroStream"))
+	stream := rdf.IRI(rdf.AppNS + "rowlettCreek")
+	st.AddAll(grdf.NewFeature(nil, stream, rdf.IRI(rdf.AppNS+"HydroStream")))
 	line, _ := geom.NewLineString([]geom.Coord{{X: 0, Y: 0}, {X: 900, Y: 350}, {X: 2100, Y: 800}})
 	if _, err := grdf.SetGeometry(st, stream, line, geom.TX83NCF); err != nil {
 		log.Fatal(err)
@@ -66,7 +67,8 @@ func main() {
 
 	// Monitoring-program extent: where and when the program applies.
 	env := geom.EnvelopeOf(geom.Coord{X: -100, Y: -100}, geom.Coord{X: 2200, Y: 900})
-	program := grdf.NewFeature(st, rdf.IRI(rdf.AppNS+"monitoringProgram"), grdf.Feature)
+	program := rdf.IRI(rdf.AppNS + "monitoringProgram")
+	st.AddAll(grdf.NewFeature(nil, program, grdf.Feature))
 	node, err := grdf.SetEnvelopeWithTimePeriod(st, program, env, geom.TX83NCF,
 		time.Date(2008, 1, 1, 0, 0, 0, 0, time.UTC),
 		time.Date(2008, 12, 31, 0, 0, 0, 0, time.UTC))

@@ -27,20 +27,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	park := grdf.NewFeature(st, rdf.IRI(rdf.AppNS+"centralPark"), rdf.IRI(rdf.AppNS+"Park"))
-	st.Add(rdf.T(park, rdf.RDFSLabel, rdf.NewString("Central Park")))
+	park := rdf.IRI(rdf.AppNS + "centralPark")
+	st.AddAll(append(grdf.NewFeature(nil, park, rdf.IRI(rdf.AppNS+"Park")),
+		rdf.T(park, rdf.RDFSLabel, rdf.NewString("Central Park"))))
 	if _, err := grdf.SetGeometry(st, park, geom.NewPolygon(ring), geom.TX83NCM); err != nil {
 		log.Fatal(err)
 	}
 
 	// A fountain inside the park and a depot outside it: point features.
-	fountain := grdf.NewFeature(st, rdf.IRI(rdf.AppNS+"fountain"), rdf.IRI(rdf.AppNS+"Landmark"))
-	st.Add(rdf.T(fountain, rdf.RDFSLabel, rdf.NewString("Memorial Fountain")))
+	fountain := rdf.IRI(rdf.AppNS + "fountain")
+	st.AddAll(append(grdf.NewFeature(nil, fountain, rdf.IRI(rdf.AppNS+"Landmark")),
+		rdf.T(fountain, rdf.RDFSLabel, rdf.NewString("Memorial Fountain"))))
 	if _, err := grdf.SetGeometry(st, fountain, geom.NewPoint(200, 150), geom.TX83NCM); err != nil {
 		log.Fatal(err)
 	}
-	depot := grdf.NewFeature(st, rdf.IRI(rdf.AppNS+"depot"), rdf.IRI(rdf.AppNS+"Landmark"))
-	st.Add(rdf.T(depot, rdf.RDFSLabel, rdf.NewString("Rail Depot")))
+	depot := rdf.IRI(rdf.AppNS + "depot")
+	st.AddAll(append(grdf.NewFeature(nil, depot, rdf.IRI(rdf.AppNS+"Landmark")),
+		rdf.T(depot, rdf.RDFSLabel, rdf.NewString("Rail Depot"))))
 	if _, err := grdf.SetGeometry(st, depot, geom.NewPoint(2000, 2000), geom.TX83NCM); err != nil {
 		log.Fatal(err)
 	}

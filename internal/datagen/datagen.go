@@ -43,11 +43,20 @@ const (
 	NearStation     rdf.IRI = rdf.AppNS + "nearWeatherStation"
 )
 
-// Region is the default synthetic study area in TX83-NCF-like feet,
-// matching the coordinate magnitudes of List 6.
+// Region is the synthetic study area in TX83-NCF-like feet, matching the
+// coordinate magnitudes of List 6. Every generator places its features in it
+// and names TX83NCF via hasSRSName.
 var Region = geom.EnvelopeOf(
 	geom.Coord{X: 2500000, Y: 7080000},
 	geom.Coord{X: 2560000, Y: 7140000},
+)
+
+const (
+	// pointsPerCurve is a trunk's polyline resolution; a tributary has half
+	// as many points plus two.
+	pointsPerCurve = 8
+	// chemicalsPerSite bounds a site's inventory (1..chemicalsPerSite).
+	chemicalsPerSite = 3
 )
 
 // HydrologyConfig tunes the stream-network generator.
@@ -57,12 +66,6 @@ type HydrologyConfig struct {
 	Trunks int
 	// TributariesPerTrunk is the number of tributaries feeding each trunk.
 	TributariesPerTrunk int
-	// PointsPerCurve is the polyline resolution.
-	PointsPerCurve int
-	// Region bounds the network; zero value uses the default Region.
-	Region geom.Envelope
-	// SRS names the CRS written via hasSRSName; default TX83NCF.
-	SRS string
 }
 
 func (c *HydrologyConfig) defaults() {
@@ -72,15 +75,23 @@ func (c *HydrologyConfig) defaults() {
 	if c.TributariesPerTrunk == 0 {
 		c.TributariesPerTrunk = 6
 	}
-	if c.PointsPerCurve == 0 {
-		c.PointsPerCurve = 8
+}
+
+// encode appends geo's GRDF encoding rooted at node to ts. The generators
+// only build geometries the encoder knows, so a failure is a bug.
+func encode(ts []rdf.Triple, node rdf.Term, geo geom.Geometry) []rdf.Triple {
+	ts, err := grdf.EncodeGeometry(ts, node, geo, geom.TX83NCF)
+	if err != nil {
+		panic(fmt.Sprintf("datagen: %v", err))
 	}
-	if c.Region.Empty || c.Region.Area() == 0 {
-		c.Region = Region
-	}
-	if c.SRS == "" {
-		c.SRS = geom.TX83NCF
-	}
+	return ts
+}
+
+// commit returns a new store holding ts, added with one AddAll.
+func commit(ts []rdf.Triple) *store.Store {
+	st := store.New()
+	st.AddAll(ts)
+	return st
 }
 
 // Stream describes one generated watercourse.
@@ -112,34 +123,31 @@ var streamNames = []string{
 func Hydrology(cfg HydrologyConfig) *HydrologyDataset {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	ds := &HydrologyDataset{Store: store.New()}
+	ds := &HydrologyDataset{}
+	var ts []rdf.Triple
 	objectID := 11000
 
 	addStream := func(s Stream) {
 		objectID++
-		grdf.NewFeature(ds.Store, s.IRI, HydroStream)
-		ds.Store.Add(rdf.T(s.IRI, HasObjectID, rdf.NewInteger(int64(objectID))))
-		ds.Store.Add(rdf.T(s.IRI, HasStreamName, rdf.NewString(s.Name)))
-		ds.Store.Add(rdf.T(s.IRI, HasStreamType, rdf.NewString(s.Type)))
+		ts = append(grdf.NewFeature(ts, s.IRI, HydroStream),
+			rdf.T(s.IRI, HasObjectID, rdf.NewInteger(int64(objectID))),
+			rdf.T(s.IRI, HasStreamName, rdf.NewString(s.Name)),
+			rdf.T(s.IRI, HasStreamType, rdf.NewString(s.Type)))
 		if s.FlowsInto != "" {
-			ds.Store.Add(rdf.T(s.IRI, FlowsInto, s.FlowsInto))
+			ts = append(ts, rdf.T(s.IRI, FlowsInto, s.FlowsInto))
 		}
 		geomNode := rdf.IRI(string(s.IRI) + "_geom")
-		if err := grdf.EncodeGeometry(ds.Store, geomNode, s.Geometry, cfg.SRS); err != nil {
-			// geometry built by this generator is always valid
-			panic(fmt.Sprintf("datagen: %v", err))
-		}
-		ds.Store.Add(rdf.T(s.IRI, grdf.HasGeometry, geomNode))
+		ts = append(encode(ts, geomNode, s.Geometry), rdf.T(s.IRI, grdf.HasGeometry, geomNode))
 		ds.Streams = append(ds.Streams, s)
 	}
 
-	r := cfg.Region
+	r := Region
 	for t := 0; t < cfg.Trunks; t++ {
 		// Trunk crosses the region west to east at a random latitude band.
 		y0 := r.MinY + (float64(t)+0.5)*(r.Height()/float64(cfg.Trunks))
-		coords := make([]geom.Coord, cfg.PointsPerCurve)
+		coords := make([]geom.Coord, pointsPerCurve)
 		for i := range coords {
-			frac := float64(i) / float64(cfg.PointsPerCurve-1)
+			frac := float64(i) / float64(pointsPerCurve-1)
 			coords[i] = geom.Coord{
 				X: r.MinX + frac*r.Width(),
 				Y: y0 + (rng.Float64()-0.5)*r.Height()*0.08,
@@ -162,7 +170,7 @@ func Hydrology(cfg HydrologyConfig) *HydrologyDataset {
 				X: join.X + (rng.Float64()-0.5)*r.Width()*0.2,
 				Y: join.Y + dir*(0.1+rng.Float64()*0.25)*r.Height(),
 			}
-			tribCoords := make([]geom.Coord, cfg.PointsPerCurve/2+2)
+			tribCoords := make([]geom.Coord, pointsPerCurve/2+2)
 			for i := range tribCoords {
 				frac := float64(i) / float64(len(tribCoords)-1)
 				tribCoords[i] = geom.Coord{
@@ -180,6 +188,7 @@ func Hydrology(cfg HydrologyConfig) *HydrologyDataset {
 			})
 		}
 	}
+	ds.Store = commit(ts)
 	return ds
 }
 
@@ -188,37 +197,17 @@ type ChemicalConfig struct {
 	Seed int64
 	// Sites is the number of facilities.
 	Sites int
-	// ChemicalsPerSite bounds the inventory size (1..N).
-	ChemicalsPerSite int
-	// Region bounds placement; zero uses the default Region.
-	Region geom.Envelope
-	// SRS names the CRS; default TX83NCF.
-	SRS string
 	// NearStreams, when non-nil, biases placement toward stream vertices so
 	// the contamination scenario has sites in blast radius.
 	NearStreams *HydrologyDataset
 	// NearFraction is the fraction of sites placed near streams (default 0.5
 	// when NearStreams is set).
 	NearFraction float64
-	// IRIPrefix is inserted into every minted IRI after the namespace
-	// (e.g. "r3_" yields app:r3_chem_site001). The streaming bulk loader
-	// uses it to tile many generated regions into one store without IRI
-	// collisions. Empty keeps the historical IRIs.
-	IRIPrefix string
 }
 
 func (c *ChemicalConfig) defaults() {
 	if c.Sites == 0 {
 		c.Sites = 12
-	}
-	if c.ChemicalsPerSite == 0 {
-		c.ChemicalsPerSite = 3
-	}
-	if c.Region.Empty || c.Region.Area() == 0 {
-		c.Region = Region
-	}
-	if c.SRS == "" {
-		c.SRS = geom.TX83NCF
 	}
 	if c.NearStreams != nil && c.NearFraction == 0 {
 		c.NearFraction = 0.5
@@ -259,8 +248,10 @@ var chemicals = []struct{ name, code string }{
 func Chemicals(cfg ChemicalConfig) *ChemicalDataset {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	ds := &ChemicalDataset{Store: store.New()}
-	r := cfg.Region
+	ds := &ChemicalDataset{}
+	// A site states at most 13 triples of its own and 5 per chemical.
+	ts := make([]rdf.Triple, 0, cfg.Sites*(13+5*chemicalsPerSite))
+	r := Region
 
 	var streamVertices []geom.Coord
 	if cfg.NearStreams != nil {
@@ -294,40 +285,39 @@ func Chemicals(cfg ChemicalConfig) *ChemicalDataset {
 			name = fmt.Sprintf("%s %s %d", words[0], words[1], i/len(companyWords)+1)
 		}
 		siteID := fmt.Sprintf("%06d", 4000+i*17)
-		iri := rdf.IRI(fmt.Sprintf("%s%schem_site%03d", rdf.AppNS, cfg.IRIPrefix, i+1))
+		iri := rdf.IRI(fmt.Sprintf("%schem_site%03d", rdf.AppNS, i+1))
 
-		grdf.NewFeature(ds.Store, iri, ChemSite)
-		ds.Store.Add(rdf.T(iri, HasSiteName, rdf.NewString(name)))
-		ds.Store.Add(rdf.T(iri, HasSiteID, rdf.NewString(siteID)))
-		ds.Store.Add(rdf.T(iri, HasContactName, rdf.NewString(contactName(rng))))
-		ds.Store.Add(rdf.T(iri, HasContactPhone, rdf.NewString(
-			fmt.Sprintf("972-555-%04d", rng.Intn(10000)))))
+		contact := contactName(rng)
+		phone := fmt.Sprintf("972-555-%04d", rng.Intn(10000))
+		ts = append(grdf.NewFeature(ts, iri, ChemSite),
+			rdf.T(iri, HasSiteName, rdf.NewString(name)),
+			rdf.T(iri, HasSiteID, rdf.NewString(siteID)),
+			rdf.T(iri, HasContactName, rdf.NewString(contact)),
+			rdf.T(iri, HasContactPhone, rdf.NewString(phone)))
 		envNode := rdf.IRI(string(iri) + "_extent")
-		if err := grdf.EncodeGeometry(ds.Store, envNode, bounds, cfg.SRS); err != nil {
-			panic(fmt.Sprintf("datagen: %v", err))
-		}
-		ds.Store.Add(rdf.T(iri, grdf.BoundedBy, envNode))
+		ts = append(encode(ts, envNode, bounds), rdf.T(iri, grdf.BoundedBy, envNode))
 
-		nChem := 1 + rng.Intn(cfg.ChemicalsPerSite)
+		nChem := 1 + rng.Intn(chemicalsPerSite)
 		var names []string
 		info := rdf.IRI(string(iri) + "_cheminfo")
-		ds.Store.Add(rdf.T(iri, HasChemicalInfo, info))
-		ds.Store.Add(rdf.T(info, rdf.RDFType, ChemInfo))
+		ts = append(ts, rdf.T(iri, HasChemicalInfo, info), rdf.T(info, rdf.RDFType, ChemInfo))
 		picked := rng.Perm(len(chemicals))[:nChem]
 		for _, ci := range picked {
 			c := chemicals[ci]
 			entry := rdf.IRI(fmt.Sprintf("%s_chem%s", string(info), c.code))
-			ds.Store.Add(rdf.T(info, rdf.IRI(rdf.AppNS+"chemical"), entry))
-			ds.Store.Add(rdf.T(entry, rdf.RDFType, ChemRecord))
-			ds.Store.Add(rdf.T(entry, HasChemName, rdf.NewString(c.name)))
-			ds.Store.Add(rdf.T(entry, HasChemCode, rdf.NewString(c.code)))
-			ds.Store.Add(rdf.T(entry, HasQuantityKg, rdf.NewInteger(int64(100+rng.Intn(9900)))))
+			ts = append(ts,
+				rdf.T(info, rdf.IRI(rdf.AppNS+"chemical"), entry),
+				rdf.T(entry, rdf.RDFType, ChemRecord),
+				rdf.T(entry, HasChemName, rdf.NewString(c.name)),
+				rdf.T(entry, HasChemCode, rdf.NewString(c.code)),
+				rdf.T(entry, HasQuantityKg, rdf.NewInteger(int64(100+rng.Intn(9900)))))
 			names = append(names, c.name)
 		}
 		ds.Sites = append(ds.Sites, Site{
 			IRI: iri, Name: name, SiteID: siteID, Bounds: bounds, Chemical: names,
 		})
 	}
+	ds.Store = commit(ts)
 	return ds
 }
 
@@ -343,8 +333,6 @@ func contactName(rng *rand.Rand) string {
 type WeatherConfig struct {
 	Seed     int64
 	Stations int
-	Region   geom.Envelope
-	SRS      string
 }
 
 // Weather generates weather stations with temperature/humidity readings.
@@ -352,30 +340,24 @@ func Weather(cfg WeatherConfig) *store.Store {
 	if cfg.Stations == 0 {
 		cfg.Stations = 5
 	}
-	if cfg.Region.Empty || cfg.Region.Area() == 0 {
-		cfg.Region = Region
-	}
-	if cfg.SRS == "" {
-		cfg.SRS = geom.TX83NCF
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	st := store.New()
+	var ts []rdf.Triple
 	for i := 0; i < cfg.Stations; i++ {
 		iri := rdf.IRI(fmt.Sprintf("%sweather_station%02d", rdf.AppNS, i+1))
-		grdf.NewFeature(st, iri, WeatherStation)
 		pos := geom.NewPoint(
-			cfg.Region.MinX+rng.Float64()*cfg.Region.Width(),
-			cfg.Region.MinY+rng.Float64()*cfg.Region.Height(),
+			Region.MinX+rng.Float64()*Region.Width(),
+			Region.MinY+rng.Float64()*Region.Height(),
 		)
 		posNode := rdf.IRI(string(iri) + "_geom")
-		if err := grdf.EncodeGeometry(st, posNode, pos, cfg.SRS); err != nil {
-			panic(fmt.Sprintf("datagen: %v", err))
-		}
-		st.Add(rdf.T(iri, grdf.HasGeometry, posNode))
-		st.Add(rdf.T(iri, HasTemperature, rdf.NewDouble(math.Round((60+rng.Float64()*40)*10)/10)))
-		st.Add(rdf.T(iri, HasHumidity, rdf.NewInteger(int64(20+rng.Intn(70)))))
+		ts = encode(grdf.NewFeature(ts, iri, WeatherStation), posNode, pos)
+		temperature := math.Round((60+rng.Float64()*40)*10) / 10
+		humidity := 20 + rng.Intn(70)
+		ts = append(ts,
+			rdf.T(iri, grdf.HasGeometry, posNode),
+			rdf.T(iri, HasTemperature, rdf.NewDouble(temperature)),
+			rdf.T(iri, HasHumidity, rdf.NewInteger(int64(humidity))))
 	}
-	return st
+	return commit(ts)
 }
 
 // LinkSitesToStations aggregates weather data with the chemical sites: each
@@ -384,7 +366,7 @@ func Weather(cfg WeatherConfig) *store.Store {
 func LinkSitesToStations(merged *store.Store) int {
 	stations := merged.SubjectsOfType(WeatherStation)
 	sites := merged.SubjectsOfType(ChemSite)
-	n := 0
+	var links []rdf.Triple
 	for _, site := range sites {
 		siteGeo, _, err := grdf.GeometryOf(merged, site)
 		if err != nil {
@@ -402,9 +384,9 @@ func LinkSitesToStations(merged *store.Store) int {
 			}
 		}
 		if best != nil {
-			merged.Add(rdf.T(site, NearStation, best))
-			n++
+			links = append(links, rdf.T(site, NearStation, best))
 		}
 	}
-	return n
+	merged.AddAll(links)
+	return len(links)
 }

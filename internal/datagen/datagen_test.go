@@ -248,3 +248,22 @@ func TestHydroTopology(t *testing.T) {
 		t.Errorf("topology encoding broke validation: %v", rep.Errors())
 	}
 }
+
+// TestHydroTopologyEncodingDeterministic: encoding one network twice, each
+// time into a store of its own, states the same triples in the same order,
+// so the two stores assign the same dictionary IDs.
+func TestHydroTopologyEncodingDeterministic(t *testing.T) {
+	encode := func() string {
+		ds := Hydrology(HydrologyConfig{Seed: 20})
+		if _, _, err := HydroTopology(ds, ds.Store); err != nil {
+			t.Fatal(err)
+		}
+		return triplesDigest(ds.Store.Triples())
+	}
+	first := encode()
+	for i := 0; i < 3; i++ {
+		if again := encode(); again != first {
+			t.Fatalf("encoding %d differs from the first: %s, want %s", i+2, again, first)
+		}
+	}
+}

@@ -40,14 +40,12 @@ func NewScenario(cfg ScenarioConfig) *Scenario {
 	hydro := Hydrology(HydrologyConfig{Seed: cfg.Seed, Trunks: cfg.Trunks})
 	chem := Chemicals(ChemicalConfig{Seed: cfg.Seed, Sites: cfg.Sites, NearStreams: hydro})
 
-	merged := store.New()
-	merged.AddAll(hydro.Store.Triples())
-	merged.AddAll(chem.Store.Triples())
-
+	// Merged states the hydrology layer's triples, then the chemical layer's,
+	// each in its store's order: that order fixes Merged's dictionary IDs.
 	return &Scenario{
 		Hydrology: hydro,
 		Chemical:  chem,
-		Merged:    merged,
+		Merged:    commit(append(hydro.Store.Triples(), chem.Store.Triples()...)),
 		Policies:  ScenarioPolicies(),
 	}
 }

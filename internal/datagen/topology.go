@@ -18,19 +18,19 @@ import (
 //
 // When st is non-nil the topology is additionally encoded as GRDF triples
 // using the Fig. 2 vocabulary (grdf:Node, grdf:Edge, hasStartNode,
-// hasEndNode, realizedBy).
+// hasEndNode, realizedBy) and committed to st with one AddAll. st must hold
+// the streams' geometry nodes, which realize the edges.
 func HydroTopology(ds *HydrologyDataset, st *store.Store) (*topo.Topology, *topo.Realization, error) {
 	tp := topo.New()
 	real := topo.NewRealization(tp)
 
 	nodeAt := map[geom.Coord]topo.ID{}
-	nodeSeq := 0
+	var nodes []topo.ID // in creation order: hn1, hn2, …
 	node := func(c geom.Coord) (topo.ID, error) {
 		if id, ok := nodeAt[c]; ok {
 			return id, nil
 		}
-		nodeSeq++
-		id := topo.ID(fmt.Sprintf("hn%d", nodeSeq))
+		id := topo.ID(fmt.Sprintf("hn%d", len(nodes)+1))
 		if err := tp.AddNode(topo.Node{ID: id}); err != nil {
 			return "", err
 		}
@@ -38,6 +38,7 @@ func HydroTopology(ds *HydrologyDataset, st *store.Store) (*topo.Topology, *topo
 			return "", err
 		}
 		nodeAt[c] = id
+		nodes = append(nodes, id)
 		return id, nil
 	}
 
@@ -62,41 +63,44 @@ func HydroTopology(ds *HydrologyDataset, st *store.Store) (*topo.Topology, *topo
 	}
 
 	if st != nil {
-		if err := encodeHydroTopology(st, ds, tp, nodeAt); err != nil {
+		if err := encodeHydroTopology(st, ds, tp, real, nodes); err != nil {
 			return nil, nil, err
 		}
 	}
 	return tp, real, nil
 }
 
-// encodeHydroTopology writes the derived topology as GRDF triples.
-func encodeHydroTopology(st *store.Store, ds *HydrologyDataset, tp *topo.Topology, nodeAt map[geom.Coord]topo.ID) error {
+// encodeHydroTopology writes the derived topology as GRDF triples, its nodes
+// in creation order, so one network always states the same triples in the
+// same order.
+func encodeHydroTopology(st *store.Store, ds *HydrologyDataset, tp *topo.Topology, real *topo.Realization, nodes []topo.ID) error {
 	const topoNS = rdf.AppNS + "topo_"
 	nodeIRI := func(id topo.ID) rdf.IRI { return rdf.IRI(topoNS + string(id)) }
 
-	for c, id := range nodeAt {
+	var ts []rdf.Triple
+	for _, id := range nodes {
 		iri := nodeIRI(id)
-		st.Add(rdf.T(iri, rdf.RDFType, grdf.TopoNode))
 		// realize the node as a point
+		p, _ := real.PointOf(id) // HydroTopology realized every node
 		geomNode := rdf.IRI(string(iri) + "_geom")
-		if err := grdf.EncodeGeometry(st, geomNode, geom.Point{C: c}, geom.TX83NCF); err != nil {
-			return err
-		}
-		st.Add(rdf.T(iri, grdf.RealizedBy, geomNode))
+		ts = encode(append(ts, rdf.T(iri, rdf.RDFType, grdf.TopoNode)), geomNode, p)
+		ts = append(ts, rdf.T(iri, grdf.RealizedBy, geomNode))
 	}
 	for _, s := range ds.Streams {
 		edgeIRI := rdf.IRI(topoNS + s.IRI.LocalName())
-		st.Add(rdf.T(edgeIRI, rdf.RDFType, grdf.TopoEdge))
 		edge, ok := tp.Edge(topo.ID(s.IRI.LocalName()))
 		if !ok {
 			return fmt.Errorf("datagen: edge %s missing from topology", s.IRI.LocalName())
 		}
-		st.Add(rdf.T(edgeIRI, grdf.HasStartNode, nodeIRI(edge.Start)))
-		st.Add(rdf.T(edgeIRI, grdf.HasEndNode, nodeIRI(edge.End)))
+		ts = append(ts,
+			rdf.T(edgeIRI, rdf.RDFType, grdf.TopoEdge),
+			rdf.T(edgeIRI, grdf.HasStartNode, nodeIRI(edge.Start)),
+			rdf.T(edgeIRI, grdf.HasEndNode, nodeIRI(edge.End)))
 		// the edge is realized by the stream's existing geometry node
 		if g, ok := st.FirstObject(s.IRI, grdf.HasGeometry); ok {
-			st.Add(rdf.T(edgeIRI, grdf.RealizedBy, g))
+			ts = append(ts, rdf.T(edgeIRI, grdf.RealizedBy, g))
 		}
 	}
+	st.AddAll(ts)
 	return nil
 }

@@ -264,8 +264,8 @@ func E8QueryCache(requests int) *Table {
 	e, sc := scenarioEngine(31, 10)
 	v1 := e.View(datagen.RoleHazmat, seconto.ActionView)
 	fresh := rdf.IRI(rdf.AppNS + "chem/siteFRESH")
-	grdf.NewFeature(sc.Merged, fresh, datagen.ChemSite)
-	sc.Merged.Add(rdf.T(fresh, datagen.HasSiteName, rdf.NewString("Fresh Plant")))
+	sc.Merged.AddAll(append(grdf.NewFeature(nil, fresh, datagen.ChemSite),
+		rdf.T(fresh, datagen.HasSiteName, rdf.NewString("Fresh Plant"))))
 	v2 := e.View(datagen.RoleHazmat, seconto.ActionView)
 	invalidated := v1 != v2 && v2.Count(fresh, datagen.HasSiteName, nil) == 1
 	t.AddRow("invalidation on data change", mark(invalidated), "", "", "", "")

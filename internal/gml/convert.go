@@ -14,14 +14,18 @@ import (
 // GML's content model carried over into OWL so that "a polygon in GRDF can
 // be directly mapped to a polygon in GML."
 
-// ToGRDF writes the collection into st as GRDF triples. Feature IRIs are
-// minted under ns (e.g. rdf.AppNS) from the feature ID or an index. It
-// returns the minted feature IRIs in input order.
+// ToGRDF writes the collection into st as GRDF triples, committed with one
+// AddAll. Feature IRIs are minted under ns (e.g. rdf.AppNS) from the feature
+// ID or an index. It returns the minted feature IRIs in input order.
 func ToGRDF(st *store.Store, col *Collection, ns string) ([]rdf.IRI, error) {
 	if ns == "" {
 		ns = rdf.AppNS
 	}
-	var out []rdf.IRI
+	var (
+		out []rdf.IRI
+		ts  []rdf.Triple
+		err error
+	)
 	for i := range col.Features {
 		f := &col.Features[i]
 		id := f.ID
@@ -29,8 +33,7 @@ func ToGRDF(st *store.Store, col *Collection, ns string) ([]rdf.IRI, error) {
 			id = fmt.Sprintf("%s_%d", f.TypeName, i)
 		}
 		iri := rdf.IRI(ns + id)
-		class := rdf.IRI(ns + f.TypeName)
-		grdf.NewFeature(st, iri, class)
+		ts = grdf.NewFeature(ts, iri, rdf.IRI(ns+f.TypeName))
 
 		for _, p := range f.Properties {
 			propNS := p.Namespace
@@ -40,25 +43,29 @@ func ToGRDF(st *store.Store, col *Collection, ns string) ([]rdf.IRI, error) {
 			if !strings.HasSuffix(propNS, "#") && !strings.HasSuffix(propNS, "/") {
 				propNS += "#"
 			}
-			st.Add(rdf.T(iri, rdf.IRI(propNS+p.Name), rdf.NewString(p.Value)))
+			ts = append(ts, rdf.T(iri, rdf.IRI(propNS+p.Name), rdf.NewString(p.Value)))
 		}
 		if f.Geometry != nil {
-			node, err := grdf.SetGeometry(st, iri, f.Geometry, f.SRSName)
-			if err != nil {
+			node := rdf.NewBlankNode()
+			if ts, err = grdf.EncodeGeometry(ts, node, f.Geometry, f.SRSName); err != nil {
 				return nil, fmt.Errorf("gml: feature %s: %w", id, err)
 			}
+			ts = append(ts, rdf.T(iri, grdf.HasGeometry, node))
 			if f.GeomProperty != "" {
 				// preserve the original property name alongside hasGeometry
-				st.Add(rdf.T(iri, rdf.IRI(ns+f.GeomProperty), node))
+				ts = append(ts, rdf.T(iri, rdf.IRI(ns+f.GeomProperty), node))
 			}
 		}
 		if f.HasBounds {
-			if _, err := grdf.SetEnvelope(st, iri, f.Bounds, f.SRSName); err != nil {
+			node := rdf.NewBlankNode()
+			if ts, err = grdf.EncodeGeometry(ts, node, f.Bounds, f.SRSName); err != nil {
 				return nil, fmt.Errorf("gml: feature %s bounds: %w", id, err)
 			}
+			ts = append(ts, rdf.T(iri, grdf.BoundedBy, node))
 		}
 		out = append(out, iri)
 	}
+	st.AddAll(ts)
 	return out, nil
 }
 

@@ -264,9 +264,10 @@ func TestGRDFRoundTrip(t *testing.T) {
 
 func TestFromGRDFFiltersGRDFInternals(t *testing.T) {
 	st := store.New()
-	f := grdf.NewFeature(st, rdf.IRI(rdf.AppNS+"x"), rdf.IRI(rdf.AppNS+"Site"))
-	st.Add(rdf.T(f, rdf.RDFSLabel, rdf.NewString("label"))) // rdfs: filtered
-	st.Add(rdf.T(f, rdf.IRI(rdf.AppNS+"keep"), rdf.NewString("yes")))
+	f := rdf.IRI(rdf.AppNS + "x")
+	st.AddAll(append(grdf.NewFeature(nil, f, rdf.IRI(rdf.AppNS+"Site")),
+		rdf.T(f, rdf.RDFSLabel, rdf.NewString("label")), // rdfs: filtered
+		rdf.T(f, rdf.IRI(rdf.AppNS+"keep"), rdf.NewString("yes"))))
 	col, err := FromGRDF(st, "")
 	if err != nil {
 		t.Fatal(err)

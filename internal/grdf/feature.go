@@ -13,126 +13,101 @@ import (
 // and 7): geometry nodes typed with the geometry-model classes, coordinates
 // carried in the GML tuple syntax, CRS via hasSRSName.
 
-// EncodeGeometry writes the triples describing geo, rooted at node, into st.
+// EncodeGeometry appends the triples describing geo, rooted at node, to ts.
 // srs (may be empty) is recorded via grdf:hasSRSName.
-func EncodeGeometry(st *store.Store, node rdf.Term, geo geom.Geometry, srs string) error {
-	addSRS := func(n rdf.Term) {
-		if srs != "" {
-			st.Add(rdf.T(n, HasSRSName, rdf.NewString(srs)))
+func EncodeGeometry(ts []rdf.Triple, node rdf.Term, geo geom.Geometry, srs string) ([]rdf.Triple, error) {
+	var err error
+	typed := func(class rdf.IRI) { ts = append(ts, rdf.T(node, rdf.RDFType, class)) }
+	coordinates := func(class rdf.IRI, cs []geom.Coord) {
+		typed(class)
+		ts = append(ts, rdf.T(node, Coordinates, rdf.NewString(geom.FormatCoordinates(cs))))
+	}
+	// member appends m as a fresh blank node linked from node by prop.
+	member := func(prop rdf.IRI, m geom.Geometry) {
+		if err != nil {
+			return
 		}
+		b := rdf.NewBlankNode()
+		ts = append(ts, rdf.T(node, prop, b))
+		ts, err = EncodeGeometry(ts, b, m, "")
 	}
 	switch v := geo.(type) {
 	case geom.Point:
-		st.Add(rdf.T(node, rdf.RDFType, Point))
-		st.Add(rdf.T(node, Coordinates, rdf.NewString(geom.FormatCoordinates([]geom.Coord{v.C}))))
-		addSRS(node)
+		coordinates(Point, []geom.Coord{v.C})
 	case geom.LineString:
-		st.Add(rdf.T(node, rdf.RDFType, LineString))
-		st.Add(rdf.T(node, Coordinates, rdf.NewString(geom.FormatCoordinates(v.Coords))))
-		addSRS(node)
+		coordinates(LineString, v.Coords)
 	case geom.LinearRing:
-		st.Add(rdf.T(node, rdf.RDFType, LinearRing))
-		st.Add(rdf.T(node, Coordinates, rdf.NewString(geom.FormatCoordinates(v.Coords))))
-		addSRS(node)
+		coordinates(LinearRing, v.Coords)
 	case geom.Polygon:
-		st.Add(rdf.T(node, rdf.RDFType, Polygon))
-		ext := rdf.NewBlankNode()
-		st.Add(rdf.T(node, Exterior, ext))
-		if err := EncodeGeometry(st, ext, v.Exterior, ""); err != nil {
-			return err
-		}
+		typed(Polygon)
+		member(Exterior, v.Exterior)
 		for _, h := range v.Holes {
-			in := rdf.NewBlankNode()
-			st.Add(rdf.T(node, Interior, in))
-			if err := EncodeGeometry(st, in, h, ""); err != nil {
-				return err
-			}
+			member(Interior, h)
 		}
-		addSRS(node)
 	case geom.Envelope:
 		if v.Empty {
-			st.Add(rdf.T(node, rdf.RDFType, Null))
-			return nil
+			return append(ts, rdf.T(node, rdf.RDFType, Null)), nil
 		}
-		st.Add(rdf.T(node, rdf.RDFType, Envelope))
-		ll, ur := v.Corners()
-		st.Add(rdf.T(node, LowerCorner, rdf.NewString(geom.FormatCoordinates([]geom.Coord{ll}))))
-		st.Add(rdf.T(node, UpperCorner, rdf.NewString(geom.FormatCoordinates([]geom.Coord{ur}))))
-		addSRS(node)
+		ts = envelope(ts, node, Envelope, v)
 	case geom.MultiPoint:
-		st.Add(rdf.T(node, rdf.RDFType, MultiPoint))
+		typed(MultiPoint)
 		for _, p := range v.Points {
-			m := rdf.NewBlankNode()
-			st.Add(rdf.T(node, PointMember, m))
-			if err := EncodeGeometry(st, m, p, ""); err != nil {
-				return err
-			}
+			member(PointMember, p)
 		}
-		addSRS(node)
 	case geom.MultiCurve:
-		st.Add(rdf.T(node, rdf.RDFType, MultiCurve))
+		typed(MultiCurve)
 		for _, c := range v.Curves {
-			m := rdf.NewBlankNode()
-			st.Add(rdf.T(node, CurveMember, m))
-			if err := EncodeGeometry(st, m, c, ""); err != nil {
-				return err
-			}
+			member(CurveMember, c)
 		}
-		addSRS(node)
 	case geom.MultiSurface:
-		st.Add(rdf.T(node, rdf.RDFType, MultiSurface))
-		for _, s := range v.Surfaces {
-			m := rdf.NewBlankNode()
-			st.Add(rdf.T(node, SurfaceMember, m))
-			if err := EncodeGeometry(st, m, s, ""); err != nil {
-				return err
-			}
+		typed(MultiSurface)
+		for _, p := range v.Surfaces {
+			member(SurfaceMember, p)
 		}
-		addSRS(node)
 	case geom.CompositeCurve:
-		st.Add(rdf.T(node, rdf.RDFType, CompositeCurve))
+		typed(CompositeCurve)
 		for _, m := range v.Members {
-			mm := rdf.NewBlankNode()
-			st.Add(rdf.T(node, CurveMember, mm))
-			if err := EncodeGeometry(st, mm, m, ""); err != nil {
-				return err
-			}
+			member(CurveMember, m)
 		}
-		addSRS(node)
 	case geom.CompositeSurface:
-		st.Add(rdf.T(node, rdf.RDFType, CompositeSurface))
+		typed(CompositeSurface)
 		for _, m := range v.Members {
-			mm := rdf.NewBlankNode()
-			st.Add(rdf.T(node, SurfaceMember, mm))
-			if err := EncodeGeometry(st, mm, m, ""); err != nil {
-				return err
-			}
+			member(SurfaceMember, m)
 		}
-		addSRS(node)
 	case geom.Complex:
-		st.Add(rdf.T(node, rdf.RDFType, ComplexGeometry))
+		typed(ComplexGeometry)
 		for _, m := range v.Members {
-			mm := rdf.NewBlankNode()
-			st.Add(rdf.T(node, GeometryMember, mm))
-			if err := EncodeGeometry(st, mm, m, ""); err != nil {
-				return err
-			}
+			member(GeometryMember, m)
 		}
-		addSRS(node)
 	case geom.Solid:
-		st.Add(rdf.T(node, rdf.RDFType, Solid))
+		typed(Solid)
 		for _, p := range v.Boundary {
-			mm := rdf.NewBlankNode()
-			st.Add(rdf.T(node, SolidMember, mm))
-			if err := EncodeGeometry(st, mm, p, ""); err != nil {
-				return err
-			}
+			member(SolidMember, p)
 		}
-		addSRS(node)
 	default:
-		return fmt.Errorf("grdf: cannot encode geometry kind %s", geo.Kind())
+		return nil, fmt.Errorf("grdf: cannot encode geometry kind %s", geo.Kind())
 	}
-	return nil
+	if err != nil {
+		return nil, err
+	}
+	return withSRS(ts, node, srs), nil
+}
+
+// envelope appends the class and corners of the non-empty envelope env
+// rooted at node.
+func envelope(ts []rdf.Triple, node rdf.Term, class rdf.IRI, env geom.Envelope) []rdf.Triple {
+	ll, ur := env.Corners()
+	return append(ts, rdf.T(node, rdf.RDFType, class),
+		rdf.T(node, LowerCorner, rdf.NewString(geom.FormatCoordinates([]geom.Coord{ll}))),
+		rdf.T(node, UpperCorner, rdf.NewString(geom.FormatCoordinates([]geom.Coord{ur}))))
+}
+
+// withSRS appends node's grdf:hasSRSName when srs is not empty.
+func withSRS(ts []rdf.Triple, node rdf.Term, srs string) []rdf.Triple {
+	if srs == "" {
+		return ts
+	}
+	return append(ts, rdf.T(node, HasSRSName, rdf.NewString(srs)))
 }
 
 // DecodeGeometry reads the geometry rooted at node back into a geom value.
@@ -449,38 +424,41 @@ func geometryType(st store.Reader, node rdf.Term) (rdf.IRI, bool) {
 	return found, found != ""
 }
 
-// NewFeature asserts a feature individual of the given class (the class is
-// additionally declared a subclass of grdf:Feature when it is outside the
-// GRDF namespace, letting domain ontologies bootstrap as Section 2 intends).
-func NewFeature(st *store.Store, id rdf.IRI, class rdf.IRI) rdf.IRI {
+// NewFeature appends to ts the triples asserting a feature individual of the
+// given class (the class is additionally declared a subclass of grdf:Feature
+// when it is outside the GRDF namespace, letting domain ontologies bootstrap
+// as Section 2 intends).
+func NewFeature(ts []rdf.Triple, id rdf.IRI, class rdf.IRI) []rdf.Triple {
 	if class == "" {
 		class = Feature
 	}
-	st.Add(rdf.T(id, rdf.RDFType, class))
+	ts = append(ts, rdf.T(id, rdf.RDFType, class))
 	if class != Feature && class.Namespace() != NS {
-		st.Add(rdf.T(class, rdf.RDFSSubClassOf, Feature))
+		ts = append(ts, rdf.T(class, rdf.RDFSSubClassOf, Feature))
 	}
-	return id
+	return ts
 }
 
 // SetGeometry attaches geo to the feature via grdf:hasGeometry, returning the
 // geometry node.
 func SetGeometry(st *store.Store, feature rdf.IRI, geo geom.Geometry, srs string) (rdf.Term, error) {
-	node := rdf.Term(rdf.NewBlankNode())
-	if err := EncodeGeometry(st, node, geo, srs); err != nil {
-		return nil, err
-	}
-	st.Add(rdf.T(feature, HasGeometry, node))
-	return node, nil
+	return attach(st, feature, HasGeometry, geo, srs)
 }
 
 // SetEnvelope attaches a bounding envelope via grdf:boundedBy.
 func SetEnvelope(st *store.Store, feature rdf.IRI, env geom.Envelope, srs string) (rdf.Term, error) {
+	return attach(st, feature, BoundedBy, env, srs)
+}
+
+// attach encodes geo under a fresh blank node linked from feature by prop,
+// and commits it with one AddAll.
+func attach(st *store.Store, feature rdf.IRI, prop rdf.IRI, geo geom.Geometry, srs string) (rdf.Term, error) {
 	node := rdf.Term(rdf.NewBlankNode())
-	if err := EncodeGeometry(st, node, env, srs); err != nil {
+	ts, err := EncodeGeometry(nil, node, geo, srs)
+	if err != nil {
 		return nil, err
 	}
-	st.Add(rdf.T(feature, BoundedBy, node))
+	st.AddAll(append(ts, rdf.T(feature, prop, node)))
 	return node, nil
 }
 

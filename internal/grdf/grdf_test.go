@@ -87,13 +87,21 @@ func TestEnvelopeWithTimePeriodCardinality(t *testing.T) {
 	}
 }
 
+// newFeature commits a feature of class to st and returns its IRI.
+func newFeature(st *store.Store, id, class rdf.IRI) rdf.IRI {
+	st.AddAll(NewFeature(nil, id, class))
+	return id
+}
+
 func roundTripGeometry(t *testing.T, g geom.Geometry) geom.Geometry {
 	t.Helper()
 	st := store.New()
 	node := rdf.IRI("http://e/geo")
-	if err := EncodeGeometry(st, node, g, geom.TX83NCF); err != nil {
+	ts, err := EncodeGeometry(nil, node, g, geom.TX83NCF)
+	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
+	st.AddAll(ts)
 	back, srs, err := DecodeGeometry(st, node)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
@@ -171,7 +179,7 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestNewFeatureAndGeometryOf(t *testing.T) {
 	st := store.New()
-	site := NewFeature(st, rdf.IRI(rdf.AppNS+"NTEnergy"), rdf.IRI(rdf.AppNS+"ChemSite"))
+	site := newFeature(st, rdf.IRI(rdf.AppNS+"NTEnergy"), rdf.IRI(rdf.AppNS+"ChemSite"))
 	// app:ChemSite is auto-linked under grdf:Feature
 	if !st.Has(rdf.T(rdf.IRI(rdf.AppNS+"ChemSite"), rdf.RDFSSubClassOf, Feature)) {
 		t.Error("domain class not linked under grdf:Feature")
@@ -192,7 +200,7 @@ func TestNewFeatureAndGeometryOf(t *testing.T) {
 
 func TestGeometryOfViaHasGeometry(t *testing.T) {
 	st := store.New()
-	stream := NewFeature(st, rdf.IRI("http://e/stream"), Feature)
+	stream := newFeature(st, rdf.IRI("http://e/stream"), Feature)
 	line, _ := geom.NewLineString([]geom.Coord{{X: 0, Y: 0}, {X: 100, Y: 100}})
 	if _, err := SetGeometry(st, stream, line, geom.TX83NCF); err != nil {
 		t.Fatal(err)
@@ -215,13 +223,13 @@ func TestGeometryOfViaHasGeometry(t *testing.T) {
 // spatially scoped decision decodes them.
 func TestDecodeGeometryCycle(t *testing.T) {
 	st := store.New()
-	selfish := NewFeature(st, rdf.IRI("http://e/selfish"), rdf.IRI("http://e/Site"))
+	selfish := newFeature(st, rdf.IRI("http://e/selfish"), rdf.IRI("http://e/Site"))
 	a := rdf.Term(rdf.NewBlankNode())
 	st.AddAll([]rdf.Triple{
 		rdf.T(selfish, HasGeometry, a),
 		rdf.T(a, rdf.RDFType, ComplexGeometry), rdf.T(a, GeometryMember, a),
 	})
-	pair := NewFeature(st, rdf.IRI("http://e/pair"), rdf.IRI("http://e/Site"))
+	pair := newFeature(st, rdf.IRI("http://e/pair"), rdf.IRI("http://e/Site"))
 	b, c := rdf.Term(rdf.NewBlankNode()), rdf.Term(rdf.NewBlankNode())
 	st.AddAll([]rdf.Triple{
 		rdf.T(pair, HasGeometry, b),
@@ -229,7 +237,7 @@ func TestDecodeGeometryCycle(t *testing.T) {
 		rdf.T(c, rdf.RDFType, Polygon), rdf.T(c, Exterior, b),
 	})
 	// A node shared by two members is not a cycle.
-	shared := NewFeature(st, rdf.IRI("http://e/shared"), rdf.IRI("http://e/Site"))
+	shared := newFeature(st, rdf.IRI("http://e/shared"), rdf.IRI("http://e/Site"))
 	top, left, right, pt := rdf.NewBlankNode(), rdf.NewBlankNode(), rdf.NewBlankNode(), rdf.NewBlankNode()
 	st.AddAll([]rdf.Triple{
 		rdf.T(shared, HasGeometry, top),
@@ -237,9 +245,11 @@ func TestDecodeGeometryCycle(t *testing.T) {
 		rdf.T(left, rdf.RDFType, MultiPoint), rdf.T(left, PointMember, pt),
 		rdf.T(right, rdf.RDFType, MultiPoint), rdf.T(right, PointMember, pt),
 	})
-	if err := EncodeGeometry(st, pt, geom.NewPoint(3, 4), ""); err != nil {
+	ts, err := EncodeGeometry(nil, pt, geom.NewPoint(3, 4), "")
+	if err != nil {
 		t.Fatal(err)
 	}
+	st.AddAll(ts)
 
 	for _, f := range []rdf.IRI{selfish, pair} {
 		if g, _, err := GeometryOf(st, f); err == nil {
@@ -265,15 +275,15 @@ SELECT ?s WHERE { ?s a ex:Site . FILTER(grdf:distance(?s, ex:shared) < 1) }`)
 func TestSpatialSparqlFunctions(t *testing.T) {
 	st := store.New()
 	zoneRing, _ := geom.NewLinearRing([]geom.Coord{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 100, Y: 100}, {X: 0, Y: 100}, {X: 0, Y: 0}})
-	zone := NewFeature(st, rdf.IRI("http://e/zone"), rdf.IRI("http://e/Zone"))
+	zone := newFeature(st, rdf.IRI("http://e/zone"), rdf.IRI("http://e/Zone"))
 	if _, err := SetGeometry(st, zone, geom.NewPolygon(zoneRing), ""); err != nil {
 		t.Fatal(err)
 	}
-	inside := NewFeature(st, rdf.IRI("http://e/inside"), rdf.IRI("http://e/Site"))
+	inside := newFeature(st, rdf.IRI("http://e/inside"), rdf.IRI("http://e/Site"))
 	if _, err := SetGeometry(st, inside, geom.NewPoint(50, 50), ""); err != nil {
 		t.Fatal(err)
 	}
-	outside := NewFeature(st, rdf.IRI("http://e/outside"), rdf.IRI("http://e/Site"))
+	outside := newFeature(st, rdf.IRI("http://e/outside"), rdf.IRI("http://e/Site"))
 	if _, err := SetGeometry(st, outside, geom.NewPoint(500, 500), ""); err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +334,11 @@ ASK { FILTER(grdf:contains(ex:zone, ex:inside)) }`)
 func TestSpatialFunctionsJudgeByThePinnedVersion(t *testing.T) {
 	st := store.New()
 	zoneRing, _ := geom.NewLinearRing([]geom.Coord{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 100, Y: 100}, {X: 0, Y: 100}, {X: 0, Y: 0}})
-	zone := NewFeature(st, rdf.IRI("http://e/zone"), rdf.IRI("http://e/Zone"))
+	zone := newFeature(st, rdf.IRI("http://e/zone"), rdf.IRI("http://e/Zone"))
 	if _, err := SetGeometry(st, zone, geom.NewPolygon(zoneRing), ""); err != nil {
 		t.Fatal(err)
 	}
-	site := NewFeature(st, rdf.IRI("http://e/site"), rdf.IRI("http://e/Site"))
+	site := newFeature(st, rdf.IRI("http://e/site"), rdf.IRI("http://e/Site"))
 	node, err := SetGeometry(st, site, geom.NewPoint(50, 50), "")
 	if err != nil {
 		t.Fatal(err)
@@ -366,9 +376,9 @@ SELECT ?s WHERE { ?s a ex:Site . FILTER(ex:writeLands(?s)) FILTER(grdf:within(?s
 
 func TestAggregateMergesAndCounts(t *testing.T) {
 	hydro := store.New()
-	NewFeature(hydro, rdf.IRI("http://e/stream"), Feature)
+	newFeature(hydro, rdf.IRI("http://e/stream"), Feature)
 	chem := store.New()
-	NewFeature(chem, rdf.IRI("http://e/site"), rdf.IRI(rdf.AppNS+"ChemSite"))
+	newFeature(chem, rdf.IRI("http://e/site"), rdf.IRI(rdf.AppNS+"ChemSite"))
 
 	res, err := Aggregate([]Source{
 		{Name: "hydrology", Store: hydro},
@@ -387,7 +397,7 @@ func TestAggregateMergesAndCounts(t *testing.T) {
 
 func TestAggregateWithReasoning(t *testing.T) {
 	data := store.New()
-	NewFeature(data, rdf.IRI("http://e/site"), rdf.IRI(rdf.AppNS+"ChemSite"))
+	newFeature(data, rdf.IRI("http://e/site"), rdf.IRI(rdf.AppNS+"ChemSite"))
 	res, err := Aggregate([]Source{{Name: "d", Store: data}}, AggregateOptions{
 		Reason:   true,
 		Ontology: Ontology(),
@@ -411,11 +421,11 @@ func TestNormalizeCRS(t *testing.T) {
 	reg := geom.NewRegistry()
 	st := store.New()
 	// one feature in feet, one in meters
-	f1 := NewFeature(st, rdf.IRI("http://e/f1"), Feature)
+	f1 := newFeature(st, rdf.IRI("http://e/f1"), Feature)
 	if _, err := SetGeometry(st, f1, geom.NewPoint(2500000, 7000000), geom.TX83NCF); err != nil {
 		t.Fatal(err)
 	}
-	f2 := NewFeature(st, rdf.IRI("http://e/f2"), Feature)
+	f2 := newFeature(st, rdf.IRI("http://e/f2"), Feature)
 	if _, err := SetGeometry(st, f2, geom.NewPoint(0, 0), geom.TX83NCM); err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +455,7 @@ func TestNormalizeCRSPolygonNested(t *testing.T) {
 	reg := geom.NewRegistry()
 	st := store.New()
 	ring, _ := geom.NewLinearRing([]geom.Coord{{X: 0, Y: 0}, {X: 328.083333, Y: 0}, {X: 328.083333, Y: 328.083333}, {X: 0, Y: 328.083333}, {X: 0, Y: 0}})
-	f := NewFeature(st, rdf.IRI("http://e/f"), Feature)
+	f := newFeature(st, rdf.IRI("http://e/f"), Feature)
 	if _, err := SetGeometry(st, f, geom.NewPolygon(ring), geom.TX83NCF); err != nil {
 		t.Fatal(err)
 	}
@@ -467,16 +477,16 @@ func TestSpatialJoin(t *testing.T) {
 	st := store.New()
 	streamClass := rdf.IRI("http://e/Stream")
 	siteClass := rdf.IRI("http://e/Site")
-	stream := NewFeature(st, rdf.IRI("http://e/stream"), streamClass)
+	stream := newFeature(st, rdf.IRI("http://e/stream"), streamClass)
 	line, _ := geom.NewLineString([]geom.Coord{{X: 0, Y: 0}, {X: 1000, Y: 0}})
 	if _, err := SetGeometry(st, stream, line, ""); err != nil {
 		t.Fatal(err)
 	}
-	near := NewFeature(st, rdf.IRI("http://e/near"), siteClass)
+	near := newFeature(st, rdf.IRI("http://e/near"), siteClass)
 	if _, err := SetGeometry(st, near, geom.NewPoint(500, 50), ""); err != nil {
 		t.Fatal(err)
 	}
-	far := NewFeature(st, rdf.IRI("http://e/far"), siteClass)
+	far := newFeature(st, rdf.IRI("http://e/far"), siteClass)
 	if _, err := SetGeometry(st, far, geom.NewPoint(500, 5000), ""); err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +516,7 @@ func TestOntologySerializesToTurtle(t *testing.T) {
 
 func TestEnvelopeOfFeatureFallbacks(t *testing.T) {
 	st := store.New()
-	f := NewFeature(st, rdf.IRI("http://e/f"), Feature)
+	f := newFeature(st, rdf.IRI("http://e/f"), Feature)
 	// no geometry at all
 	if _, ok := EnvelopeOfFeature(st, f); ok {
 		t.Error("envelope found for bare feature")

@@ -51,8 +51,12 @@ func Measure(st *store.Store, node rdf.Term) (value float64, uom string, err err
 
 // NewTimePosition writes a TimePosition node carrying the instant.
 func NewTimePosition(st *store.Store, node rdf.Term, at time.Time) {
-	st.Add(rdf.T(node, rdf.RDFType, TimePosition))
-	st.Add(rdf.T(node, TimeValue, rdf.NewDateTime(at)))
+	st.AddAll(timePosition(nil, node, at))
+}
+
+// timePosition appends the triples of a TimePosition node to ts.
+func timePosition(ts []rdf.Triple, node rdf.Term, at time.Time) []rdf.Triple {
+	return append(ts, rdf.T(node, rdf.RDFType, TimePosition), rdf.T(node, TimeValue, rdf.NewDateTime(at)))
 }
 
 // TimePositionOf reads a TimePosition node.
@@ -143,20 +147,19 @@ func SetEnvelopeWithTimePeriod(st *store.Store, feature rdf.IRI, env geom.Envelo
 	if to.Before(from) {
 		return nil, fmt.Errorf("grdf: envelope period ends (%s) before it begins (%s)", to, from)
 	}
-	node := rdf.IRI(string(feature) + "_timeEnvelope")
-	if err := EncodeGeometry(st, node, env, srs); err != nil {
-		return nil, err
+	if env.Empty {
+		return nil, fmt.Errorf("grdf: envelope period over an empty envelope")
 	}
-	// Specialize the type: EnvelopeWithTimePeriod replaces plain Envelope.
-	st.Remove(rdf.T(node, rdf.RDFType, Envelope))
-	st.Add(rdf.T(node, rdf.RDFType, EnvelopeWithTimePeriod))
+	node := rdf.IRI(string(feature) + "_timeEnvelope")
 	start := rdf.IRI(string(node) + "_begin")
 	end := rdf.IRI(string(node) + "_end")
-	NewTimePosition(st, start, from)
-	NewTimePosition(st, end, to)
-	st.Add(rdf.T(node, HasTimePosition, start))
-	st.Add(rdf.T(node, HasTimePosition, end))
-	st.Add(rdf.T(feature, BoundedBy, node))
+	ts := withSRS(envelope(nil, node, EnvelopeWithTimePeriod, env), node, srs)
+	ts = timePosition(ts, start, from)
+	ts = timePosition(ts, end, to)
+	st.AddAll(append(ts,
+		rdf.T(node, HasTimePosition, start),
+		rdf.T(node, HasTimePosition, end),
+		rdf.T(feature, BoundedBy, node)))
 	return node, nil
 }
 

@@ -29,7 +29,7 @@ func TestMeasureRoundTrip(t *testing.T) {
 
 func TestObservations(t *testing.T) {
 	st := store.New()
-	stream := NewFeature(st, rdf.IRI("http://e/stream"), Feature)
+	stream := newFeature(st, rdf.IRI("http://e/stream"), Feature)
 	t1 := time.Date(2008, 4, 7, 9, 0, 0, 0, time.UTC)
 	t2 := time.Date(2008, 4, 7, 11, 0, 0, 0, time.UTC)
 
@@ -64,7 +64,7 @@ func TestObservations(t *testing.T) {
 
 func TestEnvelopeWithTimePeriod(t *testing.T) {
 	st := store.New()
-	site := NewFeature(st, rdf.IRI("http://e/site"), Feature)
+	site := newFeature(st, rdf.IRI("http://e/site"), Feature)
 	env := geom.EnvelopeOf(geom.Coord{X: 0, Y: 0}, geom.Coord{X: 10, Y: 10})
 	from := time.Date(2008, 1, 1, 0, 0, 0, 0, time.UTC)
 	to := time.Date(2008, 12, 31, 0, 0, 0, 0, time.UTC)
@@ -111,17 +111,21 @@ func TestEnvelopeWithTimePeriod(t *testing.T) {
 
 func TestEnvelopeWithTimePeriodRejectsReversed(t *testing.T) {
 	st := store.New()
-	site := NewFeature(st, rdf.IRI("http://e/site"), Feature)
+	site := newFeature(st, rdf.IRI("http://e/site"), Feature)
 	env := geom.EnvelopeOf(geom.Coord{X: 0, Y: 0}, geom.Coord{X: 1, Y: 1})
 	now := time.Now()
 	if _, err := SetEnvelopeWithTimePeriod(st, site, env, "", now, now.Add(-time.Hour)); err == nil {
 		t.Error("reversed period accepted")
 	}
+	// An empty envelope has no corners to carry a period.
+	if _, err := SetEnvelopeWithTimePeriod(st, site, geom.EmptyEnvelope(), "", now, now); err == nil {
+		t.Error("period over an empty envelope accepted")
+	}
 }
 
 func TestCoverage(t *testing.T) {
 	st := store.New()
-	sensor := NewFeature(st, rdf.IRI("http://e/sensor"), Feature)
+	sensor := newFeature(st, rdf.IRI("http://e/sensor"), Feature)
 	cov := NewCoverage(st, rdf.IRI("http://e/tempSeries"), sensor)
 
 	base := time.Date(2008, 7, 1, 0, 0, 0, 0, time.UTC)

@@ -11,7 +11,7 @@ import (
 
 func TestValidateCleanData(t *testing.T) {
 	st := store.New()
-	f := NewFeature(st, rdf.IRI("http://e/f"), Feature)
+	f := newFeature(st, rdf.IRI("http://e/f"), Feature)
 	if _, err := SetGeometry(st, f, geom.NewPoint(1, 2), geom.TX83NCF); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestValidateCardinalityViolation(t *testing.T) {
 func TestValidateScenarioData(t *testing.T) {
 	// The synthetic generators must produce valid GRDF.
 	st := store.New()
-	f := NewFeature(st, rdf.IRI("http://e/multi"), Feature)
+	f := newFeature(st, rdf.IRI("http://e/multi"), Feature)
 	ring, _ := geom.NewLinearRing([]geom.Coord{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 0}})
 	ms := geom.MultiSurface{Surfaces: []geom.Polygon{geom.NewPolygon(ring)}}
 	if _, err := SetGeometry(st, f, ms, ""); err != nil {

@@ -314,8 +314,8 @@ func TestEngineViewCachingAndInvalidation(t *testing.T) {
 	}
 	// mutate data: cache must invalidate
 	newSite := rdf.IRI(rdf.AppNS + "chem/siteNEW")
-	grdf.NewFeature(sc.Merged, newSite, datagen.ChemSite)
-	sc.Merged.Add(rdf.T(newSite, datagen.HasSiteName, rdf.NewString("Fresh Plant")))
+	sc.Merged.AddAll(append(grdf.NewFeature(nil, newSite, datagen.ChemSite),
+		rdf.T(newSite, datagen.HasSiteName, rdf.NewString("Fresh Plant"))))
 	v3 := e.View(datagen.RoleHazmat, seconto.ActionView)
 	if v3 == v2 {
 		t.Error("stale view served after mutation")

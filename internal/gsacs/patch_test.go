@@ -188,14 +188,15 @@ func (m *mutator) deleteSite() { m.data.RemoveMatching(m.site(), nil, nil) }
 // (blank polygon node → blank ring node → coordinates literal).
 func (m *mutator) insertSite() rdf.Term {
 	site := m.fresh("site")
-	grdf.NewFeature(m.data, site, datagen.ChemSite)
 	x := datagen.Region.MinX + m.rng.Float64()*datagen.Region.Width()
 	y := datagen.Region.MinY + m.rng.Float64()*datagen.Region.Height()
 	bounds := geom.EnvelopeOf(geom.Coord{X: x, Y: y}, geom.Coord{X: x + 500, Y: y + 500})
 	ext := rdf.IRI(string(site) + "_extent")
-	if err := grdf.EncodeGeometry(m.data, ext, bounds, ""); err != nil {
+	ts, err := grdf.EncodeGeometry(grdf.NewFeature(nil, site, datagen.ChemSite), ext, bounds, "")
+	if err != nil {
 		panic(err)
 	}
+	m.data.AddAll(ts)
 	ring, err := geom.NewLinearRing([]geom.Coord{{X: x, Y: y}, {X: x + 500, Y: y}, {X: x + 500, Y: y + 500}, {X: x, Y: y + 500}, {X: x, Y: y}})
 	if err != nil {
 		panic(err)

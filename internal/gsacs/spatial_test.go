@@ -154,7 +154,9 @@ func oddities(t *testing.T, data *store.Store, sc *datagen.Scenario) []rdf.Term 
 		}
 	}
 	site := func(name string) rdf.IRI {
-		return grdf.NewFeature(data, rdf.IRI(rdf.AppNS+"odd_"+name), datagen.ChemSite)
+		iri := rdf.IRI(rdf.AppNS + "odd_" + name)
+		data.AddAll(grdf.NewFeature(nil, iri, datagen.ChemSite))
+		return iri
 	}
 	ring := func(x, y, w float64) geom.LinearRing {
 		r, err := geom.NewLinearRing([]geom.Coord{{X: x, Y: y}, {X: x + w, Y: y}, {X: x + w, Y: y + w}, {X: x, Y: y + w}, {X: x, Y: y}})

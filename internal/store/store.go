@@ -975,7 +975,11 @@ func (b *builder) applyOp(op Op) (int, Op, error) {
 		// triples means one was stated twice.
 		// A one-triple op — most commits — keeps its IDs on the stack.
 		var buf [1][3]ID
-		eff, ids := b.absent(op.Triples, buf[:0])
+		ids := buf[:0]
+		if len(op.Triples) > len(buf) {
+			ids = make([][3]ID, 0, len(op.Triples))
+		}
+		eff, ids := b.absent(op.Triples, ids)
 		if len(eff) == 0 {
 			return 0, none, nil
 		}

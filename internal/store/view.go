@@ -360,7 +360,14 @@ func (sv StoreView) SubjectsOfType(class rdf.Term) []rdf.Term {
 }
 
 // Triples returns every triple of the pinned version (fresh slice).
-func (sv StoreView) Triples() []rdf.Triple { return sv.Match(nil, nil, nil) }
+func (sv StoreView) Triples() []rdf.Triple {
+	out := make([]rdf.Triple, 0, sv.Len())
+	sv.ForEachMatch(nil, nil, nil, func(t rdf.Triple) bool {
+		out = append(out, t)
+		return true
+	})
+	return out
+}
 
 // DescribeResource returns all triples with sub as subject, in a stable
 // predicate-sorted order — used by the G-SACS result assembler.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -229,4 +230,36 @@ func TestBatchReplayIsAtomic(t *testing.T) {
 	if st2.Generation() != 1 {
 		t.Errorf("replayed batch moved the store %d generations, want 1", st2.Generation())
 	}
+}
+
+// TestAddAllIsOneRecord: however many triples one AddAll carries, a durable
+// store journals it as one record, and a reopen recovers every triple from
+// it.
+func TestAddAllIsOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	st, repo := openRepo(t, dir, Options{Metrics: reg})
+	ts := make([]rdf.Triple, 1000)
+	for i := range ts {
+		ts[i] = triple(i)
+	}
+	if n := st.AddAll(ts); n != len(ts) {
+		t.Fatalf("AddAll added %d triples, want %d", n, len(ts))
+	}
+	var appends float64
+	for _, m := range reg.Snapshot() {
+		if m.Name == "grdf_wal_appends_total" {
+			appends += m.Value
+		}
+	}
+	if appends != 1 {
+		t.Errorf("one AddAll of %d triples appended %v records, want 1", len(ts), appends)
+	}
+	if err := repo.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	back, repo2 := openRepo(t, dir, Options{})
+	defer repo2.Close()
+	sameState(t, st, back)
 }
