@@ -144,6 +144,60 @@ func TestE7Shape(t *testing.T) {
 	}
 }
 
+// TestE5E6E7TablesArePinned: the role matrix (E5), the fine- vs object-level
+// comparison at its default sizes (E6) and the merge-enforcement table (E7),
+// byte for byte as grdf-bench prints them. They moved only on purpose.
+func TestE5E6E7TablesArePinned(t *testing.T) {
+	for _, c := range []struct {
+		tab    *Table
+		golden string
+	}{
+		{E5ScenarioViews(), `== E5: Contamination scenario role views (Sec 7.1, List 8) ==
+  property                      main repair  hazmat     emergency
+  ----------------------------  -----------  ---------  ---------
+  site extent (grdf:boundedBy)  full (8)     full (8)   full (8)
+  site name                     hidden       full (8)   full (8)
+  chemical names                hidden       full (18)  full (18)
+  chemical codes                hidden       hidden     full (18)
+  quantities                    hidden       hidden     full (18)
+  site contacts                 hidden       hidden     full (8)
+  stream layer                  full (14)    full (14)  full (14)
+  note: expected (paper): main repair = extent+streams only; hazmat adds site names and chemical NAMES; emergency sees everything
+  note: view sizes: main repair 172, hazmat 250, emergency 310 triples (source 312)
+
+`},
+		{E6FineVsCoarse(nil), `== E6: Fine-grained (GRDF+SecOnto) vs object-level (GeoXACML) access ==
+  sites  system        policy choice                  leaked triples  missing triples
+  -----  ------------  -----------------------------  --------------  ---------------
+  5      GRDF+SecOnto  boundedBy only                 0               0
+  5      GeoXACML      permit sites (all-or-nothing)  42              0
+  5      GeoXACML      deny sites (all-or-nothing)    0               5
+  20     GRDF+SecOnto  boundedBy only                 0               0
+  20     GeoXACML      permit sites (all-or-nothing)  171             0
+  20     GeoXACML      deny sites (all-or-nothing)    0               20
+  50     GRDF+SecOnto  boundedBy only                 0               0
+  50     GeoXACML      permit sites (all-or-nothing)  435             0
+  50     GeoXACML      deny sites (all-or-nothing)    0               50
+  note: expected shape: GRDF row has 0 leaked + 0 missing at every size; each GeoXACML choice fails one way
+
+`},
+		{E7MergeEnforcement(), `== E7: Policy enforcement under data aggregation (Sec 7.1 merge) ==
+  stage         system        extent visible  sensitive leaked  enforced
+  ------------  ------------  --------------  ----------------  --------
+  before merge  GRDF+SecOnto  10/10           0                 yes
+  before merge  GeoXACML      10/10           10                no
+  after merge   GRDF+SecOnto  10/10           0                 yes
+  after merge   GeoXACML      0/10            0                 no
+  note: expected shape: GRDF enforced before AND after the merge; GeoXACML over-exposes before and loses coverage after the subclass re-typing
+
+`},
+	} {
+		if got := c.tab.String(); got != c.golden {
+			t.Errorf("%s:\n%s\nwant:\n%s", c.tab.ID, got, c.golden)
+		}
+	}
+}
+
 func TestE8CacheWinsAndInvalidates(t *testing.T) {
 	tab := E8QueryCache(30)
 	var off, on []string

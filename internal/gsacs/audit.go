@@ -204,7 +204,7 @@ func (e *Engine) RestoreAudit(payloads [][]byte) int {
 // than once — a /v1/mutate batch decides per triple — is allowed and full
 // while every decision is, its rules are the union, its resource the one its
 // decisions share (or none), and a denial names its own action and resource.
-func noteDecision(rec *obs.Request, j judge, action rdf.IRI, resource rdf.Term, acc Access) {
+func noteDecision(rec *obs.Request, j *judge, action rdf.IRI, resource rdf.Term, acc Access) {
 	res := resource.String()
 	switch {
 	case rec.Action == "":

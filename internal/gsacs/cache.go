@@ -161,11 +161,11 @@ func (ent *cacheEntry) document(f int) (d *document, rendered bool) {
 }
 
 // newQueryCache returns a cache with one empty slot per (subject, action)
-// some rule of policies names.
-func newQueryCache(policies *seconto.Set) *QueryCache {
+// of the compiled policy set.
+func newQueryCache(rules map[viewKey][]seconto.Rule) *QueryCache {
 	c := &QueryCache{slots: map[viewKey]*slot{}}
-	for _, r := range policies.Rules {
-		c.slots[viewKey{r.Subject, r.Action}] = &slot{}
+	for k := range rules {
+		c.slots[k] = &slot{}
 	}
 	return c
 }

@@ -13,6 +13,7 @@ package gsacs
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -55,7 +56,10 @@ func (n nilReasoner) TypesOf(ind rdf.Term) []rdf.Term {
 // Engine wires policies, data and a reasoner together.
 type Engine struct {
 	policies *seconto.Set
-	data     *store.Store
+	// rules are the policy set compiled: per (role, action) it names, its
+	// rules in fold order (see compile). Read-only once the engine is built.
+	rules map[viewKey][]seconto.Rule
+	data  *store.Store
 	// reasoner is swapped atomically: a read replica rebuilds it over the
 	// fresh triple set after every bootstrap, concurrently with decisions
 	// already in flight.
@@ -73,8 +77,8 @@ type Engine struct {
 	mAllowed *obs.Counter
 	mDenied  *obs.Counter
 	// decisionTimers holds the decision-latency histogram of every role the
-	// policy set names, resolved once: a view build decides once per governed
-	// resource, and a registry lookup per decision would rebuild the label
+	// policy set names, resolved once: a view build books one decision per
+	// governed resource, and a registry lookup per decision would rebuild the label
 	// string and re-take the registry's locks each time. Any other role — the
 	// caller's string — is not timed, so it cannot mint a series either.
 	decisionTimers map[rdf.IRI]*obs.Histogram
@@ -96,7 +100,8 @@ type Options struct {
 // New builds an engine over a policy set and a data store. The policy set is
 // read without synchronization from here on and must not change.
 func New(policies *seconto.Set, data *store.Store, opts Options) *Engine {
-	e := &Engine{policies: policies, data: data, metrics: opts.Metrics, cache: newQueryCache(policies), audit: &auditLog{}}
+	e := &Engine{policies: policies, rules: compile(policies), data: data, metrics: opts.Metrics, audit: &auditLog{}}
+	e.cache = newQueryCache(e.rules)
 	e.cache.instrument(e.metrics)
 	empty := store.New()
 	e.noView = &cacheEntry{view: empty, sparql: grdf.NewEngine(empty).Instrument(e.metrics)}
@@ -147,31 +152,67 @@ func (e *Engine) SetReasoner(r Reasoner) {
 // by a single consistent reasoner even if a bootstrap swaps it mid-flight.
 func (e *Engine) Reasoner() Reasoner { return *e.reasoner.Load() }
 
+// compile groups the policy set's rules by the (role, action) they govern,
+// each group in the order a decision folds it: priority ascending, within a
+// priority permits before denies (so that at equal priority deny overrides
+// permit), and the set's own order otherwise.
+func compile(policies *seconto.Set) map[viewKey][]seconto.Rule {
+	rules := map[viewKey][]seconto.Rule{}
+	for _, r := range policies.Rules {
+		k := viewKey{r.Subject, r.Action}
+		rules[k] = append(rules[k], r)
+	}
+	for _, rs := range rules {
+		sort.SliceStable(rs, func(i, j int) bool {
+			return rs[i].Priority < rs[j].Priority || rs[i].Priority == rs[j].Priority && rs[i].Permit && !rs[j].Permit
+		})
+	}
+	return rules
+}
+
 // judge is the decision procedure bound to one version of the data and one
 // reasoner. Everything that decides or filters reads through it, so a view
 // build, a view patch or a single /v1/resource answer is judged against one
 // consistent revision while writers keep publishing newer ones.
+//
+// A judge remembers what it decided for as long as it lives — one view build,
+// one side of a patch, one /v1/resource, one /v1/mutate batch — and is used
+// by one goroutine. Its version and reasoner are fixed, so what it remembers
+// never goes stale.
 type judge struct {
-	policies *seconto.Set
 	data     store.Reader
 	reasoner Reasoner
+	rules    map[viewKey][]seconto.Rule
+	tables   map[viewKey]*table
+	types    []rdf.Term // scratch for lookup, as are key and set
+	key, set []byte
+}
+
+// table is what a judge has decided for one (role, action), by the role's
+// compiled rules: covered maps a type set (its types in N-Triples, one a
+// line) to one byte per rule, 1 where a type of the set is a subclass of the
+// rule's resource; folds maps a set of applicable rules (one byte per rule)
+// to its fold.
+type table struct {
+	covered map[string]string
+	folds   map[string]Access
 }
 
 // judgeOver binds the decision procedure to data under the reasoner rp points
 // to. With no reasoner plugged in, direct assertions are read from data
 // itself rather than from the live store, so a pinned build never consults a
 // version newer than the one it is labelled with.
-func (e *Engine) judgeOver(data store.Reader, rp *Reasoner) judge {
+func (e *Engine) judgeOver(data store.Reader, rp *Reasoner) *judge {
 	r := *rp
 	if _, none := r.(nilReasoner); none {
 		r = nilReasoner{data: data}
 	}
-	return judge{policies: e.policies, data: data, reasoner: r}
+	return &judge{data: data, reasoner: r, rules: e.rules, tables: map[viewKey]*table{}}
 }
 
 // current binds the decision procedure to the latest published version of
 // the data and the current reasoner.
-func (e *Engine) current() judge { return e.judgeOver(e.data.View(), e.reasoner.Load()) }
+func (e *Engine) current() *judge { return e.judgeOver(e.data.View(), e.reasoner.Load()) }
 
 // Data exposes the underlying (unfiltered) store — for administrative paths
 // only.
@@ -222,13 +263,11 @@ func (a Access) PropertyVisible(p rdf.IRI, r Reasoner) bool {
 	return false
 }
 
-// Decide runs the decision procedure for subject performing action on
-// resource. Policies match when their Resource equals the resource, equals
-// one of its types, or is a superclass of one of its types (this is where
-// reasoning pays off: a policy over grdf:Feature covers every domain
-// subclass). Spatially-scoped policies additionally require the resource's
-// geometry to lie within the scope. Conflicts resolve by priority; at equal
-// priority deny overrides permit.
+// Decide runs the decision procedure (see judge.lookup) for subject
+// performing action on resource. A policy over a class covers every subclass
+// the reasoner knows of: a policy over grdf:Feature covers every domain
+// feature. Conflicts resolve by priority; at equal priority deny overrides
+// permit.
 func (e *Engine) Decide(subject, action rdf.IRI, resource rdf.Term) Access {
 	return e.decideAs(e.current(), subject, action, resource)
 }
@@ -236,12 +275,12 @@ func (e *Engine) Decide(subject, action rdf.IRI, resource rdf.Term) Access {
 // decideAs runs j's decision procedure with the engine's accounting around
 // it: outcome counters, latency. The audit trail is the request's, not the
 // decision's (see audit.go).
-func (e *Engine) decideAs(j judge, subject, action rdf.IRI, resource rdf.Term) Access {
+func (e *Engine) decideAs(j *judge, subject, action rdf.IRI, resource rdf.Term) Access {
 	var start time.Time
 	if e.metrics != nil {
 		start = time.Now()
 	}
-	acc := j.decide(subject, action, resource)
+	acc := j.lookup(subject, action, resource)
 	if e.metrics != nil {
 		if acc.Allowed {
 			e.mAllowed.Inc()
@@ -265,7 +304,7 @@ func (e *Engine) DecideCtx(ctx context.Context, subject, action rdf.IRI, resourc
 // decideCtx is DecideCtx judged by j, for callers that go on to filter by the
 // decision: they pin j once so that the decision and the triples it is
 // applied to belong to the same version of the data.
-func (e *Engine) decideCtx(ctx context.Context, j judge, subject, action rdf.IRI, resource rdf.Term) (Access, error) {
+func (e *Engine) decideCtx(ctx context.Context, j *judge, subject, action rdf.IRI, resource rdf.Term) (Access, error) {
 	if err := ctx.Err(); err != nil {
 		return Access{}, err
 	}
@@ -283,35 +322,71 @@ func (e *Engine) decideCtx(ctx context.Context, j judge, subject, action rdf.IRI
 	return acc, nil
 }
 
-// decide is the un-instrumented decision procedure.
-func (j judge) decide(subject, action rdf.IRI, resource rdf.Term) Access {
-	rules := j.policies.ForSubject(subject)
-	var applicable []seconto.Rule
-	for _, r := range rules {
-		if r.Action != action {
-			continue
-		}
-		if !j.resourceMatches(r.Resource, resource) {
-			continue
-		}
-		if r.SpatialScope != nil && !j.withinScope(resource, *r.SpatialScope) {
-			continue
-		}
-		applicable = append(applicable, r)
-	}
-	if len(applicable) == 0 {
+// lookup is the un-instrumented decision procedure. A rule of (subject,
+// action) applies to resource when a type of the resource is a subclass of
+// the rule's resource or the rule names the resource itself, and, for a
+// spatially scoped rule, when the resource lies within the scope. The first
+// is a function of the resource's type set and is worked out once per set;
+// each set of applicable rules is folded once, into an Access every resource
+// it applies to shares, read-only.
+func (j *judge) lookup(subject, action rdf.IRI, resource rdf.Term) Access {
+	k := viewKey{subject, action}
+	rules := j.rules[k]
+	if len(rules) == 0 {
 		return Access{} // default deny (closed world)
 	}
-	// Fold from lowest to highest priority so later rules override. Within
-	// one priority class permits apply before denies (deny overrides).
-	sort.SliceStable(applicable, func(i, j int) bool {
-		if applicable[i].Priority != applicable[j].Priority {
-			return applicable[i].Priority < applicable[j].Priority
+	t := j.tables[k]
+	if t == nil {
+		t = &table{covered: map[string]string{}, folds: map[string]Access{}}
+		j.tables[k] = t
+	}
+	// The type set: the reasoner's types, and the asserted ones for a
+	// reasoner external to the data.
+	j.types = append(append(j.types[:0], j.reasoner.TypesOf(resource)...), j.data.Objects(resource, rdf.RDFType)...)
+	j.key = j.key[:0]
+	for _, ty := range j.types {
+		j.key = append(rdf.AppendTerm(j.key, ty), '\n')
+	}
+	covered, ok := t.covered[string(j.key)]
+	if !ok {
+		set := make([]byte, len(rules))
+		for r, rule := range rules {
+			if slices.ContainsFunc(j.types, func(ty rdf.Term) bool { return j.reasoner.IsSubClassOf(ty, rule.Resource) }) {
+				set[r] = 1
+			}
 		}
-		return applicable[i].Permit && !applicable[j].Permit
-	})
+		covered = string(set)
+		t.covered[string(j.key)] = covered
+	}
+	j.set = append(j.set[:0], covered...)
+	for r, rule := range rules {
+		if rule.Resource.Equal(resource) {
+			j.set[r] = 1
+		}
+		if j.set[r] == 1 && rule.SpatialScope != nil && !j.withinScope(resource, *rule.SpatialScope) {
+			j.set[r] = 0
+		}
+	}
+	acc, ok := t.folds[string(j.set)]
+	if !ok {
+		acc = fold(rules, j.set)
+		t.folds[string(j.set)] = acc
+	}
+	return acc
+}
+
+// fold is the decision the rules marked in applicable (one byte per rule)
+// make, folded in order: later rules override earlier ones. No rule at all is
+// the closed world's deny.
+func fold(rules []seconto.Rule, applicable []byte) Access {
+	if !slices.Contains(applicable, 1) {
+		return Access{}
+	}
 	acc := Access{Properties: map[rdf.IRI]bool{}, denied: map[rdf.IRI]bool{}}
-	for _, r := range applicable {
+	for i, r := range rules {
+		if applicable[i] == 0 {
+			continue
+		}
 		acc.Matched = append(acc.Matched, r.ID)
 		switch {
 		case r.Permit && len(r.Properties) == 0:
@@ -326,8 +401,7 @@ func (j judge) decide(subject, action rdf.IRI, resource rdf.Term) Access {
 			acc.Full = false
 			acc.Properties = map[rdf.IRI]bool{}
 			acc.denied = map[rdf.IRI]bool{}
-			acc.Matched = acc.Matched[:0]
-			acc.Matched = append(acc.Matched, r.ID)
+			acc.Matched = append(acc.Matched[:0], r.ID)
 		default: // deny specific properties
 			for _, p := range r.Properties {
 				delete(acc.Properties, p)
@@ -339,26 +413,7 @@ func (j judge) decide(subject, action rdf.IRI, resource rdf.Term) Access {
 	return acc
 }
 
-// resourceMatches checks policy resource coverage of a concrete resource.
-func (j judge) resourceMatches(policyRes rdf.IRI, resource rdf.Term) bool {
-	if policyRes.Equal(resource) {
-		return true
-	}
-	for _, ty := range j.reasoner.TypesOf(resource) {
-		if j.reasoner.IsSubClassOf(ty, policyRes) {
-			return true
-		}
-	}
-	// Also check direct data types when the reasoner is external to data.
-	for _, ty := range j.data.Objects(resource, rdf.RDFType) {
-		if j.reasoner.IsSubClassOf(ty, policyRes) {
-			return true
-		}
-	}
-	return false
-}
-
-func (j judge) withinScope(resource rdf.Term, scope geom.Envelope) bool {
+func (j *judge) withinScope(resource rdf.Term, scope geom.Envelope) bool {
 	g, _, err := grdf.GeometryOf(j.data, resource)
 	if err != nil {
 		return false

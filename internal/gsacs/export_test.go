@@ -218,7 +218,7 @@ func TestResourceIsTheTurtleItWas(t *testing.T) {
 			rec := httptest.NewRecorder()
 			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
 				"/v1/resource?role="+role.LocalName()+"&iri="+url.QueryEscape(string(iri)), nil))
-			acc := j.decide(role, seconto.ActionView, res)
+			acc := j.lookup(role, seconto.ActionView, res)
 			if !acc.Allowed {
 				if rec.Code != http.StatusForbidden {
 					t.Errorf("%s as %s: %d, want 403", res, role.LocalName(), rec.Code)

@@ -39,7 +39,7 @@ func (e *ErrDenied) Error() string {
 
 // authorizeTriple checks, as judged by j, that subject may perform action on
 // the triple's resource and property, and notes the decision on rec.
-func (e *Engine) authorizeTriple(rec *obs.Request, j judge, subject, action rdf.IRI, t rdf.Triple) error {
+func (e *Engine) authorizeTriple(rec *obs.Request, j *judge, subject, action rdf.IRI, t rdf.Triple) error {
 	acc := e.decideAs(j, subject, action, t.Subject)
 	noteDecision(rec, j, action, t.Subject, acc)
 	if !acc.Allowed {
@@ -51,13 +51,7 @@ func (e *Engine) authorizeTriple(rec *obs.Request, j judge, subject, action rdf.
 	}
 	// rdf:type writes count as structural modifications: they require full
 	// access, never just a property grant.
-	if pred == rdf.RDFType {
-		if !acc.Full {
-			return &ErrDenied{Subject: subject, Action: action, Resource: t.Subject, Property: pred}
-		}
-		return nil
-	}
-	if !acc.PropertyVisible(pred, j.reasoner) {
+	if pred == rdf.RDFType && !acc.Full || pred != rdf.RDFType && !acc.PropertyVisible(pred, j.reasoner) {
 		return &ErrDenied{Subject: subject, Action: action, Resource: t.Subject, Property: pred}
 	}
 	return nil
@@ -133,47 +127,29 @@ func (e *Engine) MutateCtx(ctx context.Context, subject rdf.IRI, muts []Mutation
 }
 
 // authorizeOp runs the per-triple decision procedure for one batch op and
-// shapes it into the store.Op the batch will carry.
-func (e *Engine) authorizeOp(ctx context.Context, rec *obs.Request, j judge, subject rdf.IRI, m MutationOp) (store.Op, error) {
-	op := store.Op{Kind: m.Kind, Triples: m.Triples, Ctx: ctx}
-	switch m.Kind {
-	case store.OpAdd:
-		if len(m.Triples) == 0 {
-			return op, fmt.Errorf("gsacs: insert op carries no triples")
-		}
-		for _, t := range m.Triples {
-			if !t.Valid() {
-				return op, fmt.Errorf("gsacs: invalid triple %v", t)
-			}
-			if err := e.authorizeTriple(rec, j, subject, seconto.ActionModify, t); err != nil {
-				return op, err
-			}
-		}
-	case store.OpRemove:
-		if len(m.Triples) == 0 {
-			return op, fmt.Errorf("gsacs: delete op carries no triples")
-		}
-		for _, t := range m.Triples {
-			if err := e.authorizeTriple(rec, j, subject, seconto.ActionDelete, t); err != nil {
-				return op, err
-			}
-		}
-	case store.OpReplace:
-		if len(m.Triples) != 2 {
-			return op, fmt.Errorf("gsacs: update op needs exactly [old, new], got %d triples", len(m.Triples))
-		}
-		if err := e.authorizeTriple(rec, j, subject, seconto.ActionModify, m.Triples[0]); err != nil {
-			return op, err
-		}
-		if !m.Triples[1].Valid() {
-			return op, fmt.Errorf("gsacs: invalid replacement triple %v", m.Triples[1])
-		}
-		if err := e.authorizeTriple(rec, j, subject, seconto.ActionModify, m.Triples[1]); err != nil {
-			return op, err
-		}
-		op.MustExist = true
-	default:
+// shapes it into the store.Op the batch will carry. An insert and both sides
+// of an update need Modify, a delete needs Delete; what an op writes — an
+// insert's triples, an update's new one — must be valid.
+func (e *Engine) authorizeOp(ctx context.Context, rec *obs.Request, j *judge, subject rdf.IRI, m MutationOp) (store.Op, error) {
+	op := store.Op{Kind: m.Kind, Triples: m.Triples, Ctx: ctx, MustExist: m.Kind == store.OpReplace}
+	action := seconto.ActionModify
+	switch {
+	case m.Kind != store.OpAdd && m.Kind != store.OpRemove && m.Kind != store.OpReplace:
 		return op, fmt.Errorf("gsacs: unsupported mutation kind %d", m.Kind)
+	case m.Kind == store.OpReplace && len(m.Triples) != 2:
+		return op, fmt.Errorf("gsacs: update op needs exactly [old, new], got %d triples", len(m.Triples))
+	case len(m.Triples) == 0:
+		return op, fmt.Errorf("gsacs: %s op carries no triples", m.Kind)
+	case m.Kind == store.OpRemove:
+		action = seconto.ActionDelete
+	}
+	for i, t := range m.Triples {
+		if (m.Kind == store.OpAdd || i == 1 && m.Kind == store.OpReplace) && !t.Valid() {
+			return op, fmt.Errorf("gsacs: invalid triple %v", t)
+		}
+		if err := e.authorizeTriple(rec, j, subject, action, t); err != nil {
+			return op, err
+		}
 	}
 	return op, nil
 }

@@ -82,7 +82,7 @@ func (e *Engine) patchView(sp *obs.Span, prev *cacheEntry, ent *cacheEntry, subj
 		if !was.grdfTyped(node, false) && !now.grdfTyped(node, false) {
 			return
 		}
-		for _, j := range [...]judge{was, now} {
+		for _, j := range [...]*judge{was, now} {
 			j.data.ForEachMatch(nil, nil, node, func(t rdf.Triple) bool {
 				reach(t.Subject)
 				return true
@@ -113,7 +113,7 @@ func (e *Engine) patchView(sp *obs.Span, prev *cacheEntry, ent *cacheEntry, subj
 		}
 		// Uncounted: this decision was counted when prev was built. Its rules
 		// leave the entry's counts, and the decision below puts them back.
-		acc := was.decide(subject, action, roots[i])
+		acc := was.lookup(subject, action, roots[i])
 		countRules(fired, acc, -1)
 		for _, t := range was.filterResource(roots[i], acc) {
 			old[t] = struct{}{}

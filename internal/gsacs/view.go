@@ -2,7 +2,9 @@ package gsacs
 
 import (
 	"context"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/rdf"
@@ -22,7 +24,7 @@ func (e *Engine) FilterResource(resource rdf.Term, acc Access) []rdf.Triple {
 	return e.current().filterResource(resource, acc)
 }
 
-func (j judge) filterResource(resource rdf.Term, acc Access) []rdf.Triple {
+func (j *judge) filterResource(resource rdf.Term, acc Access) []rdf.Triple {
 	if !acc.Allowed {
 		return nil
 	}
@@ -68,11 +70,11 @@ func (j judge) filterResource(resource rdf.Term, acc Access) []rdf.Triple {
 // (geometry, envelopes, time positions). Such nodes travel with the property
 // that references them; application-typed resources (chemical inventories,
 // linked features) are governed by their own policies instead.
-func (j judge) isStructuralNode(node rdf.Term) bool { return j.grdfTyped(node, true) }
+func (j *judge) isStructuralNode(node rdf.Term) bool { return j.grdfTyped(node, true) }
 
 // grdfTyped reports whether node is a blank node or an IRI with a type in the
 // GRDF namespaces — with all set, an IRI all of whose types are.
-func (j judge) grdfTyped(node rdf.Term, all bool) bool {
+func (j *judge) grdfTyped(node rdf.Term, all bool) bool {
 	switch node.Kind() {
 	case rdf.KindBlank:
 		return true
@@ -219,15 +221,12 @@ func (e *Engine) refreshView(sp *obs.Span, prev *cacheEntry, subject, action rdf
 // scratch: the cold path, the fallback when patching is not sound or not
 // cheaper, and the oracle the patch path is tested against. fired counts, per
 // rule, the governed resources whose decision it fired in.
-func (e *Engine) buildView(j judge, subject, action rdf.IRI) (view *store.Store, fired map[rdf.IRI]int) {
+func (e *Engine) buildView(j *judge, subject, action rdf.IRI) (view *store.Store, fired map[rdf.IRI]int) {
 	var visible []rdf.Triple
 	fired = map[rdf.IRI]int{}
 	for _, res := range j.governedResources() {
 		acc := e.decideAs(j, subject, action, res)
 		countRules(fired, acc, 1)
-		if !acc.Allowed {
-			continue
-		}
 		visible = append(visible, j.filterResource(res, acc)...)
 	}
 	view = store.New()
@@ -258,24 +257,29 @@ func ruleList(fired map[rdf.IRI]int) []string {
 
 // governed reports whether node is a candidate resource: a subject with an
 // rdf:type.
-func (j judge) governed(node rdf.Term) bool {
+func (j *judge) governed(node rdf.Term) bool {
 	_, typed := j.data.FirstObject(node, rdf.RDFType)
 	return typed
 }
 
-// governedResources enumerates every governed subject, sorted for
-// determinism.
-func (j judge) governedResources() []rdf.Term {
-	seen := map[rdf.Term]struct{}{}
-	var out []rdf.Term
+// governedResources enumerates every governed subject, sorted by N-Triples
+// form for determinism; each subject's form is made once.
+func (j *judge) governedResources() []rdf.Term {
+	type keyed struct {
+		nt string
+		t  rdf.Term
+	}
+	var ks []keyed
 	j.data.ForEachMatch(nil, rdf.RDFType, nil, func(t rdf.Triple) bool {
-		if _, dup := seen[t.Subject]; !dup {
-			seen[t.Subject] = struct{}{}
-			out = append(out, t.Subject)
-		}
+		ks = append(ks, keyed{t.Subject.String(), t.Subject})
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.nt, b.nt) })
+	ks = slices.CompactFunc(ks, func(a, b keyed) bool { return a.nt == b.nt })
+	out := make([]rdf.Term, len(ks))
+	for i, k := range ks {
+		out[i] = k.t
+	}
 	return out
 }
 

@@ -1,8 +1,9 @@
 package seconto
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/rdf"
 )
@@ -74,11 +75,8 @@ func (s *Set) DetectConflicts() []Conflict {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Permit != out[j].Permit {
-			return out[i].Permit < out[j].Permit
-		}
-		return out[i].Deny < out[j].Deny
+	slices.SortFunc(out, func(a, b Conflict) int {
+		return cmp.Or(cmp.Compare(a.Permit, b.Permit), cmp.Compare(a.Deny, b.Deny))
 	})
 	return out
 }
@@ -94,16 +92,12 @@ func propertyOverlap(permit, deny []rdf.IRI) (overlap []rdf.IRI, contested bool)
 	case len(deny) == 0:
 		return append([]rdf.IRI(nil), permit...), true // partial permit vs full deny
 	}
-	denySet := map[rdf.IRI]bool{}
-	for _, p := range deny {
-		denySet[p] = true
-	}
 	for _, p := range permit {
-		if denySet[p] {
+		if slices.Contains(deny, p) {
 			overlap = append(overlap, p)
 		}
 	}
-	sort.Slice(overlap, func(i, j int) bool { return overlap[i] < overlap[j] })
+	slices.Sort(overlap)
 	return overlap, len(overlap) > 0
 }
 

@@ -9,8 +9,10 @@
 package seconto
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/geom"
 	"repro/internal/rdf"
@@ -127,31 +129,14 @@ type Set struct {
 	Rules []Rule
 }
 
-// ForSubject returns the rules applying to the subject, in priority order
-// (highest first, stable otherwise).
-func (s *Set) ForSubject(subject rdf.IRI) []Rule {
-	var out []Rule
-	for _, r := range s.Rules {
-		if r.Subject == subject {
-			out = append(out, r)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Priority > out[j].Priority })
-	return out
-}
-
 // Subjects returns the distinct subjects with at least one rule, sorted.
 func (s *Set) Subjects() []rdf.IRI {
-	seen := map[rdf.IRI]struct{}{}
 	var out []rdf.IRI
 	for _, r := range s.Rules {
-		if _, dup := seen[r.Subject]; !dup {
-			seen[r.Subject] = struct{}{}
-			out = append(out, r.Subject)
-		}
+		out = append(out, r.Subject)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ToGraph serializes the rule set as RDF in the List 8 layout.
@@ -204,11 +189,8 @@ func Parse(st *store.Store) (*Set, error) {
 		links = append(links, t)
 		return true
 	})
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].Subject.String() != links[j].Subject.String() {
-			return links[i].Subject.String() < links[j].Subject.String()
-		}
-		return links[i].Object.String() < links[j].Object.String()
+	slices.SortFunc(links, func(a, b rdf.Triple) int {
+		return cmp.Or(strings.Compare(a.Subject.String(), b.Subject.String()), strings.Compare(a.Object.String(), b.Object.String()))
 	})
 	for _, link := range links {
 		subj, ok := link.Subject.(rdf.IRI)
@@ -234,20 +216,12 @@ func Parse(st *store.Store) (*Set, error) {
 
 func parsePolicy(st *store.Store, subj, pol rdf.IRI) (Rule, error) {
 	r := Rule{ID: pol, Subject: subj}
-	if a, ok := st.FirstObject(pol, HasAction); ok {
-		if iri, ok := a.(rdf.IRI); ok {
-			r.Action = iri
-		}
-	}
-	if r.Action == "" {
+	a, _ := st.FirstObject(pol, HasAction)
+	if r.Action, _ = a.(rdf.IRI); r.Action == "" {
 		return r, fmt.Errorf("seconto: policy %s has no action", pol)
 	}
-	if res, ok := st.FirstObject(pol, HasResource); ok {
-		if iri, ok := res.(rdf.IRI); ok {
-			r.Resource = iri
-		}
-	}
-	if r.Resource == "" {
+	res, _ := st.FirstObject(pol, HasResource)
+	if r.Resource, _ = res.(rdf.IRI); r.Resource == "" {
 		return r, fmt.Errorf("seconto: policy %s has no resource", pol)
 	}
 	dec, ok := st.FirstObject(pol, HasPolicyDecision)
@@ -262,19 +236,16 @@ func parsePolicy(st *store.Store, subj, pol rdf.IRI) (Rule, error) {
 	default:
 		return r, fmt.Errorf("seconto: policy %s has unknown decision %s", pol, dec)
 	}
-	if p, ok := st.FirstObject(pol, HasPriority); ok {
-		if lit, ok := p.(rdf.Literal); ok {
-			if n, err := lit.Int(); err == nil {
-				r.Priority = int(n)
-			}
+	p, _ := st.FirstObject(pol, HasPriority)
+	if lit, ok := p.(rdf.Literal); ok {
+		if n, err := lit.Int(); err == nil {
+			r.Priority = int(n)
 		}
 	}
 	// Conditions: property access lists and spatial scope.
 	for _, cond := range st.Objects(pol, HasCondition) {
-		defs := st.Objects(cond, CondValDefinition)
 		// allow the definition to live directly on the condition node too
-		defs = append(defs, cond)
-		for _, def := range defs {
+		for _, def := range append(st.Objects(cond, CondValDefinition), cond) {
 			for _, p := range st.Objects(def, HasPropertyAccess) {
 				if iri, ok := p.(rdf.IRI); ok {
 					r.Properties = append(r.Properties, iri)
@@ -289,7 +260,7 @@ func parsePolicy(st *store.Store, subj, pol rdf.IRI) (Rule, error) {
 			}
 		}
 	}
-	sort.Slice(r.Properties, func(i, j int) bool { return r.Properties[i] < r.Properties[j] })
+	slices.Sort(r.Properties)
 	return r, nil
 }
 

@@ -1,6 +1,7 @@
 package seconto
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -88,19 +89,7 @@ func TestRoundTripRuleSet(t *testing.T) {
 	if pd.Permit || pd.FullAccess() {
 		t.Errorf("PublicDeny rule = %+v", pd)
 	}
-}
-
-func TestForSubjectPriorityOrder(t *testing.T) {
-	s := &Set{Rules: []Rule{
-		{ID: "p1", Subject: rdf.IRI(NS + "R"), Action: ActionView, Resource: "r", Permit: true, Priority: 1},
-		{ID: "p2", Subject: rdf.IRI(NS + "R"), Action: ActionView, Resource: "r", Permit: false, Priority: 9},
-		{ID: "p3", Subject: rdf.IRI(NS + "Other"), Action: ActionView, Resource: "r", Permit: true},
-	}}
-	got := s.ForSubject(rdf.IRI(NS + "R"))
-	if len(got) != 2 || got[0].ID != "p2" {
-		t.Errorf("ForSubject = %+v", got)
-	}
-	if subs := s.Subjects(); len(subs) != 2 {
+	if subs := out.Subjects(); len(subs) != 3 || !slices.IsSorted(subs) {
 		t.Errorf("Subjects = %v", subs)
 	}
 }

@@ -947,15 +947,15 @@ func (b *builder) absent(ts []rdf.Triple, ids [][3]ID) ([]rdf.Triple, [][3]ID) {
 	return eff, ids
 }
 
-// distinct is ts with each triple kept at its first statement only; it
-// reuses ts.
-func distinct(ts []rdf.Triple) []rdf.Triple {
-	seen := make(map[rdf.Triple]struct{}, len(ts))
+// firstStatements is ts with each triple kept at its first statement only,
+// told apart by its IDs (ids[i] are ts[i]'s), not by its terms; it reuses ts.
+func firstStatements(ts []rdf.Triple, ids [][3]ID) []rdf.Triple {
+	seen := make(map[[3]ID]struct{}, len(ids))
 	out := ts[:0]
-	for _, t := range ts {
-		if _, dup := seen[t]; !dup {
-			seen[t] = struct{}{}
-			out = append(out, t)
+	for i, id := range ids {
+		if _, dup := seen[id]; !dup {
+			seen[id] = struct{}{}
+			out = append(out, ts[i])
 		}
 	}
 	return out
@@ -972,7 +972,8 @@ func (b *builder) applyOp(op Op) (int, Op, error) {
 		// Reduce the batch to triples that will actually land, each once, so
 		// the commit hook (and therefore the WAL) never records no-ops or a
 		// triple twice. merge counts what it added: fewer than the absent
-		// triples means one was stated twice.
+		// triples means one was stated twice. merge reorders the IDs, so a
+		// copy keeps each absent triple's beside it.
 		// A one-triple op — most commits — keeps its IDs on the stack.
 		var buf [1][3]ID
 		ids := buf[:0]
@@ -983,9 +984,13 @@ func (b *builder) applyOp(op Op) (int, Op, error) {
 		if len(eff) == 0 {
 			return 0, none, nil
 		}
+		var stated [][3]ID
+		if len(ids) > 1 {
+			stated = slices.Clone(ids)
+		}
 		n := b.merge(ids)
 		if n < len(eff) {
-			eff = distinct(eff)
+			eff = firstStatements(eff, stated)
 		}
 		op.Triples = eff
 		return n, op, nil
