@@ -90,81 +90,87 @@ func PointInPolygon(p Coord, poly Polygon) bool {
 	return true
 }
 
-// segments yields the segment list of a coordinate chain.
-func segments(cs []Coord) [][2]Coord {
-	if len(cs) < 2 {
-		return nil
-	}
-	out := make([][2]Coord, 0, len(cs)-1)
-	for i := 1; i < len(cs); i++ {
-		out = append(out, [2]Coord{cs[i-1], cs[i]})
-	}
-	return out
-}
-
-// geometrySegments extracts the boundary/line segments of any geometry.
-func geometrySegments(g Geometry) [][2]Coord {
+// eachSegment calls f on every boundary or line segment of g, chain by
+// chain, until f returns false; it reports whether f saw them all. It walks
+// the coordinates where they are: nothing is allocated.
+func eachSegment(g Geometry, f func(a, b Coord) bool) bool {
 	switch v := g.(type) {
-	case Point:
-		return nil
 	case LineString:
-		return segments(v.Coords)
+		return eachChainSegment(v.Coords, f)
 	case LinearRing:
-		return segments(v.Coords)
+		return eachChainSegment(v.Coords, f)
 	case Polygon:
-		out := segments(v.Exterior.Coords)
-		for _, h := range v.Holes {
-			out = append(out, segments(h.Coords)...)
-		}
-		return out
+		return eachPolygonSegment(v, f)
 	case Solid:
-		var out [][2]Coord
 		for _, p := range v.Boundary {
-			out = append(out, geometrySegments(p)...)
+			if !eachPolygonSegment(p, f) {
+				return false
+			}
 		}
-		return out
-	case MultiPoint:
-		return nil
 	case MultiCurve:
-		var out [][2]Coord
 		for _, c := range v.Curves {
-			out = append(out, segments(c.Coords)...)
+			if !eachChainSegment(c.Coords, f) {
+				return false
+			}
 		}
-		return out
 	case MultiSurface:
-		var out [][2]Coord
-		for _, s := range v.Surfaces {
-			out = append(out, geometrySegments(s)...)
+		for _, p := range v.Surfaces {
+			if !eachPolygonSegment(p, f) {
+				return false
+			}
 		}
-		return out
 	case CompositeCurve:
-		var out [][2]Coord
 		for _, m := range v.Members {
-			out = append(out, geometrySegments(m)...)
+			if !eachSegment(m, f) {
+				return false
+			}
 		}
-		return out
 	case CompositeSurface:
-		var out [][2]Coord
-		for _, m := range v.Members {
-			out = append(out, geometrySegments(m)...)
+		for _, p := range v.Members {
+			if !eachPolygonSegment(p, f) {
+				return false
+			}
 		}
-		return out
 	case Complex:
-		var out [][2]Coord
 		for _, m := range v.Members {
-			out = append(out, geometrySegments(m)...)
+			if !eachSegment(m, f) {
+				return false
+			}
 		}
-		return out
 	case Envelope:
 		if v.Empty {
-			return nil
+			return true
 		}
 		ll, ur := v.Corners()
 		lr := Coord{ur.X, ll.Y}
 		ul := Coord{ll.X, ur.Y}
-		return segments([]Coord{ll, lr, ur, ul, ll})
+		return f(ll, lr) && f(lr, ur) && f(ur, ul) && f(ul, ll)
 	}
-	return nil
+	return true
+}
+
+// eachChainSegment is eachSegment of a coordinate chain.
+func eachChainSegment(cs []Coord, f func(a, b Coord) bool) bool {
+	for i := 1; i < len(cs); i++ {
+		if !f(cs[i-1], cs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// eachPolygonSegment is eachSegment of a polygon: its exterior ring, then
+// its holes.
+func eachPolygonSegment(p Polygon, f func(a, b Coord) bool) bool {
+	if !eachChainSegment(p.Exterior.Coords, f) {
+		return false
+	}
+	for _, h := range p.Holes {
+		if !eachChainSegment(h.Coords, f) {
+			return false
+		}
+	}
+	return true
 }
 
 // representativePoints extracts coordinates that can witness containment.
@@ -271,13 +277,11 @@ func Intersects(a, b Geometry) bool {
 	if !a.Envelope().IntersectsEnv(b.Envelope()) {
 		return false
 	}
-	segsA, segsB := geometrySegments(a), geometrySegments(b)
-	for _, sa := range segsA {
-		for _, sb := range segsB {
-			if SegmentsIntersect(sa[0], sa[1], sb[0], sb[1]) {
-				return true
-			}
-		}
+	crossing := !eachSegment(a, func(a0, a1 Coord) bool {
+		return eachSegment(b, func(b0, b1 Coord) bool { return !SegmentsIntersect(a0, a1, b0, b1) })
+	})
+	if crossing {
+		return true
 	}
 	// No edge crossings: one may contain the other, or point geometries.
 	for _, poly := range containersOf(a) {
@@ -296,24 +300,23 @@ func Intersects(a, b Geometry) bool {
 	}
 	// Point-point / point-line coincidence.
 	if pa, ok := a.(Point); ok {
-		for _, sb := range segsB {
-			if math.Abs(orient(sb[0], sb[1], pa.C)) <= eps && onSegment(sb[0], sb[1], pa.C) {
-				return true
-			}
+		if !eachSegment(b, func(s0, s1 Coord) bool { return !onLine(s0, s1, pa.C) }) {
+			return true
 		}
 		if pb, ok := b.(Point); ok {
 			return pa.C.Dist(pb.C) <= eps
 		}
 	}
 	if pb, ok := b.(Point); ok {
-		for _, sa := range segsA {
-			if math.Abs(orient(sa[0], sa[1], pb.C)) <= eps && onSegment(sa[0], sa[1], pb.C) {
-				return true
-			}
+		if !eachSegment(a, func(s0, s1 Coord) bool { return !onLine(s0, s1, pb.C) }) {
+			return true
 		}
 	}
 	return false
 }
+
+// onLine reports whether p lies on segment ab, within eps.
+func onLine(a, b, p Coord) bool { return math.Abs(orient(a, b, p)) <= eps && onSegment(a, b, p) }
 
 // Within reports whether every point of a lies inside b. b must have areal
 // components (Polygon, MultiSurface, Envelope, …).
@@ -348,19 +351,15 @@ func Within(a, b Geometry) bool {
 	// well-formed data the vertex test suffices, but guard against a crossing
 	// edge whose endpoints are inside different components.
 	if len(containers) > 1 {
-		for _, sa := range geometrySegments(a) {
-			mid := Coord{(sa[0].X + sa[1].X) / 2, (sa[0].Y + sa[1].Y) / 2}
-			inSome := false
+		return eachSegment(a, func(a0, a1 Coord) bool {
+			mid := Coord{(a0.X + a1.X) / 2, (a0.Y + a1.Y) / 2}
 			for _, poly := range containers {
 				if PointInPolygon(mid, poly) {
-					inSome = true
-					break
+					return true
 				}
 			}
-			if !inSome {
-				return false
-			}
-		}
+			return false
+		})
 	}
 	return true
 }
@@ -393,19 +392,20 @@ func Distance(a, b Geometry) float64 {
 	}
 	best := math.Inf(1)
 	ptsA, ptsB := representativePoints(a), representativePoints(b)
-	segsA, segsB := geometrySegments(a), geometrySegments(b)
 	for _, p := range ptsA {
-		for _, s := range segsB {
-			best = math.Min(best, pointSegDist(p, s[0], s[1]))
-		}
+		eachSegment(b, func(s0, s1 Coord) bool {
+			best = math.Min(best, pointSegDist(p, s0, s1))
+			return true
+		})
 		for _, q := range ptsB {
 			best = math.Min(best, p.Dist(q))
 		}
 	}
 	for _, p := range ptsB {
-		for _, s := range segsA {
-			best = math.Min(best, pointSegDist(p, s[0], s[1]))
-		}
+		eachSegment(a, func(s0, s1 Coord) bool {
+			best = math.Min(best, pointSegDist(p, s0, s1))
+			return true
+		})
 	}
 	return best
 }
@@ -446,8 +446,9 @@ func Extent(g Geometry) Envelope {
 	if e.Empty {
 		return e
 	}
-	for _, s := range geometrySegments(g) {
-		e = e.ExtendCoord(s[0]).ExtendCoord(s[1])
-	}
+	eachSegment(g, func(a, b Coord) bool {
+		e = e.ExtendCoord(a).ExtendCoord(b)
+		return true
+	})
 	return e
 }

@@ -73,10 +73,12 @@ type cacheEntry struct {
 	// /v1/view gives while the entry is current. A patched or rebuilt entry
 	// is a new entry and starts with none, so a document is never stale.
 	docs [len(viewFormats)]document
-	// names are the Turtle forms of the terms of view's dictionary. A
-	// patched view keeps its dictionary, and the entry its predecessor's
-	// names; a rebuilt one starts them afresh.
+	// names and cells are the Turtle forms and the /v1/query cells of the
+	// terms of view's dictionary. A patched view keeps its dictionary, and
+	// the entry its predecessor's names and cells; a rebuilt one starts them
+	// afresh.
 	names *turtle.Names
+	cells *sparql.Cells
 	// sizes are the predecessor's document sizes, per format (0: unknown):
 	// what a render sizes its body by.
 	sizes [len(viewFormats)]int
@@ -100,13 +102,13 @@ var viewFormats = [...]viewFormat{
 }
 
 // carryDocuments gives ent what it takes over from prev, the entry it
-// succeeds (nil when cold): the names of its view's dictionary if the view
-// kept it, and its document sizes.
+// succeeds (nil when cold): the names and cells of its view's dictionary if
+// the view kept it, and its document sizes.
 func (ent *cacheEntry) carryDocuments(prev *cacheEntry) {
 	if prev == nil || prev.view.Dict() != ent.view.Dict() {
-		ent.names = turtle.NewNames(nil)
+		ent.names, ent.cells = turtle.NewNames(nil), &sparql.Cells{}
 	} else {
-		ent.names = prev.names
+		ent.names, ent.cells = prev.names, prev.cells
 	}
 	if prev != nil {
 		for f := range ent.sizes {

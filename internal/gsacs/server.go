@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/admission"
 	"repro/internal/federation"
@@ -1258,105 +1257,11 @@ func (s *Server) writeMutationError(w http.ResponseWriter, r *http.Request, err 
 	}
 }
 
-// writeResult renders a SPARQL result in a SPARQL-JSON-like shape:
-// {"boolean":…} for ASK, {"triples":…} for CONSTRUCT and DESCRIBE, and for
-// SELECT {"head":{"vars":[…]},"results":[{var:term,…},…]}.
-//
-// A SELECT can run to thousands of rows, so its body is appended to one
-// buffer, each row's keys in projection order, and flushed to the response as
-// the buffer fills. A cell goes from the result's table to the buffer through
-// one scratch slice: no map per row, no string per term.
+// writeResult answers with a SPARQL result, in the shape
+// sparql.Result.WriteJSON writes.
 func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *sparql.Result) {
-	switch res.Kind {
-	case sparql.Ask:
-		s.writeJSON(w, r, map[string]any{"boolean": res.Bool})
-		return
-	case sparql.Construct, sparql.Describe:
-		s.writeJSON(w, r, map[string]any{"triples": ntriples.Format(res.Graph)})
-		return
-	}
-	const flushAt = 32 << 10
 	w.Header().Set("Content-Type", "application/json")
-	buf := make([]byte, 0, min(flushAt+512, 128+64*len(res.Vars)*(1+res.Len())))
-	keys := make([][]byte, len(res.Vars))
-	buf = append(buf, `{"head":{"vars":[`...)
-	for i, v := range res.Vars {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendJSONString(buf, []byte(v))
-		// A variable projected twice is one key of a row, as it was one key
-		// of the map: only its first mention gets one.
-		if !slices.Contains(res.Vars[:i], v) {
-			keys[i] = append(appendJSONString(nil, []byte(v)), ':')
-		}
-	}
-	buf = append(buf, `]},"results":[`...)
-	var term []byte // one cell's N-Triples form
-	for i, n := 0, res.Len(); i < n; i++ {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, '{')
-		first := true
-		for k := range res.Vars {
-			t := res.Term(i, k)
-			if t == nil || keys[k] == nil {
-				continue
-			}
-			if !first {
-				buf = append(buf, ',')
-			}
-			first = false
-			buf = append(buf, keys[k]...)
-			term = rdf.AppendTerm(term[:0], t)
-			buf = appendJSONString(buf, term)
-		}
-		buf = append(buf, '}')
-		if len(buf) >= flushAt {
-			if _, err := w.Write(buf); err != nil {
-				obs.RequestOf(r.Context()).Error = "write response: " + err.Error()
-				return
-			}
-			buf = buf[:0]
-		}
-	}
-	buf = append(buf, "]}\n"...)
-	if _, err := w.Write(buf); err != nil {
+	if err := res.WriteJSON(w); err != nil {
 		obs.RequestOf(r.Context()).Error = "write response: " + err.Error()
 	}
-}
-
-// appendJSONString appends s as a JSON string literal. Bytes that are not
-// valid UTF-8 become U+FFFD, as encoding/json writes them.
-func appendJSONString(buf, s []byte) []byte {
-	const hex = "0123456789abcdef"
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c >= 0x20 && c != '"' && c != '\\' && c < utf8.RuneSelf {
-			i++
-			continue
-		}
-		if c >= utf8.RuneSelf {
-			if r, size := utf8.DecodeRune(s[i:]); r != utf8.RuneError || size != 1 {
-				i += size
-				continue
-			}
-		}
-		buf = append(buf, s[start:i]...)
-		switch {
-		case c >= utf8.RuneSelf:
-			buf = append(buf, `\ufffd`...)
-		case c == '"' || c == '\\':
-			buf = append(buf, '\\', c)
-		default:
-			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-		}
-		i++
-		start = i
-	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
 }

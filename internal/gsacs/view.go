@@ -211,9 +211,10 @@ func (e *Engine) refreshView(sp *obs.Span, prev *cacheEntry, subject, action rdf
 	ent.rules = ruleList(ent.fired)
 	ent.carryDocuments(prev)
 	// The view's query engine is set up here, once per view, not per query:
-	// the spatial functions are bound to the view and the metric handles are
-	// resolved from the registry a single time.
-	ent.sparql = grdf.NewEngine(ent.view).Instrument(e.metrics)
+	// the spatial functions are bound to the view, the metric handles are
+	// resolved from the registry a single time, and the answers copy their
+	// cells from the entry's.
+	ent.sparql = grdf.NewEngine(ent.view).Instrument(e.metrics).SetCells(ent.cells)
 	return ent
 }
 

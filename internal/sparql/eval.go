@@ -39,6 +39,9 @@ type Engine struct {
 	// statsSink, when set, receives one EvalStats summary per EvalCtx call
 	// (see SetStatsSink).
 	statsSink func(EvalStats)
+	// cells are the JSON cells of the store's dictionary, when set (see
+	// SetCells).
+	cells *Cells
 	// The rest is set on the per-evaluation copy pinned() makes, and on the
 	// copies forGraph() makes of that: terms resolves the IDs of the store's
 	// pinned version, ev is what the evaluation knows about its query (shared
@@ -337,7 +340,7 @@ func (e *Engine) eval(ctx context.Context, q *Query) (*Result, error) {
 		if q.Limit >= 0 && q.Limit < sols.n {
 			sols = sols.slice(0, q.Limit)
 		}
-		return &Result{Kind: Select, Vars: vars, rows: sols, cols: cols, terms: e.terms}, nil
+		return &Result{Kind: Select, Vars: vars, rows: sols, cols: cols, terms: e.terms, cells: e.cells}, nil
 	}
 }
 

@@ -369,6 +369,7 @@ type Result struct {
 	rows  table
 	cols  []int // Vars[i] is column cols[i] of rows
 	terms terms
+	cells *Cells // the engine's, if it has any
 }
 
 // Len returns the number of SELECT solutions.

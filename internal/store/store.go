@@ -737,7 +737,8 @@ func (s *Store) FirstObject(sub, pred rdf.Term) (rdf.Term, bool) {
 	return s.View().FirstObject(sub, pred)
 }
 
-// Subjects returns the distinct subjects of triples (*, pred, obj).
+// Subjects returns the distinct subjects of triples (*, pred, obj), each
+// where its first match comes.
 func (s *Store) Subjects(pred, obj rdf.Term) []rdf.Term { return s.View().Subjects(pred, obj) }
 
 // SubjectsOfType returns all subjects with rdf:type class.

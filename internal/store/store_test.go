@@ -3,6 +3,9 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -140,6 +143,37 @@ func TestSubjectsOfType(t *testing.T) {
 	}
 }
 
+// TestSubjectsAreDistinct: Subjects lists a subject once however many of
+// its triples match — two types, or two predicates to one object — in the
+// order its first match comes in; a fully bound pattern is unchanged.
+func TestSubjectsAreDistinct(t *testing.T) {
+	s := New()
+	a, b := rdf.IRI("http://e/A"), rdf.IRI("http://e/B")
+	for _, sub := range []string{"s", "u"} {
+		s.Add(rdf.T(rdf.IRI("http://e/"+sub), rdf.RDFType, a))
+		s.Add(rdf.T(rdf.IRI("http://e/"+sub), rdf.RDFType, b))
+	}
+	s.Add(tr("s", "p1", "o"))
+	s.Add(tr("s", "p2", "o"))
+	s.Add(tr("u", "p2", "o"))
+	sub, u := rdf.IRI("http://e/s"), rdf.IRI("http://e/u")
+	for _, c := range []struct {
+		pred, obj rdf.Term
+		want      []rdf.Term
+	}{
+		{rdf.RDFType, nil, []rdf.Term{sub, u}},
+		{nil, rdf.IRI("http://e/o"), []rdf.Term{sub, u}},
+		{rdf.RDFType, a, []rdf.Term{sub, u}},
+		{rdf.IRI("http://e/p1"), rdf.IRI("http://e/o"), []rdf.Term{sub}},
+	} {
+		for name, got := range map[string][]rdf.Term{"Store": s.Subjects(c.pred, c.obj), "StoreView": s.View().Subjects(c.pred, c.obj)} {
+			if fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Errorf("%s.Subjects(%v, %v) = %v, want %v", name, c.pred, c.obj, got, c.want)
+			}
+		}
+	}
+}
+
 func TestSnapshotIndependence(t *testing.T) {
 	s := New()
 	s.Add(tr("s1", "p1", "o1"))
@@ -201,6 +235,39 @@ func TestDescribeResourceSorted(t *testing.T) {
 	}
 	if d[0].Predicate != rdf.IRI("http://e/a") || d[2].Predicate != rdf.IRI("http://e/z") {
 		t.Errorf("not sorted: %v", d)
+	}
+}
+
+// TestDescribeResourceOrderIsTheStringOrder: DescribeResource, which makes
+// each triple's forms once, orders a resource's triples as comparing
+// Predicate.String() and then Object.String() on every comparison did — IRIs
+// that prefix each other (<a!> before <a>), literals of every kind, and two
+// literals with one form among them.
+func TestDescribeResourceOrderIsTheStringOrder(t *testing.T) {
+	preds := []rdf.Term{rdf.IRI("http://e/a"), rdf.IRI("http://e/a!"), rdf.IRI("http://e/ab"), rdf.IRI("http://e/a/b"), rdf.RDFType}
+	objs := []rdf.Term{
+		rdf.IRI("http://e/a"), rdf.IRI("http://e/a!"), rdf.IRI("http://e/a#x"), rdf.BlankNode("b1"), rdf.BlankNode("b10"),
+		rdf.NewString("1"), rdf.Literal{Value: "1"}, rdf.NewInteger(1), rdf.NewLangString("1", "en"), rdf.NewString("1 "),
+		rdf.NewString("quo\"te"), rdf.NewString("é"), rdf.NewString(""),
+	}
+	sub := rdf.IRI("http://e/s")
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		for range 1 + rng.Intn(40) {
+			s.Add(rdf.T(sub, preds[rng.Intn(len(preds))], objs[rng.Intn(len(objs))]))
+		}
+		want := s.Match(sub, nil, nil)
+		sort.Slice(want, func(i, j int) bool {
+			pi, pj := want[i].Predicate.String(), want[j].Predicate.String()
+			if pi != pj {
+				return pi < pj
+			}
+			return want[i].Object.String() < want[j].Object.String()
+		})
+		if got := s.DescribeResource(sub); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d:\n got %v\nwant %v", seed, got, want)
+		}
 	}
 }
 

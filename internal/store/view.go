@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -344,11 +345,28 @@ func (sv StoreView) FirstObject(sub, pred rdf.Term) (rdf.Term, bool) {
 	return got, got != nil
 }
 
-// Subjects returns the distinct subjects of triples (*, pred, obj).
+// Subjects returns the distinct subjects of triples (*, pred, obj), each
+// where its first match comes.
 func (sv StoreView) Subjects(pred, obj rdf.Term) []rdf.Term {
+	_, pid, oid, ok := sv.lookupPattern(nil, pred, obj)
+	if !ok {
+		return nil
+	}
+	// With pred and obj both bound, each match has a subject of its own.
+	var seen map[ID]bool
+	if pid == NoID || oid == NoID {
+		seen = map[ID]bool{}
+	}
 	var out []rdf.Term
-	sv.ForEachMatch(nil, pred, obj, func(t rdf.Triple) bool {
-		out = append(out, t.Subject)
+	v := sv.ver()
+	v.forEachMatch(NoID, pid, oid, func(s, _, _ ID) bool {
+		if seen != nil {
+			if seen[s] {
+				return true
+			}
+			seen[s] = true
+		}
+		out = append(out, v.terms.Term(s))
 		return true
 	})
 	return out
@@ -370,17 +388,72 @@ func (sv StoreView) Triples() []rdf.Triple {
 }
 
 // DescribeResource returns all triples with sub as subject, in a stable
-// predicate-sorted order — used by the G-SACS result assembler.
+// predicate-sorted order — used by the G-SACS result assembler. The order is
+// by N-Triples form, of the predicate and then of the object; a form is made
+// once, when a comparison first needs it.
 func (sv StoreView) DescribeResource(sub rdf.Term) []rdf.Triple {
-	ts := sv.Match(sub, nil, nil)
-	sort.Slice(ts, func(i, j int) bool {
-		pi, pj := ts[i].Predicate.String(), ts[j].Predicate.String()
-		if pi != pj {
-			return pi < pj
-		}
-		return ts[i].Object.String() < ts[j].Object.String()
+	sid, ok := sv.LookupID(sub)
+	if !ok {
+		return nil
+	}
+	v := sv.ver()
+	d := &describeOrder{terms: v.terms}
+	v.forEachMatch(sid, NoID, NoID, func(_, p, o ID) bool {
+		d.po = append(d.po, [2]ID{p, o})
+		return true
 	})
+	if len(d.po) == 0 {
+		return nil
+	}
+	if len(d.po) > 1 {
+		// About a predicate's form each: most comparisons end there.
+		d.span, d.buf = make([][2][2]int32, len(d.po)), make([]byte, 0, 48*len(d.po))
+		sort.Sort(d)
+	}
+	ts := make([]rdf.Triple, len(d.po))
+	s := v.terms.Term(sid)
+	for i, po := range d.po {
+		ts[i] = rdf.T(s, v.terms.Term(po[0]), v.terms.Term(po[1]))
+	}
 	return ts
+}
+
+// describeOrder sorts one subject's (predicate, object) pairs by their
+// N-Triples forms.
+type describeOrder struct {
+	terms DictView
+	po    [][2]ID
+	// span[i][k] is where the form of po[i][k] sits in buf; its end is 0
+	// until the form is made.
+	span [][2][2]int32
+	buf  []byte
+}
+
+// form returns the form of po[i][k].
+func (d *describeOrder) form(i, k int) []byte {
+	sp := &d.span[i][k]
+	if sp[1] == 0 {
+		sp[0] = int32(len(d.buf))
+		d.buf = rdf.AppendTerm(d.buf, d.terms.Term(d.po[i][k]))
+		sp[1] = int32(len(d.buf))
+	}
+	return d.buf[sp[0]:sp[1]]
+}
+
+func (d *describeOrder) Len() int { return len(d.po) }
+
+func (d *describeOrder) Swap(i, j int) {
+	d.po[i], d.po[j] = d.po[j], d.po[i]
+	d.span[i], d.span[j] = d.span[j], d.span[i]
+}
+
+func (d *describeOrder) Less(i, j int) bool {
+	if d.po[i][0] != d.po[j][0] {
+		if c := bytes.Compare(d.form(i, 0), d.form(j, 0)); c != 0 {
+			return c < 0
+		}
+	}
+	return bytes.Compare(d.form(i, 1), d.form(j, 1)) < 0
 }
 
 // Stats computes summary statistics for the pinned version.
