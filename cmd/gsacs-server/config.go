@@ -53,7 +53,6 @@ type config struct {
 
 	follow        string
 	maxReplicaLag time.Duration
-	router        bool
 
 	traceBuffer   int
 	slowQuery     time.Duration
@@ -85,7 +84,7 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.IntVar(&c.snapshotEvery, "snapshot-every", 10000, "WAL commit records between automatic snapshots (0 disables)")
 	fs.StringVar(&c.writerRole, "writer-role", "", "grant this role full View/Modify/Delete over grdf:Feature (write-path testing)")
 
-	fs.Func("source", "peer G-SACS base URL to federate /v1/query across (repeatable or comma-separated)", func(v string) error {
+	fs.Func("source", "run as a query router: a replica's base URL to forward /v1/query to (repeatable or comma-separated)", func(v string) error {
 		for _, part := range strings.Split(v, ",") {
 			if part = strings.TrimSpace(part); part != "" {
 				c.sources = append(c.sources, part)
@@ -93,14 +92,13 @@ func (c *config) register(fs *flag.FlagSet) {
 		}
 		return nil
 	})
-	fs.DurationVar(&c.sourceTimeout, "source-timeout", 2*time.Second, "per-attempt deadline against each federated source")
-	fs.IntVar(&c.retryMax, "retry-max", 3, "attempts per source per request (1 disables retries)")
+	fs.DurationVar(&c.sourceTimeout, "source-timeout", 2*time.Second, "per-attempt deadline against each -source replica")
+	fs.IntVar(&c.retryMax, "retry-max", 3, "attempts per replica per request before the router moves on (1 disables retries)")
 	fs.DurationVar(&c.retryBase, "retry-base", 50*time.Millisecond, "base backoff before the first retry")
-	fs.BoolVar(&c.clusterOn, "cluster", false, "mount the /v1/cluster fleet rollup over the -source peers")
+	fs.BoolVar(&c.clusterOn, "cluster", false, "mount the /v1/cluster fleet rollup over the -source replicas")
 
 	fs.StringVar(&c.follow, "follow", "", "run as a read replica of this leader base URL (replicates its WAL; mutations answer 421 pointing at the leader)")
 	fs.DurationVar(&c.maxReplicaLag, "max-replica-lag", 5*time.Second, "replica staleness bound: readiness flips to 503 \"lagging\" when the follower cannot prove itself caught up within this window (0 disables)")
-	fs.BoolVar(&c.router, "router", false, "federate /v1/query across -source replicas only, with no local data")
 
 	fs.IntVar(&c.traceBuffer, "trace-buffer", 256, "completed traces retained for /v1/traces (0 disables retention; spans still feed explain=analyze and the slow-query log)")
 	fs.DurationVar(&c.slowQuery, "slow-query-threshold", 0, "log the full span tree of any request slower than this (0 disables)")
@@ -124,7 +122,7 @@ const (
 	leader role = "leader"
 	// follower (-follow) replicates a leader and serves reads.
 	follower role = "follower"
-	// router (-router) holds no data; it fans queries out over -source replicas.
+	// router (-source) holds no data; it forwards each query to one replica.
 	router role = "router"
 )
 
@@ -132,7 +130,7 @@ const (
 // rejects every combination naming more than one.
 func (c *config) role() role {
 	switch {
-	case c.router:
+	case len(c.sources) > 0:
 		return router
 	case c.follow != "":
 		return follower
@@ -146,7 +144,7 @@ func (c *config) role() role {
 // combination fails at start with a usage error instead of surfacing minutes
 // later at first use. One row per rule; the first broken one is reported.
 func (c *config) validate() error {
-	is, federated := c.role(), len(c.sources) > 0
+	is := c.role()
 	_, fsyncErr := wal.ParseFsyncPolicy(c.fsync)
 	for _, rule := range []struct {
 		broken bool
@@ -162,18 +160,16 @@ func (c *config) validate() error {
 		{c.snapshotEvery < 0, "-snapshot-every must be non-negative (0 disables automatic snapshots)"},
 		{c.dataDir == "" && c.fsync != "always", "-fsync has no effect without -data-dir"},
 
-		{federated && c.sourceTimeout <= 0, "-source-timeout must be positive"},
-		{federated && c.retryMax < 1, "-retry-max must be at least 1"},
-		{federated && c.retryBase <= 0, "-retry-base must be positive"},
-		{c.clusterOn && !federated, "-cluster requires at least one -source peer to roll up"},
+		{is == router && c.sourceTimeout <= 0, "-source-timeout must be positive"},
+		{is == router && c.retryMax < 1, "-retry-max must be at least 1"},
+		{is == router && c.retryBase <= 0, "-retry-base must be positive"},
+		{c.clusterOn && is != router, "-cluster requires at least one -source replica to roll up"},
 
 		// One process, one role.
-		{is == router && c.follow != "", "-follow cannot be combined with -router; run the router as its own process"},
-		{is == router && c.dataDir != "", "-router holds no data; -data-dir belongs on the leader"},
-		{is == router && c.writerRole != "", "-router holds no data to write; -writer-role belongs on the leader and its replicas"},
-		{is == router && !federated, "-router requires at least one -source replica to route to"},
+		{is == router && c.follow != "", "-follow cannot be combined with -source; run the router as its own process"},
+		{is == router && c.dataDir != "", "-source makes a router, which holds no data; -data-dir belongs on the leader"},
+		{is == router && c.writerRole != "", "-source makes a router, which holds no data to write; -writer-role belongs on the leader and its replicas"},
 		{is == follower && c.dataDir != "", "-follow runs a read replica; -data-dir would fork the leader's durable history"},
-		{is == follower && federated, "-follow cannot be combined with -source; run the router as its own process"},
 		{is == follower && c.maxReplicaLag < 0, "-max-replica-lag must be non-negative (0 disables the lag gate)"},
 
 		{c.traceBuffer < 0, "-trace-buffer must be non-negative (0 disables trace retention)"},

@@ -27,7 +27,7 @@ func TestValidateFlags(t *testing.T) {
 		standalone: nil,
 		leader:     {"-data-dir", "/tmp/x"},
 		follower:   {"-follow", "http://leader:8080"},
-		router:     {"-router", "-source", "http://replica1:8081", "-source", "http://replica2:8082"},
+		router:     {"-source", "http://replica1:8081", "-source", "http://replica2:8082"},
 	}
 	for want, args := range roles {
 		cfg := parseConfig(t, args...)
@@ -58,9 +58,7 @@ func TestValidateFlags(t *testing.T) {
 		"negative slo avail":       {"-slo-availability", "-0.5"},
 		"follow with data-dir":     with(roles[follower], "-data-dir", "/tmp/x"),
 		"follow with sources":      with(roles[follower], peer...),
-		"follow with router":       with(roles[follower], "-router"),
 		"follow with negative lag": with(roles[follower], "-max-replica-lag", "-1s"),
-		"router without sources":   {"-router"},
 		"router with data-dir":     with(roles[router], "-data-dir", "/tmp/x"),
 		"router with writer-role":  with(roles[router], "-writer-role", "Writer"),
 		"cluster without sources":  {"-cluster"},
@@ -83,7 +81,6 @@ func TestValidateFlags(t *testing.T) {
 		"source knobs irrelevant without a source":      {"-retry-base", "0", "-retry-max", "0", "-source-timeout", "0"},
 		"admission knobs irrelevant when admission off": {"-admission=false", "-max-queue", "-1", "-queue-deadline", "0"},
 		"follower mirroring the leader's policy flags":  with(roles[follower], "-sites", "3", "-writer-role", "Writer"),
-		"leader federating with a peer":                 with(roles[leader], peer...),
 	}
 	for name, args := range accepted {
 		if err := parseConfig(t, args...).validate(); err != nil {
@@ -287,8 +284,8 @@ func TestValidateFlagsExitCode(t *testing.T) {
 	bin := buildServerBinary(t)
 	for flagName, args := range map[string][]string{
 		"-fsync":       {"-fsync", "sometimes", "-data-dir", t.TempDir()},
-		"-data-dir":    {"-router", "-source", "http://127.0.0.1:1", "-data-dir", t.TempDir()},
-		"-writer-role": {"-router", "-source", "http://127.0.0.1:1", "-writer-role", "Writer"},
+		"-data-dir":    {"-source", "http://127.0.0.1:1", "-data-dir", t.TempDir()},
+		"-writer-role": {"-source", "http://127.0.0.1:1", "-writer-role", "Writer"},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		var exit *exec.ExitError

@@ -20,23 +20,22 @@
 //     reads, answers mutations with 421 and a Location naming the leader,
 //     and flips /healthz to 503 "lagging" whenever it cannot prove itself
 //     caught up within -max-replica-lag.
-//   - router (-router): loads the policies, holds no data, and answers
-//     /v1/query purely by fanning out across its -source replicas.
+//   - router (-source): loads the policies, holds no data, and forwards each
+//     /v1/query to one of its -source replicas, moving on past a failed one
+//     with per-replica retries and circuit breakers; the replica's answer
+//     goes back as it came (README "Routing & failover").
 //
-// With -source a standalone server or leader federates /v1/query across its
-// own engine and the peers, with per-source retries, circuit breakers and
-// graceful degradation (README "Federation & fault tolerance"). SIGINT and
-// SIGTERM drain in-flight requests for up to 10s, then close the log cleanly.
+// SIGINT and SIGTERM drain in-flight requests for up to 10s, then close the
+// log cleanly.
 //
 // Usage:
 //
 //	gsacs-server -addr :8080                       # built-in scenario
 //	gsacs-server -data world.ttl -policies p.ttl   # custom dataset
 //	gsacs-server -data-dir /var/lib/gsacs -fsync always   # durable leader
-//	gsacs-server -source http://peer1:8080 -retry-max 3   # federated front-end
 //	gsacs-server -follow http://leader:8080 -max-replica-lag 5s  # read replica
-//	gsacs-server -router -source http://replica1:8081 \
-//	             -source http://replica2:8082       # replica-only query router
+//	gsacs-server -source http://replica1:8081 \
+//	             -source http://replica2:8082       # query router
 package main
 
 import (
@@ -107,7 +106,7 @@ func main() {
 	}
 	logger.Info("gsacs-server listening", "addr", ln.Addr().String(), "role", cfg.role(),
 		"audit_capacity", cfg.auditCap, "pprof", cfg.pprof,
-		"federated_sources", len(cfg.sources), "admission", cfg.admissionOn,
+		"replicas", len(cfg.sources), "admission", cfg.admissionOn,
 		"drain_timeout", drainTimeout.String())
 	app.start()
 
@@ -259,8 +258,8 @@ func assemble(cfg *config, logger *slog.Logger) (*assembly, error) {
 		stops = append(stops, func() { cancel(); loop.Wait() })
 
 	case router:
-		// Loads no data and holds no triples: /v1/query is answered by the
-		// -source replicas alone, so there is nothing to reason over.
+		// Loads no data and holds no triples: each /v1/query is forwarded to
+		// one -source replica, so there is nothing to reason over.
 		newEngine(store.New())
 	}
 
@@ -290,11 +289,8 @@ func assemble(cfg *config, logger *slog.Logger) (*assembly, error) {
 	if cfg.pprof {
 		opts = append(opts, gsacs.WithPprof())
 	}
-	if len(cfg.sources) > 0 {
+	if cfg.role() == router {
 		var members []federation.Source
-		if cfg.role() != router {
-			members = append(members, federation.NewLocalSource("local", engine))
-		}
 		peers := make([]gsacs.ClusterPeer, len(cfg.sources))
 		for i, base := range cfg.sources {
 			peers[i] = gsacs.ClusterPeer{Name: fmt.Sprintf("peer%d", i+1), Base: base}

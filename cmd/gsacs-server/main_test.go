@@ -314,7 +314,7 @@ app:s1 app:hasSiteName "Plant" .
 // used to build the scenario dataset (and a reasoner over it) and answer
 // /v1/view out of that phantom copy.
 func TestRouterHoldsNoData(t *testing.T) {
-	base := startInProcess(t, io.Discard, "-router", "-source", "http://127.0.0.1:1", "-sites", "3")
+	base := startInProcess(t, io.Discard, "-source", "http://127.0.0.1:1", "-sites", "3")
 	if n := storeTriples(t, base); n != 0 {
 		t.Errorf("router /v1/store reports %d triples, want 0", n)
 	}
@@ -342,7 +342,7 @@ func TestRouterHoldsNoData(t *testing.T) {
 
 	// The dataset is the replicas' business: a router does not even open it.
 	_, policyFile := writeCustomDataset(t)
-	base = startInProcess(t, io.Discard, "-router", "-source", "http://127.0.0.1:1",
+	base = startInProcess(t, io.Discard, "-source", "http://127.0.0.1:1",
 		"-data", filepath.Join(t.TempDir(), "absent.ttl"), "-policies", policyFile)
 	if code, body, _ := get(t, base, "/v1/roles"); code != 200 || !strings.Contains(body, "Viewer") {
 		t.Errorf("router with a policy file: %d %s", code, body)
@@ -386,7 +386,7 @@ func TestFollowerStartsEmpty(t *testing.T) {
 // a new flag has to retire one or argue for a bigger budget, and the README
 // "Server flags" table cannot drift from what the binary registers.
 func TestFlagSurface(t *testing.T) {
-	const budget = 33 // also enforced on the built binary's -h output in CI
+	const budget = 31 // also enforced on the built binary's -h output in CI
 	fs := flag.NewFlagSet("gsacs-server", flag.ContinueOnError)
 	new(config).register(fs)
 	var registered []string

@@ -1,28 +1,33 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"sort"
 	"time"
 
-	"repro/internal/datagen"
 	"repro/internal/federation"
 	"repro/internal/gsacs"
-	"repro/internal/seconto"
 )
 
-// E14 measures the federation layer's fault tolerance: answered-request
-// rate and tail latency against 0, 1 and 2 flaky sources, with the circuit
-// breakers on and off. A request counts as answered when it carries every
-// solution the healthy source alone produces AND completes inside the SLO —
-// a slow answer is a missed answer for the Section 7.1 emergency-response
-// consumer.
+// E14 measures the router's fault tolerance: answered-request rate and
+// tail latency in front of one healthy member and 0, 1 or 2 flaky ones, with
+// the circuit breakers on and off. Each member is a G-SACS server over HTTP,
+// as a replica is. A request counts as answered when it carries the healthy
+// member's bytes AND completes inside the SLO — a slow answer is a missed
+// answer for the Section 7.1 emergency-response consumer.
 
 const (
 	e14SourceTimeout = 20 * time.Millisecond
 	e14SLO           = 30 * time.Millisecond
-	e14Warmup        = 10
+	// e14Warmup requests per cell warm the breakers: each flaky member is
+	// first in line on at least a third of the requests, so it has failed
+	// the breaker threshold (5) times within 15.
+	e14Warmup = 15
 )
 
 const e14Query = `SELECT ?site ?name WHERE {
@@ -37,28 +42,23 @@ func E14Federation(requests int) *Table {
 		requests = 150
 	}
 	t := &Table{
-		ID:    "E14",
-		Title: "Federation fault tolerance: answered rate and tail latency",
-		Columns: []string{"flaky", "breaker", "requests", "answered", "rate",
-			"degraded", "p50", "p99"},
+		ID:      "E14",
+		Title:   "Router fault tolerance: answered rate and tail latency",
+		Columns: []string{"flaky", "breaker", "requests", "answered", "rate", "p50", "p99"},
 	}
 
-	engine := func() *gsacs.Engine {
+	serve := func() *httptest.Server {
 		e, _ := scenarioEngine(41, 8)
-		return e
+		return httptest.NewServer(gsacs.NewServer(e, nil))
 	}
+	healthy := serve()
+	defer healthy.Close()
+	rawQuery := "role=EmergencyResponse&q=" + url.QueryEscape(e14Query)
 
-	// Baseline: what the healthy source alone answers.
-	healthyEngine := engine()
-	base, err := healthyEngine.QueryCtx(context.Background(),
-		datagen.RoleEmergency, seconto.ActionView, e14Query)
-	if err != nil {
-		t.AddNote("baseline query failed: %v", err)
-		return t
-	}
-	baseline := federation.FromSPARQL(base)
-	if len(baseline.Rows) == 0 {
-		t.AddNote("baseline query returned no rows; matrix is vacuous")
+	// Baseline: what the healthy member answers.
+	base, err := federation.NewRemoteSource("baseline", healthy.URL, nil).Query(context.Background(), rawQuery)
+	if err != nil || base.Status != http.StatusOK {
+		t.AddNote("baseline query failed: %v %+v", err, base)
 		return t
 	}
 
@@ -67,33 +67,33 @@ func E14Federation(requests int) *Table {
 			if flaky == 0 && !breakerOn {
 				continue // identical to the breaker-on cell by construction
 			}
-			answered, degraded, p50, p99 := e14Cell(engine, healthyEngine,
-				baseline, flaky, breakerOn, requests)
+			answered, p50, p99 := e14Cell(serve, healthy.URL, rawQuery, base.Body, flaky, breakerOn, requests)
 			t.AddRow(fmt.Sprintf("%d", flaky), mark(breakerOn),
 				fmt.Sprintf("%d", requests),
 				fmt.Sprintf("%d", answered),
 				fmt.Sprintf("%.1f%%", 100*float64(answered)/float64(requests)),
-				fmt.Sprintf("%d", degraded),
 				p50.Round(time.Microsecond).String(),
 				p99.Round(time.Microsecond).String())
 		}
 	}
-	t.AddNote("answered = full healthy solution set within the %s SLO; per-source timeout %s",
+	t.AddNote("answered = the healthy member's bytes within the %s SLO; per-attempt timeout %s; a request goes to one member, from a rotating start, and moves on past a failed one",
 		e14SLO, e14SourceTimeout)
-	t.AddNote("flaky sources hang 65%% / error 35%% of calls (never succeed); first %d requests per cell warm the breakers and are not measured", e14Warmup)
-	t.AddNote("expected shape: breaker on holds the answered rate near 100%% by failing sick sources fast; breaker off re-waits the source timeout every request, dragging p99 past the SLO")
+	t.AddNote("flaky members hang 65%% / error 35%% of calls (never succeed); first %d requests per cell warm the breakers and are not measured", e14Warmup)
+	t.AddNote("expected shape: breaker on holds the answered rate near 100%% by skipping sick members at once; breaker off re-waits the attempt timeout whenever a sick member is first in line, dragging p99 past the SLO")
 	return t
 }
 
 // e14Cell runs one (flaky count, breaker setting) cell and reports the
-// answered and degraded counts plus latency percentiles.
-func e14Cell(engine func() *gsacs.Engine, healthy *gsacs.Engine,
-	baseline *federation.Result, flaky int, breakerOn bool, requests int,
-) (answered, degraded int, p50, p99 time.Duration) {
-	sources := []federation.Source{federation.NewLocalSource("healthy", healthy)}
+// answered count plus latency percentiles.
+func e14Cell(serve func() *httptest.Server, healthy, rawQuery string, want []byte,
+	flaky int, breakerOn bool, requests int,
+) (answered int, p50, p99 time.Duration) {
+	sources := []federation.Source{federation.NewRemoteSource("healthy", healthy, nil)}
 	for i := 0; i < flaky; i++ {
+		member := serve()
+		defer member.Close()
 		sources = append(sources, federation.NewFaultySource(
-			federation.NewLocalSource(fmt.Sprintf("flaky%d", i+1), engine()),
+			federation.NewRemoteSource(fmt.Sprintf("flaky%d", i+1), member.URL, nil),
 			federation.FaultConfig{
 				// Always fail: a stray success would reset the breaker's
 				// consecutive-failure count and blur the on/off comparison.
@@ -112,54 +112,24 @@ func e14Cell(engine func() *gsacs.Engine, healthy *gsacs.Engine,
 		Retry: federation.RetryConfig{MaxAttempts: 2, BaseDelay: 2 * time.Millisecond},
 	}, sources...)
 	if err != nil {
-		return 0, 0, 0, 0
-	}
-
-	want := make(map[string]bool, len(baseline.Rows))
-	for _, row := range baseline.Rows {
-		want[fmt.Sprint(row)] = true
-	}
-	complete := func(res *federation.Result) bool {
-		if res == nil {
-			return false
-		}
-		got := make(map[string]bool, len(res.Rows))
-		for _, row := range res.Rows {
-			sub := map[string]string{}
-			for _, v := range baseline.Vars {
-				if val, ok := row[v]; ok {
-					sub[v] = val
-				}
-			}
-			got[fmt.Sprint(sub)] = true
-		}
-		for k := range want {
-			if !got[k] {
-				return false
-			}
-		}
-		return true
+		return 0, 0, 0
 	}
 
 	latencies := make([]time.Duration, 0, requests)
 	for i := 0; i < e14Warmup+requests; i++ {
 		start := time.Now()
-		resp := fed.Query(context.Background(),
-			datagen.RoleEmergency, seconto.ActionView, e14Query)
+		ans, err := fed.Query(context.Background(), rawQuery)
 		elapsed := time.Since(start)
 		if i < e14Warmup {
 			continue
 		}
 		latencies = append(latencies, elapsed)
-		if resp.Degraded {
-			degraded++
-		}
-		if resp.Err == nil && complete(resp.Result) && elapsed <= e14SLO {
+		if err == nil && ans.Status == http.StatusOK && bytes.Equal(ans.Body, want) && elapsed <= e14SLO {
 			answered++
 		}
 	}
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	return answered, degraded, percentile(latencies, 0.50), percentile(latencies, 0.99)
+	return answered, percentile(latencies, 0.50), percentile(latencies, 0.99)
 }
 
 // percentile reads the p-quantile from sorted latencies.

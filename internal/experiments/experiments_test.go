@@ -422,8 +422,8 @@ func TestE19ReplicationShape(t *testing.T) {
 			t.Fatalf("row %v has %d cells, want %d", row, len(row), len(tab.Columns))
 		}
 		var errors int
-		if _, err := fmt.Sscanf(row[5], "%d", &errors); err != nil {
-			t.Fatalf("errors cell %q not numeric: %v", row[5], row)
+		if _, err := fmt.Sscanf(row[4], "%d", &errors); err != nil {
+			t.Fatalf("errors cell %q not numeric: %v", row[4], row)
 		}
 		if i == 0 && errors == 0 {
 			// A lone replica has nothing to hide behind: the kill window

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"repro/internal/rdf"
 )
 
 // FaultConfig drives deterministic (seeded) fault injection. The rates are
@@ -21,8 +19,8 @@ type FaultConfig struct {
 	// HangRate is the probability of blocking until ctx is done — the
 	// pathological peer that accepts the connection and never answers.
 	HangRate float64
-	// GarbageRate is the probability of returning a syntactically valid but
-	// semantically bogus result (wrong vars, junk bindings).
+	// GarbageRate is the probability of answering 200 with a body that is
+	// not JSON, which the router must not pass on.
 	GarbageRate float64
 	// Latency (± LatencyJitter, uniform) is added to every request,
 	// injected faults included.
@@ -64,7 +62,7 @@ func (f *FaultySource) Stats() FaultStats {
 }
 
 // Query implements Source with fault injection in front of the inner source.
-func (f *FaultySource) Query(ctx context.Context, role, action rdf.IRI, query string) (*Result, error) {
+func (f *FaultySource) Query(ctx context.Context, rawQuery string) (*Answer, error) {
 	f.mu.Lock()
 	roll := f.rng.Float64()
 	delay := f.cfg.Latency
@@ -103,12 +101,8 @@ func (f *FaultySource) Query(ctx context.Context, role, action rdf.IRI, query st
 		<-ctx.Done()
 		return nil, ctx.Err()
 	case injectGarbage:
-		return &Result{
-			Kind: KindSelect,
-			Vars: []string{"garbage"},
-			Rows: []map[string]string{{"garbage": "\x00\xfffault-injected"}},
-		}, nil
+		return &Answer{Status: 200, ContentType: "application/json", Body: []byte("\x00\xfffault-injected")}, nil
 	default:
-		return f.inner.Query(ctx, role, action, query)
+		return f.inner.Query(ctx, rawQuery)
 	}
 }

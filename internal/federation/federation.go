@@ -1,131 +1,50 @@
-// Package federation implements fault-tolerant multi-source query
-// aggregation for the G-SACS front-end.
+// Package federation routes a query to one of several G-SACS replicas.
 //
-// The paper's Section 7.1 scenario is inherently federated: the hydrology
-// layer comes from one agency's store (NCTCOG) and the chemical-site layer
-// from another, and the emergency-response workload hits both at exactly the
-// moment either may be slow or down. The Federator fans one query out to N
-// Sources concurrently and merges what comes back, wrapped in a resilience
-// stack:
+// The replicas hold one dataset: followers of one leader's WAL. Aggregating
+// two organizations' data (the paper's Section 7.1 hydrology and chemical
+// stores) is done at the graph, by ingest into one store (grdf.Aggregate),
+// so joins, entailments and access decisions run over the merged graph. A
+// router therefore never combines answers: each read goes to one replica,
+// and that replica's status, Content-Type and body go back to the client.
+//
+// The Federator takes the sources in order from a rotating start and moves
+// on past a sick one, under a resilience stack:
 //
 //   - per-source attempt deadlines,
 //   - retry with exponential backoff + jitter, gated by a token-bucket
 //     retry budget and an error classification (only transient failures
 //     are retried),
 //   - a three-state circuit breaker per source (closed → open on repeated
-//     failure, half-open probes after a cooldown),
-//   - graceful degradation: a request succeeds with the healthy sources'
-//     solutions and a per-source status block instead of failing whole.
+//     failure, half-open probes after a cooldown).
 //
-// Sources come in three flavors: LocalSource wraps an in-process decision
-// engine, RemoteSource speaks the v1 HTTP API of a peer G-SACS server, and
-// FaultySource deterministically injects latency/errors/hangs/garbage for
+// RemoteSource speaks the v1 HTTP API of a replica; FaultySource wraps a
+// Source and deterministically injects latency/errors/hangs/garbage for
 // chaos testing.
 package federation
 
 import (
 	"context"
 	"errors"
-	"sort"
-	"strings"
-
-	"repro/internal/rdf"
 )
 
-// Source is one queryable G-SACS endpoint in a federation.
+// Source is one replica a Federator routes to.
 //
-// Query evaluates a SPARQL query as role (for action, normally
-// seconto.ActionView) against the source's policy-filtered view and returns
-// the wire-shaped result. Implementations must honor ctx cancellation and
-// be safe for concurrent use.
+// Query sends a /v1/query request with the given raw URL query (role, q,
+// explain: what the client sent) and returns the answer. A status that says
+// "ask elsewhere" (5xx, 429, 408) is an error, as is a transport failure;
+// any other status is the replica's answer. Implementations must honor ctx
+// cancellation and be safe for concurrent use.
 type Source interface {
 	Name() string
-	Query(ctx context.Context, role, action rdf.IRI, query string) (*Result, error)
+	Query(ctx context.Context, rawQuery string) (*Answer, error)
 }
 
-// Result kinds, mirroring sparql.QueryKind on the wire.
-const (
-	KindSelect = "select"
-	KindAsk    = "ask"
-	KindGraph  = "graph" // CONSTRUCT / DESCRIBE
-)
-
-// Result is a query result in the v1 wire shape: variable names and rows of
-// term renderings for SELECT, a boolean for ASK, N-Triples lines for
-// CONSTRUCT/DESCRIBE. Keeping the federated currency at the wire shape means
-// local and remote sources merge identically and no term round-tripping is
-// needed.
-type Result struct {
-	Kind    string              `json:"kind"`
-	Vars    []string            `json:"vars,omitempty"`
-	Rows    []map[string]string `json:"rows,omitempty"`
-	Boolean bool                `json:"boolean,omitempty"`
-	Triples []string            `json:"triples,omitempty"`
+// Answer is a replica's answer to a query, as it came over the wire.
+type Answer struct {
+	Status      int
+	ContentType string
+	Body        []byte
 }
 
-// rowKey serializes a row over vars for deduplication; \x00 cannot occur in
-// term renderings.
-func rowKey(row map[string]string, vars []string) string {
-	var sb strings.Builder
-	for _, v := range vars {
-		sb.WriteString(row[v])
-		sb.WriteByte(0)
-	}
-	return sb.String()
-}
-
-// Merge unions parts (nil entries skipped) into one Result. The merged kind
-// is the first non-nil part's kind; parts of another kind are dropped (they
-// can only arise from a corrupted source). SELECT vars union in first-seen
-// order and rows deduplicate across sources; ASK booleans OR; graph triples
-// union sorted. Merging is deterministic in the order of parts.
-func Merge(parts []*Result) *Result {
-	merged := &Result{}
-	seenVar := map[string]bool{}
-	seenRow := map[string]bool{}
-	seenTriple := map[string]bool{}
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if merged.Kind == "" {
-			merged.Kind = p.Kind
-		}
-		if p.Kind != merged.Kind {
-			continue
-		}
-		for _, v := range p.Vars {
-			if !seenVar[v] {
-				seenVar[v] = true
-				merged.Vars = append(merged.Vars, v)
-			}
-		}
-		merged.Boolean = merged.Boolean || p.Boolean
-		for _, t := range p.Triples {
-			if !seenTriple[t] {
-				seenTriple[t] = true
-				merged.Triples = append(merged.Triples, t)
-			}
-		}
-		merged.Rows = append(merged.Rows, p.Rows...)
-	}
-	// Deduplicate rows over the union of vars: a row present in two sources
-	// (replicated data) must not count twice.
-	if len(merged.Rows) > 0 {
-		dedup := merged.Rows[:0]
-		for _, row := range merged.Rows {
-			k := rowKey(row, merged.Vars)
-			if !seenRow[k] {
-				seenRow[k] = true
-				dedup = append(dedup, row)
-			}
-		}
-		merged.Rows = dedup
-	}
-	sort.Strings(merged.Triples)
-	return merged
-}
-
-// ErrAllSourcesFailed is wrapped by Federator.Query when no source produced
-// a result — the one condition that is a hard error rather than degradation.
+// ErrAllSourcesFailed is wrapped by Federator.Query when no source answered.
 var ErrAllSourcesFailed = errors.New("federation: all sources failed")

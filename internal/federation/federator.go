@@ -2,17 +2,17 @@ package federation
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/rdf"
 )
 
-// Per-source request outcome labels used in SourceStatus.State and the
-// grdf_fed_source_requests_total metric.
+// Per-source request outcome labels used in the fed.source span's state and
+// the grdf_fed_source_requests_total metric.
 const (
 	StateOK      = "ok"
 	StateError   = "error"
@@ -30,30 +30,11 @@ type Config struct {
 	Retry RetryConfig
 	// Breaker tunes the per-source circuit breaker.
 	Breaker BreakerConfig
-	// DisableBreaker turns the breakers off (every request probes every
-	// source) — the E14 ablation arm.
+	// DisableBreaker turns the breakers off (a request tries a sick source
+	// before it moves on) — the E14 ablation arm.
 	DisableBreaker bool
 	// Metrics receives federation instrumentation (nil disables).
 	Metrics *obs.Registry
-}
-
-// SourceStatus is the per-source block of a federated response: what
-// happened at this source for this request.
-type SourceStatus struct {
-	Source   string  `json:"source"`
-	State    string  `json:"state"` // ok | error | timeout | open | shed
-	Attempts int     `json:"attempts"`
-	Error    string  `json:"error,omitempty"`
-	Millis   float64 `json:"ms"`
-}
-
-// Response is one federated query outcome. Degraded is true when at least
-// one source did not contribute; Err is non-nil only when no source did.
-type Response struct {
-	Result   *Result
-	Degraded bool
-	Sources  []SourceStatus
-	Err      error
 }
 
 // sourceState bundles one Source with its resilience companions and metric
@@ -68,19 +49,21 @@ type sourceState struct {
 	mLatency                          *obs.Histogram
 }
 
-// Federator fans queries out to its sources and merges the answers under
-// the resilience stack. Safe for concurrent use.
+// Federator forwards each query to one of its sources under the resilience
+// stack. Safe for concurrent use.
 type Federator struct {
 	cfg     Config
 	sources []*sourceState
+	// next is the rotating start: request i tries source i mod n first, so
+	// n healthy sources share the reads.
+	next atomic.Uint64
 
-	mDegraded *obs.Counter
 	mFailed   *obs.Counter
 	mRequests *obs.Counter
 }
 
 // New builds a Federator over sources. Source names must be unique: they
-// key the per-source status blocks and metric labels.
+// key the per-source metric labels and spans.
 func New(cfg Config, sources ...Source) (*Federator, error) {
 	if len(sources) == 0 {
 		return nil, errors.New("federation: no sources")
@@ -92,11 +75,9 @@ func New(cfg Config, sources ...Source) (*Federator, error) {
 	f := &Federator{cfg: cfg}
 	reg := cfg.Metrics
 	f.mRequests = reg.Counter("grdf_fed_requests_total",
-		"Federated queries by outcome.", "outcome", "ok")
-	f.mDegraded = reg.Counter("grdf_fed_requests_total",
-		"Federated queries by outcome.", "outcome", "degraded")
+		"Routed queries by outcome.", "outcome", "ok")
 	f.mFailed = reg.Counter("grdf_fed_requests_total",
-		"Federated queries by outcome.", "outcome", "failed")
+		"Routed queries by outcome.", "outcome", "failed")
 	seen := map[string]bool{}
 	for _, src := range sources {
 		name := src.Name()
@@ -115,7 +96,7 @@ func New(cfg Config, sources ...Source) (*Federator, error) {
 			mRetries: reg.Counter("grdf_fed_retries_total",
 				"Retries issued per source.", "source", name),
 			mLatency: reg.Histogram("grdf_fed_source_duration_seconds",
-				"Per-source federated request latency (all attempts).", nil,
+				"Per-source request latency (all attempts).", nil,
 				"source", name),
 		}
 		if !cfg.DisableBreaker {
@@ -157,16 +138,7 @@ func New(cfg Config, sources ...Source) (*Federator, error) {
 
 func sourceCounter(reg *obs.Registry, name, state string) *obs.Counter {
 	return reg.Counter("grdf_fed_source_requests_total",
-		"Per-source federated request outcomes.", "source", name, "state", state)
-}
-
-// Sources lists the member names in fan-out order.
-func (f *Federator) Sources() []string {
-	out := make([]string, len(f.sources))
-	for i, ss := range f.sources {
-		out[i] = ss.src.Name()
-	}
-	return out
+		"Per-source request outcomes.", "source", name, "state", state)
 }
 
 // BreakerState reports the named source's breaker position; ok is false for
@@ -180,76 +152,55 @@ func (f *Federator) BreakerState(source string) (BreakerState, bool) {
 	return Closed, false
 }
 
-// Query fans the query out to every source concurrently and merges the
-// results. The returned Response always carries per-source statuses; its
-// Err wraps ErrAllSourcesFailed (or the parent ctx error) only when not a
-// single source answered.
-func (f *Federator) Query(ctx context.Context, role, action rdf.IRI, query string) *Response {
-	ctx, span := obs.StartSpan(ctx, "fed.fanout")
+// Query forwards rawQuery to one source: the sources are taken in order from
+// a rotating start, each through querySource, and the first answer is the
+// answer. The error wraps ErrAllSourcesFailed, or is the parent ctx's error,
+// when no source answered.
+func (f *Federator) Query(ctx context.Context, rawQuery string) (*Answer, error) {
+	ctx, span := obs.StartSpan(ctx, "fed.forward")
 	defer span.End()
 	n := len(f.sources)
-	span.Add("sources", int64(n))
-	results := make([]*Result, n)
-	statuses := make([]SourceStatus, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i, ss := range f.sources {
-		go func(i int, ss *sourceState) {
-			defer wg.Done()
-			results[i], statuses[i] = f.querySource(ctx, ss, role, action, query)
-		}(i, ss)
-	}
-	wg.Wait()
-
-	resp := &Response{Sources: statuses}
-	answered := 0
-	for i, st := range statuses {
-		if st.State == StateOK {
-			answered++
-		} else {
-			resp.Degraded = true
-			results[i] = nil
+	start := f.next.Add(1) - 1
+	for i := range n {
+		ss := f.sources[(start+uint64(i))%uint64(n)]
+		if ans := f.querySource(ctx, ss, rawQuery); ans != nil {
+			f.mRequests.Inc()
+			span.SetAttr("source", ss.src.Name())
+			return ans, nil
+		}
+		if ctx.Err() != nil {
+			break
 		}
 	}
-	span.Add("answered", int64(answered))
-	switch {
-	case answered == 0:
-		if err := ctx.Err(); err != nil {
-			resp.Err = err
-		} else {
-			resp.Err = fmt.Errorf("%w (%d sources)", ErrAllSourcesFailed, n)
-		}
-		f.mFailed.Inc()
-		span.Fail(resp.Err)
-		return resp
-	case resp.Degraded:
-		f.mDegraded.Inc()
-		span.SetAttr("degraded", "true")
-	default:
-		f.mRequests.Inc()
+	err := ctx.Err()
+	if err == nil {
+		err = fmt.Errorf("%w (%d sources)", ErrAllSourcesFailed, n)
 	}
-	resp.Result = Merge(results)
-	return resp
+	f.mFailed.Inc()
+	span.Fail(err)
+	return nil, err
 }
 
 // querySource runs the full per-source pipeline: breaker admission, retry
 // loop with backoff and budget, attempt deadlines, outcome classification.
-// Each source gets a fed.source span — including breaker-rejected and dead
-// sources, so a skipped peer shows up in the trace as a failed span rather
-// than a hole.
-func (f *Federator) querySource(ctx context.Context, ss *sourceState, role, action rdf.IRI, query string) (*Result, SourceStatus) {
-	status := SourceStatus{Source: ss.src.Name()}
+// It returns the source's answer, or nil when the source gave none. A body
+// that is not JSON is no answer: it came from outside the process, and what
+// the router sends on must be what a replica writes. Each source asked gets
+// a fed.source span — including a breaker-rejected or dead one, so a skipped
+// peer shows up in the trace as a failed span rather than a hole.
+func (f *Federator) querySource(ctx context.Context, ss *sourceState, rawQuery string) *Answer {
+	name := ss.src.Name()
 	ctx, span := obs.StartSpan(ctx, "fed.source")
-	span.SetAttr("source", ss.src.Name())
+	span.SetAttr("source", name)
 	if ss.breaker != nil {
 		span.SetAttr("breaker", ss.breaker.State().String())
 	}
 	start := time.Now()
+	state, attempts := StateOK, 0
 	defer func() {
-		status.Millis = float64(time.Since(start).Microseconds()) / 1000
 		ss.mLatency.ObserveSince(start)
-		span.SetAttr("state", status.State)
-		span.Add("attempts", int64(status.Attempts))
+		span.SetAttr("state", state)
+		span.Add("attempts", int64(attempts))
 		span.End()
 	}()
 
@@ -257,30 +208,30 @@ func (f *Federator) querySource(ctx context.Context, ss *sourceState, role, acti
 	if ss.breaker != nil {
 		r, err := ss.breaker.Allow()
 		if err != nil {
-			status.State = StateOpen
-			status.Error = err.Error()
+			state = StateOpen
 			ss.mOpen.Inc()
 			span.Fail(err)
-			return nil, status
+			return nil
 		}
 		report = r
 	}
 	ss.budget.Deposit()
 
 	var lastErr error
-	for attempt := 1; attempt <= f.cfg.Retry.MaxAttempts; attempt++ {
-		status.Attempts = attempt
+	for attempts = 1; attempts <= f.cfg.Retry.MaxAttempts; attempts++ {
 		actx, cancel := context.WithTimeout(ctx, f.cfg.SourceTimeout)
-		res, err := ss.src.Query(actx, role, action, query)
+		ans, err := ss.src.Query(actx, rawQuery)
 		cancel()
+		if err == nil && !json.Valid(ans.Body) {
+			err = fmt.Errorf("federation: undecodable %s answer", name)
+		}
 		if err == nil {
 			report(true)
-			status.State = StateOK
 			ss.mOK.Inc()
-			return res, status
+			return ans
 		}
 		lastErr = err
-		if ctx.Err() != nil || !IsRetryable(err) || attempt == f.cfg.Retry.MaxAttempts {
+		if ctx.Err() != nil || !IsRetryable(err) || attempts == f.cfg.Retry.MaxAttempts {
 			break
 		}
 		if !ss.budget.Withdraw() {
@@ -293,12 +244,9 @@ func (f *Federator) querySource(ctx context.Context, ss *sourceState, role, acti
 		// our backoff and its Retry-After hint (still capped — the hint is
 		// advice from an overloaded machine, not a contract), so retries
 		// land after its queue drains instead of joining the stampede.
-		delay := f.cfg.Retry.backoff(attempt)
+		delay := f.cfg.Retry.backoff(attempts)
 		if hint := RetryAfterHint(err); hint > delay {
-			delay = hint
-			if delay > f.cfg.Retry.MaxDelay {
-				delay = f.cfg.Retry.MaxDelay
-			}
+			delay = min(hint, f.cfg.Retry.MaxDelay)
 		}
 		if err := f.cfg.Retry.sleep(ctx, delay); err != nil {
 			lastErr = err
@@ -308,21 +256,18 @@ func (f *Federator) querySource(ctx context.Context, ss *sourceState, role, acti
 	report(false)
 	switch {
 	case errors.Is(lastErr, context.DeadlineExceeded):
-		status.State = StateTimeout
+		state = StateTimeout
 		ss.mTimeout.Inc()
 	case IsShed(lastErr):
 		// The peer is up and talking — it refused the work on purpose. Keep
 		// the outcome distinct from faults so shed storms don't masquerade
 		// as peer failures on dashboards.
-		status.State = StateShed
+		state = StateShed
 		ss.mShed.Inc()
 	default:
-		status.State = StateError
+		state = StateError
 		ss.mErr.Inc()
 	}
-	if lastErr != nil {
-		status.Error = lastErr.Error()
-	}
 	span.Fail(lastErr)
-	return nil, status
+	return nil
 }

@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/rdf"
 )
 
 // remoteBodyLimit bounds how much of a peer's response is read: a
@@ -20,9 +18,9 @@ import (
 const remoteBodyLimit = 32 << 20
 
 // RemoteSource queries a peer G-SACS server over its v1 HTTP API
-// (GET {base}/v1/query?role=...&q=...). The action parameter is implied by
-// the endpoint (view); transport failures, 5xx answers and undecodable
-// bodies surface as retryable errors, 4xx answers as terminal ones.
+// (GET {base}/v1/query?{raw query}). Transport failures and the statuses
+// that say "ask elsewhere" (5xx, 429, 408) surface as retryable errors; any
+// other status is the peer's answer.
 type RemoteSource struct {
 	name   string
 	base   string // e.g. "http://peer:8080", no trailing slash
@@ -50,72 +48,31 @@ func (s *RemoteSource) Base() string { return s.base }
 
 // FetchJSON GETs {base}{path} (path must start with "/") and decodes the
 // JSON body into out, with the same trace propagation, body bound and
-// status handling as Query. Non-200 answers surface as *StatusError carrying
-// the peer's error envelope — the cluster rollup uses this to read a peer's
-// /v1/slo, /v1/queries and /healthz without duplicating client plumbing.
+// status handling as Query; any status but 200 is a *StatusError carrying
+// the peer's error envelope. The cluster rollup reads a peer's /v1/slo,
+// /v1/queries and /healthz with it.
 func (s *RemoteSource) FetchJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+path, nil)
-	if err != nil {
-		return fmt.Errorf("federation: build request for %s: %w", s.name, err)
-	}
-	if id := obs.TraceID(ctx); id != "" {
-		req.Header.Set(obs.TraceHeader, id)
-	}
-	if sid := obs.CurrentSpanID(ctx); sid != "" {
-		req.Header.Set(obs.ParentSpanHeader, sid)
-	}
-	resp, err := s.client.Do(req)
+	ans, err := s.get(ctx, path, func(status int) bool { return status == http.StatusOK })
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, remoteBodyLimit))
-	if err != nil {
-		return fmt.Errorf("federation: read %s response: %w", s.name, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		se := &StatusError{Status: resp.StatusCode}
-		var env struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
-		if json.Unmarshal(body, &env) == nil {
-			se.Code, se.Msg = env.Code, env.Error
-		}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
-				se.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return se
-	}
-	if err := json.Unmarshal(body, out); err != nil {
+	if err := json.Unmarshal(ans.Body, out); err != nil {
 		return fmt.Errorf("federation: undecodable %s response: %w", s.name, err)
 	}
 	return nil
 }
 
-// wireResult is the union of the v1 /query success shapes plus the error
-// envelope.
-type wireResult struct {
-	Head *struct {
-		Vars []string `json:"vars"`
-	} `json:"head"`
-	Results []map[string]string `json:"results"`
-	Boolean *bool               `json:"boolean"`
-	Triples *string             `json:"triples"`
-
-	Error string `json:"error"`
-	Code  string `json:"code"`
+// Query implements Source over HTTP.
+func (s *RemoteSource) Query(ctx context.Context, rawQuery string) (*Answer, error) {
+	return s.get(ctx, "/v1/query?"+rawQuery, func(status int) bool {
+		return status < 500 && status != http.StatusTooManyRequests && status != http.StatusRequestTimeout
+	})
 }
 
-// Query implements Source over HTTP.
-func (s *RemoteSource) Query(ctx context.Context, role, action rdf.IRI, query string) (*Result, error) {
-	q := url.Values{}
-	q.Set("role", string(role))
-	q.Set("q", query)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		s.base+"/v1/query?"+q.Encode(), nil)
+// get GETs {base}{path} and returns what the peer answered when answered(its
+// status) holds, and a *StatusError otherwise.
+func (s *RemoteSource) get(ctx context.Context, path string, answered func(status int) bool) (*Answer, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+path, nil)
 	if err != nil {
 		return nil, fmt.Errorf("federation: build request for %s: %w", s.name, err)
 	}
@@ -137,39 +94,23 @@ func (s *RemoteSource) Query(ctx context.Context, role, action rdf.IRI, query st
 	if err != nil {
 		return nil, fmt.Errorf("federation: read %s response: %w", s.name, err)
 	}
-	var wire wireResult
-	decodeErr := json.Unmarshal(body, &wire)
-	if resp.StatusCode != http.StatusOK {
-		se := &StatusError{Status: resp.StatusCode}
-		if decodeErr == nil {
-			se.Code, se.Msg = wire.Code, wire.Error
-		}
-		// An overloaded or restarting peer names its comeback time; carry it
-		// so the retry loop can honor it instead of stampeding back.
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
-				se.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return nil, se
+	if answered(resp.StatusCode) {
+		return &Answer{Status: resp.StatusCode, ContentType: resp.Header.Get("Content-Type"), Body: body}, nil
 	}
-	if decodeErr != nil {
-		return nil, fmt.Errorf("federation: undecodable %s response: %w", s.name, decodeErr)
+	se := &StatusError{Status: resp.StatusCode}
+	var env struct {
+		Error string `json:"error"`
+		Code  string `json:"code"`
 	}
-	switch {
-	case wire.Boolean != nil:
-		return &Result{Kind: KindAsk, Boolean: *wire.Boolean}, nil
-	case wire.Triples != nil:
-		out := &Result{Kind: KindGraph}
-		for _, line := range strings.Split(*wire.Triples, "\n") {
-			if line = strings.TrimSpace(line); line != "" {
-				out.Triples = append(out.Triples, line)
-			}
+	if json.Unmarshal(body, &env) == nil {
+		se.Code, se.Msg = env.Code, env.Error
+	}
+	// An overloaded or restarting peer names its comeback time; carry it so
+	// the retry loop can honor it instead of stampeding back.
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
+			se.RetryAfter = time.Duration(secs) * time.Second
 		}
-		return out, nil
-	case wire.Head != nil:
-		return &Result{Kind: KindSelect, Vars: wire.Head.Vars, Rows: wire.Results}, nil
-	default:
-		return nil, fmt.Errorf("federation: %s response has no recognizable result shape", s.name)
 	}
+	return nil, se
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/rdf"
 )
 
 // TestRemoteSourceTraceHeaders: a traced context must reach the peer as
@@ -26,13 +25,11 @@ func TestRemoteSourceTraceHeaders(t *testing.T) {
 	defer peer.Close()
 
 	src := NewRemoteSource("peer", peer.URL, nil)
-	role := rdf.IRI("http://example.org/Role")
-	action := rdf.IRI("http://example.org/View")
 
 	tr := obs.NewTracer(4)
 	ctx, root := tr.StartTrace(context.Background(), "req", "")
 	ctx, span := obs.StartSpan(ctx, "fed.source")
-	if _, err := src.Query(ctx, role, action, "SELECT ?s WHERE { ?s ?p ?o }"); err != nil {
+	if _, err := src.Query(ctx, "q=x"); err != nil {
 		t.Fatal(err)
 	}
 	got := <-headers
@@ -45,7 +42,7 @@ func TestRemoteSourceTraceHeaders(t *testing.T) {
 	span.End()
 	root.End()
 
-	if _, err := src.Query(context.Background(), role, action, "SELECT ?s WHERE { ?s ?p ?o }"); err != nil {
+	if _, err := src.Query(context.Background(), "q=x"); err != nil {
 		t.Fatal(err)
 	}
 	got = <-headers
@@ -55,24 +52,27 @@ func TestRemoteSourceTraceHeaders(t *testing.T) {
 }
 
 // TestFederatorPropagatesSpanToPeers exercises the same propagation through
-// the full fan-out: every peer must observe the shared trace ID and a parent
-// span that belongs to the originating trace.
+// the router: a peer that fails and the peer that answers after it must both
+// observe the shared trace ID and a parent span of the originating trace.
 func TestFederatorPropagatesSpanToPeers(t *testing.T) {
 	type seen struct{ traceID, parentSpan string }
 	headers := make(chan seen, 2)
-	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		headers <- seen{
-			traceID:    r.Header.Get(obs.TraceHeader),
-			parentSpan: r.Header.Get(obs.ParentSpanHeader),
-		}
-		w.Write([]byte(`{"head":{"vars":[]},"results":[]}`))
-	})
-	p1 := httptest.NewServer(handler)
+	peer := func(status int) *httptest.Server {
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			headers <- seen{
+				traceID:    r.Header.Get(obs.TraceHeader),
+				parentSpan: r.Header.Get(obs.ParentSpanHeader),
+			}
+			w.WriteHeader(status)
+			w.Write([]byte(`{"head":{"vars":[]},"results":[]}`))
+		}))
+	}
+	p1 := peer(http.StatusServiceUnavailable)
 	defer p1.Close()
-	p2 := httptest.NewServer(handler)
+	p2 := peer(http.StatusOK)
 	defer p2.Close()
 
-	fed, err := New(Config{},
+	fed, err := New(Config{Retry: RetryConfig{MaxAttempts: 1}},
 		NewRemoteSource("p1", p1.URL, nil),
 		NewRemoteSource("p2", p2.URL, nil))
 	if err != nil {
@@ -80,10 +80,8 @@ func TestFederatorPropagatesSpanToPeers(t *testing.T) {
 	}
 	tr := obs.NewTracer(4)
 	ctx, root := tr.StartTrace(context.Background(), "req", "")
-	resp := fed.Query(ctx, rdf.IRI("http://example.org/Role"),
-		rdf.IRI("http://example.org/View"), "SELECT ?s WHERE { ?s ?p ?o }")
-	if resp.Err != nil {
-		t.Fatal(resp.Err)
+	if _, err := fed.Query(ctx, "q=x"); err != nil {
+		t.Fatal(err)
 	}
 	root.End()
 

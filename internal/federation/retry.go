@@ -91,7 +91,7 @@ func (c *RetryConfig) backoff(retry int) time.Duration {
 // config's exponential/jitter policy with defaults filled in, without
 // mutating the receiver. Exported for callers outside the federator loop —
 // the replication follower paces its reconnects with the same policy a
-// federated query retry uses.
+// routed query retry uses.
 func (c RetryConfig) Backoff(retry int) time.Duration {
 	c.defaults()
 	return c.backoff(retry)
@@ -186,22 +186,6 @@ func IsShed(err error) bool {
 	return errors.As(err, &se) && se.Status == http.StatusTooManyRequests
 }
 
-// terminalError marks an error as not worth retrying regardless of its
-// underlying type.
-type terminalError struct{ err error }
-
-func (e *terminalError) Error() string { return e.err.Error() }
-func (e *terminalError) Unwrap() error { return e.err }
-
-// MarkTerminal wraps err so IsRetryable reports false — for failures known
-// to be deterministic, like a local parse error.
-func MarkTerminal(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &terminalError{err: err}
-}
-
 // IsRetryable classifies an error as transient (worth another attempt
 // against the same source) or terminal. Server-side failures, timeouts and
 // transport/decoding faults are transient; client-side errors (a malformed
@@ -211,10 +195,6 @@ func IsRetryable(err error) bool {
 		return false
 	}
 	if errors.Is(err, ErrOpen) || errors.Is(err, context.Canceled) {
-		return false
-	}
-	var te *terminalError
-	if errors.As(err, &te) {
 		return false
 	}
 	var se *StatusError

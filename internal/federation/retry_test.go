@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/rdf"
 )
 
 // TestBackoffBounds checks the exponential envelope: every delay for retry
@@ -95,30 +93,33 @@ func TestIsRetryable(t *testing.T) {
 	}
 }
 
-// scriptedSource fails a fixed number of times before succeeding, recording
-// call times.
+// scriptedSource fails a fixed number of times before answering, counting
+// calls. Its answer is answer, or a 200 with an empty result when nil.
 type scriptedSource struct {
 	mu        sync.Mutex
 	failures  int
 	calls     int
 	failError error
+	answer    *Answer
 }
 
 func (s *scriptedSource) Name() string { return "scripted" }
 
-func (s *scriptedSource) Query(ctx context.Context, role, action rdf.IRI, q string) (*Result, error) {
+func (s *scriptedSource) Query(ctx context.Context, rawQuery string) (*Answer, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.calls++
 	if s.calls <= s.failures {
 		return nil, s.failError
 	}
-	return &Result{Kind: KindSelect, Vars: []string{"x"},
-		Rows: []map[string]string{{"x": "\"v\""}}}, nil
+	if s.answer != nil {
+		return s.answer, nil
+	}
+	return &Answer{Status: 200, ContentType: "application/json", Body: []byte(`{"head":{"vars":["x"]},"results":[]}`)}, nil
 }
 
 // TestFederatorRetriesThenSucceeds verifies the retry loop: two transient
-// failures then success yields an OK status with 3 attempts and two backoff
+// failures then success yields the answer after 3 attempts and two backoff
 // sleeps whose durations follow the (jitter-free) schedule.
 func TestFederatorRetriesThenSucceeds(t *testing.T) {
 	var slept []time.Duration
@@ -141,16 +142,12 @@ func TestFederatorRetriesThenSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := fed.Query(context.Background(), "r", "a", "q")
-	if resp.Err != nil {
-		t.Fatalf("Query error: %v", resp.Err)
+	ans, err := fed.Query(context.Background(), "q=x")
+	if err != nil {
+		t.Fatalf("Query error: %v", err)
 	}
-	if resp.Degraded {
-		t.Error("successful retry marked degraded")
-	}
-	st := resp.Sources[0]
-	if st.State != StateOK || st.Attempts != 3 {
-		t.Fatalf("status = %+v, want ok after 3 attempts", st)
+	if ans.Status != 200 || src.calls != 3 {
+		t.Fatalf("answer %+v after %d calls, want 200 after 3", ans, src.calls)
 	}
 	if len(slept) != 2 {
 		t.Fatalf("sleeps = %v, want 2 backoffs", slept)
@@ -164,8 +161,8 @@ func TestFederatorRetriesThenSucceeds(t *testing.T) {
 	}
 }
 
-// TestFederatorTerminalErrorNotRetried verifies a 4xx stops the loop after
-// one attempt.
+// TestFederatorTerminalErrorNotRetried verifies a 4xx is the answer: it
+// stops the loop after one attempt and is passed on as it is.
 func TestFederatorTerminalErrorNotRetried(t *testing.T) {
 	var slept int
 	cfg := Config{
@@ -177,14 +174,15 @@ func TestFederatorTerminalErrorNotRetried(t *testing.T) {
 			},
 		},
 	}
-	src := &scriptedSource{failures: 99, failError: &StatusError{Status: 400, Code: "query_error"}}
+	refusal := &Answer{Status: 400, ContentType: "application/json", Body: []byte(`{"error":"parse","code":"query_error"}`)}
+	src := &scriptedSource{answer: refusal}
 	fed, err := New(cfg, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := fed.Query(context.Background(), "r", "a", "q")
-	if resp.Err == nil || !errors.Is(resp.Err, ErrAllSourcesFailed) {
-		t.Fatalf("Err = %v, want ErrAllSourcesFailed", resp.Err)
+	ans, err := fed.Query(context.Background(), "q=x")
+	if err != nil || ans != refusal {
+		t.Fatalf("Query = %+v, %v; want the 400 answer", ans, err)
 	}
 	if src.calls != 1 || slept != 0 {
 		t.Errorf("terminal error retried: calls=%d sleeps=%d, want 1/0", src.calls, slept)
@@ -213,7 +211,7 @@ func TestFederatorRetryBudgetCaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		fed.Query(context.Background(), "r", "a", "q")
+		fed.Query(context.Background(), "q=x")
 	}
 	// 10 requests × 1 retry each would be 10 retries; the budget allows ~3.
 	if slept != 3 {

@@ -63,9 +63,8 @@ func TestRetryAfterStretchesBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := fed.Query(context.Background(), "r", "a", "q")
-	if resp.Err != nil {
-		t.Fatalf("Query error: %v", resp.Err)
+	if _, err := fed.Query(context.Background(), "q=x"); err != nil {
+		t.Fatalf("Query error: %v", err)
 	}
 	if len(slept) != 2 {
 		t.Fatalf("sleeps = %v, want 2", slept)
@@ -84,8 +83,8 @@ func TestRetryAfterStretchesBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := fed.Query(context.Background(), "r", "a", "q"); resp.Err != nil {
-		t.Fatalf("Query error: %v", resp.Err)
+	if _, err := fed.Query(context.Background(), "q=x"); err != nil {
+		t.Fatalf("Query error: %v", err)
 	}
 	if len(slept) != 1 || slept[0] != 700*time.Millisecond {
 		t.Errorf("sleeps = %v, want the hint capped at MaxDelay (700ms)", slept)
@@ -109,12 +108,8 @@ func TestFinal429ClassifiedShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := fed.Query(context.Background(), "r", "a", "q")
-	if !errors.Is(resp.Err, ErrAllSourcesFailed) {
-		t.Fatalf("Err = %v, want ErrAllSourcesFailed", resp.Err)
-	}
-	if st := resp.Sources[0]; st.State != StateShed {
-		t.Fatalf("state = %q, want %q", st.State, StateShed)
+	if _, err := fed.Query(context.Background(), "q=x"); !errors.Is(err, ErrAllSourcesFailed) {
+		t.Fatalf("Err = %v, want ErrAllSourcesFailed", err)
 	}
 	found := false
 	for _, m := range reg.Snapshot() {
@@ -137,7 +132,7 @@ func TestRemoteSourceParsesRetryAfter(t *testing.T) {
 	}))
 	defer srv.Close()
 	src := NewRemoteSource("peer", srv.URL, nil)
-	_, err := src.Query(context.Background(), "r", "a", "SELECT ?s WHERE {?s ?p ?o}")
+	_, err := src.Query(context.Background(), "q=x")
 	var se *StatusError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StatusError", err)

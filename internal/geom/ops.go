@@ -173,98 +173,142 @@ func eachPolygonSegment(p Polygon, f func(a, b Coord) bool) bool {
 	return true
 }
 
-// representativePoints extracts coordinates that can witness containment.
-func representativePoints(g Geometry) []Coord {
+// eachPoint calls f on every coordinate of g that can witness containment —
+// a line's vertices, each polygon's exterior ring, an envelope's corners and
+// center — until f returns false; it reports whether f saw them all. Like
+// eachSegment it walks the coordinates where they are.
+func eachPoint(g Geometry, f func(Coord) bool) bool {
 	switch v := g.(type) {
 	case Point:
-		return []Coord{v.C}
+		return f(v.C)
 	case LineString:
-		return v.Coords
+		return eachCoord(v.Coords, f)
 	case LinearRing:
-		return v.Coords
+		return eachCoord(v.Coords, f)
 	case Polygon:
-		return v.Exterior.Coords
+		return eachCoord(v.Exterior.Coords, f)
 	case Solid:
-		var out []Coord
-		for _, p := range v.Boundary {
-			out = append(out, p.Exterior.Coords...)
-		}
-		return out
+		return eachExterior(v.Boundary, f)
 	case MultiPoint:
-		out := make([]Coord, len(v.Points))
-		for i, p := range v.Points {
-			out[i] = p.C
+		for _, p := range v.Points {
+			if !f(p.C) {
+				return false
+			}
 		}
-		return out
 	case MultiCurve:
-		var out []Coord
 		for _, c := range v.Curves {
-			out = append(out, c.Coords...)
+			if !eachCoord(c.Coords, f) {
+				return false
+			}
 		}
-		return out
 	case MultiSurface:
-		var out []Coord
-		for _, s := range v.Surfaces {
-			out = append(out, s.Exterior.Coords...)
-		}
-		return out
+		return eachExterior(v.Surfaces, f)
 	case CompositeCurve:
-		var out []Coord
 		for _, m := range v.Members {
-			out = append(out, representativePoints(m)...)
+			if !eachPoint(m, f) {
+				return false
+			}
 		}
-		return out
 	case CompositeSurface:
-		var out []Coord
-		for _, m := range v.Members {
-			out = append(out, representativePoints(m)...)
-		}
-		return out
+		return eachExterior(v.Members, f)
 	case Complex:
-		var out []Coord
 		for _, m := range v.Members {
-			out = append(out, representativePoints(m)...)
+			if !eachPoint(m, f) {
+				return false
+			}
 		}
-		return out
 	case Envelope:
 		if v.Empty {
-			return nil
+			return true
 		}
 		ll, ur := v.Corners()
-		return []Coord{ll, ur, v.Center()}
+		return f(ll) && f(ur) && f(v.Center())
 	}
-	return nil
+	return true
 }
 
-// containersOf lists the areal components of g (for containment tests).
-func containersOf(g Geometry) []Polygon {
+// eachCoord is eachPoint of a coordinate chain.
+func eachCoord(cs []Coord, f func(Coord) bool) bool {
+	for _, c := range cs {
+		if !f(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// eachExterior is eachPoint of polygons: their exterior rings in turn.
+func eachExterior(ps []Polygon, f func(Coord) bool) bool {
+	for _, p := range ps {
+		if !eachCoord(p.Exterior.Coords, f) {
+			return false
+		}
+	}
+	return true
+}
+
+// arealParts counts the areal components of g: its polygons, surface
+// members, a solid's boundary polygons, an envelope's box.
+func arealParts(g Geometry) int {
 	switch v := g.(type) {
 	case Polygon:
-		return []Polygon{v}
+		return 1
 	case MultiSurface:
-		return v.Surfaces
+		return len(v.Surfaces)
 	case CompositeSurface:
-		return v.Members
+		return len(v.Members)
 	case Solid:
-		return v.Boundary
+		return len(v.Boundary)
 	case Complex:
-		var out []Polygon
+		n := 0
 		for _, m := range v.Members {
-			out = append(out, containersOf(m)...)
+			n += arealParts(m)
 		}
-		return out
+		return n
 	case Envelope:
-		if v.Empty {
-			return nil
+		if !v.Empty {
+			return 1
 		}
-		ll, ur := v.Corners()
-		ring, err := NewLinearRing([]Coord{ll, {ur.X, ll.Y}, ur, {ll.X, ur.Y}, ll})
-		if err != nil {
-			return nil
-		}
-		return []Polygon{NewPolygon(ring)}
 	}
-	return nil
+	return 0
+}
+
+// inAreal reports whether p lies in one of g's areal components (holes
+// excluded, boundaries inclusive).
+func inAreal(g Geometry, p Coord) bool {
+	switch v := g.(type) {
+	case Polygon:
+		return PointInPolygon(p, v)
+	case MultiSurface:
+		return inSomePolygon(v.Surfaces, p)
+	case CompositeSurface:
+		return inSomePolygon(v.Members, p)
+	case Solid:
+		return inSomePolygon(v.Boundary, p)
+	case Complex:
+		for _, m := range v.Members {
+			if inAreal(m, p) {
+				return true
+			}
+		}
+	case Envelope:
+		if !v.Empty {
+			ll, ur := v.Corners()
+			ring := [5]Coord{ll, {ur.X, ll.Y}, ur, {ll.X, ur.Y}, ll}
+			return pointInRing(p, ring[:])
+		}
+	}
+	return false
+}
+
+// inSomePolygon reports whether p lies in one of ps.
+func inSomePolygon(ps []Polygon, p Coord) bool {
+	for _, poly := range ps {
+		if PointInPolygon(p, poly) {
+			return true
+		}
+	}
+	return false
 }
 
 // Intersects reports whether a and b share at least one point. Envelope
@@ -284,19 +328,11 @@ func Intersects(a, b Geometry) bool {
 		return true
 	}
 	// No edge crossings: one may contain the other, or point geometries.
-	for _, poly := range containersOf(a) {
-		for _, p := range representativePoints(b) {
-			if PointInPolygon(p, poly) {
-				return true
-			}
-		}
+	holds := func(outer, inner Geometry) bool {
+		return arealParts(outer) > 0 && !eachPoint(inner, func(p Coord) bool { return !inAreal(outer, p) })
 	}
-	for _, poly := range containersOf(b) {
-		for _, p := range representativePoints(a) {
-			if PointInPolygon(p, poly) {
-				return true
-			}
-		}
+	if holds(a, b) || holds(b, a) {
+		return true
 	}
 	// Point-point / point-line coincidence.
 	if pa, ok := a.(Point); ok {
@@ -327,38 +363,19 @@ func Within(a, b Geometry) bool {
 	if !b.Envelope().ContainsEnv(a.Envelope()) {
 		return false
 	}
-	containers := containersOf(b)
-	if len(containers) == 0 {
+	parts, points := arealParts(b), 0
+	if parts == 0 {
 		return false
 	}
-	pts := representativePoints(a)
-	if len(pts) == 0 {
+	if !eachPoint(a, func(p Coord) bool { points++; return inAreal(b, p) }) || points == 0 {
 		return false
-	}
-	for _, p := range pts {
-		inSome := false
-		for _, poly := range containers {
-			if PointInPolygon(p, poly) {
-				inSome = true
-				break
-			}
-		}
-		if !inSome {
-			return false
-		}
 	}
 	// Edges of a must not cross container boundaries outward; for convex and
 	// well-formed data the vertex test suffices, but guard against a crossing
 	// edge whose endpoints are inside different components.
-	if len(containers) > 1 {
+	if parts > 1 {
 		return eachSegment(a, func(a0, a1 Coord) bool {
-			mid := Coord{(a0.X + a1.X) / 2, (a0.Y + a1.Y) / 2}
-			for _, poly := range containers {
-				if PointInPolygon(mid, poly) {
-					return true
-				}
-			}
-			return false
+			return inAreal(b, Coord{(a0.X + a1.X) / 2, (a0.Y + a1.Y) / 2})
 		})
 	}
 	return true
@@ -391,38 +408,40 @@ func Distance(a, b Geometry) float64 {
 		return 0
 	}
 	best := math.Inf(1)
-	ptsA, ptsB := representativePoints(a), representativePoints(b)
-	for _, p := range ptsA {
+	eachPoint(a, func(p Coord) bool {
 		eachSegment(b, func(s0, s1 Coord) bool {
 			best = math.Min(best, pointSegDist(p, s0, s1))
 			return true
 		})
-		for _, q := range ptsB {
+		eachPoint(b, func(q Coord) bool {
 			best = math.Min(best, p.Dist(q))
-		}
-	}
-	for _, p := range ptsB {
+			return true
+		})
+		return true
+	})
+	eachPoint(b, func(p Coord) bool {
 		eachSegment(a, func(s0, s1 Coord) bool {
 			best = math.Min(best, pointSegDist(p, s0, s1))
 			return true
 		})
-	}
+		return true
+	})
 	return best
 }
 
 // Centroid returns a representative center: the mean of representative
 // points (adequate for layer labelling and distance heuristics).
 func Centroid(g Geometry) Coord {
-	pts := representativePoints(g)
-	if len(pts) == 0 {
+	var sx, sy float64
+	n := 0
+	eachPoint(g, func(p Coord) bool {
+		sx, sy, n = sx+p.X, sy+p.Y, n+1
+		return true
+	})
+	if n == 0 {
 		return Coord{}
 	}
-	var sx, sy float64
-	for _, p := range pts {
-		sx += p.X
-		sy += p.Y
-	}
-	return Coord{sx / float64(len(pts)), sy / float64(len(pts))}
+	return Coord{sx / float64(n), sy / float64(n)}
 }
 
 // Buffer returns an axis-aligned envelope expanded by d in every direction —

@@ -41,8 +41,8 @@ type AuditEntry struct {
 	Subject  rdf.IRI `json:"subject"`
 	Action   rdf.IRI `json:"action"`
 	Resource string  `json:"resource"`
-	// Outcome is the request's, as the middleware books it (ok, error, shed,
-	// degraded); Allowed and Full summarize the decision.
+	// Outcome is the request's, as the middleware books it (ok, error,
+	// shed); Allowed and Full summarize the decision.
 	Outcome string `json:"outcome"`
 	Allowed bool   `json:"allowed"`
 	Full    bool   `json:"full"`

@@ -45,9 +45,9 @@ type clusterRollup struct {
 	topK     int
 }
 
-// WithCluster mounts GET /v1/cluster on a router/leader node: a fan-out —
+// WithCluster mounts GET /v1/cluster on a router: a fan-out —
 // over the federation client machinery, so trace propagation, body bounds
-// and error envelopes are shared with query federation — to every peer's
+// and error envelopes are shared with query routing — to every peer's
 // /v1/slo, /v1/queries and /healthz, merged into one fleet view: per-peer
 // health / SLO / replication blocks plus a fleet-wide heavy-hitter list
 // summing per-fingerprint counts across nodes. Fingerprints are computed
@@ -170,7 +170,6 @@ func mergeTopQueries(lists [][]workload.Snapshot, k int) []workload.Snapshot {
 			acc.CountError += snap.CountError
 			acc.Errors += snap.Errors
 			acc.Shed += snap.Shed
-			acc.Degraded += snap.Degraded
 			acc.Reorders += snap.Reorders
 			acc.RowsScan += snap.RowsScan
 			acc.RowsOut += snap.RowsOut

@@ -130,10 +130,11 @@ func TestQueryAllocationsPerRow(t *testing.T) {
 }
 
 // TestSpatialAllocationsPerRow: the spatial shape's distance FILTER walks the
-// geometries' segments where they are. The bound is the measured 897
-// allocations for 110 rows plus 15%; a segment list made per call cost 1,200.
+// geometries' segments, vertices and areal parts where they are. The bound is
+// the measured 763 allocations for 110 rows plus 15%; a segment list made per
+// call cost 1,200, and point and polygon lists made per call 897.
 func TestSpatialAllocationsPerRow(t *testing.T) {
-	checkAllocationsPerRow(t, map[string]rowBound{"spatial": {110, 897.0 / 110 * 1.15}})
+	checkAllocationsPerRow(t, map[string]rowBound{"spatial": {110, 763.0 / 110 * 1.15}})
 }
 
 // rowBound is the rows a shape answers with and the allocations it may make

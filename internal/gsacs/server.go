@@ -132,10 +132,9 @@ func WithQueryTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.queryTimeout = d }
 }
 
-// WithFederator routes /v1/query through a multi-source federator instead
-// of the local engine alone. Federated responses carry a "degraded" flag
-// and a per-source "sources" status block; a request fails outright only
-// when every source does.
+// WithFederator makes the server a router: /v1/query, explain included, is
+// forwarded to one of the federator's replicas and answered with that
+// replica's bytes. A request fails only when every replica does.
 func WithFederator(f *federation.Federator) ServerOption {
 	return func(s *Server) { s.fed = f }
 }
@@ -157,7 +156,7 @@ func WithReadiness(ready func() bool) ServerOption {
 
 // WithTracer records a hierarchical span tree for every request (root span
 // in the middleware, child spans in the decision engine, query cache, SPARQL
-// join executor, federation fan-out and WAL) and mounts the inspection
+// join executor, the router's forward and WAL) and mounts the inspection
 // surface: /v1/traces lists recent traces, /v1/traces/{id} renders one tree.
 func WithTracer(t *obs.Tracer) ServerOption {
 	return func(s *Server) { s.tracer = t }
@@ -247,7 +246,7 @@ func WithAdmission(cfg AdmissionConfig) ServerOption {
 
 // WithWorkload attaches the per-fingerprint workload stats table: the
 // middleware books into it every request that carried a query — evaluated,
-// failed, shed or degraded, with the request's latency — and GET /v1/queries
+// failed or shed, with the request's latency — and GET /v1/queries
 // serves the heavy-hitter view (top-K by count, or one fingerprint's detail
 // via ?fp=<hex>).
 func WithWorkload(t *workload.Table) ServerOption {
@@ -842,7 +841,8 @@ func (s *Server) handleResource(w http.ResponseWriter, r *http.Request) {
 
 // handleQuery parses the query once: its shape goes on the request's record
 // before anything can fail, the parsed query is what the engine evaluates, and
-// what the evaluation did goes on the record after.
+// what the evaluation did goes on the record after. A router books the shape
+// and forwards the request, explain included, to a replica.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	params := r.URL.Query()
 	role, ok := s.role(w, r, params.Get("role"))
@@ -855,7 +855,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	explain := params.Get("explain")
-	if explain == "1" || explain == "true" {
+	if s.fed == nil && (explain == "1" || explain == "true") {
 		plan, err := s.engine.ExplainQuery(r.Context(), role, seconto.ActionView, src)
 		if err != nil {
 			s.writeError(w, r, http.StatusBadRequest, "query_error", err.Error())
@@ -877,12 +877,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.queryTimeout)
 		defer cancel()
 	}
-	if explain == "analyze" {
-		s.handleExplainAnalyze(w, r, ctx, role, q)
+	if s.fed != nil {
+		s.forwardQuery(w, r, ctx)
 		return
 	}
-	if s.fed != nil {
-		s.handleFederatedQuery(w, r, ctx, role, src)
+	if explain == "analyze" {
+		s.handleExplainAnalyze(w, r, ctx, role, q)
 		return
 	}
 	res, err := s.engine.EvalCtx(ctx, role, seconto.ActionView, q)
@@ -908,29 +908,25 @@ func (s *Server) writeQueryError(w http.ResponseWriter, r *http.Request, err err
 	}
 }
 
-// handleFederatedQuery fans the query out through the federator and renders
-// the merged result with the degradation envelope: "degraded" is true when
-// at least one source did not contribute, and "sources" reports what
-// happened at each. Only a total failure (every source down, or the
-// request deadline) is an error.
-func (s *Server) handleFederatedQuery(w http.ResponseWriter, r *http.Request, ctx context.Context, role rdf.IRI, q string) {
-	// The members decide on goroutines of their own, so this request's
-	// record, and its audit entry, carries no decision; a remote member
-	// books its own.
-	resp := s.fed.Query(obs.WithoutRequest(ctx), role, seconto.ActionView, q)
-	if resp.Err != nil {
-		s.writeQueryError(w, r, resp.Err, http.StatusBadGateway, "all_sources_failed")
+// forwardQuery answers a router's query, explain included, with one
+// replica's answer: its status, Content-Type and body go back as they came.
+// Only when no replica answers does the router speak for itself.
+func (s *Server) forwardQuery(w http.ResponseWriter, r *http.Request, ctx context.Context) {
+	ans, err := s.fed.Query(ctx, r.URL.RawQuery)
+	if err != nil {
+		s.writeQueryError(w, r, err, http.StatusBadGateway, "all_sources_failed")
 		return
 	}
-	body := federatedResultJSON(resp.Result)
-	body["degraded"] = resp.Degraded
-	body["sources"] = resp.Sources
-	if resp.Degraded {
-		// A partial answer is a quality incident for this query shape.
-		rec := obs.RequestOf(r.Context())
-		rec.Outcome, rec.Error = obs.OutcomeDegraded, fmt.Sprintf("%+v", resp.Sources)
+	var env errorEnvelope
+	if ans.Status != http.StatusOK && json.Unmarshal(ans.Body, &env) == nil {
+		obs.RequestOf(r.Context()).Error = env.Error
 	}
-	s.writeJSON(w, r, body)
+	w.Header().Set("Content-Type", ans.ContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(ans.Body)))
+	w.WriteHeader(ans.Status)
+	if _, err := w.Write(ans.Body); err != nil {
+		obs.RequestOf(r.Context()).Error = "write response: " + err.Error()
+	}
 }
 
 // analyzeStage is one executed BGP join step of an EXPLAIN ANALYZE response:
@@ -1019,28 +1015,6 @@ func (s *Server) handleExplainAnalyze(w http.ResponseWriter, r *http.Request, ct
 		"trace_id":  obs.TraceID(ctx),
 	}
 	s.writeJSON(w, r, body)
-}
-
-// federatedResultJSON renders a merged federation result in the same shape
-// writeResult gives a local one, so federated and single-engine responses
-// differ only by the added degradation envelope.
-func federatedResultJSON(res *federation.Result) map[string]any {
-	switch res.Kind {
-	case federation.KindAsk:
-		return map[string]any{"boolean": res.Boolean}
-	case federation.KindGraph:
-		return map[string]any{"triples": strings.Join(res.Triples, "\n")}
-	default:
-		vars := res.Vars
-		if vars == nil {
-			vars = []string{}
-		}
-		rows := res.Rows
-		if rows == nil {
-			rows = []map[string]string{}
-		}
-		return map[string]any{"head": map[string]any{"vars": vars}, "results": rows}
-	}
 }
 
 // handleAudit dumps the request audit trail (empty when auditing is off),

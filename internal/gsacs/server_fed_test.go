@@ -1,7 +1,6 @@
 package gsacs
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,113 +10,74 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/datagen"
 	"repro/internal/federation"
 	"repro/internal/grdf"
 	"repro/internal/obs"
 	"repro/internal/obs/workload"
 	"repro/internal/seconto"
+	"repro/internal/store"
 )
-
-// fedEnvelope is the degraded-response shape of a federated /v1/query.
-type fedEnvelope struct {
-	Head     struct{ Vars []string }   `json:"head"`
-	Results  []map[string]string       `json:"results"`
-	Degraded bool                      `json:"degraded"`
-	Sources  []federation.SourceStatus `json:"sources"`
-	Error    string                    `json:"error"`
-	Code     string                    `json:"code"`
-}
 
 const fedTestQuery = `SELECT ?site ?name WHERE {
   ?site a app:ChemSite .
   ?site app:hasSiteName ?name .
 }`
 
-// TestServerFederatedQueryDegraded is the acceptance chaos path end to end
-// over HTTP: two sources, one forced to 100% errors. The /v1/query answer
-// must carry the healthy source's solutions, degraded=true, a per-source
-// status block — and the down source's breaker must open within its
-// threshold.
-func TestServerFederatedQueryDegraded(t *testing.T) {
-	e, _ := scenarioEngine(t)
+// TestServerFederatedQueryFailsOver is the chaos path end to end over HTTP: a
+// router over a healthy replica and one forced to 100% errors. Every
+// /v1/query is answered with the healthy replica's bytes, the down replica's
+// breaker opens at its threshold, and from then on the router skips it.
+func TestServerFederatedQueryFailsOver(t *testing.T) {
+	e, sc := scenarioEngine(t)
+	healthy := newReplica(t, NewServer(e, nil))
 	downEngine, _ := scenarioEngine(t)
 	down := federation.NewFaultySource(
-		federation.NewLocalSource("down", downEngine),
+		federation.NewRemoteSource("down", newReplica(t, NewServer(downEngine, nil)).URL, nil),
 		federation.FaultConfig{Seed: 3, ErrorRate: 1.0})
 
 	const threshold = 3
 	fed, err := federation.New(federation.Config{
 		SourceTimeout: time.Second,
-		Retry:         federation.RetryConfig{MaxAttempts: 2, BaseDelay: time.Millisecond},
+		Retry:         federation.RetryConfig{MaxAttempts: 1},
 		Breaker:       federation.BreakerConfig{Threshold: threshold, Cooldown: time.Minute},
-	},
-		federation.NewLocalSource("local", e), down)
+	}, federation.NewRemoteSource("healthy", healthy.URL, nil), down)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wl := workload.New(workload.Config{Capacity: 8})
-	srv := httptest.NewServer(NewServer(e, nil, WithFederator(fed), WithWorkload(wl)))
+	srv := httptest.NewServer(NewServer(New(sc.Policies, store.New(), Options{}), nil,
+		WithFederator(fed), WithWorkload(wl)))
 	defer srv.Close()
 
-	// Baseline: what the healthy engine alone answers.
-	res, err := e.QueryCtx(context.Background(), datagen.RoleEmergency, seconto.ActionView, fedTestQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows := len(res.Bindings())
-	if wantRows == 0 {
-		t.Fatal("baseline query returned no rows; test is vacuous")
-	}
-
 	path := "/v1/query?role=EmergencyResponse&q=" + url.QueryEscape(fedTestQuery)
-	for i := 0; i < threshold+2; i++ {
-		resp, body := doReq(t, srv, http.MethodGet, path)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status %d body %s", i, resp.StatusCode, body)
-		}
-		var env fedEnvelope
-		if err := json.Unmarshal([]byte(body), &env); err != nil {
-			t.Fatalf("request %d: bad JSON: %v", i, err)
-		}
-		if !env.Degraded {
-			t.Fatalf("request %d: degraded = false with a 100%%-error source", i)
-		}
-		if len(env.Results) != wantRows {
-			t.Fatalf("request %d: %d rows, want the healthy source's %d", i, len(env.Results), wantRows)
-		}
-		if len(env.Sources) != 2 {
-			t.Fatalf("request %d: sources block %+v, want 2 entries", i, env.Sources)
-		}
-		for _, st := range env.Sources {
-			switch st.Source {
-			case "local":
-				if st.State != federation.StateOK {
-					t.Errorf("request %d: local state %s, want ok", i, st.State)
-				}
-			case "down":
-				if i >= threshold && st.State != federation.StateOpen {
-					t.Errorf("request %d: down state %s, want open after %d failures",
-						i, st.State, threshold)
-				}
-			}
+	_, _, want := get(t, healthy.URL, path)
+	if !strings.Contains(want, "chem_site") {
+		t.Fatalf("the healthy replica answers no sites, the test shows nothing: %s", want)
+	}
+	// The down replica is first in line on every second request.
+	const requests = 2*threshold + 2
+	for i := range requests {
+		if code, _, body := get(t, srv.URL, path); code != http.StatusOK || body != want {
+			t.Fatalf("request %d: %d %s, want the healthy replica's answer", i, code, body)
 		}
 	}
 	if st, ok := fed.BreakerState("down"); !ok || st != federation.Open {
 		t.Errorf("down breaker = %v (known %v), want open", st, ok)
 	}
-	// Each request is booked once, as degraded, whatever its sources did.
-	if top := wl.TopK(2); len(top) != 1 || top[0].Count != threshold+2 || top[0].Degraded != threshold+2 {
-		t.Errorf("/v1/queries books %+v, want one shape with %d degraded requests", top, threshold+2)
+	if n := down.Stats().Requests; n != threshold {
+		t.Errorf("the down replica was asked %d times, want %d: an open breaker skips it", n, threshold)
+	}
+	if top := wl.TopK(2); len(top) != 1 || top[0].Count != requests || top[0].Errors != 0 {
+		t.Errorf("/v1/queries books %+v, want one shape with %d answered requests", top, requests)
 	}
 }
 
 // TestServerFederatedAllSourcesFailed checks the one hard-failure case:
 // every source down answers 502 with the uniform error envelope.
 func TestServerFederatedAllSourcesFailed(t *testing.T) {
-	e, _ := scenarioEngine(t)
+	e, sc := scenarioEngine(t)
 	down := federation.NewFaultySource(
-		federation.NewLocalSource("down", e),
+		federation.NewRemoteSource("down", newReplica(t, NewServer(e, nil)).URL, nil),
 		federation.FaultConfig{Seed: 3, ErrorRate: 1.0})
 	fed, err := federation.New(federation.Config{
 		Retry: federation.RetryConfig{MaxAttempts: 1},
@@ -125,7 +85,7 @@ func TestServerFederatedAllSourcesFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(e, nil, WithFederator(fed)))
+	srv := httptest.NewServer(NewServer(New(sc.Policies, store.New(), Options{}), nil, WithFederator(fed)))
 	defer srv.Close()
 
 	resp, body := doReq(t, srv, http.MethodGet,
@@ -133,7 +93,7 @@ func TestServerFederatedAllSourcesFailed(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("status = %d body %s, want 502", resp.StatusCode, body)
 	}
-	var env fedEnvelope
+	var env errorEnvelope
 	if err := json.Unmarshal([]byte(body), &env); err != nil {
 		t.Fatal(err)
 	}

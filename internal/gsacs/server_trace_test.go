@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/federation"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // traceNode mirrors the nested tree shape of /v1/traces/{id}.
@@ -64,14 +65,15 @@ func fetchTrace(t *testing.T, srv *httptest.Server, id string) traceBody {
 	return tb
 }
 
-// TestServerFederatedTraceTree is the acceptance path: a federated query over
-// a healthy peer, the local engine, and a SIGKILL'd peer (closed listener)
-// must yield one trace whose tree parents a fed.source span per member under
-// fed.fanout under the HTTP root — with the dead peer present as a FAILED
-// span, not a hole.
+// TestServerFederatedTraceTree is the acceptance path: a query through a
+// router over a SIGKILL'd replica (closed listener) and a healthy one must
+// yield one trace whose tree parents a fed.source span per replica asked
+// under fed.forward under the HTTP root — with the dead replica present as a
+// FAILED span, not a hole — and the replica that answered holds the query's
+// own spans under the same trace ID, parented under its fed.source span.
 func TestServerFederatedTraceTree(t *testing.T) {
-	peerEngine, _ := scenarioEngine(t)
-	peer := httptest.NewServer(NewServer(peerEngine, nil))
+	peerEngine, sc := scenarioEngine(t)
+	peer := httptest.NewServer(NewServer(peerEngine, nil, WithTracer(obs.NewTracer(64))))
 	defer peer.Close()
 
 	// A listener bound then closed: connecting gets connection-refused, the
@@ -83,20 +85,20 @@ func TestServerFederatedTraceTree(t *testing.T) {
 	deadURL := "http://" + deadLn.Addr().String()
 	deadLn.Close()
 
-	e, _ := scenarioEngine(t)
+	// The first request starts at the first source: the dead one.
 	fed, err := federation.New(federation.Config{
 		SourceTimeout:  time.Second,
 		Retry:          federation.RetryConfig{MaxAttempts: 2, BaseDelay: time.Millisecond},
 		DisableBreaker: true,
 	},
-		federation.NewLocalSource("local", e),
-		federation.NewRemoteSource("peer", peer.URL, nil),
-		federation.NewRemoteSource("dead", deadURL, nil))
+		federation.NewRemoteSource("dead", deadURL, nil),
+		federation.NewRemoteSource("peer", peer.URL, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tracer := obs.NewTracer(64)
-	srv := httptest.NewServer(NewServer(e, nil, WithFederator(fed), WithTracer(tracer)))
+	srv := httptest.NewServer(NewServer(New(sc.Policies, store.New(), Options{}), nil,
+		WithFederator(fed), WithTracer(tracer)))
 	defer srv.Close()
 
 	resp, body := doReq(t, srv, http.MethodGet,
@@ -115,21 +117,21 @@ func TestServerFederatedTraceTree(t *testing.T) {
 			tb.Root, len(tb.Tree))
 	}
 	root := tb.Tree[0]
-	fanouts := findSpans([]traceNode{root}, "fed.fanout")
-	if len(fanouts) != 1 {
-		t.Fatalf("fed.fanout spans = %d, want 1", len(fanouts))
+	forwards := findSpans([]traceNode{root}, "fed.forward")
+	if len(forwards) != 1 {
+		t.Fatalf("fed.forward spans = %d, want 1", len(forwards))
 	}
-	if fanouts[0].ParentID != root.SpanID {
-		t.Error("fed.fanout not parented under the HTTP root")
+	if forwards[0].ParentID != root.SpanID {
+		t.Error("fed.forward not parented under the HTTP root")
 	}
-	sources := findSpans(fanouts, "fed.source")
-	if len(sources) != 3 {
-		t.Fatalf("fed.source spans = %d, want 3 (local, peer, dead)", len(sources))
+	sources := findSpans(forwards, "fed.source")
+	if len(sources) != 2 {
+		t.Fatalf("fed.source spans = %d, want 2 (dead, peer)", len(sources))
 	}
 	byName := map[string]traceNode{}
 	for _, s := range sources {
-		if s.ParentID != fanouts[0].SpanID {
-			t.Errorf("fed.source %q parented under %q, want the fanout span",
+		if s.ParentID != forwards[0].SpanID {
+			t.Errorf("fed.source %q parented under %q, want the forward span",
 				s.Attrs["source"], s.ParentID)
 		}
 		byName[s.Attrs["source"]] = s
@@ -147,17 +149,19 @@ func TestServerFederatedTraceTree(t *testing.T) {
 	if dead.Counters["retries"] == 0 {
 		t.Error("dead peer recorded no retries despite MaxAttempts 2")
 	}
-	for _, name := range []string{"local", "peer"} {
-		s, ok := byName[name]
-		if !ok || s.Failed {
-			t.Errorf("source %s span = %+v, want present and healthy", name, s)
-		}
+	live, ok := byName["peer"]
+	if !ok || live.Failed || live.Attrs["state"] != federation.StateOK {
+		t.Errorf("peer span = %+v, want present and ok", live)
 	}
-	// The local member evaluates in-process, so its query/eval spans hang
-	// below its fed.source span in the same tree.
-	for _, name := range []string{"gsacs.query", "sparql.eval"} {
-		if n := findSpans([]traceNode{root}, name); len(n) == 0 {
-			t.Errorf("no %s spans under the federated trace", name)
+	// The replica evaluated the query: its own trace, under the same ID,
+	// parents its root under the router's fed.source span.
+	ptb := fetchTrace(t, peer, traceID)
+	if len(ptb.Tree) != 1 || ptb.Tree[0].ParentID != live.SpanID {
+		t.Errorf("replica trace roots %+v, want one under the router's span %s", ptb.Tree, live.SpanID)
+	}
+	for _, name := range []string{"gsacs.query", "sparql.eval", "sparql.bgp.step"} {
+		if n := findSpans(ptb.Tree, name); len(n) == 0 {
+			t.Errorf("no %s spans in the replica's part of the trace", name)
 		}
 	}
 
@@ -180,7 +184,7 @@ func TestServerFederatedTraceTree(t *testing.T) {
 	for _, s := range listing.Traces {
 		if s.TraceID == traceID {
 			found = true
-			if s.Spans < 5 {
+			if s.Spans < 4 {
 				t.Errorf("listing reports %d spans for the federated trace", s.Spans)
 			}
 		}

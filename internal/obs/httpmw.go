@@ -30,8 +30,6 @@ const (
 	// OutcomeShed is a request the admission gate refused: it never ran, so
 	// it is no latency sample.
 	OutcomeShed Outcome = "shed"
-	// OutcomeDegraded is a partial (federated) answer.
-	OutcomeDegraded Outcome = "degraded"
 )
 
 // Request is the one record of one HTTP request.
@@ -82,14 +80,6 @@ func RequestOf(ctx context.Context) *Request {
 		return rec
 	}
 	return &Request{}
-}
-
-// WithoutRequest returns ctx without its request's record, for work a
-// handler hands to other goroutines (a federated fan-out): what they write
-// goes to records nobody books, and the request's own is written on its own
-// goroutine only.
-func WithoutRequest(ctx context.Context) context.Context {
-	return context.WithValue(ctx, requestKey, (*Request)(nil))
 }
 
 // MiddlewareConfig configures Middleware. Zero-value fields degrade
@@ -243,10 +233,10 @@ func Middleware(cfg MiddlewareConfig, next http.Handler) http.Handler {
 }
 
 // logRequest writes the request's one log line: at warn level when it failed
-// on the server's side or was answered in part, at info otherwise.
+// on the server's side, at info otherwise.
 func logRequest(ctx context.Context, l *slog.Logger, r *http.Request, rec *Request) {
 	level := slog.LevelInfo
-	if rec.Status >= 500 || rec.Outcome == OutcomeDegraded {
+	if rec.Status >= 500 {
 		level = slog.LevelWarn
 	}
 	if !l.Enabled(ctx, level) {

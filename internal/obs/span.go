@@ -192,8 +192,8 @@ func (s *Span) Add(counter string, delta int64) {
 }
 
 // Fail marks the span failed, recording err (nil keeps any earlier message).
-// A failed child does not implicitly fail its parents: a degraded federated
-// request keeps a healthy root. Nil-safe.
+// A failed child does not implicitly fail its parents: a routed request that
+// moved on past a dead replica keeps a healthy root. Nil-safe.
 func (s *Span) Fail(err error) {
 	if s == nil {
 		return

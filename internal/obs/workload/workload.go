@@ -3,7 +3,7 @@
 // bounded, lock-striped table keyed by its parse-time fingerprint (see
 // internal/sparql/fingerprint.go), accumulating counts, a sketch of the
 // requests' latency, row totals, planner reorders, plan-quality drift,
-// shed/error/degraded outcomes and a trace exemplar. The table books the
+// shed/error outcomes and a trace exemplar. The table books the
 // record the HTTP middleware closes (obs.Request), the same record the route
 // histogram and the SLO window book. GET /v1/queries serves the table; the
 // grdf_workload_* and grdf_plan_misestimate_total metrics export its totals.
@@ -57,7 +57,6 @@ type entry struct {
 	countErr   uint64 // space-saving admission error bound
 	errors     uint64
 	shed       uint64
-	degraded   uint64
 	reorders   uint64
 	rowsScan   uint64
 	rowsOut    uint64
@@ -174,11 +173,8 @@ func (t *Table) Observe(r *obs.Request) {
 	if r.Reordered {
 		e.reorders++
 	}
-	switch r.Outcome {
-	case obs.OutcomeError:
+	if r.Outcome == obs.OutcomeError {
 		e.errors++
-	case obs.OutcomeDegraded:
-		e.degraded++
 	}
 	if r.MaxMisestimate > e.maxMis {
 		e.maxMis = r.MaxMisestimate
@@ -234,7 +230,6 @@ type Snapshot struct {
 	CountError uint64  `json:"count_error,omitempty"`
 	Errors     uint64  `json:"errors,omitempty"`
 	Shed       uint64  `json:"shed,omitempty"`
-	Degraded   uint64  `json:"degraded,omitempty"`
 	Reorders   uint64  `json:"plan_reorders,omitempty"`
 	RowsScan   uint64  `json:"rows_scanned"`
 	RowsOut    uint64  `json:"rows_out"`
@@ -263,7 +258,6 @@ func (e *entry) snapshot() Snapshot {
 		CountError:     e.countErr,
 		Errors:         e.errors,
 		Shed:           e.shed,
-		Degraded:       e.degraded,
 		Reorders:       e.reorders,
 		RowsScan:       e.rowsScan,
 		RowsOut:        e.rowsOut,
