@@ -312,7 +312,8 @@ app:s1 app:hasSiteName "Plant" .
 
 // TestRouterHoldsNoData: a router loads the policies and nothing else. It
 // used to build the scenario dataset (and a reasoner over it) and answer
-// /v1/view out of that phantom copy.
+// /v1/view out of that phantom copy, and then with an empty view out of its
+// empty store. Its only replica here is dead, so each view is a 502.
 func TestRouterHoldsNoData(t *testing.T) {
 	base := startInProcess(t, io.Discard, "-source", "http://127.0.0.1:1", "-sites", "3")
 	if n := storeTriples(t, base); n != 0 {
@@ -322,8 +323,9 @@ func TestRouterHoldsNoData(t *testing.T) {
 		t.Errorf("router lost its policies: %d %s", code, body)
 	}
 	for _, role := range []string{"MainRep", "Hazmat", "EmergencyResponse"} {
-		if code, body, _ := get(t, base, "/v1/view?format=ntriples&role="+role); code != 200 || strings.TrimSpace(body) != "" {
-			t.Errorf("router serves a local view to %s: %d %q", role, code, body)
+		if code, body, _ := get(t, base, "/v1/view?format=ntriples&role="+role); code != http.StatusBadGateway ||
+			!strings.Contains(body, `"code":"all_sources_failed"`) {
+			t.Errorf("router answers a view to %s with no replica up: %d %q, want 502 all_sources_failed", role, code, body)
 		}
 		// No role can write into a store nothing reads.
 		resp, err := http.Post(base+"/v1/mutate?role="+role, "application/json", strings.NewReader(

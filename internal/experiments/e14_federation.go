@@ -56,7 +56,8 @@ func E14Federation(requests int) *Table {
 	rawQuery := "role=EmergencyResponse&q=" + url.QueryEscape(e14Query)
 
 	// Baseline: what the healthy member answers.
-	base, err := federation.NewRemoteSource("baseline", healthy.URL, nil).Query(context.Background(), rawQuery)
+	base, err := federation.NewRemoteSource("baseline", healthy.URL, nil).Get(context.Background(),
+		federation.Request{Path: federation.QueryPath, RawQuery: rawQuery})
 	if err != nil || base.Status != http.StatusOK {
 		t.AddNote("baseline query failed: %v %+v", err, base)
 		return t
@@ -118,7 +119,7 @@ func e14Cell(serve func() *httptest.Server, healthy, rawQuery string, want []byt
 	latencies := make([]time.Duration, 0, requests)
 	for i := 0; i < e14Warmup+requests; i++ {
 		start := time.Now()
-		ans, err := fed.Query(context.Background(), rawQuery)
+		ans, err := fed.Forward(context.Background(), federation.Request{Path: federation.QueryPath, RawQuery: rawQuery})
 		elapsed := time.Since(start)
 		if i < e14Warmup {
 			continue

@@ -61,8 +61,8 @@ func (f *FaultySource) Stats() FaultStats {
 	return f.stats
 }
 
-// Query implements Source with fault injection in front of the inner source.
-func (f *FaultySource) Query(ctx context.Context, rawQuery string) (*Answer, error) {
+// Get implements Source with fault injection in front of the inner source.
+func (f *FaultySource) Get(ctx context.Context, req Request) (*Answer, error) {
 	f.mu.Lock()
 	roll := f.rng.Float64()
 	delay := f.cfg.Latency
@@ -103,6 +103,6 @@ func (f *FaultySource) Query(ctx context.Context, rawQuery string) (*Answer, err
 	case injectGarbage:
 		return &Answer{Status: 200, ContentType: "application/json", Body: []byte("\x00\xfffault-injected")}, nil
 	default:
-		return f.inner.Query(ctx, rawQuery)
+		return f.inner.Get(ctx, req)
 	}
 }

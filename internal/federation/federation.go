@@ -29,22 +29,35 @@ import (
 
 // Source is one replica a Federator routes to.
 //
-// Query sends a /v1/query request with the given raw URL query (role, q,
-// explain: what the client sent) and returns the answer. A status that says
-// "ask elsewhere" (5xx, 429, 408) is an error, as is a transport failure;
-// any other status is the replica's answer. Implementations must honor ctx
+// Get sends the read req and returns the answer. A status that says "ask
+// elsewhere" (5xx, 429, 408) is an error, as is a transport failure; any
+// other status is the replica's answer. Implementations must honor ctx
 // cancellation and be safe for concurrent use.
 type Source interface {
 	Name() string
-	Query(ctx context.Context, rawQuery string) (*Answer, error)
+	Get(ctx context.Context, req Request) (*Answer, error)
 }
 
-// Answer is a replica's answer to a query, as it came over the wire.
+// Request is one read a router forwards, as the client sent it.
+type Request struct {
+	// Path is the read route: /v1/query, /v1/view or /v1/resource.
+	Path string
+	// RawQuery is the URL query (role, q, explain, iri, format, ...).
+	RawQuery string
+	// IfNoneMatch is the client's If-None-Match header, passed on.
+	IfNoneMatch string
+}
+
+// QueryPath is the route whose answers must be JSON.
+const QueryPath = "/v1/query"
+
+// Answer is a replica's answer to a read, as it came over the wire.
 type Answer struct {
 	Status      int
 	ContentType string
+	ETag        string
 	Body        []byte
 }
 
-// ErrAllSourcesFailed is wrapped by Federator.Query when no source answered.
+// ErrAllSourcesFailed is wrapped by Federator.Forward when no source answered.
 var ErrAllSourcesFailed = errors.New("federation: all sources failed")

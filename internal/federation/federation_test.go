@@ -49,7 +49,8 @@ func replica(t *testing.T) (*httptest.Server, *atomic.Int64) {
 // direct is what the replica at base answers rawQuery with.
 func direct(t *testing.T, base, rawQuery string) *federation.Answer {
 	t.Helper()
-	ans, err := federation.NewRemoteSource("direct", base, nil).Query(context.Background(), rawQuery)
+	ans, err := federation.NewRemoteSource("direct", base, nil).Get(context.Background(),
+		federation.Request{Path: federation.QueryPath, RawQuery: rawQuery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestFederatedDegradationChaos(t *testing.T) {
 	want := direct(t, healthy.URL, chemQuery)
 	// The down replica is first in line on every second request.
 	for i := 0; i < 2*threshold+2; i++ {
-		ans, err := fed.Query(context.Background(), chemQuery)
+		ans, err := fed.Forward(context.Background(), federation.Request{Path: federation.QueryPath, RawQuery: chemQuery})
 		if err != nil {
 			t.Fatalf("request %d: failed outright with a healthy replica: %v", i, err)
 		}
@@ -132,7 +133,7 @@ func TestFederationChaosInvariants(t *testing.T) {
 
 	want := direct(t, healthy.URL, chemQuery)
 	for i := 0; i < 60; i++ {
-		ans, err := fed.Query(context.Background(), chemQuery)
+		ans, err := fed.Forward(context.Background(), federation.Request{Path: federation.QueryPath, RawQuery: chemQuery})
 		if err != nil {
 			t.Fatalf("request %d failed outright with a healthy member: %v", i, err)
 		}
@@ -157,7 +158,7 @@ func TestRemoteSourceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := direct(t, peer.URL, chemQuery)
-	ans, err := fed.Query(context.Background(), chemQuery)
+	ans, err := fed.Forward(context.Background(), federation.Request{Path: federation.QueryPath, RawQuery: chemQuery})
 	if err != nil {
 		t.Fatalf("routed query over HTTP: %v", err)
 	}
@@ -167,7 +168,7 @@ func TestRemoteSourceEndToEnd(t *testing.T) {
 
 	broken := "role=EmergencyResponse&q=" + url.QueryEscape("SELECT ?x WHERE { broken")
 	before := calls.Load()
-	ans, err = fed.Query(context.Background(), broken)
+	ans, err = fed.Forward(context.Background(), federation.Request{Path: federation.QueryPath, RawQuery: broken})
 	if err != nil || ans.Status != http.StatusBadRequest || !bytes.Contains(ans.Body, []byte(`"code":"query_error"`)) {
 		t.Fatalf("malformed query: %+v, %v; want the replica's 400 query_error", ans, err)
 	}

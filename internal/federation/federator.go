@@ -49,7 +49,7 @@ type sourceState struct {
 	mLatency                          *obs.Histogram
 }
 
-// Federator forwards each query to one of its sources under the resilience
+// Federator forwards each read to one of its sources under the resilience
 // stack. Safe for concurrent use.
 type Federator struct {
 	cfg     Config
@@ -152,18 +152,18 @@ func (f *Federator) BreakerState(source string) (BreakerState, bool) {
 	return Closed, false
 }
 
-// Query forwards rawQuery to one source: the sources are taken in order from
-// a rotating start, each through querySource, and the first answer is the
+// Forward sends req to one source: the sources are taken in order from a
+// rotating start, each through querySource, and the first answer is the
 // answer. The error wraps ErrAllSourcesFailed, or is the parent ctx's error,
 // when no source answered.
-func (f *Federator) Query(ctx context.Context, rawQuery string) (*Answer, error) {
+func (f *Federator) Forward(ctx context.Context, req Request) (*Answer, error) {
 	ctx, span := obs.StartSpan(ctx, "fed.forward")
 	defer span.End()
 	n := len(f.sources)
 	start := f.next.Add(1) - 1
 	for i := range n {
 		ss := f.sources[(start+uint64(i))%uint64(n)]
-		if ans := f.querySource(ctx, ss, rawQuery); ans != nil {
+		if ans := f.querySource(ctx, ss, req); ans != nil {
 			f.mRequests.Inc()
 			span.SetAttr("source", ss.src.Name())
 			return ans, nil
@@ -183,12 +183,12 @@ func (f *Federator) Query(ctx context.Context, rawQuery string) (*Answer, error)
 
 // querySource runs the full per-source pipeline: breaker admission, retry
 // loop with backoff and budget, attempt deadlines, outcome classification.
-// It returns the source's answer, or nil when the source gave none. A body
-// that is not JSON is no answer: it came from outside the process, and what
-// the router sends on must be what a replica writes. Each source asked gets
+// It returns the source's answer, or nil when the source gave none. A query
+// answer whose body is not JSON is no answer: it came from outside the
+// process, and what the router sends on must be what a replica writes. Each source asked gets
 // a fed.source span — including a breaker-rejected or dead one, so a skipped
 // peer shows up in the trace as a failed span rather than a hole.
-func (f *Federator) querySource(ctx context.Context, ss *sourceState, rawQuery string) *Answer {
+func (f *Federator) querySource(ctx context.Context, ss *sourceState, req Request) *Answer {
 	name := ss.src.Name()
 	ctx, span := obs.StartSpan(ctx, "fed.source")
 	span.SetAttr("source", name)
@@ -220,9 +220,9 @@ func (f *Federator) querySource(ctx context.Context, ss *sourceState, rawQuery s
 	var lastErr error
 	for attempts = 1; attempts <= f.cfg.Retry.MaxAttempts; attempts++ {
 		actx, cancel := context.WithTimeout(ctx, f.cfg.SourceTimeout)
-		ans, err := ss.src.Query(actx, rawQuery)
+		ans, err := ss.src.Get(actx, req)
 		cancel()
-		if err == nil && !json.Valid(ans.Body) {
+		if err == nil && req.Path == QueryPath && !json.Valid(ans.Body) {
 			err = fmt.Errorf("federation: undecodable %s answer", name)
 		}
 		if err == nil {

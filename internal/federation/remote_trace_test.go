@@ -29,7 +29,7 @@ func TestRemoteSourceTraceHeaders(t *testing.T) {
 	tr := obs.NewTracer(4)
 	ctx, root := tr.StartTrace(context.Background(), "req", "")
 	ctx, span := obs.StartSpan(ctx, "fed.source")
-	if _, err := src.Query(ctx, "q=x"); err != nil {
+	if _, err := src.Get(ctx, Request{Path: QueryPath, RawQuery: "q=x"}); err != nil {
 		t.Fatal(err)
 	}
 	got := <-headers
@@ -42,7 +42,7 @@ func TestRemoteSourceTraceHeaders(t *testing.T) {
 	span.End()
 	root.End()
 
-	if _, err := src.Query(context.Background(), "q=x"); err != nil {
+	if _, err := src.Get(context.Background(), Request{Path: QueryPath, RawQuery: "q=x"}); err != nil {
 		t.Fatal(err)
 	}
 	got = <-headers
@@ -80,7 +80,7 @@ func TestFederatorPropagatesSpanToPeers(t *testing.T) {
 	}
 	tr := obs.NewTracer(4)
 	ctx, root := tr.StartTrace(context.Background(), "req", "")
-	if _, err := fed.Query(ctx, "q=x"); err != nil {
+	if _, err := fed.Forward(ctx, Request{Path: QueryPath, RawQuery: "q=x"}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

@@ -105,7 +105,7 @@ type scriptedSource struct {
 
 func (s *scriptedSource) Name() string { return "scripted" }
 
-func (s *scriptedSource) Query(ctx context.Context, rawQuery string) (*Answer, error) {
+func (s *scriptedSource) Get(ctx context.Context, req Request) (*Answer, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.calls++
@@ -142,7 +142,7 @@ func TestFederatorRetriesThenSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := fed.Query(context.Background(), "q=x")
+	ans, err := fed.Forward(context.Background(), Request{Path: QueryPath, RawQuery: "q=x"})
 	if err != nil {
 		t.Fatalf("Query error: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestFederatorTerminalErrorNotRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := fed.Query(context.Background(), "q=x")
+	ans, err := fed.Forward(context.Background(), Request{Path: QueryPath, RawQuery: "q=x"})
 	if err != nil || ans != refusal {
 		t.Fatalf("Query = %+v, %v; want the 400 answer", ans, err)
 	}
@@ -211,7 +211,7 @@ func TestFederatorRetryBudgetCaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		fed.Query(context.Background(), "q=x")
+		fed.Forward(context.Background(), Request{Path: QueryPath, RawQuery: "q=x"})
 	}
 	// 10 requests × 1 retry each would be 10 retries; the budget allows ~3.
 	if slept != 3 {

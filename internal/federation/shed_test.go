@@ -63,7 +63,7 @@ func TestRetryAfterStretchesBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fed.Query(context.Background(), "q=x"); err != nil {
+	if _, err := fed.Forward(context.Background(), Request{Path: QueryPath, RawQuery: "q=x"}); err != nil {
 		t.Fatalf("Query error: %v", err)
 	}
 	if len(slept) != 2 {
@@ -83,7 +83,7 @@ func TestRetryAfterStretchesBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fed.Query(context.Background(), "q=x"); err != nil {
+	if _, err := fed.Forward(context.Background(), Request{Path: QueryPath, RawQuery: "q=x"}); err != nil {
 		t.Fatalf("Query error: %v", err)
 	}
 	if len(slept) != 1 || slept[0] != 700*time.Millisecond {
@@ -108,7 +108,7 @@ func TestFinal429ClassifiedShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fed.Query(context.Background(), "q=x"); !errors.Is(err, ErrAllSourcesFailed) {
+	if _, err := fed.Forward(context.Background(), Request{Path: QueryPath, RawQuery: "q=x"}); !errors.Is(err, ErrAllSourcesFailed) {
 		t.Fatalf("Err = %v, want ErrAllSourcesFailed", err)
 	}
 	found := false
@@ -132,7 +132,7 @@ func TestRemoteSourceParsesRetryAfter(t *testing.T) {
 	}))
 	defer srv.Close()
 	src := NewRemoteSource("peer", srv.URL, nil)
-	_, err := src.Query(context.Background(), "q=x")
+	_, err := src.Get(context.Background(), Request{Path: QueryPath, RawQuery: "q=x"})
 	var se *StatusError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StatusError", err)

@@ -50,7 +50,7 @@ type clusterRollup struct {
 // and error envelopes are shared with query routing — to every peer's
 // /v1/slo, /v1/queries and /healthz, merged into one fleet view: per-peer
 // health / SLO / replication blocks plus a fleet-wide heavy-hitter list
-// summing per-fingerprint counts across nodes. Fingerprints are computed
+// summing per-fingerprint counts across the peers. Fingerprints are computed
 // from the canonical query form, so the same shape hashes identically on
 // every node and the merge is a plain sum.
 func WithCluster(cfg ClusterConfig) ServerOption {
@@ -152,14 +152,15 @@ func (c *clusterRollup) fetchPeer(ctx context.Context, src *federation.RemoteSou
 	return rep
 }
 
-// mergeTopQueries folds per-node snapshot lists into the fleet-wide
+// mergeTopQueries folds the peers' snapshot lists into the fleet-wide
 // heavy-hitter list: counts, row totals and outcome counters sum; latency
 // maxima and drift take the worst node's value (quantiles do not merge
-// without the sketches, so per-shape quantiles stay per-node).
-func mergeTopQueries(lists [][]workload.Snapshot, k int) []workload.Snapshot {
+// without the sketches, so per-shape quantiles stay per-node). The router's
+// own list is not among them: a replica books each read the router forwards.
+func mergeTopQueries(peers []clusterPeerReport, k int) []workload.Snapshot {
 	byFP := map[string]*workload.Snapshot{}
-	for _, list := range lists {
-		for _, snap := range list {
+	for _, p := range peers {
+		for _, snap := range p.TopQueries {
 			acc, ok := byFP[snap.Fingerprint]
 			if !ok {
 				cp := snap
@@ -221,11 +222,8 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	c := s.cluster
 
 	self := map[string]any{"name": c.selfName, "status": "ok"}
-	lists := make([][]workload.Snapshot, 0, len(c.sources)+1)
 	if s.workload != nil {
-		top := s.workload.TopK(c.topK)
-		self["top_queries"] = top
-		lists = append(lists, top)
+		self["top_queries"] = s.workload.TopK(c.topK)
 	}
 	selfAvailable := true
 	if s.slo != nil {
@@ -260,7 +258,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		if p.AvailabilityOK != nil && !*p.AvailabilityOK {
 			availabilityOK = false
 		}
-		lists = append(lists, p.TopQueries)
 	}
 	status := "ok"
 	if peersOK < len(peers) || !availabilityOK {
@@ -275,7 +272,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 			"peers_total":     len(peers),
 			"peers_ok":        peersOK,
 			"availability_ok": availabilityOK,
-			"top_queries":     mergeTopQueries(lists, c.topK),
+			"top_queries":     mergeTopQueries(peers, c.topK),
 		},
 	})
 }

@@ -132,9 +132,9 @@ func WithQueryTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.queryTimeout = d }
 }
 
-// WithFederator makes the server a router: /v1/query, explain included, is
-// forwarded to one of the federator's replicas and answered with that
-// replica's bytes. A request fails only when every replica does.
+// WithFederator makes the server a router: /v1/query, /v1/view and
+// /v1/resource go to one of the federator's replicas and are answered with
+// its bytes. A read fails only when every replica does.
 func WithFederator(f *federation.Federator) ServerOption {
 	return func(s *Server) { s.fed = f }
 }
@@ -413,6 +413,13 @@ func (s *Server) serve(rt *route) http.Handler {
 				fmt.Sprintf("method %s not allowed", r.Method))
 			return
 		}
+		if role, err := resolveRole(r.URL.Query().Get("role")); err == nil && rt.class != ungated {
+			obs.RequestOf(r.Context()).Role = string(role) // a forwarded read names its role too
+		}
+		if s.fed != nil && (rt.class == admission.ClassQuery || rt.class == admission.ClassView) {
+			s.forward(w, r, rt.pattern) // a router sends its reads to a replica
+			return
+		}
 		rt.handler(s, w, r)
 	}))
 }
@@ -431,10 +438,8 @@ func (s *Server) requestPriority(r *http.Request, class admission.Class) admissi
 	if class == admission.ClassMutate {
 		return admission.High
 	}
-	if raw := r.URL.Query().Get("role"); raw != "" {
-		if iri, err := resolveRole(raw); err == nil && s.highRoles[iri] {
-			return admission.High
-		}
+	if iri, err := resolveRole(r.URL.Query().Get("role")); err == nil && s.highRoles[iri] {
+		return admission.High
 	}
 	return admission.Normal
 }
@@ -741,15 +746,14 @@ func resolveRole(raw string) (rdf.IRI, error) {
 	return rdf.IRI(seconto.NS + raw), nil
 }
 
-// role resolves a request's role parameter raw and writes it on the
-// request's record, or answers 400; ok is false when the response is written.
+// role resolves a request's role parameter raw, which serve has written on
+// the request's record, or answers 400; ok is false when the response is written.
 func (s *Server) role(w http.ResponseWriter, r *http.Request, raw string) (role rdf.IRI, ok bool) {
 	role, err := resolveRole(raw)
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 		return "", false
 	}
-	obs.RequestOf(r.Context()).Role = string(role)
 	return role, true
 }
 
@@ -771,15 +775,15 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusInternalServerError, "internal", doc.err.Error())
 		return
 	}
-	s.writeDocument(w, r, viewFormats[f].contentType, doc.body, doc.etag)
+	s.writeDocument(w, r, http.StatusOK, viewFormats[f].contentType, doc.body, doc.etag)
 }
 
-// writeDocument answers with a document rendered in full beforehand, so a
-// failure to render is a clean 500 and a failure to write — the client went
-// away — only a log line: nothing is written after the body has begun. A
-// non-empty etag is sent as the ETag, and an If-None-Match naming it is
-// answered 304 without a body; HEAD gets the headers alone.
-func (s *Server) writeDocument(w http.ResponseWriter, r *http.Request, contentType string, body []byte, etag string) {
+// writeDocument answers with status and a document rendered in full
+// beforehand, so a failure to render is a clean 500 and a failure to write —
+// the client went away — only a log line: nothing is written after the body
+// has begun. A non-empty etag is sent as the ETag, and an If-None-Match
+// naming it is answered 304 without a body; HEAD gets the headers alone.
+func (s *Server) writeDocument(w http.ResponseWriter, r *http.Request, status int, contentType string, body []byte, etag string) {
 	h := w.Header()
 	if etag != "" {
 		h.Set("ETag", etag)
@@ -790,8 +794,8 @@ func (s *Server) writeDocument(w http.ResponseWriter, r *http.Request, contentTy
 	}
 	h.Set("Content-Type", contentType)
 	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
 	if r.Method == http.MethodHead {
-		w.WriteHeader(http.StatusOK)
 		return
 	}
 	if _, err := w.Write(body); err != nil {
@@ -836,13 +840,12 @@ func (s *Server) handleResource(w http.ResponseWriter, r *http.Request) {
 	}
 	// filterResource describes each node once, so its triples are distinct
 	// and go to the writer as they are.
-	s.writeDocument(w, r, "text/turtle", turtle.AppendTriples(nil, j.filterResource(res, acc), nil), "")
+	s.writeDocument(w, r, http.StatusOK, "text/turtle", turtle.AppendTriples(nil, j.filterResource(res, acc), nil), "")
 }
 
 // handleQuery parses the query once: its shape goes on the request's record
 // before anything can fail, the parsed query is what the engine evaluates, and
-// what the evaluation did goes on the record after. A router books the shape
-// and forwards the request, explain included, to a replica.
+// what the evaluation did goes on the record after.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	params := r.URL.Query()
 	role, ok := s.role(w, r, params.Get("role"))
@@ -855,7 +858,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	explain := params.Get("explain")
-	if s.fed == nil && (explain == "1" || explain == "true") {
+	if explain == "1" || explain == "true" {
 		plan, err := s.engine.ExplainQuery(r.Context(), role, seconto.ActionView, src)
 		if err != nil {
 			s.writeError(w, r, http.StatusBadRequest, "query_error", err.Error())
@@ -876,10 +879,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.queryTimeout)
 		defer cancel()
-	}
-	if s.fed != nil {
-		s.forwardQuery(w, r, ctx)
-		return
 	}
 	if explain == "analyze" {
 		s.handleExplainAnalyze(w, r, ctx, role, q)
@@ -908,25 +907,29 @@ func (s *Server) writeQueryError(w http.ResponseWriter, r *http.Request, err err
 	}
 }
 
-// forwardQuery answers a router's query, explain included, with one
-// replica's answer: its status, Content-Type and body go back as they came.
-// Only when no replica answers does the router speak for itself.
-func (s *Server) forwardQuery(w http.ResponseWriter, r *http.Request, ctx context.Context) {
-	ans, err := s.fed.Query(ctx, r.URL.RawQuery)
+// forward answers a router's read with one replica's status, Content-Type,
+// ETag and body, after booking a query's shape; 502 when no replica answers.
+func (s *Server) forward(w http.ResponseWriter, r *http.Request, path string) {
+	rec, ctx := obs.RequestOf(r.Context()), r.Context()
+	if path == federation.QueryPath {
+		if q, err := s.engine.Parse(r.URL.Query().Get("q")); err == nil {
+			noteQuery(rec, q)
+		}
+	}
+	if s.queryTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.queryTimeout)
+		defer cancel()
+	}
+	ans, err := s.fed.Forward(ctx, federation.Request{Path: path, RawQuery: r.URL.RawQuery, IfNoneMatch: r.Header.Get("If-None-Match")})
 	if err != nil {
 		s.writeQueryError(w, r, err, http.StatusBadGateway, "all_sources_failed")
 		return
 	}
-	var env errorEnvelope
-	if ans.Status != http.StatusOK && json.Unmarshal(ans.Body, &env) == nil {
-		obs.RequestOf(r.Context()).Error = env.Error
+	if env := (errorEnvelope{}); ans.Status != http.StatusOK && json.Unmarshal(ans.Body, &env) == nil {
+		rec.Error = env.Error
 	}
-	w.Header().Set("Content-Type", ans.ContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(ans.Body)))
-	w.WriteHeader(ans.Status)
-	if _, err := w.Write(ans.Body); err != nil {
-		obs.RequestOf(r.Context()).Error = "write response: " + err.Error()
-	}
+	s.writeDocument(w, r, ans.Status, ans.ContentType, ans.Body, ans.ETag)
 }
 
 // analyzeStage is one executed BGP join step of an EXPLAIN ANALYZE response:

@@ -14,6 +14,9 @@ type Prefixes struct {
 	mu      sync.RWMutex
 	forward map[string]string // prefix -> namespace
 	reverse map[string]string // namespace -> prefix
+	// base, when set, is the table this one extends (see Extend): read for
+	// every prefix this table does not bind itself, and never written.
+	base *Prefixes
 }
 
 // NewPrefixes returns an empty prefix table.
@@ -40,10 +43,18 @@ func CommonPrefixes() *Prefixes {
 	return p
 }
 
+// Extend returns an empty table over p: it resolves every binding of p, and
+// its own Binds shadow p's without writing p. A table that many readers
+// share, read-only, is extended once per reader that may bind more.
+func (p *Prefixes) Extend() *Prefixes { return &Prefixes{base: p} }
+
 // Bind associates prefix with namespace, replacing any earlier binding.
 func (p *Prefixes) Bind(prefix, namespace string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.forward == nil {
+		p.forward, p.reverse = map[string]string{}, map[string]string{}
+	}
 	if old, ok := p.forward[prefix]; ok {
 		delete(p.reverse, old)
 	}
@@ -59,9 +70,7 @@ func (p *Prefixes) Expand(qname string) (IRI, error) {
 		return "", fmt.Errorf("rdf: %q is not a prefixed name", qname)
 	}
 	prefix, local := qname[:idx], qname[idx+1:]
-	p.mu.RLock()
-	ns, ok := p.forward[prefix]
-	p.mu.RUnlock()
+	ns, ok := p.Namespace(prefix)
 	if !ok {
 		return "", fmt.Errorf("rdf: unknown prefix %q in %q", prefix, qname)
 	}
@@ -71,25 +80,43 @@ func (p *Prefixes) Expand(qname string) (IRI, error) {
 // Namespace returns the namespace bound to prefix, if any.
 func (p *Prefixes) Namespace(prefix string) (string, bool) {
 	p.mu.RLock()
-	defer p.mu.RUnlock()
 	ns, ok := p.forward[prefix]
+	p.mu.RUnlock()
+	if !ok && p.base != nil {
+		return p.base.Namespace(prefix)
+	}
 	return ns, ok
 }
 
-// Compact renders an IRI as a prefixed name when a binding covers it,
-// otherwise returns the angle-bracketed absolute form.
-func (p *Prefixes) Compact(iri IRI) string {
-	s := string(iri)
+// bindings returns every binding of the table, its own over its base's.
+func (p *Prefixes) bindings() map[string]string {
+	out := map[string]string{}
+	if p.base != nil {
+		out = p.base.bindings()
+	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
+	for k, v := range p.forward {
+		out[k] = v
+	}
+	return out
+}
+
+// Compact renders an IRI as a prefixed name when a binding covers it,
+// otherwise returns the angle-bracketed absolute form. The table's own
+// bindings are read before its base's, and a base binding whose prefix the
+// table rebinds is skipped.
+func (p *Prefixes) Compact(iri IRI) string {
+	s := string(iri)
 	best, bestPrefix := "", ""
-	for ns, prefix := range p.reverse {
-		if strings.HasPrefix(s, ns) && len(ns) > len(best) {
-			local := s[len(ns):]
-			if validLocalPart(local) {
+	for t := p; t != nil; t = t.base {
+		t.mu.RLock()
+		for ns, prefix := range t.reverse {
+			if len(ns) > len(best) && strings.HasPrefix(s, ns) && validLocalPart(s[len(ns):]) && !p.shadows(t, prefix) {
 				best, bestPrefix = ns, prefix
 			}
 		}
+		t.mu.RUnlock()
 	}
 	if best == "" {
 		return iri.String()
@@ -97,18 +124,26 @@ func (p *Prefixes) Compact(iri IRI) string {
 	return bestPrefix + ":" + s[len(best):]
 }
 
+// shadows reports whether a table of p's chain below t binds prefix itself.
+func (p *Prefixes) shadows(t *Prefixes, prefix string) bool {
+	for u := p; u != t; u = u.base {
+		u.mu.RLock()
+		_, ok := u.forward[prefix]
+		u.mu.RUnlock()
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
 // Each calls fn for every binding in deterministic (prefix-sorted) order.
 func (p *Prefixes) Each(fn func(prefix, namespace string)) {
-	p.mu.RLock()
-	keys := make([]string, 0, len(p.forward))
-	for k := range p.forward {
+	vals := p.bindings()
+	keys := make([]string, 0, len(vals))
+	for k := range vals {
 		keys = append(keys, k)
 	}
-	vals := make(map[string]string, len(p.forward))
-	for k, v := range p.forward {
-		vals[k] = v
-	}
-	p.mu.RUnlock()
 	sort.Strings(keys)
 	for _, k := range keys {
 		fn(k, vals[k])

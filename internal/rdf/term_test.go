@@ -213,6 +213,32 @@ func TestPrefixesRebindAndClone(t *testing.T) {
 	}
 }
 
+// TestExtendedCompact: a table made by Extend compacts as the one table
+// would that bound its base's bindings and then its own: its own prefix for
+// a namespace wins over the base's, a base prefix it rebinds no longer
+// compacts the base's namespace, and the base is never written.
+func TestExtendedCompact(t *testing.T) {
+	base := NewPrefixes()
+	base.Bind("ex", "http://a/")
+	base.Bind("old", "http://b/")
+	base.Bind("deep", "http://a/deep/")
+	ext := base.Extend()
+	ext.Bind("mine", "http://a/")
+	ext.Bind("old", "http://c/")
+	ext.Bind("deep", "http://a/d/")
+	for iri, want := range map[IRI]string{
+		"http://a/x": "mine:x", "http://b/x": "<http://b/x>", "http://c/x": "old:x",
+		"http://a/deep/x": "<http://a/deep/x>", "http://a/d/x": "deep:x", "http://z/x": "<http://z/x>",
+	} {
+		if got := ext.Compact(iri); got != want {
+			t.Errorf("Compact(%s) = %q, want %q", iri, got, want)
+		}
+	}
+	if got := base.Compact("http://a/deep/x"); got != "deep:x" {
+		t.Errorf("the base compacts http://a/deep/x as %q after the extension rebound deep", got)
+	}
+}
+
 func TestGraphBasicOps(t *testing.T) {
 	g := NewGraph()
 	a := T(IRI("http://e/s"), IRI("http://e/p"), NewString("1"))

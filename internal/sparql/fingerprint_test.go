@@ -2,8 +2,11 @@ package sparql
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/rdf"
 )
 
 func mustFingerprint(t *testing.T, src string) (uint64, string) {
@@ -186,5 +189,52 @@ func TestCanonicalFormShape(t *testing.T) {
 	}
 	if strings.Contains(form, "admin") || strings.Contains(form, "who") {
 		t.Errorf("canonical form %q retains raw names/constants", form)
+	}
+}
+
+// TestQueryPrefixTablesAreTheirOwn: every query reads the one default prefix
+// table, and what it binds — by a PREFIX declaration or a later Bind on
+// q.Prefixes, a default prefix rebound included — stays in its own table:
+// no other query and not the defaults see it.
+func TestQueryPrefixTablesAreTheirOwn(t *testing.T) {
+	parse := func(src string) *Query {
+		t.Helper()
+		q, err := ParseQuery(src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	a := parse(`PREFIX ex: <http://example.org/a#> SELECT ?s WHERE { ?s ex:p ?o }`)
+	b := parse(`SELECT ?s WHERE { ?s app:p ?o }`)
+	a.Prefixes.Bind("x", "http://example.org/x#")
+	a.Prefixes.Bind("app", "http://example.org/other#")
+	if ns, _ := a.Prefixes.Namespace("app"); ns != "http://example.org/other#" {
+		t.Fatalf("a's own binding of app: %q", ns)
+	}
+	for name, p := range map[string]*rdf.Prefixes{"another query": b.Prefixes, "the defaults": commonPrefixes,
+		"a later query": parse(`SELECT ?s WHERE { ?s ?p ?o }`).Prefixes} {
+		for _, prefix := range []string{"ex", "x"} {
+			if ns, ok := p.Namespace(prefix); ok {
+				t.Errorf("%s sees a's binding %s: %s", name, prefix, ns)
+			}
+		}
+		if ns, _ := p.Namespace("app"); ns != rdf.AppNS {
+			t.Errorf("%s binds app to %q, want %q", name, ns, rdf.AppNS)
+		}
+	}
+	var got []string
+	a.Prefixes.Each(func(prefix, ns string) { got = append(got, prefix+"="+ns) })
+	var want []string
+	rdf.CommonPrefixes().Each(func(prefix, ns string) {
+		if prefix == "app" {
+			ns = "http://example.org/other#"
+		}
+		want = append(want, prefix+"="+ns)
+	})
+	want = append(want, "ex=http://example.org/a#", "x=http://example.org/x#")
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("a's table lists %v, want %v", got, want)
 	}
 }

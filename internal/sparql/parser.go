@@ -14,18 +14,23 @@ type parser struct {
 	prefixes *rdf.Prefixes
 }
 
+// commonPrefixes is the default prefix table of every query: built once, and
+// only ever read.
+var commonPrefixes = rdf.CommonPrefixes()
+
 // ParseQuery parses a SPARQL query. defaults may preload prefix bindings
-// (nil means the common GRDF prefixes).
+// (nil means the common GRDF prefixes). The query's table extends defaults:
+// its PREFIX declarations, and any later Bind on q.Prefixes, go to the
+// query's table alone.
 func ParseQuery(src string, defaults *rdf.Prefixes) (*Query, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, prefixes: rdf.NewPrefixes()}
 	if defaults == nil {
-		defaults = rdf.CommonPrefixes()
+		defaults = commonPrefixes
 	}
-	defaults.Each(func(prefix, ns string) { p.prefixes.Bind(prefix, ns) })
+	p := &parser{toks: toks, prefixes: defaults.Extend()}
 	q, err := p.parseQuery()
 	if err != nil {
 		return nil, err

@@ -1,26 +1,100 @@
 package store
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // ChangedSubjects calls fn with the ID of every subject whose set of triples
 // in sv differs from its set in base — present in one and absent from the
 // other, or present in both with different (predicate, object) pairs — until
 // fn returns false. Both views must be of the same store (or of snapshots
-// sharing its dictionary), so that an ID names the same term in both. Order
-// is unspecified.
+// sharing its dictionary), so that an ID names the same term in both. Each
+// subject is reported once; order is unspecified.
 //
-// The walk runs over the two SPO indexes in lockstep and prunes wherever they
-// share a node: path-copying leaves every subtree a commit did not touch
-// pointer-identical, so the cost is O(changed subjects × trie depth) however
-// large the store is, and however many commits lie between the two versions.
-// A subject whose branch was rewritten to the same content (removed and
-// re-added) is compared by content and not reported.
+// Between versions that share their SPO bases — no fold lies between them —
+// a subject's triples differ exactly where its adds or its tombstones
+// do, so the walk runs over the two pairs of deltas in lockstep and prunes
+// wherever they share a node: path-copying leaves every subtree a commit did
+// not touch pointer-identical, so the cost is O(changed subjects × trie depth)
+// however large the store is, and however many commits lie between the two
+// versions. A subject whose branch was rewritten to the same content (removed
+// and re-added) is compared by content and not reported. Across a fold the
+// two versions' subjects are walked in full, in trie order.
 func (sv StoreView) ChangedSubjects(base StoreView, fn func(ID) bool) {
-	a, b := base.ver().spo.m, sv.ver().spo.m
-	if a == b {
+	x, y := &base.ver().spo, &sv.ver().spo
+	if x.base != y.base || x.run != y.run {
+		diffWalk(x, y, fn)
 		return
 	}
-	diffNodes(rootOf(a), rootOf(b), sameBranch, fn)
+	addSame, delSame := x.add.m == y.add.m, x.del.m == y.del.m
+	switch {
+	case addSame && delSame:
+	case delSame:
+		diffNodes(rootOf(x.add.m), rootOf(y.add.m), sameBranch, fn)
+	case addSame:
+		diffNodes(rootOf(x.del.m), rootOf(y.del.m), sameBranch, fn)
+	default:
+		// A subject can differ in both its adds and its tombstones.
+		seen := map[ID]bool{}
+		if diffNodes(rootOf(x.add.m), rootOf(y.add.m), sameBranch, func(id ID) bool {
+			seen[id] = true
+			return fn(id)
+		}) {
+			diffNodes(rootOf(x.del.m), rootOf(y.del.m), sameBranch, func(id ID) bool {
+				return seen[id] || fn(id)
+			})
+		}
+	}
+}
+
+// diffWalk is ChangedSubjects for two indexes over different bases: it
+// merges their subjects in trie order and compares the (predicate, object)
+// pairs of every subject both hold, pair by pair — equal sets walk in the
+// same order.
+func diffWalk(x, y *xindex, fn func(ID) bool) {
+	xs, ys := subjectsOf(x), subjectsOf(y)
+	var xp, yp [][2]ID
+	pairs := func(ix *xindex, a ID, buf [][2]ID) [][2]ID {
+		buf = buf[:0]
+		ix.eachUnder(a, func(b, c ID) bool {
+			buf = append(buf, [2]ID{b, c})
+			return true
+		})
+		return buf
+	}
+	i, j := 0, 0
+	for i < len(xs) || j < len(ys) {
+		var a ID
+		switch {
+		case j == len(ys) || i < len(xs) && okey(xs[i]) < okey(ys[j]):
+			a = xs[i]
+			i++
+		case i == len(xs) || okey(ys[j]) < okey(xs[i]):
+			a = ys[j]
+			j++
+		default:
+			a = xs[i]
+			i++
+			j++
+			if xp, yp = pairs(x, a, xp), pairs(y, a, yp); slices.Equal(xp, yp) {
+				continue
+			}
+		}
+		if !fn(a) {
+			return
+		}
+	}
+}
+
+// subjectsOf returns the first keys of ix in trie order.
+func subjectsOf(ix *xindex) []ID {
+	out := make([]ID, 0, ix.keys)
+	ix.firsts(func(a ID) bool {
+		out = append(out, a)
+		return true
+	})
+	return out
 }
 
 func rootOf[V any](m *pmap[V]) *pnode[V] {

@@ -204,6 +204,9 @@ func FuzzChangedSubjects(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 0, 33, 1, 1, 0, 65, 1, 1, 6, 33, 7, 0, 0, 1, 1, 1}, byte(2))
 	f.Add([]byte{5, 1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 1, 2, 3, 9, 9, 9}, byte(3))
 	f.Add([]byte{8, 1, 0, 0, 0, 32, 0, 0, 1, 1, 1, 3, 32, 0, 0, 8, 0, 32, 1, 1, 0, 1, 1}, byte(1))
+	// A batch of 16 lands as a base; two adds fold into a run; two removes
+	// fold into a new base; a replace and a re-add go into the delta.
+	f.Add([]byte{8, 14, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5, 0, 0, 6, 0, 0, 7, 0, 0, 8, 0, 0, 9, 0, 0, 10, 0, 0, 11, 0, 0, 12, 0, 0, 13, 0, 0, 14, 0, 0, 15, 0, 0, 0, 20, 0, 0, 0, 21, 0, 0, 3, 0, 0, 0, 3, 1, 0, 0, 4, 2, 0, 0, 22, 1, 1, 0, 1, 0, 0}, byte(1))
 	f.Fuzz(func(t *testing.T, prog []byte, stride byte) {
 		if len(prog) > 2048 {
 			prog = prog[:2048]

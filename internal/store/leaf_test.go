@@ -158,19 +158,27 @@ func indexTriple(b []byte) [3]ID {
 }
 
 // FuzzIndexOps runs a byte program of single adds, single removes and sorted
-// batch adds on a raw tindex beside a map of key triples. After every
-// instruction the index must agree with the map on has, card, card2, keys
-// and the triples a full walk yields, and keep its shape; a version captured
-// halfway must still hold what it held.
+// batch adds on one triple index — bases under a delta, folded whenever the
+// delta is due — beside a map of key triples. After every instruction the
+// index must agree with the map on has, card, card2, keys and the triples a
+// full walk yields, in the order an index held wholly in pmaps walks them,
+// and keep its shape; a version captured halfway must still hold what it
+// held. The seeds fold: into a base, into a run, and across tombstones.
 func FuzzIndexOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0})
 	f.Add([]byte{2, 2, 1, 1, 0, 1, 1, 32, 1, 1, 1, 1, 1, 1, 1, 32, 0, 1, 1, 5, 1, 1, 1, 0})
 	f.Add([]byte{2, 1, 0, 0, 7, 0, 0, 39, 1, 0, 0, 39, 2, 0, 3, 2, 9, 1, 0, 0, 7})
+	f.Add([]byte{
+		2, 15, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 1, 1, 0, 1, 2, 0, 1, 3, 1, 0, 1, 1, 0, 2, 1, 1, 1,
+		1, 1, 2, 2, 0, 1, 2, 0, 2, 2, 1, 1, 3, 0, 1, 3, 0, 2, 3, 1, 1, // 16 triples: a base
+		0, 3, 3, 40, 0, 3, 3, 41, 0, 2, 2, 42, // adds: a run
+		1, 0, 0, 1, 1, 1, 1, 1, 1, 3, 3, 40, 0, 0, 0, 1, // removes and a re-add: a new base
+	})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 1024 {
 			prog = prog[:1024]
 		}
-		var ix, mid tindex
+		var ix, mid xindex
 		ref := map[[3]ID]bool{}
 		var midRef map[[3]ID]bool
 	program:
@@ -184,18 +192,14 @@ func FuzzIndexOps(f *testing.F) {
 				}
 				k := indexTriple(prog)
 				prog = prog[3:]
-				if op%3 == 0 {
-					next, added := ix.withAll([][3]ID{k})
-					if added != 1-btoi(ref[k]) {
-						t.Fatalf("step %d: add %v added %d, ref had it: %v", step, k, added, ref[k])
-					}
-					ix, ref[k] = next, true
-				} else {
-					next, removed := ix.without(k[0], k[1], k[2])
-					if removed != ref[k] {
-						t.Fatalf("step %d: remove %v removed=%v, ref had it: %v", step, k, removed, ref[k])
-					}
-					ix = next
+				if has := ix.has(k[0], k[1], k[2]); has != ref[k] {
+					t.Fatalf("step %d: has(%v) = %v, ref has it: %v", step, k, has, ref[k])
+				}
+				switch {
+				case op%3 == 0 && !ref[k]:
+					ix, ref[k] = ix.with([][3]ID{k}), true
+				case op%3 == 1 && ref[k]:
+					ix = ix.without(k[0], k[1], k[2])
 					delete(ref, k)
 				}
 			case 2:
@@ -206,29 +210,28 @@ func FuzzIndexOps(f *testing.F) {
 				prog = prog[1:]
 				var batch [][3]ID
 				for ; n > 0; n-- {
-					batch = append(batch, indexTriple(prog))
+					if k := indexTriple(prog); !ref[k] {
+						batch = append(batch, k)
+					}
 					prog = prog[3:]
 				}
 				sortIDs(batch)
 				batch = slices.Compact(batch)
-				absent := 0
 				for _, k := range batch {
-					absent += 1 - btoi(ref[k])
 					ref[k] = true
 				}
-				next, added := ix.withAll(batch)
-				if added != absent {
-					t.Fatalf("step %d: batch %v added %d, ref lacked %d", step, batch, added, absent)
-				}
-				ix = next
+				ix = ix.with(batch)
 			}
-			checkIndex(t, fmt.Sprintf("step %d", step), ix, ref)
+			if ix.due() {
+				ix = ix.fold(len(ref))
+			}
+			checkIndex(t, fmt.Sprintf("step %d", step), &ix, ref)
 			if midRef == nil && len(prog) < 512 {
 				mid, midRef = ix, maps.Clone(ref)
 			}
 		}
 		if midRef != nil {
-			checkIndex(t, "version captured halfway", mid, midRef)
+			checkIndex(t, "version captured halfway", &mid, midRef)
 		}
 	})
 }
@@ -241,8 +244,9 @@ func btoi(b bool) int {
 }
 
 // checkIndex holds ix to ref: has for every present key and a few absent
-// ones, card per first key, card2 per pair, keys, the full walk, and shape.
-func checkIndex(t *testing.T, what string, ix tindex, ref map[[3]ID]bool) {
+// ones, card per first key, card2 per pair, keys, the order of every walk,
+// and shape.
+func checkIndex(t *testing.T, what string, ix *xindex, ref map[[3]ID]bool) {
 	t.Helper()
 	card, card2 := map[ID]int{}, map[[2]ID]int{}
 	for k := range ref {
@@ -265,25 +269,10 @@ func checkIndex(t *testing.T, what string, ix tindex, ref map[[3]ID]bool) {
 			}
 		}
 	}
-	if got := ix.keys(); got != len(card) {
-		t.Fatalf("%s: keys() = %d, want %d", what, got, len(card))
+	if ix.keys != len(card) {
+		t.Fatalf("%s: keys = %d, want %d", what, ix.keys, len(card))
 	}
-	walked := map[[3]ID]bool{}
-	ix.m.Range(func(a ID, br *l2) bool {
-		return br.m.Range(func(b ID, lf leaf) bool {
-			return lf.each(func(c ID) bool {
-				k := [3]ID{a, b, c}
-				if walked[k] || !ref[k] {
-					t.Fatalf("%s: walk yields %v twice or not in the reference", what, k)
-				}
-				walked[k] = true
-				return true
-			})
-		})
-	})
-	if len(walked) != len(ref) {
-		t.Fatalf("%s: walk yields %d triples, reference holds %d", what, len(walked), len(ref))
-	}
+	checkOrder(t, what, ix, ref)
 	if total, err := ix.shape(); err != nil || total != len(ref) {
 		t.Fatalf("%s: shape: %d triples, %v", what, total, err)
 	}

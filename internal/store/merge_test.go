@@ -25,35 +25,41 @@ func mergeTriple(rng *rand.Rand) rdf.Triple {
 		rdf.NewInteger(int64(rng.Intn(150))))
 }
 
-// checkUntouchedBranches fails unless every top-level key of before that no
-// triple of added reaches (through key, the triple's position in ix's order)
-// keeps its branch pointer in after.
-func checkUntouchedBranches(t *testing.T, name string, before, after tindex, added [][3]ID, key int) {
+// checkUntouchedBranches fails unless every top-level key of before's delta
+// (adds and tombstones) that no triple of added reaches (through key, the
+// triple's position in the index's order) keeps its branch pointer in after.
+// The two must share their bases: no fold lies between them.
+func checkUntouchedBranches(t *testing.T, name string, before, after xindex, added [][3]ID, key int) {
 	t.Helper()
 	touched := map[ID]bool{}
 	for _, ids := range added {
 		touched[ids[key]] = true
 	}
-	before.m.Range(func(a ID, br *l2) bool {
-		if touched[a] {
+	for _, d := range [][2]tindex{{before.add, after.add}, {before.del, after.del}} {
+		d[0].m.Range(func(a ID, br *l2) bool {
+			if touched[a] {
+				return true
+			}
+			if got, _ := d[1].m.Get(a); got != br {
+				t.Fatalf("%s: untouched key %d lost its branch pointer", name, a)
+			}
 			return true
-		}
-		if got, _ := after.m.Get(a); got != br {
-			t.Fatalf("%s: untouched key %d lost its branch pointer", name, a)
-		}
-		return true
-	})
+		})
+	}
 }
 
-// TestBatchMergeEqualsInsertion: a random batch of 1–2,000 triples, with
-// duplicates and already-present triples in it, committed as one OpAdd into
-// a random base built by adds and removes, yields what adding the same
-// triples one at a time yields: the same triples, clean indexes, the same
+// TestBatchMergeEqualsInsertion: a random batch of 1–2,000 triples (1–20 in
+// every other round), with duplicates and already-present triples in it,
+// committed as one OpAdd into a random base built by adds and removes, yields
+// what adding the same triples one at a time yields: the same triples, clean indexes, the same
 // EstimateIDs for every bound-position shape, and no changed subject
-// between the two. Every branch the batch adds nothing under is the base's
-// branch, pointer for pointer, in all three indexes.
+// between the two. When the batch leaves the delta under its share of the
+// bases, every delta branch the batch adds nothing under is the one before
+// it, pointer for pointer, in all three indexes; some rounds must reach that
+// check and some must fold.
 func TestBatchMergeEqualsInsertion(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
+	shared, folded := 0, 0
 	for round := 0; round < 30; round++ {
 		what := fmt.Sprintf("round %d", round)
 		s := New()
@@ -81,8 +87,14 @@ func TestBatchMergeEqualsInsertion(t *testing.T) {
 		}
 		present := m.triples()
 
+		// Every other batch is small enough to leave the delta under its
+		// share of the bases, so that the pointer check below runs.
+		size := 1 + rng.Intn(2000)
+		if round%2 == 1 {
+			size = 1 + rng.Intn(20)
+		}
 		var batch []rdf.Triple
-		for n := 1 + rng.Intn(2000); n > 0; n-- {
+		for n := size; n > 0; n-- {
 			switch r := rng.Intn(10); {
 			case r == 0 && len(batch) > 0:
 				batch = append(batch, batch[rng.Intn(len(batch))])
@@ -137,9 +149,17 @@ func TestBatchMergeEqualsInsertion(t *testing.T) {
 		})
 
 		bv, av := before.ver(), after.ver()
+		if bv.spo.base != av.spo.base || bv.spo.run != av.spo.run {
+			folded++
+			continue
+		}
+		shared++
 		checkUntouchedBranches(t, what+" SPO", bv.spo, av.spo, added, 0)
 		checkUntouchedBranches(t, what+" POS", bv.pos, av.pos, added, 1)
 		checkUntouchedBranches(t, what+" OSP", bv.osp, av.osp, added, 2)
+	}
+	if shared == 0 || folded == 0 {
+		t.Fatalf("%d rounds kept their bases, %d folded: want some of each", shared, folded)
 	}
 }
 
@@ -193,6 +213,10 @@ func FuzzBatchMerge(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 0, 33, 1, 1, 3, 1, 1, 1}, []byte{1, 1, 2, 33, 1, 1, 65, 0, 3})
 	f.Add([]byte{5, 1, 2, 3, 4, 5, 6, 1, 2, 3, 6, 1}, []byte{1, 2, 3, 1, 2, 3, 97, 1, 1})
 	f.Add([]byte{8, 3, 0, 0, 0, 32, 0, 0, 1, 0, 0, 33, 1, 1, 3, 32, 0, 0, 3, 32, 0, 0}, []byte{0, 0, 1, 32, 0, 1, 2, 3, 3})
+	// A base of 16, then a batch that folds into a run; and a base with a
+	// tombstone, then a batch that folds into a new base.
+	f.Add([]byte{8, 14, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5, 0, 0, 6, 0, 0, 7, 0, 0, 8, 0, 0, 9, 0, 0, 10, 0, 0, 11, 0, 0, 12, 0, 0, 13, 0, 0, 14, 0, 0, 15, 0, 0}, []byte{30, 1, 1, 31, 1, 1, 32, 1, 2, 2, 1, 3})
+	f.Add([]byte{8, 14, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5, 0, 0, 6, 0, 0, 7, 0, 0, 8, 0, 0, 9, 0, 0, 10, 0, 0, 11, 0, 0, 12, 0, 0, 13, 0, 0, 14, 0, 0, 15, 0, 0, 3, 0, 0, 0}, []byte{33, 0, 1, 34, 0, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, prog, raw []byte) {
 		if len(prog) > 2048 {
 			prog = prog[:2048]

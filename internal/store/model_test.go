@@ -122,7 +122,9 @@ func checkEstimates(t *testing.T, what string, sv StoreView, want model, probes 
 // unchanged, and a generation equal to the number of commits that changed
 // something (a no-op or a rolled-back batch moves nothing). Every 25 commits,
 // the same triples loaded bottom-up at the same generation make a store
-// indistinguishable from the incrementally built one.
+// indistinguishable from the incrementally built one. The commits fold the
+// delta into the bases many times, into a run and into a new base, and every
+// check above holds across each fold.
 func TestStoreAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	var terms struct{ s, p, o []rdf.Term }
@@ -216,12 +218,14 @@ func TestStoreAgainstModel(t *testing.T) {
 	}
 	var pins []pinned
 	commits := uint64(0)
+	runFolds, baseFolds := 0, 0
 	for step := 0; step < 400; step++ {
 		ops := make([]Op, 1+rng.Intn(4))
 		for i := range ops {
 			ops[i] = randomOp()
 		}
 		next, wantNs, changed, failed := m.apply(ops)
+		before, rebuilt := s.View().ver().spo, m.throughEmpty(ops)
 		var ns []int
 		var err error
 		if len(ops) == 1 && rng.Intn(2) == 0 {
@@ -247,6 +251,16 @@ func TestStoreAgainstModel(t *testing.T) {
 		}
 
 		sv := s.View()
+		// A commit that never empties the store changes its bases only by
+		// folding its delta into them.
+		if after := sv.ver().spo; !rebuilt && !failed {
+			switch {
+			case after.base != before.base:
+				baseFolds++
+			case after.run != before.run:
+				runFolds++
+			}
+		}
 		if sv.Generation() != commits || s.GroupCommitStats().Groups != commits {
 			t.Fatalf("%s: generation %d, %d groups published; %d commits changed something",
 				what, sv.Generation(), s.GroupCommitStats().Groups, commits)
@@ -291,6 +305,31 @@ func TestStoreAgainstModel(t *testing.T) {
 	if commits < 200 {
 		t.Errorf("only %d of 400 commits changed anything; the mix is too tame", commits)
 	}
+	if runFolds < 5 || baseFolds < 50 {
+		t.Errorf("%d folds into a run and %d into a new base; want at least 5 and 50", runFolds, baseFolds)
+	}
+}
+
+// throughEmpty reports whether running ops on m passes through the empty
+// store, where an add builds the bases afresh instead of going into a delta.
+func (m model) throughEmpty(ops []Op) bool {
+	cur := m
+	for _, op := range ops {
+		switch op.Kind {
+		case OpAdd:
+			if len(cur) == 0 {
+				return true
+			}
+		case OpReplace:
+			if _, ok := cur[op.Triples[0]]; ok && len(cur) == 1 {
+				return true
+			}
+		case OpClear:
+			return true
+		}
+		cur, _, _, _ = cur.apply([]Op{op})
+	}
+	return false
 }
 
 // TestLoadBesideWriters: a Load lands between commits, never inside one.

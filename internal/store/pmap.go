@@ -7,7 +7,8 @@ import (
 )
 
 // This file implements the persistent (immutable, structurally shared) map
-// that backs the MVCC triple indexes. It is a hash-array-mapped-trie
+// that backs the delta of each MVCC triple index over its bases (base.go).
+// It is a hash-array-mapped-trie
 // specialized for dense uint32 dictionary IDs: keys are consumed 5 bits at a
 // time starting from the least significant bits, so the sequential IDs the
 // dictionary hands out spread evenly across the fanout-32 nodes and the trie
@@ -356,17 +357,18 @@ func (l leaf) without(c ID) (leaf, bool) {
 }
 
 // l2 is one top-level branch of a triple index: the two inner levels plus
-// the number of triples beneath this branch. That count is the per-position
-// cardinality (triples per bound subject/predicate/object) the planner reads
-// through EstimateIDs in O(1); keeping it inside the immutable branch means
-// every pinned version carries its own consistent statistics.
+// the number of triples beneath this branch. That count is the branch's
+// share of the per-position cardinality (triples per bound subject/predicate/
+// object) the planner reads through EstimateIDs; keeping it inside the
+// immutable branch means every pinned version carries its own consistent
+// statistics.
 type l2 struct {
 	m    *pmap[leaf]
 	size int
 }
 
-// tindex is a persistent three-level triple index (e.g. S→P→O). The zero
-// value is the empty index.
+// tindex is a persistent three-level triple index (e.g. S→P→O): the adds or
+// the tombstones of an index's delta. The zero value is the empty index.
 type tindex struct {
 	m *pmap[*l2]
 }
@@ -401,9 +403,6 @@ func (ix tindex) card2(a, b ID) int {
 	}
 	return lf.len()
 }
-
-// keys returns the number of distinct top-level keys.
-func (ix tindex) keys() int { return ix.m.Len() }
 
 // shape returns the number of triples in the index, or an error naming the
 // first branch that is empty, whose count disagrees with its leaves, or that

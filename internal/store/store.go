@@ -5,16 +5,19 @@
 // reasoner.
 //
 // Storage is dictionary-encoded: every term is interned into a lock-striped
-// Dict (term ⇄ dense uint32 ID) and the three persistent indexes (SPO, POS,
-// OSP) hold ID triples, so that any triple pattern with at least one bound
-// position resolves without a full scan and joins can run entirely in ID
-// space. Per-branch cardinality counts ride along with the indexes and feed
-// the SPARQL planner's selectivity estimates in O(1).
+// Dict (term ⇄ dense uint32 ID) and the three indexes (SPO, POS, OSP) hold ID
+// triples, so that any triple pattern with at least one bound position
+// resolves without a full scan and joins can run entirely in ID space. Each
+// index is an immutable, pointer-free base of sorted ID arrays under a small
+// persistent delta of adds and tombstones (base.go); the base's offsets and
+// the delta's per-branch counts give the SPARQL planner exact cardinalities
+// without walking a match.
 //
 // Concurrency is MVCC: the current revision is an immutable version
 // published through one atomic pointer. Readers acquire it with a single
 // atomic load (View) and never block — not on writers, not on each other —
-// while writers path-copy the persistent indexes to build the next version.
+// while writers path-copy the deltas to build the next version, and fold a
+// delta that has outgrown its share of the base into a new base.
 // Mutations funnel through a group-commit batcher: concurrent Apply calls
 // enqueue, one caller becomes the leader, drains the queue, runs the commit
 // hook once for the whole group (for the WAL hook: one append + one fsync),
@@ -710,8 +713,8 @@ func (s *Store) Match(sub, pred, obj rdf.Term) []rdf.Triple { return s.View().Ma
 func (s *Store) Count(sub, pred, obj rdf.Term) int { return s.View().Count(sub, pred, obj) }
 
 // EstimateIDs returns the exact number of triples matching the ID pattern
-// (NoID = wildcard) in O(1), using the per-branch cardinality counts.
-// This is the planner's selectivity source.
+// (NoID = wildcard) without walking any match. This is the planner's
+// selectivity source.
 func (s *Store) EstimateIDs(sid, pid, oid ID) int { return s.cur.Load().estimate(sid, pid, oid) }
 
 // ForEachMatch streams matching triples to fn against the current version;
@@ -759,10 +762,10 @@ func (s *Store) Graph() *rdf.Graph {
 }
 
 // Snapshot returns an independent store pinned to the current version.
-// Because versions are immutable and updates path-copy, this is O(1):
-// both stores share structure until either mutates, and mutating one never
-// affects the other. The dictionary is shared (it only grows), so IDs remain
-// valid across the snapshot boundary. The snapshot has no commit hook.
+// Because versions are immutable and updates path-copy their deltas, this is
+// O(1): both stores share structure until either mutates, and mutating one
+// never affects the other. The dictionary is shared (it only grows), so IDs
+// remain valid across the snapshot boundary. The snapshot has no commit hook.
 func (s *Store) Snapshot() *Store {
 	out := NewWithDict(s.dict)
 	out.cur.Store(s.cur.Load())
@@ -805,15 +808,16 @@ func (s *Store) Validate() error { return s.View().Validate() }
 
 // ---- builder ---------------------------------------------------------------
 
-// builder accumulates the next version by path-copying from a base version.
-// It is only ever touched by the commit leader under writeMu. Because its
-// index fields are persistent values, copying the struct snapshots the whole
-// builder state — prepareWaiter uses that for O(1) rollback.
+// builder accumulates the next version over a base version's bases, by
+// path-copying its deltas. It is only ever touched by the commit leader under
+// writeMu. Because its index fields are immutable bases and persistent
+// deltas, copying the struct snapshots the whole builder state —
+// prepareWaiter uses that for O(1) rollback.
 type builder struct {
 	dict       *Dict
-	spo        tindex
-	pos        tindex
-	osp        tindex
+	spo        xindex
+	pos        xindex
+	osp        xindex
 	size       int
 	generation uint64
 }
@@ -829,10 +833,15 @@ func newBuilder(base *version, dict *Dict) *builder {
 	}
 }
 
-// seal publishes the builder as an immutable version. The dictionary view is
+// seal publishes the builder as an immutable version. A delta that has
+// outgrown its share of its bases is folded into them first (xindex.fold);
+// every version still holding the old bases keeps them. The dictionary view is
 // captured here — after every term of the version was interned — so the
 // version resolves all of its own IDs.
 func (b *builder) seal() *version {
+	if b.spo.due() {
+		b.spo, b.pos, b.osp = b.spo.fold(b.size), b.pos.fold(b.size), b.osp.fold(b.size)
+	}
 	return &version{
 		spo:        b.spo,
 		pos:        b.pos,
@@ -868,21 +877,20 @@ func (b *builder) has(t rdf.Triple) bool {
 }
 
 func (b *builder) removeIDs(sid, pid, oid ID) bool {
-	nspo, removed := b.spo.without(sid, pid, oid)
-	if !removed {
+	if !b.spo.has(sid, pid, oid) {
 		return false
 	}
-	b.spo = nspo
-	b.pos, _ = b.pos.without(pid, oid, sid)
-	b.osp, _ = b.osp.without(oid, sid, pid)
+	b.spo = b.spo.without(sid, pid, oid)
+	b.pos = b.pos.without(pid, oid, sid)
+	b.osp = b.osp.without(oid, sid, pid)
 	b.size--
 	return true
 }
 
 func (b *builder) clear() {
-	b.spo = tindex{}
-	b.pos = tindex{}
-	b.osp = tindex{}
+	b.spo = xindex{}
+	b.pos = xindex{}
+	b.osp = xindex{}
 	b.size = 0
 }
 
@@ -899,31 +907,44 @@ func (b *builder) addAll(ts []rdf.Triple) int {
 }
 
 // merge adds the ID triples ids — duplicates and present ones allowed — and
-// returns how many were new. The batch is sorted and deduplicated once, then
-// merged into each index in that index's key order (tindex.withAll), so every
-// trie node the batch touches is allocated once per commit, not once per
-// triple; into an empty builder that is the bottom-up build. ids is reordered
+// returns how many were new. Into an empty version the batch becomes the new
+// bases, built bottom-up. Otherwise the batch is sorted and deduplicated
+// once, and its new triples are merged into each index's delta in that
+// index's key order (tindex.withAll), so every trie node the batch touches is
+// allocated once per commit, not once per triple. ids is filtered, reordered
 // and rotated in place.
 func (b *builder) merge(ids [][3]ID) int {
+	if b.size == 0 {
+		var n int
+		b.spo, b.pos, b.osp, n = newIndexes(ids)
+		b.size = n
+		return n
+	}
 	sortIDs(ids)
 	ids = slices.Compact(ids)
-	spo, n := b.spo.withAll(ids)
-	if n == 0 {
+	fresh := ids[:0]
+	for _, t := range ids {
+		if !b.spo.has(t[0], t[1], t[2]) {
+			fresh = append(fresh, t)
+		}
+	}
+	ids = fresh
+	if len(ids) == 0 {
 		return 0
 	}
-	b.spo = spo
 	rotate := func() {
 		for i, t := range ids {
 			ids[i] = [3]ID{t[1], t[2], t[0]}
 		}
 		sortIDs(ids)
 	}
+	b.spo = b.spo.with(ids)
 	rotate()
-	b.pos, _ = b.pos.withAll(ids)
+	b.pos = b.pos.with(ids)
 	rotate()
-	b.osp, _ = b.osp.withAll(ids)
-	b.size += n
-	return n
+	b.osp = b.osp.with(ids)
+	b.size += len(ids)
+	return len(ids)
 }
 
 func sortIDs(ids [][3]ID) {

@@ -10,16 +10,16 @@ import (
 	"repro/internal/rdf"
 )
 
-// version is one immutable MVCC revision of the store: the three persistent
-// triple indexes plus the statistics and dictionary view that describe them.
-// A version is never mutated after publication — writers build the next
-// version by path-copying (see builder) and publish it with one atomic
-// pointer store, so any number of readers can hold any number of versions
-// for any length of time without blocking anyone.
+// version is one immutable MVCC revision of the store: the three triple
+// indexes plus the statistics and dictionary view that describe them. A
+// version is never mutated after publication — writers build the next version
+// over the same bases, path-copying only the small deltas (see builder), and
+// publish it with one atomic pointer store, so any number of readers can hold
+// any number of versions for any length of time without blocking anyone.
 type version struct {
-	spo tindex // subject → predicate → object
-	pos tindex // predicate → object → subject
-	osp tindex // object → subject → predicate
+	spo xindex // subject → predicate → object
+	pos xindex // predicate → object → subject
+	osp xindex // object → subject → predicate
 	// size is the triple count of this version.
 	size int
 	// generation counts the commits since the empty store (see
@@ -42,8 +42,8 @@ type version struct {
 }
 
 // forEachMatch streams ID triples matching the pattern (NoID = wildcard) to
-// fn, dispatching to the index with the longest bound prefix. It reads only
-// immutable state and therefore needs no locks.
+// fn, dispatching to the index with the longest bound prefix, in that index's
+// trie order. It reads only immutable state and therefore needs no locks.
 func (v *version) forEachMatch(sid, pid, oid ID, fn func(sid, pid, oid ID) bool) {
 	switch {
 	case sid != NoID && pid != NoID && oid != NoID:
@@ -51,52 +51,24 @@ func (v *version) forEachMatch(sid, pid, oid ID, fn func(sid, pid, oid ID) bool)
 			fn(sid, pid, oid)
 		}
 	case sid != NoID && pid != NoID:
-		if br, ok := v.spo.m.Get(sid); ok {
-			if lf, ok := br.m.Get(pid); ok {
-				lf.each(func(o ID) bool { return fn(sid, pid, o) })
-			}
-		}
+		v.spo.eachPair(sid, pid, func(o ID) bool { return fn(sid, pid, o) })
 	case sid != NoID && oid != NoID:
-		if br, ok := v.osp.m.Get(oid); ok {
-			if lf, ok := br.m.Get(sid); ok {
-				lf.each(func(p ID) bool { return fn(sid, p, oid) })
-			}
-		}
+		v.osp.eachPair(oid, sid, func(p ID) bool { return fn(sid, p, oid) })
 	case pid != NoID && oid != NoID:
-		if br, ok := v.pos.m.Get(pid); ok {
-			if lf, ok := br.m.Get(oid); ok {
-				lf.each(func(su ID) bool { return fn(su, pid, oid) })
-			}
-		}
+		v.pos.eachPair(pid, oid, func(su ID) bool { return fn(su, pid, oid) })
 	case sid != NoID:
-		if br, ok := v.spo.m.Get(sid); ok {
-			br.m.Range(func(p ID, objs leaf) bool {
-				return objs.each(func(o ID) bool { return fn(sid, p, o) })
-			})
-		}
+		v.spo.eachUnder(sid, func(p, o ID) bool { return fn(sid, p, o) })
 	case pid != NoID:
-		if br, ok := v.pos.m.Get(pid); ok {
-			br.m.Range(func(o ID, subs leaf) bool {
-				return subs.each(func(su ID) bool { return fn(su, pid, o) })
-			})
-		}
+		v.pos.eachUnder(pid, func(o, su ID) bool { return fn(su, pid, o) })
 	case oid != NoID:
-		if br, ok := v.osp.m.Get(oid); ok {
-			br.m.Range(func(su ID, preds leaf) bool {
-				return preds.each(func(p ID) bool { return fn(su, p, oid) })
-			})
-		}
+		v.osp.eachUnder(oid, func(su, p ID) bool { return fn(su, p, oid) })
 	default:
-		v.spo.m.Range(func(su ID, br *l2) bool {
-			return br.m.Range(func(p ID, objs leaf) bool {
-				return objs.each(func(o ID) bool { return fn(su, p, o) })
-			})
-		})
+		v.spo.each(fn)
 	}
 }
 
-// estimate returns the exact number of triples matching the ID pattern in
-// O(1) using the per-branch subtree counts.
+// estimate returns the exact number of triples matching the ID pattern from
+// the bases' offsets and the deltas' per-branch counts.
 func (v *version) estimate(sid, pid, oid ID) int {
 	switch {
 	case sid != NoID && pid != NoID && oid != NoID:
@@ -278,7 +250,8 @@ func (sv StoreView) Has(t rdf.Triple) bool {
 func (sv StoreView) HasIDs(sid, pid, oid ID) bool { return sv.ver().spo.has(sid, pid, oid) }
 
 // EstimateIDs returns the exact number of triples matching the ID pattern
-// (NoID = wildcard) in O(1); this is the planner's selectivity source.
+// (NoID = wildcard) without walking any match: from the base's offsets and
+// the delta's per-branch counts. This is the planner's selectivity source.
 func (sv StoreView) EstimateIDs(sid, pid, oid ID) int { return sv.ver().estimate(sid, pid, oid) }
 
 // ForEachMatchIDs streams matching ID triples to fn; NoID positions are
@@ -465,16 +438,18 @@ func (sv StoreView) Stats() Stats {
 	}
 	return Stats{
 		Triples:    v.size,
-		Subjects:   v.spo.keys(),
-		Predicates: v.pos.keys(),
-		Objects:    v.osp.keys(),
+		Subjects:   v.spo.keys,
+		Predicates: v.pos.keys,
+		Objects:    v.osp.keys,
 		DictTerms:  dictTerms,
 	}
 }
 
 // Validate checks index consistency of the pinned version: SPO/POS/OSP
-// agreement, per-branch cardinality counts, size, dictionary resolution, and
-// leaf shape (a third-level set holds at least two keys; one stands inline).
+// agreement, size, dictionary resolution, and each index's shape — a base in
+// trie order, a delta disjoint from it (adds) or inside it (tombstones) with
+// exact per-branch counts and a third-level set of at least two keys, and
+// exact key and delta counts.
 func (sv StoreView) Validate() error {
 	v := sv.ver()
 	n := 0
@@ -503,14 +478,17 @@ func (sv StoreView) Validate() error {
 	}
 	for _, ix := range []struct {
 		name string
-		ix   tindex
-	}{{"SPO", v.spo}, {"POS", v.pos}, {"OSP", v.osp}} {
+		ix   *xindex
+	}{{"SPO", &v.spo}, {"POS", &v.pos}, {"OSP", &v.osp}} {
 		total, err := ix.ix.shape()
 		if err != nil {
 			return fmt.Errorf("store: %s %w", ix.name, err)
 		}
 		if total != v.size {
 			return fmt.Errorf("store: %s total %d != size %d", ix.name, total, v.size)
+		}
+		if ix.ix.delta != v.spo.delta {
+			return fmt.Errorf("store: %s delta of %d triples, SPO's %d", ix.name, ix.ix.delta, v.spo.delta)
 		}
 	}
 	return nil
