@@ -204,9 +204,9 @@ func BenchmarkE9Reasoning(b *testing.B) {
 			triples := data.Triples()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := owl.NewReasoner()
+				r := owl.NewReasonerOver(store.New())
 				r.AddAll(triples)
-				if r.InferredCount() == 0 {
+				if r.Stats().Inferred == 0 {
 					b.Fatal("no inferences")
 				}
 			}
@@ -319,7 +319,7 @@ func BenchmarkAblationIncrementalReasoning(b *testing.B) {
 	}
 
 	b.Run("incremental", func(b *testing.B) {
-		r := owl.NewReasoner()
+		r := owl.NewReasonerOver(store.New())
 		r.AddAll(base.Triples())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -144,7 +144,12 @@ func assemble(cfg *config, logger *slog.Logger) (*assembly, error) {
 	if cfg.slowQuery > 0 {
 		tracer.SetSlowQueryLog(cfg.slowQuery, logger)
 	}
-	ontologies := []*rdf.Graph{grdf.Ontology(), seconto.Ontology()}
+	// The Onto Repository is what every materialization below reasons over.
+	// It is built before loadSeed: the seed's geometry nodes take their
+	// blank-node labels from the process-wide counter after the ontologies'.
+	ontoRepo := gsacs.NewOntoRepository()
+	ontoRepo.Register("grdf", grdf.Ontology())
+	ontoRepo.Register("seconto", seconto.Ontology())
 
 	// Policies are local configuration, not replicated data: every role loads
 	// its own. Only a role that owns data loads any (the switch below).
@@ -177,7 +182,7 @@ func assemble(cfg *config, logger *slog.Logger) (*assembly, error) {
 		data := store.New()
 		data.AddAll(seed)
 		newEngine(data)
-		engine.MaterializeReasoner(ontologies...)
+		engine.MaterializeReasoner(ontoRepo.Graphs()...)
 
 	case leader:
 		// Recovers the store from its log in the background (seeding the
@@ -206,7 +211,7 @@ func assemble(cfg *config, logger *slog.Logger) (*assembly, error) {
 			Metrics: reg, Logger: logger}
 		starts = append(starts, func() {
 			go func() {
-				if err := recoverDurable(engine, seed, ontologies, walOpts, logger, &repoPtr); err != nil {
+				if err := recoverDurable(engine, seed, ontoRepo, walOpts, logger, &repoPtr); err != nil {
 					logger.Error("recovery failed; refusing to serve", "err", err.Error())
 					// Exiting non-zero beats serving 503 forever: the operator
 					// must decide what to do with the damaged directory.
@@ -243,7 +248,7 @@ func assemble(cfg *config, logger *slog.Logger) (*assembly, error) {
 			Logger:    logger,
 			// Every bootstrap (initial, post-fencing, post-compaction) replaces
 			// the triple set wholesale; the reasoner's inferences must follow.
-			OnBootstrap: func() { engine.MaterializeReasoner(ontologies...) },
+			OnBootstrap: func() { engine.MaterializeReasoner(ontoRepo.Graphs()...) },
 		})
 		if err != nil {
 			return nil, err
@@ -310,9 +315,6 @@ func assemble(cfg *config, logger *slog.Logger) (*assembly, error) {
 		}
 	}
 
-	ontoRepo := gsacs.NewOntoRepository()
-	ontoRepo.Register("grdf", grdf.Ontology())
-	ontoRepo.Register("seconto", seconto.Ontology())
 	return &assembly{
 		handler: gsacs.NewServer(engine, ontoRepo, opts...),
 		start: func() {
@@ -365,11 +367,11 @@ func admissionConfig(cfg *config, slo *obs.SLOEngine, profiler *prof.Profiler, r
 
 // recoverDurable opens the write-ahead log (replaying the durable state into
 // the engine's store), seeds the initial dataset on first boot, materializes
-// the reasoner over the recovered triples, and restores the audit trail from
-// the log's audit file and journals it there from now on (when auditing is
-// on). The engine must not serve requests until this
-// returns (the readiness gate enforces it).
-func recoverDurable(engine *gsacs.Engine, seed []rdf.Triple, ontologies []*rdf.Graph, walOpts wal.Options,
+// the reasoner over the recovered triples and the repository's ontologies,
+// and restores the audit trail from the log's audit file and journals it
+// there from now on (when auditing is on). The engine must not serve requests
+// until this returns (the readiness gate enforces it).
+func recoverDurable(engine *gsacs.Engine, seed []rdf.Triple, ontoRepo *gsacs.OntoRepository, walOpts wal.Options,
 	logger *slog.Logger, repoPtr *atomic.Pointer[wal.Repository]) error {
 	st := engine.Data()
 	repo, err := wal.Open(st, walOpts)
@@ -384,7 +386,7 @@ func recoverDurable(engine *gsacs.Engine, seed []rdf.Triple, ontologies []*rdf.G
 		n := st.AddAll(seed)
 		logger.Info("seeded initial dataset into the durable repository", "triples", n)
 	}
-	engine.MaterializeReasoner(ontologies...)
+	engine.MaterializeReasoner(ontoRepo.Graphs()...)
 	if engine.AuditStats().Capacity > 0 {
 		if restored := engine.RestoreAudit(repo.AuditReplay()); restored > 0 {
 			logger.Info("restored audit trail", "entries", restored)

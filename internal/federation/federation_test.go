@@ -19,6 +19,7 @@ import (
 	"repro/internal/gsacs"
 	"repro/internal/owl"
 	"repro/internal/seconto"
+	"repro/internal/store"
 )
 
 // chemQuery lists the chemical sites with their names.
@@ -32,7 +33,7 @@ var chemQuery = "role=EmergencyResponse&q=" + url.QueryEscape(`SELECT ?site ?nam
 func replica(t *testing.T) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 11, Sites: 6})
-	r := owl.NewReasoner()
+	r := owl.NewReasonerOver(store.New())
 	r.AddGraph(grdf.Ontology())
 	r.AddGraph(seconto.Ontology())
 	r.AddAll(sc.Merged.Triples())

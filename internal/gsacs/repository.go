@@ -1,27 +1,19 @@
 package gsacs
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/rdf"
-	"repro/internal/store"
 )
 
 // OntoRepository is Fig. 3's "database of ontologies needed to perform the
-// reasoning. For instance, GRDF would reside in this repository."
-//
-// The merged view (Combined) is cached: rebuilding it on every call made
-// each reasoner bootstrap O(total ontology size) even when nothing had
-// changed. A generation counter bumped by Register invalidates the cache.
+// reasoning. For instance, GRDF would reside in this repository." It is the
+// one place ontologies enter a server: every materialization reasons over
+// Graphs, and /v1/ontologies lists Names.
 type OntoRepository struct {
 	mu    sync.RWMutex
 	ontos map[string]*rdf.Graph
-
-	gen         uint64       // bumped on every Register
-	combined    *store.Store // cached merge, valid while combinedGen == gen
-	combinedGen uint64
 }
 
 // NewOntoRepository returns an empty repository.
@@ -29,24 +21,11 @@ func NewOntoRepository() *OntoRepository {
 	return &OntoRepository{ontos: make(map[string]*rdf.Graph)}
 }
 
-// Register stores an ontology under a name, replacing any previous version
-// and invalidating the cached merged store.
+// Register stores an ontology under a name, replacing any previous version.
 func (r *OntoRepository) Register(name string, g *rdf.Graph) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.ontos[name] = g
-	r.gen++
-}
-
-// Get returns the named ontology.
-func (r *OntoRepository) Get(name string) (*rdf.Graph, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	g, ok := r.ontos[name]
-	if !ok {
-		return nil, fmt.Errorf("gsacs: ontology %q not in repository", name)
-	}
-	return g, nil
 }
 
 // Names lists the registered ontology names, sorted.
@@ -61,42 +40,8 @@ func (r *OntoRepository) Names() []string {
 	return out
 }
 
-// Combined merges every registered ontology into one store, ready to feed
-// the reasoning engine. The store is cached and shared between callers
-// until the next Register, so treat it as read-only; mutating consumers
-// should work on Combined().Snapshot().
-func (r *OntoRepository) Combined() *store.Store {
-	r.mu.RLock()
-	if r.combined != nil && r.combinedGen == r.gen {
-		st := r.combined
-		r.mu.RUnlock()
-		return st
-	}
-	r.mu.RUnlock()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.combined != nil && r.combinedGen == r.gen {
-		return r.combined
-	}
-	st := store.New()
-	for _, g := range r.ontos {
-		st.AddGraph(g)
-	}
-	r.combined = st
-	r.combinedGen = r.gen
-	return st
-}
-
-// Generation reports the repository's mutation counter; it changes exactly
-// when a Register invalidates the combined cache.
-func (r *OntoRepository) Generation() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.gen
-}
-
-// Graphs returns the registered ontologies in name order.
+// Graphs returns the registered ontologies in name order, the order the
+// reasoner interns them in.
 func (r *OntoRepository) Graphs() []*rdf.Graph {
 	names := r.Names()
 	r.mu.RLock()

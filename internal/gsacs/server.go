@@ -599,10 +599,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	// One pinned version, so the count and the generation are of one commit.
+	view := s.engine.Data().View()
 	body := map[string]any{
 		"status":     "ok",
-		"triples":    s.engine.Data().Len(),
-		"generation": s.engine.Data().Generation(),
+		"triples":    view.Len(),
+		"generation": view.Generation(),
 		"cache":      s.engine.Cache().Snapshot(),
 	}
 	if st := s.engine.AuditStats(); st.Capacity > 0 {

@@ -259,3 +259,49 @@ func TestServerStoreStats(t *testing.T) {
 		t.Errorf("DELETE /v1/store = %d, want 405", delResp.StatusCode)
 	}
 }
+
+// TestHealthCountsOneVersion: /healthz reports the triple count and the
+// generation of one version. Each commit below adds one triple and one
+// generation, so triples − generation is the same in every answer; a count
+// and a generation read from two versions differ by the commits between.
+func TestHealthCountsOneVersion(t *testing.T) {
+	e, _ := scenarioEngine(t)
+	h := NewServer(e, nil)
+	data := e.Data()
+	want := data.Len() - int(data.Generation())
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			data.Add(rdf.T(rdf.IRI(fmt.Sprintf("http://example.org/h%d", i)), rdf.IRI("http://example.org/p"), rdf.NewString("v")))
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	const polls = 5000
+	gen0 := data.Generation()
+	for i := 0; i < polls; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		var out struct {
+			Triples    int    `json:"triples"`
+			Generation uint64 `json:"generation"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("poll %d: %v", i, err)
+		}
+		if got := out.Triples - int(out.Generation); got != want {
+			t.Fatalf("poll %d: triples %d at generation %d: triples − generation = %d, want %d",
+				i, out.Triples, out.Generation, got, want)
+		}
+	}
+	if moved := data.Generation() - gen0; moved < polls/10 {
+		t.Fatalf("only %d commits landed during %d polls; the writer did not race the reader", moved, polls)
+	}
+}

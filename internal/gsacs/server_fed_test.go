@@ -6,15 +6,12 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/federation"
-	"repro/internal/grdf"
 	"repro/internal/obs"
 	"repro/internal/obs/workload"
-	"repro/internal/seconto"
 	"repro/internal/store"
 )
 
@@ -161,68 +158,5 @@ func TestServerMaxBodyBytes(t *testing.T) {
 	resp, _ = postMutate(t, srv, "EmergencyResponse", small)
 	if resp.StatusCode == http.StatusRequestEntityTooLarge {
 		t.Error("small body rejected as too large")
-	}
-}
-
-// TestOntoRepositoryCombinedCache verifies Combined is cached between
-// mutations and invalidated by Register.
-func TestOntoRepositoryCombinedCache(t *testing.T) {
-	repo := NewOntoRepository()
-	repo.Register("grdf", grdf.Ontology())
-	gen0 := repo.Generation()
-
-	first := repo.Combined()
-	if first.Len() == 0 {
-		t.Fatal("combined store empty")
-	}
-	if second := repo.Combined(); second != first {
-		t.Error("Combined rebuilt with no intervening Register")
-	}
-	repo.Register("seconto", seconto.Ontology())
-	if repo.Generation() == gen0 {
-		t.Error("Register did not bump the generation")
-	}
-	third := repo.Combined()
-	if third == first {
-		t.Error("Combined cache not invalidated by Register")
-	}
-	if third.Len() <= first.Len() {
-		t.Errorf("combined after second Register has %d triples, want > %d",
-			third.Len(), first.Len())
-	}
-}
-
-// TestOntoRepositoryCombinedConcurrent races Register against Combined and
-// readers; run under -race this guards the cache's locking.
-func TestOntoRepositoryCombinedConcurrent(t *testing.T) {
-	repo := NewOntoRepository()
-	repo.Register("grdf", grdf.Ontology())
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(2)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				name := []string{"grdf", "seconto", "extra", "other"}[i%4]
-				repo.Register(name, seconto.Ontology())
-			}
-		}(g)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if st := repo.Combined(); st.Len() == 0 {
-					t.Error("combined store empty mid-run")
-					return
-				}
-				_ = repo.Names()
-				_, _ = repo.Get("grdf")
-			}
-		}()
-	}
-	wg.Wait()
-	// Final state must reflect the last registrations exactly once each.
-	final := repo.Combined()
-	if final != repo.Combined() {
-		t.Error("cache unstable after writers stopped")
 	}
 }

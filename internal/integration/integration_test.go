@@ -264,7 +264,7 @@ func TestReasonerPluggability(t *testing.T) {
 		t.Error("syntactic engine resolved a 2-hop subclass chain (unexpected)")
 	}
 	// OWL engine: transitivity closes the chain.
-	r := owl.NewReasoner()
+	r := owl.NewReasonerOver(store.New())
 	r.AddAll(data.Triples())
 	reasoned := gsacs.New(policies, data, gsacs.Options{Reasoner: r})
 	if !reasoned.Decide(role, seconto.ActionView, site).Allowed {

@@ -5,18 +5,19 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/rdf"
+	"repro/internal/store"
 )
 
 func TestReasonerInstrumentation(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := NewReasoner().Instrument(reg)
+	r := NewReasonerOver(store.New()).Instrument(reg)
 
 	ex := rdf.IRI("http://example.org/")
 	r.AddAll([]rdf.Triple{
 		rdf.T(ex+"Dog", rdf.RDFSSubClassOf, ex+"Animal"),
 		rdf.T(ex+"rex", rdf.RDFType, ex+"Dog"),
 	})
-	if !r.Entails(rdf.T(ex+"rex", rdf.RDFType, ex+"Animal")) {
+	if !r.Store().Has(rdf.T(ex+"rex", rdf.RDFType, ex+"Animal")) {
 		t.Fatal("closure incomplete")
 	}
 

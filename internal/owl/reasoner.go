@@ -117,9 +117,6 @@ func internVocab(st *store.Store) vocab {
 	}
 }
 
-// NewReasoner returns an empty reasoner.
-func NewReasoner() *Reasoner { return newReasoner(store.New()) }
-
 // NewReasonerOver returns a reasoner that starts from data's current
 // version. That costs O(1): the reasoner's store is a snapshot of data, so it
 // shares data's dictionary and indexes, and writes to either store stay
@@ -129,18 +126,15 @@ func NewReasoner() *Reasoner { return newReasoner(store.New()) }
 // version plus its batch in one drain (AddAll(nil) for the version alone).
 // Until then the reasoner holds the version, not its closure.
 func NewReasonerOver(data *store.Store) *Reasoner {
-	r := newReasoner(data.Snapshot())
-	r.queue = make([][3]store.ID, 0, r.st.Len())
+	st := data.Snapshot()
+	r := &Reasoner{st: st, v: internVocab(st), provenance: make(map[[3]store.ID]derivation)}
+	r.queue = make([][3]store.ID, 0, st.Len())
 	r.st.ForEachMatchIDs(store.NoID, store.NoID, store.NoID, func(s, p, o store.ID) bool {
 		r.queue = append(r.queue, [3]store.ID{s, p, o})
 		return true
 	})
 	r.stats.Asserted = len(r.queue)
 	return r
-}
-
-func newReasoner(st *store.Store) *Reasoner {
-	return &Reasoner{st: st, v: internVocab(st), provenance: make(map[[3]store.ID]derivation)}
 }
 
 // Materialize computes the closure of all triples in src and returns a new
@@ -216,12 +210,6 @@ func (r *Reasoner) commit(ids [][3]store.ID) {
 // AddGraph asserts every triple of g.
 func (r *Reasoner) AddGraph(g *rdf.Graph) int { return r.AddAll(g.Triples()) }
 
-// Entails reports whether t is in the closure.
-func (r *Reasoner) Entails(t rdf.Triple) bool { return r.st.Has(t) }
-
-// InferredCount returns how many triples were derived (not asserted).
-func (r *Reasoner) InferredCount() int { return r.stats.Inferred }
-
 // emit records a derived triple for the current round. Rules call it while
 // they read the round's published version, so a derivation that version
 // already holds, or that the round has already produced, is dropped here; the
@@ -275,18 +263,11 @@ func (r *Reasoner) drain() {
 	}
 }
 
-// SubClasses returns every subclass of class (reflexive per RDFS closure
-// when the ontology declares it; this helper just reads the materialized
-// hierarchy).
-func (r *Reasoner) SubClasses(class rdf.Term) []rdf.Term {
-	return r.st.Subjects(rdf.RDFSSubClassOf, class)
-}
-
-// hasWithPred is the ID-space fast path behind the entailment helpers: it
-// resolves both endpoints through the store dictionary (never interning) and
-// probes the SPO index with the pre-interned predicate ID. The G-SACS
-// decision engine calls these helpers once per (policy, property) pair, so
-// skipping term hashing on the probe matters on that path.
+// hasWithPred is the ID-space fast path behind IsSubClassOf and
+// IsSubPropertyOf: it resolves both endpoints through the store dictionary
+// (never interning) and probes the SPO index with the pre-interned predicate
+// ID. The G-SACS decision engine calls these helpers once per (policy,
+// property) pair, so skipping term hashing on the probe matters on that path.
 func (r *Reasoner) hasWithPred(sub rdf.Term, pid store.ID, obj rdf.Term) bool {
 	sid, ok := r.st.LookupID(sub)
 	if !ok {
@@ -330,12 +311,6 @@ func (r *Reasoner) TypesOf(ind rdf.Term) []rdf.Term {
 		return true
 	})
 	return out
-}
-
-// HasType reports whether the individual has the given (possibly inferred)
-// type.
-func (r *Reasoner) HasType(ind, class rdf.Term) bool {
-	return r.hasWithPred(ind, r.v.typ, class)
 }
 
 // Explain returns the derivation chain of t, outermost first: each step

@@ -410,6 +410,11 @@ func collectVars(g *GroupPattern) []Variable {
 				walkGroup(v.Right)
 			case *SubGroup:
 				walkGroup(v.Group)
+			case *GraphPattern:
+				if gv, ok := v.Name.(Variable); ok {
+					note(gv)
+				}
+				walkGroup(v.Group)
 			case *Bind:
 				note(v.Var)
 			case *Values:

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -717,6 +718,29 @@ ex:site ex:bounds [ ex:min "0,0" ; ex:max "9,9" ] .
 	res := sel(t, e, `PREFIX ex: <http://e/> DESCRIBE ex:site`)
 	if res.Graph.Len() != 3 {
 		t.Errorf("blank closure missing:\n%s", res.Graph)
+	}
+}
+
+// TestSelectStarSeesGraphVariables: SELECT * projects the variables bound
+// inside a GRAPH pattern, the graph name first.
+func TestSelectStarSeesGraphVariables(t *testing.T) {
+	ds := store.NewDataset()
+	g, _ := ds.Graph(rdf.IRI("http://g/hydro"), true)
+	tr := rdf.T(rdf.IRI("http://e/stream"), rdf.IRI("http://e/name"), rdf.NewString("Creek"))
+	g.Add(tr)
+	res := sel(t, NewDatasetEngine(ds), `SELECT * WHERE { GRAPH ?g { ?s ?p ?o } }`)
+	if !slices.Equal(res.Vars, []Variable{"g", "s", "p", "o"}) {
+		t.Fatalf("Vars = %v, want [g s p o]", res.Vars)
+	}
+	rows := res.Bindings()
+	want := map[Variable]rdf.Term{"g": rdf.IRI("http://g/hydro"), "s": tr.Subject, "p": tr.Predicate, "o": tr.Object}
+	if len(rows) != 1 || len(rows[0]) != len(want) {
+		t.Fatalf("rows = %v, want one row of four bindings", rows)
+	}
+	for v, term := range want {
+		if !rows[0][v].Equal(term) {
+			t.Errorf("?%s = %v, want %v", v, rows[0][v], term)
+		}
 	}
 }
 

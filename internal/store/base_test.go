@@ -212,7 +212,6 @@ func TestReadersPinnedAcrossCompaction(t *testing.T) {
 			return true
 		})
 		r.stats = v.Stats()
-		r.stats.DictTerms = 0 // the dictionary is the store's, and grows
 		for _, p := range probes {
 			r.est = append(r.est, v.EstimateIDs(p[0], p[1], p[2]))
 			v.ForEachMatchIDs(p[0], NoID, NoID, func(a, b, c ID) bool {

@@ -429,19 +429,17 @@ func (d *describeOrder) Less(i, j int) bool {
 	return bytes.Compare(d.form(i, 1), d.form(j, 1)) < 0
 }
 
-// Stats computes summary statistics for the pinned version.
+// Stats computes summary statistics for the pinned version. DictTerms is
+// the dictionary as the version was published: a pinned view's stats do not
+// grow with later commits.
 func (sv StoreView) Stats() Stats {
 	v := sv.ver()
-	dictTerms := v.terms.Len()
-	if sv.dict != nil {
-		dictTerms = sv.dict.Len()
-	}
 	return Stats{
 		Triples:    v.size,
 		Subjects:   v.spo.keys,
 		Predicates: v.pos.keys,
 		Objects:    v.osp.keys,
-		DictTerms:  dictTerms,
+		DictTerms:  v.terms.Len(),
 	}
 }
 
