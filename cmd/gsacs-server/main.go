@@ -42,6 +42,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -473,12 +474,22 @@ func loadPolicies(cfg *config) (*seconto.Set, error) {
 
 // parseTurtleFile parses a Turtle (or N-Triples) file straight to its
 // triples: no graph, so no dedup map — the store's AddAll drops duplicates.
+// The file is read once, into the one string the parser reads; the parser
+// copies what its terms keep, so the document is garbage once parsed.
 func parseTurtleFile(path string) ([]rdf.Triple, error) {
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	ts, err := turtle.ParseTriples(string(raw))
+	defer f.Close()
+	var doc strings.Builder
+	if fi, err := f.Stat(); err == nil {
+		doc.Grow(int(fi.Size()))
+	}
+	if _, err := io.Copy(&doc, f); err != nil {
+		return nil, err
+	}
+	ts, err := turtle.ParseTriples(doc.String())
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

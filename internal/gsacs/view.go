@@ -219,8 +219,8 @@ func (e *Engine) refreshView(sp *obs.Span, prev *cacheEntry, subject, action rdf
 }
 
 // buildView materializes the role's view over j's version of the data from
-// scratch: the cold path, the fallback when patching is not sound or not
-// cheaper, and the oracle the patch path is tested against. fired counts, per
+// scratch (the cold path, and the patch path's fallback and oracle), in a
+// dictionary that numbers the data's terms and copies none. fired counts, per
 // rule, the governed resources whose decision it fired in.
 func (e *Engine) buildView(j *judge, subject, action rdf.IRI) (view *store.Store, fired map[rdf.IRI]int) {
 	var visible []rdf.Triple
@@ -230,7 +230,7 @@ func (e *Engine) buildView(j *judge, subject, action rdf.IRI) (view *store.Store
 		countRules(fired, acc, 1)
 		visible = append(visible, j.filterResource(res, acc)...)
 	}
-	view = store.New()
+	view = store.NewWithDict(store.NewDictOver(e.data.Dict()))
 	view.AddAll(visible)
 	return view, fired
 }

@@ -28,12 +28,15 @@ func (e *ParseError) Error() string {
 }
 
 // ParseTriple parses one N-Triples statement: the text of one line, without
-// its line break. Its errors report line 1.
+// its line break. Its errors report line 1. The IRIs, blank node labels and
+// language tags of the triple are windows on line (a literal's value is a
+// copy), so a caller whose line is part of a larger buffer passes a copy of
+// the line, as the WAL decoder does.
 func ParseTriple(line string) (rdf.Triple, error) {
 	if strings.IndexByte(line, '\n') >= 0 {
 		return rdf.Triple{}, &ParseError{Line: 1, Msg: "line break inside a statement"}
 	}
-	q, err := parseStatement(line, 1, false)
+	q, err := parseStatement(line, 1, false, false)
 	return q.Triple, err
 }
 
@@ -54,6 +57,9 @@ func ParseString(doc string) (*rdf.Graph, error) {
 
 // parseLines hands emit the statement of every line of doc that is neither
 // blank nor a comment, in order, with its graph label when quads is set.
+// Every string of a term it hands out is a copy: a term that a store's
+// dictionary keeps must not keep the whole document (a /v1/mutate body, a
+// file) alive.
 func parseLines(doc string, quads bool, emit func(rdf.Quad)) error {
 	for n := 1; doc != ""; n++ {
 		var line string
@@ -62,7 +68,7 @@ func parseLines(doc string, quads bool, emit func(rdf.Quad)) error {
 		if line == "" || line[0] == '#' {
 			continue
 		}
-		q, err := parseStatement(line, n, quads)
+		q, err := parseStatement(line, n, quads, true)
 		if err != nil {
 			return err
 		}
@@ -73,9 +79,10 @@ func parseLines(doc string, quads bool, emit func(rdf.Quad)) error {
 
 // parseStatement parses the statement on line n: subject, predicate and
 // object, then — when quads is set and something other than the dot
-// follows — a graph label, then the dot and at most a comment.
-func parseStatement(line string, n int, quads bool) (rdf.Quad, error) {
-	s := statement{line: line, n: n}
+// follows — a graph label, then the dot and at most a comment. With own set,
+// the strings of the terms are copies, not windows on line.
+func parseStatement(line string, n int, quads, own bool) (rdf.Quad, error) {
+	s := statement{line: line, n: n, own: own}
 	subj, err := s.term()
 	if err != nil {
 		return rdf.Quad{}, err
@@ -117,6 +124,15 @@ type statement struct {
 	line string
 	pos  int
 	n    int
+	own  bool // copy what a term keeps of line (see keep)
+}
+
+// keep returns the part of line a term keeps: a copy when s owns its terms.
+func (s *statement) keep(part string) string {
+	if s.own {
+		return strings.Clone(part)
+	}
+	return part
 }
 
 func (s *statement) errf(format string, args ...any) error {
@@ -151,7 +167,7 @@ func (s *statement) term() (rdf.Term, error) {
 			return nil, s.errf("empty blank node label")
 		}
 		s.pos = end
-		return rdf.BlankNode(line[pos+2 : end]), nil
+		return rdf.BlankNode(s.keep(line[pos+2 : end])), nil
 	case '"':
 		return s.literal()
 	}
@@ -169,7 +185,7 @@ func (s *statement) iri(unterminated string) (rdf.IRI, error) {
 		return "", s.errf("%v", err)
 	}
 	s.pos += end + 1
-	return iri, nil
+	return rdf.IRI(s.keep(string(iri))), nil
 }
 
 // literal reads the literal whose opening quote is at the cursor, with its
@@ -186,7 +202,7 @@ func (s *statement) literal() (rdf.Term, error) {
 			end++
 		}
 		s.pos = end
-		return rdf.NewLangString(val, line[next+1:end]), nil
+		return rdf.NewLangString(val, s.keep(line[next+1:end])), nil
 	}
 	if !strings.HasPrefix(line[next:], "^^") {
 		return rdf.Literal{Value: val, Datatype: rdf.XSDString}, nil

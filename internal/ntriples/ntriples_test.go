@@ -1,9 +1,11 @@
 package ntriples
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/rdf"
 )
@@ -257,5 +259,50 @@ func TestQuadsErrors(t *testing.T) {
 	// blank node graph labels are rejected (we keep labels as IRIs)
 	if _, err := ParseQuadsString(`<http://e/s> <http://e/p> "x" _:g .`); err == nil {
 		t.Error("blank graph label accepted")
+	}
+}
+
+// TestParsedTermsOwnTheirBytes: no string of a term parsed from a document
+// lies inside the document, for every kind of term — a term the store's
+// dictionary keeps must not keep the whole document (a /v1/mutate body, a
+// file) alive. (ParseTriple reads one statement that its caller owns, and
+// leaves its IRIs and labels as windows on it.)
+func TestParsedTermsOwnTheirBytes(t *testing.T) {
+	doc := strings.Clone(`<http://e/s> <http://e/p> <http://e/o> .
+_:b1 <http://e/p> _:b2 .
+<http://e/s> <http://e/p> "plain" .
+<http://e/s> <http://e/p> "tagged"@en .
+<http://e/s> <http://e/p> "42"^^<http://www.w3.org/2001/XMLSchema#integer> .
+`)
+	ts, err := ParseTriples(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := uintptr(unsafe.Pointer(unsafe.StringData(doc)))
+	kinds := map[string]bool{}
+	for _, tr := range ts {
+		for _, term := range []rdf.Term{tr.Subject, tr.Predicate, tr.Object} {
+			var parts []string
+			switch v := term.(type) {
+			case rdf.IRI:
+				parts = []string{string(v)}
+			case rdf.BlankNode:
+				parts = []string{string(v)}
+			case rdf.Literal:
+				parts = []string{v.Value, string(v.Datatype), v.Lang}
+			}
+			kinds[fmt.Sprintf("%T", term)] = true
+			for _, s := range parts {
+				if s == "" {
+					continue
+				}
+				if at := uintptr(unsafe.Pointer(unsafe.StringData(s))); at >= from && at < from+uintptr(len(doc)) {
+					t.Errorf("%q of %v lies inside the document", s, term)
+				}
+			}
+		}
+	}
+	if len(kinds) != 3 {
+		t.Fatalf("the document parsed to term kinds %v, want IRIs, blank nodes and literals", kinds)
 	}
 }

@@ -59,10 +59,26 @@ type lexer struct {
 	pos  int
 	line int
 	col  int
+	// owned holds the copy of every string the lexer has handed out that a
+	// term can keep: a window on src would keep the whole document alive for
+	// as long as any term it made lives, in a store's dictionary say.
+	owned map[string]string
 }
 
 func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
+	return &lexer{src: src, line: 1, col: 1, owned: map[string]string{}}
+}
+
+// own returns a copy of s that does not share src's memory, made once per
+// distinct string per document. (A literal's value needs none: it is built
+// in a strings.Builder of its own.)
+func (l *lexer) own(s string) string {
+	c, ok := l.owned[s]
+	if !ok {
+		c = strings.Clone(s)
+		l.owned[c] = c
+	}
+	return c
 }
 
 // Error is a Turtle syntax error with position information.
@@ -143,7 +159,7 @@ func (l *lexer) next() (token, error) {
 			return token{}, l.errf("%v", err)
 		}
 		l.advance(end + 1)
-		return mk(tokIRIRef, string(iri)), nil
+		return mk(tokIRIRef, l.own(string(iri))), nil
 	case '.':
 		// Distinguish statement-terminating dot from a leading decimal like .5
 		if isDigit(l.peekAt(1)) {
@@ -194,7 +210,7 @@ func (l *lexer) next() (token, error) {
 			if end == l.pos+1 {
 				return token{}, l.errf("empty language tag")
 			}
-			tag := l.src[l.pos+1 : end]
+			tag := l.own(l.src[l.pos+1 : end])
 			l.advance(end - l.pos)
 			return mk(tokLangTag, tag), nil
 		}
@@ -208,7 +224,7 @@ func (l *lexer) next() (token, error) {
 		for end < len(l.src) && isNameChar(l.src[end]) {
 			end++
 		}
-		label := l.src[l.pos+2 : end]
+		label := l.own(l.src[l.pos+2 : end])
 		if label == "" {
 			return token{}, l.errf("empty blank node label")
 		}
@@ -228,7 +244,7 @@ func (l *lexer) next() (token, error) {
 	// Check for prefixed name (contains ':').
 	if idx := strings.IndexByte(word, ':'); idx >= 0 {
 		l.advance(len(word))
-		return mk(tokPrefixedName, word), nil
+		return mk(tokPrefixedName, l.own(word)), nil
 	}
 	switch word {
 	case "a":
@@ -317,7 +333,7 @@ func (l *lexer) lexNumber(mk func(tokenKind, string) token) (token, error) {
 	if digits == 0 {
 		return token{}, l.errf("malformed number")
 	}
-	text := l.src[l.pos:end]
+	text := l.own(l.src[l.pos:end])
 	l.advance(end - l.pos)
 	return mk(tokNumber, text), nil
 }
